@@ -1,10 +1,8 @@
-"""Command-line workbench: run checks, emit canonical JSON certificates.
-
-Exit codes: 0 = pass, 1 = fail (certificate written), 2 = usage or
-input error.  Certificates are byte-identical across runs with the same
-inputs and seed; wall-clock timing is reported on stderr and kept out
-of the certificate for that reason.
-"""
+"""Command-line workbench: each entry of ``COMMANDS`` runs a check and
+emits a canonical JSON certificate.  Exit codes: 0 = pass, 1 = fail
+(certificate written), 2 = usage or input error.  Certificates are
+byte-identical across runs with the same inputs and seed; wall-clock
+timing goes to stderr and is kept out of them."""
 
 from __future__ import annotations
 
@@ -12,18 +10,20 @@ import argparse
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import List, Optional
 
 from . import __version__
 from .addcat import (DomainError, HypothesisError, PreconditionError,
-                     add_category, n_cokernel, n_kernel, verify_n_cokernel,
-                     verify_n_exact, verify_n_kernel)
+                     add_category, contravariant_fragment, n_cokernel,
+                     n_kernel, verify_n_cokernel, verify_n_exact,
+                     verify_n_kernel)
 from .certs import Certificate, canonical_json, content_hash, emit_certificate
 from .complexes import mapping_cone
-from .fileio import (InputError, algebra_to_dict, load_algebra,
-                     load_complex, load_generators, load_json, load_module,
-                     load_morphism, module_to_dict, morphism_to_dict)
+from .fileio import (InputError, algebra_from_dict, algebra_to_dict,
+                     complex_from_dict, load_generators, load_json,
+                     load_module, module_to_dict, morphism_to_dict,
+                     morphism_with_endpoints_from_dict)
 from .frob import (SetupError, angle_cone, check_frobenius_setup,
                    complete_angle_morphism, cosyzygy, rotate_angle,
                    standard_angle, verify_angle_exact)
@@ -32,159 +32,97 @@ from .presets import (brute_force_nct_search, gen_auslander_linear_A,
                       nakayama_indecomposables)
 from .pushout import n_pushout
 from .quivers import AdmissibilityError, BoundError, QuiverError
-from .reps import (are_isomorphic, hom_basis, identity_morphism,
-                   projective_module, simple_module)
-from .tilting import check_n_cluster_tilting
+from .reps import (FITTING_RETRIES, are_isomorphic, hom_basis,
+                   identity_morphism, projective_module, simple_module)
+from .resolutions import ext_dim
+from .tilting import check_n_cluster_tilting, ext_via_approx_resolution
 
-DEMO_PRESETS = ("a3-j2", "a4-j2", "a5-j2", "preproj-a2", "auslander-a2")
 
-
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return 0 if exc.code in (0, None) else 2
-    if getattr(args, "func", None) is None:
+    if getattr(args, "check", None) is None:
         parser.print_help()
         return 2
     started = time.monotonic()
     try:
-        code = args.func(args)
+        return _run_check(args)
     except (InputError, QuiverError, AdmissibilityError, BoundError,
-            DomainError, PreconditionError, SetupError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HypothesisError as exc:
+            DomainError, PreconditionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         elapsed = (time.monotonic() - started) * 1000.0
         print(f"elapsed: {elapsed:.1f} ms", file=sys.stderr)
-    return code
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nexakt",
-        description="certified higher homological algebra over F_p")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed (fallback: NEXAKT_SEED, then 0)")
-        p.add_argument("--out", default="certs", help="certificate directory")
-        p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--module", action="append", default=[],
-                       metavar="NAME=FILE",
-                       help="load a module file under a name; names may then "
-                            "be used in --m lists and --a/--b")
-
-    alg_cmd = sub.add_parser("algebra", help="algebra file operations")
-    alg_sub = alg_cmd.add_subparsers(dest="subcommand")
-    p = alg_sub.add_parser("check", help="validate an algebra definition")
-    p.add_argument("--algebra", required=True)
-    common(p)
-    p.set_defaults(func=cmd_algebra_check)
-
-    nct_cmd = sub.add_parser("nct", help="n-cluster-tilting checks")
-    nct_sub = nct_cmd.add_subparsers(dest="subcommand")
-    p = nct_sub.add_parser("check")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--m", required=True, help="generators file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--indecs", default="nakayama",
-                   help="'nakayama' or a generators-format file")
-    common(p)
-    p.set_defaults(func=cmd_nct_check)
-
-    p = sub.add_parser("ncoker", help="construct and certify an n-cokernel")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--morphism", required=True, help="d0 morphism file")
-    p.add_argument("--m", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_ncoker)
-
-    p = sub.add_parser("nkernel", help="construct and certify an n-kernel")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--morphism", required=True, help="d^n morphism file")
-    p.add_argument("--m", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_nkernel)
-
-    p = sub.add_parser("npushout", help="construct and certify an n-pushout")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--complex", required=True)
-    p.add_argument("--morphism", required=True, help="f0 morphism file")
-    p.add_argument("--m", required=True)
-    common(p)
-    p.set_defaults(func=cmd_npushout)
-
-    p = sub.add_parser("verify-nexact", help="verify an n-exact sequence")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--complex", required=True)
-    p.add_argument("--m", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_verify_nexact)
-
-    ext_cmd = sub.add_parser("ext", help="Ext computations")
-    ext_sub = ext_cmd.add_subparsers(dest="subcommand")
-    p = ext_sub.add_parser("compare")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--a", required=True, help="module file (source)")
-    p.add_argument("--b", required=True, help="module file (target)")
-    p.add_argument("--m", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_ext_compare)
-
-    fro_cmd = sub.add_parser("frobenius", help="Frobenius/(n+2)-angle checks")
-    fro_sub = fro_cmd.add_subparsers(dest="subcommand")
-    for name, fn in (("setup", cmd_frobenius_setup),
-                     ("angle", cmd_frobenius_angle),
-                     ("rotate", cmd_frobenius_rotate),
-                     ("cone", cmd_frobenius_cone)):
-        p = fro_sub.add_parser(name)
-        p.add_argument("--algebra", required=True)
-        p.add_argument("--m", required=True)
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--indecs", default="nakayama")
-        if name != "setup":
-            p.add_argument("--alpha", required=True,
-                           help="morphism file with embedded endpoints")
-        common(p)
-        p.set_defaults(func=fn)
-
-    search_cmd = sub.add_parser("search", help="exhaustive searches")
-    search_sub = search_cmd.add_subparsers(dest="subcommand")
-    p = search_sub.add_parser("nct")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--indecs", default="nakayama")
-    common(p)
-    p.set_defaults(func=cmd_search_nct)
-
-    p = sub.add_parser("demo", help="run a named preset end to end")
-    p.add_argument("preset", choices=DEMO_PRESETS)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=101)
-    common(p)
-    p.set_defaults(func=cmd_demo)
-
-    return parser
+def _run_check(args) -> int:
+    """Load, check, certify; HypothesisError or SetupError make a fail."""
+    name = args.cert_name + (f"-{args.preset}" if "preset" in args else "")
+    seed = args.seed if args.seed is not None else int(
+        os.environ.get("NEXAKT_SEED") or 0)
+    cert = Certificate(name, {}, seed)
+    ins = _load_inputs(args, cert)
+    try:
+        result = args.check(args, ins)
+    except (HypothesisError, SetupError) as exc:
+        kind = type(exc).__name__
+        params = {k: getattr(args, k) for k in ("n", "k", "p")
+                  if getattr(args, k, None) is not None}
+        result = params, False, {"failure": {
+            "exception": kind, "message": str(exc),
+            "degree": getattr(exc, "degree", None)}}, f"{kind}: {exc}"
+    cert.params, cert.verdict, cert.witnesses, summary = result
+    return _finish(args, cert, bool(cert.verdict), summary)
 
 
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NEXAKT_SEED")
-    return int(env) if env else 0
+def _load_inputs(args, cert: Certificate) -> argparse.Namespace:
+    """Read each input file once, embed it in the certificate and build
+    add(M) from --m.  Demo presets embed their algebra via ins.embed."""
+    ins = argparse.Namespace(seed=cert.seed, embed=cert.add_input)
+    if "algebra" not in args:
+        return ins
+    ins.algebra_json = load_json(args.algebra)
+    ins.alg = alg = algebra_from_dict(ins.algebra_json)
+    cert.add_input("algebra", ins.algebra_json)
+    for dest, parse in (("morphism", morphism_with_endpoints_from_dict),
+                        ("complex", complex_from_dict),
+                        ("alpha", morphism_with_endpoints_from_dict)):
+        if dest in args:
+            data = load_json(getattr(args, dest))
+            setattr(ins, dest, parse(data, alg))
+            cert.add_input(dest, data)
+    if "indecs" in args:
+        ins.indecs = (nakayama_indecomposables(alg)
+                      if args.indecs == "nakayama"
+                      else load_generators(args.indecs, alg))
+    if "m" not in args:
+        return ins
+    named = {}
+    for name, _, path in (item.partition("=") for item in args.module):
+        if not path:
+            raise InputError(f"--module expects NAME=FILE, got {name!r}")
+        named[name] = load_module(path, alg)
+    for dest in [d for d in ("a", "b") if d in args]:
+        value = getattr(args, dest)
+        mod = named[value] if value in named else load_module(value, alg)
+        setattr(ins, dest, mod)
+        cert.add_input(dest, module_to_dict(mod))
+    # --m is a generators file or a comma-separated list of --module names
+    if "," in args.m or args.m in named:
+        try:
+            gens = [named[n] for n in args.m.split(",")]
+        except KeyError as exc:
+            raise InputError(f"--m references unloaded module {exc}") from None
+    else:
+        gens = load_generators(args.m, alg)
+    cert.add_input("generators", [module_to_dict(g) for g in gens])
+    ins.cat = add_category(alg, gens, seed=cert.seed)
+    return ins
 
 
 def _finish(args, cert: Certificate, passed: bool, summary: str) -> int:
@@ -197,203 +135,65 @@ def _finish(args, cert: Certificate, passed: bool, summary: str) -> int:
     return 0 if passed else 1
 
 
-def _load_indecs(spec: str, alg):
-    if spec == "nakayama":
-        return nakayama_indecomposables(alg)
-    return load_generators(spec, alg)
+def _dims(modules):
+    return [list(x.dim_vector()) for x in modules]
 
 
-def _named_modules(args, alg) -> dict:
-    out = {}
-    for item in getattr(args, "module", []):
-        name, _, path = item.partition("=")
-        if not path:
-            raise InputError(f"--module expects NAME=FILE, got {item!r}")
-        out[name] = load_module(path, alg)
-    return out
+def _check_algebra(args, ins):
+    roundtrip = (canonical_json(algebra_to_dict(ins.alg))
+                 == canonical_json(ins.algebra_json))
+    return {"path": str(args.algebra)}, True, {
+        "dimension": ins.alg.dim, "vertices": len(ins.alg.quiver.vertices),
+        "arrows": len(ins.alg.quiver.arrows), "canonical_roundtrip": roundtrip,
+        "basis_words": [list(w.arrows) for w in ins.alg.basis],
+    }, f"dimension {ins.alg.dim}, canonical={roundtrip}"
 
 
-def _resolve_module(args, value: str, alg):
-    named = _named_modules(args, alg)
-    if value in named:
-        return named[value]
-    return load_module(value, alg)
+def _check_nct(args, ins):
+    report = check_n_cluster_tilting(ins.cat, args.n, ins.indecs,
+                                     complete=True, seed=ins.seed)
+    return {"n": args.n}, report.ok, report.to_dict(), report.verdict
 
 
-def _resolve_generators(args, value: str, alg):
-    """--m accepts a generators file or a comma-separated list of names."""
-    named = _named_modules(args, alg)
-    if "," in value or value in named:
-        try:
-            return [named[n] for n in value.split(",")]
-        except KeyError as exc:
-            raise InputError(f"--m references unloaded module {exc}") from None
-    return load_generators(value, alg)
+def _ladder_check(build, verify, label, note):
+    """ncoker/nkernel: the minimal ladder on --morphism, certified."""
+    def check(args, ins):
+        seq = build(ins.morphism, ins.cat, args.n)
+        frag = verify(ins.morphism, seq, ins.cat)
+        return {"n": args.n}, frag.ok, {
+            "terms": _dims(seq.terms),
+            "differentials": [morphism_to_dict(d) for d in seq.diffs],
+            "exactness": frag.to_dict(), "note": note,
+        }, f"{label} dims {[t.total_dim for t in seq.terms]}"
+    return check
 
 
-def cmd_algebra_check(args) -> int:
-    data = load_json(args.algebra)
-    alg = load_algebra(args.algebra)
-    canonical = algebra_to_dict(alg)
-    roundtrip = canonical_json(canonical) == canonical_json(data)
-    cert = Certificate("algebra-check", {"path": str(args.algebra)}, _seed(args))
-    cert.add_input("algebra", data)
-    cert.verdict = True
-    cert.witnesses = {
-        "dimension": alg.dim,
-        "vertices": len(alg.quiver.vertices),
-        "arrows": len(alg.quiver.arrows),
-        "canonical_roundtrip": roundtrip,
-        "basis_words": [list(w.arrows) for w in alg.basis],
-    }
-    return _finish(args, cert, True,
-                   f"dimension {alg.dim}, canonical={roundtrip}")
+def _check_npushout(args, ins):
+    y, f = n_pushout(ins.complex, ins.morphism, ins.cat)
+    frag = contravariant_fragment(list(mapping_cone(f).diffs),
+                                  ins.cat.generators)
+    return {}, frag.ok, {
+        "pushout_terms": _dims(y.terms), "cone_exactness": frag.to_dict(),
+    }, f"pushout dims {[t.total_dim for t in y.terms]}"
 
 
-def cmd_nct_check(args) -> int:
-    alg = load_algebra(args.algebra)
-    gens = _resolve_generators(args, args.m, alg)
-    indecs = _load_indecs(args.indecs, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    report = check_n_cluster_tilting(cat, args.n, indecs, complete=True,
-                                     seed=_seed(args))
-    cert = Certificate("nct-check", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("generators", [module_to_dict(g) for g in gens])
-    cert.verdict = report.ok
-    cert.witnesses = report.to_dict()
-    return _finish(args, cert, report.ok, report.verdict)
+def _check_nexact(args, ins):
+    result = verify_n_exact(ins.complex, ins.cat, args.n)
+    return ({"n": args.n}, result.ok, result.to_dict(),
+            "n-exact" if result.ok else "not n-exact")
 
 
-def cmd_ncoker(args) -> int:
-    alg = load_algebra(args.algebra)
-    d0 = load_morphism(args.morphism, alg)
-    gens = _resolve_generators(args, args.m, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    seq = n_cokernel(d0, cat, args.n)
-    frag = verify_n_cokernel(d0, seq, cat)
-    cert = Certificate("ncoker", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("morphism", load_json(args.morphism))
-    cert.add_input("generators", [module_to_dict(g) for g in gens])
-    cert.verdict = frag.ok
-    cert.witnesses = {
-        "terms": [list(t.dim_vector()) for t in seq.terms],
-        "differentials": [morphism_to_dict(d) for d in seq.diffs],
-        "exactness": frag.to_dict(),
-        "note": "n-cokernels are unique only up to homotopy; this names "
-                "the representative built by the minimal ladder",
-    }
-    return _finish(args, cert, frag.ok,
-                   f"tail dims {[t.total_dim for t in seq.terms]}")
+def _check_ext(args, ins):
+    via_res = ext_dim(ins.a, ins.b, args.k)
+    via_approx = ext_via_approx_resolution(ins.a, ins.b, ins.cat, args.k,
+                                           args.n)
+    return {"n": args.n, "k": args.k}, via_res == via_approx, {
+        "ext_via_projective_resolution": via_res,
+        "ext_via_approx_resolution": via_approx,
+    }, f"Ext^{args.k} = {via_res} vs {via_approx}"
 
 
-def cmd_nkernel(args) -> int:
-    alg = load_algebra(args.algebra)
-    dn = load_morphism(args.morphism, alg)
-    gens = _resolve_generators(args, args.m, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    seq = n_kernel(dn, cat, args.n)
-    frag = verify_n_kernel(dn, seq, cat)
-    cert = Certificate("nkernel", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("morphism", load_json(args.morphism))
-    cert.add_input("generators", [module_to_dict(g) for g in gens])
-    cert.verdict = frag.ok
-    cert.witnesses = {
-        "terms": [list(t.dim_vector()) for t in seq.terms],
-        "differentials": [morphism_to_dict(d) for d in seq.diffs],
-        "exactness": frag.to_dict(),
-        "note": "representative built by the minimal dual ladder",
-    }
-    return _finish(args, cert, frag.ok,
-                   f"head dims {[t.total_dim for t in seq.terms]}")
-
-
-def cmd_npushout(args) -> int:
-    alg = load_algebra(args.algebra)
-    x = load_complex(args.complex, alg)
-    f0 = load_morphism(args.morphism, alg)
-    gens = _resolve_generators(args, args.m, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    y, f = n_pushout(x, f0, cat)
-    cone = mapping_cone(f)
-    from .addcat import contravariant_fragment
-    frag = contravariant_fragment(list(cone.diffs), cat.generators)
-    cert = Certificate("npushout", {}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("complex", load_json(args.complex))
-    cert.add_input("morphism", load_json(args.morphism))
-    cert.add_input("generators", [module_to_dict(g) for g in gens])
-    cert.verdict = frag.ok
-    cert.witnesses = {
-        "pushout_terms": [list(t.dim_vector()) for t in y.terms],
-        "cone_exactness": frag.to_dict(),
-    }
-    return _finish(args, cert, frag.ok,
-                   f"pushout dims {[t.total_dim for t in y.terms]}")
-
-
-def cmd_verify_nexact(args) -> int:
-    alg = load_algebra(args.algebra)
-    x = load_complex(args.complex, alg)
-    gens = _resolve_generators(args, args.m, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    result = verify_n_exact(x, cat, args.n)
-    cert = Certificate("verify-nexact", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("complex", load_json(args.complex))
-    cert.add_input("generators", [module_to_dict(g) for g in gens])
-    cert.verdict = result.ok
-    cert.witnesses = result.to_dict()
-    return _finish(args, cert, result.ok,
-                   "n-exact" if result.ok else "not n-exact")
-
-
-def cmd_ext_compare(args) -> int:
-    from .resolutions import ext_dim
-    from .tilting import ext_via_approx_resolution
-    alg = load_algebra(args.algebra)
-    a = _resolve_module(args, args.a, alg)
-    b = _resolve_module(args, args.b, alg)
-    gens = _resolve_generators(args, args.m, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    via_res = ext_dim(a, b, args.k)
-    via_approx = ext_via_approx_resolution(a, b, cat, args.k, args.n)
-    ok = via_res == via_approx
-    cert = Certificate("ext-compare", {"n": args.n, "k": args.k}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("a", module_to_dict(a))
-    cert.add_input("b", module_to_dict(b))
-    cert.add_input("generators", [module_to_dict(g) for g in gens])
-    cert.verdict = ok
-    cert.witnesses = {"ext_via_projective_resolution": via_res,
-                      "ext_via_approx_resolution": via_approx}
-    return _finish(args, cert, ok, f"Ext^{args.k} = {via_res} vs {via_approx}")
-
-
-def _frobenius_context(args):
-    alg = load_algebra(args.algebra)
-    gens = _resolve_generators(args, args.m, alg)
-    indecs = _load_indecs(args.indecs, alg)
-    cat = add_category(alg, gens, seed=_seed(args))
-    return alg, check_frobenius_setup(alg, cat, args.n, indecs, seed=_seed(args))
-
-
-def cmd_frobenius_setup(args) -> int:
-    alg, ctx = _frobenius_context(args)
-    cert = Certificate("frobenius-setup", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("generators", [module_to_dict(g) for g in ctx.m.generators])
-    cert.verdict = True
-    cert.witnesses = {"nct": ctx.nct_report.to_dict(),
-                      "retry_bound": 32,
-                      "note": "selfinjectivity and (co)syzygy closure verified"}
-    return _finish(args, cert, True, "Frobenius structure verified")
-
-
-def _angle_cert_payload(angle, table):
-    from .certs import content_hash
+def _angle_payload(angle, table):
     return {
         "objects": [{"dims": list(o.dim_vector()),
                      "sha256": content_hash(module_to_dict(o))}
@@ -404,156 +204,186 @@ def _angle_cert_payload(angle, table):
     }
 
 
-def cmd_frobenius_angle(args) -> int:
-    alg, ctx = _frobenius_context(args)
-    alpha0 = load_morphism(args.alpha, alg)
-    angle = standard_angle(ctx, alpha0)
+def _identity_cone(ctx, angle):
+    """The cone of the identity on an angle (raises unless it verifies)."""
+    return angle_cone(ctx, complete_angle_morphism(
+        ctx, angle, angle, identity_morphism(angle.objects[0]),
+        identity_morphism(angle.objects[1])))
+
+
+def _check_frobenius(args, ins):
+    """frobenius setup; angle/rotate/cone on the standard angle of --alpha."""
+    ctx = check_frobenius_setup(ins.alg, ins.cat, args.n, ins.indecs,
+                                seed=ins.seed)
+    if args.subcommand == "setup":
+        return {"n": args.n}, True, {
+            "nct": ctx.nct_report.to_dict(), "retry_bound": FITTING_RETRIES,
+            "note": "selfinjectivity and (co)syzygy closure verified",
+        }, "Frobenius structure verified"
+    angle = standard_angle(ctx, ins.alpha)
+    if args.subcommand == "cone":
+        cone, table = _identity_cone(ctx, angle)
+        return ({"n": args.n}, True, _angle_payload(cone, table),
+                "identity cone verified")
+    label = "standard angle"
+    if args.subcommand == "rotate":
+        angle, label = rotate_angle(ctx, angle), "rotation"
     ok, table = verify_angle_exact(ctx, angle)
-    cert = Certificate("frobenius-angle", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("generators", [module_to_dict(g) for g in ctx.m.generators])
-    cert.add_input("alpha", load_json(args.alpha))
-    cert.verdict = ok
-    cert.witnesses = _angle_cert_payload(angle, table)
-    return _finish(args, cert, ok, "standard angle verified" if ok else
-                   "standard angle failed")
+    return ({"n": args.n}, ok, _angle_payload(angle, table),
+            f"{label} {'verified' if ok else 'failed'}")
 
 
-def cmd_frobenius_rotate(args) -> int:
-    alg, ctx = _frobenius_context(args)
-    alpha0 = load_morphism(args.alpha, alg)
-    angle = standard_angle(ctx, alpha0)
-    rot = rotate_angle(ctx, angle)
-    ok, table = verify_angle_exact(ctx, rot)
-    cert = Certificate("frobenius-rotate", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("generators", [module_to_dict(g) for g in ctx.m.generators])
-    cert.add_input("alpha", load_json(args.alpha))
-    cert.verdict = ok
-    cert.witnesses = _angle_cert_payload(rot, table)
-    return _finish(args, cert, ok, "rotation verified" if ok else
-                   "rotation failed")
+def _check_search(args, ins):
+    hits = brute_force_nct_search(ins.alg, args.n, ins.indecs, complete=True,
+                                  seed=ins.seed)
+    return ({"n": args.n}, len(hits),
+            {"indecomposables": _dims(ins.indecs), "hits": hits},
+            f"{len(hits)} n-CT subset(s)")
 
 
-def cmd_frobenius_cone(args) -> int:
-    alg, ctx = _frobenius_context(args)
-    alpha0 = load_morphism(args.alpha, alg)
-    angle = standard_angle(ctx, alpha0)
-    phi = complete_angle_morphism(ctx, angle, angle,
-                                  identity_morphism(angle.objects[0]),
-                                  identity_morphism(angle.objects[1]))
-    cone, table = angle_cone(ctx, phi)
-    cert = Certificate("frobenius-cone", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.add_input("generators", [module_to_dict(g) for g in ctx.m.generators])
-    cert.add_input("alpha", load_json(args.alpha))
-    cert.verdict = True
-    cert.witnesses = _angle_cert_payload(cone, table)
-    return _finish(args, cert, True, "identity cone verified")
+def _demo_j2(n, m, args, ins):
+    """K A_{nm+1}/J^2: the one n-CT module is Lambda + S_n + ... + S_nm."""
+    n = n if args.n is None else args.n
+    alg, expected = gen_linear_An_J2(n, m, p=args.p)
+    ins.embed("algebra", algebra_to_dict(alg))
+    indecs = nakayama_indecomposables(alg)
+    hits = brute_force_nct_search(alg, n, indecs, complete=True, seed=ins.seed)
+    unique = len(hits) == 1
+    matches = unique and len(hits[0]) == len(expected) and all(
+        any(are_isomorphic(g, indecs[i], ins.seed + 5) for i in hits[0])
+        for g in expected)
+    return {"n": n, "m": m, "p": args.p}, matches, {
+        "indecomposables": _dims(indecs), "hits": hits, "unique": unique,
+        "expected": _dims(expected), "matches_expected": matches,
+    }, (f"unique {n}-CT module found: Lambda + "
+        + " + ".join(f"S_{j * n}" for j in range(1, m + 1))
+        if matches else "uniqueness FAILED")
 
 
-def cmd_search_nct(args) -> int:
-    alg = load_algebra(args.algebra)
-    indecs = _load_indecs(args.indecs, alg)
-    hits = brute_force_nct_search(alg, args.n, indecs, complete=True,
-                                  seed=_seed(args))
-    cert = Certificate("search-nct", {"n": args.n}, _seed(args))
-    cert.add_input("algebra", load_json(args.algebra))
-    cert.verdict = len(hits)
-    cert.witnesses = {
-        "indecomposables": [list(x.dim_vector()) for x in indecs],
+def _demo_preproj(args, ins):
+    """Preprojective A_2: mho^2(S_1) = S_1; angle, rotation and cone verify."""
+    alg = gen_preprojective_A(2, p=args.p)
+    ins.embed("algebra", algebra_to_dict(alg))
+    n = 2 if args.n is None else args.n
+    s1, p2 = simple_module(alg, "1"), projective_module(alg, "2")
+    cat = add_category(alg, [projective_module(alg, "1"), p2, s1],
+                       seed=ins.seed)
+    ctx = check_frobenius_setup(alg, cat, n, nakayama_indecomposables(alg),
+                                seed=ins.seed)
+    periodic = are_isomorphic(cosyzygy(ctx, s1, 2), s1, ins.seed + 1)
+    angle = standard_angle(ctx, hom_basis(s1, p2)[0])
+    ok_angle, table = verify_angle_exact(ctx, angle)
+    ok_rot, _ = verify_angle_exact(ctx, rotate_angle(ctx, angle))
+    cone, cone_table = _identity_cone(ctx, angle)
+    ok = periodic and ok_angle and ok_rot
+    return {"n": n, "p": args.p}, ok, {
+        "cosyzygy_periodic": periodic, "rotation_ok": ok_rot,
+        "standard_angle": _angle_payload(angle, table),
+        "identity_cone": _angle_payload(cone, cone_table),
+    }, ("Frobenius 2-exact structure with mho^2(S1) = S1" if ok
+        else "Frobenius demo FAILED")
+
+
+def _demo_auslander(args, ins):
+    """The Auslander algebra of A_2 presents K A_3/J^2; one 2-CT module."""
+    aus = gen_auslander_linear_A(2, p=args.p)
+    ins.embed("algebra", algebra_to_dict(aus))
+    lam, _ = gen_linear_An_J2(2, 1, p=args.p)
+    blocks = [sorted(len(a.block_indices(v, w)) for v in a.quiver.vertices
+                     for w in a.quiver.vertices) for a in (aus, lam)]
+    same = aus.dim == lam.dim and blocks[0] == blocks[1]
+    hits = brute_force_nct_search(aus, 2, nakayama_indecomposables(aus),
+                                  complete=True, seed=ins.seed)
+    ok = same and len(hits) == 1
+    return {"p": args.p}, ok, {
+        "dimension": aus.dim, "isomorphic_presentation_to_a3_j2": same,
         "hits": hits,
-    }
-    return _finish(args, cert, bool(hits), f"{len(hits)} n-CT subset(s)")
+    }, ("Auslander algebra of A_2 presents K A_3/J^2" if ok
+        else "auslander demo FAILED")
 
 
-def cmd_demo(args) -> int:
-    seed = _seed(args)
-    preset = args.preset
-    if preset in ("a3-j2", "a4-j2", "a5-j2"):
-        n, m = {"a3-j2": (2, 1), "a4-j2": (3, 1), "a5-j2": (2, 2)}[preset]
-        if args.n is not None:
-            n = args.n
-        alg, expected = gen_linear_An_J2(n, m, p=args.p)
-        indecs = nakayama_indecomposables(alg)
-        hits = brute_force_nct_search(alg, n, indecs, complete=True, seed=seed)
-        unique = len(hits) == 1
-        matches = False
-        if unique:
-            gens = [indecs[i] for i in hits[0]]
-            matches = len(gens) == len(expected) and all(
-                any(are_isomorphic(g, h, seed + 5) for h in gens)
-                for g in expected)
-        ok = unique and matches
-        cert = Certificate(f"demo-{preset}", {"n": n, "m": m, "p": args.p}, seed)
-        cert.add_input("algebra", algebra_to_dict(alg))
-        cert.verdict = ok
-        cert.witnesses = {
-            "indecomposables": [list(x.dim_vector()) for x in indecs],
-            "hits": hits,
-            "expected": [list(x.dim_vector()) for x in expected],
-            "unique": unique,
-            "matches_expected": matches,
-        }
-        summary = (f"unique {n}-CT module found: Lambda + "
-                   + " + ".join(f"S_{j * n}" for j in range(1, m + 1))
-                   if ok else "uniqueness FAILED")
-        return _finish(args, cert, ok, summary)
-    if preset == "preproj-a2":
-        alg = gen_preprojective_A(2, p=args.p)
-        n = 2 if args.n is None else args.n
-        indecs = nakayama_indecomposables(alg)
-        s1 = simple_module(alg, "1")
-        gens = [projective_module(alg, "1"), projective_module(alg, "2"), s1]
-        cat = add_category(alg, gens, seed=seed)
-        ctx = check_frobenius_setup(alg, cat, n, indecs, seed=seed)
-        om2 = cosyzygy(ctx, s1, 2)
-        periodic = are_isomorphic(om2, s1, seed + 1)
-        alpha0 = hom_basis(s1, projective_module(alg, "2"))[0]
-        angle = standard_angle(ctx, alpha0)
-        ok_angle, table = verify_angle_exact(ctx, angle)
-        rot = rotate_angle(ctx, angle)
-        ok_rot, _ = verify_angle_exact(ctx, rot)
-        phi = complete_angle_morphism(ctx, angle, angle,
-                                      identity_morphism(angle.objects[0]),
-                                      identity_morphism(angle.objects[1]))
-        cone, cone_table = angle_cone(ctx, phi)
-        ok = periodic and ok_angle and ok_rot
-        cert = Certificate("demo-preproj-a2", {"n": n, "p": args.p}, seed)
-        cert.add_input("algebra", algebra_to_dict(alg))
-        cert.verdict = ok
-        cert.witnesses = {
-            "cosyzygy_periodic": periodic,
-            "standard_angle": _angle_cert_payload(angle, table),
-            "rotation_ok": ok_rot,
-            "identity_cone": _angle_cert_payload(cone, cone_table),
-        }
-        return _finish(args, cert, ok,
-                       "Frobenius 2-exact structure with mho^2(S1) = S1"
-                       if ok else "Frobenius demo FAILED")
-    if preset == "auslander-a2":
-        aus = gen_auslander_linear_A(2, p=args.p)
-        lam, _ = gen_linear_An_J2(2, 1, p=args.p)
-        same_dim = aus.dim == lam.dim
-        same_blocks = sorted(
-            len(aus.block_indices(v, w))
-            for v in aus.quiver.vertices for w in aus.quiver.vertices
-        ) == sorted(
-            len(lam.block_indices(v, w))
-            for v in lam.quiver.vertices for w in lam.quiver.vertices)
-        indecs = nakayama_indecomposables(aus)
-        hits = brute_force_nct_search(aus, 2, indecs, complete=True, seed=seed)
-        ok = same_dim and same_blocks and len(hits) == 1
-        cert = Certificate("demo-auslander-a2", {"p": args.p}, seed)
-        cert.add_input("algebra", algebra_to_dict(aus))
-        cert.verdict = ok
-        cert.witnesses = {"dimension": aus.dim,
-                          "isomorphic_presentation_to_a3_j2": same_dim and same_blocks,
-                          "hits": hits}
-        return _finish(args, cert, ok,
-                       "Auslander algebra of A_2 presents K A_3/J^2" if ok
-                       else "auslander demo FAILED")
-    raise InputError(f"unknown preset {preset}")
+_DEMOS = {"a3-j2": partial(_demo_j2, 2, 1), "a4-j2": partial(_demo_j2, 3, 1),
+          "a5-j2": partial(_demo_j2, 2, 2), "preproj-a2": _demo_preproj,
+          "auslander-a2": _demo_auslander}
+
+
+def _opt(flag, help=None, **kw):
+    return flag, dict(kw, help=help)
+
+
+_file = partial(_opt, required=True)
+_ALGEBRA, _M = _file("--algebra"), _file("--m")
+_N = _opt("--n", type=int, required=True)
+_FROBENIUS = [_ALGEBRA, _M, _N, _opt("--indecs", default="nakayama")]
+_ALPHA = _file("--alpha", "morphism file with embedded endpoints")
+_COMMON = [_opt("--seed", "seed (fallback: NEXAKT_SEED, then 0)", type=int),
+           _opt("--out", "certificate directory", default="certs"),
+           _opt("--format", choices=("json", "text"), default="text"),
+           _opt("--module", "load a module file under a name; names may "
+                "then be used in --m lists and --a/--b", action="append",
+                default=[], metavar="NAME=FILE")]
+_GROUPS = {"algebra": "algebra file operations",
+           "nct": "n-cluster-tilting checks", "ext": "Ext computations",
+           "frobenius": "Frobenius/(n+2)-angle checks",
+           "search": "exhaustive searches"}
+
+# (words, help, arguments, check); a check returns (params, verdict,
+# witnesses, summary).  _load_inputs embeds the input-file arguments.
+COMMANDS = (
+    ("algebra check", "validate an algebra definition", [_ALGEBRA],
+     _check_algebra),
+    ("nct check", None, [_ALGEBRA, _file("--m", "generators file"), _N,
+                         _opt("--indecs", "'nakayama' or a generators-format "
+                              "file", default="nakayama")], _check_nct),
+    ("ncoker", "construct and certify an n-cokernel",
+     [_ALGEBRA, _file("--morphism", "d0 morphism file"), _M, _N],
+     _ladder_check(n_cokernel, verify_n_cokernel, "tail",
+                   "n-cokernels are unique only up to homotopy; this names "
+                   "the representative built by the minimal ladder")),
+    ("nkernel", "construct and certify an n-kernel",
+     [_ALGEBRA, _file("--morphism", "d^n morphism file"), _M, _N],
+     _ladder_check(n_kernel, verify_n_kernel, "head",
+                   "representative built by the minimal dual ladder")),
+    ("npushout", "construct and certify an n-pushout",
+     [_ALGEBRA, _file("--complex"), _file("--morphism", "f0 morphism file"),
+      _M], _check_npushout),
+    ("verify-nexact", "verify an n-exact sequence",
+     [_ALGEBRA, _file("--complex"), _M, _N], _check_nexact),
+    ("ext compare", None, [_ALGEBRA, _file("--a", "module file (source)"),
+                           _file("--b", "module file (target)"), _M, _N,
+                           _opt("--k", type=int, default=1)], _check_ext),
+    ("frobenius setup", None, _FROBENIUS, _check_frobenius),
+    ("frobenius angle", None, _FROBENIUS + [_ALPHA], _check_frobenius),
+    ("frobenius rotate", None, _FROBENIUS + [_ALPHA], _check_frobenius),
+    ("frobenius cone", None, _FROBENIUS + [_ALPHA], _check_frobenius),
+    ("search nct", None, [_ALGEBRA, _N, _opt("--indecs", default="nakayama")],
+     _check_search),
+    ("demo", "run a named preset end to end",
+     [("preset", {"choices": tuple(_DEMOS)}),
+      _opt("--n", type=int), _opt("--p", type=int, default=101)],
+     lambda args, ins: _DEMOS[args.preset](args, ins)),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="nexakt",
+        description="certified higher homological algebra over F_p")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command")
+    groups = {}
+    for words, help_, arguments, check in COMMANDS:
+        group, _, leaf = words.rpartition(" ")
+        if group and group not in groups:
+            groups[group] = sub.add_parser(
+                group, help=_GROUPS[group]).add_subparsers(dest="subcommand")
+        # a help keyword, even None, would list the command in its group
+        p = groups.get(group, sub).add_parser(
+            leaf, **({"help": help_} if help_ else {}))
+        for flag, kw in arguments + _COMMON:
+            p.add_argument(flag, **kw)
+        p.set_defaults(check=check, cert_name=words.replace(" ", "-"))
+    return parser
 
 
 if __name__ == "__main__":

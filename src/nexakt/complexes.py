@@ -65,10 +65,6 @@ def complex_from_maps(lo: int, maps: Sequence[Morphism]) -> ComplexSeq:
     return ComplexSeq(lo, terms, list(maps))
 
 
-def single_term_complex(lo: int, m: Module) -> ComplexSeq:
-    return ComplexSeq(lo, [m], [])
-
-
 def interval_complex(k: int, c: Module) -> ComplexSeq:
     """The contractible complex with c in degrees k and k+1 and identity
     differential."""
@@ -261,19 +257,3 @@ def mapping_cone(f: ComplexMorphism) -> ComplexSeq:
                 [b, c]])
         diffs.append(Morphism(terms[k - lo], terms[k - lo + 1], comps))
     return ComplexSeq(lo, terms, diffs)
-
-
-def cone_inclusion_of_target(f: ComplexMorphism) -> ComplexMorphism:
-    """Y -> C(f), degreewise the inclusion of the Y^k block."""
-    cone = mapping_cone(f)
-    x, y = f.source, f.target
-    p = x.algebra.p
-    comps = {}
-    for k in cone.degrees():
-        xk1 = x.term(k + 1)
-        yk = y.term(k)
-        blocks = {v: Mat.vstack([Mat.zero(xk1.dims[v], yk.dims[v], p),
-                                 Mat.identity(yk.dims[v], p)])
-                  for v in x.algebra.quiver.vertices}
-        comps[k] = Morphism(yk, cone.term(k), blocks)
-    return ComplexMorphism(pad_complex(y, cone.lo, cone.hi), cone, comps)

@@ -307,10 +307,6 @@ def quotient_projection(span: Mat) -> Mat:
     return quotient_data(span)[0]
 
 
-def in_column_space(span: Mat, v: Mat) -> bool:
-    return solve_linear(span, v) is not None
-
-
 def det(a: Mat) -> int:
     """Determinant by fraction-free elimination over F_p."""
     if a.rows != a.cols:

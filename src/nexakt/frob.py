@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .addcat import (AddCat, HypothesisError, PreconditionError,
                      complete_to_chain_map, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism
-from .fp import Mat, quotient_data, rank, solve_linear
+from .fp import Mat, quotient_data, rank
 from .pushout import n_pushout, _pair_solve
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,

@@ -51,7 +51,6 @@ def gen_linear_An_J2(n: int, m: int, p: int = 101,
 def _uniserial(alg: AlgebraBasis, v: str, loewy: int) -> Module:
     """P_v / rad^loewy P_v."""
     pv = projective_module(alg, v)
-    layer = pv
     span = {w: _radical_power_span(pv, loewy)[w] for w in alg.quiver.vertices}
     return quotient_by_submodule(pv, span)[0]
 

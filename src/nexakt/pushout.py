@@ -7,7 +7,6 @@ cokernels of the cone differentials and certifies the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,

@@ -10,7 +10,7 @@ attached to them are pure memoisation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
@@ -641,22 +641,6 @@ def all_injectives(alg: AlgebraBasis) -> List[Module]:
 
 def regular_module(alg: AlgebraBasis) -> Module:
     return direct_sum(all_projectives(alg))[0]
-
-
-# -- duality D = Hom_K(-, K) ------------------------------------------
-
-
-def dual_module(m: Module, opp: AlgebraBasis) -> Module:
-    """D(m) as a module over the opposite algebra (same dimensions,
-    transposed actions along reversed arrows)."""
-    dims = dict(m.dims)
-    action = {a.name: m.action[a.name].transpose() for a in m.algebra.quiver.arrows}
-    return Module(opp, dims, action)
-
-
-def dual_morphism(f: Morphism, opp: AlgebraBasis) -> Morphism:
-    return Morphism(dual_module(f.target, opp), dual_module(f.source, opp),
-                    {v: mat.transpose() for v, mat in f.components.items()})
 
 
 # -- radical, top, socle ----------------------------------------------

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -61,6 +63,46 @@ def files(tmp_path, a3):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+# Certificate digests recorded with the per-command CLI bodies that the
+# command table replaced (seed 0); passing runs must reproduce them byte
+# for byte.
+DEMO_SHA256 = {
+    ("a3-j2", 2): "71288479765eb1a81b51ab5695cc790afb9382bdadc909e7cbefe706572a9858",
+    ("a4-j2", 2): "8644cf966ba40dfc8301b70d86a7f0103bd1a10f6e3bb76fba5eeca82f4849a2",
+    ("a5-j2", 2): "f9c83fc972be7469817efa00327fd67575a1a5a7fa38237d1f76f919fbcba851",
+    ("preproj-a2", 2): "b1e6367c067c4bcf0309d16d4d8f5a16b4726d948a61780517a2bd94759871cf",
+    ("auslander-a2", 2): "69a2d6dd6dea03978dcd6ed39606d13b0641ea83f23060bd9cc7221e5eb2dac4",
+    ("a3-j2", 5): "782d96830e318ccf38d6a67667a24536a2aeb6c901fe86e830b0028d8c730a67",
+    ("a4-j2", 5): "f706bdd8e02c44f2924f471bfa914ae99d1d65ac6b6b20ad44dc46e883f32dcf",
+    ("a5-j2", 5): "5812d0ca0535b264d7dfbad654cd8a9049d9e1ebe9330d801615153bc0f7db56",
+    ("preproj-a2", 5): "617a52291bbd3ca0c2ada09f0e27c2a41efcdc18aa4e1ed284c545c0a1c922a6",
+    ("auslander-a2", 5): "d62c394662530e52f6de3224c20eb9dd86a1992f9e3b077e5f2334a419291dec",
+    ("a3-j2", 101): "cd83cf4a4859559d5ae4e187fde79d04a690f14c2585f6e7cead9a707c20b100",
+    ("a4-j2", 101): "2ae134c5537cf29302062c45a89ecb6587169f997450b7672211dd0958c88b32",
+    ("a5-j2", 101): "2f6bc8f1bfde393989995cc3b2a8e3651c45a43e7c975c60e940bf4e85d2f28f",
+    ("preproj-a2", 101): "6d6adcd36af9478bae9d293129006b37fbdeb3417256cfc95b446eada7794bfd",
+    ("auslander-a2", 101): "5e4e3c38324d429dd02804adebe4b643c928ef1eb862b345c8b9511d70061b74",
+}
+FILE_SHA256 = {
+    "algebra-check": "4a316d4c225d86243fc051228a40508d0e2476328aabbb45f66efd9e8c8dc6d5",
+    "nct-check": "a1510b23f17f7e207f888f3c0f469f99579b6b7695a32fd1afe49a8e98861c35",
+    "ncoker": "63d6b210b4455726b55cfde379d167b79efad7a80ddc2f1675f6a464a41e0878",
+    "nkernel": "dbacc823ac23142732dd5958716909552b1a4655b411d34d53e94ffa479e2878",
+    "verify-nexact": "ac3eee997b1a049e623212409b0b846f92811e997d60bf9f5cd903702d833a28",
+    "npushout": "8947d1f6e8bf12ab4c36b01af55b50c6b10e144b3867aed162c5795883e369fd",
+    "ext-compare": "47f18216d8ac34d287b8f60943fe1d798c04824393dc3866804563a8b6145499",
+    "search-nct": "d047f6be15815a02565c1a150c8eda82adcdaf5a51d11a4acf8ac735ac79caf3",
+    "frobenius-setup": "4faf15d5aab72563b4d3ee2b696693290b6185955fa1627c773c52e3dcbbbeb3",
+    "frobenius-angle": "ffbd91a5718f7b76e63b145ff1bd9a12e7bb29cdb1b6dee26261e080f7076e85",
+    "frobenius-rotate": "6c821b913a6421d15bb6accfec744f4c51900f708bcb6c0240250b71a0e527ef",
+    "frobenius-cone": "2627e750995291e51d7a0f936c11f678f689461d2b0a96cdefe3b3581c69c145",
+}
 
 
 def test_algebra_roundtrip_bytes(tmp_path):
@@ -136,7 +178,8 @@ def test_ext_compare(files):
     assert cert["witnesses"]["ext_via_projective_resolution"] == 1
 
 
-def test_frobenius_subcommands(tmp_path):
+def test_frobenius_subcommands(tmp_path, monkeypatch):
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
     alg = gen_preprojective_A(2)
     apath = tmp_path / "pi2.json"
     dump_algebra(alg, apath)
@@ -156,6 +199,8 @@ def test_frobenius_subcommands(tmp_path):
         if sub != "setup":
             argv += ["--alpha", alpha_path]
         assert run(*argv) == 0, sub
+        name = f"frobenius-{sub}"
+        assert sha256(out / f"{name}.cert.json") == FILE_SHA256[name], sub
 
 
 def test_search_nct(files):
@@ -238,11 +283,93 @@ def test_unloaded_name_exits_2(files):
                "--m", "nope,setup", "--n", 2, "--out", files["out"]) == 2
 
 
-def test_demo_presets_pass_at_all_primes(tmp_path):
+def test_demo_presets_pass_at_all_primes(tmp_path, monkeypatch):
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
     for p in (2, 5, 101):
-        assert run("demo", "a3-j2", "--p", p, "--out", tmp_path / str(p)) == 0
-        assert run("demo", "preproj-a2", "--p", p,
-                   "--out", tmp_path / str(p)) == 0
+        for preset in ("a3-j2", "a4-j2", "a5-j2", "preproj-a2",
+                       "auslander-a2"):
+            out = tmp_path / str(p)
+            assert run("demo", preset, "--p", p, "--out", out) == 0
+            digest = sha256(out / f"demo-{preset}.cert.json")
+            assert digest == DEMO_SHA256[preset, p], (preset, p)
+
+
+def test_file_commands_certificate_bytes(files, monkeypatch):
+    # relative paths: algebra-check records its --algebra argument
+    monkeypatch.chdir(files["algebra"].parent)
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+    alg = load_algebra("a3.json")
+    dn = hom_basis(projective_module(alg, "2"), simple_module(alg, "2"))[0]
+    Path("dn.json").write_text(
+        canonical_json(morphism_with_endpoints_to_dict(dn)))
+    a3, m3 = ["--algebra", "a3.json"], ["--m", "m3.json", "--n", "2"]
+    commands = {
+        "algebra-check": ["algebra", "check", *a3],
+        "nct-check": ["nct", "check", *a3, *m3],
+        "ncoker": ["ncoker", *a3, "--morphism", "d0.json", *m3],
+        "nkernel": ["nkernel", *a3, "--morphism", "dn.json", *m3],
+        "verify-nexact": ["verify-nexact", *a3, "--complex", "good.json", *m3],
+        "npushout": ["npushout", *a3, "--complex", "upper.json",
+                     "--morphism", "d0.json", "--m", "m3.json"],
+        "ext-compare": ["ext", "compare", *a3, "--a", "s1.json",
+                        "--b", "s0.json", *m3, "--k", "1"],
+        "search-nct": ["search", "nct", *a3, "--n", "2"],
+    }
+    for name, argv in commands.items():
+        assert run(*argv, "--out", "pinned") == 0, name
+        assert sha256(f"pinned/{name}.cert.json") == FILE_SHA256[name], name
+
+
+def test_setup_error_exits_1_with_fail_certificate(files, tmp_path):
+    # K A_3/J^2 is not selfinjective: before the command table this exited
+    # 2 with "algebra not selfinjective: I_2 is not projective" and wrote
+    # no certificate
+    _, gens = gen_linear_An_J2(2, 1)
+    m_path = tmp_path / "m_a3.json"
+    m_path.write_text(canonical_json(
+        {"generators": [module_to_dict(g) for g in gens]}))
+    assert run("frobenius", "setup", "--algebra", files["algebra"],
+               "--m", m_path, "--n", 2, "--out", files["out"]) == 1
+    cert = json.loads((files["out"] / "frobenius-setup.cert.json").read_text())
+    assert cert["verdict"] is False
+    assert cert["params"] == {"n": 2}
+    assert sorted(cert["inputs"]) == ["algebra", "generators"]
+    assert cert["witnesses"] == {"failure": {
+        "exception": "SetupError", "degree": None,
+        "message": "algebra not selfinjective: I_2 is not projective"}}
+
+
+def test_hypothesis_error_records_degree(files, monkeypatch, capsys):
+    from nexakt import cli
+    from nexakt.addcat import HypothesisError
+
+    def stuck(*args, **kwargs):
+        raise HypothesisError("factorization stuck at degree 3", degree=3)
+
+    monkeypatch.setattr(cli, "verify_n_exact", stuck)
+    assert run("verify-nexact", "--algebra", files["algebra"], "--complex",
+               files["good_complex"], "--m", files["m3"], "--n", 2,
+               "--out", files["out"], "--format", "json") == 1
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["verdict"] is False
+    assert cert["witnesses"]["failure"] == {
+        "exception": "HypothesisError", "degree": 3,
+        "message": "factorization stuck at degree 3"}
+
+
+def test_readme_usage_matches_parser(capsys):
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    usage = readme.read_text().split("## Command-line usage", 1)[1]
+    usage = usage.split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in usage.splitlines() if ln.startswith("nexakt ")]
+    assert len(lines) >= 17
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        capsys.readouterr()
+        assert main(argv + ["--help"]) == 0, line
+        help_text = capsys.readouterr().out
+        for flag in (a for a in argv if a.startswith("--")):
+            assert flag in help_text, (line, flag)
 
 
 def test_certificate_roundtrip_reverifies(files):
