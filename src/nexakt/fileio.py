@@ -143,10 +143,6 @@ def complex_from_dict(data: dict, alg: AlgebraBasis) -> ComplexSeq:
         raise InputError(f"bad complex file: {exc}") from None
 
 
-def load_complex(path, alg: AlgebraBasis) -> ComplexSeq:
-    return complex_from_dict(load_json(path), alg)
-
-
 def generators_from_dict(data: dict, alg: AlgebraBasis) -> List[Module]:
     try:
         return [module_from_dict(g, alg) for g in data["generators"]]
@@ -171,7 +167,3 @@ def morphism_with_endpoints_from_dict(data: dict, alg: AlgebraBasis) -> Morphism
     src = module_from_dict(data["source"], alg)
     tgt = module_from_dict(data["target"], alg)
     return morphism_from_dict(data, src, tgt)
-
-
-def load_morphism(path, alg: AlgebraBasis) -> Morphism:
-    return morphism_with_endpoints_from_dict(load_json(path), alg)

@@ -12,13 +12,13 @@ map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .addcat import (AddCat, HypothesisError, PreconditionError,
                      complete_to_chain_map, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism
-from .fp import Mat, quotient_data, rank
+from .fp import Mat, column_space_basis, quotient_data, rank
 from .pushout import n_pushout, _pair_solve
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
@@ -44,7 +44,6 @@ class FrobeniusCtx:
     coresolutions: list          # fixed I(G) per generator, length n
     injectives: list             # indecomposable injectives I_v
     seed: int
-    _stable_cache: dict = field(default_factory=dict, repr=False)
 
 
 def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
@@ -116,14 +115,16 @@ class StableHom:
 
 
 def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
-    key = (id(m1), id(m2))
-    got = ctx._stable_cache.get(key)
-    if got is not None and got.source is m1 and got.target is m2:
-        return got
-    p = ctx.algebra.p
+    """Hom(m1, m2) modulo maps factoring through an injective I_v of the
+    algebra; memoised on m1 by the content key of m2."""
+    return m1.memoized(("stable", m2.key), lambda: _stable_hom(m1, m2))
+
+
+def _stable_hom(m1: Module, m2: Module) -> StableHom:
+    p = m1.algebra.p
     basis = hom_basis(m1, m2)
     ideal_cols: List[List[int]] = []
-    for j in ctx.injectives:
+    for j in all_injectives(m1.algebra):
         for f in hom_basis(m1, j):
             for g in hom_basis(j, m2):
                 coeffs = solve_in_span(basis, f.then(g))
@@ -137,9 +138,7 @@ def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
     else:
         mat = Mat.zero(0, 0, p)
     proj, free = quotient_data(mat)
-    sh = StableHom(m1, m2, basis, mat, proj, free)
-    ctx._stable_cache[key] = sh
-    return sh
+    return StableHom(m1, m2, basis, mat, proj, free)
 
 
 def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
@@ -147,13 +146,9 @@ def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
     """(stable dimension, basis of the injective-factoring ideal, coset
     representatives).  Meaningful for arbitrary modules, not only add(M)."""
     sh = stable_hom(ctx, m1, m2)
-    ideal_basis = []
-    from .fp import column_space_basis
-    colbasis = column_space_basis(sh.ideal_coeffs)
-    for j in range(colbasis.cols):
-        ideal_basis.append(assemble_from_span(
-            sh.basis, [colbasis.at(i, j) for i in range(colbasis.rows)],
-            m1, m2))
+    cols = column_space_basis(sh.ideal_coeffs)
+    ideal_basis = [assemble_from_span(sh.basis, cols.col(j), m1, m2)
+                   for j in range(cols.cols)]
     return sh.dim, ideal_basis, sh.reps
 
 
@@ -407,7 +402,7 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
             raise HypothesisError(f"completion stuck at degree {k}", degree=k)
         phis.append(assemble_from_span(basis_phi, coeffs[:len(basis_phi)],
                                        xk1, yk1))
-        if basis_h:
+        if k < n:
             h[k + 1] = assemble_from_span(basis_h, coeffs[len(basis_phi):],
                                           ix.maps[k].target, yk1)
     # last square: alpha^{n+1} . Sigma(phi0) = phi^{n+1} . beta^{n+1}

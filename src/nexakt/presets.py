@@ -13,7 +13,8 @@ from typing import List, Sequence, Tuple
 
 from .addcat import add_category
 from .fp import FieldSpec
-from .quivers import AlgebraBasis, PathWord, Quiver, Relation, build_algebra
+from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
+                      build_algebra)
 from .reps import (Module, all_projectives, are_isomorphic,
                    projective_module, quotient_by_submodule)
 from .tilting import check_n_cluster_tilting
@@ -119,13 +120,13 @@ def _require_nakayama(q: Quiver):
         out_deg[a.source] += 1
         in_deg[a.target] += 1
     if any(d > 1 for d in out_deg.values()) or any(d > 1 for d in in_deg.values()):
-        raise ValueError("not a Nakayama quiver (degree > 1 somewhere)")
+        raise QuiverError("not a Nakayama quiver (degree > 1 somewhere)")
     n_arrows = len(q.arrows)
     if n_arrows == len(q.vertices):
         return  # single oriented cycle
     if n_arrows == len(q.vertices) - 1:
         return  # linear A_k
-    raise ValueError("not a Nakayama quiver (wrong arrow count)")
+    raise QuiverError("not a Nakayama quiver (wrong arrow count)")
 
 
 def _loewy_length(m: Module) -> int:

@@ -149,8 +149,20 @@ def _enumerate_paths(q: Quiver, max_len: int) -> List[PathWord]:
     return out
 
 
+class Memo:
+    """An object with a memo dict ``_memo``, so an entry lives and dies
+    with its owner; reps lists the keys in use."""
+
+    def memoized(self, key, make):
+        """The value kept under key, made by make() on first use."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = make()
+        return got
+
+
 @dataclass
-class AlgebraBasis:
+class AlgebraBasis(Memo):
     """A path algebra modulo an admissible ideal, with multiplication table.
 
     basis[i] is a PathWord whose residue is the i-th basis element;
@@ -165,6 +177,8 @@ class AlgebraBasis:
     target_of: tuple
     table: dict = field(repr=False, default_factory=dict)
     relations: tuple = ()
+    _memo: dict = field(init=False, repr=False, compare=False,
+                        default_factory=dict)
 
     @property
     def dim(self) -> int:

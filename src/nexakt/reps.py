@@ -3,19 +3,27 @@
 A Module is a quiver representation: a vector space per vertex and a
 matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
-Values are treated as immutable after construction; the only caches
-attached to them are pure memoisation.
+Both are immutable: construction copies the dicts it is given and
+nothing changes them afterwards.
+
+A module carries its content key, the dimension vector plus the action
+entries, computed once at construction.  The one memo of the package is
+``Memo.memoized``: a dict on each module (and on each algebra), so an
+entry dies with its owner.  Its keys are ("hom", key of the target) for
+hom_basis, ("stable", key of the target) for frob.stable_hom, "projres"
+and "injres" for the growing minimal (co)resolutions, and, on an
+algebra, "projectives" and "injectives" for its P_v and I_v.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
                  quotient_projection, rank, solve_linear)
-from .quivers import AlgebraBasis, PathWord
+from .quivers import AlgebraBasis, Memo, PathWord
 
 FITTING_RETRIES = 32
 
@@ -24,11 +32,13 @@ class ContextError(ValueError):
     """Operands live over different algebras."""
 
 
-@dataclass
-class Module:
+@dataclass(frozen=True)
+class Module(Memo):
     algebra: AlgebraBasis
     dims: dict                 # vertex name -> dimension
     action: dict               # arrow name -> Mat (dim target x dim source)
+    key: tuple = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = self.algebra.quiver
@@ -36,18 +46,23 @@ class Module:
         for v in q.vertices:
             if self.dims.get(v, 0) < 0:
                 raise ValueError("negative dimension")
-        self.dims = {v: self.dims.get(v, 0) for v in q.vertices}
+        dims = {v: self.dims.get(v, 0) for v in q.vertices}
+        action = {}
         for a in q.arrows:
             m = self.action.get(a.name)
             if m is None:
-                m = Mat.zero(self.dims[a.target], self.dims[a.source], p)
-                self.action[a.name] = m
-            if (m.rows, m.cols) != (self.dims[a.target], self.dims[a.source]):
+                m = Mat.zero(dims[a.target], dims[a.source], p)
+            if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise ValueError(f"action of {a.name} has wrong shape")
             if m.p != p:
                 raise ValueError("action matrix over wrong field")
+            action[a.name] = m
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "action", action)
         self._check_relations()
-        self._memo: dict = {}
+        object.__setattr__(self, "key", (tuple(dims.values()),
+                                         tuple(m.entries for m in action.values())))
+        object.__setattr__(self, "_memo", {})
 
     def _check_relations(self):
         p = self.algebra.p
@@ -80,14 +95,14 @@ class Module:
         return self.total_dim == 0
 
     def dim_vector(self) -> tuple:
-        return tuple(self.dims[v] for v in self.algebra.quiver.vertices)
+        return self.key[0]
 
 
 def zero_module(alg: AlgebraBasis) -> Module:
     return Module(alg, {v: 0 for v in alg.quiver.vertices}, {})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Morphism:
     source: Module
     target: Module
@@ -101,18 +116,20 @@ class Morphism:
                 raise ContextError("morphism between modules over different algebras")
         alg = self.source.algebra
         p = alg.p
+        comps = {}
         for v in alg.quiver.vertices:
             m = self.components.get(v)
             if m is None:
                 m = Mat.zero(self.target.dims[v], self.source.dims[v], p)
-                self.components[v] = m
             if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
                 raise ValueError(f"component at {v} has wrong shape")
+            comps[v] = m
         for a in alg.quiver.arrows:
-            lhs = self.target.action[a.name].mul(self.components[a.source])
-            rhs = self.components[a.target].mul(self.source.action[a.name])
+            lhs = self.target.action[a.name].mul(comps[a.source])
+            rhs = comps[a.target].mul(self.source.action[a.name])
             if lhs.entries != rhs.entries:
                 raise ValueError(f"naturality fails at arrow {a.name}")
+        object.__setattr__(self, "components", comps)
 
     def then(self, other: "Morphism") -> "Morphism":
         """Diagrammatic composition: self followed by other."""
@@ -188,13 +205,15 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
     """Basis of Hom(m, n): kernel of the naturality system.
 
     The basis order is the deterministic kernel_basis order, which every
-    certificate downstream relies on.
+    certificate downstream relies on.  Memoised on m by the content key
+    of n, so a content-equal target built separately gets the same list
+    (its maps end at the first such target).
     """
     _require_same_algebra(m, n)
-    key = ("hom", id(n))
-    cached = m._memo.get(key)
-    if cached is not None and cached[0] is n:
-        return cached[1]
+    return m.memoized(("hom", n.key), lambda: _solve_hom(m, n))
+
+
+def _solve_hom(m: Module, n: Module) -> List[Morphism]:
     alg = m.algebra
     p = alg.p
     verts = alg.quiver.vertices
@@ -224,13 +243,7 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
                 rows.append(row)
     system = Mat.from_rows(rows, p, cols=total)
     basis = kernel_basis(system)
-    out = [morphism_from_vector(m, n, basis.col(j)) for j in range(basis.cols)]
-    m._memo[key] = (n, out)
-    return out
-
-
-def hom_dim(m: Module, n: Module) -> int:
-    return len(hom_basis(m, n))
+    return [morphism_from_vector(m, n, basis.col(j)) for j in range(basis.cols)]
 
 
 def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
@@ -361,6 +374,15 @@ def solve_in_span(candidates: Sequence[Morphism], target: Morphism) -> Optional[
     return [sol.at(i, 0) for i in range(len(candidates))]
 
 
+def span_rank(maps: Sequence[Morphism]) -> int:
+    """Dimension of the span of morphisms that share source and target."""
+    if not maps:
+        return 0
+    vecs = [f.vectorize() for f in maps]
+    return rank(Mat.from_rows(vecs, maps[0].source.algebra.p,
+                              cols=len(vecs[0])))
+
+
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
                        source: Module, target: Module) -> Morphism:
     acc = zero_morphism(source, target)
@@ -435,10 +457,6 @@ def are_isomorphic(m: Module, n: Module, seed: int, retries: int = FITTING_RETRI
     """Probabilistic isomorphism test: equal dimension vectors, then random
     Hom elements sampled for vertex-wise invertibility."""
     _require_same_algebra(m, n)
-    if m.dim_vector() != n.dim_vector():
-        return False
-    if m.total_dim == 0:
-        return True
     return iso_witness(m, n, seed, retries) is not None
 
 
@@ -581,14 +599,23 @@ def simple_module(alg: AlgebraBasis, v: str) -> Module:
     return Module(alg, dims, {})
 
 
+def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, List[int]]:
+    """Indices of the basis paths that start at v (or end at v), grouped
+    by the vertex at their other end."""
+    at, other = ((alg.source_of, alg.target_of) if starting
+                 else (alg.target_of, alg.source_of))
+    out: Dict[str, List[int]] = {w: [] for w in alg.quiver.vertices}
+    for i in range(alg.dim):
+        if at[i] == v:
+            out[other[i]].append(i)
+    return out
+
+
 def projective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable projective P_v: basis paths starting at v, graded by
     target vertex, arrows acting by right concatenation."""
     alg.quiver.vertex_index(v)
-    by_vertex: Dict[str, List[int]] = {w: [] for w in alg.quiver.vertices}
-    for i in range(alg.dim):
-        if alg.source_of[i] == v:
-            by_vertex[alg.target_of[i]].append(i)
+    by_vertex = basis_paths(alg, v, starting=True)
     dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}
     p = alg.p
     action = {}
@@ -609,10 +636,7 @@ def injective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable injective I_v: dual of P_v over the opposite algebra,
     realized on basis paths ending at v."""
     alg.quiver.vertex_index(v)
-    by_vertex: Dict[str, List[int]] = {w: [] for w in alg.quiver.vertices}
-    for i in range(alg.dim):
-        if alg.target_of[i] == v:
-            by_vertex[alg.source_of[i]].append(i)
+    by_vertex = basis_paths(alg, v, starting=False)
     dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}
     p = alg.p
     action = {}
@@ -631,12 +655,16 @@ def injective_module(alg: AlgebraBasis, v: str) -> Module:
     return Module(alg, dims, action)
 
 
-def all_projectives(alg: AlgebraBasis) -> List[Module]:
-    return [projective_module(alg, v) for v in alg.quiver.vertices]
+def all_projectives(alg: AlgebraBasis) -> Tuple[Module, ...]:
+    """P_v in vertex order, built once per algebra and kept on it."""
+    return alg.memoized("projectives", lambda: tuple(
+        projective_module(alg, v) for v in alg.quiver.vertices))
 
 
-def all_injectives(alg: AlgebraBasis) -> List[Module]:
-    return [injective_module(alg, v) for v in alg.quiver.vertices]
+def all_injectives(alg: AlgebraBasis) -> Tuple[Module, ...]:
+    """I_v in vertex order, built once per algebra and kept on it."""
+    return alg.memoized("injectives", lambda: tuple(
+        injective_module(alg, v) for v in alg.quiver.vertices))
 
 
 def regular_module(alg: AlgebraBasis) -> Module:

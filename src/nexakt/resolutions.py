@@ -2,18 +2,21 @@
 
 Covers are computed from top = m/rad m and envelopes dually via the
 socle; path-algebra quotients over F_p are basic and split, so no
-semisimple-algebra machinery is needed.
+semisimple-algebra machinery is needed.  The minimal (co)resolution of a
+module is memoised on it as one growing chain; each step is verified
+once, when it is appended, and reuse verifies nothing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Tuple
 
-from .fp import Mat, quotient_data, rank
-from .reps import (Module, Morphism, cokernel_morphism, direct_sum, hom_basis,
-                   injective_module, kernel_morphism, projective_module,
-                   radical_span, socle_span, zero_module, zero_morphism)
+from .fp import Mat, quotient_data, rank, solve_linear
+from .reps import (Module, Morphism, all_injectives, all_projectives,
+                   basis_paths, cokernel_morphism, direct_sum, hom_basis,
+                   kernel_morphism, radical_span, socle_span, span_rank,
+                   zero_module, zero_morphism)
 
 
 @dataclass
@@ -25,10 +28,6 @@ class Resolution:
     terms: list
     maps: list
 
-    @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
 
 @dataclass
 class Coresolution:
@@ -37,10 +36,6 @@ class Coresolution:
     module: Module
     terms: list
     maps: list
-
-    @property
-    def length(self) -> int:
-        return len(self.terms)
 
 
 def projective_cover(m: Module) -> Morphism:
@@ -56,7 +51,8 @@ def projective_cover(m: Module) -> Morphism:
         for j in free:
             gens.append((v, Mat.from_rows([[1 if i == j else 0]
                                            for i in range(m.dims[v])], p, cols=1)))
-    summands = [projective_module(alg, v) for v, _ in gens]
+    projs = dict(zip(alg.quiver.vertices, all_projectives(alg)))
+    summands = [projs[v] for v, _ in gens]
     total, _, projections = direct_sum(summands)
     cover = zero_morphism(total, m)
     for (v, vec), summand, prj in zip(gens, summands, projections):
@@ -69,10 +65,7 @@ def projective_cover(m: Module) -> Morphism:
 def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:
     """The module map P_v -> m sending e_v to the column vector ``vec``."""
     alg = m.algebra
-    by_vertex: Dict[str, List[int]] = {w: [] for w in alg.quiver.vertices}
-    for i in range(alg.dim):
-        if alg.source_of[i] == v:
-            by_vertex[alg.target_of[i]].append(i)
+    by_vertex = basis_paths(alg, v, starting=True)
     comps = {}
     for w in alg.quiver.vertices:
         cols = [m.path_matrix(alg.basis[b]).mul(vec) for b in by_vertex[w]]
@@ -81,7 +74,8 @@ def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:
 
 
 def injective_envelope(m: Module) -> Morphism:
-    """Minimal envelope m -> E: one I_v per basis vector of soc(m) at v."""
+    """Minimal envelope m -> E: one I_v per basis vector of soc(m) at v,
+    each through the functional dual to that basis vector."""
     alg = m.algebra
     if m.is_zero():
         return zero_morphism(m, zero_module(alg))
@@ -89,12 +83,14 @@ def injective_envelope(m: Module) -> Morphism:
     data: List[Tuple[str, Mat]] = []
     for v in alg.quiver.vertices:
         basis = soc[v]
+        dual = solve_linear(basis.transpose(), Mat.identity(basis.cols, alg.p))
         for j in range(basis.cols):
-            data.append((v, Mat.from_rows([[basis.at(i, j)]
+            data.append((v, Mat.from_rows([[dual.at(i, j)]
                                            for i in range(m.dims[v])], alg.p, cols=1)))
     if not data:
         raise AssertionError("nonzero module with zero socle")
-    summands = [injective_module(alg, v) for v, _ in data]
+    injs = dict(zip(alg.quiver.vertices, all_injectives(alg)))
+    summands = [injs[v] for v, _ in data]
     total, injections, _ = direct_sum(summands)
     env = zero_morphism(m, total)
     for (v, vec), summand, inj in zip(data, summands, injections):
@@ -104,124 +100,120 @@ def injective_envelope(m: Module) -> Morphism:
     return env
 
 
-def _map_into_injective(m: Module, v: str, socle_vec: Mat, inj_v: Module) -> Morphism:
-    """The map m -> I_v classifying the functional <socle_vec, -> on m_v.
+def _map_into_injective(m: Module, v: str, functional: Mat, inj_v: Module) -> Morphism:
+    """The map m -> I_v classifying the functional <functional, -> on m_v.
 
     I_v carries the basis dual to {paths w -> v}; the component at w sends
-    x in m_w to the tuple (p |-> <socle_vec, p.x>) over those paths."""
+    x in m_w to the tuple (p |-> <functional, p.x>) over those paths."""
     alg = m.algebra
-    by_vertex: Dict[str, List[int]] = {w: [] for w in alg.quiver.vertices}
-    for i in range(alg.dim):
-        if alg.target_of[i] == v:
-            by_vertex[alg.source_of[i]].append(i)
+    by_vertex = basis_paths(alg, v, starting=False)
     comps = {}
     for w in alg.quiver.vertices:
-        rows = [list(socle_vec.transpose().mul(m.path_matrix(alg.basis[b])).row(0))
+        rows = [list(functional.transpose().mul(m.path_matrix(alg.basis[b])).row(0))
                 for b in by_vertex[w]]
         comps[w] = Mat.from_rows(rows, alg.p, cols=m.dims[w])
     return Morphism(m, inj_v, comps)
 
 
-def min_projective_resolution(m: Module, length: int) -> Resolution:
-    """Minimal resolution Q_length -> ... -> Q_0 -> m, exactness verified.
+@dataclass
+class _Chain:
+    """A minimal (co)resolution of ends[0], grown one step at a time.
 
-    Incrementally extendable: repeated calls reuse the syzygy chain."""
-    memo = m._memo.setdefault("projres",
-                              {"terms": [], "maps": [], "kers": [], "incls": []})
-    terms, maps, kers, incls = (memo["terms"], memo["maps"],
-                                memo["kers"], memo["incls"])
-    while len(terms) <= length:
-        current = m if not kers else kers[-1]
-        cover = projective_cover(current)
-        terms.append(cover.source)
-        maps.append(cover if not incls else cover.then(incls[-1]))
+    ends[k] is the k-th (co)syzygy; links[k] joins terms[k] and ends[k+1]
+    (the kernel inclusion into terms[k] of a resolution, the cokernel
+    projection out of terms[k] of a coresolution)."""
+
+    ends: list
+    terms: list = field(default_factory=list)
+    maps: list = field(default_factory=list)
+    links: list = field(default_factory=list)
+
+
+def _check_step(d_in: Morphism, d_out: Morphism, what: str):
+    """Exactness of d_in then d_out at the middle: the composite vanishes
+    and rank d_in = dim ker d_out at every vertex."""
+    if not d_in.then(d_out).is_zero():
+        raise AssertionError(f"{what} differentials do not compose to zero")
+    for v, out in d_out.components.items():
+        if rank(d_in.components[v]) != out.cols - rank(out):
+            raise AssertionError(f"{what} not exact")
+
+
+def _projective_chain(m: Module, length: int) -> _Chain:
+    """The minimal resolution memoised on m, grown to Q_length.  A step is
+    verified once, before it is appended: projective_cover checks the
+    augmentation is onto, _check_step exactness at Q_{k-1}."""
+    ch = m.memoized("projres", lambda: _Chain([m]))
+    while len(ch.terms) <= length:
+        cover = projective_cover(ch.ends[-1])
+        d = cover.then(ch.links[-1]) if ch.links else cover
+        if ch.maps:
+            _check_step(d, ch.maps[-1], "resolution")
         ker, incl = kernel_morphism(cover)
-        kers.append(ker)
-        incls.append(incl)
-    res = Resolution(m, list(terms[:length + 1]), list(maps[:length + 1]))
-    _verify_resolution_exactness(res)
-    return res
+        ch.terms.append(cover.source)
+        ch.maps.append(d)
+        ch.ends.append(ker)
+        ch.links.append(incl)
+    return ch
+
+
+def _injective_chain(m: Module, length: int) -> _Chain:
+    """The minimal coresolution memoised on m, grown to I^length; dual to
+    _projective_chain (injective_envelope checks the coaugmentation)."""
+    ch = m.memoized("injres", lambda: _Chain([m]))
+    while len(ch.terms) < length:
+        env = injective_envelope(ch.ends[-1])
+        d = ch.links[-1].then(env) if ch.links else env
+        if ch.maps:
+            _check_step(ch.maps[-1], d, "coresolution")
+        coker, proj = cokernel_morphism(env)
+        ch.terms.append(env.target)
+        ch.maps.append(d)
+        ch.ends.append(coker)
+        ch.links.append(proj)
+    return ch
+
+
+def min_projective_resolution(m: Module, length: int) -> Resolution:
+    """Minimal resolution Q_length -> ... -> Q_0 -> m, exactness verified
+    as it is built; repeated calls extend the same chain."""
+    ch = _projective_chain(m, length)
+    return Resolution(m, ch.terms[:length + 1], ch.maps[:length + 1])
 
 
 def syzygy(m: Module, k: int) -> Module:
     """k-th syzygy along the minimal resolution."""
-    if k == 0:
-        return m
-    min_projective_resolution(m, k)
-    return m._memo["projres"]["kers"][k - 1]
-
-
-def _verify_resolution_exactness(res: Resolution):
-    if res.maps and not res.maps[0].is_surjective():
-        raise AssertionError("augmentation not surjective")
-    for k in range(len(res.maps) - 1):
-        d_out, d_in = res.maps[k], res.maps[k + 1]
-        if not d_in.then(d_out).is_zero():
-            raise AssertionError("resolution differentials do not compose to zero")
-        for v in res.module.algebra.quiver.vertices:
-            dim_ker = d_out.components[v].cols - rank(d_out.components[v])
-            if rank(d_in.components[v]) != dim_ker:
-                raise AssertionError("resolution not exact")
+    return _projective_chain(m, k - 1).ends[k]
 
 
 def min_injective_coresolution(m: Module, length: int) -> Coresolution:
-    """Minimal coresolution m -> I^1 -> ... -> I^length, exactness verified."""
-    memo = m._memo.setdefault("injres",
-                              {"terms": [], "maps": [], "cokers": [], "projs": []})
-    terms, maps, cokers, projs = (memo["terms"], memo["maps"],
-                                  memo["cokers"], memo["projs"])
-    while len(terms) < length:
-        current = m if not cokers else cokers[-1]
-        env = injective_envelope(current)
-        terms.append(env.target)
-        maps.append(env if not projs else projs[-1].then(env))
-        coker, proj = cokernel_morphism(env)
-        cokers.append(coker)
-        projs.append(proj)
-    res = Coresolution(m, list(terms[:length]), list(maps[:length]))
-    _verify_coresolution_exactness(res)
-    return res
+    """Minimal coresolution m -> I^1 -> ... -> I^length, exactness
+    verified as it is built."""
+    ch = _injective_chain(m, length)
+    return Coresolution(m, ch.terms[:length], ch.maps[:length])
 
 
 def cosyzygy_of(m: Module, k: int) -> Module:
     """k-th cosyzygy along the minimal coresolution (deterministic)."""
-    if k == 0:
-        return m
-    min_injective_coresolution(m, k)
-    return m._memo["injres"]["cokers"][k - 1]
+    return _injective_chain(m, k).ends[k]
 
 
 def cosyzygy_projection(m: Module, k: int) -> Morphism:
     """The epi I^k -> cosyzygy_of(m, k) closing the length-k coresolution."""
-    min_injective_coresolution(m, k)
-    return m._memo["injres"]["projs"][k - 1]
-
-
-def _verify_coresolution_exactness(res: Coresolution):
-    if res.maps and not res.maps[0].is_injective():
-        raise AssertionError("coaugmentation not injective")
-    for k in range(len(res.maps) - 1):
-        d_in, d_out = res.maps[k], res.maps[k + 1]
-        if not d_in.then(d_out).is_zero():
-            raise AssertionError("coresolution differentials do not compose to zero")
-        for v in res.module.algebra.quiver.vertices:
-            dim_ker = d_out.components[v].cols - rank(d_out.components[v])
-            if rank(d_in.components[v]) != dim_ker:
-                raise AssertionError("coresolution not exact")
+    return _injective_chain(m, k).links[k - 1]
 
 
 # -- Ext dimensions -----------------------------------------------------
 
 
-def hom_induced_rank(basis: List[Morphism], d: Morphism) -> int:
-    """Rank of Hom(d, -)|span(basis): phi |-> d.then(phi)."""
-    cols = [d.then(phi).vectorize() for phi in basis]
-    p = d.source.algebra.p
-    if not cols:
-        return 0
-    mat = Mat.from_rows([[c[i] for c in cols] for i in range(len(cols[0]))],
-                        p, cols=len(cols))
-    return rank(mat)
+def hom_cohomology_dim(terms: list, maps: list, b: Module, k: int) -> int:
+    """dim H^k of Hom(C, b) for C = ... -> terms[k] -> terms[k-1] -> ...
+    with maps[j]: terms[j] -> terms[j-1]; needs 1 <= k < len(maps) - 1."""
+    hom_k = hom_basis(terms[k], b)
+    rank_out = span_rank([maps[k + 1].then(phi) for phi in hom_k])
+    rank_in = span_rank([maps[k].then(phi)
+                         for phi in hom_basis(terms[k - 1], b)])
+    return len(hom_k) - rank_out - rank_in
 
 
 def ext_dim(m: Module, n: Module, k: int) -> int:
@@ -231,8 +223,4 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
     if k == 0:
         return len(hom_basis(m, n))
     res = min_projective_resolution(m, k + 1)
-    hom_k = hom_basis(res.terms[k], n)
-    rank_out = hom_induced_rank(hom_k, res.maps[k + 1])
-    hom_km1 = hom_basis(res.terms[k - 1], n)
-    rank_in = hom_induced_rank(hom_km1, res.maps[k])
-    return (len(hom_k) - rank_out) - rank_in
+    return hom_cohomology_dim(res.terms, res.maps, n, k)

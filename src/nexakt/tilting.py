@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .addcat import AddCat, HypothesisError, PreconditionError, weak_cokernel
+from .addcat import (AddCat, HypothesisError, PreconditionError,
+                     hom_exact_at_middle, minimal_right_approximation,
+                     weak_cokernel)
 from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   are_isomorphic, hom_basis, in_add, kernel_morphism,
+                   are_isomorphic, in_add, kernel_morphism,
                    split_indecomposables)
-from .resolutions import ext_dim, hom_induced_rank
-from .addcat import minimal_right_approximation, _rank_of_vectors
+from .resolutions import ext_dim, hom_cohomology_dim
 
 
 @dataclass
@@ -146,28 +147,10 @@ def ext_via_approx_resolution(a: Module, b: Module, m: AddCat, k: int,
                     f"Ext^{deg}(generator {i}, b) = {d} != 0; "
                     f"comparison hypothesis violated")
     terms, maps = approx_resolution(a, m, n)
-    # cohomology of Hom(M_., b) at position k
-    hom_k = hom_basis(terms[k], b)
-    rank_out = hom_induced_rank(hom_k, maps[k + 1])
-    hom_km1 = hom_basis(terms[k - 1], b)
-    rank_in = hom_induced_rank(hom_km1, maps[k])
-    return (len(hom_k) - rank_out) - rank_in
+    return hom_cohomology_dim(terms, maps, b, k)
 
 
 # -- strong projectivity --------------------------------------------------
-
-
-def hom_exact_at_middle(p: Module, f: Morphism, g: Morphism) -> Tuple[bool, dict]:
-    """Exactness of Hom(p, L) -> Hom(p, M) -> Hom(p, N) at the middle."""
-    fp = p.algebra.p
-    hom_m = hom_basis(p, f.target)
-    rank_beta = _rank_of_vectors([b.then(g).vectorize() for b in hom_m], fp)
-    rank_alpha = _rank_of_vectors(
-        [b.then(f).vectorize() for b in hom_basis(p, f.source)], fp)
-    dim_ker = len(hom_m) - rank_beta
-    ranks = {"dim_hom_middle": len(hom_m), "rank_in": rank_alpha,
-             "rank_out": rank_beta, "kernel_dim": dim_ker}
-    return dim_ker == rank_alpha, ranks
 
 
 def strong_projectivity_check(p: Module, f: Morphism, m: AddCat) -> Tuple[bool, dict]:

@@ -19,6 +19,15 @@ def preprojective_a2(p=101):
     return build_algebra(q, rels, 2, FieldSpec(p))
 
 
+def cyclic_nakayama_j2(k, p=101):
+    """Selfinjective Nakayama algebra: cycle i -> i+1 (mod k), J^2 = 0."""
+    q = Quiver.build([str(i) for i in range(k)],
+                     [(f"a{i}", str(i), str((i + 1) % k)) for i in range(k)])
+    rels = [Relation(((1, PathWord((f"a{i}", f"a{(i + 1) % k}"))),))
+            for i in range(k)]
+    return build_algebra(q, rels, 2, FieldSpec(p))
+
+
 @pytest.fixture
 def a3():
     return linear_a3_j2()

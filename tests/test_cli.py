@@ -11,7 +11,8 @@ from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            load_algebra, module_from_dict, module_to_dict,
                            morphism_with_endpoints_to_dict)
 from nexakt.presets import gen_linear_An_J2, gen_preprojective_A
-from nexakt.reps import hom_basis, projective_module, simple_module
+from nexakt.reps import (direct_sum, hom_basis, projective_module,
+                         simple_module)
 
 
 @pytest.fixture
@@ -281,6 +282,39 @@ def test_named_modules_in_ext_compare(files, tmp_path):
 def test_unloaded_name_exits_2(files):
     assert run("nct", "check", "--algebra", files["algebra"],
                "--m", "nope,setup", "--n", 2, "--out", files["out"]) == 2
+
+
+def _assert_input_error(code, capsys, words):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {words}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("picks, words", [
+    ((("P0", "S2"), "P1", "P2"), "generator 0 is decomposable"),
+    (("P0", "P1", "P2", "P1"), "generators 1 and 3 are isomorphic"),
+])
+def test_bad_generator_exits_2(files, tmp_path, capsys, picks, words):
+    alg = load_algebra(files["algebra"])
+    mods = {"P0": projective_module(alg, "0"), "P1": projective_module(alg, "1"),
+            "P2": projective_module(alg, "2"), "S2": simple_module(alg, "2")}
+    gens = [direct_sum([mods[k] for k in pick])[0] if isinstance(pick, tuple)
+            else mods[pick] for pick in picks]
+    m_path = tmp_path / "bad_gens.json"
+    m_path.write_text(canonical_json(
+        {"generators": [module_to_dict(g) for g in gens]}))
+    code = run("nct", "check", "--algebra", files["algebra"], "--m", m_path,
+               "--n", 2, "--out", files["out"])
+    _assert_input_error(code, capsys, words)
+
+
+def test_non_nakayama_algebra_with_default_indecs_exits_2(tmp_path, capsys):
+    path = tmp_path / "preproj-a3.json"
+    dump_algebra(gen_preprojective_A(3), path)
+    code = run("search", "nct", "--algebra", path, "--n", 2,
+               "--out", tmp_path / "certs")
+    _assert_input_error(code, capsys, "not a Nakayama quiver")
 
 
 def test_demo_presets_pass_at_all_primes(tmp_path, monkeypatch):

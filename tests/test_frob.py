@@ -8,8 +8,11 @@ from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          stably_isomorphic_objects, standard_angle,
                          suspension, suspension_morphism, stably_equal,
                          trivial_angle, verify_angle_exact)
+from nexakt.presets import nakayama_indecomposables
 from nexakt.reps import (hom_basis, identity_morphism, projective_module,
                          simple_module, zero_module)
+
+from conftest import cyclic_nakayama_j2
 
 
 @pytest.fixture
@@ -230,3 +233,19 @@ def test_suspension_morphism_of_identity(ctx, pi2_mods):
     s1 = pi2_mods["S1"]
     sid = suspension_morphism(ctx, identity_morphism(s1))
     assert stably_equal(ctx, sid, identity_morphism(suspension(ctx, s1)))
+
+
+def test_identity_cone_with_projective_injective_x0():
+    # Hom(I^2(X^0), Y^2) = 0 for X^0 = P_0, which is its own envelope; the
+    # zero h^2 must still be kept for the step at degree 2
+    alg = cyclic_nakayama_j2(6, 101)
+    gens = ([projective_module(alg, str(v)) for v in range(6)]
+            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
+    ctx = check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,
+                                nakayama_indecomposables(alg), seed=0)
+    a = standard_angle(ctx, hom_basis(gens[0], gens[6])[0])   # P_0 -> S_0
+    phi = complete_angle_morphism(ctx, a, a,
+                                  identity_morphism(a.objects[0]),
+                                  identity_morphism(a.objects[1]))
+    _, table = angle_cone(ctx, phi)
+    assert all(rec["exact"] for rec in table)

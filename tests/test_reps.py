@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
+from nexakt import reps
 from nexakt.fp import Mat, rank, random_invertible
-from nexakt.reps import (ContextError, Module, Morphism, are_isomorphic,
-                         cokernel_morphism, direct_sum,
+from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
+                         are_isomorphic, cokernel_morphism, direct_sum,
                          exhaustively_indecomposable, hom_basis,
                          identity_morphism, in_add, injective_module,
                          kernel_morphism, projective_module, simple_module,
@@ -243,3 +245,39 @@ def test_regular_module_is_sum_of_projectives(a3):
     assert lam.total_dim == a3.dim
     for pv in all_projectives(a3):
         assert in_add(pv, [lam])
+
+
+# -- immutability and the content-keyed memo ---------------------------
+
+
+def test_construction_leaves_the_given_dicts_unchanged(a3):
+    dims, action = {"1": 1}, {}
+    s1 = Module(a3, dims, action)
+    assert dims == {"1": 1} and action == {}
+    components = {}
+    zero = Morphism(s1, s1, components)
+    assert components == {} and zero.is_zero()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s1.dims = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        zero.components = {}
+
+
+def test_hom_basis_computed_once_for_content_equal_targets(a3, monkeypatch):
+    calls = []
+    solve = reps.kernel_basis
+    monkeypatch.setattr(reps, "kernel_basis",
+                        lambda a: calls.append(a) or solve(a))
+    p1 = projective_module(a3, "1")
+    p2, p2_again = projective_module(a3, "2"), projective_module(a3, "2")
+    assert p2 is not p2_again and p2.key == p2_again.key
+    first = hom_basis(p1, p2)
+    assert hom_basis(p1, p2_again) is first
+    assert len(calls) == 1
+
+
+def test_projectives_and_injectives_built_once_per_algebra(a3):
+    ps, qs = all_projectives(a3), all_injectives(a3)
+    assert all(p is q for p, q in zip(all_projectives(a3), ps))
+    assert all(i is j for i, j in zip(all_injectives(a3), qs))
+    assert len(ps) == len(qs) == 3

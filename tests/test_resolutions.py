@@ -1,11 +1,16 @@
 import pytest
 
-from nexakt.reps import (are_isomorphic, injective_module, projective_module,
-                         simple_module)
+from nexakt import resolutions
+from nexakt.fp import Mat
+from nexakt.reps import (Module, are_isomorphic, injective_module,
+                         projective_module, simple_module, zero_module,
+                         zero_morphism)
 from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
                                 min_injective_coresolution,
                                 min_projective_resolution, projective_cover,
                                 syzygy)
+
+from conftest import cyclic_nakayama_j2
 
 
 def test_resolution_of_s2_over_a3(a3):
@@ -98,3 +103,47 @@ def test_cover_and_envelope_of_zero(a3):
     z = zero_module(a3)
     assert projective_cover(z).source.total_dim == 0
     assert injective_envelope(z).target.total_dim == 0
+
+
+# -- each step is verified once, when it is appended ----------------------
+
+
+def test_nonexact_resolution_step_rejected_when_appended(a3, monkeypatch):
+    # a "kernel" that is zero makes the next step non-exact at Q_0
+    monkeypatch.setattr(resolutions, "kernel_morphism", lambda f: (
+        zero_module(a3), zero_morphism(zero_module(a3), f.source)))
+    with pytest.raises(AssertionError, match="resolution not exact"):
+        min_projective_resolution(simple_module(a3, "2"), 1)
+
+
+def test_nonexact_coresolution_step_rejected_when_appended(a3, monkeypatch):
+    monkeypatch.setattr(resolutions, "cokernel_morphism", lambda f: (
+        zero_module(a3), zero_morphism(f.target, zero_module(a3))))
+    with pytest.raises(AssertionError, match="coresolution not exact"):
+        min_injective_coresolution(simple_module(a3, "1"), 2)
+
+
+def test_reuse_rechecks_nothing(a3, monkeypatch):
+    s2 = simple_module(a3, "2")
+    first = min_projective_resolution(s2, 3)
+    cores = min_injective_coresolution(s2, 2)
+
+    def no_rank(_):
+        raise AssertionError("a memoised step was checked again")
+    monkeypatch.setattr(resolutions, "rank", no_rank)
+    again = min_projective_resolution(s2, 3)
+    assert [t is u for t, u in zip(again.terms, first.terms)] == [True] * 4
+    assert min_injective_coresolution(s2, 2).maps == cores.maps
+    assert syzygy(s2, 2) is syzygy(s2, 2)
+
+
+def test_envelope_with_isotropic_socle_vector_is_iso():
+    # P_2 + P_3 over the 6-cycle with J^2 = 0, in a basis whose socle at
+    # vertex 3 is spanned by s = (1, 10); s.s = 101 = 0 in F_101, so the
+    # functional <s, -> kills s and an envelope through it is not monic
+    alg = cyclic_nakayama_j2(6, 101)
+    x = Module(alg, {"2": 1, "3": 2, "4": 1},
+               {"a2": Mat(2, 1, (1, 10), 101), "a3": Mat(1, 2, (91, 1), 101)})
+    env = injective_envelope(x)
+    assert env.target.dims == x.dims
+    assert env.is_injective() and env.is_surjective()
