@@ -316,7 +316,7 @@ def _chain_of(d_first: Morphism, seq: ComplexSeq) -> List[Morphism]:
     if seq is None:
         return [d_first]
     chain = [d_first] + list(seq.diffs)
-    if d_first.target.dims != seq.terms[0].dims:
+    if not d_first.target.same_as(seq.terms[0]):
         raise ValueError("chain endpoints mismatch")
     return chain
 
@@ -379,7 +379,7 @@ def verify_n_kernel(dn: Morphism, seq: Optional[ComplexSeq], m: AddCat) -> HomEx
         chain = [dn]
     else:
         chain = list(seq.diffs) + [dn]
-        if seq.terms[-1].dims != dn.source.dims:
+        if not seq.terms[-1].same_as(dn.source):
             raise ValueError("chain endpoints mismatch")
     return covariant_fragment(chain, m.generators)
 

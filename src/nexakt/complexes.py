@@ -5,9 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .fp import Mat
-from .reps import (Module, Morphism, direct_sum, identity_morphism,
-                   zero_module, zero_morphism)
+from .fp import Mat, kernel_basis
+from .reps import (Module, Morphism, assemble_from_span, block_morphism,
+                   direct_sum, hom_basis, identity_morphism, zero_module,
+                   zero_morphism)
 
 
 @dataclass
@@ -26,9 +27,9 @@ class ComplexSeq:
         if len(self.diffs) != max(len(self.terms) - 1, 0):
             raise ValueError("differential count mismatch")
         for k, d in enumerate(self.diffs):
-            if d.source is not self.terms[k] or d.target is not self.terms[k + 1]:
-                if d.source.dims != self.terms[k].dims or d.target.dims != self.terms[k + 1].dims:
-                    raise ValueError(f"differential {k} endpoints mismatch")
+            if not (d.source.same_as(self.terms[k])
+                    and d.target.same_as(self.terms[k + 1])):
+                raise ValueError(f"differential {k} endpoints mismatch")
         for k in range(len(self.diffs) - 1):
             if not self.diffs[k].then(self.diffs[k + 1]).is_zero():
                 raise ValueError(f"d^{self.lo + k + 1} after d^{self.lo + k} is nonzero")
@@ -89,22 +90,11 @@ def pad_complex(x: ComplexSeq, lo: int, hi: int) -> ComplexSeq:
 def direct_sum_complexes(x: ComplexSeq, y: ComplexSeq) -> ComplexSeq:
     lo = min(x.lo, y.lo)
     hi = max(x.hi, y.hi)
-    terms = []
-    for k in range(lo, hi + 1):
-        terms.append(direct_sum([x.term(k), y.term(k)])[0])
-    diffs = []
-    for k in range(lo, hi):
-        dx, dy = x.diff(k), y.diff(k)
-        p = dx.source.algebra.p
-        comps = {}
-        for v in dx.source.algebra.quiver.vertices:
-            a = dx.components[v]
-            b = dy.components[v]
-            comps[v] = Mat.block([
-                [a, Mat.zero(a.rows, b.cols, p)],
-                [Mat.zero(b.rows, a.cols, p), b]])
-        diffs.append(Morphism(terms[k - lo], terms[k - lo + 1], comps))
-    return ComplexSeq(lo, terms, diffs)
+    sums = [direct_sum([x.term(k), y.term(k)]) for k in range(lo, hi + 1)]
+    diffs = [block_morphism(sums[k - lo], sums[k - lo + 1],
+                            {(0, 0): x.diff(k), (1, 1): y.diff(k)})
+             for k in range(lo, hi)]
+    return ComplexSeq(lo, [s.module for s in sums], diffs)
 
 
 @dataclass
@@ -116,8 +106,8 @@ class ComplexMorphism:
     def __post_init__(self):
         for k in self.source.degrees():
             f = self.component(k)
-            if f.source.dims != self.source.term(k).dims \
-               or f.target.dims != self.target.term(k).dims:
+            if not (f.source.same_as(self.source.term(k))
+                    and f.target.same_as(self.target.term(k))):
                 raise ValueError(f"component at degree {k} has wrong endpoints")
         lo = min(self.source.lo, self.target.lo)
         hi = max(self.source.hi, self.target.hi)
@@ -190,8 +180,6 @@ def verify_homotopy(f: ComplexMorphism, g: ComplexMorphism, h: Homotopy) -> bool
 def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
     """Basis of the space of chain maps x -> y (degreewise Hom coordinates,
     commuting constraints solved as one kernel computation)."""
-    from .fp import Mat, kernel_basis
-    from .reps import hom_basis
     p = x.algebra.p
     blocks = []
     offsets = []
@@ -219,14 +207,11 @@ def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
     ker = kernel_basis(system)
     out = []
     for j in range(ker.cols):
-        comps = {}
-        for idx, k in enumerate(x.degrees()):
-            acc = zero_morphism(x.term(k), y.term(k))
-            for i, b in enumerate(blocks[idx]):
-                c = ker.at(offsets[idx] + i, j)
-                if c:
-                    acc = acc.add(b.scale(c))
-            comps[k] = acc
+        col = ker.col(j)
+        comps = {k: assemble_from_span(
+                     blocks[idx], col[offsets[idx]:offsets[idx] + len(blocks[idx])],
+                     x.term(k), y.term(k))
+                 for idx, k in enumerate(x.degrees())}
         out.append(ComplexMorphism(x, y, comps))
     return out
 
@@ -235,25 +220,11 @@ def mapping_cone(f: ComplexMorphism) -> ComplexSeq:
     """Cone with terms X^{k+1} + Y^k and differential
     [[-d_X^{k+1}, 0], [f^{k+1}, d_Y^k]]."""
     x, y = f.source, f.target
-    alg = x.algebra
-    p = alg.p
     lo = min(x.lo, y.lo) - 1
     hi = max(x.hi, y.hi)
-    terms = []
-    for k in range(lo, hi + 1):
-        terms.append(direct_sum([x.term(k + 1), y.term(k)])[0])
-    diffs = []
-    for k in range(lo, hi):
-        dx = x.diff(k + 1)
-        dy = y.diff(k)
-        fk = f.component(k + 1)
-        comps = {}
-        for v in alg.quiver.vertices:
-            a = dx.components[v].neg()
-            b = fk.components[v]
-            c = dy.components[v]
-            comps[v] = Mat.block([
-                [a, Mat.zero(a.rows, c.cols, p)],
-                [b, c]])
-        diffs.append(Morphism(terms[k - lo], terms[k - lo + 1], comps))
-    return ComplexSeq(lo, terms, diffs)
+    sums = [direct_sum([x.term(k + 1), y.term(k)]) for k in range(lo, hi + 1)]
+    diffs = [block_morphism(sums[k - lo], sums[k - lo + 1],
+                            {(0, 0): x.diff(k + 1).scale(-1),
+                             (1, 0): f.component(k + 1), (1, 1): y.diff(k)})
+             for k in range(lo, hi)]
+    return ComplexSeq(lo, [s.module for s in sums], diffs)

@@ -10,6 +10,7 @@ derived from these routines is bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_PRIME = 101
@@ -131,10 +132,6 @@ class Mat:
         return Mat(self.rows, self.cols,
                    tuple((a - b) % p for a, b in zip(self.entries, other.entries)), p)
 
-    def neg(self) -> "Mat":
-        p = self.p
-        return Mat(self.rows, self.cols, tuple((-a) % p for a in self.entries), p)
-
     def scale(self, c: int) -> "Mat":
         p = self.p
         c %= p
@@ -198,8 +195,22 @@ class Mat:
         return Mat(sum(m.rows for m in mats), cols, tuple(out), p)
 
     @staticmethod
-    def block(grid: Sequence[Sequence["Mat"]]) -> "Mat":
-        return Mat.vstack([Mat.hstack(row) for row in grid])
+    def from_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
+                    blocks: dict, p: int) -> "Mat":
+        """Block matrix with the given block row and column sizes;
+        ``blocks[(i, j)]`` fills block row i, block column j, and a missing
+        block is zero.  A block that does not fit its slot raises."""
+        row_at, col_at = [0, *accumulate(row_sizes)], [0, *accumulate(col_sizes)]
+        ncols = col_at[-1]
+        flat = [0] * (row_at[-1] * ncols)
+        for (i, j), b in blocks.items():
+            if not (0 <= i < len(row_sizes) and 0 <= j < len(col_sizes)) \
+                    or (b.rows, b.cols) != (row_sizes[i], col_sizes[j]) or b.p != p:
+                raise ValueError(f"block ({i}, {j}) does not fit its slot")
+            for r in range(b.rows):
+                start = (row_at[i] + r) * ncols + col_at[j]
+                flat[start:start + b.cols] = b.entries[r * b.cols:(r + 1) * b.cols]
+        return Mat(row_at[-1], ncols, tuple(flat), p)
 
     def vectorize(self) -> tuple:
         """Row-major flattening; the coordinate convention for Hom spaces."""

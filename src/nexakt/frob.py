@@ -19,13 +19,13 @@ from .addcat import (AddCat, HypothesisError, PreconditionError,
                      complete_to_chain_map, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism
 from .fp import Mat, column_space_basis, quotient_data, rank
-from .pushout import n_pushout, _pair_solve
+from .pushout import n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   are_isomorphic, assemble_from_span, direct_sum, hom_basis,
-                   identity_morphism, in_add, solve_in_span,
-                   split_indecomposables, stack_morphisms_from_sum,
-                   zero_module, zero_morphism)
+                   are_isomorphic, assemble_from_span, block_morphism,
+                   direct_sum, hom_basis, identity_morphism, in_add,
+                   solve_in_span, solve_jointly, split_indecomposables,
+                   stack_morphisms_from_sum, zero_module, zero_morphism)
 from .resolutions import (Coresolution, cosyzygy_of, cosyzygy_projection,
                           min_injective_coresolution, syzygy)
 from .tilting import NctReport, check_n_cluster_tilting
@@ -56,8 +56,8 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
         raise SetupError(f"subcategory is not n-cluster-tilting: "
                          f"{report.to_dict()}")
     projs = all_projectives(alg)
-    injs = all_injectives(alg)
-    for v, iv in zip(alg.quiver.vertices, injs):
+    injectives = all_injectives(alg)
+    for v, iv in zip(alg.quiver.vertices, injectives):
         if not any(are_isomorphic(iv, pw, seed + 17) for pw in projs):
             raise SetupError(f"algebra not selfinjective: I_{v} is not projective")
     for i, g in enumerate(m.generators):
@@ -66,7 +66,7 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
         if not in_add(syzygy(g, n), m.generators):
             raise SetupError(f"syzygy closure fails at generator {i}")
     cores = [min_injective_coresolution(g, n) for g in m.generators]
-    return FrobeniusCtx(alg, m, n, report, cores, injs, seed)
+    return FrobeniusCtx(alg, m, n, report, cores, injectives, seed)
 
 
 def cosyzygy(ctx: FrobeniusCtx, x: Module, k: int) -> Module:
@@ -203,7 +203,7 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
         if not in_add(obj, ctx.m.generators):
             raise PreconditionError(f"angle object {i} not in add(M)")
     sx0 = suspension(ctx, objects[0])
-    if closing.target.dims != sx0.dims:
+    if not closing.target.same_as(sx0):
         raise ValueError("closing morphism must land in Sigma X^0")
     chain = list(maps) + [closing]
     for k in range(len(chain) - 1):
@@ -238,8 +238,8 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     basis = hom_basis(yn, proj.target)
     eq1 = [f.component(n).then(b) for b in basis]
     eq2 = [y.diff(n - 1).then(b) for b in basis]
-    coeffs = _pair_solve([eq1, eq2],
-                         [proj, zero_morphism(y.term(n - 1), proj.target)])
+    coeffs = solve_jointly([eq1, eq2],
+                           [proj, zero_morphism(y.term(n - 1), proj.target)])
     if coeffs is None:
         raise HypothesisError("standard angle: closing morphism not found")
     closing = assemble_from_span(basis, coeffs, yn, proj.target)
@@ -397,7 +397,7 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
         eq2 = [fa[k].then(c) for c in basis_phi] + \
               [ix.maps[k].then(c).scale(-1) for c in basis_h]
         t2 = psi[k].then(gb[k]).add(h[k].then(beta[k]))
-        coeffs = _pair_solve([eq1, eq2], [t1, t2])
+        coeffs = solve_jointly([eq1, eq2], [t1, t2])
         if coeffs is None:
             raise HypothesisError(f"completion stuck at degree {k}", degree=k)
         phis.append(assemble_from_span(basis_phi, coeffs[:len(basis_phi)],
@@ -424,32 +424,19 @@ def angle_cone(ctx: FrobeniusCtx, phi: AngleMorphism) -> Tuple[Angle, list]:
     xs = list(a.objects) + [suspension(ctx, a.objects[0]),
                             suspension(ctx, a.objects[1])]
     ys = list(b.objects) + [suspension(ctx, b.objects[0])]
-    objects = []
-    sums = []
-    for k in range(n + 2):
-        total, injs, prjs = direct_sum([xs[k + 1], ys[k]])
-        objects.append(total)
-        sums.append((total, injs, prjs))
-    gammas = []
-    for k in range(n + 1):
-        _, injs_t, _ = sums[k + 1]
-        _, _, prjs_s = sums[k]
-        g = prjs_s[0].then(alpha[k + 1].scale(-1)).then(injs_t[0]) \
-            .add(prjs_s[0].then(comps[k + 1]).then(injs_t[1])) \
-            .add(prjs_s[1].then(beta[k]).then(injs_t[1]))
-        gammas.append(g)
-    # gamma^{n+1} lands in Sigma X^1 + Sigma Y^0; identify with
-    # Sigma(X^1 + Y^0) via the suspended inclusions
-    _, _, prjs_last = sums[n + 1]
-    _, injs_t, _ = direct_sum([xs[n + 3], ys[n + 2]])
-    g_last = prjs_last[0].then(alpha[n + 2].scale(-1)).then(injs_t[0]) \
-        .add(prjs_last[0].then(comps[n + 2]).then(injs_t[1])) \
-        .add(prjs_last[1].then(beta[n + 1]).then(injs_t[1]))
-    _, c0_injs, _ = sums[0]
+    # C^k = X^{k+1} + Y^k for k <= n+1; gamma^{n+1} lands in
+    # Sigma X^1 + Sigma Y^0, identified with Sigma(C^0) by glue
+    sums = [direct_sum([xs[k + 1], ys[k]]) for k in range(n + 3)]
+    gammas = [block_morphism(sums[k], sums[k + 1],
+                             {(0, 0): alpha[k + 1].scale(-1),
+                              (1, 0): comps[k + 1], (1, 1): beta[k]})
+              for k in range(n + 2)]
     glue = stack_morphisms_from_sum([
-        suspension_morphism(ctx, c0_injs[0]),
-        suspension_morphism(ctx, c0_injs[1])])
-    closing = g_last.then(glue)
+        suspension_morphism(ctx, block_morphism(part, sums[0],
+                                                {(i, 0): identity_morphism(part)}))
+        for i, part in enumerate(sums[0].parts)])
+    closing = gammas.pop().then(glue)
+    objects = [s.module for s in sums[:n + 2]]
     cone = make_angle(ctx, objects, gammas, closing)
     ok, table = verify_angle_exact(ctx, cone)
     if not ok:

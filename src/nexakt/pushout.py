@@ -12,39 +12,9 @@ from typing import Dict, List, Tuple
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      contravariant_fragment, weak_cokernel)
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, mapping_cone
-from .fp import Mat
-from .reps import (Module, Morphism, assemble_from_span, direct_sum,
-                   hom_basis, identity_morphism, in_add, solve_in_span,
-                   zero_module, zero_morphism)
-
-
-def _pair_solve(blocks: List[List[Morphism]], targets: List[Morphism]):
-    """Solve several simultaneous Hom equations sharing unknown blocks.
-
-    blocks[i] lists, per unknown basis element, its contribution to
-    equation i (same order across equations); targets[i] is the wanted
-    value.  Returns one coefficient vector or None."""
-    p = targets[0].source.algebra.p
-    ncand = len(blocks[0])
-    cols = []
-    for j in range(ncand):
-        vec: List[int] = []
-        for eq in blocks:
-            vec.extend(eq[j].vectorize())
-        cols.append(vec)
-    rhs: List[int] = []
-    for t in targets:
-        rhs.extend(t.vectorize())
-    if ncand == 0:
-        return [] if all(x == 0 for x in rhs) else None
-    mat = Mat.from_rows([[col[i] for col in cols] for i in range(len(rhs))],
-                        p, cols=ncand)
-    b = Mat.from_rows([[x] for x in rhs], p, cols=1)
-    from .fp import solve_linear
-    sol = solve_linear(mat, b)
-    if sol is None:
-        return None
-    return [sol.at(i, 0) for i in range(ncand)]
+from .reps import (Module, Morphism, assemble_from_span, block_morphism,
+                   direct_sum, hom_basis, identity_morphism, in_add,
+                   solve_in_span, solve_jointly, zero_module, zero_morphism)
 
 
 def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, ComplexMorphism]:
@@ -57,7 +27,7 @@ def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Compl
     for k in x.degrees():
         if not in_add(x.term(k), m.generators):
             raise DomainError(f"pushout input term {k} not in add(M)")
-    if f0.source.dims != x.terms[0].dims:
+    if not f0.source.same_as(x.terms[0]):
         raise PreconditionError("f0 must start at the degree-0 term")
     if not in_add(f0.target, m.generators):
         raise DomainError("pushout target of f0 not in add(M)")
@@ -65,24 +35,25 @@ def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Compl
     y_terms: List[Module] = [f0.target]
     y_diffs: List[Morphism] = []
     f_comps: List[Morphism] = [f0]
-    # cone differential d_C^{-1} = [-d_X^0; f^0] into X^1 + Y^0
-    _, injs, prjs = direct_sum([x.terms[1], y_terms[0]])
-    d_prev = x.diff(lo).scale(-1).then(injs[0]).add(f0.then(injs[1]))
+    # cone differential d_C^{-1} = [-d_X^0; f^0] into C^0 = X^1 + Y^0
+    c_k = direct_sum([x.terms[1], y_terms[0]])
+    d_prev = block_morphism(x.terms[0], c_k,
+                            {(0, 0): x.diff(lo).scale(-1), (1, 0): f0})
     for k in range(n):
         w = weak_cokernel(d_prev, m)
-        f_next = injs[0].then(w)          # X^{k+1} -> Y^{k+1}
-        d_y = injs[1].then(w)             # Y^k -> Y^{k+1}
+        # restrict w: C^k -> Y^{k+1} to the summands X^{k+1} and Y^k
+        f_next, d_y = (block_morphism(part, c_k, {(i, 0): identity_morphism(part)})
+                       .then(w) for i, part in enumerate(c_k.parts))
         y_terms.append(w.target)
         y_diffs.append(d_y)
         f_comps.append(f_next)
         if k == n - 1:
             break
         # next cone differential [[-d_X^{k+1}, 0], [f^{k+1}, d_Y^k]]
-        _, nxt_injs, nxt_prjs = direct_sum([x.terms[k + 2], y_terms[-1]])
-        d_prev = prjs[0].then(x.diff(lo + k + 1).scale(-1)).then(nxt_injs[0]) \
-            .add(prjs[0].then(f_next).then(nxt_injs[1])) \
-            .add(prjs[1].then(d_y).then(nxt_injs[1]))
-        injs, prjs = nxt_injs, nxt_prjs
+        c_next = direct_sum([x.terms[k + 2], y_terms[-1]])
+        d_prev = block_morphism(c_k, c_next, {(0, 0): x.diff(lo + k + 1).scale(-1),
+                                              (1, 0): f_next, (1, 1): d_y})
+        c_k = c_next
     y = ComplexSeq(lo, y_terms, y_diffs)
     f = ComplexMorphism(x, y, {lo + i: f_comps[i] for i in range(n + 1)})
     cone = mapping_cone(f)
@@ -107,40 +78,28 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
         return y, f, ComplexSeq(lo, [zero_module(x.algebra)], [])
     alg = x.algebra
     # padded degree l carries [Y^l, X^l (target slot), X^{l+1} (source slot)]
-    slot_mods: Dict[int, List[Module]] = {}
-    for l in range(n + 1):
-        mods = [y.term(lo + l)]
-        if 2 <= l <= n:
-            mods.append(x.term(lo + l))
-        if 2 <= l + 1 <= n:
-            mods.append(x.term(lo + l + 1))
-        slot_mods[l] = mods
-    sums = {l: direct_sum(slot_mods[l]) for l in range(n + 1)}
-    terms = [sums[l][0] for l in range(n + 1)]
+    ident = {l: identity_morphism(x.term(lo + l)) for l in range(2, n + 1)}
+    sums = [direct_sum([y.term(lo + l)] + [x.term(lo + j) for j in (l, l + 1)
+                                           if j in ident])
+            for l in range(n + 1)]
+    # the source slot X^{l+1} (last) at degree l maps identically onto the
+    # target slot X^{l+1} (second) at degree l+1; blocks in padding slots
+    pad_blocks = [{(0, len(sums[l].parts) - 2): ident[l + 1]} if l + 1 in ident
+                  else {} for l in range(n)]
     diffs = []
     for l in range(n):
-        total_src, injs_src, prjs_src = sums[l]
-        total_tgt, injs_tgt, _ = sums[l + 1]
-        d = prjs_src[0].then(y.diff(lo + l)).then(injs_tgt[0])
-        # source slot X^{l+1} at degree l maps identically to the target
-        # slot X^{l+1} at degree l+1
-        if 2 <= l + 1 <= n:
-            src_slot = 1 + (1 if 2 <= l <= n else 0)
-            d = d.add(prjs_src[src_slot]
-                      .then(identity_morphism(x.term(lo + l + 1)))
-                      .then(injs_tgt[1]))
-        diffs.append(d)
-    padded = ComplexSeq(lo, terms, diffs)
+        blocks = {(i + 1, j + 1): b for (i, j), b in pad_blocks[l].items()}
+        blocks[(0, 0)] = y.diff(lo + l)
+        diffs.append(block_morphism(sums[l], sums[l + 1], blocks))
+    padded = ComplexSeq(lo, [s.module for s in sums], diffs)
     comps = {}
     for l in range(n + 1):
-        _, injs_tgt, _ = sums[l]
-        c = f.component(lo + l).then(injs_tgt[0])
-        if 2 <= l <= n:
-            c = c.add(identity_morphism(x.term(lo + l)).then(injs_tgt[1]))
-        if 2 <= l + 1 <= n:
-            slot = 1 + (1 if 2 <= l <= n else 0)
-            c = c.add(x.diff(lo + l).then(injs_tgt[slot]))
-        comps[lo + l] = c
+        blocks = {(0, 0): f.component(lo + l)}
+        if l in ident:
+            blocks[(1, 0)] = ident[l]
+        if l + 1 in ident:
+            blocks[(len(sums[l].parts) - 1, 0)] = x.diff(lo + l)
+        comps[lo + l] = block_morphism(x.term(lo + l), sums[l], blocks)
     ftilde = ComplexMorphism(x, padded, comps)
     for l in range(2, n + 1):
         comp = ftilde.component(lo + l)
@@ -154,29 +113,10 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
     if not frag.ok:
         raise HypothesisError("good pushout cone fails verification")
     # the padding itself, as a complex (for contractibility checks)
-    pad_terms = []
-    pad_diffs = []
-    for l in range(n + 1):
-        mods = slot_mods[l][1:]
-        pad_terms.append(direct_sum(mods)[0] if mods else zero_module(alg))
-    for l in range(n):
-        src_mods = slot_mods[l][1:]
-        tgt_mods = slot_mods[l + 1][1:]
-        src = pad_terms[l]
-        tgt = pad_terms[l + 1]
-        if not src_mods or not tgt_mods:
-            pad_diffs.append(zero_morphism(src, tgt))
-            continue
-        _, s_injs, s_prjs = direct_sum(src_mods)
-        _, t_injs, _ = direct_sum(tgt_mods)
-        d = zero_morphism(src, tgt)
-        if 2 <= l + 1 <= n:
-            src_slot = 1 if 2 <= l <= n else 0
-            d = d.add(s_prjs[src_slot]
-                      .then(identity_morphism(x.term(lo + l + 1)))
-                      .then(t_injs[0]))
-        pad_diffs.append(d)
-    padding = ComplexSeq(lo, pad_terms, pad_diffs)
+    pads = [direct_sum(s.parts[1:] or (zero_module(alg),)) for s in sums]
+    padding = ComplexSeq(lo, [t.module for t in pads],
+                         [block_morphism(pads[l], pads[l + 1], pad_blocks[l])
+                          for l in range(n)])
     return padded, ftilde, padding
 
 
@@ -188,7 +128,7 @@ def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
     y = f.target
     z = g.target
     lo, hi = x.lo, x.hi
-    if y.term(lo).dims != z.term(lo).dims:
+    if not y.term(lo).same_as(z.term(lo)):
         raise PreconditionError("degree-0 targets differ")
     if not f.component(lo).sub(g.component(lo)).is_zero():
         raise PreconditionError("f and g must share the degree-0 component")
@@ -210,7 +150,7 @@ def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
         eq_b = [f.component(k + 1).then(b) for b in basis_p] + \
                [x.diff(k + 1).then(b).scale(-1) for b in basis_h]
         tgt_b = g.component(k + 1).add(h_at(k + 1).then(z.diff(k)))
-        coeffs = _pair_solve([eq_a, eq_b], [tgt_a, tgt_b])
+        coeffs = solve_jointly([eq_a, eq_b], [tgt_a, tgt_b])
         if coeffs is None:
             raise HypothesisError(f"factorization stuck at degree {k}", degree=k)
         p_comps[k + 1] = assemble_from_span(

@@ -6,6 +6,15 @@ vectors).  Morphisms are vertex-wise matrices satisfying naturality.
 Both are immutable: construction copies the dicts it is given and
 nothing changes them afterwards.
 
+A direct sum (``direct_sum``) is the sum module with block-diagonal
+action together with its summands; it carries no maps to or from them.
+Every map into, out of or between direct sums is one
+``block_morphism``: a grid of blocks, block (i, j) from source summand j
+to target summand i, with missing blocks zero, assembled into a single
+Morphism whose naturality check covers every block.  An inclusion or a
+projection, where one is needed, is the block morphism with one
+identity block.
+
 A module carries its content key, the dimension vector plus the action
 entries, computed once at construction.  The one memo of the package is
 ``Memo.memoized``: a dict on each module (and on each algebra), so an
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
                  quotient_projection, rank, solve_linear)
@@ -97,6 +106,11 @@ class Module(Memo):
     def dim_vector(self) -> tuple:
         return self.key[0]
 
+    def same_as(self, other: "Module") -> bool:
+        """Equal content (identity is the fast path): the test every
+        endpoint check uses, since equal dimension vectors are not enough."""
+        return self is other or self.key == other.key
+
 
 def zero_module(alg: AlgebraBasis) -> Module:
     return Module(alg, {v: 0 for v in alg.quiver.vertices}, {})
@@ -133,7 +147,7 @@ class Morphism:
 
     def then(self, other: "Morphism") -> "Morphism":
         """Diagrammatic composition: self followed by other."""
-        if other.source is not self.target and other.source.dims != self.target.dims:
+        if not other.source.same_as(self.target):
             raise ValueError("non-composable morphisms")
         return Morphism(self.source, other.target,
                         {v: other.components[v].mul(self.components[v])
@@ -298,80 +312,88 @@ def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morp
     return cokernel_morphism(incl)
 
 
-def direct_sum(mods: Sequence[Module]) -> Tuple[Module, List[Morphism], List[Morphism]]:
-    """Direct sum with injections and projections."""
+class DirectSum(NamedTuple):
+    """A direct sum module and its summands, in order."""
+
+    module: Module
+    parts: tuple
+
+
+def direct_sum(mods: Sequence[Module]) -> DirectSum:
+    """The direct sum module, with block-diagonal action; maps into or out
+    of it are built by block_morphism."""
     if not mods:
         raise ValueError("empty direct sum; use zero_module")
     alg = mods[0].algebra
     for m in mods[1:]:
         _require_same_algebra(mods[0], m)
-    p = alg.p
     dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
-        blocks = []
-        for i, m in enumerate(mods):
-            row = []
-            for j, m2 in enumerate(mods):
-                if i == j:
-                    row.append(m.action[a.name])
-                else:
-                    row.append(Mat.zero(m.dims[a.target], m2.dims[a.source], p))
-            blocks.append(row)
-        action[a.name] = Mat.block(blocks)
-    total = Module(alg, dims, action)
-    injections, projections = [], []
-    for i, m in enumerate(mods):
-        inj, prj = {}, {}
-        for v in alg.quiver.vertices:
-            before = sum(mods[j].dims[v] for j in range(i))
-            after = sum(mods[j].dims[v] for j in range(i + 1, len(mods)))
-            idm = Mat.identity(m.dims[v], p)
-            inj[v] = Mat.vstack([Mat.zero(before, m.dims[v], p), idm,
-                                 Mat.zero(after, m.dims[v], p)])
-            prj[v] = inj[v].transpose()
-        injections.append(Morphism(m, total, inj))
-        projections.append(Morphism(total, m, prj))
-    return total, injections, projections
+        action[a.name] = Mat.from_blocks(
+            [m.dims[a.target] for m in mods], [m.dims[a.source] for m in mods],
+            {(i, i): m.action[a.name] for i, m in enumerate(mods)}, alg.p)
+    return DirectSum(Module(alg, dims, action), tuple(mods))
+
+
+def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
+                   blocks: Dict[Tuple[int, int], Morphism]) -> Morphism:
+    """The morphism between direct sums whose block (i, j), the map from
+    source summand j to target summand i, is blocks[(i, j)]; a missing
+    block is zero.  source and target are direct_sum results, or a plain
+    Module, which counts as one summand.  The one naturality check of the
+    result checks every block, since the actions are block-diagonal."""
+    src, src_parts = source if isinstance(source, DirectSum) else (source, (source,))
+    tgt, tgt_parts = target if isinstance(target, DirectSum) else (target, (target,))
+    for (i, j), f in blocks.items():
+        if not (0 <= i < len(tgt_parts) and 0 <= j < len(src_parts)
+                and f.source.same_as(src_parts[j]) and f.target.same_as(tgt_parts[i])):
+            raise ValueError(f"block ({i}, {j}) does not join its summands")
+    return Morphism(src, tgt, {
+        v: Mat.from_blocks([t.dims[v] for t in tgt_parts],
+                           [s.dims[v] for s in src_parts],
+                           {ij: f.components[v] for ij, f in blocks.items()},
+                           src.algebra.p)
+        for v in src.algebra.quiver.vertices})
 
 
 def stack_morphisms_to_sum(maps: Sequence[Morphism]) -> Morphism:
     """Assemble x -> sum(targets) from morphisms sharing the source."""
-    x = maps[0].source
-    total, injections, _ = direct_sum([f.target for f in maps])
-    acc = zero_morphism(x, total)
-    for f, inj in zip(maps, injections):
-        acc = acc.add(f.then(inj))
-    return acc
+    return block_morphism(maps[0].source, direct_sum([f.target for f in maps]),
+                          {(i, 0): f for i, f in enumerate(maps)})
 
 
 def stack_morphisms_from_sum(maps: Sequence[Morphism]) -> Morphism:
     """Assemble sum(sources) -> x from morphisms sharing the target."""
-    x = maps[0].target
-    total, _, projections = direct_sum([f.source for f in maps])
-    acc = zero_morphism(total, x)
-    for f, prj in zip(maps, projections):
-        acc = acc.add(prj.then(f))
-    return acc
+    return block_morphism(direct_sum([f.source for f in maps]), maps[0].target,
+                          {(0, j): f for j, f in enumerate(maps)})
 
 
 # -- linear problems in Hom spaces -------------------------------------
 
 
-def solve_in_span(candidates: Sequence[Morphism], target: Morphism) -> Optional[List[int]]:
-    """Coefficients c with sum(c_i * candidates_i) = target, or None."""
-    p = target.source.algebra.p
-    tv = target.vectorize()
-    if not candidates:
-        return [] if all(x == 0 for x in tv) else None
-    cols = [c.vectorize() for c in candidates]
-    mat = Mat.from_rows([[col[i] for col in cols] for i in range(len(tv))],
-                        p, cols=len(cols))
-    rhs = Mat.from_rows([[x] for x in tv], p, cols=1)
-    sol = solve_linear(mat, rhs)
+def solve_jointly(equations: Sequence[Sequence[Morphism]],
+                  targets: Sequence[Morphism]) -> Optional[List[int]]:
+    """Coefficients c with sum(c_j * equations[i][j]) = targets[i] for
+    every i at once (shared unknowns, one per column j), or None."""
+    p = targets[0].source.algebra.p
+    ncand = len(equations[0])
+    cols = [[x for eq in equations for x in eq[j].vectorize()]
+            for j in range(ncand)]
+    rhs = [x for t in targets for x in t.vectorize()]
+    if ncand == 0:
+        return [] if all(x == 0 for x in rhs) else None
+    mat = Mat.from_rows([[col[i] for col in cols] for i in range(len(rhs))],
+                        p, cols=ncand)
+    sol = solve_linear(mat, Mat.from_rows([[x] for x in rhs], p, cols=1))
     if sol is None:
         return None
-    return [sol.at(i, 0) for i in range(len(candidates))]
+    return [sol.at(i, 0) for i in range(ncand)]
+
+
+def solve_in_span(candidates: Sequence[Morphism], target: Morphism) -> Optional[List[int]]:
+    """Coefficients c with sum(c_i * candidates_i) = target, or None."""
+    return solve_jointly([candidates], [target])
 
 
 def span_rank(maps: Sequence[Morphism]) -> int:
@@ -385,11 +407,12 @@ def span_rank(maps: Sequence[Morphism]) -> int:
 
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
                        source: Module, target: Module) -> Morphism:
-    acc = zero_morphism(source, target)
+    """sum(coeffs_i * candidates_i), formed entrywise as one Morphism."""
+    vec = [0] * sum(target.dims[v] * source.dims[v] for v in source.dims)
     for c, cand in zip(coeffs, candidates):
         if c:
-            acc = acc.add(cand.scale(c))
-    return acc
+            vec = [a + c * b for a, b in zip(vec, cand.vectorize())]
+    return morphism_from_vector(source, target, vec)
 
 
 def factor_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
@@ -472,11 +495,7 @@ def iso_witness(m: Module, n: Module, seed: int,
     p = m.algebra.p
     rng = random.Random(seed)
     for _ in range(retries):
-        coeffs = [rng.randrange(p) for _ in basis]
-        cand = zero_morphism(m, n)
-        for c, b in zip(coeffs, basis):
-            if c:
-                cand = cand.add(b.scale(c))
+        cand = assemble_from_span(basis, [rng.randrange(p) for _ in basis], m, n)
         if all(rank(cand.components[v]) == m.dims[v]
                for v in m.algebra.quiver.vertices):
             return cand
@@ -496,11 +515,7 @@ def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Modu
     from .fp import det
     basis = hom_basis(x, x)
     p = x.algebra.p
-    e = zero_morphism(x, x)
-    for b in basis:
-        c = rng.randrange(p)
-        if c:
-            e = e.add(b.scale(c))
+    e = assemble_from_span(basis, [rng.randrange(p) for _ in basis], x, x)
     if p <= _EIGEN_SCAN_LIMIT:
         shifts = [t for t in range(p)
                   if any(m.rows > 0 and det(_shift(m, t)) == 0
@@ -573,10 +588,7 @@ def exhaustively_indecomposable(x: Module, budget: int = 1 << 16) -> Optional[bo
         return None
     coeffs = [0] * len(basis)
     while True:
-        e = zero_morphism(x, x)
-        for c, b in zip(coeffs, basis):
-            if c:
-                e = e.add(b.scale(c))
+        e = assemble_from_span(basis, coeffs, x, x)
         if e.then(e).equals(e) and not e.is_zero() and not e.equals(identity_morphism(x)):
             return False
         i = 0

@@ -14,8 +14,9 @@ from typing import List, Tuple
 
 from .fp import Mat, quotient_data, rank, solve_linear
 from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   basis_paths, cokernel_morphism, direct_sum, hom_basis,
-                   kernel_morphism, radical_span, socle_span, span_rank,
+                   basis_paths, cokernel_morphism, hom_basis, kernel_morphism,
+                   radical_span, socle_span, span_rank,
+                   stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
 
 
@@ -52,11 +53,8 @@ def projective_cover(m: Module) -> Morphism:
             gens.append((v, Mat.from_rows([[1 if i == j else 0]
                                            for i in range(m.dims[v])], p, cols=1)))
     projs = dict(zip(alg.quiver.vertices, all_projectives(alg)))
-    summands = [projs[v] for v, _ in gens]
-    total, _, projections = direct_sum(summands)
-    cover = zero_morphism(total, m)
-    for (v, vec), summand, prj in zip(gens, summands, projections):
-        cover = cover.add(prj.then(_map_from_projective(summand, v, vec, m)))
+    cover = stack_morphisms_from_sum([_map_from_projective(projs[v], v, vec, m)
+                                      for v, vec in gens])
     if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
     return cover
@@ -89,12 +87,9 @@ def injective_envelope(m: Module) -> Morphism:
                                            for i in range(m.dims[v])], alg.p, cols=1)))
     if not data:
         raise AssertionError("nonzero module with zero socle")
-    injs = dict(zip(alg.quiver.vertices, all_injectives(alg)))
-    summands = [injs[v] for v, _ in data]
-    total, injections, _ = direct_sum(summands)
-    env = zero_morphism(m, total)
-    for (v, vec), summand, inj in zip(data, summands, injections):
-        env = env.add(_map_into_injective(m, v, vec, summand).then(inj))
+    injectives = dict(zip(alg.quiver.vertices, all_injectives(alg)))
+    env = stack_morphisms_to_sum([_map_into_injective(m, v, vec, injectives[v])
+                                  for v, vec in data])
     if not env.is_injective():
         raise AssertionError("injective envelope not injective")
     return env

@@ -18,11 +18,11 @@ from nexakt.frob import (angle_cone, angle_from_n_exact, check_frobenius_setup,
                          standard_angle, verify_angle_exact)
 from nexakt.presets import (brute_force_nct_search, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_indecomposables)
-from nexakt.pushout import _pair_solve, n_pushout, good_n_pushout
+from nexakt.pushout import n_pushout, good_n_pushout
 from nexakt.reps import (are_isomorphic, assemble_from_span, direct_sum,
                          hom_basis, identity_morphism, projective_module,
-                         regular_module, simple_module, split_indecomposables,
-                         zero_module, zero_morphism)
+                         regular_module, simple_module, solve_jointly,
+                         split_indecomposables, zero_module, zero_morphism)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (ext_via_approx_resolution, hom_exact_at_middle,
                             strong_projectivity_check)
@@ -484,7 +484,7 @@ def test_criterion_8_closure_properties():
             basis_d = hom_basis(y.term(2), x.term(3))
             eq1 = [f.component(2).then(b) for b in basis_d]
             eq2 = [y.diff(1).then(b) for b in basis_d]
-            coeffs = _pair_solve(
+            coeffs = solve_jointly(
                 [eq1, eq2],
                 [x.diff(2), zero_morphism(y.term(1), x.term(3))])
             instances += 1

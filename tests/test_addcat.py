@@ -11,9 +11,9 @@ from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
                               identity_complex_morphism, interval_complex,
                               pad_complex, verify_homotopy,
                               zero_complex_morphism, zero_homotopy)
-from nexakt.reps import (are_isomorphic, direct_sum, hom_basis,
-                         identity_morphism, projective_module, simple_module,
-                         zero_module, zero_morphism)
+from nexakt.reps import (are_isomorphic, block_morphism, direct_sum,
+                         hom_basis, identity_morphism, projective_module,
+                         simple_module, zero_module, zero_morphism)
 
 
 @pytest.fixture
@@ -161,8 +161,9 @@ def test_n_cokernel_of_identity(a3, m3, mods):
 
 
 def test_n_cokernel_of_split_mono(a3, m3, mods):
-    total, injs, _ = direct_sum([mods["P1"], mods["S2"]])
-    seq = n_cokernel(injs[0], m3, 2)
+    total = direct_sum([mods["P1"], mods["S2"]])
+    inj = block_morphism(mods["P1"], total, {(0, 0): identity_morphism(mods["P1"])})
+    seq = n_cokernel(inj, m3, 2)
     assert seq.terms[1].dim_vector() == (0, 0, 1)
     assert seq.terms[2].total_dim == 0
 
@@ -181,8 +182,9 @@ def test_n_kernel_of_identity(a3, m3, mods):
 
 
 def test_n_kernel_of_split_epi(a3, m3, mods):
-    total, _, prjs = direct_sum([mods["P1"], mods["S2"]])
-    seq = n_kernel(prjs[1], m3, 2)
+    total = direct_sum([mods["P1"], mods["S2"]])
+    prj = block_morphism(total, mods["S2"], {(0, 1): identity_morphism(mods["S2"])})
+    seq = n_kernel(prj, m3, 2)
     assert seq.terms[0].total_dim == 0
     assert seq.terms[1].dim_vector() == (1, 1, 0)
 

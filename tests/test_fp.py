@@ -141,3 +141,13 @@ def test_shape_errors():
         solve_linear(mat([[1, 2]]), mat([[1], [2]]))
     with pytest.raises(ValueError):
         mat([[1]]).mul(mat([[1, 2], [3, 4]]))
+
+
+def test_from_blocks_rejects_a_block_of_the_wrong_shape():
+    one = Mat.identity(1, 101)
+    grid = Mat.from_blocks([1, 2], [2, 1], {(1, 1): Mat.from_rows([[3], [4]], 101)}, 101)
+    assert grid.to_lists() == [[0, 0, 0], [0, 0, 3], [0, 0, 4]]
+    with pytest.raises(ValueError):
+        Mat.from_blocks([1, 2], [2, 1], {(0, 0): one}, 101)
+    with pytest.raises(ValueError):
+        Mat.from_blocks([1], [1], {(0, 1): one}, 101)

@@ -14,9 +14,10 @@ from nexakt.complexes import ComplexSeq, complex_from_maps, mapping_cone
 from nexakt.fp import Mat, rank
 from nexakt.frob import check_frobenius_setup, stably_isomorphic_objects
 from nexakt.presets import gen_preprojective_A, nakayama_indecomposables
-from nexakt.reps import (Morphism, are_isomorphic, cokernel_morphism,
-                         direct_sum, hom_basis, projective_module,
-                         simple_module, split_indecomposables, zero_morphism)
+from nexakt.reps import (Morphism, are_isomorphic, block_morphism,
+                         cokernel_morphism, direct_sum, hom_basis,
+                         identity_morphism, projective_module, simple_module,
+                         split_indecomposables, zero_morphism)
 
 
 @pytest.fixture
@@ -70,8 +71,9 @@ def test_admissible_monos_compose(a3, m3):
         "S0": simple_module(a3, "0"),
     }
     f = hom_basis(mods["S0"], mods["P1"])[0]          # S0 >-> P1
-    total, injs, _ = direct_sum([mods["P1"], mods["P2"]])
-    g = injs[0]                                        # P1 >-> P1 + P2
+    total = direct_sum([mods["P1"], mods["P2"]])
+    g = block_morphism(mods["P1"], total,              # P1 >-> P1 + P2
+                       {(0, 0): identity_morphism(mods["P1"])})
     fg = f.then(g)
     assert fg.is_injective()
     tail = n_cokernel(fg, m3, 2)
@@ -124,8 +126,8 @@ def test_cosyzygy_independence(pi2):
     s1 = mods["S1"]
     # padded envelope: S1 >-> P2 + P1 via (socle inclusion, 0)
     socle = hom_basis(s1, mods["P2"])[0]
-    total, injs, _ = direct_sum([mods["P2"], mods["P1"]])
-    env1 = socle.then(injs[0])
+    total = direct_sum([mods["P2"], mods["P1"]])
+    env1 = block_morphism(s1, total, {(0, 0): socle})
     c1, _ = cokernel_morphism(env1)
     # second step: minimal envelope of c1, then its cokernel
     from nexakt.resolutions import injective_envelope
@@ -171,7 +173,7 @@ def test_weak_cokernel_nonuniqueness_is_recorded(a3, m3):
             "P2": projective_module(a3, "2")}
     f = hom_basis(mods["S0"], mods["P1"])[0]
     g = weak_cokernel(f, m3)
-    total, injs, _ = direct_sum([g.target, mods["P2"]])
-    padded = g.then(injs[0])
+    total = direct_sum([g.target, mods["P2"]])
+    padded = block_morphism(f.target, total, {(0, 0): g})
     for gen in m3.generators:
         assert _weak_cokernel_exact_at_middle(f, padded, gen)

@@ -5,12 +5,14 @@ import pytest
 
 from nexakt import reps
 from nexakt.fp import Mat, rank, random_invertible
+from nexakt.complexes import ComplexSeq
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
-                         are_isomorphic, cokernel_morphism, direct_sum,
-                         exhaustively_indecomposable, hom_basis,
+                         are_isomorphic, block_morphism, cokernel_morphism,
+                         direct_sum, exhaustively_indecomposable, hom_basis,
                          identity_morphism, in_add, injective_module,
                          kernel_morphism, projective_module, simple_module,
-                         split_indecomposables, zero_module, zero_morphism,
+                         split_indecomposables, stack_morphisms_from_sum,
+                         stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
 from conftest import linear_a3_j2, preprojective_a2
@@ -281,3 +283,97 @@ def test_projectives_and_injectives_built_once_per_algebra(a3):
     assert all(p is q for p, q in zip(all_projectives(a3), ps))
     assert all(i is j for i, j in zip(all_injectives(a3), qs))
     assert len(ps) == len(qs) == 3
+
+
+# -- direct sums and block morphisms -----------------------------------
+
+
+def _inclusion(total, i):
+    part = total.parts[i]
+    return block_morphism(part, total, {(i, 0): identity_morphism(part)})
+
+
+def _projection(total, i):
+    part = total.parts[i]
+    return block_morphism(total, part, {(0, i): identity_morphism(part)})
+
+
+def test_blocks_land_in_their_slots_and_missing_blocks_are_zero(a3_mods):
+    s0, s1, p1, p2 = (a3_mods[k] for k in ("S0", "S1", "P1", "P2"))
+    socle = hom_basis(s0, p1)[0]                  # S0 >-> P1
+    top = hom_basis(p2, a3_mods["S2"])[0]         # P2 ->> S2
+    src = direct_sum([s0, p2, s1])
+    tgt = direct_sum([a3_mods["S2"], p1])
+    blocks = {(1, 0): socle, (0, 1): top}
+    f = block_morphism(src, tgt, blocks)
+    for i in range(len(tgt.parts)):
+        for j in range(len(src.parts)):
+            piece = _inclusion(src, j).then(f).then(_projection(tgt, i))
+            if (i, j) in blocks:
+                assert piece.equals(blocks[(i, j)])
+            else:
+                assert piece.is_zero()
+    # a plain module counts as one summand
+    into = block_morphism(s0, tgt, {(1, 0): socle})
+    assert into.then(_projection(tgt, 1)).equals(socle)
+    assert into.then(_projection(tgt, 0)).is_zero()
+
+
+def test_block_with_wrong_endpoints_or_slot_raises(a3_mods):
+    s0, s1, p1 = a3_mods["S0"], a3_mods["S1"], a3_mods["P1"]
+    socle = hom_basis(s0, p1)[0]
+    tgt = direct_sum([p1, s1])
+    with pytest.raises(ValueError):               # source is S0, not S1
+        block_morphism(s1, tgt, {(0, 0): socle})
+    with pytest.raises(ValueError):               # target slot 1 is S1
+        block_morphism(s0, tgt, {(1, 0): socle})
+    with pytest.raises(ValueError):               # no slot 2
+        block_morphism(s0, tgt, {(2, 0): socle})
+    # S0 + S1 has the dimension vector of P1 but is not P1
+    semisimple = direct_sum([s0, s1])
+    with pytest.raises(ValueError):
+        block_morphism(s0, tgt, {(0, 0): _inclusion(semisimple, 0)})
+
+
+def test_non_natural_block_is_rejected_by_the_one_check(a3_mods, monkeypatch):
+    s1, p1 = a3_mods["S1"], a3_mods["P1"]
+    comps = {"0": Mat.zero(1, 0, 101), "1": Mat.identity(1, 101),
+             "2": Mat.zero(0, 0, 101)}
+    monkeypatch.setattr(Morphism, "__post_init__", lambda self: None)
+    bad = Morphism(s1, p1, comps)                 # not natural at arrow a
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="naturality"):
+        Morphism(s1, p1, comps)
+    with pytest.raises(ValueError, match="naturality"):
+        block_morphism(s1, direct_sum([a3_mods["S0"], p1]), {(1, 0): bad})
+
+
+def test_stacking_builds_one_morphism_and_direct_sum_none(a3_mods, monkeypatch):
+    p1 = a3_mods["P1"]
+    maps = [hom_basis(p1, a3_mods[k])[0] for k in ("P2", "S1", "P1")]
+    calls = []
+    check = Morphism.__post_init__
+    monkeypatch.setattr(Morphism, "__post_init__",
+                        lambda self: calls.append(self) or check(self))
+    total = direct_sum([a3_mods["P2"], a3_mods["S1"], p1])
+    assert calls == []
+    stacked = stack_morphisms_to_sum(maps)
+    assert len(calls) == 1 and calls[0] is stacked
+    calls.clear()
+    back = stack_morphisms_from_sum([identity_morphism(p1), maps[2]])
+    assert len(calls) == 2                        # the identity, then one
+    assert stacked.target.key == total.module.key
+    assert back.source.total_dim == 2 * p1.total_dim
+
+
+def test_endpoint_checks_compare_modules_not_dimension_vectors(a3_mods):
+    # P1 and S0 + S1 share the dimension vector (1, 1, 0)
+    s0, s1, p1 = a3_mods["S0"], a3_mods["S1"], a3_mods["P1"]
+    f = hom_basis(s0, p1)[0]                      # socle inclusion S0 -> P1
+    semisimple = direct_sum([s0, s1])
+    g = _projection(semisimple, 0)                # S0 + S1 -> S0
+    assert p1.dim_vector() == semisimple.module.dim_vector()
+    with pytest.raises(ValueError):
+        f.then(g)
+    with pytest.raises(ValueError):
+        ComplexSeq(0, [s0, semisimple.module], [f])
