@@ -2,6 +2,12 @@
 approximations, weak (co)kernels, n-(co)kernels, exactness certificates,
 the comparison-homotopy solver and contractions.
 
+A minimal approximation stacks the Hom bases between x and the
+generators and drops, in one pass, each summand whose component factors
+through the summands kept, solving only over Hom spaces between
+generators.  Every factorization through a map (comparison homotopy,
+contraction, chain completion) is one reps.factor_through.
+
 All verification is Hom-level rank bookkeeping against the generator
 list; certificates are assembled in generator-list order.  Tie-breaking
 is fixed everywhere: generators in the order listed, Hom bases in the
@@ -16,11 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   are_isomorphic, assemble_from_span, cokernel_morphism,
-                   factor_through, hom_basis, identity_morphism, in_add,
-                   kernel_morphism, lift_through, solve_in_span, span_rank,
-                   split_indecomposables, stack_morphisms_from_sum,
-                   stack_morphisms_to_sum, zero_module, zero_morphism)
+                   are_isomorphic, cokernel_morphism, factor_through,
+                   hom_basis, identity_morphism, in_add, kernel_morphism,
+                   solve_in_span, span_rank, split_indecomposables,
+                   stack_morphisms_from_sum, stack_morphisms_to_sum,
+                   zero_module, zero_morphism)
 
 
 class DomainError(ValueError):
@@ -72,35 +78,34 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module], seed: int = 0,
 # -- approximations ------------------------------------------------------
 
 
-def _peel_superfluous(parts: List[Tuple[Module, Morphism]], x: Module,
+def _peel_superfluous(parts: List[Tuple[Module, Morphism]],
                       left: bool) -> List[Tuple[Module, Morphism]]:
-    """Drop summands whose component factors through the remaining ones."""
-    parts = list(parts)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(parts)):
-            rest = parts[:i] + parts[i + 1:]
-            gi, fi = parts[i]
-            if left:
-                rest_map = (stack_morphisms_to_sum([f for _, f in rest])
-                            if rest else zero_morphism(x, zero_module(x.algebra)))
-                if factor_through(fi, rest_map) is not None:
-                    del parts[i]
-                    changed = True
-                    break
-            else:
-                rest_map = (stack_morphisms_from_sum([f for _, f in rest])
-                            if rest else zero_morphism(zero_module(x.algebra), x))
-                if lift_through(fi, rest_map) is not None:
-                    del parts[i]
-                    changed = True
-                    break
-    return parts
+    """Drop, in one pass, each summand (G_i, f_i) whose component factors
+    through the summands still kept.
+
+    Factoring through the stacked map of the kept summands G_r means
+    lying in the span of the f_r composed with Hom(G_r, G_i) (left; the
+    right case is dual), so only generator Hom spaces are solved over.
+    One pass keeps what restarting after each drop would: a map that
+    does not factor through a set of maps does not factor through a
+    subset of it.  Candidates are tracked by position, since
+    content-equal generators share their memoized Hom lists."""
+    kept = list(range(len(parts)))
+    for i, (gi, fi) in enumerate(parts):
+        others = [parts[r] for r in kept if r != i]
+        if left:
+            span = [fr.then(b) for gr, fr in others for b in hom_basis(gr, gi)]
+        else:
+            span = [b.then(fr) for gr, fr in others for b in hom_basis(gi, gr)]
+        if solve_in_span(span, fi) is not None:
+            kept.remove(i)
+    return [parts[r] for r in kept]
 
 
 def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
-    """Left add(M)-approximation x -> T, minimized by peeling summands.
+    """Minimal left add(M)-approximation x -> T: the stacked Hom bases
+    from x to the generators, less each summand that factors through the
+    others (_peel_superfluous).
 
     Contract (verified): Hom(T, G) -> Hom(x, G) is surjective for every
     generator G."""
@@ -108,7 +113,7 @@ def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
     for g in m.generators:
         for f in hom_basis(x, g):
             parts.append((g, f))
-    parts = _peel_superfluous(parts, x, left=True)
+    parts = _peel_superfluous(parts, left=True)
     if not parts:
         approx = zero_morphism(x, zero_module(x.algebra))
     else:
@@ -124,12 +129,12 @@ def _left_approx_rank(approx: Morphism, g: Module) -> int:
 
 
 def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
-    """Right add(M)-approximation T -> x, dual to the left version."""
+    """Minimal right add(M)-approximation T -> x, dual to the left one."""
     parts: List[Tuple[Module, Morphism]] = []
     for g in m.generators:
         for f in hom_basis(g, x):
             parts.append((g, f))
-    parts = _peel_superfluous(parts, x, left=False)
+    parts = _peel_superfluous(parts, left=False)
     if not parts:
         approx = zero_morphism(zero_module(x.algebra), x)
     else:
@@ -412,13 +417,10 @@ def comparison_homotopy(f: ComplexMorphism, g: ComplexMorphism,
     u = {k: f.component(k).sub(g.component(k)) for k in x.degrees()}
     h: Dict[int, Morphism] = {}
     for k in range(lo + 1, hi):
-        rhs = u[k].sub(_h_then_d(h, k, x, y))
-        basis = hom_basis(x.term(k + 1), y.term(k))
-        coeffs = solve_in_span([x.diff(k).then(b) for b in basis], rhs)
-        if coeffs is None:
+        h[k + 1] = factor_through(u[k].sub(_h_then_d(h, k, x, y)), x.diff(k))
+        if h[k + 1] is None:
             raise HypothesisError(
                 f"comparison step unsolvable at degree {k}", degree=k)
-        h[k + 1] = assemble_from_span(basis, coeffs, x.term(k + 1), y.term(k))
     final = u[hi].sub(_h_then_d(h, hi, x, y))
     if not final.is_zero():
         raise HypothesisError(
@@ -443,22 +445,16 @@ def contract(x: ComplexSeq, m: AddCat) -> Optional[Homotopy]:
     frag = contravariant_fragment(list(x.diffs), m.generators)
     if not frag.ok:
         raise PreconditionError("contract: cokernel side does not verify")
-    first = x.diff(lo)
-    basis = hom_basis(x.term(lo + 1), x.term(lo))
-    coeffs = solve_in_span([first.then(b) for b in basis],
-                           identity_morphism(x.term(lo)))
-    if coeffs is None:
+    retraction = factor_through(identity_morphism(x.term(lo)), x.diff(lo))
+    if retraction is None:
         return None
-    h: Dict[int, Morphism] = {
-        lo + 1: assemble_from_span(basis, coeffs, x.term(lo + 1), x.term(lo))}
+    h: Dict[int, Morphism] = {lo + 1: retraction}
     for k in range(lo + 1, hi):
         rhs = identity_morphism(x.term(k)).sub(h[k].then(x.diff(k - 1)))
-        basis = hom_basis(x.term(k + 1), x.term(k))
-        coeffs = solve_in_span([x.diff(k).then(b) for b in basis], rhs)
-        if coeffs is None:
+        h[k + 1] = factor_through(rhs, x.diff(k))
+        if h[k + 1] is None:
             raise HypothesisError(
                 f"contraction step unsolvable at degree {k}", degree=k)
-        h[k + 1] = assemble_from_span(basis, coeffs, x.term(k + 1), x.term(k))
     final = identity_morphism(x.term(hi)).sub(h[hi].then(x.diff(hi - 1)))
     if not final.is_zero():
         raise HypothesisError(
@@ -476,11 +472,7 @@ def complete_to_chain_map(x: ComplexSeq, y: ComplexSeq, f0: Morphism,
     lo = x.lo if start is None else start
     comps: Dict[int, Morphism] = {lo: f0}
     for k in range(lo, x.hi):
-        prev = comps[k]
-        target = prev.then(y.diff(k))
-        basis = hom_basis(x.term(k + 1), y.term(k + 1))
-        coeffs = solve_in_span([x.diff(k).then(b) for b in basis], target)
-        if coeffs is None:
+        comps[k + 1] = factor_through(comps[k].then(y.diff(k)), x.diff(k))
+        if comps[k + 1] is None:
             raise HypothesisError(f"chain completion stuck at degree {k}", degree=k)
-        comps[k + 1] = assemble_from_span(basis, coeffs, x.term(k + 1), y.term(k + 1))
     return ComplexMorphism(x, y, comps)

@@ -23,8 +23,8 @@ from .pushout import n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, assemble_from_span, block_morphism,
-                   direct_sum, hom_basis, identity_morphism, in_add,
-                   solve_in_span, solve_jointly, split_indecomposables,
+                   direct_sum, factor_through, hom_basis, identity_morphism,
+                   in_add, solve_in_span, solve_jointly, split_indecomposables,
                    stack_morphisms_from_sum, zero_module, zero_morphism)
 from .resolutions import (Coresolution, cosyzygy_of, cosyzygy_projection,
                           min_injective_coresolution, syzygy)
@@ -41,23 +41,21 @@ class FrobeniusCtx:
     m: AddCat
     n: int
     nct_report: NctReport
-    coresolutions: list          # fixed I(G) per generator, length n
-    injectives: list             # indecomposable injectives I_v
     seed: int
 
 
 def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
                           indec_list: Sequence[Module],
                           seed: int = 0) -> FrobeniusCtx:
-    """Verify selfinjectivity, the n-CT property and (co)syzygy closure,
-    then fix the coresolutions the suspension will use."""
+    """Verify selfinjectivity, the n-CT property and (co)syzygy closure;
+    the closure check grows each generator's memoized coresolution to the
+    length n the suspension uses."""
     report = check_n_cluster_tilting(m, n, indec_list, complete=True, seed=seed)
     if not report.ok:
         raise SetupError(f"subcategory is not n-cluster-tilting: "
                          f"{report.to_dict()}")
     projs = all_projectives(alg)
-    injectives = all_injectives(alg)
-    for v, iv in zip(alg.quiver.vertices, injectives):
+    for v, iv in zip(alg.quiver.vertices, all_injectives(alg)):
         if not any(are_isomorphic(iv, pw, seed + 17) for pw in projs):
             raise SetupError(f"algebra not selfinjective: I_{v} is not projective")
     for i, g in enumerate(m.generators):
@@ -65,8 +63,7 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
             raise SetupError(f"cosyzygy closure fails at generator {i}")
         if not in_add(syzygy(g, n), m.generators):
             raise SetupError(f"syzygy closure fails at generator {i}")
-    cores = [min_injective_coresolution(g, n) for g in m.generators]
-    return FrobeniusCtx(alg, m, n, report, cores, injectives, seed)
+    return FrobeniusCtx(alg, m, n, report, seed)
 
 
 def cosyzygy(ctx: FrobeniusCtx, x: Module, k: int) -> Module:
@@ -339,20 +336,14 @@ def _coresolution_lift(ctx: FrobeniusCtx, f: Morphism) -> Tuple[list, Morphism]:
     lifts = []
     phi = f
     for k in range(n):
-        basis = hom_basis(cor_x.terms[k], cor_y.terms[k])
-        coeffs = solve_in_span([cor_x.maps[k].then(b) for b in basis],
-                               phi.then(cor_y.maps[k]))
-        if coeffs is None:
+        phi = factor_through(phi.then(cor_y.maps[k]), cor_x.maps[k])
+        if phi is None:
             raise HypothesisError(f"coresolution lift stuck at stage {k}")
-        phi = assemble_from_span(basis, coeffs, cor_x.terms[k], cor_y.terms[k])
         lifts.append(phi)
     px = cosyzygy_projection(f.source, n)
-    py = cosyzygy_projection(f.target, n)
-    basis = hom_basis(px.target, py.target)
-    coeffs = solve_in_span([px.then(b) for b in basis], phi.then(py))
-    if coeffs is None:
+    sf = factor_through(phi.then(cosyzygy_projection(f.target, n)), px)
+    if sf is None:
         raise HypothesisError("coresolution lift does not descend")
-    sf = assemble_from_span(basis, coeffs, px.target, py.target)
     return lifts, sf
 
 
@@ -375,13 +366,11 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
     psi, sphi0 = _coresolution_lift(ctx, phi0)
     psi = [phi0] + psi          # psi[k]: I^k(X^0) -> I^k(Y^0), psi[0] = phi0
     # h^1 from injectivity: d_IX^0 . h^1 = alpha^0 . phi1 - phi0 . beta^0
-    target = alpha[0].then(phi1).sub(phi0.then(beta[0]))
-    basis = hom_basis(ix.terms[0], b.objects[1])
-    coeffs = solve_in_span([ix.maps[0].then(c) for c in basis], target)
-    if coeffs is None:
+    h = {1: factor_through(alpha[0].then(phi1).sub(phi0.then(beta[0])),
+                           ix.maps[0])}
+    if h[1] is None:
         raise PreconditionError(
             "first square does not commute in the stable category")
-    h = {1: assemble_from_span(basis, coeffs, ix.terms[0], b.objects[1])}
     phis = [phi0, phi1]
     for k in range(1, n + 1):
         # unknowns: phi^{k+1}: X^{k+1} -> Y^{k+1}, h^{k+1}: I^{k+1} -> Y^{k+1}
@@ -453,7 +442,8 @@ def stably_isomorphic_objects(ctx: FrobeniusCtx, x: Module, y: Module,
     def reduced_parts(z):
         out = []
         for part, count in split_indecomposables(z, seed + 31):
-            if any(are_isomorphic(part, j, seed + 7) for j in ctx.injectives):
+            if any(are_isomorphic(part, j, seed + 7)
+                   for j in all_injectives(ctx.algebra)):
                 continue
             out.append((part, count))
         return out

@@ -13,8 +13,8 @@ from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      contravariant_fragment, weak_cokernel)
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, mapping_cone
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
-                   direct_sum, hom_basis, identity_morphism, in_add,
-                   solve_in_span, solve_jointly, zero_module, zero_morphism)
+                   direct_sum, factor_through, hom_basis, identity_morphism,
+                   in_add, solve_jointly, zero_module, zero_morphism)
 
 
 def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, ComplexMorphism]:
@@ -103,10 +103,7 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
     ftilde = ComplexMorphism(x, padded, comps)
     for l in range(2, n + 1):
         comp = ftilde.component(lo + l)
-        basis = hom_basis(comp.target, comp.source)
-        coeffs = solve_in_span([comp.then(b) for b in basis],
-                               identity_morphism(comp.source))
-        if coeffs is None:
+        if factor_through(identity_morphism(comp.source), comp) is None:
             raise AssertionError(f"padded component at degree {l} not split monic")
     cone = mapping_cone(ftilde)
     frag = contravariant_fragment(list(cone.diffs), m.generators)

@@ -123,11 +123,7 @@ class Morphism:
     components: dict            # vertex name -> Mat (dim target_v x dim source_v)
 
     def __post_init__(self):
-        if self.source.algebra is not self.target.algebra:
-            # allow equal algebras built separately
-            if self.source.algebra.quiver != self.target.algebra.quiver \
-               or self.source.algebra.p != self.target.algebra.p:
-                raise ContextError("morphism between modules over different algebras")
+        _require_same_algebra(self.source, self.target)
         alg = self.source.algebra
         p = alg.p
         comps = {}
@@ -211,7 +207,10 @@ def morphism_from_vector(m: Module, n: Module, vec: Sequence[int]) -> Morphism:
 
 
 def _require_same_algebra(m: Module, n: Module):
-    if m.algebra.quiver != n.algebra.quiver or m.algebra.p != n.algebra.p:
+    """Raise ContextError unless m and n live over one algebra; equal
+    algebras built separately count as one."""
+    a, b = m.algebra, n.algebra
+    if a is not b and (a.quiver != b.quiver or a.p != b.p):
         raise ContextError("modules over different algebras")
 
 

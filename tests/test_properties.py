@@ -7,17 +7,22 @@ from itertools import product
 
 import pytest
 
-from nexakt.addcat import (add_category, minimal_left_approximation,
+from nexakt import reps
+from nexakt.addcat import (_peel_superfluous, add_category,
+                           minimal_left_approximation,
                            minimal_right_approximation, n_cokernel,
                            verify_n_exact)
 from nexakt.complexes import ComplexSeq, complex_from_maps, mapping_cone
 from nexakt.fp import Mat, rank
 from nexakt.frob import check_frobenius_setup, stably_isomorphic_objects
-from nexakt.presets import gen_preprojective_A, nakayama_indecomposables
+from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
+                            nakayama_indecomposables)
 from nexakt.reps import (Morphism, are_isomorphic, block_morphism,
-                         cokernel_morphism, direct_sum, hom_basis,
-                         identity_morphism, projective_module, simple_module,
-                         split_indecomposables, zero_morphism)
+                         cokernel_morphism, direct_sum, factor_through,
+                         hom_basis, identity_morphism, lift_through,
+                         projective_module, regular_module, simple_module,
+                         split_indecomposables, stack_morphisms_from_sum,
+                         stack_morphisms_to_sum, zero_module, zero_morphism)
 
 
 @pytest.fixture
@@ -33,13 +38,18 @@ def random_sum(cat, rng, max_parts=3):
     return direct_sum(picks)[0]
 
 
+def fuzz_modules(a3, m3):
+    """Fifteen random sums of generators, then two non-members."""
+    rng = random.Random(11)
+    sums = [random_sum(m3, rng) for _ in range(15)]
+    return sums, [simple_module(a3, "0"), simple_module(a3, "1")]
+
+
 def test_approximation_contract_fuzz(a3, m3):
     # construction-time assertions already enforce the surjectivity
     # contract; exercise them on random objects including non-members
-    rng = random.Random(11)
-    others = [simple_module(a3, "0"), simple_module(a3, "1")]
-    for i in range(15):
-        x = random_sum(m3, rng)
+    sums, others = fuzz_modules(a3, m3)
+    for x in sums:
         minimal_left_approximation(x, m3)
         minimal_right_approximation(x, m3)
     from nexakt.addcat import _left_approx_rank
@@ -47,6 +57,64 @@ def test_approximation_contract_fuzz(a3, m3):
         f = minimal_left_approximation(x, m3)
         for g in m3.generators:
             assert _left_approx_rank(f, g) == len(hom_basis(x, g))
+
+
+def restart_peel(parts, x, left):
+    """Reference peel: drop the first summand whose component factors
+    through the stacked map of all the others, then start over; returns
+    the kept positions."""
+    kept = list(range(len(parts)))
+    changed = True
+    while changed:
+        changed = False
+        for i in kept:
+            rest = [parts[r][1] for r in kept if r != i]
+            if left:
+                rest_map = (stack_morphisms_to_sum(rest) if rest
+                            else zero_morphism(x, zero_module(x.algebra)))
+                hit = factor_through(parts[i][1], rest_map)
+            else:
+                rest_map = (stack_morphisms_from_sum(rest) if rest
+                            else zero_morphism(zero_module(x.algebra), x))
+                hit = lift_through(parts[i][1], rest_map)
+            if hit is not None:
+                kept.remove(i)
+                changed = True
+                break
+    return kept
+
+
+def test_one_pass_peel_keeps_what_restart_peel_keeps(a3, m3):
+    sums, others = fuzz_modules(a3, m3)
+    dropped = 0
+    for x in sums + others:
+        for left in (True, False):
+            parts = [(g, f) for g in m3.generators
+                     for f in (hom_basis(x, g) if left else hom_basis(g, x))]
+            peeled = _peel_superfluous(parts, left)
+            positions = [i for i, part in enumerate(parts)
+                         if any(part is q for q in peeled)]
+            assert positions == restart_peel(parts, x, left), (x.key, left)
+            dropped += len(parts) - len(positions)
+    assert dropped > 0
+
+
+def test_approximations_build_one_direct_sum(monkeypatch):
+    alg, gens = gen_linear_An_J2(2, 2)
+    cat = add_category(alg, gens, seed=0)
+    lam = regular_module(alg)
+    calls = []
+    real = reps.direct_sum
+
+    def counting(mods):
+        calls.append(len(mods))
+        return real(mods)
+
+    monkeypatch.setattr(reps, "direct_sum", counting)
+    for approximate in (minimal_left_approximation, minimal_right_approximation):
+        calls.clear()
+        approximate(lam, cat)
+        assert len(calls) == 1
 
 
 def test_idempotent_completeness_instances(a3, m3):

@@ -108,6 +108,8 @@ def _leading_coeff(b, target):
 def test_hom_respects_context(a3, pi2):
     with pytest.raises(ContextError):
         hom_basis(projective_module(a3, "0"), projective_module(pi2, "1"))
+    with pytest.raises(ContextError):
+        Morphism(projective_module(a3, "0"), projective_module(pi2, "1"), {})
 
 
 # -- kernels and cokernels ----------------------------------------------
