@@ -24,6 +24,7 @@ from .fileio import (InputError, algebra_from_dict, algebra_to_dict,
                      complex_from_dict, load_generators, load_json,
                      load_module, module_to_dict, morphism_to_dict,
                      morphism_with_endpoints_from_dict)
+from .fp import FieldSpec
 from .frob import (SetupError, angle_cone, check_frobenius_setup,
                    complete_angle_morphism, cosyzygy, rotate_angle,
                    standard_angle, verify_angle_exact)
@@ -311,9 +312,20 @@ def _opt(flag, help=None, **kw):
     return flag, dict(kw, help=help)
 
 
+# argparse types; argparse reports their ValueError as a usage error
+def positive_int(text):
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def prime(text):
+    return FieldSpec(int(text)).p
+
+
 _file = partial(_opt, required=True)
 _ALGEBRA, _M = _file("--algebra"), _file("--m")
-_N = _opt("--n", type=int, required=True)
+_N = _opt("--n", type=positive_int, required=True)
 _FROBENIUS = [_ALGEBRA, _M, _N, _opt("--indecs", default="nakayama")]
 _ALPHA = _file("--alpha", "morphism file with embedded endpoints")
 _COMMON = [_opt("--seed", "seed (fallback: NEXAKT_SEED, then 0)", type=int),
@@ -360,7 +372,7 @@ COMMANDS = (
      _check_search),
     ("demo", "run a named preset end to end",
      [("preset", {"choices": tuple(_DEMOS)}),
-      _opt("--n", type=int), _opt("--p", type=int, default=101)],
+      _opt("--n", type=positive_int), _opt("--p", type=prime, default=101)],
      lambda args, ins: _DEMOS[args.preset](args, ins)),
 )
 

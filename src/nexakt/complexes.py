@@ -57,9 +57,6 @@ class ComplexSeq:
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
 
-    def shift_degrees(self, by: int) -> "ComplexSeq":
-        return ComplexSeq(self.lo + by, list(self.terms), list(self.diffs))
-
 
 def complex_from_maps(lo: int, maps: Sequence[Morphism]) -> ComplexSeq:
     terms = [maps[0].source] + [f.target for f in maps]

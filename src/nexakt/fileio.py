@@ -67,6 +67,8 @@ def algebra_from_dict(data: dict) -> AlgebraBasis:
         return build_algebra(q, rels, data["nilpotency_bound"], fld)
     except (KeyError, TypeError) as exc:
         raise InputError(f"algebra definition missing field: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"bad algebra definition: {exc}") from None
 
 
 def load_algebra(path) -> AlgebraBasis:
@@ -164,6 +166,8 @@ def morphism_with_endpoints_to_dict(f: Morphism) -> dict:
 
 
 def morphism_with_endpoints_from_dict(data: dict, alg: AlgebraBasis) -> Morphism:
-    src = module_from_dict(data["source"], alg)
-    tgt = module_from_dict(data["target"], alg)
+    try:
+        src, tgt = (module_from_dict(data[end], alg) for end in ("source", "target"))
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"morphism file lacks its endpoint {exc}") from None
     return morphism_from_dict(data, src, tgt)

@@ -3,25 +3,28 @@
 A Module is a quiver representation: a vector space per vertex and a
 matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
-Both are immutable: construction copies the dicts it is given and
-nothing changes them afterwards.
+Both are immutable.  Each fact is checked once, when it is made: the
+public ``Morphism(...)`` checks naturality, and every map from raw
+matrices goes through it (file loads, hom_basis, block_morphism,
+identities and zeros, kernel and cokernel maps, covers, envelopes).
+Composites and linear combinations of natural maps are natural, so
+``then``, ``add``, ``sub``, ``scale`` and ``assemble_from_span`` check
+only their endpoints, by content (``Module.same_as``).
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
-action together with its summands; it carries no maps to or from them.
-Every map into, out of or between direct sums is one
-``block_morphism``: a grid of blocks, block (i, j) from source summand j
-to target summand i, with missing blocks zero, assembled into a single
-Morphism whose naturality check covers every block.  An inclusion or a
-projection, where one is needed, is the block morphism with one
-identity block.
+action together with its summands.  Every map into, out of or between
+direct sums is one ``block_morphism``: block (i, j) from source summand
+j to target summand i, missing blocks zero.
 
 A module carries its content key, the dimension vector plus the action
-entries, computed once at construction.  The one memo of the package is
-``Memo.memoized``: a dict on each module (and on each algebra), so an
-entry dies with its owner.  Its keys are ("hom", key of the target) for
-hom_basis, ("stable", key of the target) for frob.stable_hom, "projres"
-and "injres" for the growing minimal (co)resolutions, and, on an
-algebra, "projectives" and "injectives" for its P_v and I_v.
+entries.  The one memo of the package is ``Memo.memoized``: a dict on
+each module (and on each algebra), so an entry dies with its owner.  Its
+keys are ("hom", key of the target) for hom_basis, ("stable", key of the
+target) for frob.stable_hom, ("in_add", keys of the generators) for an
+in_add verdict, "summands" for the summands direct_sum records on a sum
+(in_add decides a sum by them, and solves for no zero module, generator
+or sum), "projres" and "injres" for the growing minimal
+(co)resolutions, and, on an algebra, "projectives" and "injectives".
 """
 
 from __future__ import annotations
@@ -145,30 +148,34 @@ class Morphism:
         """Diagrammatic composition: self followed by other."""
         if not other.source.same_as(self.target):
             raise ValueError("non-composable morphisms")
-        return Morphism(self.source, other.target,
-                        {v: other.components[v].mul(self.components[v])
-                         for v in self.source.algebra.quiver.vertices})
+        _require_same_algebra(self.target, other.source)
+        return _natural(self.source, other.target,
+                        {v: other.components[v].mul(m)
+                         for v, m in self.components.items()})
+
+    def _parallel(self, other: "Morphism") -> bool:
+        return (self.source.same_as(other.source)
+                and self.target.same_as(other.target))
 
     def add(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.source, self.target,
-                        {v: self.components[v].add(other.components[v])
-                         for v in self.components})
+        if not self._parallel(other):
+            raise ValueError("morphisms with different endpoints")
+        return _natural(self.source, self.target,
+                        {v: m.add(other.components[v])
+                         for v, m in self.components.items()})
 
     def sub(self, other: "Morphism") -> "Morphism":
-        return Morphism(self.source, self.target,
-                        {v: self.components[v].sub(other.components[v])
-                         for v in self.components})
+        return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "Morphism":
-        return Morphism(self.source, self.target,
+        return _natural(self.source, self.target,
                         {v: m.scale(c) for v, m in self.components.items()})
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
 
     def equals(self, other: "Morphism") -> bool:
-        return all(self.components[v].entries == other.components[v].entries
-                   for v in self.components)
+        return self._parallel(other) and self.vectorize() == other.vectorize()
 
     def is_injective(self) -> bool:
         return all(rank(m) == m.cols for m in self.components.values())
@@ -195,7 +202,16 @@ def identity_morphism(m: Module) -> Morphism:
                            for v in m.algebra.quiver.vertices})
 
 
-def morphism_from_vector(m: Module, n: Module, vec: Sequence[int]) -> Morphism:
+def _natural(source: Module, target: Module, components: dict) -> Morphism:
+    """A composite or linear combination of natural maps, which is natural,
+    built without the check; components has every vertex, shaped right."""
+    f = object.__new__(Morphism)
+    f.__dict__.update(source=source, target=target, components=components)
+    return f
+
+
+def _split_vector(m: Module, n: Module, vec: Sequence[int]) -> dict:
+    """Vertex components of the Hom(m, n) element with coordinates vec."""
     p = m.algebra.p
     comps = {}
     pos = 0
@@ -203,7 +219,7 @@ def morphism_from_vector(m: Module, n: Module, vec: Sequence[int]) -> Morphism:
         r, c = n.dims[v], m.dims[v]
         comps[v] = mat_from_vector(vec[pos:pos + r * c], r, c, p)
         pos += r * c
-    return Morphism(m, n, comps)
+    return comps
 
 
 def _require_same_algebra(m: Module, n: Module):
@@ -256,7 +272,8 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
                 rows.append(row)
     system = Mat.from_rows(rows, p, cols=total)
     basis = kernel_basis(system)
-    return [morphism_from_vector(m, n, basis.col(j)) for j in range(basis.cols)]
+    return [Morphism(m, n, _split_vector(m, n, basis.col(j)))
+            for j in range(basis.cols)]
 
 
 def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
@@ -332,7 +349,8 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
         action[a.name] = Mat.from_blocks(
             [m.dims[a.target] for m in mods], [m.dims[a.source] for m in mods],
             {(i, i): m.action[a.name] for i, m in enumerate(mods)}, alg.p)
-    return DirectSum(Module(alg, dims, action), tuple(mods))
+    total = Module(alg, dims, action)
+    return DirectSum(total, total.memoized("summands", lambda: tuple(mods)))
 
 
 def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
@@ -409,9 +427,11 @@ def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
     """sum(coeffs_i * candidates_i), formed entrywise as one Morphism."""
     vec = [0] * sum(target.dims[v] * source.dims[v] for v in source.dims)
     for c, cand in zip(coeffs, candidates):
+        if not (cand.source.same_as(source) and cand.target.same_as(target)):
+            raise ValueError("candidate does not join source and target")
         if c:
             vec = [a + c * b for a, b in zip(vec, cand.vectorize())]
-    return morphism_from_vector(source, target, vec)
+    return _natural(source, target, _split_vector(source, target, vec))
 
 
 def factor_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
@@ -449,27 +469,27 @@ def in_add(x: Module, gens: Sequence[Module]) -> MembershipWitness:
     generators inside End(x)."""
     for g in gens:
         _require_same_algebra(x, g)
-    if x.is_zero():
-        return MembershipWitness(True, {"reason": "zero module"})
-    products = []
-    for gi, g in enumerate(gens):
-        to_g = hom_basis(x, g)
-        from_g = hom_basis(g, x)
-        for a, f in enumerate(to_g):
-            for b, h in enumerate(from_g):
-                products.append(((gi, a, b), f.then(h).vectorize()))
-    ident = identity_morphism(x).vectorize()
-    p = x.algebra.p
-    if not products:
-        return MembershipWitness(False, {"reason": "no factorizations through generators"})
-    cols = Mat.from_rows([[vec[i] for _, vec in products]
-                          for i in range(len(ident))], p, cols=len(products))
-    sol = solve_linear(cols, Mat.from_rows([[c] for c in ident], p, cols=1))
-    if sol is None:
-        return MembershipWitness(False, {"reason": "identity outside factoring ideal"})
-    coeffs = [(label, sol.at(k, 0)) for k, (label, _) in enumerate(products)
-              if sol.at(k, 0)]
-    return MembershipWitness(True, {"coefficients": coeffs})
+    return _membership(x, gens, tuple(g.key for g in gens))
+
+
+def _membership(x: Module, gens: Sequence[Module], keys: tuple) -> MembershipWitness:
+    """in_add past the algebra check; keys are the generators' keys."""
+    if x.is_zero() or x.key in keys:
+        return MembershipWitness(True, {"reason": "zero module or generator"})
+    parts = x._memo.get("summands")
+    if parts is not None:
+        out = [i for i, part in enumerate(parts) if not _membership(part, gens, keys)]
+        return MembershipWitness(not out, {"reason": "summands", "outside": out})
+    return x.memoized(("in_add", keys), lambda: _solve_membership(x, gens))
+
+
+def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
+    """The full test: id_x in the span of the composites x -> G -> x."""
+    composites = [f.then(h) for g in gens
+                  for f in hom_basis(x, g) for h in hom_basis(g, x)]
+    coeffs = solve_in_span(composites, identity_morphism(x))
+    return MembershipWitness(coeffs is not None,
+                             {"reason": "solved", "coefficients": coeffs})
 
 
 # -- isomorphism testing and Fitting decomposition ---------------------
@@ -479,26 +499,21 @@ def are_isomorphic(m: Module, n: Module, seed: int, retries: int = FITTING_RETRI
     """Probabilistic isomorphism test: equal dimension vectors, then random
     Hom elements sampled for vertex-wise invertibility."""
     _require_same_algebra(m, n)
-    return iso_witness(m, n, seed, retries) is not None
-
-
-def iso_witness(m: Module, n: Module, seed: int,
-                retries: int = FITTING_RETRIES) -> Optional[Morphism]:
     if m.dim_vector() != n.dim_vector():
-        return None
+        return False
     if m.total_dim == 0:
-        return zero_morphism(m, n)
+        return True
     basis = hom_basis(m, n)
     if not basis:
-        return None
+        return False
     p = m.algebra.p
     rng = random.Random(seed)
     for _ in range(retries):
         cand = assemble_from_span(basis, [rng.randrange(p) for _ in basis], m, n)
         if all(rank(cand.components[v]) == m.dims[v]
                for v in m.algebra.quiver.vertices):
-            return cand
-    return None
+            return True
+    return False
 
 
 _EIGEN_SCAN_LIMIT = 1024

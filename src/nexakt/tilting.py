@@ -77,10 +77,10 @@ def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
         for i, x in enumerate(indec_list):
             parts = split_indecomposables(x, seed + 7 * i)
             if len(parts) != 1 or parts[0][1] != 1:
-                raise ValueError(f"indec_list entry {i} is decomposable")
+                raise PreconditionError(f"indec_list entry {i} is decomposable")
         for g in m.generators:
             if not any(are_isomorphic(g, x, seed + 13) for x in indec_list):
-                raise ValueError("a generator is missing from indec_list")
+                raise PreconditionError("a generator is missing from indec_list")
     gens = m.generators
     generating = [v for v, pv in zip(alg.quiver.vertices, all_projectives(alg))
                   if not in_add(pv, gens)]
@@ -138,7 +138,7 @@ def ext_via_approx_resolution(a: Module, b: Module, m: AddCat, k: int,
     Valid (and pre-checked) under Ext^{1..n-1}(M, b) = 0; equality with
     ext_dim is the content of the comparison theorem this realizes."""
     if not 1 <= k <= n - 1:
-        raise ValueError("k must satisfy 1 <= k <= n-1")
+        raise PreconditionError("k must satisfy 1 <= k <= n-1")
     for i, g in enumerate(m.generators):
         for deg in range(1, n):
             d = ext_dim(g, b, deg)

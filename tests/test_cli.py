@@ -426,3 +426,45 @@ def test_certificate_roundtrip_reverifies(files):
                                      nakayama_indecomposables(alg),
                                      complete=True, seed=cert["seed"])
     assert report.ok == cert["verdict"]
+
+
+def _algebra_with(tmp_path, **changes):
+    data = algebra_to_dict(gen_linear_An_J2(2, 1)[0])
+    data.update(changes)
+    path = tmp_path / "changed.json"
+    path.write_text(canonical_json(data))
+    return ["algebra", "check", "--algebra", path]
+
+
+def _morphism_without_source(files, tmp_path):
+    data = json.loads(files["d0"].read_text())
+    del data["source"]
+    path = tmp_path / "no_source.json"
+    path.write_text(canonical_json(data))
+    return ["ncoker", "--algebra", files["algebra"], "--morphism", path,
+            "--m", files["m3"], "--n", 2]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda files, tmp: _algebra_with(tmp, field={"p": 100}),
+    lambda files, tmp: _algebra_with(tmp, field={"p": "101"}),
+    lambda files, tmp: _algebra_with(tmp, nilpotency_bound=0),
+    lambda files, tmp: ["demo", "a3-j2", "--p", 100],
+    lambda files, tmp: ["demo", "a3-j2", "--n", 0],
+    lambda files, tmp: ["nct", "check", "--algebra", files["algebra"],
+                        "--m", files["m3"], "--n", 0],
+    _morphism_without_source,
+    lambda files, tmp: ["ext", "compare", "--algebra", files["algebra"],
+                        "--a", files["s1"], "--b", files["s0"],
+                        "--m", files["m3"], "--n", 2, "--k", 2],
+    lambda files, tmp: ["nct", "check", "--algebra", files["algebra"],
+                        "--m", files["m3"], "--n", 2, "--indecs", files["bad_m"]],
+], ids=["p-100", "p-string", "nilpotency-bound-0", "demo-p-100",
+        "demo-n-0", "nct-n-0", "morphism-without-source", "ext-k-above-n-1",
+        "indecs-without-s2"])
+def test_bad_input_exits_2(files, tmp_path, capsys, argv):
+    code = run(*argv(files, tmp_path), "--out", files["out"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+    assert not files["out"].exists()

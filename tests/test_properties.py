@@ -24,6 +24,8 @@ from nexakt.reps import (Morphism, are_isomorphic, block_morphism,
                          split_indecomposables, stack_morphisms_from_sum,
                          stack_morphisms_to_sum, zero_module, zero_morphism)
 
+from conftest import linear_a3_j2
+
 
 @pytest.fixture
 def m3(a3):
@@ -57,6 +59,33 @@ def test_approximation_contract_fuzz(a3, m3):
         f = minimal_left_approximation(x, m3)
         for g in m3.generators:
             assert _left_approx_rank(f, g) == len(hom_basis(x, g))
+
+
+@pytest.mark.parametrize("p", [2, 5, 101])
+def test_derived_maps_pass_the_full_naturality_check(p):
+    # then/add/sub/scale/assemble_from_span skip the naturality check;
+    # rebuilding each result through the public constructor runs it
+    a3 = linear_a3_j2(p)
+    gens = [projective_module(a3, v) for v in "012"] + [simple_module(a3, "2")]
+    sums, others = fuzz_modules(a3, add_category(a3, gens, seed=1))
+    mods = sums + others
+    rng = random.Random(p)
+    checked = 0
+    for _ in range(60):
+        x, y, z = (mods[rng.randrange(len(mods))] for _ in range(3))
+        fs, gs = hom_basis(x, y), hom_basis(y, z)
+        if not fs or not gs:
+            continue
+        f, f2 = rng.choice(fs), rng.choice(fs)
+        g = rng.choice(gs)
+        c = rng.randrange(p)
+        combo = reps.assemble_from_span(fs, [rng.randrange(p) for _ in fs], x, y)
+        for h in (f.then(g), f.add(f2.scale(c)), f.sub(f2), f.scale(c).then(g),
+                  f.sub(f2.scale(c)).then(g.add(g.scale(c))), combo.then(g)):
+            rebuilt = Morphism(h.source, h.target, h.components)
+            assert rebuilt.equals(h)
+            checked += 1
+    assert checked >= 50
 
 
 def restart_peel(parts, x, left):
@@ -209,7 +238,6 @@ def test_cosyzygy_independence(pi2):
 
 def test_hom_basis_against_exhaustive_oracle():
     # over F_2 the full Hom space is small enough to enumerate naively
-    from conftest import linear_a3_j2
     alg = linear_a3_j2(p=2)
     mods = [projective_module(alg, "1"), projective_module(alg, "2"),
             simple_module(alg, "1")]

@@ -6,8 +6,9 @@ import pytest
 from nexakt import reps
 from nexakt.fp import Mat, rank, random_invertible
 from nexakt.complexes import ComplexSeq
+from nexakt.presets import gen_linear_An_J2
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
-                         are_isomorphic, block_morphism, cokernel_morphism,
+                         are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
                          direct_sum, exhaustively_indecomposable, hom_basis,
                          identity_morphism, in_add, injective_module,
                          kernel_morphism, projective_module, simple_module,
@@ -189,6 +190,38 @@ def test_in_add_zero_module(a3, a3_mods):
     assert in_add(zero_module(a3), [a3_mods["P0"]])
 
 
+def test_in_add_decides_a_sum_by_its_summands(monkeypatch):
+    alg, gens = gen_linear_An_J2(2, 1)          # add(P0 + P1 + P2 + S2)
+    p0, p1 = projective_module(alg, "0"), projective_module(alg, "1")
+    s1, s2 = simple_module(alg, "1"), simple_module(alg, "2")
+    solve = reps._solve_membership
+    solved = []                                   # ids: equal content is ==
+    monkeypatch.setattr(reps, "_solve_membership",
+                        lambda x, g: solved.append(id(x)) or solve(x, g))
+    for parts, member in (([p0, s2], True), ([s1, p1], False)):
+        total = direct_sum(parts).module
+        # the same content with no summands recorded: the full solve
+        plain = Module(alg, total.dims, total.action)
+        assert bool(in_add(total, gens)) is member
+        assert bool(in_add(plain, gens)) is member
+        assert id(total) not in solved and id(plain) in solved
+    assert id(s1) in solved                       # the one non-generator summand
+
+
+def test_in_add_solves_each_module_once_and_no_generator(a3_mods, monkeypatch):
+    gens = [a3_mods["P0"], a3_mods["P1"], a3_mods["P2"]]
+    solved = []
+    monkeypatch.setattr(reps, "_solve_membership",
+                        lambda x, g: solved.append(id(x))
+                        or reps.MembershipWitness(False, {}))
+    copy = Module(a3_mods["P1"].algebra, dict(a3_mods["P1"].dims),
+                  dict(a3_mods["P1"].action))
+    for _ in range(2):
+        assert in_add(copy, gens)                 # content-equal to P1
+        assert not in_add(a3_mods["S1"], gens)
+    assert solved == [id(a3_mods["S1"])]
+
+
 # -- decomposition and isomorphism ---------------------------------------
 
 
@@ -366,6 +399,36 @@ def test_stacking_builds_one_morphism_and_direct_sum_none(a3_mods, monkeypatch):
     assert len(calls) == 2                        # the identity, then one
     assert stacked.target.key == total.module.key
     assert back.source.total_dim == 2 * p1.total_dim
+
+
+def test_add_sub_and_equals_compare_endpoints_by_content(a3_mods):
+    # P1 and S0 + S1 share the dimension vector (1, 1, 0), so entrywise
+    # arithmetic alone would take g for a map into P1
+    s0, s1, p1 = a3_mods["S0"], a3_mods["S1"], a3_mods["P1"]
+    f = hom_basis(s0, p1)[0]                      # socle inclusion S0 -> P1
+    g = block_morphism(s0, direct_sum([s0, s1]), {(0, 0): identity_morphism(s0)})
+    with pytest.raises(ValueError):
+        f.sub(g)
+    with pytest.raises(ValueError):
+        f.add(g)
+    assert not f.equals(g)
+    assert f.sub(f).is_zero() and f.equals(f.scale(1))
+
+
+def test_composites_and_combinations_skip_the_naturality_check(a3_mods,
+                                                               monkeypatch):
+    p1, p2, s2 = a3_mods["P1"], a3_mods["P2"], a3_mods["S2"]
+    f, g = hom_basis(p1, p2)[0], hom_basis(p2, s2)[0]
+    checked = []
+    monkeypatch.setattr(Morphism, "__post_init__", checked.append)
+    made = [f.then(g), f.add(f), f.sub(f), f.scale(3),
+            assemble_from_span([f], [2], p1, p2)]
+    assert checked == []
+    monkeypatch.undo()
+    for h in made:                                # each passes the full check
+        assert Morphism(h.source, h.target, h.components).equals(h)
+    with pytest.raises(ValueError):
+        assemble_from_span([g], [1], p1, p2)
 
 
 def test_endpoint_checks_compare_modules_not_dimension_vectors(a3_mods):
