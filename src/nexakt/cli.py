@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import __version__
@@ -377,7 +377,10 @@ COMMANDS = (
 )
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for COMMANDS, built once per process (parse_args leaves
+    it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="nexakt",
         description="certified higher homological algebra over F_p")

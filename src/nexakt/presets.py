@@ -8,7 +8,6 @@ reverse=True to flip it.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import List, Sequence, Tuple
 
 from .addcat import add_category
@@ -17,7 +16,11 @@ from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
 from .reps import (Module, all_projectives, are_isomorphic,
                    projective_module, quotient_by_submodule)
+from .resolutions import ext_dim
 from .tilting import check_n_cluster_tilting
+
+# exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
+MAX_SEARCH_CANDIDATES = 20
 
 
 def gen_linear_An_J2(n: int, m: int, p: int = 101,
@@ -181,10 +184,15 @@ def gen_auslander_linear_A(m: int, p: int = 101) -> AlgebraBasis:
 def brute_force_nct_search(alg: AlgebraBasis, n: int,
                            indec_list: Sequence[Module], complete: bool,
                            seed: int = 0) -> List[List[int]]:
-    """Try every subset of indec_list containing all projectives; return
-    the index sets whose add-closure certifies as n-cluster-tilting."""
-    if len(indec_list) > 20:
-        raise ValueError("list too large for exhaustive search")
+    """Every subset of indec_list that contains all projectives and whose
+    add-closure certifies as n-cluster-tilting, by size, then
+    lexicographically.
+
+    A subset whose entries have nonzero Ext^{1..n-1} between two of them
+    (or one with itself) fails the certifier's rigidity test, so only the
+    Ext^{1..n-1}-orthogonal subsets are enumerated: the cliques of the
+    compatibility graph read from one Ext table.  Each still gets the
+    full check_n_cluster_tilting."""
     projs = all_projectives(alg)
     proj_idx = []
     for pv in projs:
@@ -197,15 +205,34 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
             raise ValueError("indec_list must contain every projective")
         proj_idx.append(hit)
     proj_set = sorted(set(proj_idx))
-    rest = [i for i in range(len(indec_list)) if i not in proj_set]
+    ext = [[any(ext_dim(x, y, deg) for deg in range(1, n)) for y in indec_list]
+           for x in indec_list]
+
+    def compatible(i, j):
+        return not (ext[i][j] or ext[j][i])
+
+    # Ext^{>=1}(P, -) = 0: the projectives are compatible with each other
+    candidates = [i for i in range(len(indec_list)) if i not in proj_set
+                  and all(compatible(i, j) for j in proj_set + [i])]
+    if len(candidates) > MAX_SEARCH_CANDIDATES:
+        raise ValueError("too many candidates for exhaustive search")
+    cliques = [()]
+
+    def grow(clique, start):
+        for pos in range(start, len(candidates)):
+            i = candidates[pos]
+            if all(compatible(i, j) for j in clique):
+                cliques.append(clique + (i,))
+                grow(clique + (i,), pos + 1)
+
+    grow((), 0)
     hits = []
-    for r in range(len(rest) + 1):
-        for extra in combinations(rest, r):
-            subset = sorted(proj_set + list(extra))
-            gens = [indec_list[i] for i in subset]
-            cat = add_category(alg, gens, seed=seed, check=False)
-            report = check_n_cluster_tilting(cat, n, indec_list, complete,
-                                             seed=seed, validate_list=False)
-            if report.ok:
-                hits.append(subset)
+    for extra in sorted(cliques, key=lambda c: (len(c), c)):
+        subset = sorted(proj_set + list(extra))
+        gens = [indec_list[i] for i in subset]
+        cat = add_category(alg, gens, seed=seed, check=False)
+        report = check_n_cluster_tilting(cat, n, indec_list, complete,
+                                         seed=seed, validate_list=False)
+        if report.ok:
+            hits.append(subset)
     return hits

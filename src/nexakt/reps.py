@@ -20,11 +20,13 @@ A module carries its content key, the dimension vector plus the action
 entries.  The one memo of the package is ``Memo.memoized``: a dict on
 each module (and on each algebra), so an entry dies with its owner.  Its
 keys are ("hom", key of the target) for hom_basis, ("stable", key of the
-target) for frob.stable_hom, ("in_add", keys of the generators) for an
-in_add verdict, "summands" for the summands direct_sum records on a sum
-(in_add decides a sum by them, and solves for no zero module, generator
-or sum), "projres" and "injres" for the growing minimal
-(co)resolutions, and, on an algebra, "projectives" and "injectives".
+target) for frob.stable_hom, ("ext", key of the target, k) for the int
+resolutions.ext_dim keeps for k >= 1, ("in_add", keys of the
+generators) for an in_add verdict, "summands" for the summands
+direct_sum records on a sum (in_add decides a sum by them, and solves
+for no zero module, generator or sum), "projres" and "injres" for the
+growing minimal (co)resolutions, and, on an algebra, "projectives" and
+"injectives".
 """
 
 from __future__ import annotations

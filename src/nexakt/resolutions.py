@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .fp import Mat, quotient_data, rank, solve_linear
-from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   basis_paths, cokernel_morphism, hom_basis, kernel_morphism,
-                   radical_span, socle_span, span_rank,
-                   stack_morphisms_from_sum, stack_morphisms_to_sum,
-                   zero_module, zero_morphism)
+from .reps import (Module, Morphism, _require_same_algebra, all_injectives,
+                   all_projectives, basis_paths, cokernel_morphism,
+                   hom_basis, kernel_morphism, radical_span, socle_span,
+                   span_rank, stack_morphisms_from_sum,
+                   stack_morphisms_to_sum, zero_module, zero_morphism)
 
 
 @dataclass
@@ -212,10 +212,19 @@ def hom_cohomology_dim(terms: list, maps: list, b: Module, k: int) -> int:
 
 
 def ext_dim(m: Module, n: Module, k: int) -> int:
-    """dim Ext^k(m, n) via Hom(minimal projective resolution of m, n)."""
+    """dim Ext^k(m, n) via Hom(minimal projective resolution of m, n).
+
+    For k >= 1 the dimension is memoised on m by the content key of n and
+    k: content-equal targets have equal Ext, and the entry keeps only the
+    int, not the target."""
     if k < 0:
         raise ValueError("negative Ext degree")
     if k == 0:
         return len(hom_basis(m, n))
+    _require_same_algebra(m, n)
+    return m.memoized(("ext", n.key, k), lambda: _ext_dim(m, n, k))
+
+
+def _ext_dim(m: Module, n: Module, k: int) -> int:
     res = min_projective_resolution(m, k + 1)
     return hom_cohomology_dim(res.terms, res.maps, n, k)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from nexakt.certs import canonical_json
-from nexakt.cli import main
+from nexakt.cli import _build_parser, main
 from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            load_algebra, module_from_dict, module_to_dict,
                            morphism_with_endpoints_to_dict)
@@ -209,6 +209,19 @@ def test_search_nct(files):
                "--out", files["out"]) == 0
     cert = json.loads((files["out"] / "search-nct.cert.json").read_text())
     assert cert["verdict"] == 1
+
+
+def test_parser_is_reused_across_calls(files, capsys):
+    assert _build_parser() is _build_parser()
+    certs = []
+    for out in ("one", "two"):
+        assert run("search", "nct", "--algebra", files["algebra"], "--n", 2,
+                   "--out", files["out"] / out) == 0
+        certs.append((files["out"] / out / "search-nct.cert.json").read_bytes())
+    assert certs[0] == certs[1]
+    capsys.readouterr()
+    assert run("search", "nct", "--help") == 0
+    assert "--algebra" in capsys.readouterr().out
 
 
 def test_malformed_file_exits_2(tmp_path, capsys):

@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import pytest
 
 from nexakt.addcat import add_category
+from nexakt.fileio import algebra_from_dict
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
                             nakayama_indecomposables)
-from nexakt.reps import (are_isomorphic, injective_module, projective_module,
-                         simple_module, socle_span, radical_span)
+from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
+                         injective_module, projective_module, simple_module,
+                         socle_span, radical_span)
 from nexakt.tilting import check_n_cluster_tilting
 
 
@@ -143,3 +147,113 @@ def test_brute_force_pi2_two_hits():
     # each hit is Lambda + one simple
     for hit in hits:
         assert len(hit) == 3
+
+
+def subset_loop_search(alg, n, indec_list, complete, seed=0):
+    """Reference search: try every subset of indec_list containing all
+    projectives; return the index sets whose add-closure certifies as
+    n-cluster-tilting."""
+    if len(indec_list) > 20:
+        raise ValueError("list too large for exhaustive search")
+    projs = all_projectives(alg)
+    proj_idx = []
+    for pv in projs:
+        hit = None
+        for i, x in enumerate(indec_list):
+            if are_isomorphic(pv, x, seed + 19):
+                hit = i
+                break
+        if hit is None:
+            raise ValueError("indec_list must contain every projective")
+        proj_idx.append(hit)
+    proj_set = sorted(set(proj_idx))
+    rest = [i for i in range(len(indec_list)) if i not in proj_set]
+    hits = []
+    for r in range(len(rest) + 1):
+        for extra in combinations(rest, r):
+            subset = sorted(proj_set + list(extra))
+            gens = [indec_list[i] for i in subset]
+            cat = add_category(alg, gens, seed=seed, check=False)
+            report = check_n_cluster_tilting(cat, n, indec_list, complete,
+                                             seed=seed, validate_list=False)
+            if report.ok:
+                hits.append(subset)
+    return hits
+
+
+def linear_an_j3(m, p=101):
+    """K A_m/J^3 over the sink-first linear quiver, read from a file dict."""
+    return algebra_from_dict({
+        "field": {"p": p},
+        "quiver": {"vertices": [str(i) for i in range(m)],
+                   "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i - 1)}
+                              for i in range(1, m)]},
+        "relations": [[{"coeff": 1, "path": [f"a{i}", f"a{i - 1}", f"a{i - 2}"]}]
+                      for i in range(3, m)],
+        "nilpotency_bound": 3})
+
+
+def _j2_cases():
+    """Every K A_{nm+1}/J^2 with at most 13 indecomposables (nm <= 6)."""
+    return [(1, 0)] + [(n, m) for n in range(1, 7) for m in range(1, 6 // n + 1)]
+
+
+@pytest.mark.parametrize("p", [2, 101])
+def test_search_matches_subset_loop_on_j2(p):
+    for n, m in _j2_cases():
+        alg, _ = gen_linear_An_J2(n, m, p=p)
+        indecs = nakayama_indecomposables(alg)
+        assert len(indecs) <= 13
+        hits = brute_force_nct_search(alg, n, indecs, complete=True)
+        assert hits == subset_loop_search(alg, n, indecs, complete=True), (n, m)
+        assert len(hits) == 1, (n, m)
+
+
+def _a3_lists():
+    """K A_3/J^2 lists that break the assumptions a lookup-based search
+    would make: a repeated entry, and a decomposable entry S_0 + S_2."""
+    alg, _ = gen_linear_An_J2(2, 1)
+    indecs = nakayama_indecomposables(alg)
+    s2 = [i for i, x in enumerate(indecs) if x.dim_vector() == (0, 0, 1)]
+    s0_s2 = direct_sum([simple_module(alg, "0"), simple_module(alg, "2")])[0]
+    return alg, [indecs + [indecs[s2[0]]], indecs + [s0_s2]]
+
+
+def test_search_matches_subset_loop_on_other_algebras():
+    pi2, aus, j3 = (gen_preprojective_A(2), gen_auslander_linear_A(2),
+                    linear_an_j3(4))
+    a3, (repeated, decomposable) = _a3_lists()
+    # (algebra, n, list, number of hits)
+    cases = [(pi2, 2, nakayama_indecomposables(pi2), 2),
+             (aus, 2, nakayama_indecomposables(aus), 1),
+             (j3, 2, nakayama_indecomposables(j3), 1),
+             (j3, 3, nakayama_indecomposables(j3), 0),
+             (a3, 2, repeated, 3), (a3, 2, decomposable, 3)]
+    for alg, n, indecs, count in cases:
+        hits = brute_force_nct_search(alg, n, indecs, complete=True)
+        assert hits == subset_loop_search(alg, n, indecs, complete=True)
+        assert len(hits) == count, (n, hits)
+
+
+def test_search_reaches_a12_j2():
+    # 23 indecomposables, 11 candidates: the one 11-CT module
+    # Lambda + S_11
+    alg, expected = gen_linear_An_J2(11, 1)
+    indecs = nakayama_indecomposables(alg)
+    assert len(indecs) == 23
+    hits = brute_force_nct_search(alg, 11, indecs, complete=True)
+    assert len(hits) == 1
+    gens = [indecs[i] for i in hits[0]]
+    assert len(gens) == len(expected) == 13
+    for g in expected:
+        assert any(are_isomorphic(g, h, seed=2) for h in gens)
+
+
+def test_search_refuses_more_than_20_candidates():
+    # n = 1 prunes nothing: 11 simples and 11 repeats are 22 candidates
+    alg, _ = gen_linear_An_J2(11, 1)
+    indecs = nakayama_indecomposables(alg)
+    simples = [x for x in indecs if x.total_dim == 1 and x.key != indecs[0].key]
+    assert len(simples) == 11
+    with pytest.raises(ValueError, match="too many candidates"):
+        brute_force_nct_search(alg, 1, indecs + simples, complete=True)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nexakt import reps
+from nexakt import reps, resolutions
 from nexakt.fp import Mat, rank, random_invertible
 from nexakt.complexes import ComplexSeq
 from nexakt.presets import gen_linear_An_J2
@@ -311,6 +311,30 @@ def test_hom_basis_computed_once_for_content_equal_targets(a3, monkeypatch):
     first = hom_basis(p1, p2)
     assert hom_basis(p1, p2_again) is first
     assert len(calls) == 1
+
+
+def test_ext_dim_computed_once_per_target_content_and_degree(a3, monkeypatch):
+    cohomology, homs = [], []
+    real_cohomology, real_hom = (resolutions.hom_cohomology_dim,
+                                 resolutions.hom_basis)
+    monkeypatch.setattr(resolutions, "hom_cohomology_dim",
+                        lambda *a: cohomology.append(a) or real_cohomology(*a))
+    monkeypatch.setattr(resolutions, "hom_basis",
+                        lambda *a: homs.append(a) or real_hom(*a))
+    s2 = simple_module(a3, "2")
+    s1, s1_again = simple_module(a3, "1"), simple_module(a3, "1")
+    assert s1 is not s1_again and s1.key == s1_again.key
+    assert resolutions.ext_dim(s2, s1, 1) == 1
+    assert resolutions.ext_dim(s2, s1_again, 1) == 1
+    assert len(cohomology) == 1
+    # the entry is the int under the target's content key, not the target
+    assert s2._memo[("ext", s1.key, 1)] == 1
+    assert resolutions.ext_dim(s2, s1, 2) == 0
+    assert len(cohomology) == 2
+    homs.clear()
+    assert resolutions.ext_dim(s2, s1, 0) == resolutions.ext_dim(s2, s1, 0) == 0
+    assert len(cohomology) == 2 and len(homs) == 2
+    assert ("ext", s1.key, 0) not in s2._memo
 
 
 def test_projectives_and_injectives_built_once_per_algebra(a3):
