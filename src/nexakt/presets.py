@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .addcat import add_category
-from .fp import FieldSpec
+from .fp import FieldSpec, Mat
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
 from .reps import (Module, all_projectives, are_isomorphic,
@@ -55,26 +55,30 @@ def gen_linear_An_J2(n: int, m: int, p: int = 101,
 def _uniserial(alg: AlgebraBasis, v: str, loewy: int) -> Module:
     """P_v / rad^loewy P_v."""
     pv = projective_module(alg, v)
-    span = {w: _radical_power_span(pv, loewy)[w] for w in alg.quiver.vertices}
-    return quotient_by_submodule(pv, span)[0]
+    return quotient_by_submodule(pv, _radical_power_span(pv, loewy))[0]
 
 
 def _radical_power_span(m: Module, k: int):
     """Vertex-wise spanning matrix of rad^k m."""
-    from .fp import Mat
     alg = m.algebra
-    p = alg.p
-    current = {v: Mat.identity(m.dims[v], p) for v in alg.quiver.vertices}
+    span = {v: Mat.identity(m.dims[v], alg.p) for v in alg.quiver.vertices}
     for _ in range(k):
-        nxt = {}
-        for v in alg.quiver.vertices:
-            cols = [Mat.zero(m.dims[v], 0, p)]
-            for a in alg.quiver.arrows:
-                if a.target == v:
-                    cols.append(m.action[a.name].mul(current[a.source]))
-            nxt[v] = Mat.hstack(cols)
-        current = nxt
-    return current
+        span = _radical_step(m, span)
+    return span
+
+
+def _radical_step(m: Module, span):
+    """Spanning matrices of rad^(l+1) m = arrows . rad^l m from those of
+    rad^l m."""
+    alg = m.algebra
+    out = {}
+    for v in alg.quiver.vertices:
+        cols = [Mat.zero(m.dims[v], 0, alg.p)]
+        for a in alg.quiver.arrows:
+            if a.target == v:
+                cols.append(m.action[a.name].mul(span[a.source]))
+        out[v] = Mat.hstack(cols)
+    return out
 
 
 def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:
@@ -109,10 +113,14 @@ def nakayama_indecomposables(alg: AlgebraBasis) -> List[Module]:
     out = []
     for v in alg.quiver.vertices:
         pv = projective_module(alg, v)
-        loewy = _loewy_length(pv)
-        for level in range(1, loewy + 1):
-            span = _radical_power_span(pv, level)
+        span = _radical_power_span(pv, 1)
+        for _ in range(pv.total_dim + 1):
             out.append(quotient_by_submodule(pv, span)[0])
+            if not any(_nonzero(s) for s in span.values()):
+                break          # rad^l P_v = 0: l is the Loewy length
+            span = _radical_step(pv, span)
+        else:
+            raise AssertionError("radical series does not terminate")
     return out
 
 
@@ -130,17 +138,6 @@ def _require_nakayama(q: Quiver):
     if n_arrows == len(q.vertices) - 1:
         return  # linear A_k
     raise QuiverError("not a Nakayama quiver (wrong arrow count)")
-
-
-def _loewy_length(m: Module) -> int:
-    level = 0
-    span = _radical_power_span(m, 0)
-    while any(s.cols and _nonzero(s) for s in span.values()):
-        level += 1
-        span = _radical_power_span(m, level)
-        if level > m.total_dim:
-            raise AssertionError("radical series does not terminate")
-    return level
 
 
 def _nonzero(mat) -> bool:

@@ -27,6 +27,13 @@ direct_sum records on a sum (in_add decides a sum by them, and solves
 for no zero module, generator or sum), "projres" and "injres" for the
 growing minimal (co)resolutions, and, on an algebra, "projectives" and
 "injectives".
+
+Decomposition (``split_indecomposables``) splits a module along coprime
+factors of the minimal polynomial of a random endomorphism e: if
+mu = g*h with gcd(g, h) = 1, then x = ker g(e) + im g(e).  The
+polynomial work (minimal polynomials, factoring over F_p) is in
+``polys``.  A module with dim End = 1 is indecomposable, exactly; any
+other is declared indecomposable after FITTING_RETRIES failed attempts.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from . import polys
 from .fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
                  quotient_projection, rank, solve_linear)
 from .quivers import AlgebraBasis, Memo, PathWord
@@ -494,7 +502,7 @@ def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
                              {"reason": "solved", "coefficients": coeffs})
 
 
-# -- isomorphism testing and Fitting decomposition ---------------------
+# -- isomorphism testing and decomposition ----------------------------
 
 
 def are_isomorphic(m: Module, n: Module, seed: int, retries: int = FITTING_RETRIES) -> bool:
@@ -518,51 +526,35 @@ def are_isomorphic(m: Module, n: Module, seed: int, retries: int = FITTING_RETRI
     return False
 
 
-_EIGEN_SCAN_LIMIT = 1024
-
-
 def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Module]]:
-    """One Fitting attempt: x = ker(e'^D) + im(e'^D) for a random sample
-    e in End(x) and its scalar shifts e' = e - t.
+    """One splitting attempt (Lux–Szőke, Exp. Math. 2007): draw e in
+    End(x), take its minimal polynomial mu (the lcm of the vertex-wise
+    ones) and a monic factor g of mu coprime to mu/g; then
+    x = ker g(e) + im g(e), both nonzero.
 
-    Shifting by the eigenvalues of e makes a decomposable module split
-    with probability close to 1 per sample; for very large p (beyond the
-    eigenvalue scan limit) only t = 0 is tried, as sampled."""
-    from .fp import det
+    Fails (None) only when mu is a power of one irreducible, which holds
+    for every e when x is indecomposable (End(x) is local)."""
     basis = hom_basis(x, x)
     p = x.algebra.p
     e = assemble_from_span(basis, [rng.randrange(p) for _ in basis], x, x)
-    if p <= _EIGEN_SCAN_LIMIT:
-        shifts = [t for t in range(p)
-                  if any(m.rows > 0 and det(_shift(m, t)) == 0
-                         for m in e.components.values())]
-    else:
-        shifts = [0]
-    d = x.total_dim
-    for t in shifts:
-        shifted = e.sub(identity_morphism(x).scale(t))
-        power = identity_morphism(x)
-        for _ in range(d):
-            power = power.then(shifted)
-        ker, _ = kernel_morphism(power)
-        im, _ = image_morphism(power)
-        if ker.total_dim and im.total_dim:
-            return ker, im
-    return None
-
-
-def _shift(m: Mat, t: int) -> Mat:
-    return m.sub(Mat.identity(m.rows, m.p).scale(t))
+    mu = [1]
+    for m in e.components.values():
+        mu = polys.lcm(mu, polys.minpoly(m), p)
+    g = polys.coprime_factor(mu, p, rng)
+    if g is None:
+        return None
+    ge = _natural(x, x, {v: polys.at_matrix(g, m) for v, m in e.components.items()})
+    return kernel_morphism(ge)[0], image_morphism(ge)[0]
 
 
 def split_indecomposables(x: Module, seed: int,
                           retries: int = FITTING_RETRIES) -> List[Tuple[Module, int]]:
-    """Fitting decomposition into indecomposables with multiplicities.
+    """Decomposition into indecomposables with multiplicities.
 
-    Deterministic given the seed.  Indecomposability verdicts are
-    probabilistic (a factor is declared indecomposable after ``retries``
-    consecutive trivial splittings); see exhaustively_indecomposable for
-    the upgrade available on tiny endomorphism rings.
+    Deterministic given the seed.  A summand with dim End = 1 has
+    End = F_p and is indecomposable, exactly.  Any other summand is
+    declared indecomposable after ``retries`` consecutive failed
+    splitting attempts, so that verdict is probabilistic.
     """
     rng = random.Random(seed)
     parts: List[Module] = []
@@ -570,12 +562,13 @@ def split_indecomposables(x: Module, seed: int,
     def work(m: Module):
         if m.total_dim == 0:
             return
-        for _ in range(retries):
-            split = _fitting_split(m, rng)
-            if split is not None:
-                work(split[0])
-                work(split[1])
-                return
+        if len(hom_basis(m, m)) > 1:        # else End(m) = F_p: indecomposable
+            for _ in range(retries):
+                split = _fitting_split(m, rng)
+                if split is not None:
+                    work(split[0])
+                    work(split[1])
+                    return
         parts.append(m)
 
     work(x)
@@ -588,34 +581,6 @@ def split_indecomposables(x: Module, seed: int,
         else:
             grouped.append((part, 1))
     return grouped
-
-
-def exhaustively_indecomposable(x: Module, budget: int = 1 << 16) -> Optional[bool]:
-    """Scan End(x) for nontrivial idempotents when the space is small enough.
-
-    Returns None when p^dim End exceeds the budget (verdict stays
-    probabilistic in that case).
-    """
-    if x.total_dim == 0:
-        return False
-    basis = hom_basis(x, x)
-    p = x.algebra.p
-    if p ** len(basis) > budget:
-        return None
-    coeffs = [0] * len(basis)
-    while True:
-        e = assemble_from_span(basis, coeffs, x, x)
-        if e.then(e).equals(e) and not e.is_zero() and not e.equals(identity_morphism(x)):
-            return False
-        i = 0
-        while i < len(coeffs):
-            coeffs[i] += 1
-            if coeffs[i] < p:
-                break
-            coeffs[i] = 0
-            i += 1
-        else:
-            return True
 
 
 # -- projective, injective and simple modules -------------------------

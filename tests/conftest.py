@@ -2,6 +2,7 @@ import pytest
 
 from nexakt.fp import FieldSpec
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
+from nexakt.reps import assemble_from_span, hom_basis, identity_morphism
 
 
 def linear_a3_j2(p=101):
@@ -26,6 +27,31 @@ def cyclic_nakayama_j2(k, p=101):
     rels = [Relation(((1, PathWord((f"a{i}", f"a{(i + 1) % k}"))),))
             for i in range(k)]
     return build_algebra(q, rels, 2, FieldSpec(p))
+
+
+def exhaustively_indecomposable(x, budget=1 << 16):
+    """Reference oracle: scan End(x) for nontrivial idempotents when
+    p^dim End is at most the budget; None when it is larger."""
+    if x.total_dim == 0:
+        return False
+    basis = hom_basis(x, x)
+    p = x.algebra.p
+    if p ** len(basis) > budget:
+        return None
+    coeffs = [0] * len(basis)
+    while True:
+        e = assemble_from_span(basis, coeffs, x, x)
+        if e.then(e).equals(e) and not e.is_zero() and not e.equals(identity_morphism(x)):
+            return False
+        i = 0
+        while i < len(coeffs):
+            coeffs[i] += 1
+            if coeffs[i] < p:
+                break
+            coeffs[i] = 0
+            i += 1
+        else:
+            return True
 
 
 @pytest.fixture

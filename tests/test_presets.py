@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,8 @@ from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
                          injective_module, projective_module, simple_module,
                          socle_span, radical_span)
 from nexakt.tilting import check_n_cluster_tilting
+
+from conftest import cyclic_nakayama_j2
 
 
 def test_a3_j2_generator(a3):
@@ -92,6 +95,20 @@ def test_nakayama_pi2():
     alg = gen_preprojective_A(2)
     mods = nakayama_indecomposables(alg)
     assert len(mods) == 4
+
+
+@pytest.mark.parametrize("alg, count, digest", [
+    (gen_linear_An_J2(2, 4)[0], 17,
+     "86fcbda0738321c3ba060090f21fa36a63111194f73df3b0c5d5abc3aa984d68"),
+    (cyclic_nakayama_j2(6), 12,
+     "77de0c37ba9e1d495818922b10294863f286be0c430b8d7c6148b8a7db7650e9"),
+])
+def test_nakayama_list_content_is_pinned(alg, count, digest):
+    """The list walks one radical chain per P_v; its modules, in order and
+    by content key, are those of rebuilding each rad^l P_v from P_v."""
+    mods = nakayama_indecomposables(alg)
+    assert len(mods) == count
+    assert hashlib.sha256(repr([m.key for m in mods]).encode()).hexdigest() == digest
 
 
 def test_nakayama_rejects_non_nakayama():

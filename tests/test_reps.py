@@ -6,17 +6,21 @@ import pytest
 from nexakt import reps, resolutions
 from nexakt.fp import Mat, rank, random_invertible
 from nexakt.complexes import ComplexSeq
-from nexakt.presets import gen_linear_An_J2
+from nexakt.addcat import DomainError, add_category
+from nexakt.fp import FieldSpec
+from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
+from nexakt.quivers import Quiver, build_algebra
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
-                         direct_sum, exhaustively_indecomposable, hom_basis,
+                         direct_sum, hom_basis,
                          identity_morphism, in_add, injective_module,
                          kernel_morphism, projective_module, simple_module,
                          split_indecomposables, stack_morphisms_from_sum,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
-from conftest import linear_a3_j2, preprojective_a2
+from conftest import (cyclic_nakayama_j2, exhaustively_indecomposable, linear_a3_j2,
+                      preprojective_a2)
 
 
 # -- fixtures ----------------------------------------------------------
@@ -275,6 +279,65 @@ def test_exhaustive_indecomposability_small_field():
     assert exhaustively_indecomposable(p1) is True
     two = direct_sum([p1, p1])[0]
     assert exhaustively_indecomposable(two) is False
+
+
+# Splitting regressions, pinned at every kind of prime the field accepts:
+# (a) above p = 1024 the old eigenvalue scan tried only the shift t = 0,
+# so S_0 + S_2 over K A_3/J^2 came back whole; (b) the scan found no
+# split through eigenvalues outside F_p.
+SPLIT_PRIMES = [2, 5, 101, 1031, 65537, 2**31 - 1]
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_semisimple_sum_splits_at_every_prime(p):
+    alg = linear_a3_j2(p)
+    x = direct_sum([simple_module(alg, "0"), simple_module(alg, "2")])[0]
+    for seed in range(5):
+        parts = split_indecomposables(x, seed)
+        assert sorted((part.dim_vector(), c) for part, c in parts) == [
+            ((0, 0, 1), 1), ((1, 0, 0), 1)]
+    with pytest.raises(DomainError):
+        add_category(alg, [x])
+
+
+def kronecker_field_module(p):
+    """The Kronecker module R with a = I and b the companion matrix of an
+    irreducible quadratic, so End R = F_(p^2)."""
+    q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    alg = build_algebra(q, [], 2, FieldSpec(p))
+    if p == 2:
+        b = Mat.from_rows([[0, 1], [1, 1]], p)            # x^2 + x + 1
+    else:
+        r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+        b = Mat.from_rows([[0, r], [1, 0]], p)            # x^2 - r
+    return Module(alg, {"1": 2, "2": 2}, {"a": Mat.identity(2, p), "b": b})
+
+
+@pytest.mark.parametrize("p", SPLIT_PRIMES)
+def test_split_through_an_irrational_eigenvalue(p):
+    r = kronecker_field_module(p)
+    assert len(hom_basis(r, r)) == 2
+    x = direct_sum([r, r])[0]
+    for seed in range(5):
+        parts = split_indecomposables(x, seed)
+        assert [c for _, c in parts] == [2]
+        assert are_isomorphic(parts[0][0], r, seed)
+        alone = split_indecomposables(r, seed)
+        assert len(alone) == 1 and alone[0][1] == 1
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_split_verdicts_agree_with_the_exhaustive_oracle(p):
+    for alg in (gen_linear_An_J2(2, 2, p)[0], cyclic_nakayama_j2(3, p)):
+        entries = nakayama_indecomposables(alg)
+        sums = [direct_sum([x, y])[0] for i, x in enumerate(entries)
+                for y in entries[i:]]
+        for k, x in enumerate(entries + sums):
+            expected = exhaustively_indecomposable(x)
+            assert expected is not None
+            parts = split_indecomposables(x, seed=k)
+            assert (parts == [(x, 1)]) == expected
+            assert sum(c * part.total_dim for part, c in parts) == x.total_dim
 
 
 def test_regular_module_is_sum_of_projectives(a3):
