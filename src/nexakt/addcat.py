@@ -9,9 +9,10 @@ generators.  Every factorization through a map (comparison homotopy,
 contraction, chain completion) is one reps.factor_through.
 
 All verification is Hom-level rank bookkeeping against the generator
-list; certificates are assembled in generator-list order.  Tie-breaking
-is fixed everywhere: generators in the order listed, Hom bases in the
-deterministic kernel_basis order.
+list, with every rank read from reps.hom_ranks; certificates are
+assembled in generator-list order.  Tie-breaking is fixed everywhere:
+generators in the order listed, Hom bases in the deterministic
+kernel_basis order.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, cokernel_morphism, factor_through,
-                   hom_basis, identity_morphism, in_add, kernel_morphism,
-                   solve_in_span, span_rank, split_indecomposables,
+                   hom_basis, hom_ranks, identity_morphism, in_add,
+                   kernel_morphism, solve_in_span, split_indecomposables,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
 
@@ -55,7 +56,6 @@ class AddCat:
     generators: list
     contains_projectives: bool = False
     contains_injectives: bool = False
-    checked: bool = False
 
 
 def add_category(alg: AlgebraBasis, generators: Sequence[Module], seed: int = 0,
@@ -72,7 +72,7 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module], seed: int = 0,
                     raise DomainError(f"generators {i} and {j} are isomorphic")
     has_proj = all(in_add(pv, gens) for pv in all_projectives(alg))
     has_inj = all(in_add(iv, gens) for iv in all_injectives(alg))
-    return AddCat(alg, gens, has_proj, has_inj, check)
+    return AddCat(alg, gens, has_proj, has_inj)
 
 
 # -- approximations ------------------------------------------------------
@@ -119,13 +119,9 @@ def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
     else:
         approx = stack_morphisms_to_sum([f for _, f in parts])
     for g in m.generators:
-        if _left_approx_rank(approx, g) != len(hom_basis(x, g)):
+        if hom_ranks([approx], g, contravariant=True)[0] != len(hom_basis(x, g)):
             raise AssertionError("left approximation lost a Hom class")
     return approx
-
-
-def _left_approx_rank(approx: Morphism, g: Module) -> int:
-    return span_rank([approx.then(b) for b in hom_basis(approx.target, g)])
 
 
 def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
@@ -140,8 +136,7 @@ def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
     else:
         approx = stack_morphisms_from_sum([f for _, f in parts])
     for g in m.generators:
-        got = span_rank([b.then(approx) for b in hom_basis(g, approx.source)])
-        if got != len(hom_basis(g, x)):
+        if hom_ranks([approx], g, contravariant=False)[0] != len(hom_basis(g, x)):
             raise AssertionError("right approximation lost a Hom class")
     return approx
 
@@ -164,18 +159,11 @@ def weak_cokernel(f: Morphism, m: AddCat) -> Morphism:
     if not f.then(g).is_zero():
         raise AssertionError("weak cokernel does not kill f")
     for gen in m.generators:
-        if not _weak_cokernel_exact_at_middle(f, g, gen):
+        # Hom(C, gen) -> Hom(B, gen) -> Hom(A, gen) is exact at Hom(B, gen)
+        rank_to_a, rank_from_c = hom_ranks([f, g], gen, contravariant=True)
+        if rank_from_c != len(hom_basis(f.target, gen)) - rank_to_a:
             raise AssertionError("weak cokernel property failed")
     return g
-
-
-def _weak_cokernel_exact_at_middle(f: Morphism, g: Morphism, gen: Module) -> bool:
-    """Exactness of Hom(C, gen) -> Hom(B, gen) -> Hom(A, gen)."""
-    hom_b = hom_basis(f.target, gen)
-    rank_from_c = span_rank([g.then(b) for b in hom_basis(g.target, gen)])
-    rank_to_a = span_rank([f.then(b) for b in hom_b])
-    dim_killed = len(hom_b) - rank_to_a
-    return rank_from_c == dim_killed
 
 
 def weak_kernel(f: Morphism, m: AddCat) -> Morphism:
@@ -198,8 +186,7 @@ def weak_kernel(f: Morphism, m: AddCat) -> Morphism:
 def hom_exact_at_middle(p: Module, f: Morphism, g: Morphism) -> Tuple[bool, dict]:
     """Exactness of Hom(p, L) -> Hom(p, M) -> Hom(p, N) at the middle."""
     hom_m = hom_basis(p, f.target)
-    rank_beta = span_rank([b.then(g) for b in hom_m])
-    rank_alpha = span_rank([b.then(f) for b in hom_basis(p, f.source)])
+    rank_alpha, rank_beta = hom_ranks([f, g], p, contravariant=False)
     dim_ker = len(hom_m) - rank_beta
     ranks = {"dim_hom_middle": len(hom_m), "rank_in": rank_alpha,
              "rank_out": rank_beta, "kernel_dim": dim_ker}
@@ -328,48 +315,41 @@ def _chain_of(d_first: Morphism, seq: ComplexSeq) -> List[Morphism]:
 
 def contravariant_fragment(chain: List[Morphism], gens: Sequence[Module]) -> HomExactnessFragment:
     """Exactness of 0 -> Hom(X^{top}, G) -> ... -> Hom(X^0, G) per generator."""
-    terms = [chain[0].source] + [d.target for d in chain]
-    top = len(terms) - 1
-    per_gen = []
-    ok = True
-    for gi, g in enumerate(gens):
-        homdims = [len(hom_basis(t, g)) for t in terms]
-        ranks = [span_rank([d.then(b) for b in hom_basis(d.target, g)])
-                 for d in chain]
-        records = []
-        inj = ranks[top - 1] == homdims[top]
-        records.append(ExactnessRecord(top, homdims[top], 0, ranks[top - 1], inj))
-        ok = ok and inj
-        for k in range(top - 1, 0, -1):
-            ker_dim = homdims[k] - ranks[k - 1]
-            exact = ker_dim == ranks[k]
-            records.append(ExactnessRecord(k, homdims[k], ranks[k], ranks[k - 1], exact))
-            ok = ok and exact
-        per_gen.append((gi, records))
-    return HomExactnessFragment("contravariant", per_gen, ok)
+    return _hom_fragment(chain, gens, contravariant=True)
 
 
 def covariant_fragment(chain: List[Morphism], gens: Sequence[Module]) -> HomExactnessFragment:
     """Exactness of 0 -> Hom(G, X^0) -> ... -> Hom(G, X^{top}) per generator."""
+    return _hom_fragment(chain, gens, contravariant=False)
+
+
+def _hom_fragment(chain: List[Morphism], gens: Sequence[Module],
+                  contravariant: bool) -> HomExactnessFragment:
+    """One record per Hom term but the last, in the order the Hom sequence
+    runs (X^{top} first when contravariant): rank_in is the rank of the map
+    into the term (0 at the first, where exactness means injectivity) and
+    rank_out that of the map out of it."""
     terms = [chain[0].source] + [d.target for d in chain]
-    top = len(terms) - 1
+    positions = list(range(len(terms)))
+    if contravariant:
+        positions.reverse()
     per_gen = []
     ok = True
     for gi, g in enumerate(gens):
-        homdims = [len(hom_basis(g, t)) for t in terms]
-        ranks = [span_rank([b.then(d) for b in hom_basis(g, d.source)])
-                 for d in chain]
+        ranks = hom_ranks(chain, g, contravariant)
+        if contravariant:
+            ranks.reverse()
         records = []
-        inj = ranks[0] == homdims[0]
-        records.append(ExactnessRecord(0, homdims[0], 0, ranks[0], inj))
-        ok = ok and inj
-        for k in range(1, top):
-            ker_dim = homdims[k] - ranks[k]
-            exact = ker_dim == ranks[k - 1]
-            records.append(ExactnessRecord(k, homdims[k], ranks[k - 1], ranks[k], exact))
+        for i, k in enumerate(positions[:-1]):
+            dim = len(hom_basis(terms[k], g) if contravariant
+                      else hom_basis(g, terms[k]))
+            rank_in = ranks[i - 1] if i else 0
+            exact = dim - ranks[i] == rank_in
+            records.append(ExactnessRecord(k, dim, rank_in, ranks[i], exact))
             ok = ok and exact
         per_gen.append((gi, records))
-    return HomExactnessFragment("covariant", per_gen, ok)
+    return HomExactnessFragment("contravariant" if contravariant else "covariant",
+                                per_gen, ok)
 
 
 def verify_n_cokernel(d0: Morphism, seq: Optional[ComplexSeq], m: AddCat) -> HomExactnessFragment:
@@ -462,16 +442,15 @@ def contract(x: ComplexSeq, m: AddCat) -> Optional[Homotopy]:
     return Homotopy(x, x, h)
 
 
-def complete_to_chain_map(x: ComplexSeq, y: ComplexSeq, f0: Morphism,
-                          start: Optional[int] = None) -> ComplexMorphism:
+def complete_to_chain_map(x: ComplexSeq, y: ComplexSeq,
+                          f0: Morphism) -> ComplexMorphism:
     """Extend f0: x^lo -> y^lo to a chain map by weak-cokernel factorizations.
 
     Solvable whenever each d_x^{k+1} is a weak cokernel of d_x^k and y is a
     complex receiving the relevant composites; raises HypothesisError with
     the failing degree otherwise."""
-    lo = x.lo if start is None else start
-    comps: Dict[int, Morphism] = {lo: f0}
-    for k in range(lo, x.hi):
+    comps: Dict[int, Morphism] = {x.lo: f0}
+    for k in range(x.lo, x.hi):
         comps[k + 1] = factor_through(comps[k].then(y.diff(k)), x.diff(k))
         if comps[k + 1] is None:
             raise HypothesisError(f"chain completion stuck at degree {k}", degree=k)

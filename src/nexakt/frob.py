@@ -2,6 +2,11 @@
 selfinjective algebra: stable Hom, suspension, standard (n+2)-angles,
 rotation, completion of angle morphisms and mapping cones of angles.
 
+A map x -> y factors through an injective iff it factors through the
+injective envelope x -> E(x), so stable dimensions and stable ranks are
+rank counts against the envelope composites, and a map is stably zero
+when it factors through the envelope.
+
 Suspension is computed from fixed minimal coresolutions, so it is a
 genuine function on objects; everything it is compared against is taken
 up to stable isomorphism, and certificates record stable ranks only.
@@ -13,18 +18,18 @@ map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Optional, Sequence, Tuple
 
 from .addcat import (AddCat, HypothesisError, PreconditionError,
                      complete_to_chain_map, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism
-from .fp import Mat, column_space_basis, quotient_data, rank
 from .pushout import n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, assemble_from_span, block_morphism,
                    direct_sum, factor_through, hom_basis, identity_morphism,
-                   in_add, solve_in_span, solve_jointly, split_indecomposables,
+                   in_add, solve_jointly, span_rank, split_indecomposables,
                    stack_morphisms_from_sum, zero_module, zero_morphism)
 from .resolutions import (Coresolution, cosyzygy_of, cosyzygy_projection,
                           min_injective_coresolution, syzygy)
@@ -41,7 +46,6 @@ class FrobeniusCtx:
     m: AddCat
     n: int
     nct_report: NctReport
-    seed: int
 
 
 def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
@@ -63,7 +67,7 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
             raise SetupError(f"cosyzygy closure fails at generator {i}")
         if not in_add(syzygy(g, n), m.generators):
             raise SetupError(f"syzygy closure fails at generator {i}")
-    return FrobeniusCtx(alg, m, n, report, seed)
+    return FrobeniusCtx(alg, m, n, report)
 
 
 def cosyzygy(ctx: FrobeniusCtx, x: Module, k: int) -> Module:
@@ -82,60 +86,48 @@ def suspension(ctx: FrobeniusCtx, x: Module) -> Module:
 
 @dataclass
 class StableHom:
+    """Hom(source, target) and its ideal of maps through an injective."""
+
     source: Module
     target: Module
-    basis: list                 # hom basis
-    ideal_coeffs: Mat           # columns: injective-factoring maps, hom coords
-    proj: Mat                   # quotient projection in hom coordinates
-    free: list                  # indices of coset representatives
+    hom: list                   # hom_basis(source, target)
+    ideal: list                 # envelope composed with hom_basis(E, target)
+
+    @cached_property
+    def ideal_rank(self) -> int:
+        return span_rank(self.ideal)
 
     @property
     def dim(self) -> int:
-        return len(self.free)
+        return len(self.hom) - self.ideal_rank
 
-    @property
-    def reps(self) -> list:
-        return [self.basis[j] for j in self.free]
+    def rank(self, maps: Sequence[Morphism]) -> int:
+        """Dimension of the span of maps in the stable quotient."""
+        for f in maps:
+            if not (f.source.same_as(self.source)
+                    and f.target.same_as(self.target)):
+                raise ValueError("map outside this stable Hom space")
+        return span_rank(list(maps) + self.ideal) - self.ideal_rank
 
-    def coords(self, f: Morphism) -> Optional[list]:
-        """Stable coordinates of f, or None if f is not a morphism here."""
-        cs = solve_in_span(self.basis, f)
-        if cs is None:
-            return None
-        col = Mat.from_rows([[c] for c in cs], f.source.algebra.p, cols=1)
-        out = self.proj.mul(col)
-        return [out.at(i, 0) for i in range(out.rows)]
 
-    def is_stably_zero(self, f: Morphism) -> bool:
-        cs = self.coords(f)
-        return cs is not None and all(c == 0 for c in cs)
+def _envelope(x: Module) -> Morphism:
+    """The memoized injective envelope x -> E(x)."""
+    return min_injective_coresolution(x, 1).maps[0]
 
 
 def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
-    """Hom(m1, m2) modulo maps factoring through an injective I_v of the
-    algebra; memoised on m1 by the content key of m2."""
-    return m1.memoized(("stable", m2.key), lambda: _stable_hom(m1, m2))
+    """Hom(m1, m2) with the ideal spanned by the envelope of m1 composed
+    with Hom(E(m1), m2) (an injective extends along the envelope, a mono);
+    memoised on m1 by the content key of m2."""
+    def build():
+        env = _envelope(m1)
+        return StableHom(m1, m2, hom_basis(m1, m2),
+                         [env.then(h) for h in hom_basis(env.target, m2)])
+    return m1.memoized(("stable", m2.key), build)
 
 
-def _stable_hom(m1: Module, m2: Module) -> StableHom:
-    p = m1.algebra.p
-    basis = hom_basis(m1, m2)
-    ideal_cols: List[List[int]] = []
-    for j in all_injectives(m1.algebra):
-        for f in hom_basis(m1, j):
-            for g in hom_basis(j, m2):
-                coeffs = solve_in_span(basis, f.then(g))
-                if coeffs is None:
-                    raise AssertionError("factoring map outside Hom basis span")
-                ideal_cols.append(coeffs)
-    if basis:
-        mat = Mat.from_rows([[col[i] for col in ideal_cols]
-                             for i in range(len(basis))], p,
-                            cols=len(ideal_cols))
-    else:
-        mat = Mat.zero(0, 0, p)
-    proj, free = quotient_data(mat)
-    return StableHom(m1, m2, basis, mat, proj, free)
+def _stably_zero(f: Morphism) -> bool:
+    return factor_through(f, _envelope(f.source)) is not None
 
 
 def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
@@ -143,15 +135,15 @@ def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
     """(stable dimension, basis of the injective-factoring ideal, coset
     representatives).  Meaningful for arbitrary modules, not only add(M)."""
     sh = stable_hom(ctx, m1, m2)
-    cols = column_space_basis(sh.ideal_coeffs)
-    ideal_basis = [assemble_from_span(sh.basis, cols.col(j), m1, m2)
-                   for j in range(cols.cols)]
-    return sh.dim, ideal_basis, sh.reps
+    basis: list = []            # the ideal's maps come first
+    for f in sh.ideal + sh.hom:
+        if span_rank(basis + [f]) > len(basis):
+            basis.append(f)
+    return sh.dim, basis[:sh.ideal_rank], basis[sh.ideal_rank:]
 
 
 def stably_equal(ctx: FrobeniusCtx, f: Morphism, g: Morphism) -> bool:
-    sh = stable_hom(ctx, f.source, f.target)
-    return sh.is_stably_zero(f.sub(g))
+    return _stably_zero(f.sub(g))
 
 
 # -- suspension on morphisms ----------------------------------------------
@@ -204,9 +196,7 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
         raise ValueError("closing morphism must land in Sigma X^0")
     chain = list(maps) + [closing]
     for k in range(len(chain) - 1):
-        comp = chain[k].then(chain[k + 1])
-        sh = stable_hom(ctx, comp.source, comp.target)
-        if not sh.is_stably_zero(comp):
+        if not _stably_zero(chain[k].then(chain[k + 1])):
             raise ValueError(f"consecutive composite at {k} not stably zero")
     return Angle(list(objects), list(maps), closing, provenance)
 
@@ -268,23 +258,9 @@ def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
 # -- exactness of angles -----------------------------------------------------
 
 
-def _stable_map_matrix(ctx: FrobeniusCtx, g: Module, u: Morphism,
-                       sh_a: StableHom, sh_b: StableHom) -> Mat:
-    p = ctx.algebra.p
-    cols = []
-    for r in sh_a.reps:
-        cs = sh_b.coords(r.then(u))
-        if cs is None:
-            raise AssertionError("stable image outside Hom span")
-        cols.append(cs)
-    return Mat.from_rows([[col[i] for col in cols] for i in range(sh_b.dim)],
-                         p, cols=len(cols))
-
-
 def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     """Exactness of the stable Hom(G, -) sequence over one full suspension
     period, for every generator G; returns (verdict, rank table)."""
-    n = ctx.n
     nodes = list(a.objects) + [suspension(ctx, obj) for obj in a.objects] \
         + [suspension(ctx, suspension(ctx, a.objects[0]))]
     chain = a.all_maps() + [suspension_morphism(ctx, u) for u in a.all_maps()]
@@ -292,16 +268,13 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     ok = True
     for gi, g in enumerate(ctx.m.generators):
         spaces = [stable_hom(ctx, g, node) for node in nodes]
-        mats = [_stable_map_matrix(ctx, g, u, spaces[k], spaces[k + 1])
-                for k, u in enumerate(chain)]
+        ranks = [spaces[k + 1].rank([h.then(u) for h in spaces[k].hom])
+                 for k, u in enumerate(chain)]
         for i in range(1, len(nodes) - 1):
-            out_rank = rank(mats[i])
-            in_rank = rank(mats[i - 1])
-            ker_dim = spaces[i].dim - out_rank
-            exact = ker_dim == in_rank
+            exact = spaces[i].dim - ranks[i] == ranks[i - 1]
             table.append({"generator": gi, "position": i,
-                          "stable_dim": spaces[i].dim, "rank_in": in_rank,
-                          "rank_out": out_rank, "exact": exact})
+                          "stable_dim": spaces[i].dim, "rank_in": ranks[i - 1],
+                          "rank_out": ranks[i], "exact": exact})
             ok = ok and exact
     return ok, table
 

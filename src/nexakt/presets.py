@@ -2,8 +2,7 @@
 
 Families: linearly oriented A_{nm+1} with radical square zero, small
 preprojective algebras of type A, and Auslander algebras of linear A_m.
-Orientation of A_{nm+1} is fixed sink-first so that P_0 = S_0; pass
-reverse=True to flip it.
+Orientation of A_{nm+1} is fixed sink-first so that P_0 = S_0.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ from .tilting import check_n_cluster_tilting
 MAX_SEARCH_CANDIDATES = 20
 
 
-def gen_linear_An_J2(n: int, m: int, p: int = 101,
-                     reverse: bool = False) -> Tuple[AlgebraBasis, List[Module]]:
+def gen_linear_An_J2(n: int, m: int,
+                     p: int = 101) -> Tuple[AlgebraBasis, List[Module]]:
     """K A_{nm+1} / J^2 with its expected n-cluster-tilting generators
     Lambda + S_n + S_{2n} + ... + S_{nm}."""
     if n < 1 or m < 0:
@@ -33,18 +32,10 @@ def gen_linear_An_J2(n: int, m: int, p: int = 101,
     if count > 12:
         raise ValueError("supported range is nm + 1 <= 12")
     vertices = [str(i) for i in range(count)]
-    if reverse:
-        arrows = [(f"a{i}", str(i - 1), str(i)) for i in range(1, count)]
-    else:
-        arrows = [(f"a{i}", str(i), str(i - 1)) for i in range(1, count)]
-    q = Quiver.build(vertices, arrows)
-    rels = []
-    for i in range(2, count):
-        if reverse:
-            word = PathWord((f"a{i - 1}", f"a{i}"))
-        else:
-            word = PathWord((f"a{i}", f"a{i - 1}"))
-        rels.append(Relation(((1, word),)))
+    q = Quiver.build(vertices, [(f"a{i}", str(i), str(i - 1))
+                                for i in range(1, count)])
+    rels = [Relation(((1, PathWord((f"a{i}", f"a{i - 1}"))),))
+            for i in range(2, count)]
     alg = build_algebra(q, rels, 2, FieldSpec(p))
     expected = [projective_module(alg, v) for v in vertices]
     for j in range(1, m + 1):

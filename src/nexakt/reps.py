@@ -20,7 +20,8 @@ A module carries its content key, the dimension vector plus the action
 entries.  The one memo of the package is ``Memo.memoized``: a dict on
 each module (and on each algebra), so an entry dies with its owner.  Its
 keys are ("hom", key of the target) for hom_basis, ("stable", key of the
-target) for frob.stable_hom, ("ext", key of the target, k) for the int
+target) for frob.stable_hom (the Hom basis and the ideal of maps through
+the injective envelope), ("ext", key of the target, k) for the int
 resolutions.ext_dim keeps for k >= 1, ("in_add", keys of the
 generators) for an in_add verdict, "summands" for the summands
 direct_sum records on a sum (in_add decides a sum by them, and solves
@@ -233,10 +234,13 @@ def _split_vector(m: Module, n: Module, vec: Sequence[int]) -> dict:
 
 
 def _require_same_algebra(m: Module, n: Module):
-    """Raise ContextError unless m and n live over one algebra; equal
-    algebras built separately count as one."""
+    """Raise ContextError unless m and n live over one algebra; algebras
+    built separately count as one when quiver, p, relations and
+    nilpotency bound agree."""
     a, b = m.algebra, n.algebra
-    if a is not b and (a.quiver != b.quiver or a.p != b.p):
+    if a is not b and (a.quiver != b.quiver or a.p != b.p
+                       or a.relations != b.relations
+                       or a.nilpotency_bound != b.nilpotency_bound):
         raise ContextError("modules over different algebras")
 
 
@@ -432,6 +436,18 @@ def span_rank(maps: Sequence[Morphism]) -> int:
                               cols=len(vecs[0])))
 
 
+def hom_ranks(chain: Sequence[Morphism], g: Module,
+              contravariant: bool) -> List[int]:
+    """Rank of the map each d in chain induces on Hom(-, g), that is
+    Hom(d.target, g) -> Hom(d.source, g) (contravariant), or on Hom(g, -),
+    that is Hom(g, d.source) -> Hom(g, d.target)."""
+    if contravariant:
+        return [span_rank([d.then(b) for b in hom_basis(d.target, g)])
+                for d in chain]
+    return [span_rank([b.then(d) for b in hom_basis(g, d.source)])
+            for d in chain]
+
+
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
                        source: Module, target: Module) -> Morphism:
     """sum(coeffs_i * candidates_i), formed entrywise as one Morphism."""
@@ -505,7 +521,7 @@ def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
 # -- isomorphism testing and decomposition ----------------------------
 
 
-def are_isomorphic(m: Module, n: Module, seed: int, retries: int = FITTING_RETRIES) -> bool:
+def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
     """Probabilistic isomorphism test: equal dimension vectors, then random
     Hom elements sampled for vertex-wise invertibility."""
     _require_same_algebra(m, n)
@@ -518,7 +534,7 @@ def are_isomorphic(m: Module, n: Module, seed: int, retries: int = FITTING_RETRI
         return False
     p = m.algebra.p
     rng = random.Random(seed)
-    for _ in range(retries):
+    for _ in range(FITTING_RETRIES):
         cand = assemble_from_span(basis, [rng.randrange(p) for _ in basis], m, n)
         if all(rank(cand.components[v]) == m.dims[v]
                for v in m.algebra.quiver.vertices):
@@ -547,13 +563,12 @@ def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Modu
     return kernel_morphism(ge)[0], image_morphism(ge)[0]
 
 
-def split_indecomposables(x: Module, seed: int,
-                          retries: int = FITTING_RETRIES) -> List[Tuple[Module, int]]:
+def split_indecomposables(x: Module, seed: int) -> List[Tuple[Module, int]]:
     """Decomposition into indecomposables with multiplicities.
 
     Deterministic given the seed.  A summand with dim End = 1 has
     End = F_p and is indecomposable, exactly.  Any other summand is
-    declared indecomposable after ``retries`` consecutive failed
+    declared indecomposable after FITTING_RETRIES consecutive failed
     splitting attempts, so that verdict is probabilistic.
     """
     rng = random.Random(seed)
@@ -563,7 +578,7 @@ def split_indecomposables(x: Module, seed: int,
         if m.total_dim == 0:
             return
         if len(hom_basis(m, m)) > 1:        # else End(m) = F_p: indecomposable
-            for _ in range(retries):
+            for _ in range(FITTING_RETRIES):
                 split = _fitting_split(m, rng)
                 if split is not None:
                     work(split[0])

@@ -117,6 +117,20 @@ def test_hom_respects_context(a3, pi2):
         Morphism(projective_module(a3, "0"), projective_module(pi2, "1"), {})
 
 
+def test_hom_rejects_modules_over_another_quotient_of_one_quiver():
+    # K A_3 / J^2 and K A_3 share the quiver and p; P_2 over K A_3 has
+    # dimension vector (1, 1, 1) and is no module over K A_3 / J^2
+    a3 = linear_a3_j2(101)
+    path_alg = build_algebra(a3.quiver, [], 3, FieldSpec(101))
+    p2 = projective_module(path_alg, "2")
+    assert p2.dim_vector() == (1, 1, 1)
+    with pytest.raises(ContextError):
+        hom_basis(simple_module(a3, "0"), p2)
+    # a separately built copy of the same algebra still counts as one
+    assert hom_basis(simple_module(a3, "0"),
+                     projective_module(linear_a3_j2(101), "1"))
+
+
 # -- kernels and cokernels ----------------------------------------------
 
 
