@@ -9,8 +9,9 @@ generators.  Every factorization through a map (comparison homotopy,
 contraction, chain completion) is one reps.factor_through.
 
 All verification is Hom-level rank bookkeeping against the generator
-list, with every rank read from reps.hom_ranks; certificates are
-assembled in generator-list order.  Tie-breaking is fixed everywhere:
+list: reps.hom_dims_and_ranks reads each rank together with the
+dimension of the Hom space the map leaves.  Certificates are assembled
+in generator-list order.  Tie-breaking is fixed everywhere:
 generators in the order listed, Hom bases in the deterministic
 kernel_basis order.
 """
@@ -24,8 +25,9 @@ from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, cokernel_morphism, factor_through,
-                   hom_basis, hom_ranks, identity_morphism, in_add,
-                   kernel_morphism, solve_in_span, split_indecomposables,
+                   hom_basis, hom_dims_and_ranks, hom_ranks,
+                   identity_morphism, in_add, kernel_morphism,
+                   solve_in_span, split_indecomposables,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
 
@@ -109,34 +111,30 @@ def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
 
     Contract (verified): Hom(T, G) -> Hom(x, G) is surjective for every
     generator G."""
-    parts: List[Tuple[Module, Morphism]] = []
-    for g in m.generators:
-        for f in hom_basis(x, g):
-            parts.append((g, f))
-    parts = _peel_superfluous(parts, left=True)
+    homs = [hom_basis(x, g) for g in m.generators]
+    parts = _peel_superfluous([(g, f) for g, basis in zip(m.generators, homs)
+                               for f in basis], left=True)
     if not parts:
         approx = zero_morphism(x, zero_module(x.algebra))
     else:
         approx = stack_morphisms_to_sum([f for _, f in parts])
-    for g in m.generators:
-        if hom_ranks([approx], g, contravariant=True)[0] != len(hom_basis(x, g)):
+    for g, basis in zip(m.generators, homs):
+        if hom_ranks([approx], g, contravariant=True)[0] != len(basis):
             raise AssertionError("left approximation lost a Hom class")
     return approx
 
 
 def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
     """Minimal right add(M)-approximation T -> x, dual to the left one."""
-    parts: List[Tuple[Module, Morphism]] = []
-    for g in m.generators:
-        for f in hom_basis(g, x):
-            parts.append((g, f))
-    parts = _peel_superfluous(parts, left=False)
+    homs = [hom_basis(g, x) for g in m.generators]
+    parts = _peel_superfluous([(g, f) for g, basis in zip(m.generators, homs)
+                               for f in basis], left=False)
     if not parts:
         approx = zero_morphism(zero_module(x.algebra), x)
     else:
         approx = stack_morphisms_from_sum([f for _, f in parts])
-    for g in m.generators:
-        if hom_ranks([approx], g, contravariant=False)[0] != len(hom_basis(g, x)):
+    for g, basis in zip(m.generators, homs):
+        if hom_ranks([approx], g, contravariant=False)[0] != len(basis):
             raise AssertionError("right approximation lost a Hom class")
     return approx
 
@@ -160,8 +158,9 @@ def weak_cokernel(f: Morphism, m: AddCat) -> Morphism:
         raise AssertionError("weak cokernel does not kill f")
     for gen in m.generators:
         # Hom(C, gen) -> Hom(B, gen) -> Hom(A, gen) is exact at Hom(B, gen)
-        rank_to_a, rank_from_c = hom_ranks([f, g], gen, contravariant=True)
-        if rank_from_c != len(hom_basis(f.target, gen)) - rank_to_a:
+        (dim_b, rank_to_a), (_, rank_from_c) = hom_dims_and_ranks(
+            [f, g], gen, contravariant=True)
+        if rank_from_c != dim_b - rank_to_a:
             raise AssertionError("weak cokernel property failed")
     return g
 
@@ -185,10 +184,10 @@ def weak_kernel(f: Morphism, m: AddCat) -> Morphism:
 
 def hom_exact_at_middle(p: Module, f: Morphism, g: Morphism) -> Tuple[bool, dict]:
     """Exactness of Hom(p, L) -> Hom(p, M) -> Hom(p, N) at the middle."""
-    hom_m = hom_basis(p, f.target)
-    rank_alpha, rank_beta = hom_ranks([f, g], p, contravariant=False)
-    dim_ker = len(hom_m) - rank_beta
-    ranks = {"dim_hom_middle": len(hom_m), "rank_in": rank_alpha,
+    (_, rank_alpha), (dim_m, rank_beta) = hom_dims_and_ranks(
+        [f, g], p, contravariant=False)
+    dim_ker = dim_m - rank_beta
+    ranks = {"dim_hom_middle": dim_m, "rank_in": rank_alpha,
              "rank_out": rank_beta, "kernel_dim": dim_ker}
     return dim_ker == rank_alpha, ranks
 
@@ -329,24 +328,23 @@ def _hom_fragment(chain: List[Morphism], gens: Sequence[Module],
     runs (X^{top} first when contravariant): rank_in is the rank of the map
     into the term (0 at the first, where exactness means injectivity) and
     rank_out that of the map out of it."""
-    terms = [chain[0].source] + [d.target for d in chain]
-    positions = list(range(len(terms)))
+    positions = list(range(len(chain) + 1))
     if contravariant:
         positions.reverse()
     per_gen = []
     ok = True
     for gi, g in enumerate(gens):
-        ranks = hom_ranks(chain, g, contravariant)
+        # the dimension read with each rank is that of the term it leaves
+        pairs = hom_dims_and_ranks(chain, g, contravariant)
         if contravariant:
-            ranks.reverse()
+            pairs.reverse()
         records = []
-        for i, k in enumerate(positions[:-1]):
-            dim = len(hom_basis(terms[k], g) if contravariant
-                      else hom_basis(g, terms[k]))
-            rank_in = ranks[i - 1] if i else 0
-            exact = dim - ranks[i] == rank_in
-            records.append(ExactnessRecord(k, dim, rank_in, ranks[i], exact))
+        rank_in = 0
+        for k, (dim, rank_out) in zip(positions, pairs):
+            exact = dim - rank_out == rank_in
+            records.append(ExactnessRecord(k, dim, rank_in, rank_out, exact))
             ok = ok and exact
+            rank_in = rank_out
         per_gen.append((gi, records))
     return HomExactnessFragment("contravariant" if contravariant else "covariant",
                                 per_gen, ok)

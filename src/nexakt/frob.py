@@ -31,8 +31,9 @@ from .reps import (Module, Morphism, all_injectives, all_projectives,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, solve_jointly, span_rank, split_indecomposables,
                    stack_morphisms_from_sum, zero_module, zero_morphism)
-from .resolutions import (Coresolution, cosyzygy_of, cosyzygy_projection,
-                          min_injective_coresolution, syzygy)
+from .resolutions import (Coresolution, _injective_chain, cosyzygy_of,
+                          cosyzygy_projection, min_injective_coresolution,
+                          syzygy)
 from .tilting import NctReport, check_n_cluster_tilting
 
 
@@ -112,7 +113,7 @@ class StableHom:
 
 def _envelope(x: Module) -> Morphism:
     """The memoized injective envelope x -> E(x)."""
-    return min_injective_coresolution(x, 1).maps[0]
+    return _injective_chain(x, 1).maps[0]
 
 
 def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:

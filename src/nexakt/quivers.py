@@ -150,8 +150,9 @@ def _enumerate_paths(q: Quiver, max_len: int) -> List[PathWord]:
 
 
 class Memo:
-    """An object with a memo dict ``_memo``, so an entry lives and dies
-    with its owner; reps lists the keys in use."""
+    """An object with a memo dict ``_memo``.  An algebra owns its dict; a
+    module shares its record with every live module of its content, so an
+    entry lives as long as the last of them.  reps lists the keys in use."""
 
     def memoized(self, key, make):
         """The value kept under key, made by make() on first use."""

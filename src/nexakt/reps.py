@@ -17,17 +17,22 @@ direct sums is one ``block_morphism``: block (i, j) from source summand
 j to target summand i, missing blocks zero.
 
 A module carries its content key, the dimension vector plus the action
-entries.  The one memo of the package is ``Memo.memoized``: a dict on
-each module (and on each algebra), so an entry dies with its owner.  Its
-keys are ("hom", key of the target) for hom_basis, ("stable", key of the
-target) for frob.stable_hom (the Hom basis and the ideal of maps through
-the injective envelope), ("ext", key of the target, k) for the int
-resolutions.ext_dim keeps for k >= 1, ("in_add", keys of the
-generators) for an in_add verdict, "summands" for the summands
-direct_sum records on a sum (in_add decides a sum by them, and solves
-for no zero module, generator or sum), "projres" and "injres" for the
-growing minimal (co)resolutions, and, on an algebra, "projectives" and
-"injectives".
+entries.  The one memo of the package is ``Memo.memoized``.  Every live
+module of one content shares one memo record: the constructor takes it
+from the algebra's "records" table, which holds records weakly by
+content key, so a record lives as long as the last live module of its
+content.  Memoized maps (Hom bases, chains) start and end at the first
+live module of each content; every endpoint check compares content.
+The keys are ("hom", key of the target) for hom_basis, ("stable", key
+of the target) for frob.stable_hom (the Hom basis and the ideal of maps
+through the injective envelope), ("ext", key of the target, k) for the
+int resolutions.ext_dim keeps for k >= 1, ("in_add", keys of the
+generators) for an in_add verdict, "summands" for a proper
+decomposition direct_sum records (its nonzero parts, when there are at
+least two, each of smaller dimension; in_add decides the content by
+them, and solves for no zero module, generator or sum), "projres" and
+"injres" for the growing minimal (co)resolutions, and, on an algebra
+(whose memo is its own), "records", "projectives" and "injectives".
 
 Decomposition (``split_indecomposables``) splits a module along coprime
 factors of the minimal polynomial of a random endomorphism e: if
@@ -40,6 +45,7 @@ other is declared indecomposable after FITTING_RETRIES failed attempts.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -53,6 +59,13 @@ FITTING_RETRIES = 32
 
 class ContextError(ValueError):
     """Operands live over different algebras."""
+
+
+class _Record(dict):
+    """The memo shared by every live module of one content (a dict that
+    can be weakly referenced)."""
+
+    __slots__ = ("__weakref__",)
 
 
 @dataclass(frozen=True)
@@ -85,7 +98,8 @@ class Module(Memo):
         self._check_relations()
         object.__setattr__(self, "key", (tuple(dims.values()),
                                          tuple(m.entries for m in action.values())))
-        object.__setattr__(self, "_memo", {})
+        records = self.algebra.memoized("records", weakref.WeakValueDictionary)
+        object.__setattr__(self, "_memo", records.setdefault(self.key, _Record()))
 
     def _check_relations(self):
         p = self.algebra.p
@@ -248,9 +262,10 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
     """Basis of Hom(m, n): kernel of the naturality system.
 
     The basis order is the deterministic kernel_basis order, which every
-    certificate downstream relies on.  Memoised on m by the content key
-    of n, so a content-equal target built separately gets the same list
-    (its maps end at the first such target).
+    certificate downstream relies on.  Memoised in the record of m's
+    content by the content key of n, so content-equal sources and targets
+    built separately get the same list: its maps start at the first live
+    module of m's content and end at the first of n's.
     """
     _require_same_algebra(m, n)
     return m.memoized(("hom", n.key), lambda: _solve_hom(m, n))
@@ -350,8 +365,10 @@ class DirectSum(NamedTuple):
 
 
 def direct_sum(mods: Sequence[Module]) -> DirectSum:
-    """The direct sum module, with block-diagonal action; maps into or out
-    of it are built by block_morphism."""
+    """The direct sum module, with block-diagonal action, and the parts
+    given; maps into or out of it are built by block_morphism.  The nonzero
+    parts are recorded as "summands" when there are at least two; a
+    content-equal sum recorded first keeps its own parts."""
     if not mods:
         raise ValueError("empty direct sum; use zero_module")
     alg = mods[0].algebra
@@ -364,7 +381,10 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
             [m.dims[a.target] for m in mods], [m.dims[a.source] for m in mods],
             {(i, i): m.action[a.name] for i, m in enumerate(mods)}, alg.p)
     total = Module(alg, dims, action)
-    return DirectSum(total, total.memoized("summands", lambda: tuple(mods)))
+    nonzero = tuple(m for m in mods if not m.is_zero())
+    if len(nonzero) > 1:
+        total.memoized("summands", lambda: nonzero)
+    return DirectSum(total, tuple(mods))
 
 
 def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
@@ -436,16 +456,27 @@ def span_rank(maps: Sequence[Morphism]) -> int:
                               cols=len(vecs[0])))
 
 
+def hom_dims_and_ranks(chain: Sequence[Morphism], g: Module,
+                       contravariant: bool) -> List[Tuple[int, int]]:
+    """(dim, rank) of the map each d in chain induces on Hom(-, g), that
+    is Hom(d.target, g) -> Hom(d.source, g) (contravariant), or on
+    Hom(g, -), that is Hom(g, d.source) -> Hom(g, d.target); dim is that
+    of the Hom space the map starts from."""
+    out = []
+    for d in chain:
+        if contravariant:
+            basis = hom_basis(d.target, g)
+            out.append((len(basis), span_rank([d.then(b) for b in basis])))
+        else:
+            basis = hom_basis(g, d.source)
+            out.append((len(basis), span_rank([b.then(d) for b in basis])))
+    return out
+
+
 def hom_ranks(chain: Sequence[Morphism], g: Module,
               contravariant: bool) -> List[int]:
-    """Rank of the map each d in chain induces on Hom(-, g), that is
-    Hom(d.target, g) -> Hom(d.source, g) (contravariant), or on Hom(g, -),
-    that is Hom(g, d.source) -> Hom(g, d.target)."""
-    if contravariant:
-        return [span_rank([d.then(b) for b in hom_basis(d.target, g)])
-                for d in chain]
-    return [span_rank([b.then(d) for b in hom_basis(g, d.source)])
-            for d in chain]
+    """The ranks of hom_dims_and_ranks."""
+    return [r for _, r in hom_dims_and_ranks(chain, g, contravariant)]
 
 
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],

@@ -15,7 +15,7 @@ from typing import List, Tuple
 from .fp import Mat, quotient_data, rank, solve_linear
 from .reps import (Module, Morphism, _require_same_algebra, all_injectives,
                    all_projectives, basis_paths, cokernel_morphism,
-                   hom_basis, hom_ranks, kernel_morphism, radical_span,
+                   hom_basis, hom_dims_and_ranks, kernel_morphism, radical_span,
                    socle_span, stack_morphisms_from_sum,
                    stack_morphisms_to_sum, zero_module, zero_morphism)
 
@@ -204,8 +204,9 @@ def cosyzygy_projection(m: Module, k: int) -> Morphism:
 def hom_cohomology_dim(terms: list, maps: list, b: Module, k: int) -> int:
     """dim H^k of Hom(C, b) for C = ... -> terms[k] -> terms[k-1] -> ...
     with maps[j]: terms[j] -> terms[j-1]; needs 1 <= k < len(maps) - 1."""
-    rank_in, rank_out = hom_ranks([maps[k], maps[k + 1]], b, contravariant=True)
-    return len(hom_basis(terms[k], b)) - rank_out - rank_in
+    (_, rank_in), (dim, rank_out) = hom_dims_and_ranks(
+        [maps[k], maps[k + 1]], b, contravariant=True)
+    return dim - rank_out - rank_in
 
 
 def ext_dim(m: Module, n: Module, k: int) -> int:

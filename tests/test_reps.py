@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -218,12 +219,13 @@ def test_in_add_decides_a_sum_by_its_summands(monkeypatch):
                         lambda x, g: solved.append(id(x)) or solve(x, g))
     for parts, member in (([p0, s2], True), ([s1, p1], False)):
         total = direct_sum(parts).module
-        # the same content with no summands recorded: the full solve
+        # a copy made while the sum lives shares its record, summands
+        # included: it is decided by them too, with no solve of its own
         plain = Module(alg, total.dims, total.action)
         assert bool(in_add(total, gens)) is member
         assert bool(in_add(plain, gens)) is member
-        assert id(total) not in solved and id(plain) in solved
-    assert id(s1) in solved                       # the one non-generator summand
+        assert id(total) not in solved and id(plain) not in solved
+    assert solved == [id(s1)]                     # the one non-generator summand
 
 
 def test_in_add_solves_each_module_once_and_no_generator(a3_mods, monkeypatch):
@@ -412,6 +414,77 @@ def test_ext_dim_computed_once_per_target_content_and_degree(a3, monkeypatch):
     assert resolutions.ext_dim(s2, s1, 0) == resolutions.ext_dim(s2, s1, 0) == 0
     assert len(cohomology) == 2 and len(homs) == 2
     assert ("ext", s1.key, 0) not in s2._memo
+
+
+def test_content_equal_sources_share_one_hom_solve(a3, monkeypatch):
+    calls = []
+    solve = reps._solve_hom
+    monkeypatch.setattr(reps, "_solve_hom",
+                        lambda m, n: calls.append((m, n)) or solve(m, n))
+    x, x_again = projective_module(a3, "1"), projective_module(a3, "1")
+    y, y_again = projective_module(a3, "0"), projective_module(a3, "0")
+    assert x is not x_again and x._memo is x_again._memo
+    first = hom_basis(x, y)
+    assert hom_basis(x_again, y_again) is first
+    assert len(calls) == 1
+    # the maps start and end at the first live module of each content
+    assert all(f.source is x and f.target is y for f in first)
+
+
+def test_syzygy_is_not_recomputed_on_a_content_equal_module(a3, monkeypatch):
+    covers = []
+    cover = resolutions.projective_cover
+    monkeypatch.setattr(resolutions, "projective_cover",
+                        lambda m: covers.append(m) or cover(m))
+    s1, s1_again = simple_module(a3, "1"), simple_module(a3, "1")
+    omega = resolutions.syzygy(s1, 1)
+    assert len(covers) == 1
+    assert resolutions.syzygy(s1_again, 1) is omega
+    assert len(covers) == 1
+
+
+@pytest.mark.parametrize("name", ["P0", "S1"])
+def test_in_add_of_a_sum_with_one_nonzero_part_is_the_parts_verdict(a3, a3_mods,
+                                                                    name):
+    # a sum with one nonzero part has that part's content, so it records no
+    # summands: a record listing a module of its own content never ends
+    gens = [a3_mods["P0"], a3_mods["P2"]]
+    x = a3_mods[name]
+    verdict = bool(in_add(x, gens))
+    for parts in ([x, zero_module(a3)], [x], [zero_module(a3), x, zero_module(a3)]):
+        total = direct_sum(parts).module
+        assert total.same_as(x) and "summands" not in total._memo
+        assert bool(in_add(total, gens)) is verdict
+
+
+def test_direct_sum_returns_the_parts_it_was_given(a3_mods):
+    p0, p1, s2 = a3_mods["P0"], a3_mods["P1"], a3_mods["S2"]
+    left, right = direct_sum([p0, p1]).module, direct_sum([p1, s2]).module
+    first = direct_sum([left, s2])
+    second = direct_sum([p0, right])
+    assert second.module.same_as(first.module)
+    assert [id(m) for m in second.parts] == [id(p0), id(right)]
+    assert [id(m) for m in second.module._memo["summands"]] == [id(left), id(s2)]
+    # maps built on the given parts join their summands
+    f = block_morphism(p0, second, {(0, 0): identity_morphism(p0)})
+    assert f.target is second.module
+
+
+def test_a_record_dies_with_the_last_module_of_its_content(a3):
+    x = direct_sum([projective_module(a3, "1"), simple_module(a3, "0"),
+                    simple_module(a3, "1")]).module
+    x_again = Module(a3, x.dims, x.action)
+    hom_basis(x, x)                               # the record now refers to x
+    resolutions.syzygy(x_again, 2)
+    records = a3._memo["records"]
+    key = x.key
+    assert records[key] is x._memo is x_again._memo
+    del x
+    gc.collect()
+    assert records[key] is x_again._memo
+    del x_again
+    gc.collect()
+    assert key not in records
 
 
 def test_projectives_and_injectives_built_once_per_algebra(a3):
