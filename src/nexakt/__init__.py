@@ -24,8 +24,9 @@ from .complexes import (ComplexSeq, ComplexMorphism, Homotopy,
 from .resolutions import (Coresolution, Resolution, cosyzygy_of, ext_dim,
                           min_injective_coresolution,
                           min_projective_resolution, syzygy)
-from .addcat import (AddCat, NExactCert, add_category, comparison_homotopy,
-                     contract, minimal_left_approximation,
+from .addcat import (AddCat, Indecomposables, NExactCert, add_category,
+                     comparison_homotopy, contract, indecomposables,
+                     minimal_left_approximation,
                      minimal_right_approximation, n_cokernel, n_kernel,
                      verify_n_cokernel, verify_n_exact, verify_n_kernel,
                      weak_cokernel, weak_kernel)
@@ -54,7 +55,8 @@ __all__ = [
     "mapping_cone", "verify_homotopy",
     "Coresolution", "Resolution", "cosyzygy_of", "ext_dim",
     "min_injective_coresolution", "min_projective_resolution", "syzygy",
-    "AddCat", "NExactCert", "add_category", "comparison_homotopy", "contract",
+    "AddCat", "Indecomposables", "NExactCert", "add_category",
+    "comparison_homotopy", "contract", "indecomposables",
     "minimal_left_approximation", "minimal_right_approximation", "n_cokernel",
     "n_kernel", "verify_n_cokernel", "verify_n_exact", "verify_n_kernel",
     "weak_cokernel", "weak_kernel",

@@ -23,9 +23,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
-from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   are_isomorphic, cokernel_morphism, factor_through,
-                   hom_basis, hom_dims_and_ranks, hom_ranks,
+from .reps import (Module, Morphism, are_isomorphic, cokernel_morphism,
+                   factor_through, hom_basis, hom_dims_and_ranks, hom_ranks,
                    identity_morphism, in_add, kernel_morphism,
                    solve_in_span, split_indecomposables,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
@@ -33,8 +32,9 @@ from .reps import (Module, Morphism, all_injectives, all_projectives,
 
 
 class DomainError(ValueError):
-    """An object required to lie in add(M) does not, or a generator of
-    add(M) is decomposable or repeated."""
+    """An object required to lie in add(M) does not, or a list of
+    indecomposables (such as the generators) has a decomposable or
+    repeated entry."""
 
 
 class PreconditionError(ValueError):
@@ -49,32 +49,60 @@ class HypothesisError(ValueError):
         self.degree = degree
 
 
+class Indecomposables(tuple):
+    """Indecomposable, pairwise non-isomorphic modules, trusted as given:
+    made by indecomposables(), which checks once, or, complete, by
+    presets.nakayama_indecomposables.  ``complete`` means every
+    indecomposable is listed up to isomorphism, so verdicts are absolute."""
+
+    def __new__(cls, modules: Sequence[Module], complete: bool = False):
+        self = super().__new__(cls, modules)
+        self.complete = complete
+        return self
+
+    def index_of(self, x: Module, seed: int) -> int:
+        """Position of the entry isomorphic to x (PreconditionError if none)."""
+        for i, entry in enumerate(self):
+            if are_isomorphic(x, entry, seed):
+                return i
+        raise PreconditionError(f"no entry is isomorphic to the module of "
+                                f"dimension vector {list(x.dim_vector())}")
+
+    def pick(self, indices: Sequence[int]) -> "Indecomposables":
+        """The sublist at the given positions: checked, and not complete."""
+        return Indecomposables([self[i] for i in indices])
+
+
+def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables:
+    """Check once, by seeded splitting, that the modules are indecomposable
+    and pairwise non-isomorphic (DomainError names the first bad entry); an
+    Indecomposables is returned as it is."""
+    if isinstance(modules, Indecomposables):
+        return modules
+    mods = tuple(modules)
+    for i, x in enumerate(mods):
+        parts = split_indecomposables(x, seed + i)
+        if len(parts) != 1 or parts[0][1] != 1:
+            raise DomainError(f"entry {i} is decomposable")
+    for i in range(len(mods)):
+        for j in range(i + 1, len(mods)):
+            if are_isomorphic(mods[i], mods[j], seed + 101 * (i + j)):
+                raise DomainError(f"entries {i} and {j} are isomorphic")
+    return Indecomposables(mods)
+
+
 @dataclass
 class AddCat:
-    """M = add(G_1 + ... + G_r) for pairwise non-isomorphic indecomposable
-    generators."""
+    """M = add(G_1 + ... + G_r); the generators are checked indecomposable
+    and pairwise non-isomorphic when the list is made (indecomposables())."""
 
     algebra: AlgebraBasis
-    generators: list
-    contains_projectives: bool = False
-    contains_injectives: bool = False
+    generators: Indecomposables
 
 
-def add_category(alg: AlgebraBasis, generators: Sequence[Module], seed: int = 0,
-                 check: bool = True) -> AddCat:
-    gens = list(generators)
-    if check:
-        for i, g in enumerate(gens):
-            parts = split_indecomposables(g, seed + i)
-            if len(parts) != 1 or parts[0][1] != 1:
-                raise DomainError(f"generator {i} is decomposable")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if are_isomorphic(gens[i], gens[j], seed + 101 * (i + j)):
-                    raise DomainError(f"generators {i} and {j} are isomorphic")
-    has_proj = all(in_add(pv, gens) for pv in all_projectives(alg))
-    has_inj = all(in_add(iv, gens) for iv in all_injectives(alg))
-    return AddCat(alg, gens, has_proj, has_inj)
+def add_category(alg: AlgebraBasis, generators: Sequence[Module],
+                 seed: int = 0) -> AddCat:
+    return AddCat(alg, indecomposables(generators, seed))
 
 
 # -- approximations ------------------------------------------------------

@@ -15,14 +15,14 @@ from pathlib import Path
 
 from . import __version__
 from .addcat import (DomainError, HypothesisError, PreconditionError,
-                     add_category, contravariant_fragment, n_cokernel,
-                     n_kernel, verify_n_cokernel, verify_n_exact,
+                     add_category, contravariant_fragment, indecomposables,
+                     n_cokernel, n_kernel, verify_n_cokernel, verify_n_exact,
                      verify_n_kernel)
 from .certs import Certificate, canonical_json, content_hash, emit_certificate
 from .complexes import mapping_cone
 from .fileio import (InputError, algebra_from_dict, algebra_to_dict,
-                     complex_from_dict, load_generators, load_json,
-                     load_module, module_to_dict, morphism_to_dict,
+                     complex_from_dict, generators_from_dict, load_generators,
+                     load_json, load_module, module_to_dict, morphism_to_dict,
                      morphism_with_endpoints_from_dict)
 from .fp import FieldSpec
 from .frob import (SetupError, angle_cone, check_frobenius_setup,
@@ -82,8 +82,9 @@ def _run_check(args) -> int:
 
 
 def _load_inputs(args, cert: Certificate) -> argparse.Namespace:
-    """Read each input file once, embed it in the certificate and build
-    add(M) from --m.  Demo presets embed their algebra via ins.embed."""
+    """Read each input file once, embed it in the certificate, check an
+    --indecs file and the --m generators as lists of indecomposables and
+    build add(M).  Demo presets embed their algebra via ins.embed."""
     ins = argparse.Namespace(seed=cert.seed, embed=cert.add_input)
     if "algebra" not in args:
         return ins
@@ -98,9 +99,13 @@ def _load_inputs(args, cert: Certificate) -> argparse.Namespace:
             setattr(ins, dest, parse(data, alg))
             cert.add_input(dest, data)
     if "indecs" in args:
-        ins.indecs = (nakayama_indecomposables(alg)
-                      if args.indecs == "nakayama"
-                      else load_generators(args.indecs, alg))
+        if args.indecs == "nakayama":
+            ins.indecs = nakayama_indecomposables(alg)
+        else:
+            data = load_json(args.indecs)
+            ins.indecs = _checked("--indecs", generators_from_dict(data, alg),
+                                  cert.seed)
+            cert.add_input("indecs", data)
     if "m" not in args:
         return ins
     named = {}
@@ -122,8 +127,15 @@ def _load_inputs(args, cert: Certificate) -> argparse.Namespace:
     else:
         gens = load_generators(args.m, alg)
     cert.add_input("generators", [module_to_dict(g) for g in gens])
-    ins.cat = add_category(alg, gens, seed=cert.seed)
+    ins.cat = add_category(alg, _checked("--m", gens, cert.seed))
     return ins
+
+
+def _checked(flag, modules, seed):
+    try:
+        return indecomposables(modules, seed)
+    except DomainError as exc:
+        raise DomainError(f"{flag} {exc}") from None
 
 
 def _finish(args, cert: Certificate, passed: bool, summary: str) -> int:
@@ -152,7 +164,7 @@ def _check_algebra(args, ins):
 
 def _check_nct(args, ins):
     report = check_n_cluster_tilting(ins.cat, args.n, ins.indecs,
-                                     complete=True, seed=ins.seed)
+                                     seed=ins.seed)
     return {"n": args.n}, report.ok, report.to_dict(), report.verdict
 
 
@@ -235,8 +247,7 @@ def _check_frobenius(args, ins):
 
 
 def _check_search(args, ins):
-    hits = brute_force_nct_search(ins.alg, args.n, ins.indecs, complete=True,
-                                  seed=ins.seed)
+    hits = brute_force_nct_search(ins.alg, args.n, ins.indecs, seed=ins.seed)
     return ({"n": args.n}, len(hits),
             {"indecomposables": _dims(ins.indecs), "hits": hits},
             f"{len(hits)} n-CT subset(s)")
@@ -248,7 +259,7 @@ def _demo_j2(n, m, args, ins):
     alg, expected = gen_linear_An_J2(n, m, p=args.p)
     ins.embed("algebra", algebra_to_dict(alg))
     indecs = nakayama_indecomposables(alg)
-    hits = brute_force_nct_search(alg, n, indecs, complete=True, seed=ins.seed)
+    hits = brute_force_nct_search(alg, n, indecs, seed=ins.seed)
     unique = len(hits) == 1
     matches = unique and len(hits[0]) == len(expected) and all(
         any(are_isomorphic(g, indecs[i], ins.seed + 5) for i in hits[0])
@@ -294,7 +305,7 @@ def _demo_auslander(args, ins):
                      for w in a.quiver.vertices) for a in (aus, lam)]
     same = aus.dim == lam.dim and blocks[0] == blocks[1]
     hits = brute_force_nct_search(aus, 2, nakayama_indecomposables(aus),
-                                  complete=True, seed=ins.seed)
+                                  seed=ins.seed)
     ok = same and len(hits) == 1
     return {"p": args.p}, ok, {
         "dimension": aus.dim, "isomorphic_presentation_to_a3_j2": same,
@@ -326,7 +337,9 @@ def prime(text):
 _file = partial(_opt, required=True)
 _ALGEBRA, _M = _file("--algebra"), _file("--m")
 _N = _opt("--n", type=positive_int, required=True)
-_FROBENIUS = [_ALGEBRA, _M, _N, _opt("--indecs", default="nakayama")]
+_INDECS = _opt("--indecs", "'nakayama' (complete) or a generators file; a "
+               "file gives verdicts relative to its list", default="nakayama")
+_FROBENIUS = [_ALGEBRA, _M, _N, _INDECS]
 _ALPHA = _file("--alpha", "morphism file with embedded endpoints")
 _COMMON = [_opt("--seed", "seed (fallback: NEXAKT_SEED, then 0)", type=int),
            _opt("--out", "certificate directory", default="certs"),
@@ -345,8 +358,7 @@ COMMANDS = (
     ("algebra check", "validate an algebra definition", [_ALGEBRA],
      _check_algebra),
     ("nct check", None, [_ALGEBRA, _file("--m", "generators file"), _N,
-                         _opt("--indecs", "'nakayama' or a generators-format "
-                              "file", default="nakayama")], _check_nct),
+                         _INDECS], _check_nct),
     ("ncoker", "construct and certify an n-cokernel",
      [_ALGEBRA, _file("--morphism", "d0 morphism file"), _M, _N],
      _ladder_check(n_cokernel, verify_n_cokernel, "tail",
@@ -368,7 +380,7 @@ COMMANDS = (
     ("frobenius angle", None, _FROBENIUS + [_ALPHA], _check_frobenius),
     ("frobenius rotate", None, _FROBENIUS + [_ALPHA], _check_frobenius),
     ("frobenius cone", None, _FROBENIUS + [_ALPHA], _check_frobenius),
-    ("search nct", None, [_ALGEBRA, _N, _opt("--indecs", default="nakayama")],
+    ("search nct", None, [_ALGEBRA, _N, _INDECS],
      _check_search),
     ("demo", "run a named preset end to end",
      [("preset", {"choices": tuple(_DEMOS)}),

@@ -55,7 +55,7 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
     """Verify selfinjectivity, the n-CT property and (co)syzygy closure;
     the closure check grows each generator's memoized coresolution to the
     length n the suspension uses."""
-    report = check_n_cluster_tilting(m, n, indec_list, complete=True, seed=seed)
+    report = check_n_cluster_tilting(m, n, indec_list, seed=seed)
     if not report.ok:
         raise SetupError(f"subcategory is not n-cluster-tilting: "
                          f"{report.to_dict()}")

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .addcat import add_category
-from .fp import FieldSpec, Mat
+from .addcat import Indecomposables, add_category, indecomposables
+from .fp import FieldSpec, Mat, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
-from .reps import (Module, all_projectives, are_isomorphic,
-                   projective_module, quotient_by_submodule)
+from .reps import (Module, all_projectives, projective_module,
+                   quotient_by_submodule)
 from .resolutions import ext_dim
 from .tilting import check_n_cluster_tilting
 
@@ -97,22 +97,27 @@ def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:
     return build_algebra(q, rels, bound, FieldSpec(p))
 
 
-def nakayama_indecomposables(alg: AlgebraBasis) -> List[Module]:
-    """All uniserial modules P_v / rad^l P_v; provably complete when the
-    quiver is linear A_k or a single oriented cycle (verified)."""
+def nakayama_indecomposables(alg: AlgebraBasis) -> Indecomposables:
+    """All uniserial P_v / rad^l P_v: every indecomposable of a Nakayama
+    algebra (linear A_k or one oriented cycle), exactly.  Each has a simple
+    top (asserted), so is local; entries differ in top vertex or length."""
     _require_nakayama(alg.quiver)
     out = []
     for v in alg.quiver.vertices:
         pv = projective_module(alg, v)
         span = _radical_power_span(pv, 1)
         for _ in range(pv.total_dim + 1):
-            out.append(quotient_by_submodule(pv, span)[0])
+            x = quotient_by_submodule(pv, span)[0]
+            # in-degree <= 1: rad x is one arrow's image at each vertex
+            if x.total_dim - sum(rank(a) for a in x.action.values()) != 1:
+                raise AssertionError("uniserial quotient without a simple top")
+            out.append(x)
             if not any(_nonzero(s) for s in span.values()):
                 break          # rad^l P_v = 0: l is the Loewy length
             span = _radical_step(pv, span)
         else:
             raise AssertionError("radical series does not terminate")
-    return out
+    return Indecomposables(out, complete=True)
 
 
 def _require_nakayama(q: Quiver):
@@ -170,29 +175,21 @@ def gen_auslander_linear_A(m: int, p: int = 101) -> AlgebraBasis:
 
 
 def brute_force_nct_search(alg: AlgebraBasis, n: int,
-                           indec_list: Sequence[Module], complete: bool,
+                           indec_list: Sequence[Module],
                            seed: int = 0) -> List[List[int]]:
     """Every subset of indec_list that contains all projectives and whose
     add-closure certifies as n-cluster-tilting, by size, then
     lexicographically.
 
+    The list is checked once, up front, and no subset is checked again.
     A subset whose entries have nonzero Ext^{1..n-1} between two of them
     (or one with itself) fails the certifier's rigidity test, so only the
     Ext^{1..n-1}-orthogonal subsets are enumerated: the cliques of the
     compatibility graph read from one Ext table.  Each still gets the
     full check_n_cluster_tilting."""
-    projs = all_projectives(alg)
-    proj_idx = []
-    for pv in projs:
-        hit = None
-        for i, x in enumerate(indec_list):
-            if are_isomorphic(pv, x, seed + 19):
-                hit = i
-                break
-        if hit is None:
-            raise ValueError("indec_list must contain every projective")
-        proj_idx.append(hit)
-    proj_set = sorted(set(proj_idx))
+    indec_list = indecomposables(indec_list, seed)
+    proj_set = sorted({indec_list.index_of(pv, seed + 19)
+                       for pv in all_projectives(alg)})
     ext = [[any(ext_dim(x, y, deg) for deg in range(1, n)) for y in indec_list]
            for x in indec_list]
 
@@ -217,10 +214,7 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     hits = []
     for extra in sorted(cliques, key=lambda c: (len(c), c)):
         subset = sorted(proj_set + list(extra))
-        gens = [indec_list[i] for i in subset]
-        cat = add_category(alg, gens, seed=seed, check=False)
-        report = check_n_cluster_tilting(cat, n, indec_list, complete,
-                                         seed=seed, validate_list=False)
-        if report.ok:
+        cat = add_category(alg, indec_list.pick(subset))
+        if check_n_cluster_tilting(cat, n, indec_list, seed=seed).ok:
             hits.append(subset)
     return hits

@@ -352,9 +352,8 @@ def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
 
 def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
     """Quotient of x by the submodule spanned vertex-wise by ``span``."""
-    sub = _induced_action_on_sub(x, {v: column_space_basis(span[v]) for v in span})
-    incl = Morphism(sub, x, {v: column_space_basis(span[v]) for v in span})
-    return cokernel_morphism(incl)
+    cols = {v: column_space_basis(span[v]) for v in span}
+    return cokernel_morphism(Morphism(_induced_action_on_sub(x, cols), x, cols))
 
 
 class DirectSum(NamedTuple):
@@ -553,9 +552,12 @@ def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
 
 
 def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
-    """Probabilistic isomorphism test: equal dimension vectors, then random
-    Hom elements sampled for vertex-wise invertibility."""
+    """Probabilistic isomorphism test: equal content (the identity map),
+    then equal dimension vectors and random Hom elements sampled for
+    vertex-wise invertibility."""
     _require_same_algebra(m, n)
+    if m.same_as(n):
+        return True
     if m.dim_vector() != n.dim_vector():
         return False
     if m.total_dim == 0:

@@ -4,8 +4,10 @@ add(M)-resolutions.
 Generating/cogenerating are checked as "all P_v (resp. I_v) lie in
 add(M)": an epimorphism from add(M) onto the regular module splits, so
 this is equivalent to the categorical condition in mod(Lambda).
-Functorial finiteness is automatic for add of a finite-dimensional
-module and is reported rather than tested.
+Maximality is checked against an addcat.Indecomposables list, so the
+verdict is relative to it unless the list is complete.  Functorial
+finiteness is automatic for add of a finite-dimensional module and is
+reported rather than tested.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .addcat import (AddCat, HypothesisError, PreconditionError,
-                     hom_exact_at_middle, minimal_right_approximation,
-                     weak_cokernel)
-from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   are_isomorphic, in_add, kernel_morphism,
-                   split_indecomposables)
+                     hom_exact_at_middle, indecomposables,
+                     minimal_right_approximation, weak_cokernel)
+from .reps import (Module, Morphism, all_injectives, all_projectives, in_add,
+                   kernel_morphism)
 from .resolutions import ext_dim, hom_cohomology_dim
+
+NCT_NOTES = ("add of a finite-dimensional module is functorially finite in "
+             "mod(Lambda); reported, not tested",
+             "membership checks are exact; indecomposability of inputs was "
+             "certified by seeded Fitting splitting")
 
 
 @dataclass
@@ -31,12 +37,6 @@ class NctReport:
     rigidity_failures: list           # (i, j, degree, ext dimension)
     maximality_failures: list         # dicts with module index and the three flags
     complete_list: bool
-    functorially_finite_note: str = ("add of a finite-dimensional module is "
-                                     "functorially finite in mod(Lambda); "
-                                     "reported, not tested")
-    indecomposability_note: str = ("membership checks are exact; "
-                                   "indecomposability of inputs was certified "
-                                   "by seeded Fitting splitting")
 
     @property
     def ok(self) -> bool:
@@ -60,28 +60,22 @@ class NctReport:
             "complete_list": self.complete_list,
             "verdict": self.verdict,
             "ok": self.ok,
-            "notes": [self.functorially_finite_note,
-                      self.indecomposability_note],
+            "notes": list(NCT_NOTES),
         }
 
 
 def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
-                            complete: bool, seed: int = 0,
-                            validate_list: bool = True) -> NctReport:
-    """Certify that add(generators) is n-cluster-tilting relative to the
-    supplied indecomposable list."""
+                            seed: int = 0) -> NctReport:
+    """Certify that add(generators) is n-cluster-tilting relative to
+    indec_list (checked by addcat.indecomposables() unless it is an
+    Indecomposables), which must hold every generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
     alg = m.algebra
-    if validate_list:
-        for i, x in enumerate(indec_list):
-            parts = split_indecomposables(x, seed + 7 * i)
-            if len(parts) != 1 or parts[0][1] != 1:
-                raise PreconditionError(f"indec_list entry {i} is decomposable")
-        for g in m.generators:
-            if not any(are_isomorphic(g, x, seed + 13) for x in indec_list):
-                raise PreconditionError("a generator is missing from indec_list")
+    indec_list = indecomposables(indec_list, seed)
     gens = m.generators
+    for g in gens:
+        indec_list.index_of(g, seed + 13)
     generating = [v for v, pv in zip(alg.quiver.vertices, all_projectives(alg))
                   if not in_add(pv, gens)]
     cogenerating = [v for v, iv in zip(alg.quiver.vertices, all_injectives(alg))
@@ -105,7 +99,7 @@ def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
                                "in_add": member, "ext_to_M_vanishes": left,
                                "ext_from_M_vanishes": right})
     return NctReport(n, [g.dim_vector() for g in gens], generating,
-                     cogenerating, rigidity, maximality, complete)
+                     cogenerating, rigidity, maximality, indec_list.complete)
 
 
 # -- Ext via add(M)-approximation resolutions ---------------------------

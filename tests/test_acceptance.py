@@ -48,7 +48,7 @@ def a3_setup(p=101):
         "S2": simple_module(alg, "2"),
     }
     m3 = add_category(alg, [mods["P0"], mods["P1"], mods["P2"], mods["S2"]],
-                      seed=1, check=False)
+                      seed=1)
     return alg, mods, m3
 
 
@@ -67,8 +67,7 @@ def pi2_setup(p=101):
         "S1": simple_module(alg, "1"),
         "S2": simple_module(alg, "2"),
     }
-    m = add_category(alg, [mods["P1"], mods["P2"], mods["S1"]], seed=1,
-                     check=False)
+    m = add_category(alg, [mods["P1"], mods["P2"], mods["S1"]], seed=1)
     return alg, mods, m
 
 
@@ -91,8 +90,7 @@ def test_criterion_1_uniqueness():
         for p in (2, 5, 101):
             alg, expected = gen_linear_An_J2(n, m, p=p)
             indecs = nakayama_indecomposables(alg)
-            hits = brute_force_nct_search(alg, n, indecs, complete=True,
-                                          seed=0)
+            hits = brute_force_nct_search(alg, n, indecs, seed=0)
             assert len(hits) == 1, (n, m, p, hits)
             gens = [indecs[i] for i in hits[0]]
             assert len(gens) == len(expected)

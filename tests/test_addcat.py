@@ -11,9 +11,11 @@ from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
                               identity_complex_morphism, interval_complex,
                               pad_complex, verify_homotopy,
                               zero_complex_morphism, zero_homotopy)
+from nexakt.presets import nakayama_indecomposables
 from nexakt.reps import (are_isomorphic, block_morphism, direct_sum,
                          hom_basis, identity_morphism, projective_module,
                          simple_module, zero_module, zero_morphism)
+from nexakt.tilting import check_n_cluster_tilting
 
 
 @pytest.fixture
@@ -51,9 +53,10 @@ def m3_sequence(a3, mods):
 # -- AddCat construction --------------------------------------------------
 
 
-def test_add_category_flags(m3):
-    assert m3.contains_projectives
-    assert m3.contains_injectives  # I0, I1 = P1, P2 shifts; I2 = S2
+def test_add_category_flags(a3, m3):
+    report = check_n_cluster_tilting(m3, 2, nakayama_indecomposables(a3))
+    assert report.generating_failures == []      # every P_v lies in add(M)
+    assert report.cogenerating_failures == []    # I0, I1 = P1, P2 shifts; I2 = S2
 
 
 def test_add_category_rejects_decomposable(a3, mods):

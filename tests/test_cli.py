@@ -10,7 +10,8 @@ from nexakt.cli import _build_parser, main
 from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            load_algebra, module_from_dict, module_to_dict,
                            morphism_with_endpoints_to_dict)
-from nexakt.presets import gen_linear_An_J2, gen_preprojective_A
+from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
+                            nakayama_indecomposables)
 from nexakt.reps import (direct_sum, hom_basis, projective_module,
                          simple_module)
 
@@ -305,8 +306,8 @@ def _assert_input_error(code, capsys, words):
 
 
 @pytest.mark.parametrize("picks, words", [
-    ((("P0", "S2"), "P1", "P2"), "generator 0 is decomposable"),
-    (("P0", "P1", "P2", "P1"), "generators 1 and 3 are isomorphic"),
+    ((("P0", "S2"), "P1", "P2"), "--m entry 0 is decomposable"),
+    (("P0", "P1", "P2", "P1"), "--m entries 1 and 3 are isomorphic"),
 ])
 def test_bad_generator_exits_2(files, tmp_path, capsys, picks, words):
     alg = load_algebra(files["algebra"])
@@ -320,6 +321,53 @@ def test_bad_generator_exits_2(files, tmp_path, capsys, picks, words):
     code = run("nct", "check", "--algebra", files["algebra"], "--m", m_path,
                "--n", 2, "--out", files["out"])
     _assert_input_error(code, capsys, words)
+
+
+@pytest.fixture
+def a5_files(tmp_path):
+    """K A_5/J^2 at p = 101, M = Lambda + S_4 as a generators file, and the
+    Nakayama list with one bad entry appended: S_4 + S_4, or S_4 again."""
+    alg, _ = gen_linear_An_J2(2, 2)
+    paths = {"algebra": tmp_path / "a5.json", "out": tmp_path / "certs"}
+    dump_algebra(alg, paths["algebra"])
+    s4 = simple_module(alg, "4")
+    nakayama = list(nakayama_indecomposables(alg))
+    lists = {"m": [projective_module(alg, str(v)) for v in range(5)] + [s4],
+             "decomposable": nakayama + [direct_sum([s4, s4]).module],
+             "repeated": nakayama + [s4]}
+    for name, mods in lists.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(canonical_json(
+            {"generators": [module_to_dict(x) for x in mods]}))
+    return paths
+
+
+def test_indecs_file_gives_a_relative_verdict(a5_files, capsys):
+    # --indecs is M itself, which lacks S_2: "n-CT" held only relative to it
+    f = a5_files
+    code = run("nct", "check", "--algebra", f["algebra"], "--m", f["m"],
+               "--n", 2, "--indecs", f["m"], "--out", f["out"])
+    assert code == 0
+    assert ("PASS nct-check: n-CT (relative to supplied list)"
+            in capsys.readouterr().out)
+    cert = json.loads((f["out"] / "nct-check.cert.json").read_text())
+    assert cert["witnesses"]["complete_list"] is False
+    assert cert["inputs"]["indecs"]["content"] == json.loads(f["m"].read_text())
+    # against the complete Nakayama list the same M is not 2-CT
+    assert run("nct", "check", "--algebra", f["algebra"], "--m", f["m"],
+               "--n", 2, "--out", f["out"]) == 1
+
+
+@pytest.mark.parametrize("name, words", [
+    ("decomposable", "--indecs entry 9 is decomposable"),
+    ("repeated", "--indecs entries 7 and 9 are isomorphic"),
+])
+def test_search_refuses_a_bad_indecs_entry(a5_files, capsys, name, words):
+    f = a5_files
+    code = run("search", "nct", "--algebra", f["algebra"], "--n", 2,
+               "--indecs", f[name], "--out", f["out"])
+    _assert_input_error(code, capsys, words)
+    assert not f["out"].exists()
 
 
 def test_non_nakayama_algebra_with_default_indecs_exits_2(tmp_path, capsys):
@@ -437,7 +485,7 @@ def test_certificate_roundtrip_reverifies(files):
     cat = add_category(alg, gens, seed=cert["seed"])
     report = check_n_cluster_tilting(cat, cert["params"]["n"],
                                      nakayama_indecomposables(alg),
-                                     complete=True, seed=cert["seed"])
+                                     seed=cert["seed"])
     assert report.ok == cert["verdict"]
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from nexakt.addcat import add_category
+from nexakt.addcat import DomainError, add_category
 from nexakt.fileio import algebra_from_dict
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
@@ -41,7 +41,7 @@ def test_expected_list_is_nct():
         alg, expected = gen_linear_An_J2(n, m)
         indecs = nakayama_indecomposables(alg)
         cat = add_category(alg, expected, seed=0)
-        report = check_n_cluster_tilting(cat, n, indecs, complete=True)
+        report = check_n_cluster_tilting(cat, n, indecs)
         assert report.ok, (n, m, report.to_dict())
 
 
@@ -140,7 +140,7 @@ def test_auslander_m3_builds():
 def test_brute_force_a3():
     alg, expected = gen_linear_An_J2(2, 1)
     indecs = nakayama_indecomposables(alg)
-    hits = brute_force_nct_search(alg, 2, indecs, complete=True)
+    hits = brute_force_nct_search(alg, 2, indecs)
     assert len(hits) == 1
     gens = [indecs[i] for i in hits[0]]
     assert len(gens) == len(expected)
@@ -151,7 +151,7 @@ def test_brute_force_a3():
 def test_brute_force_a3_n1():
     alg, _ = gen_linear_An_J2(2, 1)
     indecs = nakayama_indecomposables(alg)
-    hits = brute_force_nct_search(alg, 1, indecs, complete=True)
+    hits = brute_force_nct_search(alg, 1, indecs)
     assert len(hits) == 1
     assert hits[0] == list(range(5))
 
@@ -159,14 +159,14 @@ def test_brute_force_a3_n1():
 def test_brute_force_pi2_two_hits():
     alg = gen_preprojective_A(2)
     indecs = nakayama_indecomposables(alg)
-    hits = brute_force_nct_search(alg, 2, indecs, complete=True)
+    hits = brute_force_nct_search(alg, 2, indecs)
     assert len(hits) == 2
     # each hit is Lambda + one simple
     for hit in hits:
         assert len(hit) == 3
 
 
-def subset_loop_search(alg, n, indec_list, complete, seed=0):
+def subset_loop_search(alg, n, indec_list, seed=0):
     """Reference search: try every subset of indec_list containing all
     projectives; return the index sets whose add-closure certifies as
     n-cluster-tilting."""
@@ -190,9 +190,8 @@ def subset_loop_search(alg, n, indec_list, complete, seed=0):
         for extra in combinations(rest, r):
             subset = sorted(proj_set + list(extra))
             gens = [indec_list[i] for i in subset]
-            cat = add_category(alg, gens, seed=seed, check=False)
-            report = check_n_cluster_tilting(cat, n, indec_list, complete,
-                                             seed=seed, validate_list=False)
+            cat = add_category(alg, gens, seed=seed)
+            report = check_n_cluster_tilting(cat, n, indec_list, seed=seed)
             if report.ok:
                 hits.append(subset)
     return hits
@@ -221,8 +220,8 @@ def test_search_matches_subset_loop_on_j2(p):
         alg, _ = gen_linear_An_J2(n, m, p=p)
         indecs = nakayama_indecomposables(alg)
         assert len(indecs) <= 13
-        hits = brute_force_nct_search(alg, n, indecs, complete=True)
-        assert hits == subset_loop_search(alg, n, indecs, complete=True), (n, m)
+        hits = brute_force_nct_search(alg, n, indecs)
+        assert hits == subset_loop_search(alg, n, indecs), (n, m)
         assert len(hits) == 1, (n, m)
 
 
@@ -233,7 +232,7 @@ def _a3_lists():
     indecs = nakayama_indecomposables(alg)
     s2 = [i for i, x in enumerate(indecs) if x.dim_vector() == (0, 0, 1)]
     s0_s2 = direct_sum([simple_module(alg, "0"), simple_module(alg, "2")])[0]
-    return alg, [indecs + [indecs[s2[0]]], indecs + [s0_s2]]
+    return alg, [[*indecs, indecs[s2[0]]], [*indecs, s0_s2]]
 
 
 def test_search_matches_subset_loop_on_other_algebras():
@@ -244,12 +243,16 @@ def test_search_matches_subset_loop_on_other_algebras():
     cases = [(pi2, 2, nakayama_indecomposables(pi2), 2),
              (aus, 2, nakayama_indecomposables(aus), 1),
              (j3, 2, nakayama_indecomposables(j3), 1),
-             (j3, 3, nakayama_indecomposables(j3), 0),
-             (a3, 2, repeated, 3), (a3, 2, decomposable, 3)]
+             (j3, 3, nakayama_indecomposables(j3), 0)]
     for alg, n, indecs, count in cases:
-        hits = brute_force_nct_search(alg, n, indecs, complete=True)
-        assert hits == subset_loop_search(alg, n, indecs, complete=True)
+        hits = brute_force_nct_search(alg, n, indecs)
+        assert hits == subset_loop_search(alg, n, indecs)
         assert len(hits) == count, (n, hits)
+    # a repeated or decomposable entry is refused, not searched over
+    with pytest.raises(DomainError, match="entries 3 and 5 are isomorphic"):
+        brute_force_nct_search(a3, 2, repeated)
+    with pytest.raises(DomainError, match="entry 5 is decomposable"):
+        brute_force_nct_search(a3, 2, decomposable)
 
 
 def test_search_reaches_a12_j2():
@@ -258,7 +261,7 @@ def test_search_reaches_a12_j2():
     alg, expected = gen_linear_An_J2(11, 1)
     indecs = nakayama_indecomposables(alg)
     assert len(indecs) == 23
-    hits = brute_force_nct_search(alg, 11, indecs, complete=True)
+    hits = brute_force_nct_search(alg, 11, indecs)
     assert len(hits) == 1
     gens = [indecs[i] for i in hits[0]]
     assert len(gens) == len(expected) == 13
@@ -267,10 +270,10 @@ def test_search_reaches_a12_j2():
 
 
 def test_search_refuses_more_than_20_candidates():
-    # n = 1 prunes nothing: 11 simples and 11 repeats are 22 candidates
-    alg, _ = gen_linear_An_J2(11, 1)
+    # n = 1 prunes nothing: K A_12/J^3 has 33 indecomposables, 12 of them
+    # projective, so 21 candidates
+    alg = linear_an_j3(12)
     indecs = nakayama_indecomposables(alg)
-    simples = [x for x in indecs if x.total_dim == 1 and x.key != indecs[0].key]
-    assert len(simples) == 11
+    assert len(indecs) == 33
     with pytest.raises(ValueError, match="too many candidates"):
-        brute_force_nct_search(alg, 1, indecs + simples, complete=True)
+        brute_force_nct_search(alg, 1, indecs)

@@ -348,7 +348,7 @@ def test_split_verdicts_agree_with_the_exhaustive_oracle(p):
         entries = nakayama_indecomposables(alg)
         sums = [direct_sum([x, y])[0] for i, x in enumerate(entries)
                 for y in entries[i:]]
-        for k, x in enumerate(entries + sums):
+        for k, x in enumerate([*entries, *sums]):
             expected = exhaustively_indecomposable(x)
             assert expected is not None
             parts = split_indecomposables(x, seed=k)
@@ -429,6 +429,17 @@ def test_content_equal_sources_share_one_hom_solve(a3, monkeypatch):
     assert len(calls) == 1
     # the maps start and end at the first live module of each content
     assert all(f.source is x and f.target is y for f in first)
+
+
+def test_are_isomorphic_on_content_equal_modules_solves_no_hom(a3, monkeypatch):
+    calls = []
+    solve = reps._solve_hom
+    monkeypatch.setattr(reps, "_solve_hom",
+                        lambda m, n: calls.append((m, n)) or solve(m, n))
+    x, x_again = projective_module(a3, "1"), projective_module(a3, "1")
+    assert are_isomorphic(x, x, seed=0)
+    assert are_isomorphic(x, x_again, seed=0)
+    assert calls == []
 
 
 def test_syzygy_is_not_recomputed_on_a_content_equal_module(a3, monkeypatch):

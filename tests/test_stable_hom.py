@@ -52,8 +52,8 @@ ALGEBRAS = {
 
 def with_sums_of_two(alg):
     indecs = nakayama_indecomposables(alg)
-    return indecs + [direct_sum([x, y]).module
-                     for x, y in combinations_with_replacement(indecs, 2)]
+    return [*indecs, *(direct_sum([x, y]).module
+                       for x, y in combinations_with_replacement(indecs, 2))]
 
 
 @pytest.mark.parametrize("p", [2, 5, 101])

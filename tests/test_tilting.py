@@ -1,6 +1,8 @@
 import pytest
 
-from nexakt.addcat import HypothesisError, PreconditionError, add_category
+from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
+                           add_category, indecomposables)
+from nexakt.presets import nakayama_indecomposables
 from nexakt.reps import (direct_sum, hom_basis, projective_module,
                          regular_module, simple_module, zero_morphism)
 from nexakt.resolutions import ext_dim
@@ -32,16 +34,28 @@ def m3(a3, mods):
                         seed=1)
 
 
-def test_m3_is_2ct(a3, m3, indecs):
-    report = check_n_cluster_tilting(m3, 2, indecs, complete=True)
+def test_m3_is_2ct(a3, m3):
+    report = check_n_cluster_tilting(m3, 2, nakayama_indecomposables(a3))
     assert report.ok
     assert report.verdict == "n-CT"
+
+
+def test_hand_made_list_gives_a_relative_verdict(a3, m3, indecs):
+    # the list holds every indecomposable of K A_3/J^2 (P0 = S0), but
+    # nothing proves that, so the verdict is relative to it
+    assert nakayama_indecomposables(a3).complete
+    checked = indecomposables(indecs, seed=0)
+    assert not checked.complete and list(checked) == indecs
+    assert indecomposables(checked) is checked
+    report = check_n_cluster_tilting(m3, 2, indecs)
+    assert report.ok and not report.complete_list
+    assert report.verdict == "n-CT (relative to supplied list)"
 
 
 def test_lambda_plus_s1_fails(a3, mods, indecs):
     bad = add_category(a3, [mods["P0"], mods["P1"], mods["P2"], mods["S1"]],
                        seed=2)
-    report = check_n_cluster_tilting(bad, 2, indecs, complete=True)
+    report = check_n_cluster_tilting(bad, 2, indecs)
     assert not report.ok
     # witness: Ext^1(S1, S0) != 0 shows up as a rigidity failure
     assert report.rigidity_failures
@@ -52,23 +66,23 @@ def test_lambda_plus_s1_fails(a3, mods, indecs):
 
 def test_all_indecomposables_is_unique_1ct(a3, indecs):
     every = add_category(a3, indecs, seed=3)
-    report = check_n_cluster_tilting(every, 1, indecs, complete=True)
+    report = check_n_cluster_tilting(every, 1, indecs)
     assert report.ok
 
 
 def test_decomposable_input_rejected(a3, m3, mods, indecs):
-    bad_list = indecs + [direct_sum([mods["P1"], mods["S2"]])[0]]
-    with pytest.raises(ValueError):
-        check_n_cluster_tilting(m3, 2, bad_list, complete=True)
+    bad_list = [*indecs, direct_sum([mods["P1"], mods["S2"]])[0]]
+    with pytest.raises(DomainError, match="entry 5 is decomposable"):
+        check_n_cluster_tilting(m3, 2, bad_list)
 
 
 def test_missing_generator_rejected(a3, m3, mods):
-    with pytest.raises(ValueError):
-        check_n_cluster_tilting(m3, 2, [mods["P0"], mods["P1"]], complete=False)
+    with pytest.raises(PreconditionError, match="no entry is isomorphic"):
+        check_n_cluster_tilting(m3, 2, [mods["P0"], mods["P1"]])
 
 
-def test_report_serializes(a3, m3, indecs):
-    report = check_n_cluster_tilting(m3, 2, indecs, complete=True)
+def test_report_serializes(a3, m3):
+    report = check_n_cluster_tilting(m3, 2, nakayama_indecomposables(a3))
     d = report.to_dict()
     assert d["verdict"] == "n-CT"
     assert d["ok"] is True
