@@ -249,3 +249,86 @@ def test_identity_cone_with_projective_injective_x0():
                                   identity_morphism(a.objects[1]))
     _, table = angle_cone(ctx, phi)
     assert all(rec["exact"] for rec in table)
+
+
+def _lifted_maps(ctx):
+    """Every map the lifting solvers return on standard angles of the
+    generators and of two sums: Sigma on each angle map, and the
+    completions (id, id) and (id, u) with u: X^1 -> G, against the
+    standard angle of alpha0 followed by u."""
+    from nexakt.reps import direct_sum
+    gens = list(ctx.m.generators)
+    objs = gens + [direct_sum(gens[:2]).module, direct_sum(gens[-2:]).module]
+    out = []
+    for src in objs:
+        for tgt in objs:
+            for alpha in hom_basis(src, tgt)[:2]:
+                a = standard_angle(ctx, alpha)
+                out += [suspension_morphism(ctx, u) for u in a.all_maps()]
+                x0 = identity_morphism(a.objects[0])
+                phi = complete_angle_morphism(
+                    ctx, a, a, x0, identity_morphism(a.objects[1]))
+                out += phi.components + [phi.suspended0]
+                for g in gens:
+                    for u in hom_basis(a.objects[1], g)[:1]:
+                        b = standard_angle(ctx, alpha.then(u))
+                        phi = complete_angle_morphism(ctx, a, b, x0, u)
+                        out += phi.components + [phi.suspended0]
+    return out
+
+
+def test_lifted_maps_are_pinned(ctx, pi2_mods):
+    # one sha256 over every map that Sigma, angle completion, n-exact
+    # closing, n-pushout factorization, contraction and comparison
+    # homotopies return; the solvers must keep their linear systems, so
+    # every returned map keeps its entries
+    import hashlib
+    from conftest import linear_a3_j2
+    from nexakt.addcat import comparison_homotopy, contract, n_cokernel
+    from nexakt.complexes import (ComplexSeq, complex_from_maps,
+                                  direct_sum_complexes,
+                                  identity_complex_morphism,
+                                  interval_complex, pad_complex)
+    from nexakt.pushout import n_pushout, pushout_factorization
+    from nexakt.reps import zero_morphism
+    maps = _lifted_maps(ctx)
+    maps.append(angle_from_n_exact(
+        ctx, coresolution_sequence(ctx, pi2_mods)).closing)
+    a3 = linear_a3_j2()
+    p0, p1, p2 = (projective_module(a3, v) for v in "012")
+    s0, s2 = simple_module(a3, "0"), simple_module(a3, "2")
+    m3 = add_category(a3, [p0, p1, p2, s2], seed=1)
+    upper = complex_from_maps(0, [hom_basis(s0, p1)[0], hom_basis(p1, p2)[0]])
+    for f0 in (zero_morphism(s0, zero_module(a3)), hom_basis(s0, p1)[0]):
+        _, f = n_pushout(upper, f0, m3)
+        p, h = pushout_factorization(f, f)
+        maps += list(p.components.values()) + list(h.components.values())
+    for c in (p2, p1):
+        h = contract(pad_complex(interval_complex(0, c), 0, 3), m3)
+        maps += list(h.components.values())
+    d0 = hom_basis(s0, p1)[0]
+    tail = n_cokernel(d0, m3, 2)
+    x = ComplexSeq(0, [s0] + list(tail.terms), [d0] + list(tail.diffs))
+    y = direct_sum_complexes(
+        x, pad_complex(interval_complex(1, p2), 0, 3))
+    from nexakt.addcat import complete_to_chain_map
+    from nexakt.reps import Morphism
+    corner = Morphism(s0, y.term(0), identity_morphism(s0).components)
+    fwd = complete_to_chain_map(x, y, corner)
+    back = complete_to_chain_map(
+        y, x, Morphism(y.term(0), s0, identity_morphism(s0).components))
+    h = comparison_homotopy(fwd.then(back), identity_complex_morphism(x), m3)
+    maps += [fwd.component(k) for k in x.degrees()]
+    maps += [back.component(k) for k in x.degrees()]
+    maps += list(h.components.values())
+    digest = hashlib.sha256()
+    for f in maps:
+        digest.update(repr((f.source.dim_vector(), f.target.dim_vector(),
+                            f.vectorize())).encode())
+    assert len(maps) == LIFTED_MAP_COUNT
+    assert digest.hexdigest() == LIFTED_MAPS_SHA256
+
+
+LIFTED_MAP_COUNT = 784
+LIFTED_MAPS_SHA256 = \
+    "9cc0ceff031be84b2165a21a36f9ef2ed241ceb97d8e4a4f43ea04cac16a4297"
