@@ -5,8 +5,8 @@ the comparison-homotopy solver and contractions.
 A minimal approximation stacks the Hom bases between x and the
 generators and drops, in one pass, each summand whose component factors
 through the summands kept, solving only over Hom spaces between
-generators.  Every factorization through a map (comparison homotopy,
-contraction, chain completion) is one reps.factor_through.
+generators.  Chain completion (_lift_along) and homotopies (_homotopy)
+are one loop each, and each step is one reps.factor_through.
 
 All verification is Hom-level rank bookkeeping against the generator
 list: reps.hom_dims_and_ranks reads each rank together with the
@@ -331,15 +331,6 @@ class NExactCert:
         }
 
 
-def _chain_of(d_first: Morphism, seq: ComplexSeq) -> List[Morphism]:
-    if seq is None:
-        return [d_first]
-    chain = [d_first] + list(seq.diffs)
-    if not d_first.target.same_as(seq.terms[0]):
-        raise ValueError("chain endpoints mismatch")
-    return chain
-
-
 def contravariant_fragment(chain: List[Morphism], gens: Sequence[Module]) -> HomExactnessFragment:
     """Exactness of 0 -> Hom(X^{top}, G) -> ... -> Hom(X^0, G) per generator."""
     return _hom_fragment(chain, gens, contravariant=True)
@@ -380,7 +371,12 @@ def _hom_fragment(chain: List[Morphism], gens: Sequence[Module],
 
 def verify_n_cokernel(d0: Morphism, seq: Optional[ComplexSeq], m: AddCat) -> HomExactnessFragment:
     """Certificate fragment for (d^1..d^n) being an n-cokernel of d^0."""
-    chain = _chain_of(d0, seq)
+    if seq is None:
+        chain = [d0]
+    else:
+        chain = [d0] + list(seq.diffs)
+        if not d0.target.same_as(seq.terms[0]):
+            raise ValueError("chain endpoints mismatch")
     return contravariant_fragment(chain, m.generators)
 
 
@@ -410,62 +406,52 @@ def verify_n_exact(x: ComplexSeq, m: AddCat, n: int) -> NExactCert:
 
 def comparison_homotopy(f: ComplexMorphism, g: ComplexMorphism,
                         m: AddCat) -> Homotopy:
-    """Homotopy h: f -> g with vanishing first component, built degreewise.
-
-    Requires f and g to agree in the lowest degree; each step solves the
-    factorization u^k - h^k d^{k-1} = d^k h^{k+1} as a linear system and
-    reports the failing degree when the ambient weak-cokernel hypothesis
-    does not hold."""
-    x, y = f.source, f.target
-    lo, hi = x.lo, x.hi
-    if not f.component(lo).sub(g.component(lo)).is_zero():
+    """Homotopy h: f -> g with vanishing first component, built degreewise
+    from u = f - g; requires f and g to agree in the lowest degree, and
+    names the failing degree when the weak-cokernel hypothesis fails."""
+    x = f.source
+    if not f.component(x.lo).sub(g.component(x.lo)).is_zero():
         raise PreconditionError("comparison_homotopy requires equal lowest components")
     u = {k: f.component(k).sub(g.component(k)) for k in x.degrees()}
+    return _homotopy(u, x, f.target, x.lo + 1)
+
+
+def _homotopy(u: Dict[int, Morphism], x: ComplexSeq, y: ComplexSeq,
+              start: int) -> Homotopy:
+    """h with u^k = h^k d_y^{k-1} + d_x^k h^{k+1} for k >= start and
+    h^start = 0: each step factors u^k - h^k d_y^{k-1} through d_x^k, and
+    the top degree must close.  Raises HypothesisError naming the first
+    degree that fails."""
     h: Dict[int, Morphism] = {}
-    for k in range(lo + 1, hi):
-        h[k + 1] = factor_through(u[k].sub(_h_then_d(h, k, x, y)), x.diff(k))
+
+    def rest(k):                # u^k - h^k d_y^{k-1}
+        return u[k].sub(h[k].then(y.diff(k - 1))) if k in h else u[k]
+
+    for k in range(start, x.hi):
+        h[k + 1] = factor_through(rest(k), x.diff(k))
         if h[k + 1] is None:
             raise HypothesisError(
-                f"comparison step unsolvable at degree {k}", degree=k)
-    final = u[hi].sub(_h_then_d(h, hi, x, y))
-    if not final.is_zero():
+                f"homotopy step unsolvable at degree {k}", degree=k)
+    if not rest(x.hi).is_zero():
         raise HypothesisError(
-            f"comparison step unsolvable at degree {hi}", degree=hi)
-    hty = Homotopy(x, y, h)
-    return hty
-
-
-def _h_then_d(h: Dict[int, Morphism], k: int, x: ComplexSeq, y: ComplexSeq) -> Morphism:
-    hk = h.get(k)
-    if hk is None:
-        return zero_morphism(x.term(k), y.term(k))
-    return hk.then(y.diff(k - 1))
+            f"homotopy step unsolvable at degree {x.hi}", degree=x.hi)
+    return Homotopy(x, y, h)
 
 
 def contract(x: ComplexSeq, m: AddCat) -> Optional[Homotopy]:
-    """A contraction of x when d^lo splits, else None.
-
-    The retraction is found by a linear solve and extended inductively;
-    the cokernel side of x must verify beforehand."""
-    lo, hi = x.lo, x.hi
+    """A contraction of x when d^lo splits, else None: the homotopy from
+    the identity to zero, whose first step is a retraction of d^lo.  The
+    cokernel side of x must verify beforehand."""
     frag = contravariant_fragment(list(x.diffs), m.generators)
     if not frag.ok:
         raise PreconditionError("contract: cokernel side does not verify")
-    retraction = factor_through(identity_morphism(x.term(lo)), x.diff(lo))
-    if retraction is None:
-        return None
-    h: Dict[int, Morphism] = {lo + 1: retraction}
-    for k in range(lo + 1, hi):
-        rhs = identity_morphism(x.term(k)).sub(h[k].then(x.diff(k - 1)))
-        h[k + 1] = factor_through(rhs, x.diff(k))
-        if h[k + 1] is None:
-            raise HypothesisError(
-                f"contraction step unsolvable at degree {k}", degree=k)
-    final = identity_morphism(x.term(hi)).sub(h[hi].then(x.diff(hi - 1)))
-    if not final.is_zero():
-        raise HypothesisError(
-            f"contraction does not close at degree {hi}", degree=hi)
-    return Homotopy(x, x, h)
+    try:
+        return _homotopy({k: identity_morphism(x.term(k)) for k in x.degrees()},
+                         x, x, x.lo)
+    except HypothesisError as exc:
+        if exc.degree == x.lo:
+            return None
+        raise
 
 
 def complete_to_chain_map(x: ComplexSeq, y: ComplexSeq,
@@ -475,9 +461,20 @@ def complete_to_chain_map(x: ComplexSeq, y: ComplexSeq,
     Solvable whenever each d_x^{k+1} is a weak cokernel of d_x^k and y is a
     complex receiving the relevant composites; raises HypothesisError with
     the failing degree otherwise."""
-    comps: Dict[int, Morphism] = {x.lo: f0}
-    for k in range(x.lo, x.hi):
-        comps[k + 1] = factor_through(comps[k].then(y.diff(k)), x.diff(k))
-        if comps[k + 1] is None:
+    comps = _lift_along(f0, list(x.diffs),
+                        [y.diff(k) for k in range(x.lo, x.hi)], x.lo)
+    return ComplexMorphism(x, y, dict(enumerate(comps, x.lo)))
+
+
+def _lift_along(f0: Morphism, x_diffs: Sequence[Morphism],
+                y_diffs: Sequence[Morphism], lo: int = 0) -> List[Morphism]:
+    """[f^0, f^1, ...] with f^{k+1} = factor_through(f^k d_y^k, d_x^k): the
+    components of a chain map from the maps x_diffs to the maps y_diffs
+    extending f0, both read from degree lo.  Raises HypothesisError with
+    the degree where a factorization fails."""
+    comps = [f0]
+    for k, (dx, dy) in enumerate(zip(x_diffs, y_diffs), lo):
+        comps.append(factor_through(comps[-1].then(dy), dx))
+        if comps[-1] is None:
             raise HypothesisError(f"chain completion stuck at degree {k}", degree=k)
-    return ComplexMorphism(x, y, comps)
+    return comps

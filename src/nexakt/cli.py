@@ -64,8 +64,11 @@ def main(argv: list[str] | None = None) -> int:
 def _run_check(args) -> int:
     """Load, check, certify; HypothesisError or SetupError make a fail."""
     name = args.cert_name + (f"-{args.preset}" if "preset" in args else "")
-    seed = args.seed if args.seed is not None else int(
-        os.environ.get("NEXAKT_SEED") or 0)
+    env = os.environ.get("NEXAKT_SEED") or "0"
+    try:
+        seed = args.seed if args.seed is not None else int(env)
+    except ValueError:
+        raise InputError(f"NEXAKT_SEED is not an integer: {env!r}") from None
     cert = Certificate(name, {}, seed)
     ins = _load_inputs(args, cert)
     try:

@@ -12,6 +12,7 @@ Morphism:  {"components": {vertex: [flat row-major ints]}}
 Complex:   {"lo": int, "terms": [module...], "differentials": [morphism...]}
 Generators ("--m" file): {"generators": [module...]}
 
+Names are the algebra's vertices and arrows; numbers are JSON integers.
 Loading a dumped object reproduces it bit-exactly in canonical form.
 """
 
@@ -88,19 +89,36 @@ def module_to_dict(m: Module) -> dict:
     }
 
 
+def _known(names: dict, allowed, what: str) -> dict:
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise InputError(f"the algebra has no {what} {unknown[0]!r}")
+    return names
+
+
+def _ints(values, what: str) -> list:
+    bad = [x for x in values if type(x) is not int]     # a bool is no int
+    if bad:
+        raise InputError(f"{what} must be JSON integers, got {bad[0]!r}")
+    return list(values)
+
+
 def module_from_dict(data: dict, alg: AlgebraBasis) -> Module:
     try:
-        dims = {v: int(d) for v, d in data["dims"].items()}
+        dims = _known(data["dims"], alg.quiver.vertices, "vertex")
+        _ints(dims.values(), "dimensions")
+        arrows = _known(data.get("arrows", {}),
+                        [a.name for a in alg.quiver.arrows], "arrow")
         action = {}
         for a in alg.quiver.arrows:
-            flat = data.get("arrows", {}).get(a.name, [])
+            flat = _ints(arrows.get(a.name, []), f"entries of {a.name}")
             rows = dims.get(a.target, 0)
             cols = dims.get(a.source, 0)
             if not flat:
                 flat = [0] * (rows * cols)
             action[a.name] = mat_from_vector(flat, rows, cols, alg.p)
         return Module(alg, dims, action)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad module file: {exc}") from None
 
 
@@ -115,15 +133,17 @@ def morphism_to_dict(f: Morphism) -> dict:
 
 def morphism_from_dict(data: dict, source: Module, target: Module) -> Morphism:
     try:
+        vertices = source.algebra.quiver.vertices
+        given = _known(data.get("components", {}), vertices, "vertex")
         comps = {}
-        for v in source.algebra.quiver.vertices:
-            flat = data.get("components", {}).get(v, [])
+        for v in vertices:
+            flat = _ints(given.get(v, []), f"entries at {v}")
             rows, cols = target.dims[v], source.dims[v]
             if not flat:
                 flat = [0] * (rows * cols)
             comps[v] = mat_from_vector(flat, rows, cols, source.algebra.p)
         return Morphism(source, target, comps)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad morphism file: {exc}") from None
 
 
@@ -140,8 +160,9 @@ def complex_from_dict(data: dict, alg: AlgebraBasis) -> ComplexSeq:
         terms = [module_from_dict(t, alg) for t in data["terms"]]
         diffs = [morphism_from_dict(d, terms[k], terms[k + 1])
                  for k, d in enumerate(data.get("differentials", []))]
-        return ComplexSeq(int(data.get("lo", 0)), terms, diffs)
-    except (KeyError, TypeError, ValueError) as exc:
+        lo, = _ints([data.get("lo", 0)], "lo")
+        return ComplexSeq(lo, terms, diffs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad complex file: {exc}") from None
 
 

@@ -10,6 +10,9 @@ when it factors through the envelope.
 Suspension is computed from fixed minimal coresolutions, so it is a
 genuine function on objects; everything it is compared against is taken
 up to stable isomorphism, and certificates record stable ranks only.
+Sigma on objects and maps and both kinds of angle read one closed
+coresolution x -> I^1 -> ... -> I^n -> Sigma x, and Sigma(f) is the
+chain-map completion of f along it (addcat._lift_along).
 Sign conventions: an n-exact sequence induces an angle with closing sign
 (-1)^n, and left rotation closes with (-1)^n times the suspended first
 map.
@@ -21,19 +24,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .addcat import (AddCat, HypothesisError, PreconditionError,
-                     complete_to_chain_map, verify_n_exact)
+from .addcat import (AddCat, HypothesisError, PreconditionError, _lift_along,
+                     verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism
-from .pushout import n_pushout
+from .pushout import _factor_pushout, n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, assemble_from_span, block_morphism,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, solve_jointly, span_rank, split_indecomposables,
                    stack_morphisms_from_sum, zero_module, zero_morphism)
-from .resolutions import (Coresolution, _injective_chain, cosyzygy_of,
-                          cosyzygy_projection, min_injective_coresolution,
-                          syzygy)
+from .resolutions import Coresolution, _injective_chain, cosyzygy_of, syzygy
 from .tilting import NctReport, check_n_cluster_tilting
 
 
@@ -79,7 +80,14 @@ def cosyzygy(ctx: FrobeniusCtx, x: Module, k: int) -> Module:
 
 def suspension(ctx: FrobeniusCtx, x: Module) -> Module:
     """Sigma x = n-th cosyzygy along the fixed minimal coresolution."""
-    return cosyzygy_of(x, ctx.n)
+    return _closed_coresolution(x, ctx.n)[-1].target
+
+
+def _closed_coresolution(x: Module, n: int) -> list:
+    """x -> I^1 -> ... -> I^n -> Sigma x: the memoized minimal
+    coresolution of x, closed by its cosyzygy projection."""
+    ch = _injective_chain(x, n)
+    return ch.maps[:n] + [ch.links[n - 1]]
 
 
 # -- stable Hom ----------------------------------------------------------
@@ -151,8 +159,10 @@ def stably_equal(ctx: FrobeniusCtx, f: Morphism, g: Morphism) -> bool:
 
 
 def suspension_morphism(ctx: FrobeniusCtx, f: Morphism) -> Morphism:
-    """A representative of Sigma(f), lifted along the fixed coresolutions."""
-    return _coresolution_lift(ctx, f)[1]
+    """A representative of Sigma(f): the last component of the chain map
+    extending f along the closed coresolutions."""
+    return _lift_along(f, _closed_coresolution(f.source, ctx.n),
+                       _closed_coresolution(f.target, ctx.n))[-1]
 
 
 # -- angles ----------------------------------------------------------------
@@ -217,10 +227,10 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     the induced map to Sigma X^0."""
     n = ctx.n
     x0 = alpha0.source
-    cores = min_injective_coresolution(x0, n)
-    ix = ComplexSeq(0, [x0] + list(cores.terms), list(cores.maps))
+    *maps, proj = _closed_coresolution(x0, n)
+    cores = Coresolution(x0, [d.target for d in maps], maps)
+    ix = ComplexSeq(0, [x0] + cores.terms, maps)
     y, f = n_pushout(ix, alpha0, ctx.m)
-    proj = cosyzygy_projection(x0, n)
     # closing: unique d with f^n.then(d) = proj and d_Y^{n-1}.then(d) = 0
     yn = y.term(n)
     basis = hom_basis(yn, proj.target)
@@ -245,13 +255,10 @@ def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
     if not cert.ok:
         raise PreconditionError("input complex is not admissible n-exact")
     x0 = x.term(x.lo)
-    cores = min_injective_coresolution(x0, n)
-    proj = cosyzygy_projection(x0, n)
-    full = ComplexSeq(x.lo, [x0] + list(cores.terms) + [proj.target],
-                      list(cores.maps) + [proj])
-    f = complete_to_chain_map(x, full, identity_morphism(x0))
+    lift = _lift_along(identity_morphism(x0), list(x.diffs),
+                       _closed_coresolution(x0, n), x.lo)
     sign = 1 if n % 2 == 0 else -1
-    closing = f.component(x.lo + n + 1).scale(sign)
+    closing = lift[-1].scale(sign)
     return make_angle(ctx, [x.term(k) for k in x.degrees()],
                       [x.diff(k) for k in range(x.lo, x.lo + n + 1)], closing)
 
@@ -301,30 +308,12 @@ class AngleMorphism:
     suspended0: Morphism        # representative of Sigma(phi^0)
 
 
-def _coresolution_lift(ctx: FrobeniusCtx, f: Morphism) -> Tuple[list, Morphism]:
-    """Chain lift of f along the fixed coresolutions, with the suspended
-    map; returns ([psi^1..psi^n], Sigma f)."""
-    n = ctx.n
-    cor_x = min_injective_coresolution(f.source, n)
-    cor_y = min_injective_coresolution(f.target, n)
-    lifts = []
-    phi = f
-    for k in range(n):
-        phi = factor_through(phi.then(cor_y.maps[k]), cor_x.maps[k])
-        if phi is None:
-            raise HypothesisError(f"coresolution lift stuck at stage {k}")
-        lifts.append(phi)
-    px = cosyzygy_projection(f.source, n)
-    sf = factor_through(phi.then(cosyzygy_projection(f.target, n)), px)
-    if sf is None:
-        raise HypothesisError("coresolution lift does not descend")
-    return lifts, sf
-
-
 def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
                             phi0: Morphism, phi1: Morphism) -> AngleMorphism:
     """Complete a stably commuting first square to a full morphism of
-    angles, per the inductive factorization recipe for standard angles.
+    angles: phi^2 .. phi^{n+1} are the n-pushout factorization of a's
+    pushout map f_a against psi^k g_b^k, started from phi^1 and the
+    injectivity step h^1, where psi lifts phi0 along the coresolutions.
 
     Both angles must carry pushout provenance (standard angles do)."""
     if a.provenance is None or b.provenance is None:
@@ -333,47 +322,25 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
     n = ctx.n
     alpha = a.all_maps()
     beta = b.all_maps()
-    fa = [a.provenance.pushout_map.component(k) for k in range(n + 1)]
-    gb = [b.provenance.pushout_map.component(k) for k in range(n + 1)]
-    ix = a.provenance.coresolution
-    iy = b.provenance.coresolution
-    psi, sphi0 = _coresolution_lift(ctx, phi0)
-    psi = [phi0] + psi          # psi[k]: I^k(X^0) -> I^k(Y^0), psi[0] = phi0
+    gb = b.provenance.pushout_map
+    # psi[k]: I^k(X^0) -> I^k(Y^0), psi[0] = phi0, psi[n+1] = Sigma(phi0)
+    psi = _lift_along(phi0, _closed_coresolution(phi0.source, n),
+                      _closed_coresolution(phi0.target, n))
     # h^1 from injectivity: d_IX^0 . h^1 = alpha^0 . phi1 - phi0 . beta^0
-    h = {1: factor_through(alpha[0].then(phi1).sub(phi0.then(beta[0])),
-                           ix.maps[0])}
-    if h[1] is None:
+    h1 = factor_through(alpha[0].then(phi1).sub(phi0.then(beta[0])),
+                        a.provenance.coresolution.maps[0])
+    if h1 is None:
         raise PreconditionError(
             "first square does not commute in the stable category")
-    phis = [phi0, phi1]
-    for k in range(1, n + 1):
-        # unknowns: phi^{k+1}: X^{k+1} -> Y^{k+1}, h^{k+1}: I^{k+1} -> Y^{k+1}
-        # (h^{n+1} is the zero map out of Sigma X^0, so it drops at k = n)
-        xk1, yk1 = a.objects[k + 1], b.objects[k + 1]
-        basis_phi = hom_basis(xk1, yk1)
-        basis_h = hom_basis(ix.maps[k].target, yk1) if k < n else []
-        # (E1)  alpha^k . phi^{k+1} = phi^k . beta^k
-        eq1 = [alpha[k].then(c) for c in basis_phi] + \
-              [zero_morphism(a.objects[k], yk1) for _ in basis_h]
-        t1 = phis[k].then(beta[k])
-        # (E2)  f^k . phi^{k+1} - d_IX^k . h^{k+1} = psi^k . g^k + h^k . beta^k
-        eq2 = [fa[k].then(c) for c in basis_phi] + \
-              [ix.maps[k].then(c).scale(-1) for c in basis_h]
-        t2 = psi[k].then(gb[k]).add(h[k].then(beta[k]))
-        coeffs = solve_jointly([eq1, eq2], [t1, t2])
-        if coeffs is None:
-            raise HypothesisError(f"completion stuck at degree {k}", degree=k)
-        phis.append(assemble_from_span(basis_phi, coeffs[:len(basis_phi)],
-                                       xk1, yk1))
-        if k < n:
-            h[k + 1] = assemble_from_span(basis_h, coeffs[len(basis_phi):],
-                                          ix.maps[k].target, yk1)
+    p, _ = _factor_pushout(a.provenance.pushout_map, gb.target,
+                           lambda k: psi[k].then(gb.component(k)), phi1, h1)
+    phis = [phi0] + [p[k] for k in range(n + 1)]       # p^k = phi^{k+1}
     # last square: alpha^{n+1} . Sigma(phi0) = phi^{n+1} . beta^{n+1}
-    lhs = alpha[n + 1].then(sphi0)
+    lhs = alpha[n + 1].then(psi[n + 1])
     rhs = phis[n + 1].then(beta[n + 1])
     if not lhs.sub(rhs).is_zero():
         raise HypothesisError("completion: closing square does not commute")
-    return AngleMorphism(a, b, phis, sphi0)
+    return AngleMorphism(a, b, phis, psi[n + 1])
 
 
 def angle_cone(ctx: FrobeniusCtx, phi: AngleMorphism) -> Tuple[Angle, list]:

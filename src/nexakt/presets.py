@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .addcat import Indecomposables, add_category, indecomposables
+from .addcat import (Indecomposables, PreconditionError, add_category,
+                     indecomposables)
 from .fp import FieldSpec, Mat, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
@@ -200,7 +201,7 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     candidates = [i for i in range(len(indec_list)) if i not in proj_set
                   and all(compatible(i, j) for j in proj_set + [i])]
     if len(candidates) > MAX_SEARCH_CANDIDATES:
-        raise ValueError("too many candidates for exhaustive search")
+        raise PreconditionError("too many candidates for exhaustive search")
     cliques = [()]
 
     def grow(clique, start):

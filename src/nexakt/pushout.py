@@ -2,16 +2,17 @@
 
 An n-pushout of X along f0 is a chain map f: X -> Y extending f0 whose
 mapping cone has an n-cokernel tail; the construction iterates weak
-cokernels of the cone differentials and certifies the result.
+cokernels of the cone differentials and certifies the cone it built.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      contravariant_fragment, weak_cokernel)
-from .complexes import ComplexSeq, ComplexMorphism, Homotopy, mapping_cone
+from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, mapping_cone,
+                        verify_homotopy)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, solve_jointly, zero_module, zero_morphism)
@@ -39,7 +40,9 @@ def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Compl
     c_k = direct_sum([x.terms[1], y_terms[0]])
     d_prev = block_morphism(x.terms[0], c_k,
                             {(0, 0): x.diff(lo).scale(-1), (1, 0): f0})
+    cone: List[Morphism] = []
     for k in range(n):
+        cone.append(d_prev)
         w = weak_cokernel(d_prev, m)
         # restrict w: C^k -> Y^{k+1} to the summands X^{k+1} and Y^k
         f_next, d_y = (block_morphism(part, c_k, {(i, 0): identity_morphism(part)})
@@ -56,8 +59,9 @@ def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Compl
         c_k = c_next
     y = ComplexSeq(lo, y_terms, y_diffs)
     f = ComplexMorphism(x, y, {lo + i: f_comps[i] for i in range(n + 1)})
-    cone = mapping_cone(f)
-    frag = contravariant_fragment(list(cone.diffs), m.generators)
+    # the cone of f is the built differentials closed by the last weak
+    # cokernel [f^n, d_Y^{n-1}]: C^{n-1} -> Y^n
+    frag = contravariant_fragment(cone + [w], m.generators)
     if not frag.ok:
         raise HypothesisError("pushout cone fails n-cokernel verification")
     if x.diff(lo).is_injective() and not y.diff(lo).is_injective():
@@ -121,32 +125,43 @@ def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
         -> Tuple[ComplexMorphism, Homotopy]:
     """Universal property: p: Y -> Z with p^0 = 1 and a homotopy
     h: f.then(p) -> g with vanishing first component."""
-    x = f.source
-    y = f.target
-    z = g.target
-    lo, hi = x.lo, x.hi
+    x, y, z = f.source, f.target, g.target
+    lo = x.lo
     if not y.term(lo).same_as(z.term(lo)):
         raise PreconditionError("degree-0 targets differ")
     if not f.component(lo).sub(g.component(lo)).is_zero():
         raise PreconditionError("f and g must share the degree-0 component")
-    p_comps: Dict[int, Morphism] = {lo: identity_morphism(z.term(lo))}
-    h_comps: Dict[int, Morphism] = {}
+    p_comps, h_comps = _factor_pushout(
+        f, z, g.component, identity_morphism(z.term(lo)),
+        zero_morphism(x.term(lo + 1), z.term(lo)))
+    p = ComplexMorphism(y, z, p_comps)
+    h = Homotopy(x, z, {k: v for k, v in h_comps.items() if not v.is_zero()})
+    if not verify_homotopy(f.then(p), g, h):
+        raise AssertionError("factorization homotopy failed to verify")
+    return p, h
 
-    def h_at(k):
-        got = h_comps.get(k)
-        return got if got is not None else zero_morphism(x.term(k), z.term(k - 1))
 
-    for k in range(lo, hi):
+def _factor_pushout(f: ComplexMorphism, z: ComplexSeq,
+                    g_at: Callable[[int], Morphism], p0: Morphism,
+                    h1: Morphism) -> Tuple[Dict[int, Morphism], Dict[int, Morphism]]:
+    """The degreewise solve behind the universal property of the n-pushout
+    f: X -> Y.  From p^lo = p0 and h^{lo+1} = h1, solve jointly for each k
+    in turn p^{k+1}: Y^{k+1} -> Z^{k+1} and h^{k+2}: X^{k+2} -> Z^{k+1} with
+      (A) d_Y^k p^{k+1} = p^k d_Z^k,
+      (B) f^{k+1} p^{k+1} - d_X^{k+1} h^{k+2} = g^{k+1} + h^{k+1} d_Z^k,
+    where g^k = g_at(k): X^k -> Z^k.  Returns ({k: p^k}, {k: h^k})."""
+    x, y = f.source, f.target
+    p_comps: Dict[int, Morphism] = {x.lo: p0}
+    h_comps: Dict[int, Morphism] = {x.lo + 1: h1}
+    for k in range(x.lo, x.hi):
         basis_p = hom_basis(y.term(k + 1), z.term(k + 1))
         basis_h = hom_basis(x.term(k + 2), z.term(k + 1))
-        # (A) d_Y^k p^{k+1} = p^k d_Z^k
         eq_a = [y.diff(k).then(b) for b in basis_p] + \
                [zero_morphism(y.term(k), z.term(k + 1)) for _ in basis_h]
         tgt_a = p_comps[k].then(z.diff(k))
-        # (B) f^{k+1} p^{k+1} - d_X^{k+1} h^{k+2} = g^{k+1} + h^{k+1} d_Z^k
         eq_b = [f.component(k + 1).then(b) for b in basis_p] + \
                [x.diff(k + 1).then(b).scale(-1) for b in basis_h]
-        tgt_b = g.component(k + 1).add(h_at(k + 1).then(z.diff(k)))
+        tgt_b = g_at(k + 1).add(h_comps[k + 1].then(z.diff(k)))
         coeffs = solve_jointly([eq_a, eq_b], [tgt_a, tgt_b])
         if coeffs is None:
             raise HypothesisError(f"factorization stuck at degree {k}", degree=k)
@@ -154,9 +169,4 @@ def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
             basis_p, coeffs[:len(basis_p)], y.term(k + 1), z.term(k + 1))
         h_comps[k + 2] = assemble_from_span(
             basis_h, coeffs[len(basis_p):], x.term(k + 2), z.term(k + 1))
-    p = ComplexMorphism(y, z, p_comps)
-    h = Homotopy(x, z, {k: v for k, v in h_comps.items() if not v.is_zero()})
-    from .complexes import verify_homotopy
-    if not verify_homotopy(f.then(p), g, h):
-        raise AssertionError("factorization homotopy failed to verify")
-    return p, h
+    return p_comps, h_comps

@@ -335,8 +335,11 @@ def test_contract_returns_none_for_m3_sequence(a3, m3, mods):
     assert contract(x, m3) is None
 
 
-def test_contract_zero_complex(a3, m3):
+def test_contract_zero_complex(a3, m3, mods):
     z = zero_module(a3)
     x = ComplexSeq(0, [z, z, z, z], [zero_morphism(z, z)] * 3)
     h = contract(x, m3)
     assert h is not None
+    # one term: the first step is already the top degree
+    assert contract(ComplexSeq(0, [z], []), m3) is not None
+    assert contract(ComplexSeq(0, [mods["P1"]], []), m3) is None

@@ -267,6 +267,13 @@ def test_env_seed(tmp_path, monkeypatch):
     assert cert["seed"] == 13
 
 
+def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("NEXAKT_SEED", "abc")
+    code = run("demo", "a3-j2", "--out", tmp_path)
+    _assert_input_error(code, capsys, "NEXAKT_SEED is not an integer: 'abc'")
+    assert not list(tmp_path.iterdir())
+
+
 def test_named_modules_in_m_list(files, tmp_path, a3):
     alg = load_algebra(files["algebra"])
     names = {"P0": projective_module(alg, "0"),
@@ -506,6 +513,36 @@ def _morphism_without_source(files, tmp_path):
             "--m", files["m3"], "--n", 2]
 
 
+def _search_a12_j3(files, tmp_path):
+    # n = 1 prunes nothing: K A_12/J^3 leaves 21 candidates, above the limit
+    from test_presets import linear_an_j3
+    path = tmp_path / "a12-j3.json"
+    dump_algebra(linear_an_j3(12), path)
+    return ["search", "nct", "--algebra", path, "--n", 1]
+
+
+def _generator(module):
+    """nct check with one generator read from the given module dict."""
+    def argv(files, tmp_path):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps({"generators": [module]}))
+        return ["nct", "check", "--algebra", files["algebra"], "--m", path,
+                "--n", 2]
+    return argv
+
+
+def _morphism_with(components):
+    """ncoker on d0 with its components updated from the given dict."""
+    def argv(files, tmp_path):
+        data = json.loads(files["d0"].read_text())
+        data["components"].update(components)
+        path = tmp_path / "changed_d0.json"
+        path.write_text(json.dumps(data))
+        return ["ncoker", "--algebra", files["algebra"], "--morphism", path,
+                "--m", files["m3"], "--n", 2]
+    return argv
+
+
 @pytest.mark.parametrize("argv", [
     lambda files, tmp: _algebra_with(tmp, field={"p": 100}),
     lambda files, tmp: _algebra_with(tmp, field={"p": "101"}),
@@ -520,9 +557,21 @@ def _morphism_without_source(files, tmp_path):
                         "--m", files["m3"], "--n", 2, "--k", 2],
     lambda files, tmp: ["nct", "check", "--algebra", files["algebra"],
                         "--m", files["m3"], "--n", 2, "--indecs", files["bad_m"]],
+    _search_a12_j3,
+    _generator({"dims": {"0": 1, "9": 4}}),
+    _generator({"dims": {"0": 1}, "arrows": {"zz": [1, 2]}}),
+    _generator({"dims": {"0": 1, "1": 1}, "arrows": {"a1": [1.5]}}),
+    _generator({"dims": {"0": 1.9}}),
+    _generator({"dims": {"0": True}}),
+    _generator({"dims": {"0": "1"}}),
+    _morphism_with({"9": [1]}),
+    _morphism_with({"0": [True]}),
 ], ids=["p-100", "p-string", "nilpotency-bound-0", "demo-p-100",
         "demo-n-0", "nct-n-0", "morphism-without-source", "ext-k-above-n-1",
-        "indecs-without-s2"])
+        "indecs-without-s2", "search-over-20-candidates",
+        "module-unknown-vertex", "module-unknown-arrow", "module-float-entry",
+        "module-float-dim", "module-bool-dim", "module-string-dim",
+        "morphism-unknown-vertex", "morphism-bool-entry"])
 def test_bad_input_exits_2(files, tmp_path, capsys, argv):
     code = run(*argv(files, tmp_path), "--out", files["out"])
     err = capsys.readouterr().err
