@@ -10,10 +10,12 @@ are one loop each, and each step is one reps.factor_through.
 
 All verification is Hom-level rank bookkeeping against the generator
 list: reps.hom_dims_and_ranks reads each rank together with the
-dimension of the Hom space the map leaves.  Certificates are assembled
-in generator-list order.  Tie-breaking is fixed everywhere:
-generators in the order listed, Hom bases in the deterministic
-kernel_basis order.
+dimension of the Hom space the map leaves.  Composites with a Hom basis
+(in the peel, the ranks and every factorization) are read as coordinate
+rows by reps.composite_rows, one stacked product per vertex.
+Certificates are assembled in generator-list order.  Tie-breaking is
+fixed everywhere: generators in the order listed, Hom bases in the
+deterministic kernel_basis order.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, are_isomorphic, cokernel_morphism,
-                   factor_through, hom_basis, hom_dims_and_ranks, hom_ranks,
-                   identity_morphism, in_add, kernel_morphism,
-                   solve_in_span, split_indecomposables,
+                   composite_rows, factor_through, hom_basis,
+                   hom_dims_and_ranks, hom_ranks, identity_morphism, in_add,
+                   kernel_morphism, solve_rows, split_indecomposables,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
 
@@ -122,12 +124,13 @@ def _peel_superfluous(parts: List[Tuple[Module, Morphism]],
     content-equal generators share their memoized Hom lists."""
     kept = list(range(len(parts)))
     for i, (gi, fi) in enumerate(parts):
-        others = [parts[r] for r in kept if r != i]
-        if left:
-            span = [fr.then(b) for gr, fr in others for b in hom_basis(gr, gi)]
-        else:
-            span = [b.then(fr) for gr, fr in others for b in hom_basis(gi, gr)]
-        if solve_in_span(span, fi) is not None:
+        span = []
+        for r in kept:
+            if r != i:
+                gr, fr = parts[r]
+                basis = hom_basis(gr, gi) if left else hom_basis(gi, gr)
+                span.extend(composite_rows(fr, basis, d_first=left))
+        if solve_rows([span], [fi.vectorize()], gi.algebra.p) is not None:
             kept.remove(i)
     return [parts[r] for r in kept]
 

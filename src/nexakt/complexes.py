@@ -7,8 +7,8 @@ from typing import List, Sequence
 
 from .fp import Mat, kernel_basis
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
-                   direct_sum, hom_basis, identity_morphism, zero_module,
-                   zero_morphism)
+                   composite_rows, coordinate_length, direct_sum, hom_basis,
+                   identity_morphism, zero_module, zero_morphism)
 
 
 @dataclass
@@ -189,14 +189,14 @@ def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
     total = pos
     rows: List[List[int]] = []
     for idx, k in enumerate(range(x.lo, x.hi)):
-        tgt_len = len(zero_morphism(x.term(k), y.term(k + 1)).vectorize())
+        tgt_len = coordinate_length(x.term(k), y.term(k + 1))
         contrib = [[0] * total for _ in range(tgt_len)]
-        for i, b in enumerate(blocks[idx]):
-            vec = b.then(y.diff(k)).vectorize()
+        for i, vec in enumerate(composite_rows(y.diff(k), blocks[idx],
+                                               d_first=False)):
             for r in range(tgt_len):
                 contrib[r][offsets[idx] + i] = vec[r]
-        for i, b in enumerate(blocks[idx + 1]):
-            vec = x.diff(k).then(b).vectorize()
+        for i, vec in enumerate(composite_rows(x.diff(k), blocks[idx + 1],
+                                               d_first=True)):
             for r in range(tgt_len):
                 contrib[r][offsets[idx + 1] + i] = (-vec[r]) % p
         rows.extend(contrib)

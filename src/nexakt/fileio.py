@@ -58,14 +58,18 @@ def algebra_to_dict(alg: AlgebraBasis) -> dict:
 
 def algebra_from_dict(data: dict) -> AlgebraBasis:
     try:
-        fld = FieldSpec(data["field"]["p"])
+        fld = FieldSpec(_int(data["field"]["p"], "field.p"))
         qd = data["quiver"]
         q = Quiver.build(qd["vertices"],
                          [(a["name"], a["from"], a["to"]) for a in qd["arrows"]])
-        rels = [Relation(tuple((t["coeff"], PathWord(tuple(t["path"])))
+        rels = [Relation(tuple((_int(t["coeff"], "relation coefficients"),
+                                PathWord(tuple(t["path"])))
                                for t in group))
                 for group in data.get("relations", [])]
-        return build_algebra(q, rels, data["nilpotency_bound"], fld)
+        return build_algebra(q, rels, _int(data["nilpotency_bound"],
+                                           "nilpotency_bound"), fld)
+    except InputError:
+        raise
     except (KeyError, TypeError) as exc:
         raise InputError(f"algebra definition missing field: {exc}") from None
     except ValueError as exc:
@@ -101,6 +105,10 @@ def _ints(values, what: str) -> list:
     if bad:
         raise InputError(f"{what} must be JSON integers, got {bad[0]!r}")
     return list(values)
+
+
+def _int(value, what: str) -> int:
+    return _ints([value], what)[0]
 
 
 def module_from_dict(data: dict, alg: AlgebraBasis) -> Module:
@@ -160,7 +168,7 @@ def complex_from_dict(data: dict, alg: AlgebraBasis) -> ComplexSeq:
         terms = [module_from_dict(t, alg) for t in data["terms"]]
         diffs = [morphism_from_dict(d, terms[k], terms[k + 1])
                  for k, d in enumerate(data.get("differentials", []))]
-        lo, = _ints([data.get("lo", 0)], "lo")
+        lo = _int(data.get("lo", 0), "lo")
         return ComplexSeq(lo, terms, diffs)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad complex file: {exc}") from None

@@ -175,6 +175,8 @@ class Mat:
         p = mats[0].p
         if any(m.rows != rows or m.p != p for m in mats):
             raise ValueError("hstack shape/field mismatch")
+        if len(mats) == 1:
+            return mats[0]
         out = []
         for i in range(rows):
             for m in mats:
@@ -189,6 +191,8 @@ class Mat:
         p = mats[0].p
         if any(m.cols != cols or m.p != p for m in mats):
             raise ValueError("vstack shape/field mismatch")
+        if len(mats) == 1:
+            return mats[0]
         out = []
         for m in mats:
             out.extend(m.entries)

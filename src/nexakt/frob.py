@@ -31,8 +31,9 @@ from .pushout import _factor_pushout, n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, assemble_from_span, block_morphism,
-                   direct_sum, factor_through, hom_basis, identity_morphism,
-                   in_add, solve_jointly, span_rank, split_indecomposables,
+                   composite_rows, coordinate_length, direct_sum,
+                   factor_through, hom_basis, identity_morphism, in_add,
+                   rows_rank, solve_rows, span_rank, split_indecomposables,
                    stack_morphisms_from_sum, zero_module, zero_morphism)
 from .resolutions import Coresolution, _injective_chain, cosyzygy_of, syzygy
 from .tilting import NctReport, check_n_cluster_tilting
@@ -95,16 +96,28 @@ def _closed_coresolution(x: Module, n: int) -> list:
 
 @dataclass
 class StableHom:
-    """Hom(source, target) and its ideal of maps through an injective."""
+    """Hom(source, target) and its ideal of maps through an injective:
+    the envelope composed with each element of Hom(E, target)."""
 
     source: Module
     target: Module
     hom: list                   # hom_basis(source, target)
-    ideal: list                 # envelope composed with hom_basis(E, target)
+    envelope: Morphism          # source -> E, the injective envelope
+
+    @property
+    def ideal(self) -> list:
+        return [self.envelope.then(h) for h in self._from_envelope()]
+
+    @cached_property
+    def ideal_rows(self) -> list:
+        return composite_rows(self.envelope, self._from_envelope(), d_first=True)
+
+    def _from_envelope(self) -> list:
+        return hom_basis(self.envelope.target, self.target)
 
     @cached_property
     def ideal_rank(self) -> int:
-        return span_rank(self.ideal)
+        return rows_rank(self.ideal_rows, self.source.algebra.p)
 
     @property
     def dim(self) -> int:
@@ -116,7 +129,19 @@ class StableHom:
             if not (f.source.same_as(self.source)
                     and f.target.same_as(self.target)):
                 raise ValueError("map outside this stable Hom space")
-        return span_rank(list(maps) + self.ideal) - self.ideal_rank
+        return self._quotient_rank([f.vectorize() for f in maps])
+
+    def composite_rank(self, hom: Sequence[Morphism], u: Morphism) -> int:
+        """rank of the maps h.then(u), for h in hom, which must run from
+        this source to u.source; read as coordinate rows."""
+        if not (u.target.same_as(self.target)
+                and all(h.source.same_as(self.source) for h in hom)):
+            raise ValueError("map outside this stable Hom space")
+        return self._quotient_rank(composite_rows(u, hom, d_first=False))
+
+    def _quotient_rank(self, rows: list) -> int:
+        return rows_rank(rows + self.ideal_rows,
+                         self.source.algebra.p) - self.ideal_rank
 
 
 def _envelope(x: Module) -> Morphism:
@@ -128,11 +153,8 @@ def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
     """Hom(m1, m2) with the ideal spanned by the envelope of m1 composed
     with Hom(E(m1), m2) (an injective extends along the envelope, a mono);
     memoised on m1 by the content key of m2."""
-    def build():
-        env = _envelope(m1)
-        return StableHom(m1, m2, hom_basis(m1, m2),
-                         [env.then(h) for h in hom_basis(env.target, m2)])
-    return m1.memoized(("stable", m2.key), build)
+    return m1.memoized(("stable", m2.key), lambda: StableHom(
+        m1, m2, hom_basis(m1, m2), _envelope(m1)))
 
 
 def _stably_zero(f: Morphism) -> bool:
@@ -234,10 +256,11 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     # closing: unique d with f^n.then(d) = proj and d_Y^{n-1}.then(d) = 0
     yn = y.term(n)
     basis = hom_basis(yn, proj.target)
-    eq1 = [f.component(n).then(b) for b in basis]
-    eq2 = [y.diff(n - 1).then(b) for b in basis]
-    coeffs = solve_jointly([eq1, eq2],
-                           [proj, zero_morphism(y.term(n - 1), proj.target)])
+    coeffs = solve_rows(
+        [composite_rows(f.component(n), basis, d_first=True),
+         composite_rows(y.diff(n - 1), basis, d_first=True)],
+        [proj.vectorize(),
+         (0,) * coordinate_length(y.term(n - 1), proj.target)], ctx.algebra.p)
     if coeffs is None:
         raise HypothesisError("standard angle: closing morphism not found")
     closing = assemble_from_span(basis, coeffs, yn, proj.target)
@@ -276,7 +299,7 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     ok = True
     for gi, g in enumerate(ctx.m.generators):
         spaces = [stable_hom(ctx, g, node) for node in nodes]
-        ranks = [spaces[k + 1].rank([h.then(u) for h in spaces[k].hom])
+        ranks = [spaces[k + 1].composite_rank(spaces[k].hom, u)
                  for k, u in enumerate(chain)]
         for i in range(1, len(nodes) - 1):
             exact = spaces[i].dim - ranks[i] == ranks[i - 1]

@@ -14,8 +14,9 @@ from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, mapping_cone,
                         verify_homotopy)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
-                   direct_sum, factor_through, hom_basis, identity_morphism,
-                   in_add, solve_jointly, zero_module, zero_morphism)
+                   composite_rows, coordinate_length, direct_sum,
+                   factor_through, hom_basis, identity_morphism, in_add,
+                   solve_rows, zero_module, zero_morphism)
 
 
 def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, ComplexMorphism]:
@@ -151,18 +152,21 @@ def _factor_pushout(f: ComplexMorphism, z: ComplexSeq,
       (B) f^{k+1} p^{k+1} - d_X^{k+1} h^{k+2} = g^{k+1} + h^{k+1} d_Z^k,
     where g^k = g_at(k): X^k -> Z^k.  Returns ({k: p^k}, {k: h^k})."""
     x, y = f.source, f.target
+    p = x.algebra.p
     p_comps: Dict[int, Morphism] = {x.lo: p0}
     h_comps: Dict[int, Morphism] = {x.lo + 1: h1}
     for k in range(x.lo, x.hi):
         basis_p = hom_basis(y.term(k + 1), z.term(k + 1))
         basis_h = hom_basis(x.term(k + 2), z.term(k + 1))
-        eq_a = [y.diff(k).then(b) for b in basis_p] + \
-               [zero_morphism(y.term(k), z.term(k + 1)) for _ in basis_h]
+        zero_a = (0,) * coordinate_length(y.term(k), z.term(k + 1))
+        eq_a = composite_rows(y.diff(k), basis_p, d_first=True) + \
+            [zero_a for _ in basis_h]
         tgt_a = p_comps[k].then(z.diff(k))
-        eq_b = [f.component(k + 1).then(b) for b in basis_p] + \
-               [x.diff(k + 1).then(b).scale(-1) for b in basis_h]
+        eq_b = composite_rows(f.component(k + 1), basis_p, d_first=True) + \
+            [tuple(-c % p for c in row)
+             for row in composite_rows(x.diff(k + 1), basis_h, d_first=True)]
         tgt_b = g_at(k + 1).add(h_comps[k + 1].then(z.diff(k)))
-        coeffs = solve_jointly([eq_a, eq_b], [tgt_a, tgt_b])
+        coeffs = solve_rows([eq_a, eq_b], [tgt_a.vectorize(), tgt_b.vectorize()], p)
         if coeffs is None:
             raise HypothesisError(f"factorization stuck at degree {k}", degree=k)
         p_comps[k + 1] = assemble_from_span(

@@ -5,11 +5,18 @@ matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
 Both are immutable.  Each fact is checked once, when it is made: the
 public ``Morphism(...)`` checks naturality, and every map from raw
-matrices goes through it (file loads, hom_basis, block_morphism,
-identities and zeros, kernel and cokernel maps, covers, envelopes).
-Composites and linear combinations of natural maps are natural, so
-``then``, ``add``, ``sub``, ``scale`` and ``assemble_from_span`` check
-only their endpoints, by content (``Module.same_as``).
+matrices goes through it (file loads, block_morphism, identities and
+zeros, kernel and cokernel maps, covers, envelopes), except a Hom basis,
+which hom_basis checks as one batch per arrow.  Composites and linear
+combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
+``scale`` and ``assemble_from_span`` check only their endpoints, by
+content (``Module.same_as``).
+
+Composites of one map with every element of a Hom basis are read as
+coordinate rows (``composite_rows``: one stacked product per vertex),
+and the linear problems in Hom spaces are solved on rows
+(``solve_rows``, ``rows_rank``); ``solve_jointly``, ``solve_in_span``
+and ``span_rank`` are their forms on Morphisms.
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
@@ -228,8 +235,9 @@ def identity_morphism(m: Module) -> Morphism:
 
 
 def _natural(source: Module, target: Module, components: dict) -> Morphism:
-    """A composite or linear combination of natural maps, which is natural,
-    built without the check; components has every vertex, shaped right."""
+    """A map known to be natural (a composite or linear combination of
+    natural maps, or a Hom basis element checked in its batch), built
+    without the check; components has every vertex, shaped right."""
     f = object.__new__(Morphism)
     f.__dict__.update(source=source, target=target, components=components)
     return f
@@ -259,7 +267,8 @@ def _require_same_algebra(m: Module, n: Module):
 
 
 def hom_basis(m: Module, n: Module) -> List[Morphism]:
-    """Basis of Hom(m, n): kernel of the naturality system.
+    """Basis of Hom(m, n): kernel of the naturality system, every element
+    checked natural in one batch per arrow.
 
     The basis order is the deterministic kernel_basis order, which every
     certificate downstream relies on.  Memoised in the record of m's
@@ -283,26 +292,69 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
     total = pos
     rows: List[List[int]] = []
     for a in alg.quiver.arrows:
-        A = n.action[a.name]          # n_s -> n_t
-        B = m.action[a.name]          # m_s -> m_t
+        A = n.action[a.name].entries  # n_s -> n_t
+        B = m.action[a.name].entries  # m_s -> m_t
         s, t = a.source, a.target
         nt, ns = n.dims[t], n.dims[s]
         mt, ms = m.dims[t], m.dims[s]
-        # equation: A * x_s - x_t * B = 0, entry (i, j) with i < nt, j < ms
+        xs, xt = offsets[s], offsets[t]
+        # equation: A * x_s - x_t * B = 0, entry (i, j) with i < nt, j < ms;
+        # Mat.from_rows reduces the entries mod p
         for i in range(nt):
             for j in range(ms):
                 row = [0] * total
                 for k in range(ns):
-                    row[offsets[s] + k * ms + j] = (row[offsets[s] + k * ms + j]
-                                                    + A.at(i, k)) % p
+                    row[xs + k * ms + j] += A[i * ns + k]
                 for k in range(mt):
-                    row[offsets[t] + i * mt + k] = (row[offsets[t] + i * mt + k]
-                                                    - B.at(k, j)) % p
+                    row[xt + i * mt + k] -= B[k * ms + j]
                 rows.append(row)
-    system = Mat.from_rows(rows, p, cols=total)
-    basis = kernel_basis(system)
-    return [Morphism(m, n, _split_vector(m, n, basis.col(j)))
-            for j in range(basis.cols)]
+    kernel = kernel_basis(Mat.from_rows(rows, p, cols=total))
+    size = kernel.cols
+    if not size:
+        return []
+    # kernel vector j is column j of the kernel matrix, read straight into
+    # components; the empty ones are shared
+    comps: List[dict] = [{} for _ in range(size)]
+    for v in verts:
+        r, c = n.dims[v], m.dims[v]
+        if r * c == 0:
+            empty = Mat(r, c, (), p)
+            for comp in comps:
+                comp[v] = empty
+            continue
+        start = offsets[v] * size
+        for j, comp in enumerate(comps):
+            comp[v] = Mat(r, c, kernel.entries[start + j:start + r * c * size:size], p)
+    _check_natural_batch(m, n, comps)
+    return [_natural(m, n, c) for c in comps]
+
+
+def _check_natural_batch(m: Module, n: Module, comps: List[dict]):
+    """Naturality of every map m -> n with the given components, checked
+    at once: per arrow, n's action times the components at the source set
+    side by side, against the components at the target stacked, times m's
+    action, compared block by block."""
+    for a in m.algebra.quiver.arrows:
+        if n.dims[a.target] * m.dims[a.source] == 0:
+            continue
+        lhs = n.action[a.name].mul(Mat.hstack([c[a.source] for c in comps]))
+        rhs = Mat.vstack([c[a.target] for c in comps]).mul(m.action[a.name])
+        if _column_blocks(lhs, len(comps)) != _row_blocks(rhs, len(comps)):
+            raise ValueError(f"naturality fails at arrow {a.name}")
+
+
+def _row_blocks(m: Mat, k: int) -> List[tuple]:
+    """The entries of the k row blocks of m, of equal height."""
+    size = len(m.entries) // k
+    return [m.entries[i * size:(i + 1) * size] for i in range(k)]
+
+
+def _column_blocks(m: Mat, k: int) -> List[tuple]:
+    """The row-major entries of the k column blocks of m, of equal width."""
+    w = m.cols // k
+    return [tuple(x for r in range(m.rows)
+                  for x in m.entries[r * m.cols + i * w:r * m.cols + (i + 1) * w])
+            for i in range(k)]
 
 
 def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
@@ -422,23 +474,77 @@ def stack_morphisms_from_sum(maps: Sequence[Morphism]) -> Morphism:
 # -- linear problems in Hom spaces -------------------------------------
 
 
-def solve_jointly(equations: Sequence[Sequence[Morphism]],
-                  targets: Sequence[Morphism]) -> Optional[List[int]]:
+def composite_rows(d: Morphism, basis: Sequence[Morphism],
+                   d_first: bool) -> List[tuple]:
+    """The coordinate rows (``vectorize()``) of d.then(b), or of b.then(d)
+    when not d_first, for every b in basis, in order.
+
+    The basis maps share source and target, and d joins them; both are
+    checked once per call, by content.  At each vertex this is one product
+    of d's component with the basis components stacked into one matrix
+    (one above the other when d comes first, side by side otherwise)."""
+    if not basis:
+        return []
+    src, tgt = basis[0].source, basis[0].target
+    for b in basis:
+        if not (b.source.same_as(src) and b.target.same_as(tgt)):
+            raise ValueError("basis maps with different endpoints")
+    joint, end = (src, d.target) if d_first else (tgt, d.source)
+    if not joint.same_as(end):
+        raise ValueError("non-composable morphisms")
+    _require_same_algebra(end, joint)
+    k = len(basis)
+    rows: List[List[int]] = [[] for _ in basis]
+    for v in d.source.algebra.quiver.vertices:
+        dv = d.components[v]
+        comps = [b.components[v] for b in basis]
+        if d_first:                 # b_v * d_v for each b: row blocks
+            if comps[0].rows * dv.cols == 0:
+                continue
+            blocks = _row_blocks(Mat.vstack(comps).mul(dv), k)
+        else:                       # d_v * b_v for each b: column blocks
+            if dv.rows * comps[0].cols == 0:
+                continue
+            blocks = _column_blocks(dv.mul(Mat.hstack(comps)), k)
+        for row, block in zip(rows, blocks):
+            row.extend(block)
+    return [tuple(row) for row in rows]
+
+
+def solve_rows(equations: Sequence[Sequence[Sequence[int]]],
+               targets: Sequence[Sequence[int]], p: int) -> Optional[List[int]]:
     """Coefficients c with sum(c_j * equations[i][j]) = targets[i] for
-    every i at once (shared unknowns, one per column j), or None."""
-    p = targets[0].source.algebra.p
+    every i at once (shared unknowns, one per column j), or None; every
+    entry is a coordinate row, and each unknown's rows are read in
+    equation order."""
     ncand = len(equations[0])
-    cols = [[x for eq in equations for x in eq[j].vectorize()]
-            for j in range(ncand)]
-    rhs = [x for t in targets for x in t.vectorize()]
+    cols = [[x for eq in equations for x in eq[j]] for j in range(ncand)]
+    rhs = [x for t in targets for x in t]
+    if any(len(col) != len(rhs) for col in cols):
+        raise ValueError("coordinate rows of different lengths")
     if ncand == 0:
-        return [] if all(x == 0 for x in rhs) else None
+        return [] if all(x % p == 0 for x in rhs) else None
     mat = Mat.from_rows([[col[i] for col in cols] for i in range(len(rhs))],
                         p, cols=ncand)
     sol = solve_linear(mat, Mat.from_rows([[x] for x in rhs], p, cols=1))
     if sol is None:
         return None
     return [sol.at(i, 0) for i in range(ncand)]
+
+
+def rows_rank(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Dimension of the span of coordinate rows of one length."""
+    if not rows:
+        return 0
+    return rank(Mat.from_rows(rows, p, cols=len(rows[0])))
+
+
+def solve_jointly(equations: Sequence[Sequence[Morphism]],
+                  targets: Sequence[Morphism]) -> Optional[List[int]]:
+    """solve_rows on the coordinate rows of the maps."""
+    return solve_rows([[f.vectorize() for f in eq] for eq in equations],
+                      [t.vectorize() for t in targets],
+                      targets[0].source.algebra.p)
 
 
 def solve_in_span(candidates: Sequence[Morphism], target: Morphism) -> Optional[List[int]]:
@@ -450,9 +556,12 @@ def span_rank(maps: Sequence[Morphism]) -> int:
     """Dimension of the span of morphisms that share source and target."""
     if not maps:
         return 0
-    vecs = [f.vectorize() for f in maps]
-    return rank(Mat.from_rows(vecs, maps[0].source.algebra.p,
-                              cols=len(vecs[0])))
+    return rows_rank([f.vectorize() for f in maps], maps[0].source.algebra.p)
+
+
+def coordinate_length(m: Module, n: Module) -> int:
+    """Length of the coordinate row of a map m -> n."""
+    return sum(n.dims[v] * m.dims[v] for v in m.algebra.quiver.vertices)
 
 
 def hom_dims_and_ranks(chain: Sequence[Morphism], g: Module,
@@ -461,14 +570,12 @@ def hom_dims_and_ranks(chain: Sequence[Morphism], g: Module,
     is Hom(d.target, g) -> Hom(d.source, g) (contravariant), or on
     Hom(g, -), that is Hom(g, d.source) -> Hom(g, d.target); dim is that
     of the Hom space the map starts from."""
+    p = g.algebra.p
     out = []
     for d in chain:
-        if contravariant:
-            basis = hom_basis(d.target, g)
-            out.append((len(basis), span_rank([d.then(b) for b in basis])))
-        else:
-            basis = hom_basis(g, d.source)
-            out.append((len(basis), span_rank([b.then(d) for b in basis])))
+        basis = hom_basis(d.target, g) if contravariant else hom_basis(g, d.source)
+        out.append((len(basis),
+                    rows_rank(composite_rows(d, basis, contravariant), p)))
     return out
 
 
@@ -481,7 +588,7 @@ def hom_ranks(chain: Sequence[Morphism], g: Module,
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
                        source: Module, target: Module) -> Morphism:
     """sum(coeffs_i * candidates_i), formed entrywise as one Morphism."""
-    vec = [0] * sum(target.dims[v] * source.dims[v] for v in source.dims)
+    vec = [0] * coordinate_length(source, target)
     for c, cand in zip(coeffs, candidates):
         if not (cand.source.same_as(source) and cand.target.same_as(target)):
             raise ValueError("candidate does not join source and target")
@@ -493,7 +600,8 @@ def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
 def factor_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
     """Some phi with g.then(phi) = f (domains: g: A -> B, f: A -> C)."""
     basis = hom_basis(g.target, f.target)
-    coeffs = solve_in_span([g.then(b) for b in basis], f)
+    coeffs = solve_rows([composite_rows(g, basis, d_first=True)],
+                        [f.vectorize()], f.source.algebra.p)
     if coeffs is None:
         return None
     return assemble_from_span(basis, coeffs, g.target, f.target)
@@ -502,7 +610,8 @@ def factor_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
 def lift_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
     """Some phi with phi.then(g) = f (domains: g: B -> C, f: A -> C)."""
     basis = hom_basis(f.source, g.source)
-    coeffs = solve_in_span([b.then(g) for b in basis], f)
+    coeffs = solve_rows([composite_rows(g, basis, d_first=False)],
+                        [f.vectorize()], f.source.algebra.p)
     if coeffs is None:
         return None
     return assemble_from_span(basis, coeffs, f.source, g.source)
@@ -541,9 +650,10 @@ def _membership(x: Module, gens: Sequence[Module], keys: tuple) -> MembershipWit
 
 def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
     """The full test: id_x in the span of the composites x -> G -> x."""
-    composites = [f.then(h) for g in gens
-                  for f in hom_basis(x, g) for h in hom_basis(g, x)]
-    coeffs = solve_in_span(composites, identity_morphism(x))
+    composites = [row for g in gens for f in hom_basis(x, g)
+                  for row in composite_rows(f, hom_basis(g, x), d_first=True)]
+    coeffs = solve_rows([composites], [identity_morphism(x).vectorize()],
+                        x.algebra.p)
     return MembershipWitness(coeffs is not None,
                              {"reason": "solved", "coefficients": coeffs})
 

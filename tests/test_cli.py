@@ -578,3 +578,26 @@ def test_bad_input_exits_2(files, tmp_path, capsys, argv):
     assert code == 2
     assert "error:" in err and "Traceback" not in err
     assert not files["out"].exists()
+
+
+def _algebra_with_coeff(tmp_path, coeff):
+    data = algebra_to_dict(gen_linear_An_J2(2, 1)[0])
+    data["relations"][0][0]["coeff"] = coeff
+    return _algebra_with(tmp_path, relations=data["relations"])
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: _algebra_with_coeff(tmp, True),
+    lambda tmp: _algebra_with_coeff(tmp, 1.0),
+    lambda tmp: _algebra_with(tmp, nilpotency_bound=3.0),
+    lambda tmp: _algebra_with(tmp, nilpotency_bound=True),
+    lambda tmp: _algebra_with(tmp, field={"p": 101.0}),
+], ids=["coeff-bool", "coeff-float", "nilpotency-bound-float",
+        "nilpotency-bound-bool", "p-float"])
+def test_algebra_field_that_is_no_integer_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = run(*argv(tmp_path), "--out", out)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "must be JSON integers" in err and "Traceback" not in err
+    assert not out.exists()

@@ -627,3 +627,81 @@ def test_endpoint_checks_compare_modules_not_dimension_vectors(a3_mods):
         f.then(g)
     with pytest.raises(ValueError):
         ComplexSeq(0, [s0, semisimple.module], [f])
+
+
+# -- composites with a whole Hom basis ----------------------------------
+
+
+def _composite_family():
+    """(algebra, modules): the indecomposables of A_3/J^2 and of the
+    selfinjective cyclic Nakayama algebra with three vertices, plus direct
+    sums; most have a zero-dimensional vertex, and many Hom spaces between
+    them are zero."""
+    out = []
+    for alg in (linear_a3_j2(), cyclic_nakayama_j2(3)):
+        indecs = list(nakayama_indecomposables(alg))
+        sums = [direct_sum([indecs[0], indecs[-1]]).module,
+                direct_sum([indecs[1], indecs[1], indecs[2]]).module]
+        out.append((alg, indecs + sums))
+    return out
+
+
+@pytest.mark.parametrize("family", range(2), ids=["a3-j2", "cyclic-nakayama-3"])
+def test_composite_rows_match_composites(family):
+    alg, mods = _composite_family()[family]
+    rng = random.Random(family)
+    seen_empty = 0
+    for x in mods:
+        for y in mods:
+            basis_xy = hom_basis(x, y)
+            d = assemble_from_span(basis_xy, [rng.randrange(alg.p) for _ in basis_xy],
+                                   x, y)
+            for z in mods:
+                after, before = hom_basis(y, z), hom_basis(z, x)
+                seen_empty += not after
+                assert reps.composite_rows(d, after, d_first=True) == \
+                    [d.then(b).vectorize() for b in after]
+                assert reps.composite_rows(d, before, d_first=False) == \
+                    [b.then(d).vectorize() for b in before]
+    assert seen_empty
+
+
+def test_composite_rows_check_endpoints(a3_mods):
+    p1, p2, s2 = a3_mods["P1"], a3_mods["P2"], a3_mods["S2"]
+    d = hom_basis(p1, p2)[0]
+    with pytest.raises(ValueError, match="non-composable"):
+        reps.composite_rows(d, hom_basis(p1, p1), d_first=True)
+    with pytest.raises(ValueError, match="non-composable"):
+        reps.composite_rows(d, hom_basis(p2, p2), d_first=False)
+    assert hom_basis(p2, s2)
+    mixed = hom_basis(p2, p2) + hom_basis(p2, s2)
+    with pytest.raises(ValueError, match="different endpoints"):
+        reps.composite_rows(d, mixed, d_first=True)
+
+
+def test_every_hom_basis_element_passes_the_checked_constructor():
+    for alg, mods in _composite_family():
+        for x in mods:
+            for y in mods:
+                for f in hom_basis(x, y):
+                    checked = Morphism(f.source, f.target, f.components)
+                    assert checked.vectorize() == f.vectorize()
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_corrupted_kernel_vector_fails_naturality(a3, monkeypatch, position):
+    solve = reps.kernel_basis
+
+    def corrupted(a):
+        # add a coordinate vector that the naturality system does not kill
+        good = solve(a)
+        j = next(c for c in range(a.cols) if any(a.col(c)))
+        bad = tuple(int(i == j) for i in range(a.cols))
+        cols = [good.col(c) for c in range(good.cols)]
+        cols = [bad] + cols if position == "first" else cols + [bad]
+        return Mat.from_rows([list(r) for r in zip(*cols)], a.p, cols=len(cols))
+
+    monkeypatch.setattr(reps, "kernel_basis", corrupted)
+    p1 = projective_module(a3, "1")
+    with pytest.raises(ValueError, match="naturality fails at arrow"):
+        hom_basis(p1, p1)
