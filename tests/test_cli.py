@@ -73,7 +73,8 @@ def sha256(path):
 
 # Certificate digests recorded with the per-command CLI bodies that the
 # command table replaced (seed 0); passing runs must reproduce them byte
-# for byte.
+# for byte.  The pins at p = 2^31 - 1 were recorded before the F_p layer
+# shared one in-place row reduction.
 DEMO_SHA256 = {
     ("a3-j2", 2): "71288479765eb1a81b51ab5695cc790afb9382bdadc909e7cbefe706572a9858",
     ("a4-j2", 2): "8644cf966ba40dfc8301b70d86a7f0103bd1a10f6e3bb76fba5eeca82f4849a2",
@@ -90,6 +91,11 @@ DEMO_SHA256 = {
     ("a5-j2", 101): "2f6bc8f1bfde393989995cc3b2a8e3651c45a43e7c975c60e940bf4e85d2f28f",
     ("preproj-a2", 101): "6d6adcd36af9478bae9d293129006b37fbdeb3417256cfc95b446eada7794bfd",
     ("auslander-a2", 101): "5e4e3c38324d429dd02804adebe4b643c928ef1eb862b345c8b9511d70061b74",
+    ("a3-j2", 2147483647): "0b65b64bd73176e0d7ba67cf486bfa8446306521edcb4fcbcf0cd08754eb5cdc",
+    ("a4-j2", 2147483647): "13e2f2a456ef8a64f241c34bfbc55c6ff6bdf41e8e1f4bef6afbb85cabc2cb97",
+    ("a5-j2", 2147483647): "229683343561ac88b463eb7ab14a4490f063b838b2a119a727b9ac93b42c96fb",
+    ("preproj-a2", 2147483647): "2037414e1e960b691f966c7d50524e11c72862a0c46bcfcaddde577512389858",
+    ("auslander-a2", 2147483647): "55475e1d5084277ec8a6f7c93c04fbd007b9704345c593ba9c58ac5e27f287be",
 }
 FILE_SHA256 = {
     "algebra-check": "4a316d4c225d86243fc051228a40508d0e2476328aabbb45f66efd9e8c8dc6d5",
@@ -387,7 +393,9 @@ def test_non_nakayama_algebra_with_default_indecs_exits_2(tmp_path, capsys):
 
 def test_demo_presets_pass_at_all_primes(tmp_path, monkeypatch):
     monkeypatch.delenv("NEXAKT_SEED", raising=False)
-    for p in (2, 5, 101):
+    # 2^31 - 1, the largest prime FieldSpec accepts, gives the largest
+    # entries the reduction and the products see
+    for p in (2, 5, 101, 2147483647):
         for preset in ("a3-j2", "a4-j2", "a5-j2", "preproj-a2",
                        "auslander-a2"):
             out = tmp_path / str(p)

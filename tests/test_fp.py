@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from nexakt.fp import (FieldSpec, Mat, kernel_basis, quotient_data, rank,
-                       rref, solve_linear)
+from nexakt.fp import (FieldSpec, Mat, column_space_basis, kernel_basis,
+                       quotient_data, rank, rref, solve_linear)
 
 
 def mat(rows, p=101):
@@ -151,3 +151,230 @@ def test_from_blocks_rejects_a_block_of_the_wrong_shape():
         Mat.from_blocks([1, 2], [2, 1], {(0, 0): one}, 101)
     with pytest.raises(ValueError):
         Mat.from_blocks([1], [1], {(0, 1): one}, 101)
+
+
+# -- reference tests -------------------------------------------------------
+#
+# A plain copy of the row reduction, the solvers and the product as they
+# were written on row lists before the shared in-place reduction; every
+# public routine must agree with it exactly (the reduced matrix, the
+# pivots, the chosen solution and the basis order), because certificates
+# hash what these routines return.
+
+REF_PRIMES = (2, 3, 101, 65537, 2147483647)
+
+
+def ref_rref(rows, ncols, p):
+    rows = [[x % p for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [(x * inv) % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def ref_solve(a, ncols_a, b, ncols_b, p):
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    red, pivots = ref_rref(aug, ncols_a + ncols_b, p)
+    if any(c >= ncols_a for c in pivots):
+        return None
+    x = [[0] * ncols_b for _ in range(ncols_a)]
+    for r, c in enumerate(pivots):
+        for j in range(ncols_b):
+            x[c][j] = red[r][ncols_a + j]
+    return x
+
+
+def ref_kernel(a, ncols, p):
+    red, pivots = ref_rref(a, ncols, p)
+    vecs = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [0] * ncols
+        v[j] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-red[r][j]) % p
+        vecs.append(v)
+    return [[v[i] for v in vecs] for i in range(ncols)], len(vecs)
+
+
+def ref_column_space(a, ncols, p):
+    _, pivots = ref_rref(a, ncols, p)
+    return [[r[j] % p for j in pivots] for r in a], len(pivots)
+
+
+def ref_quotient(span, ncols, p):
+    n = len(span)
+    red, pivots = ref_rref([[span[i][j] for i in range(n)] for j in range(ncols)],
+                           n, p)
+    free = [j for j in range(n) if j not in pivots]
+    proj = []
+    for j in free:
+        row = [0] * n
+        row[j] = 1
+        for r, c in enumerate(pivots):
+            row[c] = (-red[r][j]) % p
+        proj.append(row)
+    return proj, free
+
+
+def ref_mul(a, b, k, m, p):
+    return [[sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m)]
+            for i in range(len(a))]
+
+
+def rows_of(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def random_rows(rng, r, c, p):
+    """A random r x c matrix, often of low rank and often sparse."""
+    kind = rng.randrange(4)
+    if kind == 0 and r and c:          # rank at most k < min(r, c)
+        k = rng.randrange(min(r, c))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(r)]
+        right = [[rng.randrange(p) for _ in range(c)] for _ in range(k)]
+        return ref_mul(left, right, k, c, p)
+    if kind == 1:                      # mostly zeros
+        return [[rng.randrange(p) if rng.random() < 0.25 else 0
+                 for _ in range(c)] for _ in range(r)]
+    if kind == 2 and r > 1:            # repeated and scaled rows
+        base = [[rng.randrange(p) for _ in range(c)] for _ in range(r // 2 + 1)]
+        return [[(rng.randrange(1, p) * x) % p for x in rng.choice(base)]
+                for _ in range(r)]
+    return [[rng.randrange(p) for _ in range(c)] for _ in range(r)]
+
+
+def random_shapes(rng, count):
+    yield from ((0, 3), (3, 0), (0, 0), (1, 1))
+    for _ in range(count):
+        yield rng.randrange(0, 7), rng.randrange(0, 7)
+
+
+@pytest.mark.parametrize("p", REF_PRIMES)
+def test_rref_rank_kernel_and_column_space_match_the_reference(p):
+    rng = random.Random(1400 + p)
+    for r, c in random_shapes(rng, 60):
+        rows = random_rows(rng, r, c, p)
+        a = Mat.from_rows(rows, p, cols=c)
+        red_ref, piv_ref = ref_rref(rows, c, p)
+        red, piv = rref(a)
+        assert (red.rows, red.cols) == (r, c)
+        assert rows_of(red) == red_ref and piv == piv_ref
+        assert rank(a) == len(piv_ref)
+        ker, nker = ref_kernel(rows, c, p)
+        k = kernel_basis(a)
+        assert (k.rows, k.cols) == (c, nker) and rows_of(k) == ker
+        col, ncol = ref_column_space(rows, c, p)
+        s = column_space_basis(a)
+        assert (s.rows, s.cols) == (r, ncol) and rows_of(s) == col
+
+
+@pytest.mark.parametrize("p", REF_PRIMES)
+def test_solve_linear_matches_the_reference(p):
+    rng = random.Random(2400 + p)
+    solvable = unsolvable = 0
+    for r, c in random_shapes(rng, 60):
+        rows = random_rows(rng, r, c, p)
+        nb = rng.randrange(0, 3)
+        if rng.random() < 0.5:         # b in the column space of a
+            x0 = [[rng.randrange(p) for _ in range(nb)] for _ in range(c)]
+            rhs = ref_mul(rows, x0, c, nb, p)
+        else:
+            rhs = [[rng.randrange(p) for _ in range(nb)] for _ in range(r)]
+        a, b = Mat.from_rows(rows, p, cols=c), Mat.from_rows(rhs, p, cols=nb)
+        want = ref_solve(rows, c, rhs, nb, p)
+        got = solve_linear(a, b)
+        if want is None:
+            unsolvable += 1
+            assert got is None
+        else:
+            solvable += 1
+            assert (got.rows, got.cols) == (c, nb) and rows_of(got) == want
+    assert solvable and unsolvable
+
+
+@pytest.mark.parametrize("p", REF_PRIMES)
+def test_quotient_data_matches_the_reference(p):
+    rng = random.Random(3400 + p)
+    for n, k in random_shapes(rng, 40):
+        span = random_rows(rng, n, k, p)
+        proj_ref, free_ref = ref_quotient(span, k, p)
+        proj, free = quotient_data(Mat.from_rows(span, p, cols=k))
+        assert free == free_ref
+        assert (proj.rows, proj.cols) == (len(free_ref), n)
+        assert rows_of(proj) == proj_ref
+
+
+@pytest.mark.parametrize("p", REF_PRIMES)
+def test_mat_mul_matches_the_reference(p):
+    rng = random.Random(4400 + p)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 4), (3, 0, 0)]
+    shapes += [tuple(rng.randrange(0, 6) for _ in range(3)) for _ in range(60)]
+    for n, k, m in shapes:
+        a, b = random_rows(rng, n, k, p), random_rows(rng, k, m, p)
+        prod = Mat.from_rows(a, p, cols=k).mul(Mat.from_rows(b, p, cols=m))
+        assert (prod.rows, prod.cols, prod.p) == (n, m, p)
+        assert rows_of(prod) == ref_mul(a, b, k, m, p)
+
+
+# -- checks that Mat and the row core make -----------------------------------
+
+def test_mat_checks_its_shape_when_made():
+    with pytest.raises(ValueError):
+        Mat(-1, 0, (), 5)
+    with pytest.raises(ValueError):
+        Mat(0, -2, (), 5)
+    with pytest.raises(ValueError):
+        Mat(2, 2, (1, 2, 3), 5)
+    with pytest.raises(ValueError):
+        Mat(1, 2, (1, 2, 3), 5)
+    assert Mat(0, 4, (), 5).cols == 4
+
+
+def test_mat_is_immutable():
+    a = Mat(1, 2, (1, 2), 5)
+    for attr, value in (("rows", 2), ("cols", 1), ("entries", (3, 4)),
+                        ("p", 7), ("extra", 0)):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, value)
+    for attr in ("rows", "cols", "entries", "p"):
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    assert (a.rows, a.cols, a.entries, a.p) == (1, 2, (1, 2), 5)
+
+
+def test_mat_equality_and_hash_read_shape_entries_and_field():
+    a = Mat(2, 1, (1, 0), 5)
+    b = Mat.from_rows([[1], [0]], 5)
+    assert a == b and hash(a) == hash(b)
+    assert a != Mat(2, 1, (1, 0), 7)
+    assert a != Mat(1, 2, (1, 0), 5)
+    assert a != Mat(2, 1, (0, 1), 5)
+    assert len({a, b, Mat(2, 1, (1, 0), 7)}) == 2
+
+
+def test_row_core_refuses_rows_of_different_lengths():
+    from nexakt.reps import rows_rank, solve_rows
+    with pytest.raises(ValueError):
+        rows_rank([(1, 2), (1,)], 5)
+    with pytest.raises(ValueError):
+        solve_rows([[(1, 2), (1,)]], [(1, 2)], 5)
+    with pytest.raises(ValueError):
+        solve_rows([[(1, 2), (0, 1)]], [(1, 2, 3)], 5)
