@@ -1,8 +1,12 @@
 """Exact dense linear algebra over a prime field F_p.
 
 Everything downstream (Hom spaces, resolutions, certificates) reduces to
-the three solvers in this module: ``rref``, ``solve_linear`` and
-``kernel_basis``.  All arithmetic is exact; matrices are immutable.
+the solvers in this module.  They share one row reduction, ``_reduce``,
+which works in place on lists of rows: ``rref`` wraps it in a ``Mat``,
+while ``rank``, ``solve_linear``, ``kernel_basis``, ``column_space_basis``,
+``quotient_data`` and the coordinate-row solvers of ``reps`` call it
+directly and build no intermediate ``Mat``.  All arithmetic is exact.
+``Mat`` uses ``__slots__``, is immutable, and checks its shape when made.
 Pivoting is deterministic (first nonzero entry), so every certificate
 derived from these routines is bit-reproducible.
 """
@@ -44,26 +48,52 @@ class FieldSpec:
             raise ValueError(f"modulus is not prime: {self.p}")
 
 
-@dataclass(frozen=True)
 class Mat:
     """Dense row-major matrix over F_p.
 
     0xn and nx0 matrices are legal and represent maps to/from the zero
-    space.  Entries are stored reduced modulo p in a flat tuple.
+    space.  Entries are stored reduced modulo p in a flat tuple.  A Mat
+    is immutable: setting or deleting an attribute raises.  Equality and
+    hashing read (rows, cols, entries, p).
     """
 
-    rows: int
-    cols: int
-    entries: tuple
-    p: int
+    __slots__ = ("rows", "cols", "entries", "p")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple, p: int):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"entry count {len(entries)} != {rows}x{cols}")
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_entries(self, entries)
+        _set_p(self, p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mat is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Mat is immutable: cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.rows, self.cols, self.entries, self.p)
+
+    def __eq__(self, other):
+        if other.__class__ is not Mat:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Mat(rows={self.rows!r}, cols={self.cols!r}, "
+                f"entries={self.entries!r}, p={self.p!r})")
+
+    # pickle and copy rebuild a Mat through __init__: its slots cannot be
+    # set on an instance afterwards
+    def __reduce__(self):
+        return Mat, self._key()
 
     # -- constructors ------------------------------------------------
 
@@ -105,7 +135,8 @@ class Mat:
         return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
 
     def to_lists(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        cols, ent = self.cols, self.entries
+        return [list(ent[i * cols:(i + 1) * cols]) for i in range(self.rows)]
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -146,6 +177,8 @@ class Mat:
             )
         p = self.p
         n, k, m = self.rows, self.cols, other.cols
+        if n * m == 0 or k == 0:
+            return Mat(n, m, (0,) * (n * m), p)
         flat = [0] * (n * m)
         srows = self.entries
         orows = other.entries
@@ -221,37 +254,71 @@ class Mat:
         return self.entries
 
 
-def rref(a: Mat) -> "tuple[Mat, list[int]]":
-    """Reduced row-echelon form and pivot columns, deterministic pivoting."""
-    p = a.p
-    rows = [list(a.row(i)) for i in range(a.rows)]
+_set_rows = Mat.rows.__set__
+_set_cols = Mat.cols.__set__
+_set_entries = Mat.entries.__set__
+_set_p = Mat.p.__set__
+
+
+def _reduce(rows: list, ncols: int, p: int) -> "list[int]":
+    """Row-reduce ``rows`` (lists of entries reduced mod p) in place and
+    return the pivot columns.  Pivots are sought in the first ``ncols``
+    columns only, the first nonzero entry of each column in turn; the row
+    operations act on whole rows, so columns past ``ncols`` ride along as
+    an augmented part.  On return the rows are in reduced row-echelon form
+    over the first ``ncols`` columns, and rows ``len(pivots):`` are zero
+    there."""
+    nrows = len(rows)
     pivots: list = []
     r = 0
-    for c in range(a.cols):
-        pr = None
-        for i in range(r, a.rows):
-            if rows[i][c] != 0:
-                pr = i
+    for c in range(ncols):
+        if r == nrows:
+            break
+        for i in range(r, nrows):
+            if rows[i][c]:
                 break
-        if pr is None:
+        else:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [(x * inv) % p for x in rows[r]]
-        for i in range(a.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [(x - f * y) % p for x, y in zip(ri, rr)]
+        pivot_row = rows[i]
+        if i != r:
+            rows[i] = rows[r]
+        lead = pivot_row[c]
+        if lead != 1:
+            inv = pow(lead, p - 2, p)
+            pivot_row = [(y * inv) % p for y in pivot_row]
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
         pivots.append(c)
         r += 1
-        if r == a.rows:
-            break
-    return Mat.from_rows(rows, p, cols=a.cols), pivots
+    return pivots
+
+
+def _null_vectors(red: list, pivots: list, n: int, p: int) -> "tuple[list, list]":
+    """The free columns of reduced rows of width n, and for each one the
+    null vector with a 1 there: minus the reduced column at the pivots."""
+    free = [j for j in range(n) if j not in pivots]
+    vecs = []
+    for j in free:
+        v = [0] * n
+        v[j] = 1
+        for row, c in zip(red, pivots):
+            v[c] = (-row[j]) % p
+        vecs.append(v)
+    return free, vecs
+
+
+def rref(a: Mat) -> "tuple[Mat, list[int]]":
+    """Reduced row-echelon form and pivot columns, deterministic pivoting."""
+    rows = a.to_lists()
+    pivots = _reduce(rows, a.cols, a.p)
+    return Mat(a.rows, a.cols, tuple(x for row in rows for x in row), a.p), pivots
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return len(_reduce(a.to_lists(), a.cols, a.p))
 
 
 def solve_linear(a: Mat, b: Mat) -> Optional[Mat]:
@@ -260,40 +327,33 @@ def solve_linear(a: Mat, b: Mat) -> Optional[Mat]:
         raise ValueError("field mismatch in solve_linear")
     if a.rows != b.rows:
         raise ValueError(f"shape mismatch: a has {a.rows} rows, b has {b.rows}")
-    aug = Mat.hstack([a, b]) if a.cols + b.cols > 0 else Mat.zero(a.rows, 0, a.p)
-    red, pivots = rref(aug)
-    for c in pivots:
-        if c >= a.cols:
-            return None
-    x = [[0] * b.cols for _ in range(a.cols)]
-    for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            x[c][j] = red.at(r, a.cols + j)
-    return Mat.from_rows(x, a.p, cols=b.cols)
+    n, m = a.cols, b.cols
+    rows = [ra + rb for ra, rb in zip(a.to_lists(), b.to_lists())]
+    pivots = _reduce(rows, n, a.p)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        return None
+    x = [0] * (n * m)
+    for row, c in zip(rows, pivots):
+        x[c * m:(c + 1) * m] = row[n:]
+    return Mat(n, m, tuple(x), a.p)
 
 
 def kernel_basis(a: Mat) -> Mat:
     """Columns form a basis of the null space {x : a*x = 0}."""
-    red, pivots = rref(a)
-    p = a.p
-    free = [j for j in range(a.cols) if j not in pivots]
-    cols = []
-    for j in free:
-        v = [0] * a.cols
-        v[j] = 1
-        for r, c in enumerate(pivots):
-            v[c] = (-red.at(r, j)) % p
-        cols.append(v)
-    return Mat.from_rows([[cols[k][i] for k in range(len(free))] for i in range(a.cols)],
-                         p, cols=len(free))
+    rows = a.to_lists()
+    pivots = _reduce(rows, a.cols, a.p)
+    _, vecs = _null_vectors(rows, pivots, a.cols, a.p)
+    return Mat(a.cols, len(vecs), tuple(x for coords in zip(*vecs) for x in coords),
+               a.p)
 
 
 def column_space_basis(a: Mat) -> Mat:
     """Columns of a at the pivot positions: a basis of the column space."""
-    _, pivots = rref(a)
-    cols = [a.col(j) for j in pivots]
-    return Mat.from_rows([[c[i] for c in cols] for i in range(a.rows)], a.p,
-                         cols=len(pivots))
+    pivots = _reduce(a.to_lists(), a.cols, a.p)
+    cols, ent = a.cols, a.entries
+    return Mat(a.rows, len(pivots),
+               tuple(ent[i * cols + j] for i in range(a.rows) for j in pivots),
+               a.p)
 
 
 def quotient_data(span: Mat) -> "tuple[Mat, list[int]]":
@@ -304,18 +364,11 @@ def quotient_data(span: Mat) -> "tuple[Mat, list[int]]":
     kernel is exactly the column space of ``span``.  The standard basis
     vectors at the free coordinates lift the quotient basis.
     """
-    p = span.p
-    n = span.rows
-    red, pivots = rref(span.transpose())
-    free = [j for j in range(n) if j not in pivots]
-    proj_rows = []
-    for j in free:
-        row = [0] * n
-        row[j] = 1
-        for r, c in enumerate(pivots):
-            row[c] = (-red.at(r, j)) % p
-        proj_rows.append(row)
-    return Mat.from_rows(proj_rows, p, cols=n), free
+    p, n, cols = span.p, span.rows, span.cols
+    rows = [list(span.entries[j::cols]) for j in range(cols)]
+    pivots = _reduce(rows, n, p)
+    free, proj_rows = _null_vectors(rows, pivots, n, p)
+    return Mat(len(free), n, tuple(x for row in proj_rows for x in row), p), free
 
 
 def quotient_projection(span: Mat) -> Mat:

@@ -15,8 +15,9 @@ content (``Module.same_as``).
 Composites of one map with every element of a Hom basis are read as
 coordinate rows (``composite_rows``: one stacked product per vertex),
 and the linear problems in Hom spaces are solved on rows
-(``solve_rows``, ``rows_rank``); ``solve_jointly``, ``solve_in_span``
-and ``span_rank`` are their forms on Morphisms.
+(``solve_rows``, ``rows_rank``, which hand the rows to the in-place row
+reduction of ``fp`` with no ``Mat`` in between); ``solve_jointly``,
+``solve_in_span`` and ``span_rank`` are their forms on Morphisms.
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
@@ -57,8 +58,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
-from .fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
-                 quotient_projection, rank, solve_linear)
+from .fp import (Mat, _reduce, column_space_basis, kernel_basis,
+                 mat_from_vector, quotient_projection, rank, solve_linear)
 from .quivers import AlgebraBasis, Memo, PathWord
 
 FITTING_RETRIES = 32
@@ -524,19 +525,24 @@ def solve_rows(equations: Sequence[Sequence[Sequence[int]]],
         raise ValueError("coordinate rows of different lengths")
     if ncand == 0:
         return [] if all(x % p == 0 for x in rhs) else None
-    mat = Mat.from_rows([[col[i] for col in cols] for i in range(len(rhs))],
-                        p, cols=ncand)
-    sol = solve_linear(mat, Mat.from_rows([[x] for x in rhs], p, cols=1))
-    if sol is None:
+    aug = [[x % p for x in row] for row in zip(*cols, rhs)]
+    pivots = _reduce(aug, ncand, p)
+    if any(row[ncand] for row in aug[len(pivots):]):
         return None
-    return [sol.at(i, 0) for i in range(ncand)]
+    sol = [0] * ncand
+    for row, c in zip(aug, pivots):
+        sol[c] = row[ncand]
+    return sol
 
 
 def rows_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     """Dimension of the span of coordinate rows of one length."""
     if not rows:
         return 0
-    return rank(Mat.from_rows(rows, p, cols=len(rows[0])))
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("coordinate rows of different lengths")
+    return len(_reduce([[x % p for x in row] for row in rows], ncols, p))
 
 
 def solve_jointly(equations: Sequence[Sequence[Morphism]],

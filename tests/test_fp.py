@@ -378,3 +378,11 @@ def test_row_core_refuses_rows_of_different_lengths():
         solve_rows([[(1, 2), (1,)]], [(1, 2)], 5)
     with pytest.raises(ValueError):
         solve_rows([[(1, 2), (0, 1)]], [(1, 2, 3)], 5)
+
+
+def test_mat_survives_pickle_and_copy():
+    import copy
+    import pickle
+    a = Mat(2, 1, (1, 0), 5)
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert b == a and b.p == 5
