@@ -10,8 +10,8 @@ from nexakt.cli import _build_parser, main
 from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            load_algebra, module_from_dict, module_to_dict,
                            morphism_with_endpoints_to_dict)
-from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
-                            nakayama_indecomposables)
+from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                            gen_preprojective_A, nakayama_indecomposables)
 from nexakt.reps import (direct_sum, hom_basis, projective_module,
                          simple_module)
 
@@ -428,6 +428,33 @@ def test_file_commands_certificate_bytes(files, monkeypatch):
     for name, argv in commands.items():
         assert run(*argv, "--out", "pinned") == 0, name
         assert sha256(f"pinned/{name}.cert.json") == FILE_SHA256[name], name
+
+
+# algebra check on algebras whose ideal is more than its relations: the
+# mesh relations generate products of length 3 and more.  Digests recorded
+# with the dict-based closure that the shared row reduction replaced.
+ALGEBRA_CHECK_SHA256 = {
+    "pi3-p101.json": (lambda: gen_preprojective_A(3, 101),
+                      "b22f1d994bd4799d48966f4146b89ddc41bf3aae96351b8953d3e3568a3e6642"),
+    "pi3-p2.json": (lambda: gen_preprojective_A(3, 2),
+                    "23e0213bdc3f5722f53fdad035919ccc1b7320c0d5482876fdc973840b930f1d"),
+    "aus4-p101.json": (lambda: gen_auslander_linear_A(4, 101),
+                       "8151d11a651b889db747003e6ccb0f6e852d7558f4397c72596c1ff210b138d3"),
+    "aus4-p2147483647.json": (
+        lambda: gen_auslander_linear_A(4, 2147483647),
+        "b299d571d96851d89e2edf79e4ec81925dac2eb13bee80ce890326f24b534960"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRA_CHECK_SHA256))
+def test_algebra_check_certificate_bytes(tmp_path, monkeypatch, name):
+    # relative path: the certificate records its --algebra argument
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+    make, digest = ALGEBRA_CHECK_SHA256[name]
+    dump_algebra(make(), name)
+    assert run("algebra", "check", "--algebra", name) == 0
+    assert sha256("certs/algebra-check.cert.json") == digest
 
 
 def test_setup_error_exits_1_with_fail_certificate(files, tmp_path):

@@ -1,11 +1,13 @@
 import pytest
 
 from nexakt.fp import FieldSpec
+from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                            gen_preprojective_A)
 from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
-                            QuiverError, Relation, build_algebra,
-                            opposite_algebra)
+                            QuiverError, Relation, _enumerate_paths,
+                            build_algebra, opposite_algebra, path_endpoints)
 
-from conftest import linear_a3_j2, preprojective_a2
+from conftest import cyclic_nakayama_j2
 
 
 def test_quiver_validation():
@@ -111,3 +113,227 @@ def test_two_term_commutativity_relation():
     alg = build_algebra(q, [rel], 3, FieldSpec(101))
     # basis: 4 units + 4 arrows + one surviving length-2 residue
     assert alg.dim == 9
+
+
+# -- reference: the ideal as the old dict-based closure built it ------------
+#
+# A plain copy of the fixpoint closure and normal form that build_algebra
+# used before it shared fp's row reduction.  build_algebra must give the
+# same basis, endpoints, table and BoundError message on every input.
+
+def _reference_closure(q, p, max_len, paths, rel_vectors):
+    ends = {w: path_endpoints(q, w) for w in paths}
+    path_pos = {w: k for k, w in enumerate(paths)}
+
+    def extend_left(vec, a):
+        out = {}
+        for w, c in vec.items():
+            if ends[w][0] != a.target:
+                return {}
+            nw = PathWord((a.name,) + w.arrows)
+            if nw.length() <= max_len:
+                out[nw] = c
+        return out
+
+    def extend_right(vec, a):
+        out = {}
+        for w, c in vec.items():
+            if ends[w][1] != a.source:
+                return {}
+            nw = PathWord(w.arrows + (a.name,))
+            if nw.length() <= max_len:
+                out[nw] = c
+        return out
+
+    pivot_rows = {}
+
+    def reduce_vec(vec):
+        vec = {w: c % p for w, c in vec.items() if c % p}
+        while vec:
+            lead = min(vec, key=lambda w: path_pos[w])
+            row = pivot_rows.get(lead)
+            if row is None:
+                return vec
+            c = vec[lead]
+            vec = {w: (vec.get(w, 0) - c * row.get(w, 0)) % p
+                   for w in set(vec) | set(row)}
+            vec = {w: x for w, x in vec.items() if x}
+        return vec
+
+    def insert(vec):
+        vec = reduce_vec(vec)
+        if not vec:
+            return False
+        lead = min(vec, key=lambda w: path_pos[w])
+        inv = pow(vec[lead], p - 2, p)
+        pivot_rows[lead] = {w: (c * inv) % p for w, c in vec.items()}
+        for piv in list(pivot_rows):
+            if piv == lead:
+                continue
+            row = pivot_rows[piv]
+            if lead in row:
+                c = row[lead]
+                newrow = {w: (row.get(w, 0) - c * pivot_rows[lead].get(w, 0)) % p
+                          for w in set(row) | set(pivot_rows[lead])}
+                pivot_rows[piv] = {w: x for w, x in newrow.items() if x}
+        return True
+
+    for v in [dict(v) for v in rel_vectors]:
+        insert(v)
+    changed = True
+    while changed:
+        changed = False
+        for vec in [dict(v) for v in pivot_rows.values()]:
+            for a in q.arrows:
+                for ext in (extend_left(vec, a), extend_right(vec, a)):
+                    if ext and insert(ext):
+                        changed = True
+    return pivot_rows, path_pos
+
+
+def _reference_algebra(q, rels, n_bound, p):
+    """(basis, source_of, target_of, table) as the old build_algebra made
+    them; raises its BoundError."""
+    paths = _enumerate_paths(q, n_bound)
+    rel_vectors = [{word: coeff % p for coeff, word in r.terms} for r in rels]
+    pivot_rows, path_pos = _reference_closure(q, p, n_bound, paths, rel_vectors)
+
+    def normal_form(vec):
+        vec = {w: c % p for w, c in vec.items() if c % p}
+        again = True
+        while again:
+            again = False
+            for w in sorted(vec, key=lambda w: path_pos[w]):
+                row = pivot_rows.get(w)
+                if row is not None and vec.get(w, 0):
+                    c = vec[w]
+                    vec = {u: (vec.get(u, 0) - c * row.get(u, 0)) % p
+                           for u in set(vec) | set(row)}
+                    vec = {u: x for u, x in vec.items() if x}
+                    again = True
+                    break
+        return vec
+
+    for w in paths:
+        if w.length() == n_bound and w not in pivot_rows:
+            if normal_form({w: 1}):
+                raise BoundError(
+                    f"path {w.arrows} of length {n_bound} is nonzero in the "
+                    f"quotient; ideal not verified admissible with this bound")
+
+    basis_words = [w for w in paths
+                   if w.length() < n_bound and w not in pivot_rows]
+    ends = {w: path_endpoints(q, w) for w in basis_words}
+    basis_pos = {w: i for i, w in enumerate(basis_words)}
+    table = {}
+    for i, wi in enumerate(basis_words):
+        for j, wj in enumerate(basis_words):
+            if ends[wi][1] != ends[wj][0]:
+                continue
+            if wi.length() + wj.length() >= n_bound:
+                table[(i, j)] = []
+                continue
+            concat = PathWord(wi.arrows + wj.arrows,
+                              wi.base if wi.is_trivial() and wj.is_trivial() else None)
+            nf = normal_form({concat: 1})
+            table[(i, j)] = sorted((basis_pos[w], c) for w, c in nf.items())
+    return (tuple(basis_words), tuple(ends[w][0] for w in basis_words),
+            tuple(ends[w][1] for w in basis_words), table)
+
+
+def _built(q, rels, n_bound, p):
+    """What build_algebra gives, in the reference's shape, or the message
+    of its BoundError."""
+    try:
+        alg = build_algebra(q, rels, n_bound, FieldSpec(p))
+    except BoundError as exc:
+        return "BoundError", str(exc)
+    return alg.basis, alg.source_of, alg.target_of, alg.table
+
+
+def _expected(q, rels, n_bound, p):
+    try:
+        return _reference_algebra(q, rels, n_bound, p)
+    except BoundError as exc:
+        return "BoundError", str(exc)
+
+
+def _opposite_input(q, rels):
+    return q.opposite(), [
+        Relation(tuple((c, PathWord(tuple(reversed(w.arrows)), w.base))
+                       for c, w in r.terms))
+        for r in rels]
+
+
+def _linear_an_jl(m, l, p):
+    """K A_m/J^l over the sink-first linear quiver: inputs only."""
+    q = Quiver.build([str(i) for i in range(m)],
+                     [(f"a{i}", str(i), str(i - 1)) for i in range(1, m)])
+    rels = [Relation(((1, PathWord(tuple(f"a{i - k}" for k in range(l)))),))
+            for i in range(l, m)]
+    return q, rels, l
+
+
+def _commutative_square(bound, p):
+    q = Quiver.build(["1", "2", "3", "4"],
+                     [("a", "1", "2"), ("b", "2", "4"),
+                      ("c", "1", "3"), ("d", "3", "4")])
+    return q, [Relation(((1, PathWord(("a", "b"))), (p - 1, PathWord(("c", "d")))))], bound
+
+
+def _cube_loop(p):
+    q = Quiver.build(["1"], [("x", "1", "1")])
+    return q, [Relation(((1, PathWord(("x", "x", "x"))),))], 3
+
+
+def _two_loops(bound, p):
+    """One vertex, loops x and y, xy = yx, x^2 = y^3, y^4 = 0: the relations
+    are not homogeneous."""
+    q = Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = [Relation(((1, PathWord(("x", "y"))), (p - 1, PathWord(("y", "x"))))),
+            Relation(((1, PathWord(("x", "x"))), (p - 1, PathWord(("y", "y", "y"))))),
+            Relation(((1, PathWord(("y", "y", "y", "y"))),))]
+    return q, rels, bound
+
+
+def _inputs(alg):
+    return alg.quiver, list(alg.relations), alg.nilpotency_bound
+
+
+def _reference_cases(p):
+    counts = sorted({n * m + 1 for n in range(1, 12) for m in range(0, 12)
+                     if n * m + 1 <= 12})
+    # gen_linear_An_J2(n, m) builds K A_{nm+1}/J^2 whatever n and m are
+    for k in counts:
+        yield f"A{k}-J2", _inputs(gen_linear_An_J2(1, k - 1, p)[0])
+    for n in (2, 3):
+        yield f"pi{n}", _inputs(gen_preprojective_A(n, p))
+    for m in (1, 2, 3, 4):
+        yield f"aus{m}", _inputs(gen_auslander_linear_A(m, p))
+    yield "cyclic6-J2", _inputs(cyclic_nakayama_j2(6, p))
+    for m in (4, 5, 7):
+        for l in (3, 4):
+            yield f"A{m}-J{l}", _linear_an_jl(m, l, p)
+    for bound in (2, 3):
+        yield f"square-N{bound}", _commutative_square(bound, p)
+    yield "x3", _cube_loop(p)
+    for bound in (4, 5, 6, 7):
+        yield f"two-loops-N{bound}", _two_loops(bound, p)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_build_algebra_matches_reference_closure(p):
+    seen = 0
+    for name, (q, rels, bound) in _reference_cases(p):
+        for side, (qq, rr) in (("", (q, rels)), (" op", _opposite_input(q, rels))):
+            assert _built(qq, rr, bound, p) == _expected(qq, rr, bound, p), name + side
+            seen += 1
+    assert seen == 2 * 32
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_non_homogeneous_bound_error_names_its_path(p):
+    q, rels, _ = _two_loops(4, p)
+    with pytest.raises(BoundError, match=r"path \('y', 'y', 'y', 'x'\) of length 4 "):
+        build_algebra(q, rels, 4, FieldSpec(p))
+    assert build_algebra(q, rels, 5, FieldSpec(p)).dim == 8
