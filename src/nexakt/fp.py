@@ -4,8 +4,9 @@ Everything downstream (Hom spaces, resolutions, certificates) reduces to
 the solvers in this module.  They share one row reduction, ``_reduce``,
 which works in place on lists of rows: ``rref`` wraps it in a ``Mat``,
 while ``rank``, ``solve_linear``, ``kernel_basis``, ``column_space_basis``,
-``quotient_data`` and the coordinate-row solvers of ``reps`` call it
-directly and build no intermediate ``Mat``.  All arithmetic is exact.
+``quotient_data``, the coordinate-row solvers of ``reps`` and
+``quivers.build_algebra`` (the ideal of an algebra) call it directly and
+build no intermediate ``Mat``.  All arithmetic is exact.
 ``Mat`` uses ``__slots__``, is immutable, and checks its shape when made.
 Pivoting is deterministic (first nonzero entry), so every certificate
 derived from these routines is bit-reproducible.

@@ -6,6 +6,12 @@ matrices act on column vectors, hence the matrix of the word [a, b] is
 Mat(b) * Mat(a).  This convention is fixed here once and used
 everywhere; mixing conventions is the dominant bug class in this
 domain.
+
+The ideal of an algebra with nilpotency bound N is one reduced row-echelon
+form over the paths of length <= N, in their fixed order (by length, then
+by arrow indices), made by fp's shared row reduction: its pivots are the
+leading paths of the ideal, the other paths shorter than N are the basis,
+and a path's normal form is read off its reduced row.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fp import FieldSpec
+from .fp import FieldSpec, _reduce
 
 
 class QuiverError(ValueError):
@@ -116,10 +122,15 @@ class Relation:
         if not self.terms:
             raise AdmissibilityError("empty relation")
         ends = None
+        seen = set()
         for coeff, word in self.terms:
             if word.length() < 2:
                 raise AdmissibilityError(
                     f"relation term {word.arrows} has length < 2")
+            if word.arrows in seen:
+                raise AdmissibilityError(
+                    f"relation term {word.arrows} is listed twice")
+            seen.add(word.arrows)
             e = path_endpoints(q, word)
             if ends is None:
                 ends = e
@@ -213,83 +224,40 @@ class AlgebraBasis(Memo):
         raise QuiverError(f"arrow {arrow_name!r} vanishes in the quotient")
 
 
-def _closure_under_arrow_multiplication(q: Quiver, p: int, max_len: int,
-                                        paths: List[PathWord],
-                                        rel_vectors: List[Dict[PathWord, int]]):
-    """Span of the two-sided ideal generated by the relations, truncated
-    beyond ``max_len`` (legitimate: all longer paths are declared zero).
-    Returns the reduced row basis as dicts path -> coefficient."""
-    ends = {w: path_endpoints(q, w) for w in paths}
-    path_pos = {w: k for k, w in enumerate(paths)}
-
-    def extend_left(vec: Dict[PathWord, int], a: Arrow) -> Dict[PathWord, int]:
-        out: Dict[PathWord, int] = {}
-        for w, c in vec.items():
-            if ends[w][0] != a.target:
-                return {}
-            nw = PathWord((a.name,) + w.arrows)
-            if nw.length() <= max_len:
-                out[nw] = c
-        return out
-
-    def extend_right(vec: Dict[PathWord, int], a: Arrow) -> Dict[PathWord, int]:
-        out: Dict[PathWord, int] = {}
-        for w, c in vec.items():
-            if ends[w][1] != a.source:
-                return {}
-            nw = PathWord(w.arrows + (a.name,))
-            if nw.length() <= max_len:
-                out[nw] = c
-        return out
-
-    # Gaussian elimination state: pivot path -> normalized vector.
-    pivot_rows: Dict[PathWord, Dict[PathWord, int]] = {}
-
-    def reduce_vec(vec: Dict[PathWord, int]) -> Dict[PathWord, int]:
-        vec = {w: c % p for w, c in vec.items() if c % p}
-        while vec:
-            lead = min(vec, key=lambda w: path_pos[w])
-            row = pivot_rows.get(lead)
-            if row is None:
-                return vec
-            c = vec[lead]
-            vec = {w: (vec.get(w, 0) - c * row.get(w, 0)) % p
-                   for w in set(vec) | set(row)}
-            vec = {w: x for w, x in vec.items() if x}
-        return vec
-
-    def insert(vec: Dict[PathWord, int]) -> bool:
-        vec = reduce_vec(vec)
-        if not vec:
-            return False
-        lead = min(vec, key=lambda w: path_pos[w])
-        inv = pow(vec[lead], p - 2, p)
-        pivot_rows[lead] = {w: (c * inv) % p for w, c in vec.items()}
-        # re-reduce earlier rows so the basis stays fully reduced
-        for piv in list(pivot_rows):
-            if piv == lead:
-                continue
-            row = pivot_rows[piv]
-            if lead in row:
-                c = row[lead]
-                newrow = {w: (row.get(w, 0) - c * pivot_rows[lead].get(w, 0)) % p
-                          for w in set(row) | set(pivot_rows[lead])}
-                pivot_rows[piv] = {w: x for w, x in newrow.items() if x}
-        return True
-
-    worklist = [dict(v) for v in rel_vectors]
-    for v in worklist:
-        insert(v)
-    changed = True
-    while changed:
-        changed = False
-        current = [dict(v) for v in pivot_rows.values()]
-        for vec in current:
-            for a in q.arrows:
-                for ext in (extend_left(vec, a), extend_right(vec, a)):
-                    if ext and insert(ext):
-                        changed = True
-    return pivot_rows, path_pos
+def _reduced_ideal(rels: Sequence[Relation], rel_ends: Sequence[Tuple[str, str]],
+                   paths: List[PathWord], ends: List[Tuple[str, str]],
+                   max_len: int, p: int):
+    """The two-sided ideal generated by rels, truncated beyond max_len
+    (legitimate: all longer paths are declared zero), in reduced row-echelon
+    form over the paths in their order.  It is spanned by the products
+    u.r.w, u a path into r's source and w a path out of r's target, with
+    every term longer than max_len dropped; a product whose shortest term
+    is dropped is zero and is not written.  Returns the column of each
+    nontrivial path, by its arrows, and the reduced row at each pivot."""
+    column = {w.arrows: k for k, w in enumerate(paths) if w.arrows}
+    into: Dict[str, list] = {}
+    out_of: Dict[str, list] = {}
+    for w, (s, t) in zip(paths, ends):       # by length, as paths are
+        out_of.setdefault(s, []).append(w.arrows)
+        into.setdefault(t, []).append(w.arrows)
+    rows = []
+    for r, (s, t) in zip(rels, rel_ends):
+        terms = [(c % p, word.arrows) for c, word in r.terms]
+        room = max_len - min(len(word) for _, word in terms)
+        for u in into[s]:
+            if len(u) > room:
+                break
+            for w in out_of[t]:
+                if len(u) + len(w) > room:
+                    break
+                row = [0] * len(paths)
+                for c, word in terms:
+                    k = column.get(u + word + w)
+                    if k is not None:
+                        row[k] = c
+                rows.append(row)
+    pivots = _reduce(rows, len(paths), p)
+    return column, dict(zip(pivots, rows))
 
 
 def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
@@ -304,60 +272,57 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
         raise ValueError("nilpotency bound must be >= 1")
     p = fld.p
     rels = tuple(rels)
+    rel_ends = []
     for r in rels:
-        r.validate(q, p)
+        rel_ends.append(r.validate(q, p))
+        for _, word in r.terms:
+            if word.length() > n_bound:
+                raise AdmissibilityError(
+                    f"relation term {word.arrows} is longer than the "
+                    f"nilpotency bound {n_bound}")
 
     paths = _enumerate_paths(q, n_bound)
-    rel_vectors = [{word: coeff % p for coeff, word in r.terms} for r in rels]
-    pivot_rows, path_pos = _closure_under_arrow_multiplication(
-        q, p, n_bound, paths, rel_vectors)
+    ends = [path_endpoints(q, w) for w in paths]
+    column, pivot_row = _reduced_ideal(rels, rel_ends, paths, ends, n_bound, p)
+    for k, w in enumerate(paths):
+        if w.length() == n_bound and k not in pivot_row:
+            raise BoundError(
+                f"path {w.arrows} of length {n_bound} is nonzero in the "
+                f"quotient; ideal not verified admissible with this bound")
 
-    def normal_form(vec: Dict[PathWord, int]) -> Dict[PathWord, int]:
-        vec = {w: c % p for w, c in vec.items() if c % p}
-        again = True
-        while again:
-            again = False
-            for w in sorted(vec, key=lambda w: path_pos[w]):
-                row = pivot_rows.get(w)
-                if row is not None and vec.get(w, 0):
-                    c = vec[w]
-                    vec = {u: (vec.get(u, 0) - c * row.get(u, 0)) % p
-                           for u in set(vec) | set(row)}
-                    vec = {u: x for u, x in vec.items() if x}
-                    again = True
-                    break
-        return vec
+    basis_cols = [k for k, w in enumerate(paths)
+                  if w.length() < n_bound and k not in pivot_row]
+    basis_pos = {k: i for i, k in enumerate(basis_cols)}
 
-    for w in paths:
-        if w.length() == n_bound and w not in pivot_rows:
-            if normal_form({w: 1}):
-                raise BoundError(
-                    f"path {w.arrows} of length {n_bound} is nonzero in the "
-                    f"quotient; ideal not verified admissible with this bound")
+    def normal_form(k: int) -> List[Tuple[int, int]]:
+        """Path k is itself or, at a pivot, minus its row off the pivot;
+        the row's other entries sit at basis columns, in order."""
+        row = pivot_row.get(k)
+        if row is None:
+            return [(basis_pos[k], 1)]
+        return [(basis_pos[c], -x % p) for c, x in enumerate(row) if x and c != k]
 
-    basis_words = [w for w in paths
-                   if w.length() < n_bound and w not in pivot_rows]
-    ends = {w: path_endpoints(q, w) for w in basis_words}
-    basis_pos = {w: i for i, w in enumerate(basis_words)}
-
+    basis_words = [paths[k] for k in basis_cols]
     table: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for i, wi in enumerate(basis_words):
+        ti = ends[basis_cols[i]][1]
         for j, wj in enumerate(basis_words):
-            if ends[wi][1] != ends[wj][0]:
+            if ti != ends[basis_cols[j]][0]:
                 continue
             if wi.length() + wj.length() >= n_bound:
                 table[(i, j)] = []
-                continue
-            concat = PathWord(wi.arrows + wj.arrows,
-                              wi.base if wi.is_trivial() and wj.is_trivial() else None)
-            nf = normal_form({concat: 1})
-            table[(i, j)] = sorted((basis_pos[w], c) for w, c in nf.items())
+            elif not wi.arrows:
+                table[(i, j)] = [(j, 1)]
+            elif not wj.arrows:
+                table[(i, j)] = [(i, 1)]
+            else:
+                table[(i, j)] = normal_form(column[wi.arrows + wj.arrows])
 
     alg = AlgebraBasis(
         quiver=q, field=fld, nilpotency_bound=n_bound,
         basis=tuple(basis_words),
-        source_of=tuple(ends[w][0] for w in basis_words),
-        target_of=tuple(ends[w][1] for w in basis_words),
+        source_of=tuple(ends[k][0] for k in basis_cols),
+        target_of=tuple(ends[k][1] for k in basis_cols),
         table=table, relations=rels)
     _spot_check_table(alg)
     return alg

@@ -5,9 +5,10 @@ matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
 Both are immutable.  Each fact is checked once, when it is made: the
 public ``Morphism(...)`` checks naturality, and every map from raw
-matrices goes through it (file loads, block_morphism, identities and
-zeros, kernel and cokernel maps, covers, envelopes), except a Hom basis,
-which hom_basis checks as one batch per arrow.  Composites and linear
+matrices goes through it (file loads, block_morphism, kernel and
+cokernel maps, covers, envelopes), except a Hom basis, which hom_basis
+checks as one batch per arrow, and identities and zeros, which are
+natural by construction.  Composites and linear
 combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
 ``scale`` and ``assemble_from_span`` check only their endpoints, by
 content (``Module.same_as``).
@@ -224,14 +225,17 @@ class Morphism:
 
 
 def zero_morphism(m: Module, n: Module) -> Morphism:
+    """Natural by construction, so built unchecked."""
+    _require_same_algebra(m, n)
     p = m.algebra.p
-    return Morphism(m, n, {v: Mat.zero(n.dims[v], m.dims[v], p)
+    return _natural(m, n, {v: Mat.zero(n.dims[v], m.dims[v], p)
                            for v in m.algebra.quiver.vertices})
 
 
 def identity_morphism(m: Module) -> Morphism:
+    """Natural by construction, so built unchecked."""
     p = m.algebra.p
-    return Morphism(m, m, {v: Mat.identity(m.dims[v], p)
+    return _natural(m, m, {v: Mat.identity(m.dims[v], p)
                            for v in m.algebra.quiver.vertices})
 
 

@@ -621,6 +621,42 @@ def _algebra_with_coeff(tmp_path, coeff):
     return _algebra_with(tmp_path, relations=data["relations"])
 
 
+def _one_vertex_loops(tmp_path, arrows, relations, bound):
+    path = tmp_path / "loops.json"
+    path.write_text(canonical_json({
+        "field": {"p": 101},
+        "quiver": {"vertices": ["1"],
+                   "arrows": [{"name": a, "from": "1", "to": "1"} for a in arrows]},
+        "relations": [[{"coeff": c, "path": list(w)} for c, w in r]
+                      for r in relations],
+        "nilpotency_bound": bound}))
+    return ["algebra", "check", "--algebra", path]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (lambda tmp: _algebra_with(tmp, quiver={
+        "vertices": ["1", "2", "3"],
+        "arrows": [{"name": "a", "from": "1", "to": "2"},
+                   {"name": "b", "from": "2", "to": "3"}]},
+        relations=[[{"coeff": 1, "path": ["a", "b"]},
+                    {"coeff": 100, "path": ["a", "b"]}]], nilpotency_bound=3),
+     "relation term ('a', 'b') is listed twice"),
+    (lambda tmp: _one_vertex_loops(tmp, "x", [[(1, "xxxx")]], 3),
+     "relation term ('x', 'x', 'x', 'x') is longer than the nilpotency bound 3"),
+    (lambda tmp: _one_vertex_loops(
+        tmp, "xy", [[(1, "xy"), (100, "yx")], [(1, "xx"), (100, "yyy")],
+                    [(1, "yyyy")]], 3),
+     "relation term ('y', 'y', 'y', 'y') is longer than the nilpotency bound 3"),
+], ids=["path-listed-twice", "x4-bound-3", "two-loops-bound-3"])
+def test_bad_relation_exits_2(tmp_path, capsys, argv, words):
+    # the first was read as {word: coeff} (dimension 5, not 6); the others
+    # exited 2 with "algebra definition missing field: PathWord(...)"
+    out = tmp_path / "out"
+    code = run(*argv(tmp_path), "--out", out)
+    _assert_input_error(code, capsys, f"bad algebra definition: {words}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: _algebra_with_coeff(tmp, True),
     lambda tmp: _algebra_with_coeff(tmp, 1.0),

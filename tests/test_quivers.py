@@ -314,6 +314,10 @@ def _reference_cases(p):
     for m in (4, 5, 7):
         for l in (3, 4):
             yield f"A{m}-J{l}", _linear_an_jl(m, l, p)
+    for bound in (3, 5):
+        # no relations: at bound 3 every path of length 3 survives, and
+        # BoundError names the first; A_5 has no path of length 5
+        yield f"A5-free-N{bound}", (_linear_an_jl(5, 2, p)[0], [], bound)
     for bound in (2, 3):
         yield f"square-N{bound}", _commutative_square(bound, p)
     yield "x3", _cube_loop(p)
@@ -328,7 +332,7 @@ def test_build_algebra_matches_reference_closure(p):
         for side, (qq, rr) in (("", (q, rels)), (" op", _opposite_input(q, rels))):
             assert _built(qq, rr, bound, p) == _expected(qq, rr, bound, p), name + side
             seen += 1
-    assert seen == 2 * 32
+    assert seen == 2 * 34
 
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
@@ -337,3 +341,27 @@ def test_non_homogeneous_bound_error_names_its_path(p):
     with pytest.raises(BoundError, match=r"path \('y', 'y', 'y', 'x'\) of length 4 "):
         build_algebra(q, rels, 4, FieldSpec(p))
     assert build_algebra(q, rels, 5, FieldSpec(p)).dim == 8
+
+
+def test_relation_listing_one_path_twice_is_refused():
+    # 1*ab + 100*ab is zero at p = 101, so it imposes nothing; read as
+    # {word: coeff}, the last term won and ab was killed (dimension 5)
+    q = Quiver.build(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+    rel = Relation(((1, PathWord(("a", "b"))), (100, PathWord(("a", "b")))))
+    with pytest.raises(AdmissibilityError,
+                       match=r"relation term \('a', 'b'\) is listed twice"):
+        build_algebra(q, [rel], 3, FieldSpec(101))
+    assert build_algebra(q, [], 3, FieldSpec(101)).dim == 6
+
+
+@pytest.mark.parametrize("q, rels, word", [
+    (Quiver.build(["1"], [("x", "1", "1")]),
+     [Relation(((1, PathWord(("x", "x", "x", "x"))),))], "('x', 'x', 'x', 'x')"),
+    (*_two_loops(3, 101)[:2], "('y', 'y', 'y', 'y')"),
+], ids=["x4", "two-loops"])
+def test_relation_term_longer_than_the_bound_is_refused(q, rels, word):
+    # the term is no enumerated path: this was a bare KeyError
+    with pytest.raises(AdmissibilityError) as exc:
+        build_algebra(q, rels, 3, FieldSpec(101))
+    assert str(exc.value) == (f"relation term {word} is longer than the "
+                              "nilpotency bound 3")

@@ -581,7 +581,7 @@ def test_stacking_builds_one_morphism_and_direct_sum_none(a3_mods, monkeypatch):
     assert len(calls) == 1 and calls[0] is stacked
     calls.clear()
     back = stack_morphisms_from_sum([identity_morphism(p1), maps[2]])
-    assert len(calls) == 2                        # the identity, then one
+    assert len(calls) == 1 and calls[0] is back   # the identity is unchecked
     assert stacked.target.key == total.module.key
     assert back.source.total_dim == 2 * p1.total_dim
 
@@ -686,6 +686,21 @@ def test_every_hom_basis_element_passes_the_checked_constructor():
                 for f in hom_basis(x, y):
                     checked = Morphism(f.source, f.target, f.components)
                     assert checked.vectorize() == f.vectorize()
+
+
+def test_identities_and_zeros_pass_the_checked_constructor(monkeypatch):
+    pi2 = preprojective_a2()
+    families = _composite_family() + [(pi2, list(nakayama_indecomposables(pi2)))]
+    checked = []
+    monkeypatch.setattr(Morphism, "__post_init__", checked.append)
+    made = [identity_morphism(x) for _, mods in families for x in mods]
+    made += [zero_morphism(x, y) for _, mods in families for x in mods for y in mods]
+    assert checked == []                          # built unchecked
+    monkeypatch.undo()
+    for f in made:
+        assert Morphism(f.source, f.target, f.components).equals(f)
+    with pytest.raises(ContextError):
+        zero_morphism(families[0][1][0], families[1][1][0])
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
