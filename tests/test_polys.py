@@ -95,10 +95,18 @@ def companion(f, p):
 def test_minpoly_annihilates_and_is_minimal(p):
     rng = random.Random(p + 3)
     cases = [Mat.zero(0, 0, p), Mat.zero(3, 3, p), Mat.identity(4, p).scale(5)]
+    # a nilpotent Jordan block (mu = x^5) and a diagonal with a repeated
+    # eigenvalue (mu has degree 2, below the size 4)
+    cases.append(Mat.from_rows([[int(j == i + 1) for j in range(5)]
+                                for i in range(5)], p, cols=5))
+    cases.append(Mat.from_rows([[(2 if i < 3 else 1) * int(i == j)
+                                 for j in range(4)] for i in range(4)], p, cols=4))
     for _ in range(6):
         n = rng.randrange(1, 6)
         cases.append(Mat.from_rows([[rng.randrange(p) for _ in range(n)]
                                     for _ in range(n)], p, cols=n))
+    cases.append(Mat.from_rows([[rng.randrange(p) for _ in range(8)]
+                                for _ in range(8)], p, cols=8))
     f = irreducible(rng, p, 2)
     cases.append(block_diagonal([companion(f, p), companion(f, p),
                                  companion(power(f, 2, p), p)], p))
@@ -113,6 +121,8 @@ def test_minpoly_annihilates_and_is_minimal(p):
             powers.append(x.entries)
             x = x.mul(a)
         assert rank(Mat.from_rows(powers, p, cols=a.rows ** 2)) == len(powers)
+    assert polys.minpoly(cases[3]) == [0, 0, 0, 0, 0, 1]
+    assert polys.minpoly(cases[4]) == [2 % p, -3 % p, 1]    # (x - 1)(x - 2)
     assert polys.minpoly(cases[-1]) == power(f, 2, p)
 
 
