@@ -397,7 +397,7 @@ def verify_n_kernel(dn: Morphism, seq: Optional[ComplexSeq], m: AddCat) -> HomEx
 def verify_n_exact(x: ComplexSeq, m: AddCat, n: int) -> NExactCert:
     """Full certificate: kernel side, cokernel side and add(M) membership."""
     if len(x.terms) != n + 2:
-        raise ValueError(f"expected {n + 2} terms, got {len(x.terms)}")
+        raise PreconditionError(f"expected {n + 2} terms, got {len(x.terms)}")
     membership = [(k, bool(in_add(x.term(k), m.generators))) for k in x.degrees()]
     cok = contravariant_fragment(list(x.diffs), m.generators)
     ker = covariant_fragment(list(x.diffs), m.generators)

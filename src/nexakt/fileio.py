@@ -166,8 +166,12 @@ def complex_to_dict(x: ComplexSeq) -> dict:
 def complex_from_dict(data: dict, alg: AlgebraBasis) -> ComplexSeq:
     try:
         terms = [module_from_dict(t, alg) for t in data["terms"]]
+        given = data.get("differentials", [])
+        if len(given) != len(terms) - 1:
+            raise ValueError("a complex needs one term more than differentials, "
+                             f"got {len(terms)} and {len(given)}")
         diffs = [morphism_from_dict(d, terms[k], terms[k + 1])
-                 for k, d in enumerate(data.get("differentials", []))]
+                 for k, d in enumerate(given)]
         lo = _int(data.get("lo", 0), "lo")
         return ComplexSeq(lo, terms, diffs)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

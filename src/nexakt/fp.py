@@ -6,7 +6,10 @@ which works in place on lists of rows: ``rref`` wraps it in a ``Mat``,
 while ``rank``, ``solve_linear``, ``kernel_basis``, ``column_space_basis``,
 ``quotient_data``, the coordinate-row solvers of ``reps`` and
 ``quivers.build_algebra`` (the ideal of an algebra) call it directly and
-build no intermediate ``Mat``.  All arithmetic is exact.
+build no intermediate ``Mat``; ``polys.minpoly`` reads a minimal
+polynomial off ``kernel_basis``.  ``det`` keeps an elimination of its
+own; nothing in the package calls it, and it stays only because a
+benchmark metric counts its calls.  All arithmetic is exact.
 ``Mat`` uses ``__slots__``, is immutable, and checks its shape when made.
 Pivoting is deterministic (first nonzero entry), so every certificate
 derived from these routines is bit-reproducible.

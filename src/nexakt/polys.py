@@ -3,7 +3,8 @@
 A polynomial is a list of coefficients in [0, p), listed from the lowest
 degree up, with no trailing zeros; the zero polynomial is [].  The
 module holds what module decomposition needs: division with remainder,
-gcd, lcm and modular powers; the minimal polynomial of a square matrix;
+gcd, lcm and modular powers; the minimal polynomial of a square matrix,
+read off the kernel of its powers by the shared row reduction of ``fp``;
 and a coprime factor of a polynomial, found by distinct-degree
 factorization and Cantor–Zassenhaus equal-degree splitting (Math. Comp.
 1981), with the trace map in place of the half-order power at p = 2.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from .fp import Mat
+from .fp import Mat, kernel_basis
 
 Poly = List[int]
 
@@ -123,57 +124,21 @@ def at_matrix(f: Poly, a: Mat) -> Mat:
 # -- the minimal polynomial of a matrix ------------------------------------
 
 
-def _reduce(v: list, echelon: list, p: int) -> list:
-    """v minus its part in the span of echelon: (pivot, row) pairs in
-    insertion order, each row 1 at its pivot and 0 at earlier pivots."""
-    for piv, row in echelon:
-        c = v[piv]
-        if c:
-            v = [(x - c * y) % p for x, y in zip(v, row)]
-    return v
-
-
 def minpoly(a: Mat) -> Poly:
-    """Monic minimal polynomial of a square matrix: the lcm of the local
-    minimal polynomials of the unit vectors, found from Krylov sequences.
-    A unit vector inside the invariant subspace already spanned adds no
-    factor and is skipped."""
+    """Monic minimal polynomial of a square n x n matrix: the first null
+    vector of the matrix whose columns are the entries of I, a, ..., a^n.
+    By Cayley-Hamilton some power up to a^n depends on the lower ones.
+    Once one does, every later one does, so the pivots are the powers
+    below deg mu, the first free column is deg mu, and its null vector,
+    1 there and 0 at later free columns, is mu."""
     if a.rows != a.cols:
         raise ValueError("minimal polynomial of a non-square matrix")
-    n, p, ent = a.rows, a.p, a.entries
-    mu: Poly = [1]
-    spanned: list = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        if not any(_reduce(unit, spanned, p)):
-            continue
-        # w = poly(a) unit throughout; each stored w is reduced and scaled
-        krylov: list = []
-        w, poly = unit, [1]
-        while True:
-            for piv, row, tag in krylov:
-                c = w[piv]
-                if c:
-                    w = [(x - c * y) % p for x, y in zip(w, row)]
-                    poly = sub(poly, [c * t % p for t in tag], p)
-            piv = next((j for j, x in enumerate(w) if x), None)
-            if piv is None:
-                break
-            inv = pow(w[piv], p - 2, p)
-            w = [x * inv % p for x in w]
-            poly = [t * inv % p for t in poly]
-            krylov.append((piv, w, poly))
-            w = [sum(ent[r * n + c] * w[c] for c in range(n)) % p for r in range(n)]
-            poly = [0] + poly
-        mu = lcm(mu, monic(poly, p), p)
-        for _, row, _ in krylov:
-            rest = _reduce(row, spanned, p)
-            piv = next((j for j, x in enumerate(rest) if x), None)
-            if piv is not None:
-                inv = pow(rest[piv], p - 2, p)
-                spanned.append((piv, [x * inv % p for x in rest]))
-    return mu
+    n, p = a.rows, a.p
+    powers = [Mat.identity(n, p)]
+    for _ in range(n):
+        powers.append(powers[-1].mul(a))
+    rows = Mat(n + 1, n * n, tuple(x for m in powers for x in m.entries), p)
+    return _trim(list(kernel_basis(rows.transpose()).col(0)))
 
 
 # -- coprime factors ----------------------------------------------------------

@@ -25,7 +25,7 @@ def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Compl
     n-cokernel tail and, when d_x^0 is monic, d_y^0 is verified monic."""
     n = len(x.terms) - 1
     if n < 1:
-        raise ValueError("pushout needs at least two terms")
+        raise PreconditionError("pushout needs at least two terms")
     for k in x.degrees():
         if not in_add(x.term(k), m.generators):
             raise DomainError(f"pushout input term {k} not in add(M)")

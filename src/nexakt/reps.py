@@ -4,11 +4,11 @@ A Module is a quiver representation: a vector space per vertex and a
 matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
 Both are immutable.  Each fact is checked once, when it is made: the
-public ``Morphism(...)`` checks naturality, and every map from raw
-matrices goes through it (file loads, block_morphism, kernel and
-cokernel maps, covers, envelopes), except a Hom basis, which hom_basis
-checks as one batch per arrow, and identities and zeros, which are
-natural by construction.  Composites and linear
+public ``Module(...)`` checks the relations (of file data, and of P_v
+and I_v, read off the algebra's table), ``Morphism(...)`` naturality
+(of file data).  What is derived from checked objects is built unchecked:
+modules by ``_module`` (shape checks only), maps by ``_natural``; a Hom
+basis is checked as one batch per arrow.  Composites and linear
 combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
 ``scale`` and ``assemble_from_span`` check only their endpoints, by
 content (``Module.same_as``).
@@ -86,6 +86,12 @@ class Module(Memo):
     _memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._shape()
+        self._check_relations()
+
+    def _shape(self):
+        """The checks every module gets: dimensions, action shapes and
+        field; then the content key and the shared memo record."""
         q = self.algebra.quiver
         p = self.algebra.p
         for v in q.vertices:
@@ -104,7 +110,6 @@ class Module(Memo):
             action[a.name] = m
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "action", action)
-        self._check_relations()
         object.__setattr__(self, "key", (tuple(dims.values()),
                                          tuple(m.entries for m in action.values())))
         records = self.algebra.memoized("records", weakref.WeakValueDictionary)
@@ -149,8 +154,18 @@ class Module(Memo):
         return self is other or self.key == other.key
 
 
+def _module(alg: AlgebraBasis, dims: dict, action: dict) -> Module:
+    """A module known to satisfy the relations (a submodule, quotient or
+    direct sum of modules that do, a simple or the zero module), built
+    with the shape checks only."""
+    m = object.__new__(Module)
+    m.__dict__.update(algebra=alg, dims=dims, action=action)
+    m._shape()
+    return m
+
+
 def zero_module(alg: AlgebraBasis) -> Module:
-    return Module(alg, {v: 0 for v in alg.quiver.vertices}, {})
+    return _module(alg, {v: 0 for v in alg.quiver.vertices}, {})
 
 
 @dataclass(frozen=True)
@@ -241,8 +256,9 @@ def identity_morphism(m: Module) -> Morphism:
 
 def _natural(source: Module, target: Module, components: dict) -> Morphism:
     """A map known to be natural (a composite or linear combination of
-    natural maps, or a Hom basis element checked in its batch), built
-    without the check; components has every vertex, shaped right."""
+    natural maps, a Hom basis element checked in its batch, or a map
+    natural by construction), built without the check; components has
+    every vertex, shaped right."""
     f = object.__new__(Morphism)
     f.__dict__.update(source=source, target=target, components=components)
     return f
@@ -373,21 +389,21 @@ def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
         if sol is None:
             raise ValueError("vertex spans not closed under the action")
         action[a.name] = sol
-    return Module(alg, dims, action)
+    return _module(alg, dims, action)
 
 
 def kernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     """Vertex-wise kernel with induced action and its inclusion."""
     incl = {v: kernel_basis(f.components[v]) for v in f.components}
     k = _induced_action_on_sub(f.source, incl)
-    return k, Morphism(k, f.source, incl)
+    return k, _natural(k, f.source, incl)
 
 
 def image_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     """Vertex-wise image submodule of the target and its inclusion."""
     incl = {v: column_space_basis(f.components[v]) for v in f.components}
     im = _induced_action_on_sub(f.target, incl)
-    return im, Morphism(im, f.target, incl)
+    return im, _natural(im, f.target, incl)
 
 
 def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
@@ -403,14 +419,14 @@ def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
         if sol is None:
             raise AssertionError("cokernel action not induced")
         action[a.name] = sol.transpose()
-    c = Module(alg, dims, action)
-    return c, Morphism(f.target, c, proj)
+    c = _module(alg, dims, action)
+    return c, _natural(f.target, c, proj)
 
 
 def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
     """Quotient of x by the submodule spanned vertex-wise by ``span``."""
     cols = {v: column_space_basis(span[v]) for v in span}
-    return cokernel_morphism(Morphism(_induced_action_on_sub(x, cols), x, cols))
+    return cokernel_morphism(_natural(_induced_action_on_sub(x, cols), x, cols))
 
 
 class DirectSum(NamedTuple):
@@ -436,7 +452,7 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
         action[a.name] = Mat.from_blocks(
             [m.dims[a.target] for m in mods], [m.dims[a.source] for m in mods],
             {(i, i): m.action[a.name] for i, m in enumerate(mods)}, alg.p)
-    total = Module(alg, dims, action)
+    total = _module(alg, dims, action)
     nonzero = tuple(m for m in mods if not m.is_zero())
     if len(nonzero) > 1:
         total.memoized("summands", lambda: nonzero)
@@ -448,15 +464,16 @@ def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
     """The morphism between direct sums whose block (i, j), the map from
     source summand j to target summand i, is blocks[(i, j)]; a missing
     block is zero.  source and target are direct_sum results, or a plain
-    Module, which counts as one summand.  The one naturality check of the
-    result checks every block, since the actions are block-diagonal."""
+    Module, which counts as one summand.  The actions are block-diagonal
+    and every block is natural, so the result is built unchecked; only
+    the endpoints of each block are checked, by content."""
     src, src_parts = source if isinstance(source, DirectSum) else (source, (source,))
     tgt, tgt_parts = target if isinstance(target, DirectSum) else (target, (target,))
     for (i, j), f in blocks.items():
         if not (0 <= i < len(tgt_parts) and 0 <= j < len(src_parts)
                 and f.source.same_as(src_parts[j]) and f.target.same_as(tgt_parts[i])):
             raise ValueError(f"block ({i}, {j}) does not join its summands")
-    return Morphism(src, tgt, {
+    return _natural(src, tgt, {
         v: Mat.from_blocks([t.dims[v] for t in tgt_parts],
                            [s.dims[v] for s in src_parts],
                            {ij: f.components[v] for ij, f in blocks.items()},
@@ -757,7 +774,7 @@ def split_indecomposables(x: Module, seed: int) -> List[Tuple[Module, int]]:
 def simple_module(alg: AlgebraBasis, v: str) -> Module:
     alg.quiver.vertex_index(v)
     dims = {w: (1 if w == v else 0) for w in alg.quiver.vertices}
-    return Module(alg, dims, {})
+    return _module(alg, dims, {})
 
 
 def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, List[int]]:
@@ -774,7 +791,9 @@ def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, List[int
 
 def projective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable projective P_v: basis paths starting at v, graded by
-    target vertex, arrows acting by right concatenation."""
+    target vertex, arrows acting by right concatenation.  Checked: it is
+    read off the multiplication table, which build_algebra checks only up
+    to dimension 64."""
     alg.quiver.vertex_index(v)
     by_vertex = basis_paths(alg, v, starting=True)
     dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}

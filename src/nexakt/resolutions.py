@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from .fp import Mat, quotient_data, rank, solve_linear
-from .reps import (Module, Morphism, _require_same_algebra, all_injectives,
-                   all_projectives, basis_paths, cokernel_morphism,
-                   hom_basis, hom_dims_and_ranks, kernel_morphism, radical_span,
-                   socle_span, stack_morphisms_from_sum,
-                   stack_morphisms_to_sum, zero_module, zero_morphism)
+from .reps import (Module, Morphism, _natural, _require_same_algebra,
+                   all_injectives, all_projectives, basis_paths,
+                   cokernel_morphism, hom_basis, hom_dims_and_ranks,
+                   kernel_morphism, radical_span, socle_span,
+                   stack_morphisms_from_sum, stack_morphisms_to_sum,
+                   zero_module, zero_morphism)
 
 
 @dataclass
@@ -68,7 +69,7 @@ def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:
     for w in alg.quiver.vertices:
         cols = [m.path_matrix(alg.basis[b]).mul(vec) for b in by_vertex[w]]
         comps[w] = Mat.hstack(cols) if cols else Mat.zero(m.dims[w], 0, alg.p)
-    return Morphism(pv, m, comps)
+    return _natural(pv, m, comps)
 
 
 def injective_envelope(m: Module) -> Morphism:
@@ -107,7 +108,7 @@ def _map_into_injective(m: Module, v: str, functional: Mat, inj_v: Module) -> Mo
         rows = [list(functional.transpose().mul(m.path_matrix(alg.basis[b])).row(0))
                 for b in by_vertex[w]]
         comps[w] = Mat.from_rows(rows, alg.p, cols=m.dims[w])
-    return Morphism(m, inj_v, comps)
+    return _natural(m, inj_v, comps)
 
 
 @dataclass

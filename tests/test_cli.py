@@ -578,6 +578,26 @@ def _morphism_with(components):
     return argv
 
 
+def _complex_file(tmp_path, data):
+    path = tmp_path / "complex.json"
+    path.write_text(canonical_json(data))
+    return path
+
+
+def _one_term_pushout(files, tmp_path):
+    s0 = json.loads(files["d0"].read_text())["source"]
+    path = _complex_file(tmp_path, {"lo": 0, "terms": [s0], "differentials": []})
+    return ["npushout", "--algebra", files["algebra"], "--complex", path,
+            "--morphism", files["d0"], "--m", files["m3"]]
+
+
+def _one_term_one_differential(files, tmp_path):
+    path = _complex_file(tmp_path, {"lo": 0, "terms": [{"dims": {"0": 1}}],
+                                    "differentials": [{"components": {}}]})
+    return ["verify-nexact", "--algebra", files["algebra"], "--complex", path,
+            "--m", files["m3"], "--n", 2]
+
+
 @pytest.mark.parametrize("argv", [
     lambda files, tmp: _algebra_with(tmp, field={"p": 100}),
     lambda files, tmp: _algebra_with(tmp, field={"p": "101"}),
@@ -601,12 +621,19 @@ def _morphism_with(components):
     _generator({"dims": {"0": "1"}}),
     _morphism_with({"9": [1]}),
     _morphism_with({"0": [True]}),
+    lambda files, tmp: ["verify-nexact", "--algebra", files["algebra"],
+                        "--complex", files["upper"], "--m", files["m3"],
+                        "--n", 2],
+    _one_term_pushout,
+    _one_term_one_differential,
 ], ids=["p-100", "p-string", "nilpotency-bound-0", "demo-p-100",
         "demo-n-0", "nct-n-0", "morphism-without-source", "ext-k-above-n-1",
         "indecs-without-s2", "search-over-20-candidates",
         "module-unknown-vertex", "module-unknown-arrow", "module-float-entry",
         "module-float-dim", "module-bool-dim", "module-string-dim",
-        "morphism-unknown-vertex", "morphism-bool-entry"])
+        "morphism-unknown-vertex", "morphism-bool-entry",
+        "nexact-three-terms-n-2", "pushout-one-term",
+        "complex-one-term-one-differential"])
 def test_bad_input_exits_2(files, tmp_path, capsys, argv):
     code = run(*argv(files, tmp_path), "--out", files["out"])
     err = capsys.readouterr().err

@@ -14,7 +14,8 @@ from nexakt.quivers import Quiver, build_algebra
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
                          direct_sum, hom_basis,
-                         identity_morphism, in_add, injective_module,
+                         identity_morphism, image_morphism, in_add,
+                         injective_module,
                          kernel_morphism, projective_module, simple_module,
                          split_indecomposables, stack_morphisms_from_sum,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
@@ -555,17 +556,14 @@ def test_block_with_wrong_endpoints_or_slot_raises(a3_mods):
         block_morphism(s0, tgt, {(0, 0): _inclusion(semisimple, 0)})
 
 
-def test_non_natural_block_is_rejected_by_the_one_check(a3_mods, monkeypatch):
+def test_non_natural_block_is_rejected_by_the_one_check(a3_mods):
+    # a block map is built from natural blocks and is natural by
+    # construction; the checked constructor refuses a forged one
     s1, p1 = a3_mods["S1"], a3_mods["P1"]
     comps = {"0": Mat.zero(1, 0, 101), "1": Mat.identity(1, 101),
              "2": Mat.zero(0, 0, 101)}
-    monkeypatch.setattr(Morphism, "__post_init__", lambda self: None)
-    bad = Morphism(s1, p1, comps)                 # not natural at arrow a
-    monkeypatch.undo()
     with pytest.raises(ValueError, match="naturality"):
-        Morphism(s1, p1, comps)
-    with pytest.raises(ValueError, match="naturality"):
-        block_morphism(s1, direct_sum([a3_mods["S0"], p1]), {(1, 0): bad})
+        Morphism(s1, p1, comps)                   # not natural at arrow a
 
 
 def test_stacking_builds_one_morphism_and_direct_sum_none(a3_mods, monkeypatch):
@@ -576,14 +574,13 @@ def test_stacking_builds_one_morphism_and_direct_sum_none(a3_mods, monkeypatch):
     monkeypatch.setattr(Morphism, "__post_init__",
                         lambda self: calls.append(self) or check(self))
     total = direct_sum([a3_mods["P2"], a3_mods["S1"], p1])
-    assert calls == []
     stacked = stack_morphisms_to_sum(maps)
-    assert len(calls) == 1 and calls[0] is stacked
-    calls.clear()
     back = stack_morphisms_from_sum([identity_morphism(p1), maps[2]])
-    assert len(calls) == 1 and calls[0] is back   # the identity is unchecked
+    assert calls == []                            # all built unchecked
     assert stacked.target.key == total.module.key
     assert back.source.total_dim == 2 * p1.total_dim
+    for f in (stacked, back):
+        assert Morphism(f.source, f.target, f.components).equals(f)
 
 
 def test_add_sub_and_equals_compare_endpoints_by_content(a3_mods):
@@ -701,6 +698,47 @@ def test_identities_and_zeros_pass_the_checked_constructor(monkeypatch):
         assert Morphism(f.source, f.target, f.components).equals(f)
     with pytest.raises(ContextError):
         zero_morphism(families[0][1][0], families[1][1][0])
+
+
+def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
+    # kernels, images, cokernels, quotients, sums, simples, zero modules,
+    # block maps, covers and envelopes are built unchecked; only P_v and
+    # I_v, built from the algebra's table, have their relations checked
+    pi2 = preprojective_a2()
+    families = _composite_family() + [(pi2, list(nakayama_indecomposables(pi2)))]
+    related, natural = [], []
+    check = Module._check_relations
+    monkeypatch.setattr(Module, "_check_relations",
+                        lambda self: related.append(self) or check(self))
+    monkeypatch.setattr(Morphism, "__post_init__", natural.append)
+    mods, maps = [], []
+    for alg, family in families:
+        mods += [simple_module(alg, v) for v in alg.quiver.vertices]
+        mods += [zero_module(alg), direct_sum(family).module]
+        for x in family:
+            for y in family:
+                basis = hom_basis(x, y)
+                for f in basis:
+                    for make in (kernel_morphism, image_morphism, cokernel_morphism):
+                        maps.append(make(f)[1])
+                if basis:
+                    maps += [stack_morphisms_to_sum(basis),
+                             stack_morphisms_from_sum([g.then(f) for f in basis
+                                                       for g in hom_basis(x, x)])]
+            maps += [resolutions.projective_cover(x), resolutions.injective_envelope(x)]
+            for span in (reps.radical_span(x), reps.socle_span(x)):
+                maps.append(reps.quotient_by_submodule(x, span)[1])
+    assert natural == []
+    assert related
+    for m in related:
+        alg = m.algebra
+        assert any(m.same_as(q) for q in all_projectives(alg) + all_injectives(alg))
+    monkeypatch.undo()
+    mods += [end for f in maps for end in (f.source, f.target)]
+    for m in mods:
+        assert Module(m.algebra, m.dims, m.action).key == m.key
+    for f in maps:
+        assert Morphism(f.source, f.target, f.components).equals(f)
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
