@@ -1,3 +1,6 @@
+import hashlib
+from itertools import combinations, product
+
 import pytest
 
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
@@ -11,10 +14,13 @@ from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
                               identity_complex_morphism, interval_complex,
                               pad_complex, verify_homotopy,
                               zero_complex_morphism, zero_homotopy)
-from nexakt.presets import nakayama_indecomposables
+from nexakt.certs import canonical_json, content_hash
+from nexakt.fileio import morphism_to_dict
+from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.reps import (are_isomorphic, block_morphism, direct_sum,
-                         hom_basis, identity_morphism, projective_module,
-                         simple_module, zero_module, zero_morphism)
+                         hom_basis, hom_dims_and_ranks, identity_morphism,
+                         in_add, projective_module, simple_module,
+                         zero_module, zero_morphism)
 from nexakt.tilting import check_n_cluster_tilting
 
 
@@ -190,6 +196,70 @@ def test_n_kernel_of_split_epi(a3, m3, mods):
     seq = n_kernel(prj, m3, 2)
     assert seq.terms[0].total_dim == 0
     assert seq.terms[1].dim_vector() == (1, 1, 0)
+
+
+# -- the reference sweep ------------------------------------------------------
+
+
+def _sweep():
+    """(label, M, d) over K A_3/J^2 and K A_4/J^2: M = add of every nonempty
+    sublist of the indecomposables, d every Hom-basis map between two
+    generators; the label names the algebra, sublist, generators and basis
+    position."""
+    for k in (3, 4):
+        alg, _ = gen_linear_An_J2(1, k - 1)
+        indecs = nakayama_indecomposables(alg)
+        for r in range(1, len(indecs) + 1):
+            for picked in combinations(range(len(indecs)), r):
+                m = add_category(alg, indecs.pick(picked))
+                for (i, g), (j, h) in product(enumerate(m.generators), repeat=2):
+                    for b, d in enumerate(hom_basis(g, h)):
+                        yield [k, list(picked), i, j, b], m, d
+
+
+# (build, verify, degree of the end term for n)
+LADDERS = ((n_cokernel, verify_n_cokernel, lambda n: n + 1),
+           (n_kernel, verify_n_kernel, lambda n: 0))
+# Recorded when every ladder was re-verified after it was built: one
+# sha256 over the labels and maps of the ladders whose end term lies in
+# add(M), and the content hash of the labels of the 210 whose end term
+# does not.
+SWEEP_KEPT_SHA256 = "8a98f8a7332f29ea6d3e2bffd782f30c87853c710e876ea8bdc5341eb41a22d5"
+SWEEP_OUTSIDE_SHA256 = "bd95f744fb971e66c4c948cdcda5488a05a689074a63f4d06d0e52a6444b05cb"
+
+
+def test_sweep_ladders_keep_their_maps():
+    kept, outside, count = hashlib.sha256(), [], 0
+    for label, m, d in _sweep():
+        for n in (1, 2):
+            for build, verify, end in LADDERS:
+                count += 1
+                key = label + [n, build.__name__]
+                seq = build(d, m, n)
+                assert verify(d, seq, m).ok, key
+                if not in_add(seq.term(end(n)), m.generators):
+                    outside.append(key)
+                    continue
+                kept.update(canonical_json(
+                    [key, [morphism_to_dict(x) for x in seq.diffs]]).encode())
+    assert (count, len(outside)) == (3296, 210)
+    assert kept.hexdigest() == SWEEP_KEPT_SHA256
+    assert content_hash(outside) == SWEEP_OUTSIDE_SHA256
+
+
+def test_sweep_weak_cokernels_and_kernels_are_exact():
+    for label, m, d in _sweep():
+        g, k = weak_cokernel(d, m), weak_kernel(d, m)
+        assert d.then(g).is_zero() and k.then(d).is_zero(), label
+        for gen in m.generators:
+            # Hom(C, gen) -> Hom(B, gen) -> Hom(A, gen) exact in the middle
+            (dim_b, rank_to_a), (_, rank_from_c) = hom_dims_and_ranks(
+                [d, g], gen, contravariant=True)
+            assert rank_from_c == dim_b - rank_to_a, label
+            # Hom(gen, K) -> Hom(gen, A) -> Hom(gen, B) exact in the middle
+            (_, rank_from_k), (dim_a, rank_to_b) = hom_dims_and_ranks(
+                [k, d], gen, contravariant=False)
+            assert rank_from_k == dim_a - rank_to_b, label
 
 
 # -- verification -------------------------------------------------------------
