@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
-                     contravariant_fragment, weak_cokernel)
+                     _weak_cokernel, contravariant_fragment)
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, mapping_cone,
                         verify_homotopy)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
@@ -44,7 +44,8 @@ def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Compl
     cone: List[Morphism] = []
     for k in range(n):
         cone.append(d_prev)
-        w = weak_cokernel(d_prev, m)
+        # d_prev joins checked inputs and approximation targets
+        w = _weak_cokernel(d_prev, m)
         # restrict w: C^k -> Y^{k+1} to the summands X^{k+1} and Y^k
         f_next, d_y = (block_morphism(part, c_k, {(i, 0): identity_morphism(part)})
                        .then(w) for i, part in enumerate(c_k.parts))

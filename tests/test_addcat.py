@@ -19,8 +19,8 @@ from nexakt.fileio import morphism_to_dict
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.reps import (are_isomorphic, block_morphism, direct_sum,
                          hom_basis, hom_dims_and_ranks, identity_morphism,
-                         in_add, projective_module, simple_module,
-                         zero_module, zero_morphism)
+                         in_add, injective_module, projective_module,
+                         simple_module, zero_module, zero_morphism)
 from nexakt.tilting import check_n_cluster_tilting
 
 
@@ -220,26 +220,29 @@ def _sweep():
 # (build, verify, degree of the end term for n)
 LADDERS = ((n_cokernel, verify_n_cokernel, lambda n: n + 1),
            (n_kernel, verify_n_kernel, lambda n: 0))
-# Recorded when every ladder was re-verified after it was built: one
-# sha256 over the labels and maps of the ladders whose end term lies in
-# add(M), and the content hash of the labels of the 210 whose end term
-# does not.
+# Recorded when every ladder was re-verified after it was built, and
+# unchanged since the ladders check their end term instead: one sha256
+# over the labels and maps of the ladders whose end term lies in add(M),
+# and the content hash of the labels of the 210 whose end term does not.
 SWEEP_KEPT_SHA256 = "8a98f8a7332f29ea6d3e2bffd782f30c87853c710e876ea8bdc5341eb41a22d5"
 SWEEP_OUTSIDE_SHA256 = "bd95f744fb971e66c4c948cdcda5488a05a689074a63f4d06d0e52a6444b05cb"
 
 
-def test_sweep_ladders_keep_their_maps():
+def test_sweep_ladders_fail_exactly_outside_add_m():
     kept, outside, count = hashlib.sha256(), [], 0
     for label, m, d in _sweep():
         for n in (1, 2):
             for build, verify, end in LADDERS:
                 count += 1
                 key = label + [n, build.__name__]
-                seq = build(d, m, n)
-                assert verify(d, seq, m).ok, key
-                if not in_add(seq.term(end(n)), m.generators):
+                try:
+                    seq = build(d, m, n)
+                except HypothesisError as exc:
+                    assert exc.degree == end(n), key
                     outside.append(key)
                     continue
+                assert verify(d, seq, m).ok, key
+                assert in_add(seq.term(end(n)), m.generators), key
                 kept.update(canonical_json(
                     [key, [morphism_to_dict(x) for x in seq.diffs]]).encode())
     assert (count, len(outside)) == (3296, 210)
@@ -260,6 +263,21 @@ def test_sweep_weak_cokernels_and_kernels_are_exact():
             (_, rank_from_k), (dim_a, rank_to_b) = hom_dims_and_ranks(
                 [k, d], gen, contravariant=False)
             assert rank_from_k == dim_a - rank_to_b, label
+
+
+def test_ladders_ending_outside_add_m_name_the_degree():
+    # K A_3/J^2 with M = add(Lambda): the 2-cokernel of P0 -> P1 ends in
+    # S2 and the 2-kernel of I1 -> I2 starts in S0; both were returned
+    # as verified while only the Hom exactness was checked
+    alg, _ = gen_linear_An_J2(1, 2)
+    p = [projective_module(alg, v) for v in "012"]
+    i = [injective_module(alg, v) for v in "012"]
+    with pytest.raises(HypothesisError) as exc:
+        n_cokernel(hom_basis(p[0], p[1])[0], add_category(alg, p), 2)
+    assert exc.value.degree == 3
+    with pytest.raises(HypothesisError) as exc:
+        n_kernel(hom_basis(i[1], i[2])[0], add_category(alg, i), 2)
+    assert exc.value.degree == 0
 
 
 # -- verification -------------------------------------------------------------

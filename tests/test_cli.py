@@ -12,8 +12,8 @@ from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            morphism_with_endpoints_to_dict)
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_indecomposables)
-from nexakt.reps import (direct_sum, hom_basis, projective_module,
-                         simple_module)
+from nexakt.reps import (direct_sum, hom_basis, injective_module,
+                         projective_module, simple_module)
 
 
 @pytest.fixture
@@ -161,6 +161,31 @@ def test_nkernel(files, a3):
     assert run("nkernel", "--algebra", files["algebra"], "--morphism",
                dn_path, "--m", files["m3"], "--n", 2,
                "--out", files["out"]) == 0
+
+
+@pytest.mark.parametrize("check,make,pair,degree", [
+    ("ncoker", projective_module, (0, 1), 3),
+    ("nkernel", injective_module, (1, 2), 0),
+])
+def test_ladder_outside_add_m_exits_1(files, tmp_path, check, make, pair,
+                                      degree):
+    # M = add(P0 + P1 + P2) (resp. add(I0 + I1 + I2)) on K A_3/J^2: the
+    # 2-cokernel of P0 -> P1 ends in S2 and the 2-kernel of I1 -> I2
+    # starts in S0, which lie outside add(M); both passed before the
+    # ladders checked their end term
+    alg = load_algebra(files["algebra"])
+    gens = [make(alg, v) for v in "012"]
+    m_path, d_path = tmp_path / "m.json", tmp_path / "d.json"
+    m_path.write_text(canonical_json(
+        {"generators": [module_to_dict(g) for g in gens]}))
+    d = hom_basis(gens[pair[0]], gens[pair[1]])[0]
+    d_path.write_text(canonical_json(morphism_with_endpoints_to_dict(d)))
+    assert run(check, "--algebra", files["algebra"], "--morphism", d_path,
+               "--m", m_path, "--n", 2, "--out", files["out"]) == 1
+    cert = json.loads((files["out"] / f"{check}.cert.json").read_text())
+    assert cert["verdict"] is False
+    assert cert["witnesses"]["failure"]["exception"] == "HypothesisError"
+    assert cert["witnesses"]["failure"]["degree"] == degree
 
 
 def test_verify_nexact(files):
