@@ -235,7 +235,7 @@ def n_cokernel(d0: Morphism, m: AddCat, n: int) -> ComplexSeq:
 
     Returns the tail complex on degrees 1..n+1.  Its Hom(-, M) sequence
     is exact by construction: each d^k is a cokernel projection followed
-    by a left approximation (see _weak_cokernel), and d^n is the last
+    by a left approximation (see weak_cokernel), and d^n is the last
     cokernel projection.  X^2..X^n are approximation targets; the one
     fact that needs M to be n-cluster-tilting is that X^{n+1} lies in
     add(M), and HypothesisError (degree n + 1) says when it does not."""
