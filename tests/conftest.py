@@ -1,6 +1,10 @@
+from itertools import combinations, product
+
 import pytest
 
+from nexakt.addcat import add_category
 from nexakt.fp import FieldSpec
+from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import assemble_from_span, hom_basis, identity_morphism
 
@@ -52,6 +56,22 @@ def exhaustively_indecomposable(x, budget=1 << 16):
             i += 1
         else:
             return True
+
+
+def sweep_generator_maps():
+    """(label, M, d) over K A_3/J^2 and K A_4/J^2: M = add of every nonempty
+    sublist of the indecomposables, d every Hom-basis map between two
+    generators; the label names the algebra, sublist, generators and basis
+    position."""
+    for k in (3, 4):
+        alg, _ = gen_linear_An_J2(1, k - 1)
+        indecs = nakayama_indecomposables(alg)
+        for r in range(1, len(indecs) + 1):
+            for picked in combinations(range(len(indecs)), r):
+                m = add_category(alg, indecs.pick(picked))
+                for (i, g), (j, h) in product(enumerate(m.generators), repeat=2):
+                    for b, d in enumerate(hom_basis(g, h)):
+                        yield [k, list(picked), i, j, b], m, d
 
 
 @pytest.fixture

@@ -1,6 +1,4 @@
 import hashlib
-from itertools import combinations, product
-
 import pytest
 
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
@@ -22,6 +20,8 @@ from nexakt.reps import (are_isomorphic, block_morphism, direct_sum,
                          in_add, injective_module, projective_module,
                          simple_module, zero_module, zero_morphism)
 from nexakt.tilting import check_n_cluster_tilting
+
+from conftest import sweep_generator_maps
 
 
 @pytest.fixture
@@ -201,22 +201,6 @@ def test_n_kernel_of_split_epi(a3, m3, mods):
 # -- the reference sweep ------------------------------------------------------
 
 
-def _sweep():
-    """(label, M, d) over K A_3/J^2 and K A_4/J^2: M = add of every nonempty
-    sublist of the indecomposables, d every Hom-basis map between two
-    generators; the label names the algebra, sublist, generators and basis
-    position."""
-    for k in (3, 4):
-        alg, _ = gen_linear_An_J2(1, k - 1)
-        indecs = nakayama_indecomposables(alg)
-        for r in range(1, len(indecs) + 1):
-            for picked in combinations(range(len(indecs)), r):
-                m = add_category(alg, indecs.pick(picked))
-                for (i, g), (j, h) in product(enumerate(m.generators), repeat=2):
-                    for b, d in enumerate(hom_basis(g, h)):
-                        yield [k, list(picked), i, j, b], m, d
-
-
 # (build, verify, degree of the end term for n)
 LADDERS = ((n_cokernel, verify_n_cokernel, lambda n: n + 1),
            (n_kernel, verify_n_kernel, lambda n: 0))
@@ -230,7 +214,7 @@ SWEEP_OUTSIDE_SHA256 = "bd95f744fb971e66c4c948cdcda5488a05a689074a63f4d06d0e52a6
 
 def test_sweep_ladders_fail_exactly_outside_add_m():
     kept, outside, count = hashlib.sha256(), [], 0
-    for label, m, d in _sweep():
+    for label, m, d in sweep_generator_maps():
         for n in (1, 2):
             for build, verify, end in LADDERS:
                 count += 1
@@ -251,7 +235,7 @@ def test_sweep_ladders_fail_exactly_outside_add_m():
 
 
 def test_sweep_weak_cokernels_and_kernels_are_exact():
-    for label, m, d in _sweep():
+    for label, m, d in sweep_generator_maps():
         g, k = weak_cokernel(d, m), weak_kernel(d, m)
         assert d.then(g).is_zero() and k.then(d).is_zero(), label
         for gen in m.generators:

@@ -1,10 +1,10 @@
 import pytest
 
-from nexakt.addcat import PreconditionError, add_category
+from nexakt.addcat import DomainError, PreconditionError, add_category
 from nexakt.complexes import complex_from_maps
 from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          check_frobenius_setup, complete_angle_morphism,
-                         cosyzygy, rotate_angle, stable_hom_basis,
+                         cosyzygy, make_angle, rotate_angle, stable_hom_basis,
                          stably_isomorphic_objects, standard_angle,
                          suspension, suspension_morphism, stably_equal,
                          trivial_angle, verify_angle_exact)
@@ -150,6 +150,39 @@ def test_standard_angle_on_projective_map(ctx, pi2_mods):
     assert angle.closing.target.total_dim == 0
 
 
+def _cyclic6_ctx():
+    """cyclic_nakayama_j2(6) with M = add(Lambda + S0 + S2 + S4), n = 2."""
+    alg = cyclic_nakayama_j2(6, 101)
+    gens = ([projective_module(alg, str(v)) for v in range(6)]
+            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
+    return check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,
+                                 nakayama_indecomposables(alg), seed=0)
+
+
+def test_standard_angles_pass_the_checked_constructor(ctx):
+    # every standard angle on a Hom-basis map between two generators is
+    # accepted by make_angle and has exact stable Hom sequences
+    count = 0
+    for c in (ctx, _cyclic6_ctx()):
+        gens = c.m.generators
+        for g in gens:
+            for h in gens:
+                for alpha0 in hom_basis(g, h):
+                    a = standard_angle(c, alpha0)
+                    make_angle(c, a.objects, a.maps, a.closing)
+                    assert verify_angle_exact(c, a)[0]
+                    count += 1
+    assert count == 28
+
+
+def test_standard_angle_refuses_endpoints_outside_add_m(ctx, pi2_mods):
+    s2 = pi2_mods["S2"]
+    for alpha0 in (hom_basis(s2, pi2_mods["P1"])[0],
+                   hom_basis(pi2_mods["P2"], s2)[0]):
+        with pytest.raises(DomainError):
+            standard_angle(ctx, alpha0)
+
+
 def test_trivial_angle_verifies(ctx, pi2_mods):
     angle = trivial_angle(ctx, pi2_mods["S1"])
     ok, _ = verify_angle_exact(ctx, angle)
@@ -238,11 +271,8 @@ def test_suspension_morphism_of_identity(ctx, pi2_mods):
 def test_identity_cone_with_projective_injective_x0():
     # Hom(I^2(X^0), Y^2) = 0 for X^0 = P_0, which is its own envelope; the
     # zero h^2 must still be kept for the step at degree 2
-    alg = cyclic_nakayama_j2(6, 101)
-    gens = ([projective_module(alg, str(v)) for v in range(6)]
-            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
-    ctx = check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,
-                                nakayama_indecomposables(alg), seed=0)
+    ctx = _cyclic6_ctx()
+    gens = ctx.m.generators
     a = standard_angle(ctx, hom_basis(gens[0], gens[6])[0])   # P_0 -> S_0
     phi = complete_angle_morphism(ctx, a, a,
                                   identity_morphism(a.objects[0]),

@@ -1,14 +1,21 @@
+import hashlib
+
 import pytest
 
-from nexakt.addcat import (add_category, contract, contravariant_fragment,
-                           verify_n_exact)
+from nexakt.addcat import (HypothesisError, add_category, contract,
+                           contravariant_fragment, verify_n_exact,
+                           weak_cokernel)
+from nexakt.certs import canonical_json, content_hash
 from nexakt.complexes import (ComplexSeq, complex_from_maps,
                               identity_complex_morphism, mapping_cone,
                               pad_complex, verify_homotopy)
+from nexakt.fileio import morphism_to_dict
 from nexakt.pushout import good_n_pushout, n_pushout, pushout_factorization
-from nexakt.reps import (are_isomorphic, hom_basis, identity_morphism,
-                         projective_module, simple_module,
+from nexakt.reps import (are_isomorphic, factor_through, hom_basis,
+                         identity_morphism, projective_module, simple_module,
                          split_indecomposables, zero_module, zero_morphism)
+
+from conftest import sweep_generator_maps
 
 
 @pytest.fixture
@@ -144,3 +151,51 @@ def test_pushout_solves_membership_only_for_the_given_objects(a3, m3, mods,
     # that n_pushout checks is a sum of generators: no solve at all
     assert solved == []
     assert y.term(0) is y0 and y.diff(0).then(y.diff(1)).is_zero()
+
+
+# -- the reference sweep ------------------------------------------------------
+
+
+def _cone_is_exact(f, m):
+    return contravariant_fragment(list(mapping_cone(f).diffs), m.generators).ok
+
+
+# Recorded while n_pushout re-certified its whole cone and good_n_pushout
+# its padded cone: one sha256 over the labels and maps (y's differentials,
+# f's components) of the pushouts returned, and the content hash of the
+# labels of the 16 that raised.
+SWEEP_KEPT_SHA256 = "982392b431625b7fbb5642446add18eff9bc49d50aa3357e0c4dc18fa9404d58"
+SWEEP_FAILED_SHA256 = "a2f9d65621e9af9a8f0a01cc0cfe6747fb0274d171abbcb282ab39a9376f7afe"
+
+
+def test_sweep_pushouts_keep_their_maps():
+    # x is d or (d, its weak cokernel), f0 every Hom-basis map from the
+    # source of d to a generator
+    kept, failed, count = hashlib.sha256(), [], 0
+    for label, m, d in sweep_generator_maps():
+        for x in (complex_from_maps(0, [d]),
+                  complex_from_maps(0, [d, weak_cokernel(d, m)])):
+            n = len(x.diffs)
+            for t, g in enumerate(m.generators):
+                for c, f0 in enumerate(hom_basis(d.source, g)):
+                    count += 1
+                    key = label + [n, t, c]
+                    try:
+                        y, f = n_pushout(x, f0, m)
+                    except HypothesisError:
+                        failed.append(key)
+                        continue
+                    assert _cone_is_exact(f, m), key
+                    if n == 2:
+                        _, ftilde, _ = good_n_pushout(x, f0, m)
+                        assert _cone_is_exact(ftilde, m), key
+                        comp = ftilde.component(2)
+                        assert factor_through(identity_morphism(comp.source),
+                                              comp) is not None, key
+                    kept.update(canonical_json(
+                        [key, [morphism_to_dict(u) for u in y.diffs],
+                         [morphism_to_dict(f.component(k))
+                          for k in x.degrees()]]).encode())
+    assert (count, len(failed)) == (2976, 16)
+    assert kept.hexdigest() == SWEEP_KEPT_SHA256
+    assert content_hash(failed) == SWEEP_FAILED_SHA256
