@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .addcat import (AddCat, HypothesisError, PreconditionError, _lift_along,
-                     verify_n_exact)
+from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
+                     _lift_along, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism
-from .pushout import _factor_pushout, n_pushout
+from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    are_isomorphic, assemble_from_span, block_morphism,
@@ -200,7 +200,7 @@ class AngleProvenance:
 class Angle:
     """X^0 -> X^1 -> ... -> X^{n+1} with a closing morphism to Sigma X^0.
 
-    Consecutive composites vanish stably (verified at construction)."""
+    Consecutive composites vanish stably (make_angle checks it)."""
 
     objects: list
     maps: list
@@ -216,8 +216,7 @@ class Angle:
 
 
 def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
-               maps: Sequence[Morphism], closing: Morphism,
-               provenance: Optional[AngleProvenance] = None) -> Angle:
+               maps: Sequence[Morphism], closing: Morphism) -> Angle:
     n = ctx.n
     if len(objects) != n + 2 or len(maps) != n + 1:
         raise ValueError("angle must have n+2 objects and n+1 morphisms")
@@ -231,7 +230,7 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
     for k in range(len(chain) - 1):
         if not _stably_zero(chain[k].then(chain[k + 1])):
             raise ValueError(f"consecutive composite at {k} not stably zero")
-    return Angle(list(objects), list(maps), closing, provenance)
+    return Angle(list(objects), list(maps), closing)
 
 
 def trivial_angle(ctx: FrobeniusCtx, x: Module) -> Angle:
@@ -246,13 +245,18 @@ def trivial_angle(ctx: FrobeniusCtx, x: Module) -> Angle:
 
 def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     """The pushout of the fixed coresolution of X^0 along alpha0, closed by
-    the induced map to Sigma X^0."""
+    the induced map to Sigma X^0; alpha0 must lie in add(M).  Built
+    unchecked: the injective coresolution terms lie in add(M), which is
+    cogenerating (n-CT), Y is a complex, alpha0 d_Y^0 = d_X^0 f^1 factors
+    through the envelope d_X^0, and d_Y^{n-1} closing = 0 is solved for."""
     n = ctx.n
     x0 = alpha0.source
+    if not all(in_add(z, ctx.m.generators) for z in (x0, alpha0.target)):
+        raise DomainError("standard angle: alpha0 not within add(M)")
     *maps, proj = _closed_coresolution(x0, n)
     cores = Coresolution(x0, [d.target for d in maps], maps)
     ix = ComplexSeq(0, [x0] + cores.terms, maps)
-    y, f = n_pushout(ix, alpha0, ctx.m)
+    y, f = _n_pushout(ix, alpha0, ctx.m)
     # closing: unique d with f^n.then(d) = proj and d_Y^{n-1}.then(d) = 0
     yn = y.term(n)
     basis = hom_basis(yn, proj.target)
@@ -264,10 +268,8 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     if coeffs is None:
         raise HypothesisError("standard angle: closing morphism not found")
     closing = assemble_from_span(basis, coeffs, yn, proj.target)
-    objects = [x0] + [y.term(k) for k in range(n + 1)]
-    maps = [alpha0] + [y.diff(k) for k in range(n)]
-    return make_angle(ctx, objects, maps, closing,
-                      AngleProvenance(cores, f))
+    return Angle([x0] + y.terms, [alpha0] + y.diffs, closing,
+                 AngleProvenance(cores, f))
 
 
 def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:

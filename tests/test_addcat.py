@@ -1,4 +1,5 @@
 import hashlib
+
 import pytest
 
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,

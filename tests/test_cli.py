@@ -7,6 +7,7 @@ import pytest
 
 from nexakt.certs import canonical_json
 from nexakt.cli import _build_parser, main
+from nexakt.complexes import complex_from_maps
 from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            load_algebra, module_from_dict, module_to_dict,
                            morphism_with_endpoints_to_dict)
@@ -201,6 +202,22 @@ def test_npushout(files):
     assert run("npushout", "--algebra", files["algebra"], "--complex",
                files["upper"], "--morphism", files["d0"],
                "--m", files["m3"], "--out", files["out"]) == 0
+
+
+def test_npushout_failing_at_the_top_exits_1(files, tmp_path):
+    # the one-differential complex S0 -> P1 pushed out along itself over
+    # M = add(P0 + P1 + P2 + S2) fails at the top of the cone, degree 1
+    a3 = load_algebra(files["algebra"])
+    d0 = hom_basis(simple_module(a3, "0"), projective_module(a3, "1"))[0]
+    x_path = tmp_path / "x.json"
+    x_path.write_text(canonical_json(complex_to_dict(complex_from_maps(0, [d0]))))
+    assert run("npushout", "--algebra", files["algebra"], "--complex", x_path,
+               "--morphism", files["d0"], "--m", files["m3"],
+               "--out", files["out"]) == 1
+    cert = json.loads((files["out"] / "npushout.cert.json").read_text())
+    assert cert["verdict"] is False
+    assert cert["witnesses"]["failure"]["exception"] == "HypothesisError"
+    assert cert["witnesses"]["failure"]["degree"] == 1
 
 
 def test_ext_compare(files):

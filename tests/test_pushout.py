@@ -105,6 +105,15 @@ def test_good_pushout_along_identity_contracts(a3, m3, mods):
     assert contract(full, m3) is not None
 
 
+def test_pushout_failing_at_the_top_names_the_degree(a3, m3, mods):
+    # S0 -> P1 pushed out along itself: Hom(Y^1, G) -> Hom(C^0, G) is not
+    # injective for some generator G, so the failure is at degree lo + n
+    d0 = hom_basis(mods["S0"], mods["P1"])[0]
+    with pytest.raises(HypothesisError) as exc:
+        n_pushout(complex_from_maps(0, [d0]), d0, m3)
+    assert exc.value.degree == 1
+
+
 def test_factorization_with_itself(a3, m3, mods):
     x = upper_complex(a3, mods)
     f0 = hom_basis(mods["S0"], mods["P1"])[0]
@@ -161,9 +170,10 @@ def _cone_is_exact(f, m):
 
 
 # Recorded while n_pushout re-certified its whole cone and good_n_pushout
-# its padded cone: one sha256 over the labels and maps (y's differentials,
-# f's components) of the pushouts returned, and the content hash of the
-# labels of the 16 that raised.
+# its padded cone, and unchanged since both check only the cone's top: one
+# sha256 over the labels and maps (y's differentials, f's components) of
+# the pushouts returned, and the content hash of the labels of the 16 that
+# raise, all of them at the top.
 SWEEP_KEPT_SHA256 = "982392b431625b7fbb5642446add18eff9bc49d50aa3357e0c4dc18fa9404d58"
 SWEEP_FAILED_SHA256 = "a2f9d65621e9af9a8f0a01cc0cfe6747fb0274d171abbcb282ab39a9376f7afe"
 
@@ -182,7 +192,8 @@ def test_sweep_pushouts_keep_their_maps():
                     key = label + [n, t, c]
                     try:
                         y, f = n_pushout(x, f0, m)
-                    except HypothesisError:
+                    except HypothesisError as exc:
+                        assert exc.degree == x.lo + n, key
                         failed.append(key)
                         continue
                     assert _cone_is_exact(f, m), key
