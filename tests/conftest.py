@@ -3,10 +3,10 @@ from itertools import combinations, product
 import pytest
 
 from nexakt.addcat import add_category
-from nexakt.fp import FieldSpec
+from nexakt.fp import FieldSpec, Mat
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
-from nexakt.reps import assemble_from_span, hom_basis, identity_morphism
+from nexakt.reps import Module, assemble_from_span, hom_basis, identity_morphism
 
 
 def linear_a3_j2(p=101):
@@ -56,6 +56,23 @@ def exhaustively_indecomposable(x, budget=1 << 16):
             i += 1
         else:
             return True
+
+
+def in_random_basis(x, rng):
+    """A module isomorphic to x, built by the checked constructor: at each
+    vertex v, new basis vector i is scale[v][i] times old basis vector
+    perm[v][i]."""
+    p = x.algebra.p
+    perm = {v: rng.sample(range(d), d) for v, d in x.dims.items()}
+    scale = {v: [rng.randrange(1, p) for _ in range(d)] for v, d in x.dims.items()}
+    action = {}
+    for a in x.algebra.quiver.arrows:
+        s, t, m = a.source, a.target, x.action[a.name]
+        action[a.name] = Mat.from_rows(
+            [[scale[s][j] * m.entries[perm[t][i] * m.cols + perm[s][j]]
+              * pow(scale[t][i], p - 2, p) for j in range(m.cols)]
+             for i in range(m.rows)], p, cols=m.cols)
+    return Module(x.algebra, dict(x.dims), action)
 
 
 def sweep_generator_maps():

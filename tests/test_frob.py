@@ -1,16 +1,17 @@
 import pytest
 
 from nexakt.addcat import DomainError, PreconditionError, add_category
-from nexakt.complexes import complex_from_maps
+from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
 from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          check_frobenius_setup, complete_angle_morphism,
-                         cosyzygy, make_angle, rotate_angle, stable_hom_basis,
-                         stably_isomorphic_objects, standard_angle,
-                         suspension, suspension_morphism, stably_equal,
-                         trivial_angle, verify_angle_exact)
+                         cosyzygy, make_angle, rotate_angle, stable_hom,
+                         stable_hom_basis, stably_isomorphic_objects,
+                         standard_angle, suspension, suspension_morphism,
+                         stably_equal, trivial_angle, verify_angle_exact)
 from nexakt.presets import nakayama_indecomposables
-from nexakt.reps import (hom_basis, identity_morphism, projective_module,
-                         simple_module, zero_module)
+from nexakt.reps import (all_injectives, are_isomorphic, hom_basis,
+                         identity_morphism, projective_module, simple_module,
+                         zero_module)
 
 from conftest import cyclic_nakayama_j2
 
@@ -173,6 +174,58 @@ def test_standard_angles_pass_the_checked_constructor(ctx):
                     assert verify_angle_exact(c, a)[0]
                     count += 1
     assert count == 28
+
+
+def _stable_hom_table(c, a):
+    """verify_angle_exact's table, recomputed from stable_hom for every
+    generator: each rank is that of the composites h.then(u) in the
+    stable quotient."""
+    nodes = list(a.objects) + [suspension(c, x) for x in a.objects] \
+        + [suspension(c, suspension(c, a.objects[0]))]
+    chain = a.all_maps() + [suspension_morphism(c, u) for u in a.all_maps()]
+    table = []
+    for gi, g in enumerate(c.m.generators):
+        spaces = [stable_hom(c, g, node) for node in nodes]
+        ranks = [spaces[k + 1].rank([h.then(u) for h in spaces[k].hom])
+                 for k, u in enumerate(chain)]
+        for i in range(1, len(nodes) - 1):
+            table.append({"generator": gi, "position": i,
+                          "stable_dim": spaces[i].dim, "rank_in": ranks[i - 1],
+                          "rank_out": ranks[i],
+                          "exact": spaces[i].dim - ranks[i] == ranks[i - 1]})
+    return table
+
+
+def test_standard_angle_tables_match_stable_hom(ctx):
+    # the 28 standard angles above and their rotations: the exactness
+    # table equals the one read off stable_hom, and a projective-injective
+    # generator has only zero rows; the pushout complexes and chain map of
+    # each standard angle pass the checked constructors
+    count = zero_rows = 0
+    for c in (ctx, _cyclic6_ctx()):
+        gens = c.m.generators
+        injective = [any(are_isomorphic(g, i, 3) for i in all_injectives(c.algebra))
+                     for g in gens]
+        for g in gens:
+            for h in gens:
+                for alpha0 in hom_basis(g, h):
+                    a = standard_angle(c, alpha0)
+                    f = a.provenance.pushout_map
+                    x, y = (ComplexSeq(z.lo, z.terms, z.diffs)
+                            for z in (f.source, f.target))
+                    ComplexMorphism(x, y, f.components)
+                    for angle in (a, rotate_angle(c, a)):
+                        ok, table = verify_angle_exact(c, angle)
+                        assert ok and table == _stable_hom_table(c, angle)
+                        for row in table:
+                            if injective[row["generator"]]:
+                                assert (row["stable_dim"], row["rank_in"],
+                                        row["rank_out"], row["exact"]) == (0, 0, 0, True)
+                                zero_rows += 1
+                    count += 1
+    # 2n + 3 = 7 rows for each of the 280 pairs of an angle or rotation
+    # and a projective-injective generator
+    assert (count, zero_rows) == (28, 280 * 7)
 
 
 def test_standard_angle_refuses_endpoints_outside_add_m(ctx, pi2_mods):

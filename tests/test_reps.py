@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -21,8 +22,8 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
-from conftest import (cyclic_nakayama_j2, exhaustively_indecomposable, linear_a3_j2,
-                      preprojective_a2)
+from conftest import (cyclic_nakayama_j2, exhaustively_indecomposable,
+                      in_random_basis, linear_a3_j2, preprojective_a2)
 
 
 # -- fixtures ----------------------------------------------------------
@@ -241,6 +242,28 @@ def test_in_add_solves_each_module_once_and_no_generator(a3_mods, monkeypatch):
         assert in_add(copy, gens)                 # content-equal to P1
         assert not in_add(a3_mods["S1"], gens)
     assert solved == [id(a3_mods["S1"])]
+
+
+def test_sweep_membership_matches_krull_schmidt():
+    # over K A_3/J^2 and K A_4/J^2, x is every sum of one or two
+    # indecomposables in a random basis and M is add of every nonempty
+    # sublist: x lies in add(M) exactly when each summand of x is listed
+    rng = random.Random(19)
+    count = 0
+    for k in (3, 4):
+        alg, _ = gen_linear_An_J2(1, k - 1)
+        indecs = nakayama_indecomposables(alg)
+        sums = [(idx, in_random_basis(direct_sum([indecs[i] for i in idx]).module, rng))
+                for r in (1, 2)
+                for idx in combinations_with_replacement(range(len(indecs)), r)]
+        for r in range(1, len(indecs) + 1):
+            for picked in combinations(range(len(indecs)), r):
+                m = add_category(alg, indecs.pick(picked))
+                for idx, x in sums:
+                    member = set(idx) <= set(picked)
+                    assert bool(in_add(x, m.generators)) is member, (k, picked, idx)
+                    count += 1
+    assert count == 31 * 20 + 127 * 35
 
 
 # -- decomposition and isomorphism ---------------------------------------
