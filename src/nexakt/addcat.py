@@ -9,7 +9,8 @@ generators.  Chain completion (_lift_along) and homotopies (_homotopy)
 are one loop each, and each step is one reps.factor_through.
 
 Each fact is checked once, where it is made.  An approximation checks
-its contract (Hom(T, G) -> Hom(x, G) onto, or dually) when it is built.
+its contract (Hom(T, G) -> Hom(x, G) onto, or dually) when it is built,
+for each generator G with Hom(x, G) (or Hom(G, x)) nonzero.
 A weak (co)kernel and the Hom exactness of an n-(co)kernel ladder follow
 from that contract and the exactness of (co)kernels, so they are not
 checked again; what depends on M is that a ladder ends in add(M), and
@@ -24,6 +25,9 @@ rows by reps.composite_rows, one stacked product per vertex.
 Certificates are assembled in generator-list order.  Tie-breaking is
 fixed everywhere: generators in the order listed, Hom bases in the
 deterministic kernel_basis order.
+
+The generator list is a reps.Indecomposables (exported here too, with
+reps.PreconditionError), checked once by indecomposables().
 """
 
 from __future__ import annotations
@@ -33,22 +37,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
-from .reps import (Module, Morphism, are_isomorphic, cokernel_morphism,
-                   composite_rows, factor_through, hom_basis,
-                   hom_dims_and_ranks, hom_ranks, identity_morphism, in_add,
-                   kernel_morphism, solve_rows, split_indecomposables,
-                   stack_morphisms_from_sum, stack_morphisms_to_sum,
-                   zero_module, zero_morphism)
+from .reps import (Indecomposables, Module, Morphism, PreconditionError,
+                   are_isomorphic, cokernel_morphism, composite_rows,
+                   factor_through, hom_basis, hom_dims_and_ranks, hom_ranks,
+                   identity_morphism, in_add, kernel_morphism, solve_rows,
+                   split_indecomposables, stack_morphisms_from_sum,
+                   stack_morphisms_to_sum, zero_module, zero_morphism)
 
 
 class DomainError(ValueError):
     """An object required to lie in add(M) does not, or a list of
     indecomposables (such as the generators) has a decomposable or
     repeated entry."""
-
-
-class PreconditionError(ValueError):
-    pass
 
 
 class HypothesisError(ValueError):
@@ -58,30 +58,6 @@ class HypothesisError(ValueError):
     def __init__(self, message: str, degree: Optional[int] = None):
         super().__init__(message)
         self.degree = degree
-
-
-class Indecomposables(tuple):
-    """Indecomposable, pairwise non-isomorphic modules, trusted as given:
-    made by indecomposables(), which checks once, or, complete, by
-    presets.nakayama_indecomposables.  ``complete`` means every
-    indecomposable is listed up to isomorphism, so verdicts are absolute."""
-
-    def __new__(cls, modules: Sequence[Module], complete: bool = False):
-        self = super().__new__(cls, modules)
-        self.complete = complete
-        return self
-
-    def index_of(self, x: Module, seed: int) -> int:
-        """Position of the entry isomorphic to x (PreconditionError if none)."""
-        for i, entry in enumerate(self):
-            if are_isomorphic(x, entry, seed):
-                return i
-        raise PreconditionError(f"no entry is isomorphic to the module of "
-                                f"dimension vector {list(x.dim_vector())}")
-
-    def pick(self, indices: Sequence[int]) -> "Indecomposables":
-        """The sublist at the given positions: checked, and not complete."""
-        return Indecomposables([self[i] for i in indices])
 
 
 def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables:
@@ -150,7 +126,8 @@ def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
     others (_peel_superfluous).
 
     Contract (verified): Hom(T, G) -> Hom(x, G) is surjective for every
-    generator G."""
+    generator G with Hom(x, G) nonzero; a map onto the zero space is onto,
+    so the other generators need no check."""
     homs = [hom_basis(x, g) for g in m.generators]
     parts = _peel_superfluous([(g, f) for g, basis in zip(m.generators, homs)
                                for f in basis], left=True)
@@ -159,13 +136,14 @@ def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
     else:
         approx = stack_morphisms_to_sum([f for _, f in parts])
     for g, basis in zip(m.generators, homs):
-        if hom_ranks([approx], g, contravariant=True)[0] != len(basis):
+        if basis and hom_ranks([approx], g, contravariant=True)[0] != len(basis):
             raise AssertionError("left approximation lost a Hom class")
     return approx
 
 
 def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
-    """Minimal right add(M)-approximation T -> x, dual to the left one."""
+    """Minimal right add(M)-approximation T -> x, dual to the left one;
+    the contract is checked for every G with Hom(G, x) nonzero."""
     homs = [hom_basis(g, x) for g in m.generators]
     parts = _peel_superfluous([(g, f) for g, basis in zip(m.generators, homs)
                                for f in basis], left=False)
@@ -174,7 +152,7 @@ def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
     else:
         approx = stack_morphisms_from_sum([f for _, f in parts])
     for g, basis in zip(m.generators, homs):
-        if hom_ranks([approx], g, contravariant=False)[0] != len(basis):
+        if basis and hom_ranks([approx], g, contravariant=False)[0] != len(basis):
             raise AssertionError("right approximation lost a Hom class")
     return approx
 

@@ -1,4 +1,10 @@
-"""Bounded cochain complexes of modules, their morphisms and homotopies."""
+"""Bounded cochain complexes of modules, their morphisms and homotopies.
+
+``ComplexSeq(...)`` checks that consecutive differentials compose to
+zero and ``ComplexMorphism(...)`` that every square commutes.  A complex
+or chain map that holds by construction (the n-pushout and its padding,
+a coresolution) is built unchecked by ``_complex`` or ``_chain_map``.
+"""
 
 from __future__ import annotations
 
@@ -56,6 +62,14 @@ class ComplexSeq:
 
     def degrees(self) -> range:
         return range(self.lo, self.hi + 1)
+
+
+def _complex(lo: int, terms: list, diffs: list) -> ComplexSeq:
+    """A complex known to be one (diffs join the terms, d d = 0 by
+    construction), built without the checks."""
+    x = object.__new__(ComplexSeq)
+    x.__dict__.update(lo=lo, terms=terms, diffs=diffs)
+    return x
 
 
 def complex_from_maps(lo: int, maps: Sequence[Morphism]) -> ComplexSeq:
@@ -129,6 +143,15 @@ class ComplexMorphism:
         return ComplexMorphism(self.source, self.target,
                                {k: self.component(k).sub(other.component(k))
                                 for k in self.source.degrees()})
+
+
+def _chain_map(source: ComplexSeq, target: ComplexSeq,
+               components: dict) -> ComplexMorphism:
+    """A chain map known to be one (components join the terms, every
+    square commutes by construction), built without the checks."""
+    f = object.__new__(ComplexMorphism)
+    f.__dict__.update(source=source, target=target, components=components)
+    return f
 
 
 def identity_complex_morphism(x: ComplexSeq) -> ComplexMorphism:

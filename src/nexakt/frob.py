@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      _lift_along, verify_n_exact)
-from .complexes import ComplexSeq, ComplexMorphism
+from .complexes import ComplexSeq, ComplexMorphism, _complex
 from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
@@ -247,15 +247,16 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     """The pushout of the fixed coresolution of X^0 along alpha0, closed by
     the induced map to Sigma X^0; alpha0 must lie in add(M).  Built
     unchecked: the injective coresolution terms lie in add(M), which is
-    cogenerating (n-CT), Y is a complex, alpha0 d_Y^0 = d_X^0 f^1 factors
-    through the envelope d_X^0, and d_Y^{n-1} closing = 0 is solved for."""
+    cogenerating (n-CT), the coresolution is a complex (complexes._complex),
+    Y is a complex, alpha0 d_Y^0 = d_X^0 f^1 factors through the envelope
+    d_X^0, and d_Y^{n-1} closing = 0 is solved for."""
     n = ctx.n
     x0 = alpha0.source
     if not all(in_add(z, ctx.m.generators) for z in (x0, alpha0.target)):
         raise DomainError("standard angle: alpha0 not within add(M)")
     *maps, proj = _closed_coresolution(x0, n)
     cores = Coresolution(x0, [d.target for d in maps], maps)
-    ix = ComplexSeq(0, [x0] + cores.terms, maps)
+    ix = _complex(0, [x0] + cores.terms, maps)
     y, f = _n_pushout(ix, alpha0, ctx.m)
     # closing: unique d with f^n.then(d) = proj and d_Y^{n-1}.then(d) = 0
     yn = y.term(n)
@@ -293,13 +294,23 @@ def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
 
 def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     """Exactness of the stable Hom(G, -) sequence over one full suspension
-    period, for every generator G; returns (verdict, rank table)."""
+    period, for every generator G; returns (verdict, rank table).
+
+    An injective G (its envelope is an isomorphism: the envelope, a mono,
+    reaches a module of G's dimension vector) has stable Hom(G, -) = 0,
+    since every map out of G factors through the envelope; its rows are
+    written as zero and exact, with no Hom space solved."""
     nodes = list(a.objects) + [suspension(ctx, obj) for obj in a.objects] \
         + [suspension(ctx, suspension(ctx, a.objects[0]))]
     chain = a.all_maps() + [suspension_morphism(ctx, u) for u in a.all_maps()]
     table = []
     ok = True
     for gi, g in enumerate(ctx.m.generators):
+        if _envelope(g).target.dim_vector() == g.dim_vector():
+            table.extend({"generator": gi, "position": i, "stable_dim": 0,
+                          "rank_in": 0, "rank_out": 0, "exact": True}
+                         for i in range(1, len(nodes) - 1))
+            continue
         spaces = [stable_hom(ctx, g, node) for node in nodes]
         ranks = [spaces[k + 1].composite_rank(spaces[k].hom, u)
                  for k, u in enumerate(chain)]

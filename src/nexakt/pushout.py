@@ -3,6 +3,9 @@
 An n-pushout of X along f0 is a chain map f: X -> Y extending f0 whose
 mapping cone has an n-cokernel tail; iterating weak cokernels of the cone
 differentials makes the cone exact below its top, which alone is checked.
+Y, f and the padding of a good n-pushout are a complex and chain maps by
+construction, so they are built unchecked (complexes._complex,
+complexes._chain_map).
 """
 
 from __future__ import annotations
@@ -11,7 +14,8 @@ from typing import Callable, Dict, List, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      _weak_cokernel)
-from .complexes import ComplexSeq, ComplexMorphism, Homotopy, verify_homotopy
+from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, _chain_map,
+                        _complex, verify_homotopy)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
                    composite_rows, coordinate_length, direct_sum, hom_basis,
                    hom_dims_and_ranks, identity_morphism, in_add, solve_rows,
@@ -38,7 +42,9 @@ def _n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Comp
     -> ... -> C^{n-1} -> Y^n is Hom(-, G) exact at each C^k by construction:
     the Y-row w of each cone differential is the weak cokernel of the one
     before, so a map killing that one factors through w, hence the next.
-    Only the top depends on M: Hom(w, G) must be injective on Hom(Y^n, G)."""
+    Only the top depends on M: Hom(w, G) must be injective on Hom(Y^n, G).
+    Y and f need no check either: w kills the cone differential before it,
+    whose blocks give d_Y^{k-1} d_Y^k = 0 and f^k d_Y^k = d_X^k f^{k+1}."""
     n = len(x.terms) - 1
     lo = x.lo
     y_terms: List[Module] = [f0.target]
@@ -68,8 +74,8 @@ def _n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Comp
            for dim, rank in hom_dims_and_ranks([w], g, contravariant=True)):
         raise HypothesisError("pushout cone fails n-cokernel verification",
                               degree=lo + n)
-    y = ComplexSeq(lo, y_terms, y_diffs)
-    f = ComplexMorphism(x, y, {lo + i: f_comps[i] for i in range(n + 1)})
+    y = _complex(lo, y_terms, y_diffs)
+    f = _chain_map(x, y, {lo + i: f_comps[i] for i in range(n + 1)})
     if x.diff(lo).is_injective() and not y.diff(lo).is_injective():
         raise AssertionError("monomorphism not preserved by pushout")
     return y, f
@@ -81,12 +87,14 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
 
     Returns (padded complex, padded chain map, contractible padding), good
     by construction: components in degrees >= 2 split by their identity
-    blocks, and the cone is f's plus split-exact X^k -> X^k up to isomorphism."""
+    blocks, and the cone is f's plus split-exact X^k -> X^k up to isomorphism.
+    All three are built unchecked: each identity block lands in a slot that
+    no differential leaves, and the slot X^{l+1} of f~^l carries d_X^l."""
     n = len(x.terms) - 1
     y, f = n_pushout(x, f0, m)
     lo = x.lo
     if n < 2:
-        return y, f, ComplexSeq(lo, [zero_module(x.algebra)], [])
+        return y, f, _complex(lo, [zero_module(x.algebra)], [])
     alg = x.algebra
     # padded degree l carries [Y^l, X^l (target slot), X^{l+1} (source slot)]
     ident = {l: identity_morphism(x.term(lo + l)) for l in range(2, n + 1)}
@@ -102,7 +110,7 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
         blocks = {(i + 1, j + 1): b for (i, j), b in pad_blocks[l].items()}
         blocks[(0, 0)] = y.diff(lo + l)
         diffs.append(block_morphism(sums[l], sums[l + 1], blocks))
-    padded = ComplexSeq(lo, [s.module for s in sums], diffs)
+    padded = _complex(lo, [s.module for s in sums], diffs)
     comps = {}
     for l in range(n + 1):
         blocks = {(0, 0): f.component(lo + l)}
@@ -111,12 +119,12 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
         if l + 1 in ident:
             blocks[(len(sums[l].parts) - 1, 0)] = x.diff(lo + l)
         comps[lo + l] = block_morphism(x.term(lo + l), sums[l], blocks)
-    ftilde = ComplexMorphism(x, padded, comps)
+    ftilde = _chain_map(x, padded, comps)
     # the padding itself, as a complex (for contractibility checks)
     pads = [direct_sum(s.parts[1:] or (zero_module(alg),)) for s in sums]
-    padding = ComplexSeq(lo, [t.module for t in pads],
-                         [block_morphism(pads[l], pads[l + 1], pad_blocks[l])
-                          for l in range(n)])
+    padding = _complex(lo, [t.module for t in pads],
+                       [block_morphism(pads[l], pads[l + 1], pad_blocks[l])
+                        for l in range(n)])
     return padded, ftilde, padding
 
 

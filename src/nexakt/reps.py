@@ -43,6 +43,11 @@ them, and solves for no zero module, generator or sum), "projres" and
 "injres" for the growing minimal (co)resolutions, and, on an algebra
 (whose memo is its own), "records", "projectives" and "injectives".
 
+Only Hom spaces that can change a verdict are solved: over an
+``Indecomposables`` list, ``in_add`` tries only the generators that fit
+inside x (Krull-Schmidt, see ``_solve_membership``), and Hom between
+modules with disjoint supports is zero with no system (``_solve_hom``).
+
 Decomposition (``split_indecomposables``) splits a module along coprime
 factors of the minimal polynomial of a random endomorphism e: if
 mu = g*h with gcd(g, h) = 1, then x = ker g(e) + im g(e).  The
@@ -68,6 +73,10 @@ FITTING_RETRIES = 32
 
 class ContextError(ValueError):
     """Operands live over different algebras."""
+
+
+class PreconditionError(ValueError):
+    pass
 
 
 class _Record(dict):
@@ -302,9 +311,14 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
 
 
 def _solve_hom(m: Module, n: Module) -> List[Morphism]:
+    """The naturality system of hom_basis, solved; when no vertex carries
+    both m and n, every component is an empty matrix, so Hom(m, n) = 0 and
+    no system is built."""
     alg = m.algebra
     p = alg.p
     verts = alg.quiver.vertices
+    if not any(m.dims[v] and n.dims[v] for v in verts):
+        return []
     offsets = {}
     pos = 0
     for v in verts:
@@ -656,9 +670,34 @@ class MembershipWitness:
         return self.member
 
 
+class Indecomposables(tuple):
+    """Indecomposable, pairwise non-isomorphic modules, trusted as given:
+    made by addcat.indecomposables(), which checks once, or, complete, by
+    presets.nakayama_indecomposables.  ``complete`` means every
+    indecomposable is listed up to isomorphism, so verdicts are absolute."""
+
+    def __new__(cls, modules: Sequence[Module], complete: bool = False):
+        self = super().__new__(cls, modules)
+        self.complete = complete
+        return self
+
+    def index_of(self, x: Module, seed: int) -> int:
+        """Position of the entry isomorphic to x (PreconditionError if none)."""
+        for i, entry in enumerate(self):
+            if are_isomorphic(x, entry, seed):
+                return i
+        raise PreconditionError(f"no entry is isomorphic to the module of "
+                                f"dimension vector {list(x.dim_vector())}")
+
+    def pick(self, indices: Sequence[int]) -> "Indecomposables":
+        """The sublist at the given positions: checked, and not complete."""
+        return Indecomposables([self[i] for i in indices])
+
+
 def in_add(x: Module, gens: Sequence[Module]) -> MembershipWitness:
     """x lies in add(gens) iff id_x is spanned by composites through the
-    generators inside End(x)."""
+    generators inside End(x); over an Indecomposables, only through those
+    that fit inside x (_solve_membership)."""
     for g in gens:
         _require_same_algebra(x, g)
     return _membership(x, gens, tuple(g.key for g in gens))
@@ -676,7 +715,19 @@ def _membership(x: Module, gens: Sequence[Module], keys: tuple) -> MembershipWit
 
 
 def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
-    """The full test: id_x in the span of the composites x -> G -> x."""
+    """The full test: id_x in the span of the composites x -> G -> x.
+
+    Over an Indecomposables list, only the G that fit inside x (dimension
+    vector at most x's at every vertex) are tried.  By Krull-Schmidt,
+    x in add(gens) means x = sum of G_i^{a_i}, and then id_x is the sum of
+    the composites x -> G_i -> x through those summands alone, each of
+    which fits inside x.  x may be a summand of copies of a decomposable
+    generator that does not fit inside it, so any other sequence is tried
+    in full."""
+    if isinstance(gens, Indecomposables):
+        dims = x.dim_vector()
+        gens = [g for g in gens
+                if all(a <= b for a, b in zip(g.dim_vector(), dims))]
     composites = [row for g in gens for f in hom_basis(x, g)
                   for row in composite_rows(f, hom_basis(g, x), d_first=True)]
     coeffs = solve_rows([composites], [identity_morphism(x).vectorize()],

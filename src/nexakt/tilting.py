@@ -4,7 +4,7 @@ add(M)-resolutions.
 Generating/cogenerating are checked as "all P_v (resp. I_v) lie in
 add(M)": an epimorphism from add(M) onto the regular module splits, so
 this is equivalent to the categorical condition in mod(Lambda).
-Maximality is checked against an addcat.Indecomposables list, so the
+Maximality is checked against an Indecomposables list, so the
 verdict is relative to it unless the list is complete.  Functorial
 finiteness is automatic for add of a finite-dimensional module and is
 reported rather than tested.

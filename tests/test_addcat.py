@@ -114,6 +114,18 @@ def test_right_approx_from_empty_cat(a3, mods):
     assert f.source.total_dim == 0
 
 
+@pytest.mark.parametrize("approximation", [minimal_left_approximation,
+                                           minimal_right_approximation])
+def test_approximation_that_loses_a_hom_class_is_caught(m3, mods, monkeypatch,
+                                                       approximation):
+    # the contract is checked for every G with Hom(S1, G) (resp. Hom(G, S1))
+    # nonzero: a peel that drops every summand fails it there
+    from nexakt import addcat
+    monkeypatch.setattr(addcat, "_peel_superfluous", lambda parts, left: [])
+    with pytest.raises(AssertionError, match="lost a Hom class"):
+        approximation(mods["S1"], m3)
+
+
 # -- weak (co)kernels --------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from nexakt.addcat import (HypothesisError, add_category, contract,
                            contravariant_fragment, verify_n_exact,
                            weak_cokernel)
 from nexakt.certs import canonical_json, content_hash
-from nexakt.complexes import (ComplexSeq, complex_from_maps,
+from nexakt.complexes import (ComplexMorphism, ComplexSeq, complex_from_maps,
                               identity_complex_morphism, mapping_cone,
                               pad_complex, verify_homotopy)
 from nexakt.fileio import morphism_to_dict
@@ -169,6 +169,14 @@ def _cone_is_exact(f, m):
     return contravariant_fragment(list(mapping_cone(f).diffs), m.generators).ok
 
 
+def _checked(*maps):
+    """Rebuild chain maps, and their complexes, through the checked
+    constructors, which raise unless d d = 0 and every square commutes."""
+    for f in maps:
+        x, y = (ComplexSeq(z.lo, z.terms, z.diffs) for z in (f.source, f.target))
+        ComplexMorphism(x, y, f.components)
+
+
 # Recorded while n_pushout re-certified its whole cone and good_n_pushout
 # its padded cone, and unchanged since both check only the cone's top: one
 # sha256 over the labels and maps (y's differentials, f's components) of
@@ -180,7 +188,8 @@ SWEEP_FAILED_SHA256 = "a2f9d65621e9af9a8f0a01cc0cfe6747fb0274d171abbcb282ab39a93
 
 def test_sweep_pushouts_keep_their_maps():
     # x is d or (d, its weak cokernel), f0 every Hom-basis map from the
-    # source of d to a generator
+    # source of d to a generator; each pushout and good pushout, built
+    # unchecked, passes the checked constructors
     kept, failed, count = hashlib.sha256(), [], 0
     for label, m, d in sweep_generator_maps():
         for x in (complex_from_maps(0, [d]),
@@ -197,9 +206,11 @@ def test_sweep_pushouts_keep_their_maps():
                         failed.append(key)
                         continue
                     assert _cone_is_exact(f, m), key
+                    _checked(f)
                     if n == 2:
-                        _, ftilde, _ = good_n_pushout(x, f0, m)
+                        _, ftilde, padding = good_n_pushout(x, f0, m)
                         assert _cone_is_exact(ftilde, m), key
+                        _checked(ftilde, identity_complex_morphism(padding))
                         comp = ftilde.component(2)
                         assert factor_through(identity_morphism(comp.source),
                                               comp) is not None, key

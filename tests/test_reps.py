@@ -266,6 +266,28 @@ def test_sweep_membership_matches_krull_schmidt():
     assert count == 31 * 20 + 127 * 35
 
 
+def test_in_add_tries_only_the_generators_that_fit(monkeypatch):
+    # K A_9/J^2, M = add(Lambda + S2 + S4 + S6 + S8): x = P3 + S4 in a
+    # random basis fits inside P3, P4, S2 and S4 alone, so every Hom space
+    # solved joins x to one of them
+    alg, gens = gen_linear_An_J2(2, 4)
+    cat = add_category(alg, gens)
+    x = in_random_basis(direct_sum([gens[3], gens[10]]).module, random.Random(3))
+    solve = reps._solve_hom
+    others = []
+    monkeypatch.setattr(reps, "_solve_hom", lambda m, n: others.append(
+        n.key if m.same_as(x) else m.key) or solve(m, n))
+    assert in_add(x, cat.generators)
+    assert set(others) == {gens[i].key for i in (3, 4, 9, 10)}
+
+
+def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):
+    monkeypatch.setattr(reps, "kernel_basis",
+                        lambda *args: pytest.fail("a system was solved"))
+    for m, n in (("P0", "S2"), ("S2", "P1"), ("P1", "S2")):
+        assert reps._solve_hom(a3_mods[m], a3_mods[n]) == []
+
+
 # -- decomposition and isomorphism ---------------------------------------
 
 
