@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from nexakt.addcat import DomainError, add_category
+from nexakt.certs import canonical_json
 from nexakt.fileio import algebra_from_dict
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
@@ -11,6 +12,7 @@ from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
 from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
                          injective_module, projective_module, simple_module,
                          socle_span, radical_span)
+from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
 from conftest import cyclic_nakayama_j2
@@ -277,3 +279,74 @@ def test_search_refuses_more_than_20_candidates():
     assert len(indecs) == 33
     with pytest.raises(ValueError, match="too many candidates"):
         brute_force_nct_search(alg, 1, indecs)
+
+
+# -- reference: the certifier's report on every clique the search visits --
+
+
+def search_cliques(n, indecs):
+    """The subsets brute_force_nct_search certifies, in its order: the
+    projectives plus an Ext^{1..n-1}-orthogonal set of other entries,
+    by size, then lexicographically."""
+    alg = indecs[0].algebra
+    projs = sorted({indecs.index_of(pv, 19) for pv in all_projectives(alg)})
+
+    def compatible(i, j):
+        return not any(ext_dim(indecs[a], indecs[b], deg)
+                       for a, b in ((i, j), (j, i)) for deg in range(1, n))
+
+    candidates = [i for i in range(len(indecs)) if i not in projs
+                  and all(compatible(i, j) for j in projs + [i])]
+    extras = [c for r in range(len(candidates) + 1)
+              for c in combinations(candidates, r)
+              if all(compatible(i, j) for i, j in combinations(c, 2))]
+    return [sorted(projs + list(c)) for c in extras]
+
+
+# sha256 of canonical_json of the list of reports, in search order; the
+# reports over K A_{nm+1}/J^2 are the same at p = 2 and p = 101
+_REPORT_DIGESTS = {
+    "A1-J2-n1": "3fdb95e611150e13615ee2f47f28c4a07e8b3474fa048fa701821a4c58caa978",
+    "A2-J2-n1": "3e15ea70d09bb910dfae9f3c9efdb89311c434658c89d291974bd5a589bc80f9",
+    "A3-J2-n1": "661c1f3b5fc73bffaa9d07fbf95ad5c1574f55ee336db26374d1bebe52575ae0",
+    "A4-J2-n1": "bc7f714b9178780c3e6d0a2b9ca237139408079d2667cceb329702ba6c2d5423",
+    "A5-J2-n1": "7b8ffef899f8337b1231c8c9a3a9347ac1546dd02e505a448f44424ccad495ba",
+    "A6-J2-n1": "9e283579f6d21ed33edd18e466b484beaa1004fd8fc64c8bfb03174763e84c05",
+    "A7-J2-n1": "f1083bbd555c27509cfe9292b9d60fd9b31498a438b98d8cbd407d32f844e592",
+    "A3-J2-n2": "38fb3e067c0cf4a0bb5e6b04d13834f2edc3ced1951154ec2f7ac48093195503",
+    "A5-J2-n2": "f1d9d9dfb72db0f26fcac592f217324bc34de8a944552d2ac0df59452e7ef085",
+    "A7-J2-n2": "ffab18dd4717218fa4b61db9fb6169c789d88f71bf7369a45e1e741ebdb2c4d6",
+    "A4-J2-n3": "4d17249bc42c801c86992bb30ea3d43f5008de2fefdd57d762a473ffbab8976e",
+    "A7-J2-n3": "44434c3c9f3d4e839da7548d6e13e39b6e3e902f498d087d255df902564f425a",
+    "A5-J2-n4": "e38d88bed702eacc5a10228596bad8a6683ff17f3f7350bae012e12c9cf4bbd2",
+    "A6-J2-n5": "ae6f325de2b2fe3c962c910b54b4144a1f923175d82eb5b7bdcf345ed364e347",
+    "A7-J2-n6": "1879c7292c52ae30596e246e7d58b6975ddf846a9f1ffe292efad4c75ad18fff",
+    "A4-J3-n2": "24645096167472312b18abb2d2b410cb1a5503b98defaf839529c323d4b70acb",
+    "A7-J3-n4": "6cc0a801e6aeeb2275187180486550c40ad34b1bd05f85b219a931ceafffae4d",
+}
+
+
+def _report_cases():
+    """(label, p, algebra builder, n): every K A_{nm+1}/J^2 with nm <= 6
+    at p = 2 and p = 101, K A_4/J^3 at n = 2 and K A_7/J^3 at n = 4."""
+    cases = [(f"A{n * m + 1}-J2-n{n}", p, lambda n=n, m=m, p=p:
+              gen_linear_An_J2(n, m, p=p)[0], n)
+             for p in (2, 101) for n, m in _j2_cases()]
+    return cases + [("A4-J3-n2", 101, lambda: linear_an_j3(4), 2),
+                    ("A7-J3-n4", 101, lambda: linear_an_j3(7), 4)]
+
+
+@pytest.mark.parametrize("label, p, build, n", _report_cases(),
+                         ids=[f"{c[0]}-p{c[1]}" for c in _report_cases()])
+def test_reports_on_search_cliques_are_pinned(label, p, build, n):
+    # every clique's full report is pinned, not only the hits the search
+    # keeps: the search's hits are the cliques whose report is ok
+    alg = build()
+    indecs = nakayama_indecomposables(alg)
+    subsets = search_cliques(n, indecs)
+    reports = [check_n_cluster_tilting(add_category(alg, indecs.pick(s)), n,
+                                       indecs).to_dict() for s in subsets]
+    assert brute_force_nct_search(alg, n, indecs) == [
+        s for s, r in zip(subsets, reports) if r["ok"]]
+    digest = hashlib.sha256(canonical_json(reports).encode()).hexdigest()
+    assert digest == _REPORT_DIGESTS[label]

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 from nexakt import resolutions
 from nexakt.fp import Mat
-from nexakt.reps import (Module, are_isomorphic, injective_module,
+from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
+                            nakayama_indecomposables)
+from nexakt.reps import (Module, are_isomorphic, direct_sum, injective_module,
                          projective_module, simple_module, zero_module,
                          zero_morphism)
 from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
@@ -10,7 +14,8 @@ from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
                                 min_projective_resolution, projective_cover,
                                 syzygy)
 
-from conftest import cyclic_nakayama_j2
+from conftest import cyclic_nakayama_j2, in_random_basis
+from test_presets import linear_an_j3
 
 
 def test_resolution_of_s2_over_a3(a3):
@@ -147,3 +152,39 @@ def test_envelope_with_isotropic_socle_vector_is_iso():
     env = injective_envelope(x)
     assert env.target.dims == x.dims
     assert env.is_injective() and env.is_surjective()
+
+
+# -- reference: Ext dimensions from the Hom complex ---------------------
+
+
+def _twisted_sums_a7_j3():
+    """Four sums of two indecomposables over K A_7/J^3, in random bases,
+    with the indecomposables themselves."""
+    indecs = nakayama_indecomposables(linear_an_j3(7))
+    rng = random.Random(7)
+    sums = [in_random_basis(direct_sum([indecs[i] for i in rng.sample(
+        range(len(indecs)), 2)])[0], rng) for _ in range(4)]
+    return sums + list(indecs)
+
+
+_EXT_REFERENCE_CASES = {
+    "A7-J2": lambda: list(nakayama_indecomposables(gen_linear_An_J2(6, 1)[0])),
+    "A7-J3": lambda: list(nakayama_indecomposables(linear_an_j3(7))),
+    "C6-J2-p101": lambda: list(nakayama_indecomposables(cyclic_nakayama_j2(6))),
+    "C5-J2-p2": lambda: list(nakayama_indecomposables(cyclic_nakayama_j2(5, 2))),
+    "Pi2": lambda: list(nakayama_indecomposables(gen_preprojective_A(2))),
+    "A7-J3-twisted-sums": _twisted_sums_a7_j3,
+}
+
+
+@pytest.mark.parametrize("label", list(_EXT_REFERENCE_CASES))
+def test_ext_dim_matches_hom_complex_of_resolution(label):
+    # dim Ext^k(x, y) = dim H^k Hom(Q_., y) over the minimal resolution
+    # grown to Q_{k+1}, for k = 1, 2, 3
+    mods = _EXT_REFERENCE_CASES[label]()
+    for x in mods:
+        res = min_projective_resolution(x, 4)
+        for y in mods:
+            for k in (1, 2, 3):
+                assert ext_dim(x, y, k) == resolutions.hom_cohomology_dim(
+                    res.terms, res.maps, y, k), (label, x.dims, y.dims, k)
