@@ -9,15 +9,13 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .addcat import (Indecomposables, PreconditionError, add_category,
-                     indecomposables)
+from .addcat import Indecomposables, PreconditionError, indecomposables
 from .fp import FieldSpec, Mat, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
 from .reps import (Module, all_projectives, projective_module,
                    quotient_by_submodule)
-from .resolutions import ext_dim
-from .tilting import check_n_cluster_tilting
+from .tilting import _ExtTable, _nct_report, _vertex_positions
 
 # exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
 MAX_SEARCH_CANDIDATES = 20
@@ -183,23 +181,27 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     lexicographically.
 
     The list is checked once, up front, and no subset is checked again.
-    A subset whose entries have nonzero Ext^{1..n-1} between two of them
-    (or one with itself) fails the certifier's rigidity test, so only the
-    Ext^{1..n-1}-orthogonal subsets are enumerated: the cliques of the
-    compatibility graph read from one Ext table.  Each still gets the
-    full check_n_cluster_tilting."""
+    One Ext^{1..n-1} table between all entries is computed, with the
+    positions of every P_v and I_v.  A subset whose entries have nonzero
+    Ext^{1..n-1} between two of them (or one with itself) fails the
+    certifier's rigidity test, so only the Ext^{1..n-1}-orthogonal subsets
+    are enumerated: the cliques of the compatibility graph read from the
+    table.  Each gets the report check_n_cluster_tilting would give,
+    read from the table by position."""
     indec_list = indecomposables(indec_list, seed)
-    proj_set = sorted({indec_list.index_of(pv, seed + 19)
-                       for pv in all_projectives(alg)})
-    ext = [[any(ext_dim(x, y, deg) for deg in range(1, n)) for y in indec_list]
-           for x in indec_list]
-
-    def compatible(i, j):
-        return not (ext[i][j] or ext[j][i])
-
+    projs, injs = _vertex_positions(alg, indec_list)
+    for pv, (_, i) in zip(all_projectives(alg), projs):
+        if i is None:
+            raise PreconditionError(
+                f"no entry is isomorphic to the module of dimension vector "
+                f"{list(pv.dim_vector())}")
+    proj_set = sorted({i for _, i in projs})
+    table = _ExtTable(indec_list, n, range(len(indec_list)))
+    # bit j of clash[i]: some Ext^{1..n-1} between entries i and j is nonzero
+    clash = [out | into for out, into in zip(table.out, table.into)]
     # Ext^{>=1}(P, -) = 0: the projectives are compatible with each other
     candidates = [i for i in range(len(indec_list)) if i not in proj_set
-                  and all(compatible(i, j) for j in proj_set + [i])]
+                  and not any(clash[i] >> j & 1 for j in proj_set + [i])]
     if len(candidates) > MAX_SEARCH_CANDIDATES:
         raise PreconditionError("too many candidates for exhaustive search")
     cliques = [()]
@@ -207,7 +209,7 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     def grow(clique, start):
         for pos in range(start, len(candidates)):
             i = candidates[pos]
-            if all(compatible(i, j) for j in clique):
+            if not any(clash[i] >> j & 1 for j in clique):
                 cliques.append(clique + (i,))
                 grow(clique + (i,), pos + 1)
 
@@ -215,7 +217,6 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     hits = []
     for extra in sorted(cliques, key=lambda c: (len(c), c)):
         subset = sorted(proj_set + list(extra))
-        cat = add_category(alg, indec_list.pick(subset))
-        if check_n_cluster_tilting(cat, n, indec_list, seed=seed).ok:
+        if _nct_report(subset, table, projs, injs).ok:
             hits.append(subset)
     return hits

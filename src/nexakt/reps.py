@@ -732,8 +732,7 @@ def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
                   for row in composite_rows(f, hom_basis(g, x), d_first=True)]
     coeffs = solve_rows([composites], [identity_morphism(x).vectorize()],
                         x.algebra.p)
-    return MembershipWitness(coeffs is not None,
-                             {"reason": "solved", "coefficients": coeffs})
+    return MembershipWitness(coeffs is not None, {"reason": "solved"})
 
 
 # -- isomorphism testing and decomposition ----------------------------

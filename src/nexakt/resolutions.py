@@ -5,6 +5,11 @@ socle; path-algebra quotients over F_p are basic and split, so no
 semisimple-algebra machinery is needed.  The minimal (co)resolution of a
 module is memoised on it as one growing chain; each step is verified
 once, when it is appended, and reuse verifies nothing again.
+
+Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
+along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
+reads H^k of a Hom complex for the Ext comparison along an
+add(M)-resolution.
 """
 
 from __future__ import annotations
@@ -211,7 +216,8 @@ def hom_cohomology_dim(terms: list, maps: list, b: Module, k: int) -> int:
 
 
 def ext_dim(m: Module, n: Module, k: int) -> int:
-    """dim Ext^k(m, n) via Hom(minimal projective resolution of m, n).
+    """dim Ext^k(m, n) by dimension shifting along the minimal projective
+    resolution of m (see _ext_dim).
 
     For k >= 1 the dimension is memoised on m by the content key of n and
     k: content-equal targets have equal Ext, and the entry keeps only the
@@ -225,5 +231,14 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
 
 
 def _ext_dim(m: Module, n: Module, k: int) -> int:
-    res = min_projective_resolution(m, k + 1)
-    return hom_cohomology_dim(res.terms, res.maps, n, k)
+    """dim Ext^k(m, n) for k >= 1 from three Hom dimensions.
+
+    The minimal resolution gives 0 -> Omega^k m -> Q_{k-1} -> Omega^{k-1} m
+    -> 0 with Q_{k-1} projective, so Ext^1(Q_{k-1}, n) = 0 and Hom(-, n)
+    turns it into the exact 0 -> Hom(Omega^{k-1} m, n) -> Hom(Q_{k-1}, n)
+    -> Hom(Omega^k m, n) -> Ext^1(Omega^{k-1} m, n) -> 0; and
+    Ext^k(m, n) = Ext^1(Omega^{k-1} m, n).  The resolution grows only to
+    Q_{k-1}, and the Hom bases are memoised by content."""
+    q = min_projective_resolution(m, k - 1).terms[k - 1]
+    return (len(hom_basis(syzygy(m, k), n)) - len(hom_basis(q, n))
+            + len(hom_basis(syzygy(m, k - 1), n)))

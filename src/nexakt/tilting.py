@@ -8,6 +8,11 @@ Maximality is checked against an Indecomposables list, so the
 verdict is relative to it unless the list is complete.  Functorial
 finiteness is automatic for add of a finite-dimensional module and is
 reported rather than tested.
+
+The report is read from list positions (_nct_report): one table of
+Ext^{1..n-1} between entries (_ExtTable) and the entries isomorphic to
+each P_v and I_v (_vertex_positions).  presets.brute_force_nct_search
+builds both once and reads every clique's report from them.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .addcat import (AddCat, HypothesisError, PreconditionError,
-                     hom_exact_at_middle, indecomposables,
+from .addcat import (AddCat, HypothesisError, Indecomposables,
+                     PreconditionError, hom_exact_at_middle, indecomposables,
                      minimal_right_approximation, weak_cokernel)
 from .reps import (Module, Morphism, all_injectives, all_projectives, in_add,
                    kernel_morphism)
@@ -71,35 +76,81 @@ def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
     Indecomposables), which must hold every generator."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    alg = m.algebra
     indec_list = indecomposables(indec_list, seed)
-    gens = m.generators
-    for g in gens:
-        indec_list.index_of(g, seed + 13)
-    generating = [v for v, pv in zip(alg.quiver.vertices, all_projectives(alg))
-                  if not in_add(pv, gens)]
-    cogenerating = [v for v, iv in zip(alg.quiver.vertices, all_injectives(alg))
-                    if not in_add(iv, gens)]
-    rigidity = []
-    for i, g in enumerate(gens):
-        for j, h in enumerate(gens):
-            for deg in range(1, n):
-                d = ext_dim(g, h, deg)
-                if d:
-                    rigidity.append((i, j, deg, d))
+    gens = [indec_list.index_of(g, seed + 13) for g in m.generators]
+    table = _ExtTable(indec_list, n, gens)
+    return _nct_report(gens, table, *_vertex_positions(m.algebra, indec_list))
+
+
+class _ExtTable:
+    """dim Ext^{1..n-1} between the positions of one Indecomposables list,
+    filled for the pairs (i, j) and (j, i) with i in rows: dims[i, j]
+    lists the degrees in order, and bit j of out[i] (of into[i]) is set
+    when some Ext^{1..n-1}(L_i, L_j) (Ext^{1..n-1}(L_j, L_i)) is nonzero."""
+
+    def __init__(self, indec_list: Indecomposables, n: int,
+                 rows: Sequence[int]):
+        self.modules, self.n = indec_list, n
+        self.dims = {}
+        self.out = [0] * len(indec_list)
+        self.into = [0] * len(indec_list)
+        for i in rows:
+            for j in range(len(indec_list)):
+                self._fill(i, j)
+                self._fill(j, i)
+
+    def _fill(self, i: int, j: int):
+        if (i, j) in self.dims:
+            return
+        x, y = self.modules[i], self.modules[j]
+        row = self.dims[i, j] = [ext_dim(x, y, deg) for deg in range(1, self.n)]
+        if any(row):
+            self.out[i] |= 1 << j
+            self.into[j] |= 1 << i
+
+
+def _vertex_positions(alg, indec_list: Indecomposables):
+    """(vertex, position) of the entry isomorphic to each P_v, then to
+    each I_v, or (vertex, None) when no entry is.  Exact: P_v and the
+    entries are indecomposable, so by Krull-Schmidt P_v in add(entry)
+    means P_v = entry, and the list holds each class at most once."""
+    def position(x):
+        dims = x.dim_vector()
+        return next((i for i, e in enumerate(indec_list)
+                     if e.dim_vector() == dims and in_add(x, [e])), None)
+
+    verts = alg.quiver.vertices
+    return ([(v, position(x)) for v, x in zip(verts, all_projectives(alg))],
+            [(v, position(x)) for v, x in zip(verts, all_injectives(alg))])
+
+
+def _nct_report(gens: Sequence[int], table: _ExtTable, projs: list,
+                injs: list) -> NctReport:
+    """The NctReport of add(L_g : g in gens), read from positions alone.
+
+    By Krull-Schmidt, an indecomposable lies in add(gens) exactly when it
+    is isomorphic to a generator, and the list holds each class once; so
+    P_v, I_v or an entry lies in add(gens) exactly when its position is a
+    generator's.  Ext is read from the table, which must hold the pairs
+    (x, g) and (g, x) for every position x and generator g."""
+    mods, n = table.modules, table.n
+    mask = sum(1 << g for g in set(gens))
+    generating = [v for v, i in projs if i is None or not mask >> i & 1]
+    cogenerating = [v for v, i in injs if i is None or not mask >> i & 1]
+    rigidity = [(a, b, deg, d) for a, i in enumerate(gens) if table.out[i] & mask
+                for b, j in enumerate(gens) if table.out[i] >> j & 1
+                for deg, d in enumerate(table.dims[i, j], 1) if d]
     maximality = []
-    for idx, x in enumerate(indec_list):
-        member = bool(in_add(x, gens))
-        left = all(ext_dim(x, g, deg) == 0
-                   for g in gens for deg in range(1, n))
-        right = all(ext_dim(g, x, deg) == 0
-                    for g in gens for deg in range(1, n))
+    for idx, x in enumerate(mods):
+        member = bool(mask >> idx & 1)
+        left = not table.out[idx] & mask
+        right = not table.into[idx] & mask
         if not (member == left == right):
             maximality.append({"index": idx, "dims": list(x.dim_vector()),
                                "in_add": member, "ext_to_M_vanishes": left,
                                "ext_from_M_vanishes": right})
-    return NctReport(n, [g.dim_vector() for g in gens], generating,
-                     cogenerating, rigidity, maximality, indec_list.complete)
+    return NctReport(n, [mods[g].dim_vector() for g in gens], generating,
+                     cogenerating, rigidity, maximality, mods.complete)
 
 
 # -- Ext via add(M)-approximation resolutions ---------------------------

@@ -1,9 +1,11 @@
 import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
-from nexakt.addcat import DomainError, add_category
+from nexakt import presets, resolutions, tilting
+from nexakt.addcat import DomainError, Indecomposables, add_category
 from nexakt.certs import canonical_json
 from nexakt.fileio import algebra_from_dict
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
@@ -15,7 +17,7 @@ from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
-from conftest import cyclic_nakayama_j2
+from conftest import cyclic_nakayama_j2, in_random_basis
 
 
 def test_a3_j2_generator(a3):
@@ -269,6 +271,85 @@ def test_search_reaches_a12_j2():
     assert len(gens) == len(expected) == 13
     for g in expected:
         assert any(are_isomorphic(g, h, seed=2) for h in gens)
+
+
+@pytest.mark.parametrize("label, build, digest", [
+    ("A4-J2", lambda: gen_linear_An_J2(1, 3)[0],
+     "f2a0bbdb55943a1b2fcc384d86ef9c87376785a0fea12cf174d51d22be9f156c"),
+    ("A4-J3", lambda: linear_an_j3(4),
+     "3aee44170bc4e04b2a0bb9277b9b88ad608f146e09ad906376ca9a83efd8704c"),
+], ids=["A4-J2", "A4-J3"])
+def test_reports_on_every_sublist_are_pinned(label, build, digest):
+    # every nonempty sublist at n = 2 and 3, so that generating,
+    # cogenerating, rigidity (degrees 1 and 2) and maximality failures all
+    # occur; generators in a random basis give the same reports
+    alg = build()
+    indecs = nakayama_indecomposables(alg)
+    rng = random.Random(5)
+    twisted = [in_random_basis(x, rng) for x in indecs]
+    reports = []
+    for n in (2, 3):
+        for r in range(1, len(indecs) + 1):
+            for s in combinations(range(len(indecs)), r):
+                report = check_n_cluster_tilting(
+                    add_category(alg, indecs.pick(s)), n, indecs).to_dict()
+                if len(s) == 3:
+                    assert check_n_cluster_tilting(add_category(
+                        alg, [twisted[i] for i in s]), n, indecs).to_dict() == report
+                reports.append(report)
+    for kind in ("generating_failures", "cogenerating_failures",
+                 "rigidity_failures", "maximality_failures"):
+        assert any(r[kind] for r in reports), kind
+    assert {f[2] for r in reports for f in r["rigidity_failures"]} == {1, 2}
+    assert hashlib.sha256(canonical_json(reports).encode()).hexdigest() == digest
+
+
+def test_search_decides_cliques_from_the_table_alone(monkeypatch):
+    # once the Ext table is built, no clique asks for membership,
+    # isomorphism or Ext: every report is read from the table by position
+    alg, _ = gen_linear_An_J2(3, 2)
+    indecs = nakayama_indecomposables(alg)
+    cliques = search_cliques(3, indecs)
+    events = []
+
+    def spy(name, real):
+        return lambda *a: events.append(name) or real(*a)
+    monkeypatch.setattr(tilting, "in_add", spy("in_add", tilting.in_add))
+    monkeypatch.setattr(tilting, "ext_dim", spy("ext_dim", tilting.ext_dim))
+    monkeypatch.setattr(Indecomposables, "index_of",
+                        spy("index_of", Indecomposables.index_of))
+    monkeypatch.setattr(presets, "_nct_report",
+                        spy("report", presets._nct_report))
+    hits = brute_force_nct_search(alg, 3, indecs)
+    assert len(hits) == 1
+    first = events.index("report")
+    assert events.count("report") == len(cliques) > 1
+    assert set(events[first:]) == {"report"}
+
+
+def test_search_refuses_a_list_without_a_projective():
+    alg, _ = gen_linear_An_J2(2, 1)
+    indecs = nakayama_indecomposables(alg)
+    p2 = projective_module(alg, "2")
+    rest = [i for i, x in enumerate(indecs) if x.dim_vector() != p2.dim_vector()]
+    with pytest.raises(ValueError, match="no entry is isomorphic to the "
+                                         r"module of dimension vector \[0, 1, 1\]"):
+        brute_force_nct_search(alg, 2, indecs.pick(rest))
+
+
+def test_search_on_a12_j3_reads_one_ext_table(monkeypatch):
+    # |L|^2 (n - 1) Ext dimensions, each read once into the table, and no
+    # 2-CT module among the 2252 cliques
+    alg = linear_an_j3(12)
+    indecs = nakayama_indecomposables(alg)
+    reads, computed = [], []
+    read, compute = tilting.ext_dim, resolutions._ext_dim
+    monkeypatch.setattr(tilting, "ext_dim",
+                        lambda *a: reads.append(a) or read(*a))
+    monkeypatch.setattr(resolutions, "_ext_dim",
+                        lambda *a: computed.append(a) or compute(*a))
+    assert brute_force_nct_search(alg, 2, indecs) == []
+    assert len(reads) == len(computed) == len(indecs) ** 2 * (2 - 1) == 33 ** 2
 
 
 def test_search_refuses_more_than_20_candidates():

@@ -103,6 +103,17 @@ def test_syzygy_chain(a3):
     assert syzygy(s2, 3).total_dim == 0
 
 
+def test_ext_grows_the_resolution_only_to_q_k_minus_1(a3, monkeypatch):
+    covers = []
+    real = resolutions.projective_cover
+    monkeypatch.setattr(resolutions, "projective_cover",
+                        lambda m: covers.append(m) or real(m))
+    s2 = simple_module(a3, "2")
+    assert ext_dim(s2, simple_module(a3, "1"), 1) == 1
+    # Ext^1 needs Q_0 and Omega^1 s2 = ker(Q_0 -> s2): one cover
+    assert len(covers) == 1
+
+
 def test_cover_and_envelope_of_zero(a3):
     from nexakt.reps import zero_module
     z = zero_module(a3)
