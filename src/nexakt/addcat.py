@@ -38,11 +38,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
 from .reps import (Indecomposables, Module, Morphism, PreconditionError,
-                   are_isomorphic, cokernel_morphism, composite_rows,
-                   factor_through, hom_basis, hom_dims_and_ranks, hom_ranks,
-                   identity_morphism, in_add, kernel_morphism, solve_rows,
-                   split_indecomposables, stack_morphisms_from_sum,
-                   stack_morphisms_to_sum, zero_module, zero_morphism)
+                   _isomorphic_to_indecomposable, cokernel_morphism,
+                   composite_rows, factor_through, hom_basis,
+                   hom_dims_and_ranks, identity_morphism, in_add,
+                   kernel_morphism, solve_rows, split_indecomposables,
+                   stack_morphisms_from_sum, stack_morphisms_to_sum,
+                   zero_module, zero_morphism)
 
 
 class DomainError(ValueError):
@@ -61,9 +62,9 @@ class HypothesisError(ValueError):
 
 
 def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables:
-    """Check once, by seeded splitting, that the modules are indecomposable
-    and pairwise non-isomorphic (DomainError names the first bad entry); an
-    Indecomposables is returned as it is."""
+    """Check once that the modules are indecomposable, by seeded
+    splitting, and pairwise non-isomorphic, exactly (DomainError names the
+    first bad entry); an Indecomposables is returned as it is."""
     if isinstance(modules, Indecomposables):
         return modules
     mods = tuple(modules)
@@ -73,7 +74,7 @@ def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables
             raise DomainError(f"entry {i} is decomposable")
     for i in range(len(mods)):
         for j in range(i + 1, len(mods)):
-            if are_isomorphic(mods[i], mods[j], seed + 101 * (i + j)):
+            if _isomorphic_to_indecomposable(mods[i], mods[j]):
                 raise DomainError(f"entries {i} and {j} are isomorphic")
     return Indecomposables(mods)
 
@@ -136,7 +137,8 @@ def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
     else:
         approx = stack_morphisms_to_sum([f for _, f in parts])
     for g, basis in zip(m.generators, homs):
-        if basis and hom_ranks([approx], g, contravariant=True)[0] != len(basis):
+        if basis and hom_dims_and_ranks(
+                [approx], g, contravariant=True)[0][1] != len(basis):
             raise AssertionError("left approximation lost a Hom class")
     return approx
 
@@ -152,7 +154,8 @@ def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
     else:
         approx = stack_morphisms_from_sum([f for _, f in parts])
     for g, basis in zip(m.generators, homs):
-        if basis and hom_ranks([approx], g, contravariant=False)[0] != len(basis):
+        if basis and hom_dims_and_ranks(
+                [approx], g, contravariant=False)[0][1] != len(basis):
             raise AssertionError("right approximation lost a Hom class")
     return approx
 
@@ -426,18 +429,6 @@ def contract(x: ComplexSeq, m: AddCat) -> Optional[Homotopy]:
         if exc.degree == x.lo:
             return None
         raise
-
-
-def complete_to_chain_map(x: ComplexSeq, y: ComplexSeq,
-                          f0: Morphism) -> ComplexMorphism:
-    """Extend f0: x^lo -> y^lo to a chain map by weak-cokernel factorizations.
-
-    Solvable whenever each d_x^{k+1} is a weak cokernel of d_x^k and y is a
-    complex receiving the relevant composites; raises HypothesisError with
-    the failing degree otherwise."""
-    comps = _lift_along(f0, list(x.diffs),
-                        [y.diff(k) for k in range(x.lo, x.hi)], x.lo)
-    return ComplexMorphism(x, y, dict(enumerate(comps, x.lo)))
 
 
 def _lift_along(f0: Morphism, x_diffs: Sequence[Morphism],

@@ -14,7 +14,7 @@ from typing import List, Sequence
 from .fp import Mat, kernel_basis
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
                    composite_rows, coordinate_length, direct_sum, hom_basis,
-                   identity_morphism, zero_module, zero_morphism)
+                   zero_module, zero_morphism)
 
 
 @dataclass
@@ -77,12 +77,6 @@ def complex_from_maps(lo: int, maps: Sequence[Morphism]) -> ComplexSeq:
     return ComplexSeq(lo, terms, list(maps))
 
 
-def interval_complex(k: int, c: Module) -> ComplexSeq:
-    """The contractible complex with c in degrees k and k+1 and identity
-    differential."""
-    return ComplexSeq(k, [c, c], [identity_morphism(c)])
-
-
 def pad_complex(x: ComplexSeq, lo: int, hi: int) -> ComplexSeq:
     """Extend the stored range with zero terms (contents unchanged)."""
     if lo > x.lo or hi < x.hi:
@@ -96,16 +90,6 @@ def pad_complex(x: ComplexSeq, lo: int, hi: int) -> ComplexSeq:
         else:
             diffs.append(zero_morphism(terms[k - lo], terms[k - lo + 1]))
     return ComplexSeq(lo, terms, diffs)
-
-
-def direct_sum_complexes(x: ComplexSeq, y: ComplexSeq) -> ComplexSeq:
-    lo = min(x.lo, y.lo)
-    hi = max(x.hi, y.hi)
-    sums = [direct_sum([x.term(k), y.term(k)]) for k in range(lo, hi + 1)]
-    diffs = [block_morphism(sums[k - lo], sums[k - lo + 1],
-                            {(0, 0): x.diff(k), (1, 1): y.diff(k)})
-             for k in range(lo, hi)]
-    return ComplexSeq(lo, [s.module for s in sums], diffs)
 
 
 @dataclass
@@ -154,15 +138,6 @@ def _chain_map(source: ComplexSeq, target: ComplexSeq,
     return f
 
 
-def identity_complex_morphism(x: ComplexSeq) -> ComplexMorphism:
-    return ComplexMorphism(x, x, {k: identity_morphism(x.term(k))
-                                  for k in x.degrees()})
-
-
-def zero_complex_morphism(x: ComplexSeq, y: ComplexSeq) -> ComplexMorphism:
-    return ComplexMorphism(x, y, {})
-
-
 @dataclass
 class Homotopy:
     """Degreewise maps h^k: X^k -> Y^{k-1}; a witness only, validity is the
@@ -177,10 +152,6 @@ class Homotopy:
         if h is None:
             return zero_morphism(self.source.term(k), self.target.term(k - 1))
         return h
-
-
-def zero_homotopy(x: ComplexSeq, y: ComplexSeq) -> Homotopy:
-    return Homotopy(x, y, {})
 
 
 def verify_homotopy(f: ComplexMorphism, g: ComplexMorphism, h: Homotopy) -> bool:

@@ -375,10 +375,6 @@ def quotient_data(span: Mat) -> "tuple[Mat, list[int]]":
     return Mat(len(free), n, tuple(x for row in proj_rows for x in row), p), free
 
 
-def quotient_projection(span: Mat) -> Mat:
-    return quotient_data(span)[0]
-
-
 def det(a: Mat) -> int:
     """Determinant by fraction-free elimination over F_p."""
     if a.rows != a.cols:
@@ -405,15 +401,6 @@ def det(a: Mat) -> int:
                 f = (rows[i][c] * inv) % p
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
     return (acc * sign) % p
-
-
-def random_invertible(n: int, p: int, rng) -> Mat:
-    """Uniform-ish invertible matrix by rejection sampling."""
-    while True:
-        m = Mat.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
-                          p, cols=n)
-        if rank(m) == n:
-            return m
 
 
 def mat_from_vector(vec: Iterable[int], rows: int, cols: int, p: int) -> Mat:

@@ -29,12 +29,12 @@ from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
 from .complexes import ComplexSeq, ComplexMorphism, _complex
 from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis
-from .reps import (Module, Morphism, all_injectives, all_projectives,
-                   are_isomorphic, assemble_from_span, block_morphism,
-                   composite_rows, coordinate_length, direct_sum,
-                   factor_through, hom_basis, identity_morphism, in_add,
-                   rows_rank, solve_rows, span_rank, split_indecomposables,
-                   stack_morphisms_from_sum, zero_module, zero_morphism)
+from .reps import (Module, Morphism, _isomorphic_to_indecomposable,
+                   all_injectives, all_projectives, assemble_from_span,
+                   block_morphism, composite_rows, coordinate_length,
+                   direct_sum, factor_through, hom_basis, identity_morphism,
+                   in_add, rows_rank, solve_rows, stack_morphisms_from_sum,
+                   zero_module, zero_morphism)
 from .resolutions import Coresolution, _injective_chain, cosyzygy_of, syzygy
 from .tilting import NctReport, check_n_cluster_tilting
 
@@ -63,7 +63,7 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
                          f"{report.to_dict()}")
     projs = all_projectives(alg)
     for v, iv in zip(alg.quiver.vertices, all_injectives(alg)):
-        if not any(are_isomorphic(iv, pw, seed + 17) for pw in projs):
+        if not any(_isomorphic_to_indecomposable(iv, pw) for pw in projs):
             raise SetupError(f"algebra not selfinjective: I_{v} is not projective")
     for i, g in enumerate(m.generators):
         if not in_add(cosyzygy_of(g, n), m.generators):
@@ -166,15 +166,15 @@ def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
     """(stable dimension, basis of the injective-factoring ideal, coset
     representatives).  Meaningful for arbitrary modules, not only add(M)."""
     sh = stable_hom(ctx, m1, m2)
+    p = m1.algebra.p
     basis: list = []            # the ideal's maps come first
+    rows: list = []
     for f in sh.ideal + sh.hom:
-        if span_rank(basis + [f]) > len(basis):
+        row = f.vectorize()
+        if rows_rank(rows + [row], p) > len(rows):
             basis.append(f)
+            rows.append(row)
     return sh.dim, basis[:sh.ideal_rank], basis[sh.ideal_rank:]
-
-
-def stably_equal(ctx: FrobeniusCtx, f: Morphism, g: Morphism) -> bool:
-    return _stably_zero(f.sub(g))
 
 
 # -- suspension on morphisms ----------------------------------------------
@@ -408,36 +408,3 @@ def angle_cone(ctx: FrobeniusCtx, phi: AngleMorphism) -> Tuple[Angle, list]:
     if not ok:
         raise HypothesisError("angle cone failed exactness verification")
     return cone, table
-
-
-# -- stable isomorphism of objects -----------------------------------------
-
-
-def stably_isomorphic_objects(ctx: FrobeniusCtx, x: Module, y: Module,
-                              seed: int = 0) -> bool:
-    """Compare non-injective indecomposable summand multisets."""
-    def reduced_parts(z):
-        out = []
-        for part, count in split_indecomposables(z, seed + 31):
-            if any(are_isomorphic(part, j, seed + 7)
-                   for j in all_injectives(ctx.algebra)):
-                continue
-            out.append((part, count))
-        return out
-
-    px, py = reduced_parts(x), reduced_parts(y)
-    if len(px) != len(py):
-        return False
-    used = set()
-    for part, count in px:
-        hit = None
-        for i, (q, c) in enumerate(py):
-            if i in used:
-                continue
-            if c == count and are_isomorphic(part, q, seed + 3):
-                hit = i
-                break
-        if hit is None:
-            return False
-        used.add(hit)
-    return True

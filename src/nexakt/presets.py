@@ -161,7 +161,6 @@ def gen_auslander_linear_A(m: int, p: int = 101) -> AlgebraBasis:
     for (i, j) in intervals:
         if j >= m:
             continue  # [i, j] with j = m has no mesh ending at it
-        src = (i + 1, j + 1)
         terms = []
         # through [i, j+1]: extend left then chop right
         terms.append((1, PathWord((f"L{i+1}_{j+1}", f"R{i}_{j+1}"))))
@@ -191,10 +190,8 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     indec_list = indecomposables(indec_list, seed)
     projs, injs = _vertex_positions(alg, indec_list)
     for pv, (_, i) in zip(all_projectives(alg), projs):
-        if i is None:
-            raise PreconditionError(
-                f"no entry is isomorphic to the module of dimension vector "
-                f"{list(pv.dim_vector())}")
+        if i is None:       # refused with index_of's error
+            indec_list.index_of(pv)
     proj_set = sorted({i for _, i in projs})
     table = _ExtTable(indec_list, n, range(len(indec_list)))
     # bit j of clash[i]: some Ext^{1..n-1} between entries i and j is nonzero

@@ -17,8 +17,8 @@ Composites of one map with every element of a Hom basis are read as
 coordinate rows (``composite_rows``: one stacked product per vertex),
 and the linear problems in Hom spaces are solved on rows
 (``solve_rows``, ``rows_rank``, which hand the rows to the in-place row
-reduction of ``fp`` with no ``Mat`` in between); ``solve_jointly``,
-``solve_in_span`` and ``span_rank`` are their forms on Morphisms.
+reduction of ``fp`` with no ``Mat`` in between); a map enters them as
+its ``vectorize()`` row.
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
@@ -36,7 +36,7 @@ The keys are ("hom", key of the target) for hom_basis, ("stable", key
 of the target) for frob.stable_hom (the Hom basis and the ideal of maps
 through the injective envelope), ("ext", key of the target, k) for the
 int resolutions.ext_dim keeps for k >= 1, ("in_add", keys of the
-generators) for an in_add verdict, "summands" for a proper
+generators) for the bool in_add returns, "summands" for a proper
 decomposition direct_sum records (its nonzero parts, when there are at
 least two, each of smaller dimension; in_add decides the content by
 them, and solves for no zero module, generator or sum), "projres" and
@@ -47,6 +47,15 @@ Only Hom spaces that can change a verdict are solved: over an
 ``Indecomposables`` list, ``in_add`` tries only the generators that fit
 inside x (Krull-Schmidt, see ``_solve_membership``), and Hom between
 modules with disjoint supports is zero with no system (``_solve_hom``).
+
+Isomorphism to an indecomposable e is decided exactly, by membership:
+x = e iff dim x = dim e and x lies in add(e) (Krull-Schmidt), the one
+test the package uses.  ``Indecomposables.index_of`` is its public
+face; ``_isomorphic_to_indecomposable`` is the package-internal entry
+point, which addcat, frob and cli import to compare with one module.
+It is private because it is only correct when e is indecomposable.
+``are_isomorphic``, which samples Hom elements, is the public test for
+any two modules.
 
 Decomposition (``split_indecomposables``) splits a module along coprime
 factors of the minimal polynomial of a random endomorphism e: if
@@ -65,7 +74,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
 from .fp import (Mat, _reduce, column_space_basis, kernel_basis,
-                 mat_from_vector, quotient_projection, rank, solve_linear)
+                 mat_from_vector, quotient_data, rank, solve_linear)
 from .quivers import AlgebraBasis, Memo, PathWord
 
 FITTING_RETRIES = 32
@@ -125,7 +134,6 @@ class Module(Memo):
         object.__setattr__(self, "_memo", records.setdefault(self.key, _Record()))
 
     def _check_relations(self):
-        p = self.algebra.p
         for rel in self.algebra.relations:
             acc = None
             for coeff, word in rel.terms:
@@ -137,10 +145,8 @@ class Module(Memo):
 
     def path_matrix(self, word: PathWord) -> Mat:
         """Matrix of a path acting on the module (word [a,b] -> Mat(b)*Mat(a))."""
-        q = self.algebra.quiver
-        p = self.algebra.p
         if word.is_trivial():
-            return Mat.identity(self.dims[word.base], p)
+            return Mat.identity(self.dims[word.base], self.algebra.p)
         m = None
         for name in word.arrows:
             step = self.action[name]
@@ -195,11 +201,7 @@ class Morphism:
             if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
                 raise ValueError(f"component at {v} has wrong shape")
             comps[v] = m
-        for a in alg.quiver.arrows:
-            lhs = self.target.action[a.name].mul(comps[a.source])
-            rhs = comps[a.target].mul(self.source.action[a.name])
-            if lhs.entries != rhs.entries:
-                raise ValueError(f"naturality fails at arrow {a.name}")
+        _check_natural_batch(self.source, self.target, [comps])
         object.__setattr__(self, "components", comps)
 
     def then(self, other: "Morphism") -> "Morphism":
@@ -231,9 +233,6 @@ class Morphism:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
-
-    def equals(self, other: "Morphism") -> bool:
-        return self._parallel(other) and self.vectorize() == other.vectorize()
 
     def is_injective(self) -> bool:
         return all(rank(m) == m.cols for m in self.components.values())
@@ -423,7 +422,7 @@ def image_morphism(f: Morphism) -> Tuple[Module, Morphism]:
 def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     """Vertex-wise cokernel with induced action and its projection."""
     alg = f.source.algebra
-    proj = {v: quotient_projection(f.components[v]) for v in f.components}
+    proj = {v: quotient_data(f.components[v])[0] for v in f.components}
     dims = {v: proj[v].rows for v in proj}
     action = {}
     for a in alg.quiver.arrows:
@@ -580,26 +579,6 @@ def rows_rank(rows: Sequence[Sequence[int]], p: int) -> int:
     return len(_reduce([[x % p for x in row] for row in rows], ncols, p))
 
 
-def solve_jointly(equations: Sequence[Sequence[Morphism]],
-                  targets: Sequence[Morphism]) -> Optional[List[int]]:
-    """solve_rows on the coordinate rows of the maps."""
-    return solve_rows([[f.vectorize() for f in eq] for eq in equations],
-                      [t.vectorize() for t in targets],
-                      targets[0].source.algebra.p)
-
-
-def solve_in_span(candidates: Sequence[Morphism], target: Morphism) -> Optional[List[int]]:
-    """Coefficients c with sum(c_i * candidates_i) = target, or None."""
-    return solve_jointly([candidates], [target])
-
-
-def span_rank(maps: Sequence[Morphism]) -> int:
-    """Dimension of the span of morphisms that share source and target."""
-    if not maps:
-        return 0
-    return rows_rank([f.vectorize() for f in maps], maps[0].source.algebra.p)
-
-
 def coordinate_length(m: Module, n: Module) -> int:
     """Length of the coordinate row of a map m -> n."""
     return sum(n.dims[v] * m.dims[v] for v in m.algebra.quiver.vertices)
@@ -618,12 +597,6 @@ def hom_dims_and_ranks(chain: Sequence[Morphism], g: Module,
         out.append((len(basis),
                     rows_rank(composite_rows(d, basis, contravariant), p)))
     return out
-
-
-def hom_ranks(chain: Sequence[Morphism], g: Module,
-              contravariant: bool) -> List[int]:
-    """The ranks of hom_dims_and_ranks."""
-    return [r for _, r in hom_dims_and_ranks(chain, g, contravariant)]
 
 
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
@@ -661,15 +634,6 @@ def lift_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
 # -- membership in add(generators) ------------------------------------
 
 
-@dataclass
-class MembershipWitness:
-    member: bool
-    detail: dict
-
-    def __bool__(self) -> bool:
-        return self.member
-
-
 class Indecomposables(tuple):
     """Indecomposable, pairwise non-isomorphic modules, trusted as given:
     made by addcat.indecomposables(), which checks once, or, complete, by
@@ -681,20 +645,17 @@ class Indecomposables(tuple):
         self.complete = complete
         return self
 
-    def index_of(self, x: Module, seed: int) -> int:
-        """Position of the entry isomorphic to x (PreconditionError if none)."""
+    def index_of(self, x: Module) -> int:
+        """Position of the entry isomorphic to x, decided exactly
+        (_isomorphic_to_indecomposable); PreconditionError if none."""
         for i, entry in enumerate(self):
-            if are_isomorphic(x, entry, seed):
+            if _isomorphic_to_indecomposable(x, entry):
                 return i
         raise PreconditionError(f"no entry is isomorphic to the module of "
                                 f"dimension vector {list(x.dim_vector())}")
 
-    def pick(self, indices: Sequence[int]) -> "Indecomposables":
-        """The sublist at the given positions: checked, and not complete."""
-        return Indecomposables([self[i] for i in indices])
 
-
-def in_add(x: Module, gens: Sequence[Module]) -> MembershipWitness:
+def in_add(x: Module, gens: Sequence[Module]) -> bool:
     """x lies in add(gens) iff id_x is spanned by composites through the
     generators inside End(x); over an Indecomposables, only through those
     that fit inside x (_solve_membership)."""
@@ -703,18 +664,17 @@ def in_add(x: Module, gens: Sequence[Module]) -> MembershipWitness:
     return _membership(x, gens, tuple(g.key for g in gens))
 
 
-def _membership(x: Module, gens: Sequence[Module], keys: tuple) -> MembershipWitness:
+def _membership(x: Module, gens: Sequence[Module], keys: tuple) -> bool:
     """in_add past the algebra check; keys are the generators' keys."""
     if x.is_zero() or x.key in keys:
-        return MembershipWitness(True, {"reason": "zero module or generator"})
+        return True
     parts = x._memo.get("summands")
     if parts is not None:
-        out = [i for i, part in enumerate(parts) if not _membership(part, gens, keys)]
-        return MembershipWitness(not out, {"reason": "summands", "outside": out})
+        return all(_membership(part, gens, keys) for part in parts)
     return x.memoized(("in_add", keys), lambda: _solve_membership(x, gens))
 
 
-def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
+def _solve_membership(x: Module, gens: Sequence[Module]) -> bool:
     """The full test: id_x in the span of the composites x -> G -> x.
 
     Over an Indecomposables list, only the G that fit inside x (dimension
@@ -732,16 +692,24 @@ def _solve_membership(x: Module, gens: Sequence[Module]) -> MembershipWitness:
                   for row in composite_rows(f, hom_basis(g, x), d_first=True)]
     coeffs = solve_rows([composites], [identity_morphism(x).vectorize()],
                         x.algebra.p)
-    return MembershipWitness(coeffs is not None, {"reason": "solved"})
+    return coeffs is not None
 
 
 # -- isomorphism testing and decomposition ----------------------------
 
 
+def _isomorphic_to_indecomposable(x: Module, e: Module) -> bool:
+    """x = e for an indecomposable e, exactly: by Krull-Schmidt, x in
+    add(e) means x = e^k, and equal dimension vectors force k = 1."""
+    return x.dim_vector() == e.dim_vector() and in_add(x, [e])
+
+
 def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
-    """Probabilistic isomorphism test: equal content (the identity map),
-    then equal dimension vectors and random Hom elements sampled for
-    vertex-wise invertibility."""
+    """Probabilistic isomorphism test of any two modules: equal content
+    (the identity map), then equal dimension vectors and random Hom
+    elements sampled for vertex-wise invertibility.  Package code decides
+    isomorphism only to indecomposables, and exactly
+    (_isomorphic_to_indecomposable); this is the general test."""
     _require_same_algebra(m, n)
     if m.same_as(n):
         return True
@@ -789,7 +757,8 @@ def split_indecomposables(x: Module, seed: int) -> List[Tuple[Module, int]]:
     Deterministic given the seed.  A summand with dim End = 1 has
     End = F_p and is indecomposable, exactly.  Any other summand is
     declared indecomposable after FITTING_RETRIES consecutive failed
-    splitting attempts, so that verdict is probabilistic.
+    splitting attempts, so that verdict is probabilistic.  Isomorphic
+    summands are grouped exactly (_isomorphic_to_indecomposable).
     """
     rng = random.Random(seed)
     parts: List[Module] = []
@@ -810,7 +779,7 @@ def split_indecomposables(x: Module, seed: int) -> List[Tuple[Module, int]]:
     grouped: List[Tuple[Module, int]] = []
     for part in parts:
         for i, (rep, count) in enumerate(grouped):
-            if are_isomorphic(rep, part, rng.randrange(2**32)):
+            if _isomorphic_to_indecomposable(part, rep):
                 grouped[i] = (rep, count + 1)
                 break
         else:

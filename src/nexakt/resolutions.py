@@ -199,11 +199,6 @@ def cosyzygy_of(m: Module, k: int) -> Module:
     return _injective_chain(m, k).ends[k]
 
 
-def cosyzygy_projection(m: Module, k: int) -> Morphism:
-    """The epi I^k -> cosyzygy_of(m, k) closing the length-k coresolution."""
-    return _injective_chain(m, k).links[k - 1]
-
-
 # -- Ext dimensions -----------------------------------------------------
 
 

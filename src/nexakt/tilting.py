@@ -12,7 +12,11 @@ reported rather than tested.
 The report is read from list positions (_nct_report): one table of
 Ext^{1..n-1} between entries (_ExtTable) and the entries isomorphic to
 each P_v and I_v (_vertex_positions).  presets.brute_force_nct_search
-builds both once and reads every clique's report from them.
+builds both once and reads every clique's report from them.  Every
+position, of a generator, P_v or I_v, is found by
+Indecomposables.index_of, which decides isomorphism to an entry exactly,
+so the seed reaches a verdict only through the splitting that checks a
+hand-made list (addcat.indecomposables).
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
     if n < 1:
         raise ValueError("n must be >= 1")
     indec_list = indecomposables(indec_list, seed)
-    gens = [indec_list.index_of(g, seed + 13) for g in m.generators]
+    gens = [indec_list.index_of(g) for g in m.generators]
     table = _ExtTable(indec_list, n, gens)
     return _nct_report(gens, table, *_vertex_positions(m.algebra, indec_list))
 
@@ -111,13 +115,13 @@ class _ExtTable:
 
 def _vertex_positions(alg, indec_list: Indecomposables):
     """(vertex, position) of the entry isomorphic to each P_v, then to
-    each I_v, or (vertex, None) when no entry is.  Exact: P_v and the
-    entries are indecomposable, so by Krull-Schmidt P_v in add(entry)
-    means P_v = entry, and the list holds each class at most once."""
+    each I_v (Indecomposables.index_of), or (vertex, None) when no entry
+    is."""
     def position(x):
-        dims = x.dim_vector()
-        return next((i for i, e in enumerate(indec_list)
-                     if e.dim_vector() == dims and in_add(x, [e])), None)
+        try:
+            return indec_list.index_of(x)
+        except PreconditionError:
+            return None
 
     verts = alg.quiver.vertices
     return ([(v, position(x)) for v, x in zip(verts, all_projectives(alg))],

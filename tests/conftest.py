@@ -2,11 +2,16 @@ from itertools import combinations, product
 
 import pytest
 
-from nexakt.addcat import add_category
-from nexakt.fp import FieldSpec, Mat
+from nexakt.addcat import Indecomposables, _lift_along, add_category
+from nexakt.complexes import ComplexMorphism, ComplexSeq
+from nexakt.fp import FieldSpec, Mat, rank
+from nexakt.frob import _stably_zero
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
-from nexakt.reps import Module, assemble_from_span, hom_basis, identity_morphism
+from nexakt.reps import (Module, all_injectives, are_isomorphic,
+                         assemble_from_span, block_morphism, direct_sum,
+                         hom_basis, identity_morphism, split_indecomposables)
+from nexakt.resolutions import _injective_chain
 
 
 def linear_a3_j2(p=101):
@@ -33,6 +38,98 @@ def cyclic_nakayama_j2(k, p=101):
     return build_algebra(q, rels, 2, FieldSpec(p))
 
 
+# -- helpers the tests share (the package has no use for them) ------------
+
+
+def equals(f, g):
+    """Equal maps: endpoints of equal content and equal components."""
+    return (f.source.same_as(g.source) and f.target.same_as(g.target)
+            and f.vectorize() == g.vectorize())
+
+
+def pick(indecs, indices):
+    """The sublist of a checked Indecomposables at the given positions:
+    checked, and not complete."""
+    return Indecomposables([indecs[i] for i in indices])
+
+
+def random_invertible(n, p, rng):
+    """Uniform-ish invertible matrix by rejection sampling."""
+    while True:
+        m = Mat.from_rows([[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+                          p, cols=n)
+        if rank(m) == n:
+            return m
+
+
+def interval_complex(k, c):
+    """The contractible complex with c in degrees k and k+1 and identity
+    differential."""
+    return ComplexSeq(k, [c, c], [identity_morphism(c)])
+
+
+def direct_sum_complexes(x, y):
+    lo = min(x.lo, y.lo)
+    hi = max(x.hi, y.hi)
+    sums = [direct_sum([x.term(k), y.term(k)]) for k in range(lo, hi + 1)]
+    diffs = [block_morphism(sums[k - lo], sums[k - lo + 1],
+                            {(0, 0): x.diff(k), (1, 1): y.diff(k)})
+             for k in range(lo, hi)]
+    return ComplexSeq(lo, [s.module for s in sums], diffs)
+
+
+def identity_complex_morphism(x):
+    return ComplexMorphism(x, x, {k: identity_morphism(x.term(k))
+                                  for k in x.degrees()})
+
+
+def complete_to_chain_map(x, y, f0):
+    """Extend f0: x^lo -> y^lo to a chain map by weak-cokernel
+    factorizations (HypothesisError names the failing degree)."""
+    comps = _lift_along(f0, list(x.diffs),
+                        [y.diff(k) for k in range(x.lo, x.hi)], x.lo)
+    return ComplexMorphism(x, y, dict(enumerate(comps, x.lo)))
+
+
+def cosyzygy_projection(m, k):
+    """The epi I^k -> cosyzygy_of(m, k) closing the length-k coresolution."""
+    return _injective_chain(m, k).links[k - 1]
+
+
+def stably_equal(f, g):
+    """f - g factors through an injective."""
+    return _stably_zero(f.sub(g))
+
+
+def stably_isomorphic_objects(ctx, x, y, seed=0):
+    """Compare non-injective indecomposable summand multisets."""
+    def reduced_parts(z):
+        out = []
+        for part, count in split_indecomposables(z, seed + 31):
+            if any(are_isomorphic(part, j, seed + 7)
+                   for j in all_injectives(ctx.algebra)):
+                continue
+            out.append((part, count))
+        return out
+
+    px, py = reduced_parts(x), reduced_parts(y)
+    if len(px) != len(py):
+        return False
+    used = set()
+    for part, count in px:
+        hit = None
+        for i, (q, c) in enumerate(py):
+            if i in used:
+                continue
+            if c == count and are_isomorphic(part, q, seed + 3):
+                hit = i
+                break
+        if hit is None:
+            return False
+        used.add(hit)
+    return True
+
+
 def exhaustively_indecomposable(x, budget=1 << 16):
     """Reference oracle: scan End(x) for nontrivial idempotents when
     p^dim End is at most the budget; None when it is larger."""
@@ -45,7 +142,7 @@ def exhaustively_indecomposable(x, budget=1 << 16):
     coeffs = [0] * len(basis)
     while True:
         e = assemble_from_span(basis, coeffs, x, x)
-        if e.then(e).equals(e) and not e.is_zero() and not e.equals(identity_morphism(x)):
+        if equals(e.then(e), e) and not e.is_zero() and not equals(e, identity_morphism(x)):
             return False
         i = 0
         while i < len(coeffs):
@@ -85,7 +182,7 @@ def sweep_generator_maps():
         indecs = nakayama_indecomposables(alg)
         for r in range(1, len(indecs) + 1):
             for picked in combinations(range(len(indecs)), r):
-                m = add_category(alg, indecs.pick(picked))
+                m = add_category(alg, pick(indecs, picked))
                 for (i, g), (j, h) in product(enumerate(m.generators), repeat=2):
                     for b, d in enumerate(hom_basis(g, h)):
                         yield [k, list(picked), i, j, b], m, d

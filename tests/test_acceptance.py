@@ -11,7 +11,6 @@ from nexakt.addcat import (HypothesisError, add_category, comparison_homotopy,
                            verify_n_exact)
 from nexakt.cli import main as cli_main
 from nexakt.complexes import (ComplexSeq, chain_map_space, complex_from_maps,
-                              direct_sum_complexes, interval_complex,
                               mapping_cone, pad_complex, verify_homotopy)
 from nexakt.frob import (angle_cone, angle_from_n_exact, check_frobenius_setup,
                          complete_angle_morphism, cosyzygy, rotate_angle,
@@ -21,11 +20,15 @@ from nexakt.presets import (brute_force_nct_search, gen_linear_An_J2,
 from nexakt.pushout import n_pushout, good_n_pushout
 from nexakt.reps import (are_isomorphic, assemble_from_span, direct_sum,
                          hom_basis, identity_morphism, projective_module,
-                         regular_module, simple_module, solve_jointly,
+                         regular_module, simple_module, solve_rows,
                          split_indecomposables, zero_module, zero_morphism)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (ext_via_approx_resolution, hom_exact_at_middle,
                             strong_projectivity_check)
+
+from conftest import (complete_to_chain_map, cosyzygy_projection,
+                      direct_sum_complexes, identity_complex_morphism,
+                      interval_complex)
 
 
 def report(criterion, ok, detail):
@@ -72,8 +75,7 @@ def pi2_setup(p=101):
 
 
 def pi2_sequence(mods):
-    from nexakt.resolutions import (cosyzygy_projection,
-                                    min_injective_coresolution)
+    from nexakt.resolutions import min_injective_coresolution
     s1 = mods["S1"]
     cores = min_injective_coresolution(s1, 2)
     proj = cosyzygy_projection(s1, 2)
@@ -428,8 +430,6 @@ def test_criterion_8_closure_properties():
 
     # weak isomorphisms: 40 (two n-cokernels of one d0 are homotopy
     # equivalent via comparison homotopies in both directions)
-    from nexakt.addcat import complete_to_chain_map
-    from nexakt.complexes import identity_complex_morphism
     for _ in range(20):
         for alg, mods, cat, pool in setups:
             x = pool[rng.randrange(len(pool))]
@@ -482,9 +482,11 @@ def test_criterion_8_closure_properties():
             basis_d = hom_basis(y.term(2), x.term(3))
             eq1 = [f.component(2).then(b) for b in basis_d]
             eq2 = [y.diff(1).then(b) for b in basis_d]
-            coeffs = solve_jointly(
-                [eq1, eq2],
-                [x.diff(2), zero_morphism(y.term(1), x.term(3))])
+            coeffs = solve_rows(
+                [[e.vectorize() for e in eq1], [e.vectorize() for e in eq2]],
+                [x.diff(2).vectorize(),
+                 zero_morphism(y.term(1), x.term(3)).vectorize()],
+                cat.algebra.p)
             instances += 1
             if coeffs is None:
                 violations += 1

@@ -1,12 +1,13 @@
 import pytest
 
 from nexakt.complexes import (ComplexSeq, ComplexMorphism, Homotopy,
-                              complex_from_maps, direct_sum_complexes,
-                              identity_complex_morphism, interval_complex,
-                              mapping_cone, pad_complex, verify_homotopy,
-                              zero_complex_morphism, zero_homotopy)
+                              complex_from_maps, mapping_cone, pad_complex,
+                              verify_homotopy)
 from nexakt.reps import (hom_basis, identity_morphism, projective_module,
                          simple_module, zero_morphism)
+
+from conftest import (direct_sum_complexes, identity_complex_morphism,
+                      interval_complex)
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ def test_cone_of_identity_is_contractible(a3, m3_sequence):
 
 def test_cone_of_zero_is_direct_sum(a3, m3_sequence):
     x = m3_sequence
-    f = zero_complex_morphism(x, x)
+    f = ComplexMorphism(x, x, {})
     cone = mapping_cone(f)
     for k in cone.degrees():
         assert cone.term(k).total_dim == x.term(k + 1).total_dim + x.term(k).total_dim
@@ -75,9 +76,9 @@ def test_cone_of_zero_is_direct_sum(a3, m3_sequence):
 def test_verify_homotopy_trivial_cases(m3_sequence):
     x = m3_sequence
     f = identity_complex_morphism(x)
-    assert verify_homotopy(f, f, zero_homotopy(x, x))
-    g = zero_complex_morphism(x, x)
-    assert not verify_homotopy(f, g, zero_homotopy(x, x))
+    assert verify_homotopy(f, f, Homotopy(x, x, {}))
+    g = ComplexMorphism(x, x, {})
+    assert not verify_homotopy(f, g, Homotopy(x, x, {}))
 
 
 def test_interval_complex_and_padding(a3):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from nexakt import presets, resolutions, tilting
+from nexakt import presets, reps, resolutions, tilting
 from nexakt.addcat import DomainError, Indecomposables, add_category
 from nexakt.certs import canonical_json
 from nexakt.fileio import algebra_from_dict
@@ -17,7 +17,7 @@ from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
-from conftest import cyclic_nakayama_j2, in_random_basis
+from conftest import cyclic_nakayama_j2, in_random_basis, pick
 
 
 def test_a3_j2_generator(a3):
@@ -292,7 +292,7 @@ def test_reports_on_every_sublist_are_pinned(label, build, digest):
         for r in range(1, len(indecs) + 1):
             for s in combinations(range(len(indecs)), r):
                 report = check_n_cluster_tilting(
-                    add_category(alg, indecs.pick(s)), n, indecs).to_dict()
+                    add_category(alg, pick(indecs, s)), n, indecs).to_dict()
                 if len(s) == 3:
                     assert check_n_cluster_tilting(add_category(
                         alg, [twisted[i] for i in s]), n, indecs).to_dict() == report
@@ -315,6 +315,7 @@ def test_search_decides_cliques_from_the_table_alone(monkeypatch):
     def spy(name, real):
         return lambda *a: events.append(name) or real(*a)
     monkeypatch.setattr(tilting, "in_add", spy("in_add", tilting.in_add))
+    monkeypatch.setattr(reps, "in_add", spy("in_add", reps.in_add))
     monkeypatch.setattr(tilting, "ext_dim", spy("ext_dim", tilting.ext_dim))
     monkeypatch.setattr(Indecomposables, "index_of",
                         spy("index_of", Indecomposables.index_of))
@@ -334,7 +335,7 @@ def test_search_refuses_a_list_without_a_projective():
     rest = [i for i, x in enumerate(indecs) if x.dim_vector() != p2.dim_vector()]
     with pytest.raises(ValueError, match="no entry is isomorphic to the "
                                          r"module of dimension vector \[0, 1, 1\]"):
-        brute_force_nct_search(alg, 2, indecs.pick(rest))
+        brute_force_nct_search(alg, 2, pick(indecs, rest))
 
 
 def test_search_on_a12_j3_reads_one_ext_table(monkeypatch):
@@ -370,7 +371,7 @@ def search_cliques(n, indecs):
     projectives plus an Ext^{1..n-1}-orthogonal set of other entries,
     by size, then lexicographically."""
     alg = indecs[0].algebra
-    projs = sorted({indecs.index_of(pv, 19) for pv in all_projectives(alg)})
+    projs = sorted({indecs.index_of(pv) for pv in all_projectives(alg)})
 
     def compatible(i, j):
         return not any(ext_dim(indecs[a], indecs[b], deg)
@@ -425,7 +426,7 @@ def test_reports_on_search_cliques_are_pinned(label, p, build, n):
     alg = build()
     indecs = nakayama_indecomposables(alg)
     subsets = search_cliques(n, indecs)
-    reports = [check_n_cluster_tilting(add_category(alg, indecs.pick(s)), n,
+    reports = [check_n_cluster_tilting(add_category(alg, pick(indecs, s)), n,
                                        indecs).to_dict() for s in subsets]
     assert brute_force_nct_search(alg, n, indecs) == [
         s for s, r in zip(subsets, reports) if r["ok"]]

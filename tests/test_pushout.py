@@ -7,15 +7,14 @@ from nexakt.addcat import (HypothesisError, add_category, contract,
                            weak_cokernel)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, complex_from_maps,
-                              identity_complex_morphism, mapping_cone,
-                              pad_complex, verify_homotopy)
+                              mapping_cone, pad_complex, verify_homotopy)
 from nexakt.fileio import morphism_to_dict
 from nexakt.pushout import good_n_pushout, n_pushout, pushout_factorization
 from nexakt.reps import (are_isomorphic, factor_through, hom_basis,
                          identity_morphism, projective_module, simple_module,
                          split_indecomposables, zero_module, zero_morphism)
 
-from conftest import sweep_generator_maps
+from conftest import identity_complex_morphism, sweep_generator_maps
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from nexakt.fp import Mat, quotient_data
 from nexakt.frob import _stably_zero, stable_hom, stable_hom_basis
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.reps import (Module, all_injectives, assemble_from_span,
-                         direct_sum, hom_basis, solve_in_span, span_rank)
+                         direct_sum, hom_basis, rows_rank, solve_rows)
 
 from conftest import cyclic_nakayama_j2, preprojective_a2
 
@@ -25,7 +25,8 @@ def reference_stable_hom(m1, m2):
     """(stable dimension, stably-zero test) from every I_v of the algebra."""
     p = m1.algebra.p
     basis = hom_basis(m1, m2)
-    ideal_cols = [solve_in_span(basis, f.then(g))
+    rows = [b.vectorize() for b in basis]
+    ideal_cols = [solve_rows([rows], [f.then(g).vectorize()], p)
                   for j in all_injectives(m1.algebra)
                   for f in hom_basis(m1, j) for g in hom_basis(j, m2)]
     if basis:
@@ -36,7 +37,7 @@ def reference_stable_hom(m1, m2):
     proj, free = quotient_data(mat)
 
     def stably_zero(f):
-        cs = solve_in_span(basis, f)
+        cs = solve_rows([rows], [f.vectorize()], p)
         col = proj.mul(Mat.from_rows([[c] for c in cs], p, cols=1))
         return all(col.at(i, 0) == 0 for i in range(col.rows))
 
@@ -83,6 +84,8 @@ def test_stable_hom_basis_spans_hom(pi2):
     dim, ideal, reps = stable_hom_basis(None, x, x)
     sh = stable_hom(None, x, x)
     assert dim == len(reps) == sh.dim
+    def span_rank(maps):
+        return rows_rank([f.vectorize() for f in maps], pi2.p)
     assert span_rank(ideal) == len(ideal) == sh.ideal_rank
     assert span_rank(ideal + reps) == len(ideal) + len(reps) == span_rank(sh.hom)
 

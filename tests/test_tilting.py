@@ -1,14 +1,20 @@
+import random
+
 import pytest
 
+from nexakt import reps
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            add_category, indecomposables)
 from nexakt.presets import nakayama_indecomposables
-from nexakt.reps import (direct_sum, hom_basis, projective_module,
-                         regular_module, simple_module, zero_morphism)
+from nexakt.reps import (Module, are_isomorphic, direct_sum, hom_basis,
+                         projective_module, regular_module, simple_module,
+                         zero_morphism)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (check_n_cluster_tilting, ext_via_approx_resolution,
                             hom_exact_at_middle, strong_projectivity_check)
 from nexakt.addcat import weak_cokernel
+
+from conftest import cyclic_nakayama_j2, in_random_basis, linear_a3_j2
 
 
 @pytest.fixture
@@ -79,6 +85,43 @@ def test_decomposable_input_rejected(a3, m3, mods, indecs):
 def test_missing_generator_rejected(a3, m3, mods):
     with pytest.raises(PreconditionError, match="no entry is isomorphic"):
         check_n_cluster_tilting(m3, 2, [mods["P0"], mods["P1"]])
+
+
+def test_index_of_is_exact_and_the_report_reads_no_seed():
+    # isomorphism to an entry is decided exactly (equal dimension vectors
+    # and membership in add(entry)), so a module in another basis is found
+    # at its entry's position, and a decomposable one with an entry's
+    # dimension vector at none
+    alg = linear_a3_j2()
+    indecs = nakayama_indecomposables(alg)
+    rng = random.Random(11)
+    for i, x in enumerate(indecs):
+        assert indecs.index_of(in_random_basis(x, rng)) == i
+    s0_s1 = Module(alg, {"0": 1, "1": 1, "2": 0}, {})      # S0 + S1
+    assert s0_s1.dim_vector() == projective_module(alg, "1").dim_vector() == (1, 1, 0)
+    with pytest.raises(PreconditionError, match="no entry is isomorphic"):
+        indecs.index_of(s0_s1)
+    # Lambda + S2 in a random basis: the same report at every seed
+    twisted = [in_random_basis(g, rng) for g in
+               [projective_module(alg, v) for v in "012"] + [simple_module(alg, "2")]]
+    reports = [check_n_cluster_tilting(add_category(alg, twisted, seed=seed), 2,
+                                       indecs, seed=seed).to_dict()
+               for seed in (0, 7)]
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] == "n-CT"
+
+
+def test_index_of_finds_what_sampled_hom_misses(monkeypatch):
+    # P = k[x]/x^2 over F_2 in another basis: half of Hom(x, P) is
+    # invertible, so a sampled test misses with probability 2^-retries;
+    # with one sample it misses at seed 1, and index_of, which samples
+    # nothing, still finds P's position
+    indecs = nakayama_indecomposables(cyclic_nakayama_j2(1, p=2))
+    x = in_random_basis(indecs[1], random.Random(0))
+    assert not x.same_as(indecs[1])
+    monkeypatch.setattr(reps, "FITTING_RETRIES", 1)
+    assert not are_isomorphic(x, indecs[1], 1)
+    assert indecs.index_of(x) == 1
 
 
 def test_report_serializes(a3, m3):
