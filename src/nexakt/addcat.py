@@ -381,8 +381,7 @@ def verify_n_exact(x: ComplexSeq, m: AddCat, n: int) -> NExactCert:
 # -- comparison homotopy and contractions ----------------------------------
 
 
-def comparison_homotopy(f: ComplexMorphism, g: ComplexMorphism,
-                        m: AddCat) -> Homotopy:
+def comparison_homotopy(f: ComplexMorphism, g: ComplexMorphism) -> Homotopy:
     """Homotopy h: f -> g with vanishing first component, built degreewise
     from u = f - g; requires f and g to agree in the lowest degree, and
     names the failing degree when the weak-cokernel hypothesis fails."""

@@ -81,15 +81,8 @@ def pad_complex(x: ComplexSeq, lo: int, hi: int) -> ComplexSeq:
     """Extend the stored range with zero terms (contents unchanged)."""
     if lo > x.lo or hi < x.hi:
         raise ValueError("pad_complex only extends the range")
-    terms = [x.term(k) for k in range(lo, hi + 1)]
-    diffs = []
-    for k in range(lo, hi):
-        idx = k - x.lo
-        if 0 <= idx < len(x.diffs):
-            diffs.append(x.diffs[idx])
-        else:
-            diffs.append(zero_morphism(terms[k - lo], terms[k - lo + 1]))
-    return ComplexSeq(lo, terms, diffs)
+    return ComplexSeq(lo, [x.term(k) for k in range(lo, hi + 1)],
+                      [x.diff(k) for k in range(lo, hi)])
 
 
 @dataclass

@@ -4,8 +4,8 @@ rotation, completion of angle morphisms and mapping cones of angles.
 
 A map x -> y factors through an injective iff it factors through the
 injective envelope x -> E(x), so stable dimensions and stable ranks are
-rank counts against the envelope composites, and a map is stably zero
-when it factors through the envelope.
+rank counts against the envelope composites (the ideal rows of
+StableHom), and a map is stably zero when its stable rank is 0.
 
 Suspension is computed from fixed minimal coresolutions, so it is a
 genuine function on objects; everything it is compared against is taken
@@ -35,7 +35,7 @@ from .reps import (Module, Morphism, _isomorphic_to_indecomposable,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, rows_rank, solve_rows, stack_morphisms_from_sum,
                    zero_module, zero_morphism)
-from .resolutions import Coresolution, _injective_chain, cosyzygy_of, syzygy
+from .resolutions import _injective_chain, cosyzygy_of, syzygy
 from .tilting import NctReport, check_n_cluster_tilting
 
 
@@ -81,7 +81,7 @@ def cosyzygy(ctx: FrobeniusCtx, x: Module, k: int) -> Module:
 
 def suspension(ctx: FrobeniusCtx, x: Module) -> Module:
     """Sigma x = n-th cosyzygy along the fixed minimal coresolution."""
-    return _closed_coresolution(x, ctx.n)[-1].target
+    return cosyzygy_of(x, ctx.n)
 
 
 def _closed_coresolution(x: Module, n: int) -> list:
@@ -157,10 +157,6 @@ def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
         m1, m2, hom_basis(m1, m2), _envelope(m1)))
 
 
-def _stably_zero(f: Morphism) -> bool:
-    return factor_through(f, _envelope(f.source)) is not None
-
-
 def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
         -> Tuple[int, list, list]:
     """(stable dimension, basis of the injective-factoring ideal, coset
@@ -192,7 +188,6 @@ def suspension_morphism(ctx: FrobeniusCtx, f: Morphism) -> Morphism:
 
 @dataclass
 class AngleProvenance:
-    coresolution: Coresolution          # I(X^0), length n
     pushout_map: ComplexMorphism        # I(X^0)-complex -> angle complex part
 
 
@@ -228,7 +223,8 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
         raise ValueError("closing morphism must land in Sigma X^0")
     chain = list(maps) + [closing]
     for k in range(len(chain) - 1):
-        if not _stably_zero(chain[k].then(chain[k + 1])):
+        u = chain[k].then(chain[k + 1])
+        if stable_hom(ctx, u.source, u.target).rank([u]):
             raise ValueError(f"consecutive composite at {k} not stably zero")
     return Angle(list(objects), list(maps), closing)
 
@@ -255,8 +251,7 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     if not all(in_add(z, ctx.m.generators) for z in (x0, alpha0.target)):
         raise DomainError("standard angle: alpha0 not within add(M)")
     *maps, proj = _closed_coresolution(x0, n)
-    cores = Coresolution(x0, [d.target for d in maps], maps)
-    ix = _complex(0, [x0] + cores.terms, maps)
+    ix = _complex(0, [x0] + [d.target for d in maps], maps)
     y, f = _n_pushout(ix, alpha0, ctx.m)
     # closing: unique d with f^n.then(d) = proj and d_Y^{n-1}.then(d) = 0
     yn = y.term(n)
@@ -270,7 +265,7 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
         raise HypothesisError("standard angle: closing morphism not found")
     closing = assemble_from_span(basis, coeffs, yn, proj.target)
     return Angle([x0] + y.terms, [alpha0] + y.diffs, closing,
-                 AngleProvenance(cores, f))
+                 AngleProvenance(f))
 
 
 def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
@@ -364,7 +359,7 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
                       _closed_coresolution(phi0.target, n))
     # h^1 from injectivity: d_IX^0 . h^1 = alpha^0 . phi1 - phi0 . beta^0
     h1 = factor_through(alpha[0].then(phi1).sub(phi0.then(beta[0])),
-                        a.provenance.coresolution.maps[0])
+                        _envelope(a.objects[0]))
     if h1 is None:
         raise PreconditionError(
             "first square does not commute in the stable category")

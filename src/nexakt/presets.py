@@ -14,7 +14,7 @@ from .fp import FieldSpec, Mat, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
 from .reps import (Module, all_projectives, projective_module,
-                   quotient_by_submodule)
+                   quotient_by_submodule, radical_span, simple_module)
 from .tilting import _ExtTable, _nct_report, _vertex_positions
 
 # exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
@@ -38,23 +38,8 @@ def gen_linear_An_J2(n: int, m: int,
     alg = build_algebra(q, rels, 2, FieldSpec(p))
     expected = [projective_module(alg, v) for v in vertices]
     for j in range(1, m + 1):
-        expected.append(_uniserial(alg, str(j * n), 1))
+        expected.append(simple_module(alg, str(j * n)))
     return alg, expected
-
-
-def _uniserial(alg: AlgebraBasis, v: str, loewy: int) -> Module:
-    """P_v / rad^loewy P_v."""
-    pv = projective_module(alg, v)
-    return quotient_by_submodule(pv, _radical_power_span(pv, loewy))[0]
-
-
-def _radical_power_span(m: Module, k: int):
-    """Vertex-wise spanning matrix of rad^k m."""
-    alg = m.algebra
-    span = {v: Mat.identity(m.dims[v], alg.p) for v in alg.quiver.vertices}
-    for _ in range(k):
-        span = _radical_step(m, span)
-    return span
 
 
 def _radical_step(m: Module, span):
@@ -104,14 +89,14 @@ def nakayama_indecomposables(alg: AlgebraBasis) -> Indecomposables:
     out = []
     for v in alg.quiver.vertices:
         pv = projective_module(alg, v)
-        span = _radical_power_span(pv, 1)
+        span = radical_span(pv)
         for _ in range(pv.total_dim + 1):
             x = quotient_by_submodule(pv, span)[0]
             # in-degree <= 1: rad x is one arrow's image at each vertex
             if x.total_dim - sum(rank(a) for a in x.action.values()) != 1:
                 raise AssertionError("uniserial quotient without a simple top")
             out.append(x)
-            if not any(_nonzero(s) for s in span.values()):
+            if all(s.is_zero() for s in span.values()):
                 break          # rad^l P_v = 0: l is the Loewy length
             span = _radical_step(pv, span)
         else:
@@ -133,10 +118,6 @@ def _require_nakayama(q: Quiver):
     if n_arrows == len(q.vertices) - 1:
         return  # linear A_k
     raise QuiverError("not a Nakayama quiver (wrong arrow count)")
-
-
-def _nonzero(mat) -> bool:
-    return not mat.is_zero() if mat.rows and mat.cols else False
 
 
 def gen_auslander_linear_A(m: int, p: int = 101) -> AlgebraBasis:

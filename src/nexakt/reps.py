@@ -34,14 +34,13 @@ content.  Memoized maps (Hom bases, chains) start and end at the first
 live module of each content; every endpoint check compares content.
 The keys are ("hom", key of the target) for hom_basis, ("stable", key
 of the target) for frob.stable_hom (the Hom basis and the ideal of maps
-through the injective envelope), ("ext", key of the target, k) for the
-int resolutions.ext_dim keeps for k >= 1, ("in_add", keys of the
-generators) for the bool in_add returns, "summands" for a proper
-decomposition direct_sum records (its nonzero parts, when there are at
-least two, each of smaller dimension; in_add decides the content by
-them, and solves for no zero module, generator or sum), "projres" and
-"injres" for the growing minimal (co)resolutions, and, on an algebra
-(whose memo is its own), "records", "projectives" and "injectives".
+through the injective envelope), ("in_add", keys of the generators)
+for the bool in_add returns, "summands" for a proper decomposition
+direct_sum records (its nonzero parts, when there are at least two,
+each of smaller dimension; in_add decides the content by them, and
+solves for no zero module, generator or sum), "projres" and "injres"
+for the growing minimal (co)resolutions, and, on an algebra (whose
+memo is its own), "records", "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: over an
 ``Indecomposables`` list, ``in_add`` tries only the generators that fit

@@ -202,9 +202,9 @@ def cosyzygy_of(m: Module, k: int) -> Module:
 # -- Ext dimensions -----------------------------------------------------
 
 
-def hom_cohomology_dim(terms: list, maps: list, b: Module, k: int) -> int:
-    """dim H^k of Hom(C, b) for C = ... -> terms[k] -> terms[k-1] -> ...
-    with maps[j]: terms[j] -> terms[j-1]; needs 1 <= k < len(maps) - 1."""
+def hom_cohomology_dim(maps: list, b: Module, k: int) -> int:
+    """dim H^k of Hom(C, b) for C = ... -> C_k -> C_{k-1} -> ... with
+    maps[j]: C_j -> C_{j-1}; needs 1 <= k < len(maps) - 1."""
     (_, rank_in), (dim, rank_out) = hom_dims_and_ranks(
         [maps[k], maps[k + 1]], b, contravariant=True)
     return dim - rank_out - rank_in
@@ -214,15 +214,15 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
     """dim Ext^k(m, n) by dimension shifting along the minimal projective
     resolution of m (see _ext_dim).
 
-    For k >= 1 the dimension is memoised on m by the content key of n and
-    k: content-equal targets have equal Ext, and the entry keeps only the
-    int, not the target."""
+    Each degree reads three Hom dimensions from the Hom bases memoized by
+    content, so a repeated question, or one about a content-equal
+    target, solves no Hom again."""
     if k < 0:
         raise ValueError("negative Ext degree")
     if k == 0:
         return len(hom_basis(m, n))
     _require_same_algebra(m, n)
-    return m.memoized(("ext", n.key, k), lambda: _ext_dim(m, n, k))
+    return _ext_dim(m, n, k)
 
 
 def _ext_dim(m: Module, n: Module, k: int) -> int:

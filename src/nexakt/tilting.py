@@ -160,11 +160,11 @@ def _nct_report(gens: Sequence[int], table: _ExtTable, projs: list,
 # -- Ext via add(M)-approximation resolutions ---------------------------
 
 
-def approx_resolution(a: Module, m: AddCat, length: int) -> Tuple[list, list]:
-    """Exact sequence M_length -> ... -> M_0 -> a built from minimal right
-    approximations; raises when an approximation fails to be onto (then M
-    is not generating and no such resolution exists)."""
-    terms: List[Module] = []
+def approx_resolution(a: Module, m: AddCat, length: int) -> list:
+    """The maps of an exact sequence M_length -> ... -> M_0 -> a built from
+    minimal right approximations (maps[0]: M_0 -> a); raises when an
+    approximation fails to be onto (then M is not generating and no such
+    resolution exists)."""
     maps: List[Morphism] = []
     current = a
     incl: Optional[Morphism] = None
@@ -173,11 +173,10 @@ def approx_resolution(a: Module, m: AddCat, length: int) -> Tuple[list, list]:
         if not approx.is_surjective():
             raise HypothesisError(
                 f"right approximation at stage {k} is not surjective")
-        terms.append(approx.source)
         maps.append(approx if incl is None else approx.then(incl))
         ker, incl = kernel_morphism(approx)
         current = ker
-    return terms, maps
+    return maps
 
 
 def ext_via_approx_resolution(a: Module, b: Module, m: AddCat, k: int,
@@ -195,8 +194,7 @@ def ext_via_approx_resolution(a: Module, b: Module, m: AddCat, k: int,
                 raise HypothesisError(
                     f"Ext^{deg}(generator {i}, b) = {d} != 0; "
                     f"comparison hypothesis violated")
-    terms, maps = approx_resolution(a, m, n)
-    return hom_cohomology_dim(terms, maps, b, k)
+    return hom_cohomology_dim(approx_resolution(a, m, n), b, k)
 
 
 # -- strong projectivity --------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from nexakt.addcat import Indecomposables, _lift_along, add_category
 from nexakt.complexes import ComplexMorphism, ComplexSeq
 from nexakt.fp import FieldSpec, Mat, rank
-from nexakt.frob import _stably_zero
+from nexakt.frob import stable_hom
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (Module, all_injectives, are_isomorphic,
@@ -97,8 +97,8 @@ def cosyzygy_projection(m, k):
 
 
 def stably_equal(f, g):
-    """f - g factors through an injective."""
-    return _stably_zero(f.sub(g))
+    """f - g factors through an injective: its stable rank is 0."""
+    return stable_hom(None, f.source, f.target).rank([f.sub(g)]) == 0
 
 
 def stably_isomorphic_objects(ctx, x, y, seed=0):

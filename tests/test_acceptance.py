@@ -4,8 +4,6 @@ printed pass/fail line each (run with -s to see them live)."""
 import json
 import random
 
-import pytest
-
 from nexakt.addcat import (HypothesisError, add_category, comparison_homotopy,
                            contract, contravariant_fragment, n_cokernel,
                            verify_n_exact)
@@ -230,7 +228,7 @@ def test_criterion_4_comparison_lemma():
         for y in targets:
             for f, g in _random_pairs_with_equal_bottom(x, y, rng, 25):
                 total += 1
-                h = comparison_homotopy(f, g, cat)
+                h = comparison_homotopy(f, g)
                 assert verify_homotopy(f, g, h)
                 assert h.component(x.lo + 1).is_zero()
                 successes += 1
@@ -442,9 +440,9 @@ def test_criterion_8_closure_properties():
             back = complete_to_chain_map(y, x, _corner_identity(y, x))
             instances += 1
             h1 = comparison_homotopy(fwd.then(back),
-                                     identity_complex_morphism(x), cat)
+                                     identity_complex_morphism(x))
             h2 = comparison_homotopy(back.then(fwd),
-                                     identity_complex_morphism(y), cat)
+                                     identity_complex_morphism(y))
             if not (verify_homotopy(fwd.then(back),
                                     identity_complex_morphism(x), h1)
                     and verify_homotopy(back.then(fwd),

@@ -1,10 +1,10 @@
 import pytest
 
-from nexakt.complexes import (ComplexSeq, ComplexMorphism, Homotopy,
+from nexakt.complexes import (ComplexMorphism, Homotopy,
                               complex_from_maps, mapping_cone, pad_complex,
                               verify_homotopy)
 from nexakt.reps import (hom_basis, identity_morphism, projective_module,
-                         simple_module, zero_morphism)
+                         simple_module)
 
 from conftest import (direct_sum_complexes, identity_complex_morphism,
                       interval_complex)

@@ -11,7 +11,7 @@ from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
 from nexakt.presets import nakayama_indecomposables
 from nexakt.reps import (all_injectives, are_isomorphic, hom_basis,
                          identity_morphism, projective_module, simple_module,
-                         zero_module)
+                         zero_module, zero_morphism)
 
 from conftest import (complete_to_chain_map, cosyzygy_projection,
                       cyclic_nakayama_j2, direct_sum_complexes,
@@ -247,12 +247,28 @@ def test_trivial_angle_verifies(ctx, pi2_mods):
 def test_broken_angle_fails(ctx, pi2_mods):
     x = coresolution_sequence(ctx, pi2_mods)
     angle = angle_from_n_exact(ctx, x)
-    from nexakt.reps import zero_morphism
     broken = type(angle)(angle.objects, angle.maps,
                          zero_morphism(angle.objects[-1], angle.closing.target),
                          angle.provenance)
     ok, _ = verify_angle_exact(ctx, broken)
     assert not ok
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_make_angle_names_the_composite_that_is_not_stably_zero(ctx, pi2_mods, k):
+    # S1 -> S1 -> S1 -> S1 -> Sigma S1 (Sigma S1 = S1 on Pi_2, n = 2) with
+    # one nonzero map, at position k + 1, is an angle: every consecutive
+    # composite is zero.  Replacing map k by the identity makes composite
+    # k a stable isomorphism of S1, and make_angle refuses naming k.
+    s1 = pi2_mods["S1"]
+    sx0 = suspension(ctx, s1)
+    iso = [identity_morphism(s1)] * 3 + hom_basis(s1, sx0)[:1]
+    zero = [zero_morphism(s1, s1)] * 3 + [zero_morphism(s1, sx0)]
+    chain = [iso[i] if i == k + 1 else zero[i] for i in range(4)]
+    make_angle(ctx, [s1] * 4, chain[:3], chain[3])
+    chain[k] = iso[k]
+    with pytest.raises(ValueError, match=f"composite at {k} not stably zero"):
+        make_angle(ctx, [s1] * 4, chain[:3], chain[3])
 
 
 def test_rotation_of_trivial_angle(ctx, pi2_mods):
@@ -297,7 +313,6 @@ def test_completion_by_identity(ctx, pi2_mods):
 def test_completion_rejects_noncommuting_square(ctx, pi2_mods):
     # against b starting with the identity of S1, the square
     # (id, 0) has stably nonzero defect -id_{S1}
-    from nexakt.reps import zero_morphism
     a = standard_angle(ctx, hom_basis(pi2_mods["S1"], pi2_mods["P2"])[0])
     b = standard_angle(ctx, identity_morphism(pi2_mods["S1"]))
     with pytest.raises(PreconditionError):
@@ -372,7 +387,6 @@ def test_lifted_maps_are_pinned(ctx, pi2_mods):
     from nexakt.addcat import comparison_homotopy, contract, n_cokernel
     from nexakt.complexes import ComplexSeq, complex_from_maps, pad_complex
     from nexakt.pushout import n_pushout, pushout_factorization
-    from nexakt.reps import zero_morphism
     maps = _lifted_maps(ctx)
     maps.append(angle_from_n_exact(
         ctx, coresolution_sequence(ctx, pi2_mods)).closing)
@@ -398,7 +412,7 @@ def test_lifted_maps_are_pinned(ctx, pi2_mods):
     fwd = complete_to_chain_map(x, y, corner)
     back = complete_to_chain_map(
         y, x, Morphism(y.term(0), s0, identity_morphism(s0).components))
-    h = comparison_homotopy(fwd.then(back), identity_complex_morphism(x), m3)
+    h = comparison_homotopy(fwd.then(back), identity_complex_morphism(x))
     maps += [fwd.component(k) for k in x.degrees()]
     maps += [back.component(k) for k in x.degrees()]
     maps += list(h.components.values())

@@ -12,8 +12,7 @@ from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
                             nakayama_indecomposables)
 from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
-                         injective_module, projective_module, simple_module,
-                         socle_span, radical_span)
+                         injective_module, projective_module, simple_module)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 

@@ -15,8 +15,7 @@ from nexakt.addcat import (_peel_superfluous, add_category,
 from nexakt.complexes import ComplexSeq, complex_from_maps, mapping_cone
 from nexakt.fp import Mat, rank
 from nexakt.frob import check_frobenius_setup
-from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
-                            nakayama_indecomposables)
+from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.reps import (Morphism, are_isomorphic, block_morphism,
                          cokernel_morphism, direct_sum, factor_through,
                          hom_basis, identity_morphism, lift_through,

@@ -3,8 +3,7 @@ import hashlib
 import pytest
 
 from nexakt.addcat import (HypothesisError, add_category, contract,
-                           contravariant_fragment, verify_n_exact,
-                           weak_cokernel)
+                           contravariant_fragment, weak_cokernel)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, complex_from_maps,
                               mapping_cone, pad_complex, verify_homotopy)

@@ -436,26 +436,30 @@ def test_hom_basis_computed_once_for_content_equal_targets(a3, monkeypatch):
     assert len(calls) == 1
 
 
-def test_ext_dim_computed_once_per_target_content_and_degree(a3, monkeypatch):
-    homs = []
-    real_hom = resolutions.hom_basis
-    monkeypatch.setattr(resolutions, "hom_basis",
-                        lambda *a: homs.append(a) or real_hom(*a))
+def test_ext_dim_solves_each_hom_once_per_target_content(a3, monkeypatch):
+    solves = []
+    real_solve = reps._solve_hom
+    monkeypatch.setattr(reps, "_solve_hom",
+                        lambda m, n: solves.append((m, n)) or real_solve(m, n))
     s2 = simple_module(a3, "2")
     s1, s1_again = simple_module(a3, "1"), simple_module(a3, "1")
     assert s1 is not s1_again and s1.key == s1_again.key
     assert resolutions.ext_dim(s2, s1, 1) == 1
-    assert resolutions.ext_dim(s2, s1_again, 1) == 1
     # one degree reads three Hom dimensions: out of Omega^1 s2, Q_0 and s2
-    assert len(homs) == 3
-    # the entry is the int under the target's content key, not the target
-    assert s2._memo[("ext", s1.key, 1)] == 1
+    assert len(solves) == 3
+    # a content-equal target reads the memoized Hom bases: no new solve
+    assert resolutions.ext_dim(s2, s1_again, 1) == 1
+    assert resolutions.ext_dim(s2, s1, 1) == 1
+    assert len(solves) == 3
+    # Ext is not stored under a key of its own
+    assert not any(isinstance(k, tuple) and k[0] == "ext" for k in s2._memo)
     assert resolutions.ext_dim(s2, s1, 2) == 0
-    assert len(homs) == 6
-    homs.clear()
-    assert resolutions.ext_dim(s2, s1, 0) == resolutions.ext_dim(s2, s1, 0) == 0
-    assert len(homs) == 2
-    assert ("ext", s1.key, 0) not in s2._memo
+    solved = len(solves)
+    assert resolutions.ext_dim(s2, s1_again, 2) == 0
+    assert len(solves) == solved
+    # Ext^0 is the Hom dimension
+    assert resolutions.ext_dim(s2, s1, 0) == len(hom_basis(s2, s1)) == 0
+    assert resolutions.ext_dim(s1, s1_again, 0) == len(hom_basis(s1, s1)) == 1
 
 
 def test_content_equal_sources_share_one_hom_solve(a3, monkeypatch):

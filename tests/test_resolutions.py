@@ -198,4 +198,4 @@ def test_ext_dim_matches_hom_complex_of_resolution(label):
         for y in mods:
             for k in (1, 2, 3):
                 assert ext_dim(x, y, k) == resolutions.hom_cohomology_dim(
-                    res.terms, res.maps, y, k), (label, x.dims, y.dims, k)
+                    res.maps, y, k), (label, x.dims, y.dims, k)

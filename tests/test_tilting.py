@@ -7,8 +7,7 @@ from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            add_category, indecomposables)
 from nexakt.presets import nakayama_indecomposables
 from nexakt.reps import (Module, are_isomorphic, direct_sum, hom_basis,
-                         projective_module, regular_module, simple_module,
-                         zero_morphism)
+                         projective_module, regular_module, simple_module)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (check_n_cluster_tilting, ext_via_approx_resolution,
                             hom_exact_at_middle, strong_projectivity_check)
