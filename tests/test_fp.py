@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from nexakt.fp import (FieldSpec, Mat, column_space_basis, kernel_basis,
-                       quotient_data, rank, rref, solve_linear)
+                       mat_from_vector, quotient_data, rank, rref,
+                       solve_linear)
 
 
 def mat(rows, p=101):
@@ -386,3 +388,215 @@ def test_mat_survives_pickle_and_copy():
     a = Mat(2, 1, (1, 0), 5)
     for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
         assert b == a and b.p == 5
+
+
+# -- empty operands ------------------------------------------------------------
+#
+# Every shape with a zero side up to 3, against a plain copy of the generic
+# code each operation runs on nonempty operands; "key" compares
+# (rows, cols, entries, p).
+
+SWEEP_PRIMES = (2, 101, 2**31 - 1)
+ZERO_SIDED = [(r, c) for r in range(4) for c in range(4) if r == 0 or c == 0]
+
+
+def key(m):
+    return (m.rows, m.cols, m.entries, m.p)
+
+
+def ref_key(rows, r, c, p):
+    return (r, c, tuple(x % p for row in rows for x in row), p)
+
+
+def generic_transpose(a):
+    return Mat(a.cols, a.rows,
+               tuple(a.entries[i * a.cols + j]
+                     for j in range(a.cols) for i in range(a.rows)), a.p)
+
+
+def generic_stack(mats, horizontal):
+    if len(mats) == 1:
+        return mats[0]
+    if horizontal:
+        out = [x for i in range(mats[0].rows) for m in mats for x in m.row(i)]
+        return Mat(mats[0].rows, sum(m.cols for m in mats), tuple(out), mats[0].p)
+    out = [x for m in mats for x in m.entries]
+    return Mat(sum(m.rows for m in mats), mats[0].cols, tuple(out), mats[0].p)
+
+
+def generic_blocks(row_sizes, col_sizes, blocks, p):
+    nrows, ncols = sum(row_sizes), sum(col_sizes)
+    grid = [[0] * ncols for _ in range(nrows)]
+    for (i, j), b in blocks.items():
+        for r in range(b.rows):
+            for c in range(b.cols):
+                grid[sum(row_sizes[:i]) + r][sum(col_sizes[:j]) + c] = b.at(r, c)
+    return ref_key(grid, nrows, ncols, p)
+
+
+def rand_mat(rng, r, c, p):
+    return Mat.from_rows(random_rows(rng, r, c, p), p, cols=c)
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_empty_products_and_transposes_match_the_generic_code(p):
+    rng = random.Random(5400 + p)
+    for n in range(4):
+        for k in range(4):
+            for m in range(4):
+                if n * m and k:
+                    continue
+                a, b = random_rows(rng, n, k, p), random_rows(rng, k, m, p)
+                prod = Mat.from_rows(a, p, cols=k).mul(Mat.from_rows(b, p, cols=m))
+                # inner dimension 0 gives the n x m zero matrix
+                assert key(prod) == ref_key(ref_mul(a, b, k, m, p), n, m, p)
+    for r, c in ZERO_SIDED:
+        a = rand_mat(rng, r, c, p)
+        assert key(a.transpose()) == key(generic_transpose(a))
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_empty_elementwise_and_constructors_match_the_generic_code(p):
+    rng = random.Random(6400 + p)
+    for r, c in ZERO_SIDED:
+        a, b = rand_mat(rng, r, c, p), rand_mat(rng, r, c, p)
+        assert key(a.add(b)) == key(a.sub(b)) == (r, c, (), p)
+        for s in (0, 1, -1, p + 3):
+            assert key(a.scale(s)) == (r, c, (), p)
+        assert key(Mat.zero(r, c, p)) == (r, c, (), p)
+        assert key(mat_from_vector([], r, c, p)) == (r, c, (), p)
+        assert key(mat_from_vector(iter(()), r, c, p)) == (r, c, (), p)
+    assert key(Mat.identity(0, p)) == (0, 0, (), p)
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_empty_stacks_and_blocks_match_the_generic_code(p):
+    rng = random.Random(7400 + p)
+    for count in (1, 2, 3):
+        for widths in itertools.product(range(4), repeat=count):
+            for r in range(4):
+                if r and sum(widths):
+                    continue
+                mats = [rand_mat(rng, r, w, p) for w in widths]
+                assert key(Mat.hstack(mats)) == key(generic_stack(mats, True))
+                tmats = [m.transpose() for m in mats]
+                assert key(Mat.vstack(tmats)) == key(generic_stack(tmats, False))
+    for row_sizes, col_sizes in (([0], [0]), ([0, 0], [1, 3]), ([2, 1], [0]),
+                                 ([0, 3], [0, 0]), ([], [2]), ([3], [])):
+        blocks = {(i, j): rand_mat(rng, r, c, p)
+                  for i, r in enumerate(row_sizes)
+                  for j, c in enumerate(col_sizes) if rng.random() < 0.7}
+        got = Mat.from_blocks(row_sizes, col_sizes, blocks, p)
+        assert key(got) == generic_blocks(row_sizes, col_sizes, blocks, p)
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_empty_solvers_match_the_generic_code(p):
+    rng = random.Random(8400 + p)
+    nones = 0
+    for r, c in ZERO_SIDED:
+        rows = random_rows(rng, r, c, p)
+        a = Mat.from_rows(rows, p, cols=c)
+        assert rank(a) == len(ref_rref(rows, c, p)[1]) == 0
+        ker, nker = ref_kernel(rows, c, p)
+        assert key(kernel_basis(a)) == ref_key(ker, c, nker, p)
+        col, ncol = ref_column_space(rows, c, p)
+        assert key(column_space_basis(a)) == ref_key(col, r, ncol, p)
+        proj, free = quotient_data(a)
+        proj_ref, free_ref = ref_quotient(rows, c, p)
+        assert free == free_ref
+        assert key(proj) == ref_key(proj_ref, len(free_ref), r, p)
+    # every a*x = b with no equations, no unknowns or no right-hand
+    # columns; b is zero or random (so often nonzero)
+    for r in range(4):
+        for n in range(4):
+            for m in range(4):
+                if r and n and m:
+                    continue
+                for zero_b in (True, False):
+                    rows = random_rows(rng, r, n, p)
+                    rhs = [[0 if zero_b else rng.randrange(1, p)
+                            for _ in range(m)] for _ in range(r)]
+                    want = ref_solve(rows, n, rhs, m, p)
+                    got = solve_linear(Mat.from_rows(rows, p, cols=n),
+                                       Mat.from_rows(rhs, p, cols=m))
+                    if want is None:
+                        nones += 1
+                        assert got is None
+                    else:
+                        assert key(got) == ref_key(want, n, m, p)
+    # no unknowns with a nonzero b: r, m in 1..3
+    assert nones == 9
+
+
+@pytest.mark.parametrize("p", SWEEP_PRIMES)
+def test_solve_linear_with_no_unknowns_is_none_exactly_for_nonzero_b(p):
+    a = Mat.zero(2, 0, p)
+    assert key(solve_linear(a, Mat.zero(2, 3, p))) == (0, 3, (), p)
+    assert solve_linear(a, Mat.from_rows([[0], [1]], p)) is None
+
+
+# -- error paths on empty operands --------------------------------------------
+
+def test_empty_operands_keep_their_errors():
+    p = 101
+    with pytest.raises(ValueError, match=r"shape mismatch in mul: 0x2 \* 3x0"):
+        Mat.zero(0, 2, p).mul(Mat.zero(3, 0, p))
+    with pytest.raises(ValueError, match="field mismatch: F_101 vs F_2"):
+        Mat.zero(0, 2, p).mul(Mat.zero(2, 0, 2))
+    with pytest.raises(ValueError, match="shape mismatch in add"):
+        Mat.zero(0, 2, p).add(Mat.zero(0, 3, p))
+    with pytest.raises(ValueError, match="shape mismatch in sub"):
+        Mat.zero(2, 0, p).sub(Mat.zero(3, 0, p))
+    with pytest.raises(ValueError, match="field mismatch"):
+        Mat.zero(0, 2, p).add(Mat.zero(0, 2, 2))
+    with pytest.raises(ValueError, match="field mismatch in solve_linear"):
+        solve_linear(Mat.zero(2, 0, p), Mat.zero(2, 1, 2))
+    with pytest.raises(ValueError, match="a has 2 rows, b has 0"):
+        solve_linear(Mat.zero(2, 0, p), Mat.zero(0, 0, p))
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        Mat.zero(0, -1, p)
+    with pytest.raises(ValueError, match="negative matrix dimensions"):
+        Mat.identity(-1, p)
+
+
+def test_from_blocks_refuses_a_misfit_block_when_the_total_is_empty():
+    p = 101
+    for row_sizes, col_sizes, blocks in (
+            ([0], [0, 0], {(0, 1): Mat.zero(0, 1, p)}),
+            ([0, 0], [3], {(1, 0): Mat.zero(1, 3, p)}),
+            ([2], [0], {(0, 0): Mat.zero(2, 0, 2)}),
+            ([0], [2], {(0, 1): Mat.zero(0, 2, p)})):
+        with pytest.raises(ValueError, match="does not fit its slot"):
+            Mat.from_blocks(row_sizes, col_sizes, blocks, p)
+
+
+def test_stacks_refuse_mixed_primes_on_empty_operands():
+    with pytest.raises(ValueError, match="hstack shape/field mismatch"):
+        Mat.hstack([Mat.zero(0, 1, 2), Mat.zero(0, 2, 3)])
+    with pytest.raises(ValueError, match="vstack shape/field mismatch"):
+        Mat.vstack([Mat.zero(1, 0, 2), Mat.zero(2, 0, 3)])
+    with pytest.raises(ValueError, match="hstack of nothing"):
+        Mat.hstack([])
+    with pytest.raises(ValueError, match="vstack of nothing"):
+        Mat.vstack([])
+
+
+def test_mat_from_vector_checks_length_and_takes_a_generator():
+    p = 101
+    for vec in ([1], (x for x in [1]), (0, 0)):
+        with pytest.raises(ValueError, match="vector length does not match shape"):
+            mat_from_vector(vec, 0, 2, p)
+    assert key(mat_from_vector((x for x in []), 3, 0, p)) == (3, 0, (), p)
+    assert key(mat_from_vector((x for x in [1, 102]), 1, 2, p)) == (1, 2, (1, 1), p)
+
+
+def test_empty_results_never_cross_primes():
+    for r, c in ZERO_SIDED:
+        got = {q: (Mat.zero(r, c, q), Mat.zero(c, r, q).transpose(),
+                   kernel_basis(Mat.zero(c, r, q)) if not r else
+                   column_space_basis(Mat.zero(r, c, q)))
+               for q in SWEEP_PRIMES}
+        for q, mats in got.items():
+            assert all(m.p == q for m in mats)
+        assert got[2][0] != got[101][0]
