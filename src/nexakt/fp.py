@@ -13,11 +13,24 @@ benchmark metric counts its calls.  All arithmetic is exact.
 ``Mat`` uses ``__slots__``, is immutable, and checks its shape when made.
 Pivoting is deterministic (first nonzero entry), so every certificate
 derived from these routines is bit-reproducible.
+
+Most vertex spaces of the modules nexakt works with are zero, so most
+matrices have a zero side.  Every operation but ``rref`` and ``det``
+returns at once when an operand or its result has a zero side, after the
+shape and field checks it makes on any operand; it builds no rows and
+runs no reduction.  Each such empty result is the one shared ``Mat`` of
+its shape and field (``_empty``).  The solvers read their answer off the shape: with no
+unknowns, ``solve_linear`` solves exactly when b is zero; with no
+equations the zero matrix solves; ``kernel_basis`` of a map from the zero
+space is 0x0, and of a map to it the identity; ``quotient_data`` by an
+empty span is the identity, every coordinate free.  A product with inner
+dimension 0 is the zero matrix of its outer shape, not an empty one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
@@ -105,23 +118,27 @@ class Mat:
     def from_rows(rows: Sequence[Sequence[int]], p: int, cols: Optional[int] = None) -> "Mat":
         nrows = len(rows)
         if nrows == 0:
-            if cols is None:
-                cols = 0
-            return Mat(0, cols, (), p)
+            return _empty(0, 0 if cols is None else cols, p)
         ncols = len(rows[0]) if cols is None else cols
         flat = []
         for r in rows:
             if len(r) != ncols:
                 raise ValueError("ragged rows")
             flat.extend(x % p for x in r)
+        if not flat:
+            return _empty(nrows, ncols, p)
         return Mat(nrows, ncols, tuple(flat), p)
 
     @staticmethod
     def zero(rows: int, cols: int, p: int) -> "Mat":
+        if rows == 0 or cols == 0:
+            return _empty(rows, cols, p)
         return Mat(rows, cols, (0,) * (rows * cols), p)
 
     @staticmethod
     def identity(n: int, p: int) -> "Mat":
+        if n == 0:
+            return _empty(0, 0, p)
         flat = [0] * (n * n)
         for i in range(n):
             flat[i * n + i] = 1 % p
@@ -156,6 +173,8 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         p = self.p
+        if not self.entries:
+            return _empty(self.rows, self.cols, p)
         return Mat(self.rows, self.cols,
                    tuple((a + b) % p for a, b in zip(self.entries, other.entries)), p)
 
@@ -164,12 +183,16 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in sub")
         p = self.p
+        if not self.entries:
+            return _empty(self.rows, self.cols, p)
         return Mat(self.rows, self.cols,
                    tuple((a - b) % p for a, b in zip(self.entries, other.entries)), p)
 
     def scale(self, c: int) -> "Mat":
         p = self.p
         c %= p
+        if not self.entries:
+            return _empty(self.rows, self.cols, p)
         return Mat(self.rows, self.cols, tuple((c * a) % p for a in self.entries), p)
 
     def mul(self, other: "Mat") -> "Mat":
@@ -181,7 +204,9 @@ class Mat:
             )
         p = self.p
         n, k, m = self.rows, self.cols, other.cols
-        if n * m == 0 or k == 0:
+        if n == 0 or m == 0:
+            return _empty(n, m, p)
+        if k == 0:
             return Mat(n, m, (0,) * (n * m), p)
         flat = [0] * (n * m)
         srows = self.entries
@@ -199,6 +224,8 @@ class Mat:
         return Mat(n, m, tuple(flat), p)
 
     def transpose(self) -> "Mat":
+        if not self.entries:
+            return _empty(self.cols, self.rows, self.p)
         return Mat(self.cols, self.rows,
                    tuple(self.entries[i * self.cols + j]
                          for j in range(self.cols) for i in range(self.rows)),
@@ -214,11 +241,14 @@ class Mat:
             raise ValueError("hstack shape/field mismatch")
         if len(mats) == 1:
             return mats[0]
+        cols = sum(m.cols for m in mats)
+        if rows == 0 or cols == 0:
+            return _empty(rows, cols, p)
         out = []
         for i in range(rows):
             for m in mats:
                 out.extend(m.row(i))
-        return Mat(rows, sum(m.cols for m in mats), tuple(out), p)
+        return Mat(rows, cols, tuple(out), p)
 
     @staticmethod
     def vstack(mats: Sequence["Mat"]) -> "Mat":
@@ -230,10 +260,13 @@ class Mat:
             raise ValueError("vstack shape/field mismatch")
         if len(mats) == 1:
             return mats[0]
+        rows = sum(m.rows for m in mats)
+        if rows == 0 or cols == 0:
+            return _empty(rows, cols, p)
         out = []
         for m in mats:
             out.extend(m.entries)
-        return Mat(sum(m.rows for m in mats), cols, tuple(out), p)
+        return Mat(rows, cols, tuple(out), p)
 
     @staticmethod
     def from_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
@@ -251,6 +284,8 @@ class Mat:
             for r in range(b.rows):
                 start = (row_at[i] + r) * ncols + col_at[j]
                 flat[start:start + b.cols] = b.entries[r * b.cols:(r + 1) * b.cols]
+        if not flat:
+            return _empty(row_at[-1], ncols, p)
         return Mat(row_at[-1], ncols, tuple(flat), p)
 
     def vectorize(self) -> tuple:
@@ -262,6 +297,16 @@ _set_rows = Mat.rows.__set__
 _set_cols = Mat.cols.__set__
 _set_entries = Mat.entries.__set__
 _set_p = Mat.p.__set__
+
+
+@lru_cache(maxsize=1024)
+def _empty(rows: int, cols: int, p: int) -> Mat:
+    """The one shared rows x cols Mat over F_p with a zero side: a Mat is
+    immutable, so every empty result of one shape and field can be the same
+    object.  Made through ``Mat``, so a negative side still raises.  The
+    cache is bounded; a shape with a zero side is fixed by its other side,
+    so few are in use."""
+    return Mat(rows, cols, (), p)
 
 
 def _reduce(rows: list, ncols: int, p: int) -> "list[int]":
@@ -322,6 +367,8 @@ def rref(a: Mat) -> "tuple[Mat, list[int]]":
 
 
 def rank(a: Mat) -> int:
+    if not a.entries:
+        return 0
     return len(_reduce(a.to_lists(), a.cols, a.p))
 
 
@@ -332,6 +379,13 @@ def solve_linear(a: Mat, b: Mat) -> Optional[Mat]:
     if a.rows != b.rows:
         raise ValueError(f"shape mismatch: a has {a.rows} rows, b has {b.rows}")
     n, m = a.cols, b.cols
+    if m == 0:
+        return _empty(n, 0, a.p)
+    if n == 0:
+        # no unknowns: solvable exactly when b is zero
+        return _empty(0, m, a.p) if b.is_zero() else None
+    if a.rows == 0:
+        return Mat.zero(n, m, a.p)
     rows = [ra + rb for ra, rb in zip(a.to_lists(), b.to_lists())]
     pivots = _reduce(rows, n, a.p)
     if any(any(row[n:]) for row in rows[len(pivots):]):
@@ -344,6 +398,10 @@ def solve_linear(a: Mat, b: Mat) -> Optional[Mat]:
 
 def kernel_basis(a: Mat) -> Mat:
     """Columns form a basis of the null space {x : a*x = 0}."""
+    if a.cols == 0:
+        return _empty(0, 0, a.p)
+    if a.rows == 0:
+        return Mat.identity(a.cols, a.p)
     rows = a.to_lists()
     pivots = _reduce(rows, a.cols, a.p)
     _, vecs = _null_vectors(rows, pivots, a.cols, a.p)
@@ -353,6 +411,8 @@ def kernel_basis(a: Mat) -> Mat:
 
 def column_space_basis(a: Mat) -> Mat:
     """Columns of a at the pivot positions: a basis of the column space."""
+    if not a.entries:
+        return _empty(a.rows, 0, a.p)
     pivots = _reduce(a.to_lists(), a.cols, a.p)
     cols, ent = a.cols, a.entries
     return Mat(a.rows, len(pivots),
@@ -369,6 +429,9 @@ def quotient_data(span: Mat) -> "tuple[Mat, list[int]]":
     vectors at the free coordinates lift the quotient basis.
     """
     p, n, cols = span.p, span.rows, span.cols
+    if not span.entries:
+        # nothing to divide by: every coordinate is free
+        return Mat.identity(n, p), list(range(n))
     rows = [list(span.entries[j::cols]) for j in range(cols)]
     pivots = _reduce(rows, n, p)
     free, proj_rows = _null_vectors(rows, pivots, n, p)
@@ -407,4 +470,6 @@ def mat_from_vector(vec: Iterable[int], rows: int, cols: int, p: int) -> Mat:
     flat = tuple(x % p for x in vec)
     if len(flat) != rows * cols:
         raise ValueError("vector length does not match shape")
+    if not flat:
+        return _empty(rows, cols, p)
     return Mat(rows, cols, flat, p)

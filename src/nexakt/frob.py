@@ -97,12 +97,16 @@ def _closed_coresolution(x: Module, n: int) -> list:
 @dataclass
 class StableHom:
     """Hom(source, target) and its ideal of maps through an injective:
-    the envelope composed with each element of Hom(E, target)."""
+    the envelope composed with each element of Hom(E, target).  The Hom
+    basis is solved when first read: a stable rank reads only the ideal."""
 
     source: Module
     target: Module
-    hom: list                   # hom_basis(source, target)
     envelope: Morphism          # source -> E, the injective envelope
+
+    @cached_property
+    def hom(self) -> list:
+        return hom_basis(self.source, self.target)
 
     @property
     def ideal(self) -> list:
@@ -154,7 +158,7 @@ def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
     with Hom(E(m1), m2) (an injective extends along the envelope, a mono);
     memoised on m1 by the content key of m2."""
     return m1.memoized(("stable", m2.key), lambda: StableHom(
-        m1, m2, hom_basis(m1, m2), _envelope(m1)))
+        m1, m2, _envelope(m1)))
 
 
 def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \

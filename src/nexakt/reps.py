@@ -33,19 +33,22 @@ content key, so a record lives as long as the last live module of its
 content.  Memoized maps (Hom bases, chains) start and end at the first
 live module of each content; every endpoint check compares content.
 The keys are ("hom", key of the target) for hom_basis, ("stable", key
-of the target) for frob.stable_hom (the Hom basis and the ideal of maps
-through the injective envelope), ("in_add", keys of the generators)
-for the bool in_add returns, "summands" for a proper decomposition
-direct_sum records (its nonzero parts, when there are at least two,
-each of smaller dimension; in_add decides the content by them, and
-solves for no zero module, generator or sum), "projres" and "injres"
-for the growing minimal (co)resolutions, and, on an algebra (whose
-memo is its own), "records", "projectives" and "injectives".
+of the target) for frob.stable_hom (the ideal of maps through the
+injective envelope, and the Hom basis once it is read), ("in_add", keys
+of the generators) for the bool in_add returns, "summands" for a proper
+decomposition direct_sum records (its nonzero parts, when there are at
+least two, each of smaller dimension; in_add decides the content by
+them, and solves for no zero module, generator or sum), "projres" and
+"injres" for the growing minimal (co)resolutions, and, on an algebra
+(whose memo is its own), "records", "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: over an
 ``Indecomposables`` list, ``in_add`` tries only the generators that fit
 inside x (Krull-Schmidt, see ``_solve_membership``), and Hom between
 modules with disjoint supports is zero with no system (``_solve_hom``).
+An arrow with a zero end acts on a kernel, image or cokernel by fp's
+shared empty matrix, with no product or solve, except where that solve
+checks that a given span is closed (``_induced_action_on_sub``).
 
 Isomorphism to an indecomposable e is decided exactly, by membership:
 x = e iff dim x = dim e and x lies in add(e) (Krull-Schmidt), the one
@@ -72,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
-from .fp import (Mat, _reduce, column_space_basis, kernel_basis,
+from .fp import (Mat, _empty, _reduce, column_space_basis, kernel_basis,
                  mat_from_vector, quotient_data, rank, solve_linear)
 from .quivers import AlgebraBasis, Memo, PathWord
 
@@ -346,12 +349,12 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
     if not size:
         return []
     # kernel vector j is column j of the kernel matrix, read straight into
-    # components; the empty ones are shared
+    # components; the empty ones are fp's shared empties
     comps: List[dict] = [{} for _ in range(size)]
     for v in verts:
         r, c = n.dims[v], m.dims[v]
         if r * c == 0:
-            empty = Mat(r, c, (), p)
+            empty = _empty(r, c, p)
             for comp in comps:
                 comp[v] = empty
             continue
@@ -391,11 +394,20 @@ def _column_blocks(m: Mat, k: int) -> List[tuple]:
 
 
 def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
-    """Module structure on vertex-wise column spans closed under the action."""
+    """Module structure on vertex-wise column spans closed under the action.
+
+    An arrow from a zero span, or into a vertex where x is zero, acts by
+    the empty matrix with nothing to check.  An arrow from a nonzero span
+    into a zero span inside a nonzero space is still solved: that solve,
+    with no unknowns, is the check that x's action kills the source span."""
     alg = x.algebra
+    p = alg.p
     dims = {v: incl_cols[v].cols for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
+        if not dims[a.source] or not x.dims[a.target]:
+            action[a.name] = _empty(dims[a.target], dims[a.source], p)
+            continue
         rhs = x.action[a.name].mul(incl_cols[a.source])
         sol = solve_linear(incl_cols[a.target], rhs)
         if sol is None:
@@ -425,6 +437,9 @@ def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     dims = {v: proj[v].rows for v in proj}
     action = {}
     for a in alg.quiver.arrows:
+        if not dims[a.source] or not dims[a.target]:
+            action[a.name] = _empty(dims[a.target], dims[a.source], alg.p)
+            continue
         # solve Q(a) * proj_s = proj_t * action_t(a); proj_s is surjective
         rhs = proj[a.target].mul(f.target.action[a.name])
         sol = solve_linear(proj[a.source].transpose(), rhs.transpose())

@@ -44,7 +44,7 @@ def files(tmp_path, a3):
     paths["d0"].write_text(canonical_json(morphism_with_endpoints_to_dict(d0)))
     d1 = hom_basis(mods["P1"], mods["P2"])[0]
     d2 = hom_basis(mods["P2"], mods["S2"])[0]
-    from nexakt.complexes import complex_from_maps, ComplexSeq
+    from nexakt.complexes import ComplexSeq
     good = complex_from_maps(0, [d0, d1, d2])
     paths["good_complex"] = tmp_path / "good.json"
     paths["good_complex"].write_text(canonical_json(complex_to_dict(good)))
@@ -554,9 +554,8 @@ def test_readme_usage_matches_parser(capsys):
 def test_certificate_roundtrip_reverifies(files):
     # the embedded inputs re-load and re-verify to the recorded verdict
     from nexakt.addcat import add_category
-    from nexakt.fileio import algebra_from_dict, module_from_dict
+    from nexakt.fileio import algebra_from_dict
     from nexakt.tilting import check_n_cluster_tilting
-    from nexakt.presets import nakayama_indecomposables
     from nexakt.certs import content_hash
     assert run("nct", "check", "--algebra", files["algebra"],
                "--m", files["m3"], "--n", 2, "--out", files["out"]) == 0

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from nexakt.fp import (FieldSpec, Mat, column_space_basis, kernel_basis,
-                       mat_from_vector, quotient_data, rank, rref,
-                       solve_linear)
+from nexakt.fp import (FieldSpec, Mat, _empty, column_space_basis,
+                       kernel_basis, mat_from_vector, quotient_data, rank,
+                       rref, solve_linear)
 
 
 def mat(rows, p=101):
@@ -600,3 +600,26 @@ def test_empty_results_never_cross_primes():
         for q, mats in got.items():
             assert all(m.p == q for m in mats)
         assert got[2][0] != got[101][0]
+
+
+def test_empty_results_are_one_shared_mat_per_shape_and_field():
+    for q in SWEEP_PRIMES:
+        for r, c in ZERO_SIDED:
+            e = _empty(r, c, q)
+            a, b = Mat(r, c, (), q), Mat(r, c, (), q)
+            shared = [Mat.zero(r, c, q), Mat.zero(c, r, q).transpose(),
+                      Mat.from_rows([], q, cols=c) if not r else e,
+                      a.add(b), a.sub(b), a.scale(3), mat_from_vector([], r, c, q),
+                      Mat.hstack([a, Mat(r, 0, (), q)]),
+                      Mat.vstack([a, Mat(0, c, (), q)]),
+                      Mat.from_blocks([r], [c], {(0, 0): a}, q),
+                      Mat.zero(r, 2, q).mul(Mat.zero(2, c, q))]
+            assert all(m is e for m in shared)
+            assert _empty(r, c, q) is not _empty(r, c, 2 if q != 2 else 101)
+        zero_eqs, zero_unknowns = Mat.zero(0, 3, q), Mat.zero(3, 0, q)
+        assert Mat.identity(0, q) is _empty(0, 0, q)
+        assert kernel_basis(zero_unknowns) is _empty(0, 0, q)
+        assert quotient_data(Mat.zero(0, 2, q))[0] is _empty(0, 0, q)
+        assert solve_linear(zero_unknowns, Mat.zero(3, 2, q)) is _empty(0, 2, q)
+        assert solve_linear(zero_eqs, Mat.zero(0, 0, q)) is _empty(3, 0, q)
+        assert column_space_basis(zero_unknowns) is _empty(3, 0, q)

@@ -8,8 +8,9 @@ from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          stable_hom_basis, standard_angle, suspension,
                          suspension_morphism, trivial_angle,
                          verify_angle_exact)
+from nexakt import reps
 from nexakt.presets import nakayama_indecomposables
-from nexakt.reps import (all_injectives, are_isomorphic, hom_basis,
+from nexakt.reps import (Morphism, all_injectives, are_isomorphic, hom_basis,
                          identity_morphism, projective_module, simple_module,
                          zero_module, zero_morphism)
 
@@ -43,10 +44,10 @@ def test_setup_passes_for_pi2(ctx):
 
 
 def test_setup_rejects_non_selfinjective(a3):
-    from nexakt.reps import projective_module as pm, simple_module as sm
-    m = add_category(a3, [pm(a3, "0"), pm(a3, "1"), pm(a3, "2"), sm(a3, "2")],
-                     seed=1)
-    indecs = [pm(a3, "0"), pm(a3, "1"), pm(a3, "2"), sm(a3, "1"), sm(a3, "2")]
+    p = [projective_module(a3, v) for v in "012"]
+    s1, s2 = simple_module(a3, "1"), simple_module(a3, "2")
+    m = add_category(a3, p + [s2], seed=1)
+    indecs = p + [s1, s2]
     with pytest.raises(SetupError):
         check_frobenius_setup(a3, m, 2, indecs, seed=1)
 
@@ -54,15 +55,13 @@ def test_setup_rejects_non_selfinjective(a3):
 def test_setup_one_vertex_semisimple():
     from nexakt.fp import FieldSpec
     from nexakt.quivers import Quiver, build_algebra
-    from nexakt.reps import simple_module as sm
     alg = build_algebra(Quiver.build(["*"], []), [], 1, FieldSpec(101))
-    m = add_category(alg, [sm(alg, "*")], seed=0)
-    ctx = check_frobenius_setup(alg, m, 3, [sm(alg, "*")], seed=0)
+    m = add_category(alg, [simple_module(alg, "*")], seed=0)
+    ctx = check_frobenius_setup(alg, m, 3, [simple_module(alg, "*")], seed=0)
     assert ctx.nct_report.ok
 
 
 def test_cosyzygies(ctx, pi2_mods):
-    from nexakt.reps import are_isomorphic
     s1 = pi2_mods["S1"]
     assert are_isomorphic(cosyzygy(ctx, s1, 1), pi2_mods["S2"], seed=1)
     assert are_isomorphic(cosyzygy(ctx, s1, 2), s1, seed=1)
@@ -70,7 +69,6 @@ def test_cosyzygies(ctx, pi2_mods):
 
 
 def test_suspension_on_objects(ctx, pi2_mods):
-    from nexakt.reps import are_isomorphic
     assert are_isomorphic(suspension(ctx, pi2_mods["S1"]), pi2_mods["S1"], seed=2)
     assert suspension(ctx, pi2_mods["P1"]).total_dim == 0
     assert suspension(ctx, zero_module(ctx.algebra)).total_dim == 0
@@ -286,6 +284,31 @@ def test_rotation_of_standard_angle(ctx, pi2_mods):
     assert ok
 
 
+def test_rotation_solves_no_hom_space_of_a_consecutive_composite(ctx, monkeypatch):
+    # make_angle tests each consecutive composite u through the ideal rows
+    # of stable Hom(u.source, u.target) alone, Hom(E, u.target) for the
+    # envelope u.source -> E, so rotating a standard angle solves
+    # Hom(u.source, u.target) only where it is that ideal's own space: an
+    # injective u.source is its own envelope
+    solved = []
+    solve = reps._solve_hom
+    monkeypatch.setattr(reps, "_solve_hom",
+                        lambda m, n: solved.append((m.key, n.key)) or solve(m, n))
+    gens = ctx.m.generators
+    unread = 0
+    for alpha0 in (f for g in gens for h in gens for f in hom_basis(g, h)):
+        angle = standard_angle(ctx, alpha0)
+        solved.clear()
+        chain = rotate_angle(ctx, angle).all_maps()
+        pairs = {(u.source.key, u.target.key)
+                 for u in map(Morphism.then, chain, chain[1:])
+                 if stable_hom(ctx, u.source, u.target).envelope.target.key
+                 != u.source.key}
+        assert not pairs & set(solved)
+        unread += len(pairs)
+    assert unread == 4
+
+
 def test_four_fold_rotation_suspends(ctx, pi2_mods):
     alpha0 = hom_basis(pi2_mods["S1"], pi2_mods["P2"])[0]
     angle = standard_angle(ctx, alpha0)
@@ -385,7 +408,7 @@ def test_lifted_maps_are_pinned(ctx, pi2_mods):
     import hashlib
     from conftest import linear_a3_j2
     from nexakt.addcat import comparison_homotopy, contract, n_cokernel
-    from nexakt.complexes import ComplexSeq, complex_from_maps, pad_complex
+    from nexakt.complexes import pad_complex
     from nexakt.pushout import n_pushout, pushout_factorization
     maps = _lifted_maps(ctx)
     maps.append(angle_from_n_exact(
@@ -407,7 +430,6 @@ def test_lifted_maps_are_pinned(ctx, pi2_mods):
     x = ComplexSeq(0, [s0] + list(tail.terms), [d0] + list(tail.diffs))
     y = direct_sum_complexes(
         x, pad_complex(interval_complex(1, p2), 0, 3))
-    from nexakt.reps import Morphism
     corner = Morphism(s0, y.term(0), identity_morphism(s0).components)
     fwd = complete_to_chain_map(x, y, corner)
     back = complete_to_chain_map(

@@ -181,7 +181,6 @@ def test_cone_of_pushout_morphism_is_exact(a3, m3):
     # the cone of the pushout of (S0 -> P1 -> P2) along S0 -> 0 is the
     # exact complex S0 -> P1 -> P2+P2 -> P2+S2
     from nexakt.pushout import n_pushout
-    from nexakt.reps import zero_module
     mods = {
         "P1": projective_module(a3, "1"),
         "P2": projective_module(a3, "2"),

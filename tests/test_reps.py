@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from nexakt import reps, resolutions
-from nexakt.fp import Mat, rank
+from nexakt.fp import Mat, rank, solve_linear
 from nexakt.complexes import ComplexSeq
 from nexakt.addcat import DomainError, add_category
 from nexakt.fp import FieldSpec
@@ -64,8 +64,6 @@ def test_a3_injective_dimensions(a3):
 
 
 def test_single_vertex_injective_equals_projective():
-    from nexakt.fp import FieldSpec
-    from nexakt.quivers import Quiver, build_algebra
     alg = build_algebra(Quiver.build(["*"], []), [], 1, FieldSpec(101))
     i = injective_module(alg, "*")
     p = projective_module(alg, "*")
@@ -177,9 +175,21 @@ def test_rank_nullity_per_vertex(a3_mods):
         assert k.dims[v] + rank(f.components[v]) == f.source.dims[v]
 
 
+def test_quotient_by_a_span_that_is_not_closed_raises(a3_mods):
+    # P1 spans vertices 1 and 0, and arrow a: 1 -> 0 acts by 1; a span of
+    # all of vertex 1 and nothing at vertex 0 is not a submodule, and the
+    # only arrow that shows it ends in the zero span
+    x = a3_mods["P1"]
+    p = x.algebra.p
+    span = {"0": Mat.zero(1, 0, p), "1": Mat.identity(1, p), "2": Mat.zero(0, 0, p)}
+    with pytest.raises(ValueError, match="not closed under the action"):
+        reps.quotient_by_submodule(x, span)
+    span["0"] = Mat.identity(1, p)
+    assert reps.quotient_by_submodule(x, span)[0].total_dim == 0
+
+
 def test_image_factorization_recovered(a3_mods):
     # coker(kernel inclusion) is the image: f factors through it injectively
-    from nexakt.reps import image_morphism
     f = hom_basis(a3_mods["P1"], a3_mods["P2"])[0]
     k, incl = kernel_morphism(f)
     coim, proj = cokernel_morphism(incl)
@@ -325,8 +335,7 @@ def test_are_isomorphic_base_change(a3_mods):
     uinv = {}
     for v, m in u.items():
         n = m.rows
-        from nexakt.fp import solve_linear, Mat as _M
-        uinv[v] = solve_linear(m, _M.identity(n, p))
+        uinv[v] = solve_linear(m, Mat.identity(n, p))
     twisted = Module(x.algebra, dict(x.dims),
                      {a.name: u[a.target].mul(x.action[a.name]).mul(uinv[a.source])
                       for a in x.algebra.quiver.arrows})

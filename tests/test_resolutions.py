@@ -115,7 +115,6 @@ def test_ext_grows_the_resolution_only_to_q_k_minus_1(a3, monkeypatch):
 
 
 def test_cover_and_envelope_of_zero(a3):
-    from nexakt.reps import zero_module
     z = zero_module(a3)
     assert projective_cover(z).source.total_dim == 0
     assert injective_envelope(z).target.total_dim == 0
