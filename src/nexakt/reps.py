@@ -401,12 +401,11 @@ def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
     into a zero span inside a nonzero space is still solved: that solve,
     with no unknowns, is the check that x's action kills the source span."""
     alg = x.algebra
-    p = alg.p
     dims = {v: incl_cols[v].cols for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
         if not dims[a.source] or not x.dims[a.target]:
-            action[a.name] = _empty(dims[a.target], dims[a.source], p)
+            action[a.name] = _empty(dims[a.target], dims[a.source], alg.p)
             continue
         rhs = x.action[a.name].mul(incl_cols[a.source])
         sol = solve_linear(incl_cols[a.target], rhs)
