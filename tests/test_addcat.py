@@ -223,12 +223,19 @@ LADDERS = ((n_cokernel, verify_n_cokernel, lambda n: n + 1),
 # and the content hash of the labels of the 210 whose end term does not.
 SWEEP_KEPT_SHA256 = "8a98f8a7332f29ea6d3e2bffd782f30c87853c710e876ea8bdc5341eb41a22d5"
 SWEEP_OUTSIDE_SHA256 = "bd95f744fb971e66c4c948cdcda5488a05a689074a63f4d06d0e52a6444b05cb"
+# The same at n = 3 and 4, where a ladder takes two or three weak steps
+# (at n <= 2 it takes at most one); recorded while each ladder still ran
+# its own loop of approximations and (co)kernels.
+SWEEP_LONG_KEPT_SHA256 = "573bcf26935c0d44f381f43c21ffc6d7d9d0dae3cfc5bddcd5279dc606de8b06"
+SWEEP_LONG_OUTSIDE_SHA256 = "b9bc1c7b7a01d3629aa7d1e2730b7f0d3e014cc369ed847b9ebdfc01a88c72be"
 
 
-def test_sweep_ladders_fail_exactly_outside_add_m():
+def _sweep_ladders(ns):
+    """(count, sha256 of the ladders ending in add(M), labels of those
+    that do not) over the reference sweep at each n in ns."""
     kept, outside, count = hashlib.sha256(), [], 0
     for label, m, d in sweep_generator_maps():
-        for n in (1, 2):
+        for n in ns:
             for build, verify, end in LADDERS:
                 count += 1
                 key = label + [n, build.__name__]
@@ -242,9 +249,17 @@ def test_sweep_ladders_fail_exactly_outside_add_m():
                 assert in_add(seq.term(end(n)), m.generators), key
                 kept.update(canonical_json(
                     [key, [morphism_to_dict(x) for x in seq.diffs]]).encode())
-    assert (count, len(outside)) == (3296, 210)
-    assert kept.hexdigest() == SWEEP_KEPT_SHA256
-    assert content_hash(outside) == SWEEP_OUTSIDE_SHA256
+    return count, kept.hexdigest(), outside
+
+
+def test_sweep_ladders_fail_exactly_outside_add_m():
+    for ns, outsiders, kept_sha, outside_sha in (
+            ((1, 2), 210, SWEEP_KEPT_SHA256, SWEEP_OUTSIDE_SHA256),
+            ((3, 4), 2, SWEEP_LONG_KEPT_SHA256, SWEEP_LONG_OUTSIDE_SHA256)):
+        count, kept, outside = _sweep_ladders(ns)
+        assert (count, len(outside)) == (3296, outsiders)
+        assert kept == kept_sha
+        assert content_hash(outside) == outside_sha
 
 
 def test_sweep_weak_cokernels_and_kernels_are_exact():
