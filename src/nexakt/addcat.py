@@ -17,6 +17,12 @@ checked again; what depends on M is that a ladder ends in add(M), and
 n_cokernel / n_kernel check exactly that.  verify_n_cokernel,
 verify_n_kernel and verify_n_exact certify a given sequence.
 
+An n-cokernel ladder is n - 1 weak cokernels, each of the map before,
+closed by a cokernel (n-kernels dually).  It is, byte for byte, the
+ladder that takes the cokernel of each approximation: cokernel_morphism
+reads only column spaces (in reduced row-echelon form) and proj is onto;
+dually, kernel_basis reads only row spaces and incl is mono.
+
 All verification is Hom-level rank bookkeeping against the generator
 list: reps.hom_dims_and_ranks reads each rank together with the
 dimension of the Hom space the map leaves.  Composites with a Hom basis
@@ -163,6 +169,13 @@ def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
 # -- weak (co)kernels ----------------------------------------------------
 
 
+def _require_in_add(f: Morphism, m: AddCat, name: str) -> None:
+    """DomainError naming name and the first endpoint of f outside add(M)."""
+    for end in ("source", "target"):
+        if not in_add(getattr(f, end), m.generators):
+            raise DomainError(f"{name}: {end} not in add(M)")
+
+
 def weak_cokernel(f: Morphism, m: AddCat) -> Morphism:
     """Cokernel projection followed by a minimal left approximation, for f
     with both endpoints in add(M) (DomainError otherwise).
@@ -171,10 +184,7 @@ def weak_cokernel(f: Morphism, m: AddCat) -> Morphism:
     that kills f factors through proj (the cokernel is exact), hence
     through g (Hom(T, G) -> Hom(C, G) is onto, which
     minimal_left_approximation verifies)."""
-    if not in_add(f.source, m.generators):
-        raise DomainError("weak_cokernel: source not in add(M)")
-    if not in_add(f.target, m.generators):
-        raise DomainError("weak_cokernel: target not in add(M)")
+    _require_in_add(f, m, "weak_cokernel")
     return _weak_cokernel(f, m)
 
 
@@ -190,10 +200,12 @@ def weak_kernel(f: Morphism, m: AddCat) -> Morphism:
     Exact by construction, dually: g f = 0, and a map G -> A killed by f
     factors through the kernel, hence through the approximation, whose
     contract minimal_right_approximation verifies."""
-    if not in_add(f.source, m.generators):
-        raise DomainError("weak_kernel: source not in add(M)")
-    if not in_add(f.target, m.generators):
-        raise DomainError("weak_kernel: target not in add(M)")
+    _require_in_add(f, m, "weak_kernel")
+    return _weak_kernel(f, m)
+
+
+def _weak_kernel(f: Morphism, m: AddCat) -> Morphism:
+    """weak_kernel past the add(M) checks of its endpoints."""
     ker, incl = kernel_morphism(f)
     return minimal_right_approximation(ker, m).then(incl)
 
@@ -212,30 +224,23 @@ def hom_exact_at_middle(p: Module, f: Morphism, g: Morphism) -> Tuple[bool, dict
 
 
 def n_cokernel(d0: Morphism, m: AddCat, n: int) -> ComplexSeq:
-    """The cokernel/approximation ladder: (d^1, ..., d^n) with d^n epic.
-
-    Returns the tail complex on degrees 1..n+1.  Its Hom(-, M) sequence
-    is exact by construction: each d^k is a cokernel projection followed
-    by a left approximation (see weak_cokernel), and d^n is the last
-    cokernel projection.  X^2..X^n are approximation targets; the one
-    fact that needs M to be n-cluster-tilting is that X^{n+1} lies in
-    add(M), and HypothesisError (degree n + 1) says when it does not."""
+    """The cokernel/approximation ladder: (d^1, ..., d^n) with d^n epic,
+    the tail complex on degrees 1..n+1.  Its Hom(-, M) sequence is exact
+    by construction (see weak_cokernel); the one fact that needs M to be
+    n-cluster-tilting is that X^{n+1} lies in add(M), and
+    HypothesisError (degree n + 1) says when it does not."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not in_add(d0.source, m.generators) or not in_add(d0.target, m.generators):
-        raise DomainError("n_cokernel: endpoints not in add(M)")
-    current, connecting = cokernel_morphism(d0)     # X^k -> C^k
-    maps: List[Morphism] = []
+    _require_in_add(d0, m, "n_cokernel")
+    maps = [d0]
     for _ in range(1, n):
-        approx = minimal_left_approximation(current, m)
-        maps.append(connecting.then(approx))
-        current, connecting = cokernel_morphism(approx)
-    maps.append(connecting)               # d^n = final cokernel projection
-    if not in_add(current, m.generators):
+        maps.append(_weak_cokernel(maps[-1], m))
+    end, proj = cokernel_morphism(maps[-1])
+    if not in_add(end, m.generators):
         raise HypothesisError(
             f"n-cokernel ladder ends outside add(M) at degree {n + 1} "
             "(is M n-cluster-tilting?)", degree=n + 1)
-    return complex_from_maps(1, maps)
+    return complex_from_maps(1, maps[1:] + [proj])
 
 
 def n_kernel(dn: Morphism, m: AddCat, n: int) -> ComplexSeq:
@@ -243,21 +248,16 @@ def n_kernel(dn: Morphism, m: AddCat, n: int) -> ComplexSeq:
     add(M) (HypothesisError, degree 0, when it does not)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not in_add(dn.source, m.generators) or not in_add(dn.target, m.generators):
-        raise DomainError("n_kernel: endpoints not in add(M)")
-    current, connecting = kernel_morphism(dn)       # K^k -> X^k side
-    maps: List[Morphism] = []
+    _require_in_add(dn, m, "n_kernel")
+    maps = [dn]
     for _ in range(1, n):
-        approx = minimal_right_approximation(current, m)
-        maps.append(approx.then(connecting))
-        current, connecting = kernel_morphism(approx)
-    maps.append(connecting)
-    maps.reverse()
-    if not in_add(current, m.generators):
+        maps.insert(0, _weak_kernel(maps[0], m))
+    end, incl = kernel_morphism(maps[0])
+    if not in_add(end, m.generators):
         raise HypothesisError(
             "n-kernel ladder ends outside add(M) at degree 0 "
             "(is M n-cluster-tilting?)", degree=0)
-    return complex_from_maps(0, maps)
+    return complex_from_maps(0, [incl] + maps[:-1])
 
 
 # -- exactness certificates ----------------------------------------------

@@ -154,6 +154,25 @@ def test_weak_cokernel_rejects_outsiders(a3, m3, mods):
         weak_cokernel(f, m3)
 
 
+@pytest.mark.parametrize("build", [weak_cokernel, weak_kernel, n_cokernel,
+                                   n_kernel], ids=lambda f: f.__name__)
+def test_endpoint_outside_add_m_is_named(m3, mods, build):
+    # S1 is not in add(M); each constructor names itself and the endpoint
+    extra = (2,) if build in (n_cokernel, n_kernel) else ()
+    for end, f in (("source", zero_morphism(mods["S1"], mods["P1"])),
+                   ("target", zero_morphism(mods["P1"], mods["S1"]))):
+        with pytest.raises(DomainError,
+                           match=rf"^{build.__name__}: {end} not in add\(M\)$"):
+            build(f, m3, *extra)
+
+
+@pytest.mark.parametrize("build", [n_cokernel, n_kernel],
+                         ids=lambda f: f.__name__)
+def test_ladder_of_length_below_1_is_refused(m3, mods, build):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        build(identity_morphism(mods["P1"]), m3, 0)
+
+
 def test_weak_kernel_of_radical_map(a3, m3, mods):
     g = hom_basis(mods["P1"], mods["P2"])[0]
     f = weak_kernel(g, m3)
