@@ -153,6 +153,12 @@ def _envelope(x: Module) -> Morphism:
     return _injective_chain(x, 1).maps[0]
 
 
+def _injective(x: Module) -> bool:
+    """x is injective: its envelope, a mono, reaches x's dimension vector,
+    so it is an isomorphism and stable Hom(x, -) = 0."""
+    return _envelope(x).target.dim_vector() == x.dim_vector()
+
+
 def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
     """Hom(m1, m2) with the ideal spanned by the envelope of m1 composed
     with Hom(E(m1), m2) (an injective extends along the envelope, a mono);
@@ -191,11 +197,6 @@ def suspension_morphism(ctx: FrobeniusCtx, f: Morphism) -> Morphism:
 
 
 @dataclass
-class AngleProvenance:
-    pushout_map: ComplexMorphism        # I(X^0)-complex -> angle complex part
-
-
-@dataclass
 class Angle:
     """X^0 -> X^1 -> ... -> X^{n+1} with a closing morphism to Sigma X^0.
 
@@ -204,7 +205,7 @@ class Angle:
     objects: list
     maps: list
     closing: Morphism
-    provenance: Optional[AngleProvenance] = None
+    pushout_map: Optional[ComplexMorphism] = None   # of a standard angle
 
     @property
     def n(self) -> int:
@@ -228,7 +229,8 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
     chain = list(maps) + [closing]
     for k in range(len(chain) - 1):
         u = chain[k].then(chain[k + 1])
-        if stable_hom(ctx, u.source, u.target).rank([u]):
+        if not _injective(u.source) and \
+                stable_hom(ctx, u.source, u.target).rank([u]):
             raise ValueError(f"consecutive composite at {k} not stably zero")
     return Angle(list(objects), list(maps), closing)
 
@@ -268,8 +270,7 @@ def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     if coeffs is None:
         raise HypothesisError("standard angle: closing morphism not found")
     closing = assemble_from_span(basis, coeffs, yn, proj.target)
-    return Angle([x0] + y.terms, [alpha0] + y.diffs, closing,
-                 AngleProvenance(f))
+    return Angle([x0] + y.terms, [alpha0] + y.diffs, closing, f)
 
 
 def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
@@ -295,17 +296,16 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     """Exactness of the stable Hom(G, -) sequence over one full suspension
     period, for every generator G; returns (verdict, rank table).
 
-    An injective G (its envelope is an isomorphism: the envelope, a mono,
-    reaches a module of G's dimension vector) has stable Hom(G, -) = 0,
-    since every map out of G factors through the envelope; its rows are
-    written as zero and exact, with no Hom space solved."""
+    An injective G (_injective) has stable Hom(G, -) = 0, since every map
+    out of G factors through the envelope; its rows are written as zero
+    and exact, with no Hom space solved."""
     nodes = list(a.objects) + [suspension(ctx, obj) for obj in a.objects] \
         + [suspension(ctx, suspension(ctx, a.objects[0]))]
     chain = a.all_maps() + [suspension_morphism(ctx, u) for u in a.all_maps()]
     table = []
     ok = True
     for gi, g in enumerate(ctx.m.generators):
-        if _envelope(g).target.dim_vector() == g.dim_vector():
+        if _injective(g):
             table.extend({"generator": gi, "position": i, "stable_dim": 0,
                           "rank_in": 0, "rank_out": 0, "exact": True}
                          for i in range(1, len(nodes) - 1))
@@ -350,14 +350,14 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
     pushout map f_a against psi^k g_b^k, started from phi^1 and the
     injectivity step h^1, where psi lifts phi0 along the coresolutions.
 
-    Both angles must carry pushout provenance (standard angles do)."""
-    if a.provenance is None or b.provenance is None:
+    Both angles must carry a pushout map (standard angles do)."""
+    if a.pushout_map is None or b.pushout_map is None:
         raise PreconditionError(
             "completion needs standard angles with pushout provenance")
     n = ctx.n
     alpha = a.all_maps()
     beta = b.all_maps()
-    gb = b.provenance.pushout_map
+    gb = b.pushout_map
     # psi[k]: I^k(X^0) -> I^k(Y^0), psi[0] = phi0, psi[n+1] = Sigma(phi0)
     psi = _lift_along(phi0, _closed_coresolution(phi0.source, n),
                       _closed_coresolution(phi0.target, n))
@@ -367,7 +367,7 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
     if h1 is None:
         raise PreconditionError(
             "first square does not commute in the stable category")
-    p, _ = _factor_pushout(a.provenance.pushout_map, gb.target,
+    p, _ = _factor_pushout(a.pushout_map, gb.target,
                            lambda k: psi[k].then(gb.component(k)), phi1, h1)
     phis = [phi0] + [p[k] for k in range(n + 1)]       # p^k = phi^{k+1}
     # last square: alpha^{n+1} . Sigma(phi0) = phi^{n+1} . beta^{n+1}

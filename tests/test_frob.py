@@ -8,7 +8,7 @@ from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          stable_hom_basis, standard_angle, suspension,
                          suspension_morphism, trivial_angle,
                          verify_angle_exact)
-from nexakt import reps
+from nexakt import frob, reps
 from nexakt.presets import nakayama_indecomposables
 from nexakt.reps import (Morphism, all_injectives, are_isomorphic, hom_basis,
                          identity_morphism, projective_module, simple_module,
@@ -210,7 +210,7 @@ def test_standard_angle_tables_match_stable_hom(ctx):
             for h in gens:
                 for alpha0 in hom_basis(g, h):
                     a = standard_angle(c, alpha0)
-                    f = a.provenance.pushout_map
+                    f = a.pushout_map
                     x, y = (ComplexSeq(z.lo, z.terms, z.diffs)
                             for z in (f.source, f.target))
                     ComplexMorphism(x, y, f.components)
@@ -247,7 +247,7 @@ def test_broken_angle_fails(ctx, pi2_mods):
     angle = angle_from_n_exact(ctx, x)
     broken = type(angle)(angle.objects, angle.maps,
                          zero_morphism(angle.objects[-1], angle.closing.target),
-                         angle.provenance)
+                         angle.pushout_map)
     ok, _ = verify_angle_exact(ctx, broken)
     assert not ok
 
@@ -307,6 +307,31 @@ def test_rotation_solves_no_hom_space_of_a_consecutive_composite(ctx, monkeypatc
         assert not pairs & set(solved)
         unread += len(pairs)
     assert unread == 4
+
+
+def test_rotation_reads_no_stable_hom_out_of_an_injective(ctx, monkeypatch):
+    # a map out of an injective is stably zero, so make_angle asks no
+    # stable Hom space for a consecutive composite with an injective
+    # source (its envelope, a mono, reaches its dimension vector).  Of the
+    # 21 composites of the 7 rotated standard angles, 17 have one, among
+    # them P1 + P2 in a basis other than its envelope's
+    read = []
+    sh = frob.stable_hom
+    monkeypatch.setattr(frob, "stable_hom",
+                        lambda c, x, y: read.append(x.key) or sh(c, x, y))
+    gens = ctx.m.generators
+    angles = composites = 0
+    for alpha0 in (f for g in gens for h in gens for f in hom_basis(g, h)):
+        angle = standard_angle(ctx, alpha0)
+        read.clear()
+        chain = rotate_angle(ctx, angle).all_maps()
+        injective = {u.source.key for u in map(Morphism.then, chain, chain[1:])
+                     if frob._envelope(u.source).target.dim_vector()
+                     == u.source.dim_vector()}
+        assert not injective & set(read)
+        angles += 1
+        composites += sum(f.source.key in injective for f in chain[:-1])
+    assert (angles, composites) == (7, 17)
 
 
 def test_four_fold_rotation_suspends(ctx, pi2_mods):
