@@ -360,6 +360,19 @@ def _assert_input_error(code, capsys, words):
     assert "Traceback" not in err
 
 
+def test_module_file_breaking_a_relation_exits_2(files, tmp_path, capsys):
+    # a2 then a1 is a relation of K A_3/J^2; both act by 1 on S0 + S1 + S2
+    path = tmp_path / "broken_module.json"
+    path.write_text(canonical_json({"dims": {"0": 1, "1": 1, "2": 1},
+                                    "arrows": {"a1": [1], "a2": [1]}}))
+    code = run("ext", "compare", "--algebra", files["algebra"], "--a", path,
+               "--b", files["s0"], "--m", files["m3"], "--n", 2, "--k", 1,
+               "--out", files["out"])
+    _assert_input_error(code, capsys,
+                        "bad module file: relation does not vanish on module")
+    assert not files["out"].exists()
+
+
 @pytest.mark.parametrize("picks, words", [
     ((("P0", "S2"), "P1", "P2"), "--m entry 0 is decomposable"),
     (("P0", "P1", "P2", "P1"), "--m entries 1 and 3 are isomorphic"),

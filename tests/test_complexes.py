@@ -1,6 +1,6 @@
 import pytest
 
-from nexakt.complexes import (ComplexMorphism, Homotopy,
+from nexakt.complexes import (ComplexMorphism, ComplexSeq, Homotopy,
                               complex_from_maps, mapping_cone, pad_complex,
                               verify_homotopy)
 from nexakt.reps import (hom_basis, identity_morphism, projective_module,
@@ -32,6 +32,22 @@ def test_complex_condition_enforced(a3):
     p1 = projective_module(a3, "1")
     with pytest.raises(ValueError):
         complex_from_maps(0, [identity_morphism(p1), identity_morphism(p1)])
+
+
+def test_complex_refuses_a_wrong_differential_count(a3):
+    p1, p2 = projective_module(a3, "1"), projective_module(a3, "2")
+    with pytest.raises(ValueError, match="differential count mismatch"):
+        ComplexSeq(0, [p1, p2], [])
+
+
+def test_complex_morphism_refuses_bad_components(a3):
+    p1, p2 = projective_module(a3, "1"), projective_module(a3, "2")
+    x = complex_from_maps(0, [_only(hom_basis(p1, p2))])
+    with pytest.raises(ValueError, match="square at degree 0 does not commute"):
+        ComplexMorphism(x, x, {0: identity_morphism(p1)})
+    with pytest.raises(ValueError,
+                       match="component at degree 0 has wrong endpoints"):
+        ComplexMorphism(x, x, {0: identity_morphism(p2)})
 
 
 def test_m3_sequence_builds(m3_sequence):

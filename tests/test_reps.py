@@ -103,6 +103,24 @@ def test_identity_is_a_morphism(a3_mods):
     assert equals(basis[0].scale(_leading_coeff(basis[0], ident)), ident)
 
 
+@pytest.mark.parametrize("dims, action, words", [
+    # on K A_3/J^2 (arrows a: 1 -> 0, b: 2 -> 1, ba = 0) at p = 101
+    ({"0": 1, "1": 1, "2": 1}, {"a": (1, 1, (1,), 101), "b": (1, 1, (1,), 101)},
+     "relation does not vanish on module"),
+    ({"0": -1}, {}, "negative dimension"),
+    ({"0": 1, "1": 1}, {"a": (1, 2, (1, 0), 101)}, "action of a has wrong shape"),
+    ({"0": 1, "1": 1}, {"a": (1, 1, (1,), 5)}, "action matrix over wrong field"),
+], ids=["relation", "negative-dimension", "action-shape", "action-prime"])
+def test_module_refuses_bad_data(a3, dims, action, words):
+    with pytest.raises(ValueError, match=words):
+        Module(a3, dims, {a: Mat(*m) for a, m in action.items()})
+
+
+def test_morphism_refuses_a_misshaped_component(a3_mods):
+    with pytest.raises(ValueError, match="component at 0 has wrong shape"):
+        Morphism(a3_mods["S0"], a3_mods["P1"], {"0": Mat(2, 1, (1, 0), 101)})
+
+
 def _leading_coeff(b, target):
     bv, tv = b.vectorize(), target.vectorize()
     for x, y in zip(bv, tv):
