@@ -4,13 +4,14 @@ import pytest
 
 from nexakt.addcat import Indecomposables, _lift_along, add_category
 from nexakt.complexes import ComplexMorphism, ComplexSeq
-from nexakt.fp import FieldSpec, Mat, rank
+from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank
 from nexakt.frob import stable_hom
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (Module, all_injectives, are_isomorphic,
                          assemble_from_span, block_morphism, direct_sum,
-                         hom_basis, identity_morphism, split_indecomposables)
+                         hom_basis, identity_morphism, quotient_by_submodule,
+                         split_indecomposables)
 from nexakt.resolutions import _injective_chain
 
 
@@ -36,6 +37,35 @@ def cyclic_nakayama_j2(k, p=101):
     rels = [Relation(((1, PathWord((f"a{i}", f"a{(i + 1) % k}"))),))
             for i in range(k)]
     return build_algebra(q, rels, 2, FieldSpec(p))
+
+
+def two_loops(bound, p):
+    """One vertex, loops x and y, xy = yx, x^2 = y^3, y^4 = 0: the relations
+    are not homogeneous.  Inputs only (quiver, relations, bound); the
+    algebra builds at bound 5 and above."""
+    q = Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
+    rels = [Relation(((1, PathWord(("x", "y"))), (p - 1, PathWord(("y", "x"))))),
+            Relation(((1, PathWord(("x", "x"))), (p - 1, PathWord(("y", "y", "y"))))),
+            Relation(((1, PathWord(("y", "y", "y", "y"))),))]
+    return q, rels, bound
+
+
+def kronecker_algebra(p=101):
+    """The Kronecker algebra: arrows a, b: 1 -> 2, no relations."""
+    q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    return build_algebra(q, [], 2, FieldSpec(p))
+
+
+def kronecker_field_module(p):
+    """The Kronecker module R with a = I and b the companion matrix of an
+    irreducible quadratic, so End R = F_(p^2): indecomposable, not a brick."""
+    if p == 2:
+        b = Mat.from_rows([[0, 1], [1, 1]], p)            # x^2 + x + 1
+    else:
+        r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+        b = Mat.from_rows([[0, r], [1, 0]], p)            # x^2 - r
+    return Module(kronecker_algebra(p), {"1": 2, "2": 2},
+                  {"a": Mat.identity(2, p), "b": b})
 
 
 # -- helpers the tests share (the package has no use for them) ------------
@@ -170,6 +200,37 @@ def in_random_basis(x, rng):
               * pow(scale[t][i], p - 2, p) for j in range(m.cols)]
              for i in range(m.rows)], p, cols=m.cols)
     return Module(x.algebra, dict(x.dims), action)
+
+
+def random_quotient(x, rng):
+    """x divided by the submodule one random vector generates: the vector
+    and its images under every arrow, closed up vertex by vertex.  The
+    vector is the image of a random vector under a random arrow acting
+    nonzero on x, so it lies in the radical and the quotient is nonzero;
+    when every arrow acts by zero it is a random vector of x."""
+    alg, p = x.algebra, x.algebra.p
+    gens = {v: [] for v in x.dims}
+    live = [a for a in alg.quiver.arrows if not x.action[a.name].is_zero()]
+    if live:
+        a = rng.choice(live)
+        vec = mat_from_vector([rng.randrange(p) for _ in range(x.dims[a.source])],
+                              x.dims[a.source], 1, p)
+        todo = [(a.target, list(x.action[a.name].mul(vec).entries))]
+    else:
+        v = rng.choice([v for v, d in x.dims.items() if d])
+        todo = [(v, [rng.randrange(p) for _ in range(x.dims[v])])]
+    while todo:
+        v, vec = todo.pop()
+        if rank(Mat.from_rows(gens[v] + [vec], p, cols=x.dims[v])) == len(gens[v]):
+            continue
+        gens[v].append(vec)
+        for a in alg.quiver.arrows:
+            if a.source == v and x.dims[a.target]:
+                image = x.action[a.name].mul(mat_from_vector(vec, len(vec), 1, p))
+                todo.append((a.target, list(image.entries)))
+    span = {v: Mat.from_rows(rows, p, cols=x.dims[v]).transpose()
+            for v, rows in gens.items()}
+    return quotient_by_submodule(x, span)[0]
 
 
 def sweep_generator_maps():

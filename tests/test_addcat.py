@@ -1,4 +1,6 @@
 import hashlib
+import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -13,15 +15,19 @@ from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
                               pad_complex, verify_homotopy)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.fileio import morphism_to_dict
+from nexakt.fp import Mat
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
-from nexakt.reps import (block_morphism, direct_sum,
+from nexakt.reps import (Module, block_morphism, composite_rows, direct_sum,
                          hom_basis, hom_dims_and_ranks, identity_morphism,
                          in_add, injective_module, projective_module,
-                         simple_module, zero_module, zero_morphism)
+                         simple_module, solve_rows, stack_morphisms_from_sum,
+                         stack_morphisms_to_sum, zero_module, zero_morphism)
 from nexakt.tilting import check_n_cluster_tilting
 
-from conftest import (complete_to_chain_map, direct_sum_complexes,
-                      identity_complex_morphism, interval_complex,
+from conftest import (complete_to_chain_map, cyclic_nakayama_j2,
+                      direct_sum_complexes, equals, identity_complex_morphism,
+                      in_random_basis, interval_complex, kronecker_algebra,
+                      kronecker_field_module, pick, preprojective_a2,
                       sweep_generator_maps)
 
 
@@ -124,6 +130,88 @@ def test_approximation_that_loses_a_hom_class_is_caught(m3, mods, monkeypatch,
     monkeypatch.setattr(addcat, "_peel_superfluous", lambda parts, left: [])
     with pytest.raises(AssertionError, match="lost a Hom class"):
         approximation(mods["S1"], m3)
+
+
+def reference_approximation(x, m, left):
+    """The minimal left (or right) approximation as it was built by
+    composing for every candidate: each Hom basis map x -> G (G -> x) is
+    dropped when it lies in the span of the kept others composed with the
+    generator Hom spaces, and the contract is checked by solving
+    Hom(T, G) (Hom(G, T)) for the sum T of the kept targets (sources)."""
+    homs = [hom_basis(x, g) if left else hom_basis(g, x) for g in m.generators]
+    parts = [(g, f) for g, basis in zip(m.generators, homs) for f in basis]
+    kept = list(range(len(parts)))
+    for i, (gi, fi) in enumerate(parts):
+        span = []
+        for r in kept:
+            if r != i:
+                gr, fr = parts[r]
+                basis = hom_basis(gr, gi) if left else hom_basis(gi, gr)
+                span.extend(composite_rows(fr, basis, d_first=left))
+        if solve_rows([span], [fi.vectorize()], x.algebra.p) is not None:
+            kept.remove(i)
+    maps = [parts[r][1] for r in kept]
+    zero = zero_module(x.algebra)
+    if left:
+        approx = stack_morphisms_to_sum(maps) if maps else zero_morphism(x, zero)
+    else:
+        approx = stack_morphisms_from_sum(maps) if maps else zero_morphism(zero, x)
+    for g, basis in zip(m.generators, homs):
+        if basis:
+            (_, r), = hom_dims_and_ranks([approx], g, contravariant=left)
+            assert r == len(basis), "reference approximation lost a Hom class"
+    return approx
+
+
+def test_approximations_match_the_reference():
+    # M = add of every indecomposable, and of three random sublists; x
+    # every indecomposable and every sum of two, in a random basis
+    rng = random.Random(5)
+    count = 0
+    for alg in (gen_linear_An_J2(1, 2)[0], gen_linear_An_J2(1, 3)[0],
+                preprojective_a2(), cyclic_nakayama_j2(6)):
+        indecs = nakayama_indecomposables(alg)
+        cats = [add_category(alg, indecs)] + [
+            add_category(alg, pick(indecs, sorted(rng.sample(
+                range(len(indecs)), rng.randrange(1, len(indecs))))))
+            for _ in range(3)]
+        xs = [in_random_basis(direct_sum(list(pair)).module, rng)
+              for k in (1, 2) for pair in combinations_with_replacement(indecs, k)]
+        for m in cats:
+            for x in xs:
+                for left, build in ((True, minimal_left_approximation),
+                                    (False, minimal_right_approximation)):
+                    assert equals(build(x, m), reference_approximation(x, m, left))
+                    count += 1
+    assert count == 8 * (20 + 35 + 14 + 90)
+
+
+def test_approximations_over_a_generator_that_is_not_a_brick():
+    # the Kronecker module R has End R = F_(p^2): a map x -> R can factor
+    # through another by an endomorphism that is not a scalar
+    p = 101
+    alg = kronecker_algebra(p)
+    r = kronecker_field_module(p)
+    m = add_category(alg, [r, projective_module(alg, "1"),
+                           projective_module(alg, "2"),
+                           injective_module(alg, "2")])
+    tube = Module(alg, {"1": 1, "2": 1}, {"a": Mat.identity(1, p)})
+    rng = random.Random(2)
+    singles = [r, tube, simple_module(alg, "1"), *m.generators[1:]]
+    xs = [in_random_basis(direct_sum(list(pair)).module, rng)
+          for k in (1, 2) for pair in combinations_with_replacement(singles, k)]
+    for x in xs:
+        for left, build in ((True, minimal_left_approximation),
+                            (False, minimal_right_approximation)):
+            f = build(x, m)
+            assert equals(f, reference_approximation(x, m, left))
+            for g in m.generators:
+                (_, rank_f), = hom_dims_and_ranks([f], g, contravariant=left)
+                assert rank_f == len(hom_basis(x, g) if left else hom_basis(g, x))
+    # Hom(R, R) has dimension 2, but R approximates itself by one copy
+    for build in (minimal_left_approximation, minimal_right_approximation):
+        assert build(xs[0], m).source.dim_vector() == (2, 2)
+        assert build(xs[0], m).target.dim_vector() == (2, 2)
 
 
 # -- weak (co)kernels --------------------------------------------------------
@@ -370,7 +458,6 @@ def test_comparison_roundtrip_with_constructed_homotopy(a3, mods):
     # pad the M3 sequence with i_1(P2) so a nonzero homotopy component
     # exists (the identity block of the padding); build g = id + (hd + dh)
     # from a chosen h and confirm the solver recovers a verifying homotopy
-    from nexakt.fp import Mat
     from nexakt.reps import Morphism
     x = m3_sequence(a3, mods)
     pad = pad_complex(interval_complex(1, mods["P2"]), 0, 3)
@@ -426,7 +513,6 @@ def test_comparison_on_padded_pair(a3, m3, mods):
 def _corner_identity(x, y):
     """Degree-0 identity map (the padding vanishes in degree 0)."""
     from nexakt.reps import Morphism
-    from nexakt.fp import Mat
     src, tgt = x.term(0), y.term(0)
     assert src.dims == tgt.dims
     return Morphism(src, tgt, {v: Mat.identity(src.dims[v], src.algebra.p)

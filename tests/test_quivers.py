@@ -7,7 +7,7 @@ from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
                             build_algebra, opposite_algebra, path_endpoints)
 
-from conftest import cyclic_nakayama_j2
+from conftest import cyclic_nakayama_j2, two_loops
 
 
 def test_quiver_validation():
@@ -286,16 +286,6 @@ def _cube_loop(p):
     return q, [Relation(((1, PathWord(("x", "x", "x"))),))], 3
 
 
-def _two_loops(bound, p):
-    """One vertex, loops x and y, xy = yx, x^2 = y^3, y^4 = 0: the relations
-    are not homogeneous."""
-    q = Quiver.build(["1"], [("x", "1", "1"), ("y", "1", "1")])
-    rels = [Relation(((1, PathWord(("x", "y"))), (p - 1, PathWord(("y", "x"))))),
-            Relation(((1, PathWord(("x", "x"))), (p - 1, PathWord(("y", "y", "y"))))),
-            Relation(((1, PathWord(("y", "y", "y", "y"))),))]
-    return q, rels, bound
-
-
 def _inputs(alg):
     return alg.quiver, list(alg.relations), alg.nilpotency_bound
 
@@ -322,7 +312,7 @@ def _reference_cases(p):
         yield f"square-N{bound}", _commutative_square(bound, p)
     yield "x3", _cube_loop(p)
     for bound in (4, 5, 6, 7):
-        yield f"two-loops-N{bound}", _two_loops(bound, p)
+        yield f"two-loops-N{bound}", two_loops(bound, p)
 
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
@@ -337,7 +327,7 @@ def test_build_algebra_matches_reference_closure(p):
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
 def test_non_homogeneous_bound_error_names_its_path(p):
-    q, rels, _ = _two_loops(4, p)
+    q, rels, _ = two_loops(4, p)
     with pytest.raises(BoundError, match=r"path \('y', 'y', 'y', 'x'\) of length 4 "):
         build_algebra(q, rels, 4, FieldSpec(p))
     assert build_algebra(q, rels, 5, FieldSpec(p)).dim == 8
@@ -357,7 +347,7 @@ def test_relation_listing_one_path_twice_is_refused():
 @pytest.mark.parametrize("q, rels, word", [
     (Quiver.build(["1"], [("x", "1", "1")]),
      [Relation(((1, PathWord(("x", "x", "x", "x"))),))], "('x', 'x', 'x', 'x')"),
-    (*_two_loops(3, 101)[:2], "('y', 'y', 'y', 'y')"),
+    (*two_loops(3, 101)[:2], "('y', 'y', 'y', 'y')"),
 ], ids=["x4", "two-loops"])
 def test_relation_term_longer_than_the_bound_is_refused(q, rels, word):
     # the term is no enumerated path: this was a bare KeyError

@@ -6,7 +6,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from nexakt import reps, resolutions
-from nexakt.fp import Mat, rank, solve_linear
+from nexakt.fp import Mat, kernel_basis, rank, solve_linear
 from nexakt.complexes import ComplexSeq
 from nexakt.addcat import DomainError, add_category
 from nexakt.fp import FieldSpec
@@ -23,8 +23,10 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          regular_module, all_projectives)
 
 from conftest import (cyclic_nakayama_j2, equals, exhaustively_indecomposable,
-                      in_random_basis, linear_a3_j2, pick, preprojective_a2,
-                      random_invertible)
+                      in_random_basis, kronecker_algebra,
+                      kronecker_field_module, linear_a3_j2, pick,
+                      preprojective_a2, random_invertible, random_quotient,
+                      two_loops)
 
 
 # -- fixtures ----------------------------------------------------------
@@ -307,6 +309,84 @@ def test_in_add_tries_only_the_generators_that_fit(monkeypatch):
     assert set(others) == {gens[i].key for i in (3, 4, 9, 10)}
 
 
+def reference_solve_hom(m, n):
+    """The naturality system of Hom(m, n) as it was solved with dense rows,
+    one list per equation, reduced mod p by Mat.from_rows: the component
+    dicts of the basis, in kernel_basis order."""
+    alg = m.algebra
+    p = alg.p
+    verts = alg.quiver.vertices
+    offsets, pos = {}, 0
+    for v in verts:
+        offsets[v] = pos
+        pos += n.dims[v] * m.dims[v]
+    rows = []
+    for a in alg.quiver.arrows:
+        A, B = n.action[a.name].entries, m.action[a.name].entries
+        nt, ns = n.dims[a.target], n.dims[a.source]
+        mt, ms = m.dims[a.target], m.dims[a.source]
+        xs, xt = offsets[a.source], offsets[a.target]
+        for i in range(nt):
+            for j in range(ms):
+                row = [0] * pos
+                for k in range(ns):
+                    row[xs + k * ms + j] += A[i * ns + k]
+                for k in range(mt):
+                    row[xt + i * mt + k] -= B[k * ms + j]
+                rows.append(row)
+    kernel = kernel_basis(Mat.from_rows(rows, p, cols=pos))
+    comps = []
+    for j in range(kernel.cols):
+        col = kernel.col(j)
+        comps.append({v: Mat.from_rows(
+            [col[offsets[v] + i * m.dims[v]:offsets[v] + (i + 1) * m.dims[v]]
+             for i in range(n.dims[v])], p, cols=m.dims[v]) for v in verts})
+    return comps
+
+
+def _hom_pool(alg, rng):
+    """Modules of total dimension at most 8 over alg, each in a random
+    basis: the projectives, injectives and simples, random quotients of
+    each projective and injective and of those quotients, and sums of two
+    of them."""
+    verts = alg.quiver.vertices
+    ends = [f(alg, v) for v in verts for f in (projective_module, injective_module)]
+    quotients = [random_quotient(x, rng) for x in ends for _ in range(2)]
+    quotients += [random_quotient(x, rng) for x in quotients if x.total_dim > 1]
+    base = ends + [simple_module(alg, v) for v in verts] + quotients
+    base = [x for x in base if x.total_dim <= 8]
+    base += [direct_sum([x, y]).module for x, y in combinations(base, 2)
+             if 0 < x.total_dim + y.total_dim <= 8]
+    return [in_random_basis(x, rng) for x in base if x.total_dim]
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_solve_hom_matches_the_reference_solver(p):
+    # the Kronecker pool adds R (End R = F_(p^2)) and random
+    # representations; on the two-loop algebra each arrow is a loop, so
+    # both coefficients of an equation land in one block of unknowns
+    rng = random.Random(p)
+    q, rels, bound = two_loops(5, p)
+    pools = [_hom_pool(alg, rng) for alg in (
+        gen_linear_An_J2(1, 3, p)[0], preprojective_a2(p),
+        cyclic_nakayama_j2(6, p), build_algebra(q, rels, bound, FieldSpec(p)))]
+    kron = kronecker_algebra(p)
+    pools.append(_hom_pool(kron, rng) + [kronecker_field_module(p)] + [
+        Module(kron, {"1": d1, "2": d2},
+               {a: Mat.from_rows([[rng.randrange(p) for _ in range(d1)]
+                                  for _ in range(d2)], p, cols=d1)
+                for a in ("a", "b")})
+        for d1, d2 in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2))])
+    nonzero = 0
+    for pool in pools:
+        for _ in range(60):
+            m, n = rng.choice(pool), rng.choice(pool)
+            got = [f.components for f in reps._solve_hom(m, n)]
+            assert got == reference_solve_hom(m, n), (m.key, n.key)
+            nonzero += bool(got)
+    assert nonzero > 150
+
+
 def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):
     monkeypatch.setattr(reps, "kernel_basis",
                         lambda *args: pytest.fail("a system was solved"))
@@ -385,19 +465,6 @@ def test_semisimple_sum_splits_at_every_prime(p):
             ((0, 0, 1), 1), ((1, 0, 0), 1)]
     with pytest.raises(DomainError):
         add_category(alg, [x])
-
-
-def kronecker_field_module(p):
-    """The Kronecker module R with a = I and b the companion matrix of an
-    irreducible quadratic, so End R = F_(p^2)."""
-    q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
-    alg = build_algebra(q, [], 2, FieldSpec(p))
-    if p == 2:
-        b = Mat.from_rows([[0, 1], [1, 1]], p)            # x^2 + x + 1
-    else:
-        r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-        b = Mat.from_rows([[0, r], [1, 0]], p)            # x^2 - r
-    return Module(alg, {"1": 2, "2": 2}, {"a": Mat.identity(2, p), "b": b})
 
 
 @pytest.mark.parametrize("p", SPLIT_PRIMES)
