@@ -5,12 +5,16 @@ the comparison-homotopy solver and contractions.
 A minimal approximation stacks the Hom bases between x and the
 generators and drops, in one pass, each summand whose component factors
 through the summands kept, solving only over Hom spaces between
-generators.  Chain completion (_lift_along) and homotopies (_homotopy)
-are one loop each, and each step is one reps.factor_through.
+generators.  The peel and the contract check read one table of
+composites f_r.then(h), h in Hom(G_r, G_j) (dually h.then(f_r)), each
+composed once (_composite_table).  Chain completion (_lift_along) and
+homotopies (_homotopy) are one loop each, and each step is one
+reps.factor_through.
 
 Each fact is checked once, where it is made.  An approximation checks
 its contract (Hom(T, G) -> Hom(x, G) onto, or dually) when it is built,
-for each generator G with Hom(x, G) (or Hom(G, x)) nonzero.
+for each generator G with Hom(x, G) (or Hom(G, x)) nonzero, from the
+table's rows, so no Hom space of T is solved (_approximation).
 A weak (co)kernel and the Hom exactness of an n-(co)kernel ladder follow
 from that contract and the exactness of (co)kernels, so they are not
 checked again; what depends on M is that a ladder ends in add(M), and
@@ -25,8 +29,9 @@ dually, kernel_basis reads only row spaces and incl is mono.
 
 All verification is Hom-level rank bookkeeping against the generator
 list: reps.hom_dims_and_ranks reads each rank together with the
-dimension of the Hom space the map leaves.  Composites with a Hom basis
-(in the peel, the ranks and every factorization) are read as coordinate
+dimension of the Hom space the map leaves (the approximation contract
+reads its ranks off the table instead).  Composites with a Hom basis
+(in the table, the ranks and every factorization) are read as coordinate
 rows by reps.composite_rows, one stacked product per vertex.
 Certificates are assembled in generator-list order.  Tie-breaking is
 fixed everywhere: generators in the order listed, Hom bases in the
@@ -47,7 +52,8 @@ from .reps import (Indecomposables, Module, Morphism, PreconditionError,
                    _isomorphic_to_indecomposable, cokernel_morphism,
                    composite_rows, factor_through, hom_basis,
                    hom_dims_and_ranks, identity_morphism, in_add,
-                   kernel_morphism, solve_rows, split_indecomposables,
+                   kernel_morphism, rows_rank, solve_rows,
+                   split_indecomposables,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
 
@@ -102,68 +108,89 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module],
 # -- approximations ------------------------------------------------------
 
 
-def _peel_superfluous(parts: List[Tuple[Module, Morphism]],
-                      left: bool) -> List[Tuple[Module, Morphism]]:
-    """Drop, in one pass, each summand (G_i, f_i) whose component factors
-    through the summands still kept.
+def _composite_table(gens: Sequence[Module], parts: List[Tuple[int, Morphism]],
+                     left: bool):
+    """The table of an approximation's composites through the generators:
+    table(r, j) is the list of coordinate rows of f_r.then(h) for h in the
+    basis of Hom(G_r, G_j) (left), or of h.then(f_r) for h in the basis
+    of Hom(G_j, G_r) (right), where parts[r] = (index of G_r, f_r).  Each
+    entry is composed once, when first read."""
+    rows: Dict[Tuple[int, int], List[tuple]] = {}
+
+    def table(r: int, j: int) -> List[tuple]:
+        if (r, j) not in rows:
+            jr, fr = parts[r]
+            basis = (hom_basis(gens[jr], gens[j]) if left
+                     else hom_basis(gens[j], gens[jr]))
+            rows[r, j] = composite_rows(fr, basis, d_first=left)
+        return rows[r, j]
+
+    return table
+
+
+def _peel_superfluous(parts: List[Tuple[int, Morphism]], table,
+                      p: int) -> List[int]:
+    """The positions kept when, in one pass, each summand (G_j, f_i) is
+    dropped whose component factors through the summands still kept.
 
     Factoring through the stacked map of the kept summands G_r means
-    lying in the span of the f_r composed with Hom(G_r, G_i) (left; the
-    right case is dual), so only generator Hom spaces are solved over.
-    One pass keeps what restarting after each drop would: a map that
-    does not factor through a set of maps does not factor through a
-    subset of it.  Candidates are tracked by position, since
-    content-equal generators share their memoized Hom lists."""
+    lying in the span of the f_r composed with Hom(G_r, G_j) (left; the
+    right case is dual): the rows table(r, j) of _composite_table, so
+    only generator Hom spaces are solved over, and one system per
+    candidate.  One pass keeps what restarting after each drop would: a
+    map that does not factor through a set of maps does not factor
+    through a subset of it."""
     kept = list(range(len(parts)))
-    for i, (gi, fi) in enumerate(parts):
-        span = []
-        for r in kept:
-            if r != i:
-                gr, fr = parts[r]
-                basis = hom_basis(gr, gi) if left else hom_basis(gi, gr)
-                span.extend(composite_rows(fr, basis, d_first=left))
-        if solve_rows([span], [fi.vectorize()], gi.algebra.p) is not None:
+    for i, (j, fi) in enumerate(parts):
+        span = [row for r in kept if r != i for row in table(r, j)]
+        if solve_rows([span], [fi.vectorize()], p) is not None:
             kept.remove(i)
-    return [parts[r] for r in kept]
+    return kept
+
+
+def _approximation(x: Module, m: AddCat, left: bool) -> Morphism:
+    """The minimal left (x -> T) or right (T -> x) approximation: the
+    stacked Hom bases between x and the generators, less the summands
+    _peel_superfluous drops.
+
+    Contract (verified): Hom(T, G) -> Hom(x, G) is onto (left; dually
+    Hom(G, T) -> Hom(G, x)) for every generator G with Hom(x, G) (or
+    Hom(G, x)) nonzero; a map onto the zero space is onto, so the other
+    generators need no check.  For T = sum of the kept G_r, Hom(T, G_j) is
+    the sum of the Hom(G_r, G_j), so the image is spanned by the rows
+    table(r, j) of the kept r, the rows the peel read: no Hom space of T
+    is solved and nothing is composed through T."""
+    gens = m.generators
+    p = x.algebra.p
+    homs = [hom_basis(x, g) if left else hom_basis(g, x) for g in gens]
+    parts = [(j, f) for j, basis in enumerate(homs) for f in basis]
+    table = _composite_table(gens, parts, left)
+    kept = _peel_superfluous(parts, table, p)
+    maps = [parts[r][1] for r in kept]
+    if not maps:
+        zero = zero_module(x.algebra)
+        approx = zero_morphism(x, zero) if left else zero_morphism(zero, x)
+    elif left:
+        approx = stack_morphisms_to_sum(maps)
+    else:
+        approx = stack_morphisms_from_sum(maps)
+    for j, basis in enumerate(homs):
+        if basis and rows_rank([row for r in kept for row in table(r, j)],
+                               p) != len(basis):
+            side = "left" if left else "right"
+            raise AssertionError(f"{side} approximation lost a Hom class")
+    return approx
 
 
 def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
-    """Minimal left add(M)-approximation x -> T: the stacked Hom bases
-    from x to the generators, less each summand that factors through the
-    others (_peel_superfluous).
-
-    Contract (verified): Hom(T, G) -> Hom(x, G) is surjective for every
-    generator G with Hom(x, G) nonzero; a map onto the zero space is onto,
-    so the other generators need no check."""
-    homs = [hom_basis(x, g) for g in m.generators]
-    parts = _peel_superfluous([(g, f) for g, basis in zip(m.generators, homs)
-                               for f in basis], left=True)
-    if not parts:
-        approx = zero_morphism(x, zero_module(x.algebra))
-    else:
-        approx = stack_morphisms_to_sum([f for _, f in parts])
-    for g, basis in zip(m.generators, homs):
-        if basis and hom_dims_and_ranks(
-                [approx], g, contravariant=True)[0][1] != len(basis):
-            raise AssertionError("left approximation lost a Hom class")
-    return approx
+    """Minimal left add(M)-approximation x -> T, its contract verified
+    (_approximation)."""
+    return _approximation(x, m, left=True)
 
 
 def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
-    """Minimal right add(M)-approximation T -> x, dual to the left one;
-    the contract is checked for every G with Hom(G, x) nonzero."""
-    homs = [hom_basis(g, x) for g in m.generators]
-    parts = _peel_superfluous([(g, f) for g, basis in zip(m.generators, homs)
-                               for f in basis], left=False)
-    if not parts:
-        approx = zero_morphism(zero_module(x.algebra), x)
-    else:
-        approx = stack_morphisms_from_sum([f for _, f in parts])
-    for g, basis in zip(m.generators, homs):
-        if basis and hom_dims_and_ranks(
-                [approx], g, contravariant=False)[0][1] != len(basis):
-            raise AssertionError("right approximation lost a Hom class")
-    return approx
+    """Minimal right add(M)-approximation T -> x, dual to the left one."""
+    return _approximation(x, m, left=False)
 
 
 # -- weak (co)kernels ----------------------------------------------------

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
-                     _lift_along, verify_n_exact)
+from .addcat import (AddCat, HypothesisError, PreconditionError, _lift_along,
+                     _require_in_add, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism, _complex
 from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis
@@ -247,15 +247,15 @@ def trivial_angle(ctx: FrobeniusCtx, x: Module) -> Angle:
 
 def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
     """The pushout of the fixed coresolution of X^0 along alpha0, closed by
-    the induced map to Sigma X^0; alpha0 must lie in add(M).  Built
+    the induced map to Sigma X^0; both ends of alpha0 must lie in add(M)
+    (DomainError naming the first that does not).  Built
     unchecked: the injective coresolution terms lie in add(M), which is
     cogenerating (n-CT), the coresolution is a complex (complexes._complex),
     Y is a complex, alpha0 d_Y^0 = d_X^0 f^1 factors through the envelope
     d_X^0, and d_Y^{n-1} closing = 0 is solved for."""
     n = ctx.n
     x0 = alpha0.source
-    if not all(in_add(z, ctx.m.generators) for z in (x0, alpha0.target)):
-        raise DomainError("standard angle: alpha0 not within add(M)")
+    _require_in_add(alpha0, ctx.m, "standard_angle")
     *maps, proj = _closed_coresolution(x0, n)
     ix = _complex(0, [x0] + [d.target for d in maps], maps)
     y, f = _n_pushout(ix, alpha0, ctx.m)

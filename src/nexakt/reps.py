@@ -13,6 +13,12 @@ combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
 ``scale`` and ``assemble_from_span`` check only their endpoints, by
 content (``Module.same_as``).
 
+The naturality system of a Hom space is written sparsely: one row per
+equation A x_s - x_t B = 0 and entry, with only its nonzero
+coefficients written (reduced mod p as they are), no row for an arrow
+whose equations are empty, and all rows handed to ``kernel_basis`` as
+one ``Mat``.
+
 Composites of one map with every element of a Hom basis are read as
 coordinate rows (``composite_rows``: one stacked product per vertex),
 and the linear problems in Hom spaces are solved on rows
@@ -326,25 +332,36 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
         offsets[v] = pos
         pos += n.dims[v] * m.dims[v]
     total = pos
-    rows: List[List[int]] = []
-    for a in alg.quiver.arrows:
+    # one equation A * x_s - x_t * B = 0 per entry (i, j), i < nt, j < ms,
+    # of each arrow; an arrow with nt * ms = 0 gives none.  Only nonzero
+    # coefficients are written, reduced mod p (the action entries are):
+    # the x_s ones land at distinct places, the x_t ones may meet them
+    # when the arrow is a loop, and are added
+    eqs = [a for a in alg.quiver.arrows if n.dims[a.target] * m.dims[a.source]]
+    nrows = sum(n.dims[a.target] * m.dims[a.source] for a in eqs)
+    flat = [0] * (nrows * total)
+    at = 0
+    for a in eqs:
         A = n.action[a.name].entries  # n_s -> n_t
         B = m.action[a.name].entries  # m_s -> m_t
         s, t = a.source, a.target
         nt, ns = n.dims[t], n.dims[s]
         mt, ms = m.dims[t], m.dims[s]
         xs, xt = offsets[s], offsets[t]
-        # equation: A * x_s - x_t * B = 0, entry (i, j) with i < nt, j < ms;
-        # Mat.from_rows reduces the entries mod p
         for i in range(nt):
+            arow = A[i * ns:(i + 1) * ns]
             for j in range(ms):
-                row = [0] * total
-                for k in range(ns):
-                    row[xs + k * ms + j] += A[i * ns + k]
+                for k, c in enumerate(arow):
+                    if c:
+                        flat[at + xs + k * ms + j] = c
                 for k in range(mt):
-                    row[xt + i * mt + k] -= B[k * ms + j]
-                rows.append(row)
-    kernel = kernel_basis(Mat.from_rows(rows, p, cols=total))
+                    c = B[k * ms + j]
+                    if c:
+                        e = at + xt + i * mt + k
+                        flat[e] = (flat[e] - c) % p
+                at += total
+    kernel = kernel_basis(Mat(nrows, total, tuple(flat), p) if flat
+                          else _empty(nrows, total, p))
     size = kernel.cols
     if not size:
         return []

@@ -16,6 +16,7 @@ from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
 from nexakt.certs import canonical_json, content_hash
 from nexakt.fileio import morphism_to_dict
 from nexakt.fp import Mat
+from nexakt.frob import check_frobenius_setup, standard_angle
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.reps import (Module, block_morphism, composite_rows, direct_sum,
                          hom_basis, hom_dims_and_ranks, identity_morphism,
@@ -127,7 +128,7 @@ def test_approximation_that_loses_a_hom_class_is_caught(m3, mods, monkeypatch,
     # the contract is checked for every G with Hom(S1, G) (resp. Hom(G, S1))
     # nonzero: a peel that drops every summand fails it there
     from nexakt import addcat
-    monkeypatch.setattr(addcat, "_peel_superfluous", lambda parts, left: [])
+    monkeypatch.setattr(addcat, "_peel_superfluous", lambda parts, table, p: [])
     with pytest.raises(AssertionError, match="lost a Hom class"):
         approximation(mods["S1"], m3)
 
@@ -237,15 +238,31 @@ def test_weak_cokernel_of_zero_from_zero(a3, m3, mods):
 
 
 @pytest.mark.parametrize("build", [weak_cokernel, weak_kernel, n_cokernel,
-                                   n_kernel], ids=lambda f: f.__name__)
+                                   n_kernel, standard_angle],
+                         ids=lambda f: f.__name__)
 def test_endpoint_outside_add_m_is_named(m3, mods, build):
-    # S1 is not in add(M); each constructor names itself and the endpoint
-    extra = (2,) if build in (n_cokernel, n_kernel) else ()
-    for end, f in (("source", zero_morphism(mods["S1"], mods["P1"])),
-                   ("target", zero_morphism(mods["P1"], mods["S1"]))):
+    # S1 is not in add(M); each constructor names itself and the endpoint.
+    # standard_angle runs on Pi_2 with M = add(P1 + P2 + S1), n = 2, where
+    # S2 is not in add(M)
+    if build is standard_angle:
+        pi2 = preprojective_a2()
+        p1, p2, s1, s2 = (f(pi2, v) for f, v in (
+            (projective_module, "1"), (projective_module, "2"),
+            (simple_module, "1"), (simple_module, "2")))
+        ctx = check_frobenius_setup(
+            pi2, add_category(pi2, [p1, p2, s1], seed=4), 2, [p1, p2, s1, s2],
+            seed=4)
+        outside, inside = s2, p1
+        call = lambda f: standard_angle(ctx, f)
+    else:
+        extra = (2,) if build in (n_cokernel, n_kernel) else ()
+        outside, inside = mods["S1"], mods["P1"]
+        call = lambda f: build(f, m3, *extra)
+    for end, f in (("source", zero_morphism(outside, inside)),
+                   ("target", zero_morphism(inside, outside))):
         with pytest.raises(DomainError,
                            match=rf"^{build.__name__}: {end} not in add\(M\)$"):
-            build(f, m3, *extra)
+            call(f)
 
 
 @pytest.mark.parametrize("build", [n_cokernel, n_kernel],

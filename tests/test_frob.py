@@ -288,8 +288,10 @@ def test_rotation_solves_no_hom_space_of_a_consecutive_composite(ctx, monkeypatc
     # make_angle tests each consecutive composite u through the ideal rows
     # of stable Hom(u.source, u.target) alone, Hom(E, u.target) for the
     # envelope u.source -> E, so rotating a standard angle solves
-    # Hom(u.source, u.target) only where it is that ideal's own space: an
-    # injective u.source is its own envelope
+    # Hom(u.source, u.target) for no composite make_angle asks about, that
+    # is none with a source that is not injective (frob._injective).  Of
+    # the 21 composites of the 7 rotated standard angles, 4 have such a
+    # source; counted once per content pair within each angle, they are 3
     solved = []
     solve = reps._solve_hom
     monkeypatch.setattr(reps, "_solve_hom",
@@ -302,11 +304,10 @@ def test_rotation_solves_no_hom_space_of_a_consecutive_composite(ctx, monkeypatc
         chain = rotate_angle(ctx, angle).all_maps()
         pairs = {(u.source.key, u.target.key)
                  for u in map(Morphism.then, chain, chain[1:])
-                 if stable_hom(ctx, u.source, u.target).envelope.target.key
-                 != u.source.key}
+                 if not frob._injective(u.source)}
         assert not pairs & set(solved)
         unread += len(pairs)
-    assert unread == 4
+    assert unread == 3
 
 
 def test_rotation_reads_no_stable_hom_out_of_an_injective(ctx, monkeypatch):

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from nexakt import reps
-from nexakt.addcat import (_peel_superfluous, add_category,
+from nexakt.addcat import (_composite_table, _peel_superfluous, add_category,
                            minimal_left_approximation,
                            minimal_right_approximation, n_cokernel,
                            verify_n_exact)
@@ -117,11 +117,10 @@ def test_one_pass_peel_keeps_what_restart_peel_keeps(a3, m3):
     dropped = 0
     for x in sums + others:
         for left in (True, False):
-            parts = [(g, f) for g in m3.generators
+            parts = [(j, f) for j, g in enumerate(m3.generators)
                      for f in (hom_basis(x, g) if left else hom_basis(g, x))]
-            peeled = _peel_superfluous(parts, left)
-            positions = [i for i, part in enumerate(parts)
-                         if any(part is q for q in peeled)]
+            table = _composite_table(m3.generators, parts, left)
+            positions = _peel_superfluous(parts, table, a3.p)
             assert positions == restart_peel(parts, x, left), (x.key, left)
             dropped += len(parts) - len(positions)
     assert dropped > 0
