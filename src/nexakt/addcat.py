@@ -44,7 +44,7 @@ reps.PreconditionError), checked once by indecomposables().
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
 from .quivers import AlgebraBasis
@@ -109,7 +109,7 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module],
 
 
 def _composite_table(gens: Sequence[Module], parts: List[Tuple[int, Morphism]],
-                     left: bool):
+                     left: bool) -> Callable[[int, int], List[tuple]]:
     """The table of an approximation's composites through the generators:
     table(r, j) is the list of coordinate rows of f_r.then(h) for h in the
     basis of Hom(G_r, G_j) (left), or of h.then(f_r) for h in the basis
@@ -128,7 +128,8 @@ def _composite_table(gens: Sequence[Module], parts: List[Tuple[int, Morphism]],
     return table
 
 
-def _peel_superfluous(parts: List[Tuple[int, Morphism]], table,
+def _peel_superfluous(parts: List[Tuple[int, Morphism]],
+                      table: Callable[[int, int], List[tuple]],
                       p: int) -> List[int]:
     """The positions kept when, in one pass, each summand (G_j, f_i) is
     dropped whose component factors through the summands still kept.

@@ -332,11 +332,9 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
         offsets[v] = pos
         pos += n.dims[v] * m.dims[v]
     total = pos
-    # one equation A * x_s - x_t * B = 0 per entry (i, j), i < nt, j < ms,
-    # of each arrow; an arrow with nt * ms = 0 gives none.  Only nonzero
-    # coefficients are written, reduced mod p (the action entries are):
-    # the x_s ones land at distinct places, the x_t ones may meet them
-    # when the arrow is a loop, and are added
+    # a row per arrow and entry (i, j), i < nt, j < ms, of
+    # A * x_s - x_t * B = 0; the x_s coefficients land at distinct places,
+    # the x_t ones may meet them when the arrow is a loop, so are added
     eqs = [a for a in alg.quiver.arrows if n.dims[a.target] * m.dims[a.source]]
     nrows = sum(n.dims[a.target] * m.dims[a.source] for a in eqs)
     flat = [0] * (nrows * total)

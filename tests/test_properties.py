@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from nexakt import reps
-from nexakt.addcat import (_composite_table, _peel_superfluous, add_category,
-                           minimal_left_approximation,
+from nexakt.addcat import (_composite_table, _peel_superfluous,
+                           add_category, minimal_left_approximation,
                            minimal_right_approximation, n_cokernel,
                            verify_n_exact)
 from nexakt.complexes import ComplexSeq, complex_from_maps, mapping_cone
