@@ -200,9 +200,10 @@ def _check_nexact(args, ins):
 
 
 def _check_ext(args, ins):
-    via_res = ext_dim(ins.a, ins.b, args.k)
+    # first: it refuses a k outside 1..n-1 before computing anything
     via_approx = ext_via_approx_resolution(ins.a, ins.b, ins.cat, args.k,
                                            args.n)
+    via_res = ext_dim(ins.a, ins.b, args.k)
     return {"n": args.n, "k": args.k}, via_res == via_approx, {
         "ext_via_projective_resolution": via_res,
         "ext_via_approx_resolution": via_approx,

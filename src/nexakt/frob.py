@@ -162,8 +162,8 @@ def _injective(x: Module) -> bool:
 def stable_hom(ctx: FrobeniusCtx, m1: Module, m2: Module) -> StableHom:
     """Hom(m1, m2) with the ideal spanned by the envelope of m1 composed
     with Hom(E(m1), m2) (an injective extends along the envelope, a mono);
-    memoised on m1 by the content key of m2."""
-    return m1.memoized(("stable", m2.key), lambda: StableHom(
+    kept in the algebra's store by the content ids of m1 and m2."""
+    return m1.algebra.memoized(("stable", m1.cid, m2.cid), lambda: StableHom(
         m1, m2, _envelope(m1)))
 
 

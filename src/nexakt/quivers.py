@@ -17,6 +17,7 @@ and a path's normal form is read off its reduced row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .fp import FieldSpec, _reduce
@@ -160,25 +161,19 @@ def _enumerate_paths(q: Quiver, max_len: int) -> List[PathWord]:
     return out
 
 
-class Memo:
-    """An object with a memo dict ``_memo``.  An algebra owns its dict; a
-    module shares its record with every live module of its content, so an
-    entry lives as long as the last of them.  reps lists the keys in use."""
-
-    def memoized(self, key, make):
-        """The value kept under key, made by make() on first use."""
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = make()
-        return got
+STORE_BOUND = 1 << 16
+_next_id = count().__next__     # one counter for all algebras (see reps)
 
 
 @dataclass
-class AlgebraBasis(Memo):
+class AlgebraBasis:
     """A path algebra modulo an admissible ideal, with multiplication table.
 
     basis[i] is a PathWord whose residue is the i-th basis element;
     the table maps a pair of basis indices to a list of (index, coeff).
+    store keeps the facts about modules over the algebra by operation and
+    content ids (reps lists the keys), ids the id of each content key;
+    both are cleared whole when either reaches STORE_BOUND.
     """
 
     quiver: Quiver
@@ -189,8 +184,28 @@ class AlgebraBasis(Memo):
     target_of: tuple
     table: dict = field(repr=False, default_factory=dict)
     relations: tuple = ()
-    _memo: dict = field(init=False, repr=False, compare=False,
+    store: dict = field(init=False, repr=False, compare=False,
                         default_factory=dict)
+    ids: dict = field(init=False, repr=False, compare=False,
+                      default_factory=dict)
+
+    def content_id(self, key: tuple) -> int:
+        """The id of a module content key; a new key takes the next id."""
+        got = self.ids.get(key)
+        return self._keep(self.ids, key, _next_id()) if got is None else got
+
+    def memoized(self, key, make):
+        """The fact kept under key, made by make() on first use."""
+        got = self.store.get(key)
+        return self._keep(self.store, key, make()) if got is None else got
+
+    def _keep(self, table: dict, key, value):
+        """table[key] = value, once both tables are cleared if it is full."""
+        if len(table) >= STORE_BOUND:
+            self.store.clear()
+            self.ids.clear()
+        table[key] = value
+        return value
 
     @property
     def dim(self) -> int:

@@ -32,21 +32,22 @@ direct sums is one ``block_morphism``: block (i, j) from source summand
 j to target summand i, missing blocks zero.
 
 A module carries its content key, the dimension vector plus the action
-entries.  The one memo of the package is ``Memo.memoized``.  Every live
-module of one content shares one memo record: the constructor takes it
-from the algebra's "records" table, which holds records weakly by
-content key, so a record lives as long as the last live module of its
-content.  Memoized maps (Hom bases, chains) start and end at the first
-live module of each content; every endpoint check compares content.
-The keys are ("hom", key of the target) for hom_basis, ("stable", key
-of the target) for frob.stable_hom (the ideal of maps through the
-injective envelope, and the Hom basis once it is read), ("in_add", keys
-of the generators) for the bool in_add returns, "summands" for a proper
-decomposition direct_sum records (its nonzero parts, when there are at
-least two, each of smaller dimension; in_add decides the content by
-them, and solves for no zero module, generator or sum), "projres" and
-"injres" for the growing minimal (co)resolutions, and, on an algebra
-(whose memo is its own), "records", "projectives" and "injectives".
+entries, and its content id ``cid``, interned by the algebra: modules of
+one content over one algebra share an id, and new contents take the
+next value of one counter for all algebras, so modules over separately
+built equal algebras never share one.  Every fact the package reuses is
+kept in the algebra's store (``AlgebraBasis.memoized``) by operation and
+content ids, until the store is cleared whole at ``STORE_BOUND``;
+stored maps (Hom bases, chains) start and end at the first module of
+each content, and every endpoint check compares content.  The keys are
+("hom", m, n) for hom_basis, ("stable", m, n) for frob.stable_hom (the
+ideal of maps through the injective envelope, and the Hom basis once it
+is read), ("in_add", x, ids of the generators) for the bool in_add
+returns, ("summands", x) for a proper decomposition direct_sum records
+(its nonzero parts, when there are at least two, each of smaller
+dimension; in_add decides the content by them, and solves for no zero
+module, generator or sum), ("projres", x) and ("injres", x) for the
+growing minimal (co)resolutions, and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: over an
 ``Indecomposables`` list, ``in_add`` tries only the generators that fit
@@ -76,14 +77,13 @@ other is declared indecomposable after FITTING_RETRIES failed attempts.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
 from .fp import (Mat, _empty, _reduce, column_space_basis, kernel_basis,
                  mat_from_vector, quotient_data, rank, solve_linear)
-from .quivers import AlgebraBasis, Memo, PathWord
+from .quivers import AlgebraBasis, PathWord
 
 FITTING_RETRIES = 32
 
@@ -96,20 +96,13 @@ class PreconditionError(ValueError):
     pass
 
 
-class _Record(dict):
-    """The memo shared by every live module of one content (a dict that
-    can be weakly referenced)."""
-
-    __slots__ = ("__weakref__",)
-
-
 @dataclass(frozen=True)
-class Module(Memo):
+class Module:
     algebra: AlgebraBasis
     dims: dict                 # vertex name -> dimension
     action: dict               # arrow name -> Mat (dim target x dim source)
     key: tuple = field(init=False, repr=False, compare=False)
-    _memo: dict = field(init=False, repr=False, compare=False)
+    cid: int = field(init=False, repr=False, compare=False)   # content id
 
     def __post_init__(self):
         self._shape()
@@ -117,7 +110,7 @@ class Module(Memo):
 
     def _shape(self):
         """The checks every module gets: dimensions, action shapes and
-        field; then the content key and the shared memo record."""
+        field; then the content key and its id."""
         q = self.algebra.quiver
         p = self.algebra.p
         for v in q.vertices:
@@ -138,8 +131,7 @@ class Module(Memo):
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "key", (tuple(dims.values()),
                                          tuple(m.entries for m in action.values())))
-        records = self.algebra.memoized("records", weakref.WeakValueDictionary)
-        object.__setattr__(self, "_memo", records.setdefault(self.key, _Record()))
+        object.__setattr__(self, "cid", self.algebra.content_id(self.key))
 
     def _check_relations(self):
         for rel in self.algebra.relations:
@@ -308,13 +300,13 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
     checked natural in one batch per arrow.
 
     The basis order is the deterministic kernel_basis order, which every
-    certificate downstream relies on.  Memoised in the record of m's
-    content by the content key of n, so content-equal sources and targets
-    built separately get the same list: its maps start at the first live
+    certificate downstream relies on.  Kept in the algebra's store by
+    the content ids of m and n, so content-equal sources and targets
+    built separately get the same list: its maps start at the first
     module of m's content and end at the first of n's.
     """
     _require_same_algebra(m, n)
-    return m.memoized(("hom", n.key), lambda: _solve_hom(m, n))
+    return m.algebra.memoized(("hom", m.cid, n.cid), lambda: _solve_hom(m, n))
 
 
 def _solve_hom(m: Module, n: Module) -> List[Morphism]:
@@ -496,7 +488,7 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
     total = _module(alg, dims, action)
     nonzero = tuple(m for m in mods if not m.is_zero())
     if len(nonzero) > 1:
-        total.memoized("summands", lambda: nonzero)
+        alg.memoized(("summands", total.cid), lambda: nonzero)
     return DirectSum(total, tuple(mods))
 
 
@@ -689,17 +681,18 @@ def in_add(x: Module, gens: Sequence[Module]) -> bool:
     that fit inside x (_solve_membership)."""
     for g in gens:
         _require_same_algebra(x, g)
-    return _membership(x, gens, tuple(g.key for g in gens))
+    return _membership(x, gens, tuple(g.cid for g in gens))
 
 
-def _membership(x: Module, gens: Sequence[Module], keys: tuple) -> bool:
-    """in_add past the algebra check; keys are the generators' keys."""
-    if x.is_zero() or x.key in keys:
+def _membership(x: Module, gens: Sequence[Module], cids: tuple) -> bool:
+    """in_add past the algebra check; cids are the generators' ids."""
+    if x.is_zero() or x.cid in cids:
         return True
-    parts = x._memo.get("summands")
+    parts = x.algebra.store.get(("summands", x.cid))
     if parts is not None:
-        return all(_membership(part, gens, keys) for part in parts)
-    return x.memoized(("in_add", keys), lambda: _solve_membership(x, gens))
+        return all(_membership(part, gens, cids) for part in parts)
+    return x.algebra.memoized(("in_add", x.cid, cids),
+                              lambda: _solve_membership(x, gens))
 
 
 def _solve_membership(x: Module, gens: Sequence[Module]) -> bool:
@@ -841,44 +834,35 @@ def projective_module(alg: AlgebraBasis, v: str) -> Module:
     target vertex, arrows acting by right concatenation.  Checked: it is
     read off the multiplication table, which build_algebra checks only up
     to dimension 64."""
-    alg.quiver.vertex_index(v)
-    by_vertex = basis_paths(alg, v, starting=True)
-    dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}
-    p = alg.p
-    action = {}
-    for a in alg.quiver.arrows:
-        src_idx = by_vertex[a.source]
-        tgt_idx = by_vertex[a.target]
-        tgt_pos = {b: r for r, b in enumerate(tgt_idx)}
-        aj = alg.arrow_basis_index(a.name)
-        rows = [[0] * len(src_idx) for _ in tgt_idx]
-        for cpos, b in enumerate(src_idx):
-            for k, coeff in alg.multiply(b, aj):
-                rows[tgt_pos[k]][cpos] = coeff
-        action[a.name] = Mat.from_rows(rows, p, cols=len(src_idx))
-    return Module(alg, dims, action)
+    return _path_module(alg, v, starting=True)
 
 
 def injective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable injective I_v: dual of P_v over the opposite algebra,
-    realized on basis paths ending at v."""
+    realized on basis paths ending at v, each arrow acting by the
+    transpose of left concatenation.  Checked, as P_v is."""
+    return _path_module(alg, v, starting=False)
+
+
+def _path_module(alg: AlgebraBasis, v: str, starting: bool) -> Module:
+    """P_v (starting) or I_v on the basis paths starting (ending) at v."""
     alg.quiver.vertex_index(v)
-    by_vertex = basis_paths(alg, v, starting=False)
+    by_vertex = basis_paths(alg, v, starting)
     dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}
-    p = alg.p
     action = {}
     for a in alg.quiver.arrows:
-        # action = transpose of left concatenation by a on paths ending at v
-        src_idx = by_vertex[a.source]   # paths a.source -> v
-        tgt_idx = by_vertex[a.target]   # paths a.target -> v
-        src_pos = {b: r for r, b in enumerate(src_idx)}
+        src_idx, tgt_idx = by_vertex[a.source], by_vertex[a.target]
         aj = alg.arrow_basis_index(a.name)
-        left = [[0] * len(tgt_idx) for _ in src_idx]
-        for cpos, b in enumerate(tgt_idx):
-            for k, coeff in alg.multiply(aj, b):
-                left[src_pos[k]][cpos] = coeff
-        lm = Mat.from_rows(left, p, cols=len(tgt_idx))
-        action[a.name] = lm.transpose()
+        rows = [[0] * len(src_idx) for _ in tgt_idx]
+        pos = {b: i for i, b in enumerate(tgt_idx if starting else src_idx)}
+        for i, b in enumerate(src_idx if starting else tgt_idx):
+            if starting:                # b goes to b.a
+                for k, coeff in alg.multiply(b, aj):
+                    rows[pos[k]][i] = coeff
+            else:                       # the transpose of b going to a.b
+                for k, coeff in alg.multiply(aj, b):
+                    rows[i][pos[k]] = coeff
+        action[a.name] = Mat.from_rows(rows, alg.p, cols=len(src_idx))
     return Module(alg, dims, action)
 
 

@@ -3,8 +3,8 @@
 Covers are computed from top = m/rad m and envelopes dually via the
 socle; path-algebra quotients over F_p are basic and split, so no
 semisimple-algebra machinery is needed.  The minimal (co)resolution of a
-module is memoised on it as one growing chain; each step is verified
-once, when it is appended, and reuse verifies nothing again.
+module is kept in the algebra's store as one growing chain; each step is
+verified once, when it is appended, and reuse verifies nothing again.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
 along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
@@ -141,10 +141,10 @@ def _check_step(d_in: Morphism, d_out: Morphism, what: str):
 
 
 def _projective_chain(m: Module, length: int) -> _Chain:
-    """The minimal resolution memoised on m, grown to Q_length.  A step is
+    """The stored minimal resolution of m, grown to Q_length.  A step is
     verified once, before it is appended: projective_cover checks the
     augmentation is onto, _check_step exactness at Q_{k-1}."""
-    ch = m.memoized("projres", lambda: _Chain([m]))
+    ch = m.algebra.memoized(("projres", m.cid), lambda: _Chain([m]))
     while len(ch.terms) <= length:
         cover = projective_cover(ch.ends[-1])
         d = cover.then(ch.links[-1]) if ch.links else cover
@@ -159,9 +159,9 @@ def _projective_chain(m: Module, length: int) -> _Chain:
 
 
 def _injective_chain(m: Module, length: int) -> _Chain:
-    """The minimal coresolution memoised on m, grown to I^length; dual to
+    """The stored minimal coresolution of m, grown to I^length; dual to
     _projective_chain (injective_envelope checks the coaugmentation)."""
-    ch = m.memoized("injres", lambda: _Chain([m]))
+    ch = m.algebra.memoized(("injres", m.cid), lambda: _Chain([m]))
     while len(ch.terms) < length:
         env = injective_envelope(ch.ends[-1])
         d = ch.links[-1].then(env) if ch.links else env

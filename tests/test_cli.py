@@ -620,6 +620,13 @@ def _generator(module):
     return argv
 
 
+def _ext_compare(k):
+    """ext compare of S1 and S0 at n = 2 and the given k."""
+    return lambda files, tmp_path: [
+        "ext", "compare", "--algebra", files["algebra"], "--a", files["s1"],
+        "--b", files["s0"], "--m", files["m3"], "--n", 2, "--k", k]
+
+
 def _morphism_with(components):
     """ncoker on d0 with its components updated from the given dict."""
     def argv(files, tmp_path):
@@ -661,9 +668,9 @@ def _one_term_one_differential(files, tmp_path):
     lambda files, tmp: ["nct", "check", "--algebra", files["algebra"],
                         "--m", files["m3"], "--n", 0],
     _morphism_without_source,
-    lambda files, tmp: ["ext", "compare", "--algebra", files["algebra"],
-                        "--a", files["s1"], "--b", files["s0"],
-                        "--m", files["m3"], "--n", 2, "--k", 2],
+    _ext_compare(2),
+    _ext_compare(-1),
+    _ext_compare(0),
     lambda files, tmp: ["nct", "check", "--algebra", files["algebra"],
                         "--m", files["m3"], "--n", 2, "--indecs", files["bad_m"]],
     _search_a12_j3,
@@ -682,6 +689,7 @@ def _one_term_one_differential(files, tmp_path):
     _one_term_one_differential,
 ], ids=["p-100", "p-string", "nilpotency-bound-0", "demo-p-100",
         "demo-n-0", "nct-n-0", "morphism-without-source", "ext-k-above-n-1",
+        "ext-k-negative", "ext-k-0",
         "indecs-without-s2", "search-over-20-candidates",
         "module-unknown-vertex", "module-unknown-arrow", "module-float-entry",
         "module-float-dim", "module-bool-dim", "module-string-dim",

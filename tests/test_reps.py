@@ -5,10 +5,10 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from nexakt import reps, resolutions
+from nexakt import quivers, reps, resolutions
 from nexakt.fp import Mat, kernel_basis, rank, solve_linear
 from nexakt.complexes import ComplexSeq
-from nexakt.addcat import DomainError, add_category
+from nexakt.addcat import DomainError, add_category, n_cokernel, n_kernel
 from nexakt.fp import FieldSpec
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import Quiver, build_algebra
@@ -546,7 +546,7 @@ def test_ext_dim_solves_each_hom_once_per_target_content(a3, monkeypatch):
     assert resolutions.ext_dim(s2, s1, 1) == 1
     assert len(solves) == 3
     # Ext is not stored under a key of its own
-    assert not any(isinstance(k, tuple) and k[0] == "ext" for k in s2._memo)
+    assert not any(isinstance(k, tuple) and k[0] == "ext" for k in a3.store)
     assert resolutions.ext_dim(s2, s1, 2) == 0
     solved = len(solves)
     assert resolutions.ext_dim(s2, s1_again, 2) == 0
@@ -563,7 +563,7 @@ def test_content_equal_sources_share_one_hom_solve(a3, monkeypatch):
                         lambda m, n: calls.append((m, n)) or solve(m, n))
     x, x_again = projective_module(a3, "1"), projective_module(a3, "1")
     y, y_again = projective_module(a3, "0"), projective_module(a3, "0")
-    assert x is not x_again and x._memo is x_again._memo
+    assert x is not x_again and x.cid == x_again.cid
     first = hom_basis(x, y)
     assert hom_basis(x_again, y_again) is first
     assert len(calls) == 1
@@ -604,7 +604,7 @@ def test_in_add_of_a_sum_with_one_nonzero_part_is_the_parts_verdict(a3, a3_mods,
     verdict = bool(in_add(x, gens))
     for parts in ([x, zero_module(a3)], [x], [zero_module(a3), x, zero_module(a3)]):
         total = direct_sum(parts).module
-        assert total.same_as(x) and "summands" not in total._memo
+        assert total.same_as(x) and ("summands", total.cid) not in a3.store
         assert bool(in_add(total, gens)) is verdict
 
 
@@ -615,27 +615,77 @@ def test_direct_sum_returns_the_parts_it_was_given(a3_mods):
     second = direct_sum([p0, right])
     assert second.module.same_as(first.module)
     assert [id(m) for m in second.parts] == [id(p0), id(right)]
-    assert [id(m) for m in second.module._memo["summands"]] == [id(left), id(s2)]
+    summands = p0.algebra.store[("summands", second.module.cid)]
+    assert [id(m) for m in summands] == [id(left), id(s2)]
     # maps built on the given parts join their summands
     f = block_morphism(p0, second, {(0, 0): identity_morphism(p0)})
     assert f.target is second.module
 
 
-def test_a_record_dies_with_the_last_module_of_its_content(a3):
-    x = direct_sum([projective_module(a3, "1"), simple_module(a3, "0"),
-                    simple_module(a3, "1")]).module
-    x_again = Module(a3, x.dims, x.action)
-    hom_basis(x, x)                               # the record now refers to x
-    resolutions.syzygy(x_again, 2)
-    records = a3._memo["records"]
-    key = x.key
-    assert records[key] is x._memo is x_again._memo
-    del x
-    gc.collect()
-    assert records[key] is x_again._memo
-    del x_again
-    gc.collect()
-    assert key not in records
+def _ladder_rounds(rounds=20):
+    """The 2-cokernel and 2-kernel of a random map between two sums of two
+    generators, each in a random basis, over K A_5/J^2 with M its 2-CT
+    generators; yields the ladders' rows after each round."""
+    alg, gens = gen_linear_An_J2(2, 2, p=101)
+    m = add_category(alg, gens)
+    rng = random.Random(5)
+    for _ in range(rounds):
+        src, tgt = (in_random_basis(direct_sum(
+            [rng.choice(gens), rng.choice(gens)]).module, rng) for _ in "st")
+        f = zero_morphism(src, tgt)
+        for b in hom_basis(src, tgt):
+            f = f.add(b.scale(rng.randrange(alg.p)))
+        yield [[d.vectorize() for d in ladder.diffs]
+               for ladder in (n_cokernel(f, m, 2), n_kernel(f, m, 2))]
+
+
+def test_hom_solves_do_not_depend_on_the_garbage_collector(monkeypatch):
+    # facts are held by the algebra's store, not by the modules of their
+    # content, so a collection between rounds frees none of them
+    calls = []
+    solve = reps._solve_hom
+    monkeypatch.setattr(reps, "_solve_hom",
+                        lambda m, n: calls.append(1) or solve(m, n))
+    for _ in _ladder_rounds():
+        gc.collect()
+    collected = len(calls)
+    calls.clear()
+    gc.disable()
+    try:
+        rows = list(_ladder_rounds())
+    finally:
+        gc.enable()
+    assert len(calls) == collected and len(rows) == 20
+
+
+def test_a_full_store_is_cleared_and_facts_are_made_again(monkeypatch):
+    peaks = []
+    memoized = quivers.AlgebraBasis.memoized
+
+    def tracked(alg, key, make):
+        got = memoized(alg, key, make)
+        peaks.append(len(alg.store))
+        return got
+
+    monkeypatch.setattr(quivers.AlgebraBasis, "memoized", tracked)
+    full = list(_ladder_rounds())
+    full_peak = max(peaks)
+    peaks.clear()
+    monkeypatch.setattr(quivers, "STORE_BOUND", 16)
+    assert list(_ladder_rounds()) == full
+    assert max(peaks) == 16 < full_peak
+
+
+def test_content_ids_do_not_collide_across_equal_algebras():
+    # the first module over each algebra gets the next id of one counter;
+    # a counter per algebra would give S0 over a and S1 over b one id, and
+    # Hom(P1, S1 over b) would read the stored Hom(P1, S0 over a) = 0
+    a, b = linear_a3_j2(), linear_a3_j2()
+    assert a == b and a is not b
+    s0, s1 = simple_module(a, "0"), simple_module(b, "1")
+    p1 = projective_module(a, "1")
+    assert hom_basis(p1, s0) == []
+    assert len(hom_basis(p1, s1)) == 1
 
 
 def test_projectives_and_injectives_built_once_per_algebra(a3):
