@@ -18,8 +18,10 @@ table's rows, so no Hom space of T is solved (_approximation).
 A weak (co)kernel and the Hom exactness of an n-(co)kernel ladder follow
 from that contract and the exactness of (co)kernels, so they are not
 checked again; what depends on M is that a ladder ends in add(M), and
-n_cokernel / n_kernel check exactly that.  verify_n_cokernel,
-verify_n_kernel and verify_n_exact certify a given sequence.
+n_cokernel / n_kernel check exactly that.  The ladder, a complex by
+construction, is built unchecked (complexes._complex).
+verify_n_cokernel, verify_n_kernel and verify_n_exact certify a given
+sequence.
 
 An n-cokernel ladder is n - 1 weak cokernels, each of the map before,
 closed by a cokernel (n-kernels dually).  It is, byte for byte, the
@@ -46,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .complexes import ComplexSeq, ComplexMorphism, Homotopy, complex_from_maps
+from .complexes import ComplexSeq, ComplexMorphism, Homotopy, _complex
 from .quivers import AlgebraBasis
 from .reps import (Indecomposables, Module, Morphism, PreconditionError,
                    _isomorphic_to_indecomposable, cokernel_morphism,
@@ -268,7 +270,8 @@ def n_cokernel(d0: Morphism, m: AddCat, n: int) -> ComplexSeq:
         raise HypothesisError(
             f"n-cokernel ladder ends outside add(M) at degree {n + 1} "
             "(is M n-cluster-tilting?)", degree=n + 1)
-    return complex_from_maps(1, maps[1:] + [proj])
+    diffs = maps[1:] + [proj]
+    return _complex(1, [diffs[0].source] + [d.target for d in diffs], diffs)
 
 
 def n_kernel(dn: Morphism, m: AddCat, n: int) -> ComplexSeq:
@@ -285,7 +288,8 @@ def n_kernel(dn: Morphism, m: AddCat, n: int) -> ComplexSeq:
         raise HypothesisError(
             "n-kernel ladder ends outside add(M) at degree 0 "
             "(is M n-cluster-tilting?)", degree=0)
-    return complex_from_maps(0, [incl] + maps[:-1])
+    diffs = [incl] + maps[:-1]
+    return _complex(0, [incl.source] + [d.target for d in diffs], diffs)
 
 
 # -- exactness certificates ----------------------------------------------

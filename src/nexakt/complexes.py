@@ -1,9 +1,12 @@
 """Bounded cochain complexes of modules, their morphisms and homotopies.
 
-``ComplexSeq(...)`` checks that consecutive differentials compose to
-zero and ``ComplexMorphism(...)`` that every square commutes.  A complex
-or chain map that holds by construction (the n-pushout and its padding,
-a coresolution) is built unchecked by ``_complex`` or ``_chain_map``.
+The checked constructors take what the caller brings: ``ComplexSeq(...)``
+and ``complex_from_maps`` check that consecutive differentials compose
+to zero, ``ComplexMorphism(...)`` and ``ComplexMorphism.then`` that every
+square commutes.  A complex or chain map that holds by construction (a
+padding, a mapping cone, a solution of chain_map_space, an n-(co)kernel
+ladder, the n-pushout and its factorization, a coresolution) is built
+unchecked by ``_complex`` or ``_chain_map``.
 """
 
 from __future__ import annotations
@@ -81,8 +84,8 @@ def pad_complex(x: ComplexSeq, lo: int, hi: int) -> ComplexSeq:
     """Extend the stored range with zero terms (contents unchanged)."""
     if lo > x.lo or hi < x.hi:
         raise ValueError("pad_complex only extends the range")
-    return ComplexSeq(lo, [x.term(k) for k in range(lo, hi + 1)],
-                      [x.diff(k) for k in range(lo, hi)])
+    return _complex(lo, [x.term(k) for k in range(lo, hi + 1)],
+                    [x.diff(k) for k in range(lo, hi)])
 
 
 @dataclass
@@ -114,11 +117,6 @@ class ComplexMorphism:
     def then(self, other: "ComplexMorphism") -> "ComplexMorphism":
         return ComplexMorphism(self.source, other.target,
                                {k: self.component(k).then(other.component(k))
-                                for k in self.source.degrees()})
-
-    def sub(self, other: "ComplexMorphism") -> "ComplexMorphism":
-        return ComplexMorphism(self.source, self.target,
-                               {k: self.component(k).sub(other.component(k))
                                 for k in self.source.degrees()})
 
 
@@ -175,17 +173,19 @@ def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
         pos += len(basis)
     total = pos
     rows: List[List[int]] = []
-    for idx, k in enumerate(range(x.lo, x.hi)):
+    # the square at x.hi reads f^hi d_Y^hi = 0, with no rows when Y^{hi+1} = 0
+    for idx, k in enumerate(x.degrees()):
         tgt_len = coordinate_length(x.term(k), y.term(k + 1))
         contrib = [[0] * total for _ in range(tgt_len)]
         for i, vec in enumerate(composite_rows(y.diff(k), blocks[idx],
                                                d_first=False)):
             for r in range(tgt_len):
                 contrib[r][offsets[idx] + i] = vec[r]
-        for i, vec in enumerate(composite_rows(x.diff(k), blocks[idx + 1],
-                                               d_first=True)):
-            for r in range(tgt_len):
-                contrib[r][offsets[idx + 1] + i] = (-vec[r]) % p
+        if k < x.hi:
+            for i, vec in enumerate(composite_rows(x.diff(k), blocks[idx + 1],
+                                                   d_first=True)):
+                for r in range(tgt_len):
+                    contrib[r][offsets[idx + 1] + i] = (-vec[r]) % p
         rows.extend(contrib)
     system = Mat.from_rows(rows, p, cols=total)
     ker = kernel_basis(system)
@@ -196,7 +196,7 @@ def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
                      blocks[idx], col[offsets[idx]:offsets[idx] + len(blocks[idx])],
                      x.term(k), y.term(k))
                  for idx, k in enumerate(x.degrees())}
-        out.append(ComplexMorphism(x, y, comps))
+        out.append(_chain_map(x, y, comps))
     return out
 
 
@@ -211,4 +211,4 @@ def mapping_cone(f: ComplexMorphism) -> ComplexSeq:
                             {(0, 0): x.diff(k + 1).scale(-1),
                              (1, 0): f.component(k + 1), (1, 1): y.diff(k)})
              for k in range(lo, hi)]
-    return ComplexSeq(lo, [s.module for s in sums], diffs)
+    return _complex(lo, [s.module for s in sums], diffs)

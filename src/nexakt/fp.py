@@ -288,10 +288,6 @@ class Mat:
             return _empty(row_at[-1], ncols, p)
         return Mat(row_at[-1], ncols, tuple(flat), p)
 
-    def vectorize(self) -> tuple:
-        """Row-major flattening; the coordinate convention for Hom spaces."""
-        return self.entries
-
 
 _set_rows = Mat.rows.__set__
 _set_cols = Mat.cols.__set__

@@ -27,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 from .addcat import (AddCat, HypothesisError, PreconditionError, _lift_along,
                      _require_in_add, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism, _complex
+from .fp import _reduce
 from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, _isomorphic_to_indecomposable,
@@ -172,14 +173,11 @@ def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
     """(stable dimension, basis of the injective-factoring ideal, coset
     representatives).  Meaningful for arbitrary modules, not only add(M)."""
     sh = stable_hom(ctx, m1, m2)
-    p = m1.algebra.p
-    basis: list = []            # the ideal's maps come first
-    rows: list = []
-    for f in sh.ideal + sh.hom:
-        row = f.vectorize()
-        if rows_rank(rows + [row], p) > len(rows):
-            basis.append(f)
-            rows.append(row)
+    maps = sh.ideal + sh.hom    # the ideal's maps come first
+    # with the coordinate rows as columns, the pivot columns are the maps
+    # outside the span of those before them
+    cols = [list(c) for c in zip(*(f.vectorize() for f in maps))]
+    basis = [maps[j] for j in _reduce(cols, len(maps), m1.algebra.p)]
     return sh.dim, basis[:sh.ideal_rank], basis[sh.ideal_rank:]
 
 
@@ -200,7 +198,10 @@ def suspension_morphism(ctx: FrobeniusCtx, f: Morphism) -> Morphism:
 class Angle:
     """X^0 -> X^1 -> ... -> X^{n+1} with a closing morphism to Sigma X^0.
 
-    Consecutive composites vanish stably (make_angle checks it)."""
+    Consecutive composites vanish stably.  make_angle checks that of an
+    angle the caller brings; the angles built here (standard, trivial,
+    from an n-exact sequence, rotated, cones) are angles by construction
+    and are built directly, after the check of their input alone."""
 
     objects: list
     maps: list
@@ -237,12 +238,12 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
 
 def trivial_angle(ctx: FrobeniusCtx, x: Module) -> Angle:
     n = ctx.n
+    if not in_add(x, ctx.m.generators):
+        raise PreconditionError("angle object 0 not in add(M)")
     z = zero_module(ctx.algebra)
-    objects = [x, x] + [z] * n
     maps = [identity_morphism(x), zero_morphism(x, z)] + \
         [zero_morphism(z, z) for _ in range(n - 1)]
-    closing = zero_morphism(z, suspension(ctx, x))
-    return make_angle(ctx, objects, maps, closing)
+    return Angle([x, x] + [z] * n, maps, zero_morphism(z, suspension(ctx, x)))
 
 
 def standard_angle(ctx: FrobeniusCtx, alpha0: Morphism) -> Angle:
@@ -284,9 +285,9 @@ def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
     lift = _lift_along(identity_morphism(x0), list(x.diffs),
                        _closed_coresolution(x0, n), x.lo)
     sign = 1 if n % 2 == 0 else -1
-    closing = lift[-1].scale(sign)
-    return make_angle(ctx, [x.term(k) for k in x.degrees()],
-                      [x.diff(k) for k in range(x.lo, x.lo + n + 1)], closing)
+    return Angle([x.term(k) for k in x.degrees()],
+                 [x.diff(k) for k in range(x.lo, x.lo + n + 1)],
+                 lift[-1].scale(sign))
 
 
 # -- exactness of angles -----------------------------------------------------
@@ -327,9 +328,8 @@ def rotate_angle(ctx: FrobeniusCtx, a: Angle) -> Angle:
     n = ctx.n
     sign = 1 if n % 2 == 0 else -1
     new_closing = suspension_morphism(ctx, a.maps[0]).scale(sign)
-    objects = a.objects[1:] + [suspension(ctx, a.objects[0])]
-    maps = a.maps[1:] + [a.closing]
-    return make_angle(ctx, objects, maps, new_closing)
+    return Angle(a.objects[1:] + [suspension(ctx, a.objects[0])],
+                 a.maps[1:] + [a.closing], new_closing)
 
 
 # -- completion of angle morphisms (axiom F3) and cones (axiom F4) ----------
@@ -401,8 +401,7 @@ def angle_cone(ctx: FrobeniusCtx, phi: AngleMorphism) -> Tuple[Angle, list]:
                                                 {(i, 0): identity_morphism(part)}))
         for i, part in enumerate(sums[0].parts)])
     closing = gammas.pop().then(glue)
-    objects = [s.module for s in sums[:n + 2]]
-    cone = make_angle(ctx, objects, gammas, closing)
+    cone = Angle([s.module for s in sums[:n + 2]], gammas, closing)
     ok, table = verify_angle_exact(ctx, cone)
     if not ok:
         raise HypothesisError("angle cone failed exactness verification")

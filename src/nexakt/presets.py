@@ -10,10 +10,10 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .addcat import Indecomposables, PreconditionError, indecomposables
-from .fp import FieldSpec, Mat, rank
+from .fp import FieldSpec, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
-from .reps import (Module, all_projectives, projective_module,
+from .reps import (Module, _radical_step, all_projectives, projective_module,
                    quotient_by_submodule, radical_span, simple_module)
 from .tilting import _ExtTable, _nct_report, _vertex_positions
 
@@ -40,20 +40,6 @@ def gen_linear_An_J2(n: int, m: int,
     for j in range(1, m + 1):
         expected.append(simple_module(alg, str(j * n)))
     return alg, expected
-
-
-def _radical_step(m: Module, span):
-    """Spanning matrices of rad^(l+1) m = arrows . rad^l m from those of
-    rad^l m."""
-    alg = m.algebra
-    out = {}
-    for v in alg.quiver.vertices:
-        cols = [Mat.zero(m.dims[v], 0, alg.p)]
-        for a in alg.quiver.arrows:
-            if a.target == v:
-                cols.append(m.action[a.name].mul(span[a.source]))
-        out[v] = Mat.hstack(cols)
-    return out
 
 
 def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:

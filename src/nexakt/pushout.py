@@ -3,9 +3,9 @@
 An n-pushout of X along f0 is a chain map f: X -> Y extending f0 whose
 mapping cone has an n-cokernel tail; iterating weak cokernels of the cone
 differentials makes the cone exact below its top, which alone is checked.
-Y, f and the padding of a good n-pushout are a complex and chain maps by
-construction, so they are built unchecked (complexes._complex,
-complexes._chain_map).
+Y, f, the padding of a good n-pushout and the factorization p of the
+universal property are complexes and chain maps by construction, so they
+are built unchecked (complexes._complex, complexes._chain_map).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Tuple
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      _weak_cokernel)
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, _chain_map,
-                        _complex, verify_homotopy)
+                        _complex)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
                    composite_rows, coordinate_length, direct_sum, hom_basis,
                    hom_dims_and_ranks, identity_morphism, in_add, solve_rows,
@@ -131,7 +131,12 @@ def good_n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) \
 def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
         -> Tuple[ComplexMorphism, Homotopy]:
     """Universal property: p: Y -> Z with p^0 = 1 and a homotopy
-    h: f.then(p) -> g with vanishing first component."""
+    h: f.then(p) -> g with vanishing first component, for g into a
+    complex of add(M).  Both are built unchecked: _factor_pushout solves
+    for every homotopy equation and every square of p but the one at the
+    top degree t = x.hi, p^t d_Z^t = 0.  That one holds because p^t d_Z^t
+    kills both blocks f^t and d_Y^{t-1} of the top w of f's cone, and
+    n_pushout checked that no nonzero map from Y^t into add(M) kills w."""
     x, y, z = f.source, f.target, g.target
     lo = x.lo
     if not y.term(lo).same_as(z.term(lo)):
@@ -141,10 +146,8 @@ def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
     p_comps, h_comps = _factor_pushout(
         f, z, g.component, identity_morphism(z.term(lo)),
         zero_morphism(x.term(lo + 1), z.term(lo)))
-    p = ComplexMorphism(y, z, p_comps)
+    p = _chain_map(y, z, p_comps)
     h = Homotopy(x, z, {k: v for k, v in h_comps.items() if not v.is_zero()})
-    if not verify_homotopy(f.then(p), g, h):
-        raise AssertionError("factorization homotopy failed to verify")
     return p, h
 
 

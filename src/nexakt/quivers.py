@@ -350,11 +350,13 @@ def _spot_check_table(alg: AlgebraBasis, limit: int = 64):
     p = alg.p
     d = alg.dim
 
-    def mul_vec(vec, j):
+    def mul_vecs(u, v):
+        """The product of two coefficient vectors, as sorted (index, coeff)."""
         out: Dict[int, int] = {}
-        for i, c in vec:
-            for k, c2 in alg.multiply(i, j):
-                out[k] = (out.get(k, 0) + c * c2) % p
+        for i, c in u:
+            for j, c2 in v:
+                for k, c3 in alg.multiply(i, j):
+                    out[k] = (out.get(k, 0) + c * c2 * c3) % p
         return [(k, c) for k, c in sorted(out.items()) if c]
 
     for i in range(d):
@@ -370,14 +372,7 @@ def _spot_check_table(alg: AlgebraBasis, limit: int = 64):
             for k in range(d):
                 if alg.target_of[j] != alg.source_of[k]:
                     continue
-                left = mul_vec(ij, k)
-                right_jk = alg.multiply(j, k)
-                out: Dict[int, int] = {}
-                for m, c in right_jk:
-                    for t, c2 in alg.multiply(i, m):
-                        out[t] = (out.get(t, 0) + c * c2) % p
-                right = [(t, c) for t, c in sorted(out.items()) if c]
-                if left != right:
+                if mul_vecs(ij, [(k, 1)]) != mul_vecs([(i, 1)], alg.multiply(j, k)):
                     raise AssertionError(
                         f"multiplication table not associative at ({i},{j},{k})")
 

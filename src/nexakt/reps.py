@@ -437,21 +437,24 @@ def image_morphism(f: Morphism) -> Tuple[Module, Morphism]:
 
 
 def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
-    """Vertex-wise cokernel with induced action and its projection."""
+    """Vertex-wise cokernel with induced action and its projection.
+
+    The action Q(a) solves Q(a) proj_s = proj_t A(a); proj_s is the
+    identity on the free coordinates that quotient_data returns, so Q(a)
+    is proj_t times the columns of A(a) at them."""
     alg = f.source.algebra
-    proj = {v: quotient_data(f.components[v])[0] for v in f.components}
+    quot = {v: quotient_data(f.components[v]) for v in f.components}
+    proj = {v: q[0] for v, q in quot.items()}
     dims = {v: proj[v].rows for v in proj}
     action = {}
     for a in alg.quiver.arrows:
         if not dims[a.source] or not dims[a.target]:
             action[a.name] = _empty(dims[a.target], dims[a.source], alg.p)
             continue
-        # solve Q(a) * proj_s = proj_t * action_t(a); proj_s is surjective
-        rhs = proj[a.target].mul(f.target.action[a.name])
-        sol = solve_linear(proj[a.source].transpose(), rhs.transpose())
-        if sol is None:
-            raise AssertionError("cokernel action not induced")
-        action[a.name] = sol.transpose()
+        act, free = f.target.action[a.name], quot[a.source][1]
+        at_free = tuple(act.entries[r * act.cols + j]
+                        for r in range(act.rows) for j in free)
+        action[a.name] = proj[a.target].mul(Mat(act.rows, len(free), at_free, alg.p))
     c = _module(alg, dims, action)
     return c, _natural(f.target, c, proj)
 
@@ -886,17 +889,24 @@ def regular_module(alg: AlgebraBasis) -> Module:
 
 
 def radical_span(m: Module) -> Dict[str, Mat]:
-    """rad m = sum of images of all arrow actions, vertex-wise."""
+    """rad m = sum of images of all arrow actions, vertex-wise: the radical
+    step from the identity spans of m."""
+    return _radical_step(m, {v: Mat.identity(m.dims[v], m.algebra.p)
+                             for v in m.algebra.quiver.vertices})
+
+
+def _radical_step(m: Module, span: Dict[str, Mat]) -> Dict[str, Mat]:
+    """Spanning matrices of rad^(l+1) m = arrows . rad^l m from those of
+    rad^l m."""
     alg = m.algebra
-    p = alg.p
-    span = {}
+    out = {}
     for v in alg.quiver.vertices:
-        cols = [Mat.zero(m.dims[v], 0, p)]
+        cols = [Mat.zero(m.dims[v], 0, alg.p)]
         for a in alg.quiver.arrows:
             if a.target == v:
-                cols.append(m.action[a.name])
-        span[v] = Mat.hstack(cols)
-    return span
+                cols.append(m.action[a.name].mul(span[a.source]))
+        out[v] = Mat.hstack(cols)
+    return out
 
 
 def socle_span(m: Module) -> Dict[str, Mat]:

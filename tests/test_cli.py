@@ -228,6 +228,26 @@ def test_ext_compare(files):
     assert cert["witnesses"]["ext_via_projective_resolution"] == 1
 
 
+def test_ext_compare_over_a_subcategory_that_is_not_generating(files, tmp_path):
+    # nothing in add(P0 + P1 + S2) maps onto the top S2 of P2: the
+    # approximation resolution of P2 fails at stage 0
+    a3 = load_algebra(files["algebra"])
+    p2_path, m_path = tmp_path / "p2.json", tmp_path / "m.json"
+    p2_path.write_text(canonical_json(module_to_dict(projective_module(a3, "2"))))
+    m_path.write_text(canonical_json({"generators": [
+        module_to_dict(x) for x in (projective_module(a3, "0"),
+                                    projective_module(a3, "1"),
+                                    simple_module(a3, "2"))]}))
+    assert run("ext", "compare", "--algebra", files["algebra"], "--a", p2_path,
+               "--b", files["s0"], "--m", m_path, "--n", 2, "--k", 1,
+               "--out", files["out"]) == 1
+    cert = json.loads((files["out"] / "ext-compare.cert.json").read_text())
+    assert cert["verdict"] is False
+    assert cert["witnesses"]["failure"] == {
+        "exception": "HypothesisError", "degree": None,
+        "message": "right approximation at stage 0 is not surjective"}
+
+
 def test_frobenius_subcommands(tmp_path, monkeypatch):
     monkeypatch.delenv("NEXAKT_SEED", raising=False)
     alg = gen_preprojective_A(2)
@@ -251,6 +271,30 @@ def test_frobenius_subcommands(tmp_path, monkeypatch):
         assert run(*argv) == 0, sub
         name = f"frobenius-{sub}"
         assert sha256(out / f"{name}.cert.json") == FILE_SHA256[name], sub
+
+
+def test_frobenius_cone_failing_exactness_exits_1(tmp_path, monkeypatch):
+    # a cone is built as an angle and checked by verify_angle_exact alone,
+    # so a cone it refuses makes a failure certificate, not a traceback
+    from nexakt import frob
+    alg = gen_preprojective_A(2)
+    apath, mpath, alpha_path = (tmp_path / f"{k}.json" for k in ("pi2", "m", "alpha"))
+    dump_algebra(alg, apath)
+    p1, p2, s1 = (projective_module(alg, "1"), projective_module(alg, "2"),
+                  simple_module(alg, "1"))
+    mpath.write_text(canonical_json(
+        {"generators": [module_to_dict(x) for x in (p1, p2, s1)]}))
+    alpha_path.write_text(canonical_json(
+        morphism_with_endpoints_to_dict(hom_basis(s1, p2)[0])))
+    monkeypatch.setattr(frob, "verify_angle_exact", lambda ctx, a: (False, []))
+    out = tmp_path / "certs"
+    assert run("frobenius", "cone", "--algebra", apath, "--m", mpath, "--n", 2,
+               "--alpha", alpha_path, "--out", out) == 1
+    cert = json.loads((out / "frobenius-cone.cert.json").read_text())
+    assert cert["verdict"] is False
+    assert cert["witnesses"]["failure"] == {
+        "exception": "HypothesisError", "degree": None,
+        "message": "angle cone failed exactness verification"}
 
 
 def test_search_nct(files):

@@ -1,8 +1,8 @@
 import pytest
 
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, Homotopy,
-                              complex_from_maps, mapping_cone, pad_complex,
-                              verify_homotopy)
+                              chain_map_space, complex_from_maps, mapping_cone,
+                              pad_complex, verify_homotopy)
 from nexakt.reps import (hom_basis, identity_morphism, projective_module,
                          simple_module)
 
@@ -113,3 +113,17 @@ def test_direct_sum_complexes(a3, m3_sequence):
     s = direct_sum_complexes(x, x)
     for k in x.degrees():
         assert s.term(k).total_dim == 2 * x.term(k).total_dim
+
+
+def test_chain_map_space_solves_the_square_above_the_source(a3):
+    # x is one term in degree 0 and y goes on to degree 1, so a chain map
+    # needs f^0 d_Y^0 = 0: End(P1) has none but 0, as P1 -> S1 is its top,
+    # while S1 -> P2 (the socle) composed with P2 -> S2 (the top) is zero
+    p1, p2 = projective_module(a3, "1"), projective_module(a3, "2")
+    s1, s2 = simple_module(a3, "1"), simple_module(a3, "2")
+    assert chain_map_space(ComplexSeq(0, [p1], []),
+                           complex_from_maps(0, [_only(hom_basis(p1, s1))])) == []
+    x = ComplexSeq(0, [s1], [])
+    y = complex_from_maps(0, [_only(hom_basis(p2, s2))])
+    (f,) = chain_map_space(x, y)
+    assert ComplexMorphism(x, y, f.components).component(0).is_injective()

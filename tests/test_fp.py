@@ -21,6 +21,9 @@ def test_fieldspec_rejects_composites():
         FieldSpec(1)
     with pytest.raises(ValueError):
         FieldSpec(2**31 + 11)
+    for composite in (4, 2**31 - 2):
+        with pytest.raises(ValueError, match=f"modulus is not prime: {composite}"):
+            FieldSpec(composite)
 
 
 def test_rref_identity_is_fixed():

@@ -287,11 +287,12 @@ def test_rotation_of_standard_angle(ctx, pi2_mods):
 def test_rotation_solves_no_hom_space_of_a_consecutive_composite(ctx, monkeypatch):
     # make_angle tests each consecutive composite u through the ideal rows
     # of stable Hom(u.source, u.target) alone, Hom(E, u.target) for the
-    # envelope u.source -> E, so rotating a standard angle solves
-    # Hom(u.source, u.target) for no composite make_angle asks about, that
-    # is none with a source that is not injective (frob._injective).  Of
-    # the 21 composites of the 7 rotated standard angles, 4 have such a
-    # source; counted once per content pair within each angle, they are 3
+    # envelope u.source -> E, so rotating a standard angle and checking the
+    # rotation solves Hom(u.source, u.target) for no composite make_angle
+    # asks about, that is none with a source that is not injective
+    # (frob._injective).  Of the 21 composites of the 7 rotated standard
+    # angles, 4 have such a source; counted once per content pair within
+    # each angle, they are 3
     solved = []
     solve = reps._solve_hom
     monkeypatch.setattr(reps, "_solve_hom",
@@ -301,7 +302,9 @@ def test_rotation_solves_no_hom_space_of_a_consecutive_composite(ctx, monkeypatc
     for alpha0 in (f for g in gens for h in gens for f in hom_basis(g, h)):
         angle = standard_angle(ctx, alpha0)
         solved.clear()
-        chain = rotate_angle(ctx, angle).all_maps()
+        rot = rotate_angle(ctx, angle)
+        make_angle(ctx, rot.objects, rot.maps, rot.closing)
+        chain = rot.all_maps()
         pairs = {(u.source.key, u.target.key)
                  for u in map(Morphism.then, chain, chain[1:])
                  if not frob._injective(u.source)}
@@ -325,7 +328,9 @@ def test_rotation_reads_no_stable_hom_out_of_an_injective(ctx, monkeypatch):
     for alpha0 in (f for g in gens for h in gens for f in hom_basis(g, h)):
         angle = standard_angle(ctx, alpha0)
         read.clear()
-        chain = rotate_angle(ctx, angle).all_maps()
+        rot = rotate_angle(ctx, angle)
+        make_angle(ctx, rot.objects, rot.maps, rot.closing)
+        chain = rot.all_maps()
         injective = {u.source.key for u in map(Morphism.then, chain, chain[1:])
                      if frob._envelope(u.source).target.dim_vector()
                      == u.source.dim_vector()}
@@ -475,3 +480,105 @@ def test_lifted_maps_are_pinned(ctx, pi2_mods):
 LIFTED_MAP_COUNT = 784
 LIFTED_MAPS_SHA256 = \
     "9cc0ceff031be84b2165a21a36f9ef2ed241ceb97d8e4a4f43ea04cac16a4297"
+
+
+def test_trivial_angle_refuses_an_object_outside_add_m(ctx, pi2_mods):
+    with pytest.raises(PreconditionError, match="angle object 0 not in add"):
+        trivial_angle(ctx, pi2_mods["S2"])
+
+
+def test_setup_refuses_a_subcategory_that_is_not_n_cluster_tilting(pi2, pi2_mods):
+    # add(P1 + P2) misses S1, which has no Ext^1 into it
+    m = add_category(pi2, [pi2_mods["P1"], pi2_mods["P2"]], seed=4)
+    indecs = [pi2_mods[k] for k in ("P1", "P2", "S1", "S2")]
+    with pytest.raises(SetupError, match="subcategory is not n-cluster-tilting"):
+        check_frobenius_setup(pi2, m, 2, indecs, seed=4)
+
+
+def _stable_hom_basis_by_rank(c, m1, m2):
+    """The reference: each map of the ideal, then of Hom, kept when it
+    raises the rank of the coordinate rows kept before it."""
+    sh = stable_hom(c, m1, m2)
+    basis, rows = [], []
+    for f in sh.ideal + sh.hom:
+        if reps.rows_rank(rows + [f.vectorize()], m1.algebra.p) > len(rows):
+            basis.append(f)
+            rows.append(f.vectorize())
+    return sh.dim, basis[:sh.ideal_rank], basis[sh.ideal_rank:]
+
+
+def test_stable_hom_basis_matches_the_rank_loop(ctx):
+    # every pair of indecomposables, a generator sum and the zero module,
+    # on Pi_2 and on the cyclic Nakayama algebra with six vertices
+    from nexakt.reps import direct_sum
+    pairs = 0
+    for c in (ctx, _cyclic6_ctx()):
+        mods = list(nakayama_indecomposables(c.algebra))
+        mods += [direct_sum(c.m.generators[-2:]).module, zero_module(c.algebra)]
+        for m1 in mods:
+            for m2 in mods:
+                dim, ideal, rest = stable_hom_basis(c, m1, m2)
+                want_dim, want_ideal, want_rest = _stable_hom_basis_by_rank(c, m1, m2)
+                assert dim == want_dim
+                assert [f.vectorize() for f in ideal + rest] == \
+                    [f.vectorize() for f in want_ideal + want_rest]
+                assert len(ideal) == len(want_ideal)
+                pairs += 1
+    assert pairs == 6 * 6 + 14 * 14
+
+
+def test_own_constructions_run_no_checked_constructor(ctx, pi2_mods, a3,
+                                                      monkeypatch):
+    # n-(co)kernel ladders, a padding, a mapping cone, solved chain maps,
+    # the n-pushout factorization and the trivial, induced, rotated and
+    # cone angles hold by construction: none runs ComplexSeq(...),
+    # ComplexMorphism(...), verify_homotopy or make_angle, and a cokernel
+    # reads its action with no solve.  The inputs are built first, and the
+    # results pass the checked constructors afterwards
+    from nexakt import complexes, pushout
+    from nexakt.addcat import n_cokernel, n_kernel
+    from nexakt.complexes import (chain_map_space, mapping_cone, pad_complex,
+                                  verify_homotopy)
+    from nexakt.pushout import n_pushout, pushout_factorization
+    from nexakt.reps import cokernel_morphism
+    p0, p1, p2 = (projective_module(a3, v) for v in "012")
+    s0, s2 = simple_module(a3, "0"), simple_module(a3, "2")
+    m3 = add_category(a3, [p0, p1, p2, s2], seed=1)
+    d0 = hom_basis(s0, p1)[0]
+    upper = complex_from_maps(0, [d0, hom_basis(p1, p2)[0]])
+    exact = coresolution_sequence(ctx, pi2_mods)
+    s1 = pi2_mods["S1"]
+
+    def refuse(*args):
+        raise AssertionError("a checked constructor ran")
+
+    for cls in (ComplexSeq, ComplexMorphism):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    for mod in (complexes, pushout):
+        if hasattr(mod, "verify_homotopy"):
+            monkeypatch.setattr(mod, "verify_homotopy", refuse)
+    monkeypatch.setattr(frob, "make_angle", refuse)
+    monkeypatch.setattr(reps, "solve_linear", refuse)
+    cokernels = [cokernel_morphism(f)[1]
+                 for f in (d0, upper.diff(1), hom_basis(p2, s2)[0])]
+    _, f = n_pushout(upper, d0, m3)
+    complexes_built = [n_cokernel(d0, m3, 2), n_kernel(hom_basis(p2, s2)[0], m3, 2),
+                       pad_complex(upper, -1, 3), mapping_cone(f)]
+    chain_maps = chain_map_space(upper, upper)
+    p, h = pushout_factorization(f, f)
+    a = standard_angle(ctx, hom_basis(s1, pi2_mods["P2"])[0])
+    phi = complete_angle_morphism(ctx, a, a, identity_morphism(a.objects[0]),
+                                  identity_morphism(a.objects[1]))
+    angles = [trivial_angle(ctx, s1), angle_from_n_exact(ctx, exact),
+              rotate_angle(ctx, a), angle_cone(ctx, phi)[0]]
+    monkeypatch.undo()
+    for x in complexes_built:
+        ComplexSeq(x.lo, x.terms, x.diffs)
+    assert len(chain_maps) == 1
+    for g in chain_maps + [f, p]:
+        ComplexMorphism(g.source, g.target, g.components)
+    assert verify_homotopy(f.then(p), f, h)
+    for angle in angles:
+        make_angle(ctx, angle.objects, angle.maps, angle.closing)
+    for proj in cokernels:
+        Morphism(proj.source, proj.target, proj.components)

@@ -2,8 +2,9 @@ import hashlib
 
 import pytest
 
-from nexakt.addcat import (HypothesisError, add_category, contract,
-                           contravariant_fragment, weak_cokernel)
+from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
+                           add_category, contract, contravariant_fragment,
+                           weak_cokernel)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, complex_from_maps,
                               mapping_cone, pad_complex, verify_homotopy)
@@ -110,6 +111,21 @@ def test_pushout_failing_at_the_top_names_the_degree(a3, m3, mods):
     with pytest.raises(HypothesisError) as exc:
         n_pushout(complex_from_maps(0, [d0]), d0, m3)
     assert exc.value.degree == 1
+
+
+def test_pushout_refuses_inputs_outside_its_domain(a3, m3, mods):
+    # S1 lies outside M = add(P0 + P1 + P2 + S2)
+    x = upper_complex(a3, mods)
+    s1 = simple_module(a3, "1")
+    with pytest.raises(PreconditionError, match="at least two terms"):
+        n_pushout(ComplexSeq(0, [mods["P1"]], []), identity_morphism(mods["P1"]), m3)
+    with pytest.raises(DomainError, match="pushout input term 0 not in add"):
+        n_pushout(complex_from_maps(0, [hom_basis(s1, mods["P2"])[0]]),
+                  identity_morphism(s1), m3)
+    with pytest.raises(PreconditionError, match="f0 must start at the degree-0"):
+        n_pushout(x, identity_morphism(mods["P1"]), m3)
+    with pytest.raises(DomainError, match="pushout target of f0 not in add"):
+        n_pushout(x, zero_morphism(mods["S0"], s1), m3)
 
 
 def test_factorization_with_itself(a3, m3, mods):

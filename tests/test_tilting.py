@@ -163,6 +163,14 @@ def test_ext_comparison_rejects_bad_degree(a3, m3, mods):
         ext_via_approx_resolution(mods["S1"], mods["S0"], m3, 2, 2)
 
 
+def test_ext_comparison_over_a_subcategory_that_is_not_generating(a3, mods):
+    # nothing in add(P0 + P1 + S2) maps onto the top S2 of P2
+    m = add_category(a3, [mods["P0"], mods["P1"], mods["S2"]], seed=1)
+    with pytest.raises(HypothesisError,
+                       match="right approximation at stage 0 is not surjective"):
+        ext_via_approx_resolution(mods["P2"], mods["S0"], m, 1, 2)
+
+
 # -- strong projectivity ----------------------------------------------------
 
 
