@@ -199,6 +199,27 @@ def test_strong_projectivity_rejects_nonprojective(a3, m3, mods):
         strong_projectivity_check(mods["S2"], f, m3)
 
 
+@pytest.mark.parametrize("parts", [["S1"], ["P1", "S2"]])
+def test_strong_projectivity_rejects_in_a_random_basis(a3, m3, mods, parts):
+    p = in_random_basis(direct_sum([mods[k] for k in parts]).module,
+                        random.Random(len(parts)))
+    f = hom_basis(mods["S0"], mods["P1"])[0]
+    with pytest.raises(PreconditionError, match="^p is not projective$"):
+        strong_projectivity_check(p, f, m3)
+
+
+@pytest.mark.parametrize("parts", [["P0", "P1", "P2"], ["P1", "P2"], []])
+def test_strong_projectivity_accepts_projectives_in_a_random_basis(a3, m3, mods,
+                                                                   parts):
+    # Lambda, P1 + P2 and the zero module
+    p = (in_random_basis(direct_sum([mods[k] for k in parts]).module,
+                         random.Random(len(parts))) if parts
+         else reps.zero_module(a3))
+    f = hom_basis(mods["P1"], mods["P2"])[0]
+    ok, ranks = strong_projectivity_check(p, f, m3)
+    assert ok and ranks["kernel_dim"] == ranks["rank_in"]
+
+
 def test_nonprojective_negative_control(a3, m3, mods):
     # Hom(S2, -) applied to P2 -> S2 -> weak cokernel (= 0) fails in the middle
     f = hom_basis(mods["P2"], mods["S2"])[0]
