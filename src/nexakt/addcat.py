@@ -7,9 +7,11 @@ generators and drops, in one pass, each summand whose component factors
 through the summands kept, solving only over Hom spaces between
 generators.  The peel and the contract check read one table of
 composites f_r.then(h), h in Hom(G_r, G_j) (dually h.then(f_r)), each
-composed once (_composite_table).  Chain completion (_lift_along) and
-homotopies (_homotopy) are one loop each, and each step is one
-reps.factor_through.
+composed once.  The peel and the table (reps._peel_superfluous,
+reps._composite_table) are the ones reps.in_add runs to decide
+membership, which is the right approximation being an isomorphism.
+Chain completion (_lift_along) and homotopies (_homotopy) are one loop
+each, and each step is one reps.factor_through.
 
 Each fact is checked once, where it is made.  An approximation checks
 its contract (Hom(T, G) -> Hom(x, G) onto, or dually) when it is built,
@@ -46,16 +48,15 @@ reps.PreconditionError), checked once by indecomposables().
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, _complex
 from .quivers import AlgebraBasis
 from .reps import (Indecomposables, Module, Morphism, PreconditionError,
-                   _isomorphic_to_indecomposable, cokernel_morphism,
-                   composite_rows, factor_through, hom_basis,
-                   hom_dims_and_ranks, identity_morphism, in_add,
-                   kernel_morphism, rows_rank, solve_rows,
-                   split_indecomposables,
+                   _composite_table, _isomorphic_to_indecomposable,
+                   _peel_superfluous, cokernel_morphism, factor_through,
+                   hom_basis, hom_dims_and_ranks, identity_morphism, in_add,
+                   kernel_morphism, rows_rank, split_indecomposables,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
 
@@ -108,47 +109,6 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module],
 
 
 # -- approximations ------------------------------------------------------
-
-
-def _composite_table(gens: Sequence[Module], parts: List[Tuple[int, Morphism]],
-                     left: bool) -> Callable[[int, int], List[tuple]]:
-    """The table of an approximation's composites through the generators:
-    table(r, j) is the list of coordinate rows of f_r.then(h) for h in the
-    basis of Hom(G_r, G_j) (left), or of h.then(f_r) for h in the basis
-    of Hom(G_j, G_r) (right), where parts[r] = (index of G_r, f_r).  Each
-    entry is composed once, when first read."""
-    rows: Dict[Tuple[int, int], List[tuple]] = {}
-
-    def table(r: int, j: int) -> List[tuple]:
-        if (r, j) not in rows:
-            jr, fr = parts[r]
-            basis = (hom_basis(gens[jr], gens[j]) if left
-                     else hom_basis(gens[j], gens[jr]))
-            rows[r, j] = composite_rows(fr, basis, d_first=left)
-        return rows[r, j]
-
-    return table
-
-
-def _peel_superfluous(parts: List[Tuple[int, Morphism]],
-                      table: Callable[[int, int], List[tuple]],
-                      p: int) -> List[int]:
-    """The positions kept when, in one pass, each summand (G_j, f_i) is
-    dropped whose component factors through the summands still kept.
-
-    Factoring through the stacked map of the kept summands G_r means
-    lying in the span of the f_r composed with Hom(G_r, G_j) (left; the
-    right case is dual): the rows table(r, j) of _composite_table, so
-    only generator Hom spaces are solved over, and one system per
-    candidate.  One pass keeps what restarting after each drop would: a
-    map that does not factor through a set of maps does not factor
-    through a subset of it."""
-    kept = list(range(len(parts)))
-    for i, (j, fi) in enumerate(parts):
-        span = [row for r in kept if r != i for row in table(r, j)]
-        if solve_rows([span], [fi.vectorize()], p) is not None:
-            kept.remove(i)
-    return kept
 
 
 def _approximation(x: Module, m: AddCat, left: bool) -> Morphism:

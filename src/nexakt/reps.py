@@ -50,9 +50,15 @@ module, generator or sum), ("projres", x) and ("injres", x) for the
 growing minimal (co)resolutions, and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: over an
-``Indecomposables`` list, ``in_add`` tries only the generators that fit
-inside x (Krull-Schmidt, see ``_solve_membership``), and Hom between
-modules with disjoint supports is zero with no system (``_solve_hom``).
+``Indecomposables`` list, ``in_add`` reads only Hom(G, x), for the
+generators G that fit inside x (Krull-Schmidt), and accepts x when the
+minimal right approximation they give is an isomorphism
+(``_approximation_is_iso``); Hom between modules with disjoint supports
+is zero with no system (``_solve_hom``).  That approximation is the one
+``addcat`` builds: one peel (``_peel_superfluous``) over one table of
+composites through the generators (``_composite_table``), both here.
+The two-sided test (id_x through x -> G -> x, ``_identity_through``) is
+left for a plain sequence, whose entries may be decomposable.
 An arrow with a zero end acts on a kernel, image or cokernel by fp's
 shared empty matrix, with no product or solve, except where that solve
 checks that a given span is closed (``_induced_action_on_sub``).
@@ -78,7 +84,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
 from .fp import (Mat, _empty, _reduce, column_space_basis, kernel_basis,
@@ -654,6 +660,52 @@ def lift_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
     return assemble_from_span(basis, coeffs, f.source, g.source)
 
 
+# -- the peel: minimal approximations by indecomposables ----------------
+
+
+def _composite_table(gens: Sequence[Module], parts: List[Tuple[int, Morphism]],
+                     left: bool) -> Callable[[int, int], List[tuple]]:
+    """The table of composites through the generators that the peel and
+    the approximation contract read (addcat._approximation, and in_add's
+    _approximation_is_iso): table(r, j) is the list of coordinate rows of
+    f_r.then(h) for h in the basis of Hom(G_r, G_j) (left), or of
+    h.then(f_r) for h in the basis of Hom(G_j, G_r) (right), where
+    parts[r] = (index of G_r, f_r).  Each entry is composed once, when
+    first read."""
+    rows: Dict[Tuple[int, int], List[tuple]] = {}
+
+    def table(r: int, j: int) -> List[tuple]:
+        if (r, j) not in rows:
+            jr, fr = parts[r]
+            basis = (hom_basis(gens[jr], gens[j]) if left
+                     else hom_basis(gens[j], gens[jr]))
+            rows[r, j] = composite_rows(fr, basis, d_first=left)
+        return rows[r, j]
+
+    return table
+
+
+def _peel_superfluous(parts: List[Tuple[int, Morphism]],
+                      table: Callable[[int, int], List[tuple]],
+                      p: int) -> List[int]:
+    """The positions kept when, in one pass, each summand (G_j, f_i) is
+    dropped whose component factors through the summands still kept.
+
+    Factoring through the stacked map of the kept summands G_r means
+    lying in the span of the f_r composed with Hom(G_r, G_j) (left; the
+    right case is dual): the rows table(r, j) of _composite_table, so
+    only generator Hom spaces are solved over, and one system per
+    candidate.  One pass keeps what restarting after each drop would: a
+    map that does not factor through a set of maps does not factor
+    through a subset of it."""
+    kept = list(range(len(parts)))
+    for i, (j, fi) in enumerate(parts):
+        span = [row for r in kept if r != i for row in table(r, j)]
+        if solve_rows([span], [fi.vectorize()], p) is not None:
+            kept.remove(i)
+    return kept
+
+
 # -- membership in add(generators) ------------------------------------
 
 
@@ -679,9 +731,10 @@ class Indecomposables(tuple):
 
 
 def in_add(x: Module, gens: Sequence[Module]) -> bool:
-    """x lies in add(gens) iff id_x is spanned by composites through the
-    generators inside End(x); over an Indecomposables, only through those
-    that fit inside x (_solve_membership)."""
+    """x lies in add(gens): over an Indecomposables, iff the minimal right
+    approximation by the generators that fit inside x is an isomorphism
+    (_approximation_is_iso); over any other sequence, iff id_x is spanned
+    by the composites x -> G -> x (_identity_through)."""
     for g in gens:
         _require_same_algebra(x, g)
     return _membership(x, gens, tuple(g.cid for g in gens))
@@ -699,19 +752,64 @@ def _membership(x: Module, gens: Sequence[Module], cids: tuple) -> bool:
 
 
 def _solve_membership(x: Module, gens: Sequence[Module]) -> bool:
-    """The full test: id_x in the span of the composites x -> G -> x.
-
-    Over an Indecomposables list, only the G that fit inside x (dimension
-    vector at most x's at every vertex) are tried.  By Krull-Schmidt,
-    x in add(gens) means x = sum of G_i^{a_i}, and then id_x is the sum of
-    the composites x -> G_i -> x through those summands alone, each of
-    which fits inside x.  x may be a summand of copies of a decomposable
-    generator that does not fit inside it, so any other sequence is tried
-    in full."""
+    """The test in_add stores: one Hom direction over an Indecomposables
+    list, both over any other sequence, whose entries may decompose."""
     if isinstance(gens, Indecomposables):
-        dims = x.dim_vector()
-        gens = [g for g in gens
-                if all(a <= b for a, b in zip(g.dim_vector(), dims))]
+        return _approximation_is_iso(x, gens)
+    return _identity_through(x, gens)
+
+
+def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
+    """x in add(gens), from the Hom spaces G -> x alone.
+
+    Only the G that fit inside x (dimension vector at most x's at every
+    vertex) are read: by Krull-Schmidt a member x is a sum of generators,
+    each of which fits inside it, so x lies in add(gens) iff it lies in
+    add(M') for the sum M' of those.  Then:
+
+    - The trace check: the images of all maps G -> x must span x at every
+      vertex, or no map from add(M') is onto x and x is refused.
+    - The peel (_peel_superfluous, over the table of composites h.then(f_r),
+      h in Hom(G_j, G_r)) keeps maps f_r: G_r -> x, homogeneous elements of
+      N = Hom(M', x) as a right module over E = End(M').  They generate N,
+      since each dropped map lies in the span of the maps kept at its turn,
+      and no kept f_i lies in the sum of the f_r E over the other kept r.
+      Such a set is minimal: were the images in top N = N / N rad E of the
+      kept maps out of one G_j dependent over the division ring
+      End(G_j)/rad End(G_j), some kept f_i would lie in N rad E plus the
+      f_r E of the other kept r; those would then generate N modulo
+      N rad E, hence generate N (Nakayama's lemma), and f_i would lie in
+      their sum after all.  So the kept maps induce the projective cover
+      of N over E, and their stacked map T -> x, T the sum of the kept G_r,
+      is the minimal right add(M')-approximation of x (Auslander–Reiten–
+      Smalø, Representation Theory of Artin Algebras, Ch. II §2).
+    - If x lies in add(M'), id_x is a right-minimal approximation, so
+      T -> x is an isomorphism and dim T = dim x.  Conversely, T -> x is
+      onto by the trace check, so dim T = dim x makes it an isomorphism.
+
+    So x is accepted exactly when the dimension vectors of the kept G_r sum
+    to x's; no Hom space out of x is solved."""
+    dims = x.dim_vector()
+    fit = [g for g in gens if all(a <= b for a, b in zip(g.dim_vector(), dims))]
+    homs = [hom_basis(g, x) for g in fit]
+    for v, d in zip(x.algebra.quiver.vertices, dims):
+        images = [f.components[v] for basis in homs for f in basis]
+        if d and (not images or rank(Mat.hstack(images)) < d):
+            return False
+    parts = [(j, f) for j, basis in enumerate(homs) for f in basis]
+    kept = _peel_superfluous(parts, _composite_table(fit, parts, left=False),
+                             x.algebra.p)
+    total = [0] * len(dims)
+    for r in kept:
+        for i, d in enumerate(fit[parts[r][0]].dim_vector()):
+            total[i] += d
+    return tuple(total) == dims
+
+
+def _identity_through(x: Module, gens: Sequence[Module]) -> bool:
+    """The two-sided test: id_x in the span of the composites x -> G -> x,
+    over every generator; sound for decomposable generators too, since x
+    may be a summand of copies of one that does not fit inside it."""
     composites = [row for g in gens for f in hom_basis(x, g)
                   for row in composite_rows(f, hom_basis(g, x), d_first=True)]
     coeffs = solve_rows([composites], [identity_morphism(x).vectorize()],
@@ -889,10 +987,13 @@ def regular_module(alg: AlgebraBasis) -> Module:
 
 
 def radical_span(m: Module) -> Dict[str, Mat]:
-    """rad m = sum of images of all arrow actions, vertex-wise: the radical
-    step from the identity spans of m."""
-    return _radical_step(m, {v: Mat.identity(m.dims[v], m.algebra.p)
-                             for v in m.algebra.quiver.vertices})
+    """rad m = sum of images of all arrow actions, vertex-wise: at v, the
+    actions of the arrows into v side by side."""
+    alg = m.algebra
+    return {v: Mat.hstack([Mat.zero(m.dims[v], 0, alg.p)]
+                          + [m.action[a.name] for a in alg.quiver.arrows
+                             if a.target == v])
+            for v in alg.quiver.vertices}
 
 
 def _radical_step(m: Module, span: Dict[str, Mat]) -> Dict[str, Mat]:

@@ -2,9 +2,11 @@
 
 Covers are computed from top = m/rad m and envelopes dually via the
 socle; path-algebra quotients over F_p are basic and split, so no
-semisimple-algebra machinery is needed.  The minimal (co)resolution of a
-module is kept in the algebra's store as one growing chain; each step is
-verified once, when it is appended, and reuse verifies nothing again.
+semisimple-algebra machinery is needed.  The cover and the projectivity
+test (is_projective) read the top from one helper (_top_coordinates).
+The minimal (co)resolution of a module is kept in the algebra's store as
+one growing chain; each step is verified once, when it is appended, and
+reuse verifies nothing again.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
 along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
@@ -15,7 +17,7 @@ add(M)-resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .fp import Mat, quotient_data, rank, solve_linear
 from .reps import (Module, Morphism, _natural, _require_same_algebra,
@@ -45,16 +47,22 @@ class Coresolution:
     maps: list
 
 
+def _top_coordinates(m: Module) -> Dict[str, List[int]]:
+    """Per vertex v, the coordinates of m_v whose standard basis vectors
+    lift a basis of top(m) = m/rad m at v: the free coordinates of
+    rad m at v, as many as (dim top m)_v."""
+    rad = radical_span(m)
+    return {v: quotient_data(span)[1] for v, span in rad.items()}
+
+
 def projective_cover(m: Module) -> Morphism:
     """Minimal cover P -> m: one P_v per basis vector of top(m) at v."""
     alg = m.algebra
     p = alg.p
     if m.is_zero():
         return zero_morphism(zero_module(alg), m)
-    rad = radical_span(m)
     gens: List[Tuple[str, Mat]] = []
-    for v in alg.quiver.vertices:
-        _, free = quotient_data(rad[v])
+    for v, free in _top_coordinates(m).items():
         for j in free:
             gens.append((v, Mat.from_rows([[1 if i == j else 0]
                                            for i in range(m.dims[v])], p, cols=1)))
@@ -64,6 +72,18 @@ def projective_cover(m: Module) -> Morphism:
     if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
     return cover
+
+
+def is_projective(m: Module) -> bool:
+    """m is projective, exactly: its projective cover P -> m is onto, so it
+    is an isomorphism iff dim P = dim m, and dim P = sum_v (dim top m)_v *
+    dim P_v is read off the top with no map built (frob._injective is the
+    dual test)."""
+    dims = [0] * len(m.dims)
+    for pv, free in zip(all_projectives(m.algebra), _top_coordinates(m).values()):
+        for i, d in enumerate(pv.dim_vector()):
+            dims[i] += len(free) * d
+    return tuple(dims) == m.dim_vector()
 
 
 def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:

@@ -17,6 +17,10 @@ position, of a generator, P_v or I_v, is found by
 Indecomposables.index_of, which decides isomorphism to an entry exactly,
 so the seed reaches a verdict only through the splitting that checks a
 hand-made list (addcat.indecomposables).
+
+strong_projectivity_check decides that p is projective exactly, from its
+top (resolutions.is_projective): p is projective iff
+sum_v (dim top p)_v * dim P_v = dim p, with no Hom space solved.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from typing import List, Optional, Sequence, Tuple
 from .addcat import (AddCat, HypothesisError, Indecomposables,
                      PreconditionError, hom_exact_at_middle, indecomposables,
                      minimal_right_approximation, weak_cokernel)
-from .reps import (Module, Morphism, all_injectives, all_projectives, in_add,
+from .reps import (Module, Morphism, all_injectives, all_projectives,
                    kernel_morphism)
-from .resolutions import ext_dim, hom_cohomology_dim
+from .resolutions import ext_dim, hom_cohomology_dim, is_projective
 
 NCT_NOTES = ("add of a finite-dimensional module is functorially finite in "
              "mod(Lambda); reported, not tested",
@@ -202,8 +206,10 @@ def ext_via_approx_resolution(a: Module, b: Module, m: AddCat, k: int,
 
 def strong_projectivity_check(p: Module, f: Morphism, m: AddCat) -> Tuple[bool, dict]:
     """For projective p, the Hom(p, -) sequence through a weak cokernel of
-    f is exact at the middle; returns the verdict with its rank table."""
-    if not in_add(p, all_projectives(p.algebra)):
+    f is exact at the middle; returns the verdict with its rank table.
+    Projectivity is decided exactly from the top of p
+    (resolutions.is_projective), with no Hom space solved."""
+    if not is_projective(p):
         raise PreconditionError("p is not projective")
     g = weak_cokernel(f, m)
     ok, ranks = hom_exact_at_middle(p, f, g)

@@ -126,7 +126,8 @@ def test_right_approx_from_empty_cat(a3, mods):
 def test_approximation_that_loses_a_hom_class_is_caught(m3, mods, monkeypatch,
                                                        approximation):
     # the contract is checked for every G with Hom(S1, G) (resp. Hom(G, S1))
-    # nonzero: a peel that drops every summand fails it there
+    # nonzero: a peel that drops every summand fails it there (the peel is
+    # reps._peel_superfluous, patched where addcat's approximation reads it)
     from nexakt import addcat
     monkeypatch.setattr(addcat, "_peel_superfluous", lambda parts, table, p: [])
     with pytest.raises(AssertionError, match="lost a Hom class"):

@@ -313,7 +313,8 @@ def test_search_decides_cliques_from_the_table_alone(monkeypatch):
 
     def spy(name, real):
         return lambda *a: events.append(name) or real(*a)
-    monkeypatch.setattr(tilting, "in_add", spy("in_add", tilting.in_add))
+    monkeypatch.setattr(tilting, "is_projective",
+                        spy("is_projective", tilting.is_projective))
     monkeypatch.setattr(reps, "in_add", spy("in_add", reps.in_add))
     monkeypatch.setattr(tilting, "ext_dim", spy("ext_dim", tilting.ext_dim))
     monkeypatch.setattr(Indecomposables, "index_of",

@@ -8,18 +8,18 @@ from itertools import product
 import pytest
 
 from nexakt import reps
-from nexakt.addcat import (_composite_table, _peel_superfluous,
-                           add_category, minimal_left_approximation,
+from nexakt.addcat import (add_category, minimal_left_approximation,
                            minimal_right_approximation, n_cokernel,
                            verify_n_exact)
 from nexakt.complexes import ComplexSeq, complex_from_maps, mapping_cone
 from nexakt.fp import Mat, rank
 from nexakt.frob import check_frobenius_setup
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
-from nexakt.reps import (Morphism, are_isomorphic, block_morphism,
-                         cokernel_morphism, direct_sum, factor_through,
-                         hom_basis, identity_morphism, lift_through,
-                         projective_module, regular_module, simple_module,
+from nexakt.reps import (Morphism, _composite_table, _peel_superfluous,
+                         are_isomorphic, block_morphism, cokernel_morphism,
+                         direct_sum, factor_through, hom_basis,
+                         identity_morphism, lift_through, projective_module,
+                         regular_module, simple_module,
                          split_indecomposables, stack_morphisms_from_sum,
                          stack_morphisms_to_sum, zero_module, zero_morphism)
 

@@ -8,7 +8,8 @@ import pytest
 from nexakt import quivers, reps, resolutions
 from nexakt.fp import Mat, kernel_basis, rank, solve_linear
 from nexakt.complexes import ComplexSeq
-from nexakt.addcat import DomainError, add_category, n_cokernel, n_kernel
+from nexakt.addcat import (DomainError, Indecomposables, add_category,
+                           indecomposables, n_cokernel, n_kernel)
 from nexakt.fp import FieldSpec
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import Quiver, build_algebra
@@ -309,6 +310,73 @@ def test_in_add_tries_only_the_generators_that_fit(monkeypatch):
     assert set(others) == {gens[i].key for i in (3, 4, 9, 10)}
 
 
+def _kronecker_indecomposables(p):
+    """Indecomposables of the Kronecker algebra, checked: P_2, P_1, the
+    simple injective S_1, I_2, the band modules of dimension (1, 1) at
+    b = 0 and b = a, and the non-brick R (End R = F_(p^2))."""
+    r = kronecker_field_module(p)
+    alg = r.algebra
+    one = Mat.identity(1, p)
+    bands = [Module(alg, {"1": 1, "2": 1}, {"a": one, "b": b})
+             for b in (Mat.zero(1, 1, p), one)]
+    return indecomposables(list(all_projectives(alg)) + [simple_module(alg, "1"),
+                           injective_module(alg, "2")] + bands + [r])
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_in_add_matches_the_two_sided_test(p):
+    # over random sublists of each algebra's indecomposables (R in every
+    # other Kronecker list), in_add reads one Hom direction; the two-sided
+    # composite test over the same list is the reference.  x is a sum of
+    # one to three entries in a random basis, or a random quotient of one
+    rng = random.Random(p)
+    kron = _kronecker_indecomposables(p)
+    lists = [(nakayama_indecomposables(alg), set()) for alg in (
+        gen_linear_An_J2(1, 2, p)[0], gen_linear_An_J2(1, 3, p)[0],
+        preprojective_a2(p), cyclic_nakayama_j2(6, p))]
+    lists.append((kron, {len(kron) - 1}))
+    verdicts = []
+    for indecs, forced in lists:
+        xs = [in_random_basis(direct_sum(rng.choices(indecs, k=rng.randint(1, 3))).module,
+                              rng) for _ in range(10)]
+        xs += [random_quotient(x, rng) for x in xs[:6]]
+        for trial in range(8):
+            picked = set(rng.sample(range(len(indecs)), rng.randint(1, len(indecs))))
+            picked = sorted(picked | forced if trial % 2 else picked)
+            gens = pick(indecs, picked)
+            for x in xs:
+                member = in_add(x, gens)
+                assert member is reps._identity_through(x, list(gens)), (
+                    p, picked, x.key)
+                verdicts.append(member)
+    assert verdicts.count(True) > 30 and verdicts.count(False) > 30
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_in_add_refuses_a_module_the_generators_do_not_span(p):
+    # K A_3/J^2, M = add(P1): S0 + S1 has P1's dimension vector and one map
+    # from P1, so the peel keeps P1 alone and its dimension vector is x's;
+    # only the trace check (the images span x) refuses it
+    alg = linear_a3_j2(p)
+    p1 = projective_module(alg, "1")
+    x = Module(alg, {"0": 1, "1": 1, "2": 0}, {})
+    assert x.dim_vector() == p1.dim_vector() and len(hom_basis(p1, x)) == 1
+    assert in_add(x, Indecomposables([p1])) is False
+    assert reps._identity_through(x, [p1]) is False
+
+
+def test_in_add_solves_no_hom_space_out_of_x():
+    alg, gens = gen_linear_An_J2(2, 4)
+    cat = add_category(alg, gens)
+    rng = random.Random(8)
+    for parts, member in (([gens[3], gens[10]], True),
+                          ([gens[3], simple_module(alg, "3")], False)):
+        x = in_random_basis(direct_sum(parts).module, rng)
+        assert in_add(x, cat.generators) is member
+        assert not [key for key in alg.store
+                    if key[:2] == ("hom", x.cid) and len(key) == 3]
+
+
 def reference_solve_hom(m, n):
     """The naturality system of Hom(m, n) as it was solved with dense rows,
     one list per equation, reduced mod p by Mat.from_rows: the component
@@ -385,6 +453,17 @@ def test_solve_hom_matches_the_reference_solver(p):
             assert got == reference_solve_hom(m, n), (m.key, n.key)
             nonzero += bool(got)
     assert nonzero > 150
+
+
+def test_radical_span_is_the_radical_step_from_the_identity_spans():
+    # the arrow actions side by side, against the actions times identities
+    rng = random.Random(4)
+    q, rels, bound = two_loops(5, 101)
+    for alg in (linear_a3_j2(), preprojective_a2(), cyclic_nakayama_j2(6),
+                kronecker_algebra(), build_algebra(q, rels, bound, FieldSpec(101))):
+        for x in _hom_pool(alg, rng) + [zero_module(alg)]:
+            ident = {v: Mat.identity(d, alg.p) for v, d in x.dims.items()}
+            assert reps.radical_span(x) == reps._radical_step(x, ident), x.key
 
 
 def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):

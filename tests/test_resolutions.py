@@ -6,15 +6,17 @@ from nexakt import resolutions
 from nexakt.fp import Mat
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_indecomposables)
-from nexakt.reps import (Module, are_isomorphic, direct_sum, injective_module,
-                         projective_module, simple_module, zero_module,
-                         zero_morphism)
+from nexakt.reps import (Module, all_projectives, are_isomorphic, direct_sum,
+                         in_add, injective_module, projective_module,
+                         simple_module, zero_module, zero_morphism)
 from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
-                                min_injective_coresolution,
+                                is_projective, min_injective_coresolution,
                                 min_projective_resolution, projective_cover,
                                 syzygy)
 
-from conftest import cyclic_nakayama_j2, in_random_basis
+from conftest import (cyclic_nakayama_j2, in_random_basis,
+                      kronecker_field_module, linear_a3_j2, preprojective_a2,
+                      random_quotient)
 from test_presets import linear_an_j3
 
 
@@ -112,6 +114,32 @@ def test_ext_grows_the_resolution_only_to_q_k_minus_1(a3, monkeypatch):
     assert ext_dim(s2, simple_module(a3, "1"), 1) == 1
     # Ext^1 needs Q_0 and Omega^1 s2 = ker(Q_0 -> s2): one cover
     assert len(covers) == 1
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_is_projective_matches_membership_in_add_of_the_projectives(p):
+    # x is a sum of one to three of the P_v, I_v and simples (R too on the
+    # Kronecker algebra) in a random basis, or a random quotient of a sum
+    # of projectives; the reference is in_add over the P_v
+    rng = random.Random(p)
+    r = kronecker_field_module(p)
+    verdicts = []
+    for alg, extra in ((linear_a3_j2(p), []), (preprojective_a2(p), []),
+                       (cyclic_nakayama_j2(6, p), []), (r.algebra, [r])):
+        pool = list(all_projectives(alg)) + extra + [
+            f(alg, v) for v in alg.quiver.vertices
+            for f in (injective_module, simple_module)]
+        xs = [in_random_basis(direct_sum(rng.choices(pool, k=rng.randint(1, 3))).module,
+                              rng) for _ in range(12)]
+        xs += [random_quotient(direct_sum(rng.choices(all_projectives(alg),
+                                                      k=rng.randint(1, 2))).module,
+                               rng) for _ in range(6)]
+        xs.append(zero_module(alg))
+        for x in xs:
+            verdict = is_projective(x)
+            assert verdict is in_add(x, all_projectives(alg)), (p, x.key)
+            verdicts.append(verdict)
+    assert verdicts.count(True) > 10 and verdicts.count(False) > 10
 
 
 def test_cover_and_envelope_of_zero(a3):
