@@ -258,6 +258,23 @@ def test_search_matches_subset_loop_on_other_algebras():
         brute_force_nct_search(a3, 2, decomposable)
 
 
+@pytest.mark.parametrize("build, n, expected", [
+    (lambda: gen_preprojective_A(2), 2, [[0, 1, 3], [1, 2, 3]]),
+    (lambda: cyclic_nakayama_j2(6), 2, [[0, 1, 3, 4, 5, 7, 8, 9, 11],
+                                        [1, 2, 3, 5, 6, 7, 9, 10, 11]]),
+    (lambda: cyclic_nakayama_j2(6), 3, [[0, 1, 3, 5, 6, 7, 9, 11],
+                                        [1, 2, 3, 5, 7, 8, 9, 11],
+                                        [1, 3, 4, 5, 7, 9, 10, 11]]),
+], ids=["pi2-n2", "cycle6-j2-n2", "cycle6-j2-n3"])
+def test_search_orders_hits_of_equal_size(build, n, expected):
+    # several hits of one size come out lexicographically, as the
+    # subset loop finds them
+    alg = build()
+    indecs = nakayama_indecomposables(alg)
+    hits = brute_force_nct_search(alg, n, indecs)
+    assert hits == subset_loop_search(alg, n, indecs) == expected
+
+
 def test_search_reaches_a12_j2():
     # 23 indecomposables, 11 candidates: the one 11-CT module
     # Lambda + S_11
