@@ -21,7 +21,7 @@ from .reps import (Module, Morphism, are_isomorphic, cokernel_morphism,
                    simple_module, split_indecomposables, zero_module)
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy,
                         chain_map_space, mapping_cone, verify_homotopy)
-from .resolutions import (Coresolution, Resolution, cosyzygy_of, ext_dim,
+from .resolutions import (Resolution, cosyzygy_of, ext_dim,
                           min_injective_coresolution,
                           min_projective_resolution, syzygy)
 from .addcat import (AddCat, Indecomposables, NExactCert, add_category,
@@ -53,7 +53,7 @@ __all__ = [
     "split_indecomposables", "zero_module",
     "ComplexSeq", "ComplexMorphism", "Homotopy", "chain_map_space",
     "mapping_cone", "verify_homotopy",
-    "Coresolution", "Resolution", "cosyzygy_of", "ext_dim",
+    "Resolution", "cosyzygy_of", "ext_dim",
     "min_injective_coresolution", "min_projective_resolution", "syzygy",
     "AddCat", "Indecomposables", "NExactCert", "add_category",
     "comparison_homotopy", "contract", "indecomposables",

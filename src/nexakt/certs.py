@@ -33,16 +33,14 @@ class Certificate:
     inputs: dict = field(default_factory=dict)   # name -> embedded object
     verdict: Any = None
     witnesses: dict = field(default_factory=dict)
-    tool: str = "nexakt"
-    version: str = __version__
 
     def add_input(self, name: str, obj: Any):
         self.inputs[name] = {"sha256": content_hash(obj), "content": obj}
 
     def to_dict(self) -> dict:
         return {
-            "tool": self.tool,
-            "version": self.version,
+            "tool": "nexakt",
+            "version": __version__,
             "check": self.check,
             "params": self.params,
             "seed": self.seed,

@@ -178,16 +178,6 @@ class Mat:
         return Mat(self.rows, self.cols,
                    tuple((a + b) % p for a, b in zip(self.entries, other.entries)), p)
 
-    def sub(self, other: "Mat") -> "Mat":
-        self._check_p(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in sub")
-        p = self.p
-        if not self.entries:
-            return _empty(self.rows, self.cols, p)
-        return Mat(self.rows, self.cols,
-                   tuple((a - b) % p for a, b in zip(self.entries, other.entries)), p)
-
     def scale(self, c: int) -> "Mat":
         p = self.p
         c %= p

@@ -30,13 +30,12 @@ from .complexes import ComplexSeq, ComplexMorphism, _complex
 from .fp import _reduce
 from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis
-from .reps import (Module, Morphism, _isomorphic_to_indecomposable,
-                   all_injectives, all_projectives, assemble_from_span,
+from .reps import (Module, Morphism, all_injectives, assemble_from_span,
                    block_morphism, composite_rows, coordinate_length,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, rows_rank, solve_rows, stack_morphisms_from_sum,
                    zero_module, zero_morphism)
-from .resolutions import _injective_chain, cosyzygy_of, syzygy
+from .resolutions import _injective_chain, cosyzygy_of, is_projective, syzygy
 from .tilting import NctReport, check_n_cluster_tilting
 
 
@@ -55,16 +54,17 @@ class FrobeniusCtx:
 def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
                           indec_list: Sequence[Module],
                           seed: int = 0) -> FrobeniusCtx:
-    """Verify selfinjectivity, the n-CT property and (co)syzygy closure;
-    the closure check grows each generator's memoized coresolution to the
+    """Verify the n-CT property, selfinjectivity and (co)syzygy closure.
+    Selfinjectivity is read from the top: each I_v is indecomposable, so
+    it is projective (is_projective) iff it is isomorphic to some P_w.
+    The closure check grows each generator's memoized coresolution to the
     length n the suspension uses."""
     report = check_n_cluster_tilting(m, n, indec_list, seed=seed)
     if not report.ok:
         raise SetupError(f"subcategory is not n-cluster-tilting: "
                          f"{report.to_dict()}")
-    projs = all_projectives(alg)
     for v, iv in zip(alg.quiver.vertices, all_injectives(alg)):
-        if not any(_isomorphic_to_indecomposable(iv, pw) for pw in projs):
+        if not is_projective(iv):
             raise SetupError(f"algebra not selfinjective: I_{v} is not projective")
     for i, g in enumerate(m.generators):
         if not in_add(cosyzygy_of(g, n), m.generators):

@@ -152,8 +152,9 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     Ext^{1..n-1} between two of them (or one with itself) fails the
     certifier's rigidity test, so only the Ext^{1..n-1}-orthogonal subsets
     are enumerated: the cliques of the compatibility graph read from the
-    table.  Each gets the report check_n_cluster_tilting would give,
-    read from the table by position."""
+    table.  Each clique gets the report check_n_cluster_tilting would
+    give, read from the table by position as the search reaches it; the
+    hits are then sorted once."""
     indec_list = indecomposables(indec_list, seed)
     projs, injs = _vertex_positions(alg, indec_list)
     for pv, (_, i) in zip(all_projectives(alg), projs):
@@ -168,19 +169,16 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
                   and not any(clash[i] >> j & 1 for j in proj_set + [i])]
     if len(candidates) > MAX_SEARCH_CANDIDATES:
         raise PreconditionError("too many candidates for exhaustive search")
-    cliques = [()]
+    hits = []
 
     def grow(clique, start):
+        subset = sorted(proj_set + list(clique))
+        if _nct_report(subset, table, projs, injs).ok:
+            hits.append(subset)
         for pos in range(start, len(candidates)):
             i = candidates[pos]
             if not any(clash[i] >> j & 1 for j in clique):
-                cliques.append(clique + (i,))
                 grow(clique + (i,), pos + 1)
 
     grow((), 0)
-    hits = []
-    for extra in sorted(cliques, key=lambda c: (len(c), c)):
-        subset = sorted(proj_set + list(extra))
-        if _nct_report(subset, table, projs, injs).ok:
-            hits.append(subset)
-    return hits
+    return sorted(hits, key=lambda s: (len(s), s))

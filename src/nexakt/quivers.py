@@ -227,9 +227,8 @@ class AlgebraBasis:
                 if self.source_of[i] == source and self.target_of[i] == target]
 
     def multiply(self, i: int, j: int) -> List[Tuple[int, int]]:
-        """Residue of basis[i]*basis[j] (i traversed first) as (index, coeff)."""
-        if self.target_of[i] != self.source_of[j]:
-            return []
+        """Residue of basis[i]*basis[j] (i traversed first) as (index, coeff);
+        the table holds composable pairs only, so any other pair is []."""
         return self.table.get((i, j), [])
 
     def arrow_basis_index(self, arrow_name: str) -> int:
@@ -343,9 +342,10 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
     return alg
 
 
-def _spot_check_table(alg: AlgebraBasis, limit: int = 64):
-    """Exhaustive associativity/unit check for small algebras."""
-    if alg.dim > limit:
+def _spot_check_table(alg: AlgebraBasis):
+    """Exhaustive associativity/unit check for algebras of dimension at
+    most 64."""
+    if alg.dim > 64:
         return
     p = alg.p
     d = alg.dim

@@ -67,7 +67,7 @@ Isomorphism to an indecomposable e is decided exactly, by membership:
 x = e iff dim x = dim e and x lies in add(e) (Krull-Schmidt), the one
 test the package uses.  ``Indecomposables.index_of`` is its public
 face; ``_isomorphic_to_indecomposable`` is the package-internal entry
-point, which addcat, frob and cli import to compare with one module.
+point, which addcat and cli import to compare with one module.
 It is private because it is only correct when e is indecomposable.
 ``are_isomorphic``, which samples Hom elements, is the public test for
 any two modules.
@@ -837,8 +837,6 @@ def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
         return True
     if m.dim_vector() != n.dim_vector():
         return False
-    if m.total_dim == 0:
-        return True
     basis = hom_basis(m, n)
     if not basis:
         return False

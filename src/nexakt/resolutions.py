@@ -30,17 +30,10 @@ from .reps import (Module, Morphism, _natural, _require_same_algebra,
 
 @dataclass
 class Resolution:
-    """... -> Q_1 -> Q_0 -> m (maps[0] is the augmentation Q_0 -> m,
-    maps[k]: Q_k -> Q_{k-1})."""
-
-    module: Module
-    terms: list
-    maps: list
-
-
-@dataclass
-class Coresolution:
-    """m -> I^1 -> I^2 -> ... (maps[0]: m -> I^1, maps[k]: I^k -> I^{k+1})."""
+    """A minimal resolution ... -> Q_1 -> Q_0 -> m (terms[k] = Q_k,
+    maps[0] the augmentation Q_0 -> m, maps[k]: Q_k -> Q_{k-1}), or a
+    minimal coresolution m -> I^1 -> I^2 -> ... (terms[k] = I^{k+1},
+    maps[0]: m -> I^1, maps[k]: I^k -> I^{k+1})."""
 
     module: Module
     terms: list
@@ -207,11 +200,11 @@ def syzygy(m: Module, k: int) -> Module:
     return _projective_chain(m, k - 1).ends[k]
 
 
-def min_injective_coresolution(m: Module, length: int) -> Coresolution:
+def min_injective_coresolution(m: Module, length: int) -> Resolution:
     """Minimal coresolution m -> I^1 -> ... -> I^length, exactness
     verified as it is built."""
     ch = _injective_chain(m, length)
-    return Coresolution(m, ch.terms[:length], ch.maps[:length])
+    return Resolution(m, ch.terms[:length], ch.maps[:length])
 
 
 def cosyzygy_of(m: Module, k: int) -> Module:
