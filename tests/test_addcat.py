@@ -558,3 +558,20 @@ def test_contract_zero_complex(a3, m3, mods):
     # one term: the first step is already the top degree
     assert contract(ComplexSeq(0, [z], []), m3) is not None
     assert contract(ComplexSeq(0, [mods["P1"]], []), m3) is None
+
+
+def test_fragments_and_contract_refuse_what_does_not_fit(a3, m3, mods):
+    d0 = hom_basis(mods["S0"], mods["P1"])[0]
+    dn = hom_basis(mods["P2"], mods["S2"])[0]
+    tail, head = n_cokernel(d0, m3, 2), n_kernel(dn, m3, 2)
+    with pytest.raises(ValueError, match="chain endpoints mismatch"):
+        verify_n_cokernel(identity_morphism(mods["S0"]), tail, m3)
+    with pytest.raises(ValueError, match="chain endpoints mismatch"):
+        verify_n_kernel(identity_morphism(mods["S2"]), head, m3)
+    # S0 -> P1 -> P2 -0-> S2 is not Hom(-, M) exact
+    broken = ComplexSeq(0, [mods["S0"], mods["P1"], mods["P2"], mods["S2"]],
+                        [d0, hom_basis(mods["P1"], mods["P2"])[0],
+                         zero_morphism(mods["P2"], mods["S2"])])
+    with pytest.raises(PreconditionError,
+                       match="contract: cokernel side does not verify"):
+        contract(broken, m3)

@@ -790,6 +790,72 @@ def test_bad_relation_exits_2(tmp_path, capsys, argv, words):
     assert not out.exists()
 
 
+def _relation(*terms):
+    """algebra check on K A_3/J^2 with its one relation replaced."""
+    return lambda files, tmp: _algebra_with(tmp, relations=[
+        [{"coeff": c, "path": list(w)} for c, w in terms]])
+
+
+def _generators_without_key(files, tmp_path):
+    path = tmp_path / "gens.json"
+    path.write_text(canonical_json({"gens": []}))
+    return ["nct", "check", "--algebra", files["algebra"], "--m", path,
+            "--n", 2]
+
+
+def _without_quiver(files, tmp_path):
+    data = algebra_to_dict(gen_linear_An_J2(2, 1)[0])
+    del data["quiver"]
+    path = tmp_path / "no_quiver.json"
+    path.write_text(canonical_json(data))
+    return ["algebra", "check", "--algebra", path]
+
+
+@pytest.mark.parametrize("argv, words", [
+    (_relation((1, ("a2", "zz"))), "bad algebra definition: unknown arrow 'zz'"),
+    (_relation((1, ("a1", "a2"))),
+     "bad algebra definition: non-composable word ('a1', 'a2')"),
+    (_relation(), "bad algebra definition: empty relation"),
+    (lambda files, tmp: _algebra_with(tmp, quiver={
+        "vertices": ["1", "2", "3", "4"],
+        "arrows": [{"name": a, "from": str(i), "to": str(i + 1)}
+                   for i, a in enumerate("abc", 1)]},
+        relations=[[{"coeff": 1, "path": ["a", "b"]},
+                    {"coeff": 1, "path": ["b", "c"]}]], nilpotency_bound=3),
+     "bad algebra definition: relation terms with mixed endpoints"),
+    (_relation((101, ("a2", "a1"))),
+     "bad algebra definition: relation term with zero coefficient"),
+    (_without_quiver, "algebra definition missing field: 'quiver'"),
+    (_generators_without_key, "bad generators file: 'generators'"),
+    (lambda files, tmp: ["nct", "check", "--algebra", files["algebra"],
+                         "--module", "s0", "--m", "s0", "--n", 2],
+     "--module expects NAME=FILE, got 's0'"),
+    # default --indecs nakayama: one arrow on three vertices is neither a
+    # linear A_3 nor a cycle
+    (lambda files, tmp: ["search", "nct", "--algebra", _algebra_with(
+        tmp, quiver={"vertices": ["0", "1", "2"],
+                     "arrows": [{"name": "a1", "from": "1", "to": "0"}]},
+        relations=[])[-1], "--n", 2],
+     "not a Nakayama quiver (wrong arrow count)"),
+    (lambda files, tmp: ["demo", "a3-j2", "--p", 9],
+     "argument --p: invalid prime value: '9'"),
+], ids=["relation-unknown-arrow", "relation-non-composable", "relation-empty",
+        "relation-mixed-endpoints", "relation-zero-coefficient",
+        "algebra-missing-field", "generators-without-key", "module-without-=",
+        "search-wrong-arrow-count", "p-odd-composite"])
+def test_outside_input_is_refused_with_its_message(files, tmp_path, capsys,
+                                                    argv, words):
+    code = run(*argv(files, tmp_path), "--out", files["out"])
+    _assert_input_error(code, capsys, words)
+    assert not files["out"].exists()
+
+
+def test_no_command_prints_help_and_exits_2(capsys):
+    assert run() == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: nexakt") and "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: _algebra_with_coeff(tmp, True),
     lambda tmp: _algebra_with_coeff(tmp, 1.0),

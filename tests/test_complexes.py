@@ -127,3 +127,15 @@ def test_chain_map_space_solves_the_square_above_the_source(a3):
     y = complex_from_maps(0, [_only(hom_basis(p2, s2))])
     (f,) = chain_map_space(x, y)
     assert ComplexMorphism(x, y, f.components).component(0).is_injective()
+
+
+def test_padding_and_homotopy_refuse_mismatched_ranges(m3_sequence):
+    x = m3_sequence
+    with pytest.raises(ValueError, match="pad_complex only extends the range"):
+        pad_complex(x, 1, 3)
+    with pytest.raises(ValueError, match="pad_complex only extends the range"):
+        pad_complex(x, 0, 2)
+    shifted = ComplexSeq(1, list(x.terms), list(x.diffs))
+    with pytest.raises(ValueError, match="homotopy endpoints mismatch"):
+        verify_homotopy(identity_complex_morphism(x),
+                        identity_complex_morphism(shifted), Homotopy(x, x, {}))

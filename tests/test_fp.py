@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from nexakt.fp import (FieldSpec, Mat, _empty, column_space_basis,
+from nexakt.fp import (FieldSpec, Mat, _empty, column_space_basis, is_prime,
                        kernel_basis, mat_from_vector, quotient_data, rank,
                        rref, solve_linear)
 
@@ -21,9 +21,17 @@ def test_fieldspec_rejects_composites():
         FieldSpec(1)
     with pytest.raises(ValueError):
         FieldSpec(2**31 + 11)
-    for composite in (4, 2**31 - 2):
+    for composite in (4, 9, 2**31 - 2):
         with pytest.raises(ValueError, match=f"modulus is not prime: {composite}"):
             FieldSpec(composite)
+
+
+def test_is_prime_below_2_and_on_odd_composites():
+    # FieldSpec refuses p < 2 before asking is_prime, so only a direct
+    # call reaches that branch
+    assert [p for p in range(-2, 30) if is_prime(p)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert not any(is_prime(q) for q in (1, 9, 25, 49, 91, 2**31 - 3))
 
 
 def test_rref_identity_is_fixed():

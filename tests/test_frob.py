@@ -582,3 +582,26 @@ def test_own_constructions_run_no_checked_constructor(ctx, pi2_mods, a3,
         make_angle(ctx, angle.objects, angle.maps, angle.closing)
     for proj in cokernels:
         Morphism(proj.source, proj.target, proj.components)
+
+
+def test_make_angle_refuses_each_malformed_input(ctx, pi2_mods):
+    s1, s2, p1 = pi2_mods["S1"], pi2_mods["S2"], pi2_mods["P1"]
+    sx0 = suspension(ctx, s1)
+    maps = [zero_morphism(s1, s1)] * 3
+    with pytest.raises(ValueError, match=r"n\+2 objects and n\+1 morphisms"):
+        make_angle(ctx, [s1] * 3, maps, zero_morphism(s1, sx0))
+    with pytest.raises(PreconditionError, match="angle object 0 not in add"):
+        make_angle(ctx, [s2] + [s1] * 3,
+                   [zero_morphism(s2, s1)] + maps[1:], zero_morphism(s1, sx0))
+    with pytest.raises(ValueError, match=r"must land in Sigma X\^0"):
+        make_angle(ctx, [s1] * 4, maps, zero_morphism(s1, p1))
+
+
+def test_completion_refuses_a_rotated_angle(ctx, pi2_mods):
+    # a rotated angle keeps no pushout map to factor through
+    a = standard_angle(ctx, hom_basis(pi2_mods["S1"], pi2_mods["P2"])[0])
+    r = rotate_angle(ctx, a)
+    assert r.pushout_map is None
+    with pytest.raises(PreconditionError, match="pushout provenance"):
+        complete_angle_morphism(ctx, r, r, identity_morphism(r.objects[0]),
+                                identity_morphism(r.objects[1]))

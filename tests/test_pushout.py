@@ -235,3 +235,16 @@ def test_sweep_pushouts_keep_their_maps():
     assert (count, len(failed)) == (2976, 16)
     assert kept.hexdigest() == SWEEP_KEPT_SHA256
     assert content_hash(failed) == SWEEP_FAILED_SHA256
+
+
+def test_factorization_refuses_completions_that_differ_in_degree_0(a3, m3, mods):
+    x = upper_complex(a3, mods)
+    d0 = hom_basis(mods["S0"], mods["P1"])[0]
+    _, f = n_pushout(x, d0, m3)
+    _, g = n_pushout(x, zero_morphism(mods["S0"], zero_module(a3)), m3)
+    with pytest.raises(PreconditionError, match="degree-0 targets differ"):
+        pushout_factorization(f, g)
+    _, g = n_pushout(x, d0.scale(2), m3)
+    with pytest.raises(PreconditionError,
+                       match="f and g must share the degree-0 component"):
+        pushout_factorization(f, g)

@@ -1,5 +1,6 @@
 import pytest
 
+from nexakt import quivers
 from nexakt.fp import FieldSpec
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A)
@@ -7,7 +8,10 @@ from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
                             build_algebra, opposite_algebra, path_endpoints)
 
+from nexakt.reps import all_projectives
+
 from conftest import cyclic_nakayama_j2, two_loops
+from test_presets import linear_an_j3
 
 
 def test_quiver_validation():
@@ -355,3 +359,20 @@ def test_relation_term_longer_than_the_bound_is_refused(q, rels, word):
         build_algebra(q, rels, 3, FieldSpec(101))
     assert str(exc.value) == (f"relation term {word} is longer than the "
                               "nilpotency bound 3")
+
+
+@pytest.mark.parametrize("m, dim, checked", [(22, 63, True), (25, 72, False)])
+def test_table_check_stops_above_dimension_64(monkeypatch, m, dim, checked):
+    # above dimension 64 the table is not checked exhaustively; each P_v
+    # is still built by the checked constructor, so every relation is
+    # checked on it
+    products = []
+    multiply = quivers.AlgebraBasis.multiply
+    monkeypatch.setattr(quivers.AlgebraBasis, "multiply",
+                        lambda self, i, j: products.append((i, j))
+                        or multiply(self, i, j))
+    alg = linear_an_j3(m)
+    assert alg.dim == dim
+    assert bool(products) is checked
+    projs = all_projectives(alg)
+    assert sum(sum(pv.dim_vector()) for pv in projs) == dim

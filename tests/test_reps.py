@@ -687,6 +687,11 @@ def test_in_add_of_a_sum_with_one_nonzero_part_is_the_parts_verdict(a3, a3_mods,
         assert bool(in_add(total, gens)) is verdict
 
 
+def test_direct_sum_of_nothing_is_refused():
+    with pytest.raises(ValueError, match="empty direct sum; use zero_module"):
+        direct_sum([])
+
+
 def test_direct_sum_returns_the_parts_it_was_given(a3_mods):
     p0, p1, s2 = a3_mods["P0"], a3_mods["P1"], a3_mods["S2"]
     left, right = direct_sum([p0, p1]).module, direct_sum([p1, s2]).module

@@ -96,6 +96,8 @@ def test_ext0_is_hom(a3):
     p2 = projective_module(a3, "2")
     assert ext_dim(p1, p2, 0) == 1
     assert ext_dim(p2, p1, 0) == 0
+    with pytest.raises(ValueError, match="negative Ext degree"):
+        ext_dim(p1, p2, -1)
 
 
 def test_syzygy_chain(a3):

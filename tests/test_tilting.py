@@ -43,6 +43,8 @@ def test_m3_is_2ct(a3, m3):
     report = check_n_cluster_tilting(m3, 2, nakayama_indecomposables(a3))
     assert report.ok
     assert report.verdict == "n-CT"
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        check_n_cluster_tilting(m3, 0, nakayama_indecomposables(a3))
 
 
 def test_hand_made_list_gives_a_relative_verdict(a3, m3, indecs):
