@@ -3,10 +3,11 @@
 Covers are computed from top = m/rad m and envelopes dually via the
 socle; path-algebra quotients over F_p are basic and split, so no
 semisimple-algebra machinery is needed.  The cover and the projectivity
-test (is_projective) read the top from one helper (_top_coordinates).
-The minimal (co)resolution of a module is kept in the algebra's store as
-one growing chain; each step is verified once, when it is appended, and
-reuse verifies nothing again.
+test (is_projective, also frob's selfinjectivity test) read the top from
+one helper (_top_coordinates).  The minimal (co)resolution of a module is
+kept in the algebra's store as one growing chain; each step is verified
+once, when it is appended, and reuse verifies nothing again.  Both
+directions are handed out as one record, Resolution.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
 along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
