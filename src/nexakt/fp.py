@@ -25,6 +25,14 @@ equations the zero matrix solves; ``kernel_basis`` of a map from the zero
 space is 0x0, and of a map to it the identity; ``quotient_data`` by an
 empty span is the identity, every coordinate free.  A product with inner
 dimension 0 is the zero matrix of its outer shape, not an empty one.
+
+The per-vertex and per-arrow builders of ``reps`` and ``resolutions`` no
+longer hand fp a slot with a zero side: they read it off the modules'
+dimension vectors and take ``_empty`` themselves, which saves a call, its
+checks and the list that feeds it on most slots of a pass.  The early
+returns stay for every other caller: the public names take matrices of
+any shape from files and from users, and ``addcat``, ``complexes``,
+``frob``, ``polys`` and ``fileio`` call fp without looking at the sides.
 """
 
 from __future__ import annotations

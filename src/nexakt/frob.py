@@ -218,12 +218,22 @@ class Angle:
 
 def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
                maps: Sequence[Morphism], closing: Morphism) -> Angle:
+    """The angle the caller brings, checked: n+2 objects in add(M), map i
+    from object i to object i+1 and the closing map from object n+1 to
+    Sigma X^0 (endpoints compared by content), every consecutive composite
+    stably zero.  ValueError names the first position that fails."""
     n = ctx.n
     if len(objects) != n + 2 or len(maps) != n + 1:
         raise ValueError("angle must have n+2 objects and n+1 morphisms")
     for i, obj in enumerate(objects):
         if not in_add(obj, ctx.m.generators):
             raise PreconditionError(f"angle object {i} not in add(M)")
+    for i, f in enumerate(maps):
+        if not (f.source.same_as(objects[i]) and f.target.same_as(objects[i + 1])):
+            raise ValueError(f"angle map {i} does not run from object {i} "
+                             f"to object {i + 1}")
+    if not closing.source.same_as(objects[n + 1]):
+        raise ValueError(f"closing morphism must start at object {n + 1}")
     sx0 = suspension(ctx, objects[0])
     if not closing.target.same_as(sx0):
         raise ValueError("closing morphism must land in Sigma X^0")

@@ -59,9 +59,21 @@ is zero with no system (``_solve_hom``).  That approximation is the one
 composites through the generators (``_composite_table``), both here.
 The two-sided test (id_x through x -> G -> x, ``_identity_through``) is
 left for a plain sequence, whose entries may be decomposable.
-An arrow with a zero end acts on a kernel, image or cokernel by fp's
-shared empty matrix, with no product or solve, except where that solve
-checks that a given span is closed (``_induced_action_on_sub``).
+
+The support rule: every per-vertex and per-arrow builder (the components
+of ``then``, ``add``, ``scale``, zero and identity maps, ``_split_vector``,
+``block_morphism``; the actions of ``direct_sum`` and of kernels, images
+and cokernels; ``radical_span``, ``_radical_step``, ``socle_span``,
+``composite_rows``, ``path_matrix`` and the maps out of P_v and into I_v
+in ``resolutions``)
+calls fp only on a slot whose two sides are nonzero.  A slot with a zero
+side, read off the ``dims`` of its modules, is fp's shared empty matrix of
+its shape (``_empty``), so every component dict still holds every vertex.
+Where the sides are nonzero the result is what fp returns: a product
+with inner dimension 0 is the zero matrix of its outer shape, the kernel
+of a map into the zero space is the identity, a quotient by an empty span
+keeps every coordinate.  The one solve kept on an empty slot is the one
+that checks a given span is closed (``_induced_action_on_sub``).
 
 Isomorphism to an indecomposable e is decided exactly, by membership:
 x = e iff dim x = dim e and x lies in add(e) (Krull-Schmidt), the one
@@ -127,7 +139,8 @@ class Module:
         for a in q.arrows:
             m = self.action.get(a.name)
             if m is None:
-                m = Mat.zero(dims[a.target], dims[a.source], p)
+                s, t = dims[a.source], dims[a.target]
+                m = Mat.zero(t, s, p) if s and t else _empty(t, s, p)
             if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise ValueError(f"action of {a.name} has wrong shape")
             if m.p != p:
@@ -140,23 +153,36 @@ class Module:
         object.__setattr__(self, "cid", self.algebra.content_id(self.key))
 
     def _check_relations(self):
+        """Each relation vanishes; the terms of one relation share their
+        ends, so one that starts or ends outside the support holds."""
         for rel in self.algebra.relations:
             acc = None
             for coeff, word in rel.terms:
                 m = self.path_matrix(word)
+                if not m.entries:
+                    break
                 m = m.scale(coeff)
                 acc = m if acc is None else acc.add(m)
             if acc is not None and not acc.is_zero():
                 raise ValueError("relation does not vanish on module")
 
     def path_matrix(self, word: PathWord) -> Mat:
-        """Matrix of a path acting on the module (word [a,b] -> Mat(b)*Mat(a))."""
+        """Matrix of a path acting on the module (word [a,b] -> Mat(b)*Mat(a)).
+        A path from or to a zero space is fp's shared empty matrix, and one
+        through a zero space the zero matrix, with no product."""
+        p = self.algebra.p
         if word.is_trivial():
-            return Mat.identity(self.dims[word.base], self.algebra.p)
-        m = None
-        for name in word.arrows:
-            step = self.action[name]
-            m = step if m is None else step.mul(m)
+            d = self.dims[word.base]
+            return Mat.identity(d, p) if d else _empty(0, 0, p)
+        steps = [self.action[name] for name in word.arrows]
+        rows, cols = steps[-1].rows, steps[0].cols
+        if not (rows and cols):
+            return _empty(rows, cols, p)
+        if not all(step.rows for step in steps):
+            return Mat.zero(rows, cols, p)
+        m = steps[0]
+        for step in steps[1:]:
+            m = step.mul(m)
         return m
 
     @property
@@ -215,8 +241,10 @@ class Morphism:
         if not other.source.same_as(self.target):
             raise ValueError("non-composable morphisms")
         _require_same_algebra(self.target, other.source)
+        sd, td, p = self.source.dims, other.target.dims, self.source.algebra.p
         return _natural(self.source, other.target,
-                        {v: other.components[v].mul(m)
+                        {v: other.components[v].mul(m) if sd[v] and td[v]
+                            else _empty(td[v], sd[v], p)
                          for v, m in self.components.items()})
 
     def _parallel(self, other: "Morphism") -> bool:
@@ -226,25 +254,33 @@ class Morphism:
     def add(self, other: "Morphism") -> "Morphism":
         if not self._parallel(other):
             raise ValueError("morphisms with different endpoints")
+        sd, td, p = self.source.dims, self.target.dims, self.source.algebra.p
         return _natural(self.source, self.target,
-                        {v: m.add(other.components[v])
+                        {v: m.add(other.components[v]) if sd[v] and td[v]
+                            else _empty(td[v], sd[v], p)
                          for v, m in self.components.items()})
 
     def sub(self, other: "Morphism") -> "Morphism":
         return self.add(other.scale(-1))
 
     def scale(self, c: int) -> "Morphism":
+        sd, td, p = self.source.dims, self.target.dims, self.source.algebra.p
         return _natural(self.source, self.target,
-                        {v: m.scale(c) for v, m in self.components.items()})
+                        {v: m.scale(c) if sd[v] and td[v] else _empty(td[v], sd[v], p)
+                         for v, m in self.components.items()})
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.components.values())
 
     def is_injective(self) -> bool:
-        return all(rank(m) == m.cols for m in self.components.values())
+        sd, td = self.source.dims, self.target.dims
+        return all(td[v] and rank(m) == sd[v]
+                   for v, m in self.components.items() if sd[v])
 
     def is_surjective(self) -> bool:
-        return all(rank(m) == m.rows for m in self.components.values())
+        sd, td = self.source.dims, self.target.dims
+        return all(sd[v] and rank(m) == td[v]
+                   for v, m in self.components.items() if td[v])
 
     def vectorize(self) -> tuple:
         out = []
@@ -256,16 +292,17 @@ class Morphism:
 def zero_morphism(m: Module, n: Module) -> Morphism:
     """Natural by construction, so built unchecked."""
     _require_same_algebra(m, n)
-    p = m.algebra.p
-    return _natural(m, n, {v: Mat.zero(n.dims[v], m.dims[v], p)
+    md, nd, p = m.dims, n.dims, m.algebra.p
+    return _natural(m, n, {v: Mat.zero(nd[v], md[v], p) if md[v] and nd[v]
+                           else _empty(nd[v], md[v], p)
                            for v in m.algebra.quiver.vertices})
 
 
 def identity_morphism(m: Module) -> Morphism:
     """Natural by construction, so built unchecked."""
     p = m.algebra.p
-    return _natural(m, m, {v: Mat.identity(m.dims[v], p)
-                           for v in m.algebra.quiver.vertices})
+    return _natural(m, m, {v: Mat.identity(d, p) if d else _empty(0, 0, p)
+                           for v, d in m.dims.items()})
 
 
 def _natural(source: Module, target: Module, components: dict) -> Morphism:
@@ -285,8 +322,11 @@ def _split_vector(m: Module, n: Module, vec: Sequence[int]) -> dict:
     pos = 0
     for v in m.algebra.quiver.vertices:
         r, c = n.dims[v], m.dims[v]
-        comps[v] = mat_from_vector(vec[pos:pos + r * c], r, c, p)
-        pos += r * c
+        if r and c:
+            comps[v] = mat_from_vector(vec[pos:pos + r * c], r, c, p)
+            pos += r * c
+        else:
+            comps[v] = _empty(r, c, p)
     return comps
 
 
@@ -430,14 +470,18 @@ def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
 
 def kernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     """Vertex-wise kernel with induced action and its inclusion."""
-    incl = {v: kernel_basis(f.components[v]) for v in f.components}
+    sd, td, p = f.source.dims, f.target.dims, f.source.algebra.p
+    incl = {v: kernel_basis(m) if sd[v] and td[v] else Mat.identity(sd[v], p)
+            for v, m in f.components.items()}
     k = _induced_action_on_sub(f.source, incl)
     return k, _natural(k, f.source, incl)
 
 
 def image_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     """Vertex-wise image submodule of the target and its inclusion."""
-    incl = {v: column_space_basis(f.components[v]) for v in f.components}
+    sd, td, p = f.source.dims, f.target.dims, f.source.algebra.p
+    incl = {v: column_space_basis(m) if sd[v] and td[v] else _empty(td[v], 0, p)
+            for v, m in f.components.items()}
     im = _induced_action_on_sub(f.target, incl)
     return im, _natural(im, f.target, incl)
 
@@ -449,7 +493,10 @@ def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     identity on the free coordinates that quotient_data returns, so Q(a)
     is proj_t times the columns of A(a) at them."""
     alg = f.source.algebra
-    quot = {v: quotient_data(f.components[v]) for v in f.components}
+    sd, td = f.source.dims, f.target.dims
+    quot = {v: quotient_data(m) if sd[v] and td[v]
+            else (Mat.identity(td[v], alg.p), list(range(td[v])))
+            for v, m in f.components.items()}
     proj = {v: q[0] for v, q in quot.items()}
     dims = {v: proj[v].rows for v in proj}
     action = {}
@@ -491,6 +538,10 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
     dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
+        s, t = dims[a.source], dims[a.target]
+        if not (s and t):
+            action[a.name] = _empty(t, s, alg.p)
+            continue
         action[a.name] = Mat.from_blocks(
             [m.dims[a.target] for m in mods], [m.dims[a.source] for m in mods],
             {(i, i): m.action[a.name] for i, m in enumerate(mods)}, alg.p)
@@ -515,11 +566,12 @@ def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
         if not (0 <= i < len(tgt_parts) and 0 <= j < len(src_parts)
                 and f.source.same_as(src_parts[j]) and f.target.same_as(tgt_parts[i])):
             raise ValueError(f"block ({i}, {j}) does not join its summands")
+    sd, td, p = src.dims, tgt.dims, src.algebra.p
     return _natural(src, tgt, {
         v: Mat.from_blocks([t.dims[v] for t in tgt_parts],
                            [s.dims[v] for s in src_parts],
-                           {ij: f.components[v] for ij, f in blocks.items()},
-                           src.algebra.p)
+                           {ij: f.components[v] for ij, f in blocks.items()}, p)
+        if sd[v] and td[v] else _empty(td[v], sd[v], p)
         for v in src.algebra.quiver.vertices})
 
 
@@ -559,17 +611,21 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
     _require_same_algebra(end, joint)
     k = len(basis)
     rows: List[List[int]] = [[] for _ in basis]
+    # the outer dimensions at each vertex, and the inner one
+    rd, cd = (tgt.dims, d.source.dims) if d_first else (d.target.dims, src.dims)
+    jd = joint.dims
     for v in d.source.algebra.quiver.vertices:
-        dv = d.components[v]
-        comps = [b.components[v] for b in basis]
-        if d_first:                 # b_v * d_v for each b: row blocks
-            if comps[0].rows * dv.cols == 0:
-                continue
-            blocks = _row_blocks(Mat.vstack(comps).mul(dv), k)
+        r, c = rd[v], cd[v]
+        if not (r and c):
+            continue
+        if not jd[v]:
+            blocks = [(0,) * (r * c)] * k
+        elif d_first:               # b_v * d_v for each b: row blocks
+            blocks = _row_blocks(Mat.vstack([b.components[v] for b in basis])
+                                 .mul(d.components[v]), k)
         else:                       # d_v * b_v for each b: column blocks
-            if dv.rows * comps[0].cols == 0:
-                continue
-            blocks = _column_blocks(dv.mul(Mat.hstack(comps)), k)
+            blocks = _column_blocks(d.components[v].mul(
+                Mat.hstack([b.components[v] for b in basis])), k)
         for row, block in zip(rows, blocks):
             row.extend(block)
     return [tuple(row) for row in rows]
@@ -986,37 +1042,45 @@ def regular_module(alg: AlgebraBasis) -> Module:
 
 def radical_span(m: Module) -> Dict[str, Mat]:
     """rad m = sum of images of all arrow actions, vertex-wise: at v, the
-    actions of the arrows into v side by side."""
-    alg = m.algebra
-    return {v: Mat.hstack([Mat.zero(m.dims[v], 0, alg.p)]
-                          + [m.action[a.name] for a in alg.quiver.arrows
-                             if a.target == v])
-            for v in alg.quiver.vertices}
+    actions of the arrows into v side by side, one column per vector at
+    their sources."""
+    alg, dims = m.algebra, m.dims
+    span = {}
+    for v, d in dims.items():
+        into = [a for a in alg.quiver.arrows if a.target == v and dims[a.source]]
+        if d and into:
+            span[v] = Mat.hstack([m.action[a.name] for a in into])
+        else:
+            span[v] = _empty(d, sum(dims[a.source] for a in into), alg.p)
+    return span
 
 
 def _radical_step(m: Module, span: Dict[str, Mat]) -> Dict[str, Mat]:
     """Spanning matrices of rad^(l+1) m = arrows . rad^l m from those of
-    rad^l m."""
-    alg = m.algebra
+    rad^l m: at v, the actions of the arrows into v times the spans at
+    their sources, side by side."""
+    alg, dims = m.algebra, m.dims
     out = {}
-    for v in alg.quiver.vertices:
-        cols = [Mat.zero(m.dims[v], 0, alg.p)]
-        for a in alg.quiver.arrows:
-            if a.target == v:
-                cols.append(m.action[a.name].mul(span[a.source]))
-        out[v] = Mat.hstack(cols)
+    for v, d in dims.items():
+        into = [a for a in alg.quiver.arrows if a.target == v and span[a.source].cols]
+        ncols = sum(span[a.source].cols for a in into)
+        if d and ncols:
+            out[v] = Mat.hstack([m.action[a.name].mul(span[a.source]) for a in into])
+        else:
+            out[v] = _empty(d, ncols, alg.p)
     return out
 
 
 def socle_span(m: Module) -> Dict[str, Mat]:
-    """soc m = joint kernel of all arrow actions, vertex-wise."""
-    alg = m.algebra
-    p = alg.p
+    """soc m = joint kernel of all arrow actions, vertex-wise: at v, of
+    the actions of the arrows out of v one above the other."""
+    alg, dims = m.algebra, m.dims
     span = {}
-    for v in alg.quiver.vertices:
-        rows = [Mat.zero(0, m.dims[v], p)]
-        for a in alg.quiver.arrows:
-            if a.source == v:
-                rows.append(m.action[a.name])
-        span[v] = kernel_basis(Mat.vstack(rows))
+    for v, d in dims.items():
+        out = [m.action[a.name] for a in alg.quiver.arrows
+               if a.source == v and dims[a.target]]
+        if d and out:
+            span[v] = kernel_basis(Mat.vstack(out))
+        else:
+            span[v] = Mat.identity(d, alg.p)
     return span

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .fp import Mat, quotient_data, rank, solve_linear
+from .fp import Mat, _empty, quotient_data, rank, solve_linear
 from .reps import (Module, Morphism, _natural, _require_same_algebra,
                    all_injectives, all_projectives, basis_paths,
                    cokernel_morphism, hom_basis, hom_dims_and_ranks,
@@ -46,7 +46,8 @@ def _top_coordinates(m: Module) -> Dict[str, List[int]]:
     lift a basis of top(m) = m/rad m at v: the free coordinates of
     rad m at v, as many as (dim top m)_v."""
     rad = radical_span(m)
-    return {v: quotient_data(span)[1] for v, span in rad.items()}
+    return {v: quotient_data(span)[1] if span.entries else list(range(span.rows))
+            for v, span in rad.items()}
 
 
 def projective_cover(m: Module) -> Morphism:
@@ -85,9 +86,12 @@ def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:
     alg = m.algebra
     by_vertex = basis_paths(alg, v, starting=True)
     comps = {}
-    for w in alg.quiver.vertices:
-        cols = [m.path_matrix(alg.basis[b]).mul(vec) for b in by_vertex[w]]
-        comps[w] = Mat.hstack(cols) if cols else Mat.zero(m.dims[w], 0, alg.p)
+    for w, d in m.dims.items():
+        paths = by_vertex[w]
+        if d and paths:
+            comps[w] = Mat.hstack([m.path_matrix(alg.basis[b]).mul(vec) for b in paths])
+        else:
+            comps[w] = _empty(d, len(paths), alg.p)
     return _natural(pv, m, comps)
 
 
@@ -101,6 +105,8 @@ def injective_envelope(m: Module) -> Morphism:
     data: List[Tuple[str, Mat]] = []
     for v in alg.quiver.vertices:
         basis = soc[v]
+        if not basis.cols:
+            continue
         dual = solve_linear(basis.transpose(), Mat.identity(basis.cols, alg.p))
         for j in range(basis.cols):
             data.append((v, Mat.from_rows([[dual.at(i, j)]
@@ -122,11 +128,15 @@ def _map_into_injective(m: Module, v: str, functional: Mat, inj_v: Module) -> Mo
     x in m_w to the tuple (p |-> <functional, p.x>) over those paths."""
     alg = m.algebra
     by_vertex = basis_paths(alg, v, starting=False)
+    row = functional.transpose()
     comps = {}
-    for w in alg.quiver.vertices:
-        rows = [list(functional.transpose().mul(m.path_matrix(alg.basis[b])).row(0))
-                for b in by_vertex[w]]
-        comps[w] = Mat.from_rows(rows, alg.p, cols=m.dims[w])
+    for w, d in m.dims.items():
+        paths = by_vertex[w]
+        if d and paths:
+            comps[w] = Mat.from_rows([row.mul(m.path_matrix(alg.basis[b])).entries
+                                      for b in paths], alg.p, cols=d)
+        else:
+            comps[w] = _empty(len(paths), d, alg.p)
     return _natural(m, inj_v, comps)
 
 

@@ -269,6 +269,29 @@ def test_make_angle_names_the_composite_that_is_not_stably_zero(ctx, pi2_mods, k
         make_angle(ctx, [s1] * 4, chain[:3], chain[3])
 
 
+def test_make_angle_refuses_a_map_between_the_wrong_objects(ctx, pi2_mods):
+    # the reproducer: map 0 starts at P1, not at object 0 = S1.  make_angle
+    # returned an Angle, and verify_angle_exact raised a bare
+    # "non-composable morphisms"; the refusal now names the position
+    s1, p1 = pi2_mods["S1"], pi2_mods["P1"]
+    sx0 = suspension(ctx, s1)
+    maps = [zero_morphism(p1, s1)] + [zero_morphism(s1, s1)] * 2
+    with pytest.raises(ValueError, match="angle map 0 does not run from object 0 "
+                                         "to object 1"):
+        make_angle(ctx, [s1] * 4, maps, zero_morphism(s1, sx0))
+    maps = [zero_morphism(s1, s1), zero_morphism(s1, p1), zero_morphism(s1, s1)]
+    with pytest.raises(ValueError, match="angle map 1 does not run"):
+        make_angle(ctx, [s1] * 4, maps, zero_morphism(s1, sx0))
+    # a closing map that starts elsewhere than object n + 1 = 3
+    maps = [zero_morphism(s1, s1)] * 3
+    with pytest.raises(ValueError, match="closing morphism must start at object 3"):
+        make_angle(ctx, [s1] * 4, maps, zero_morphism(p1, sx0))
+    # endpoints are compared by content: S1 built again is object 0
+    again = simple_module(ctx.algebra, "1")
+    make_angle(ctx, [s1] * 4, [zero_morphism(again, s1)] + maps[1:],
+               zero_morphism(s1, sx0))
+
+
 def test_rotation_of_trivial_angle(ctx, pi2_mods):
     angle = trivial_angle(ctx, pi2_mods["S1"])
     rot = rotate_angle(ctx, angle)

@@ -9,16 +9,27 @@ import random
 
 import pytest
 
+from nexakt import fileio, fp, reps
+from nexakt.addcat import (add_category, minimal_left_approximation,
+                           minimal_right_approximation, n_cokernel, n_kernel,
+                           weak_cokernel)
+from nexakt.complexes import complex_from_maps
 from nexakt.fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
                        quotient_data, rank, solve_linear)
-from nexakt.presets import gen_linear_An_J2, gen_preprojective_A
-from nexakt.reps import (_split_vector, all_injectives, all_projectives,
-                         assemble_from_span, block_morphism, cokernel_morphism,
-                         composite_rows, direct_sum, hom_basis,
-                         identity_morphism, image_morphism, kernel_morphism,
-                         radical_span, simple_module, socle_span, zero_module,
-                         zero_morphism)
-from nexakt.resolutions import _map_from_projective, _map_into_injective
+from nexakt.frob import (check_frobenius_setup, rotate_angle, standard_angle,
+                         verify_angle_exact)
+from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
+                            nakayama_indecomposables)
+from nexakt.pushout import n_pushout
+from nexakt.quivers import PathWord
+from nexakt.reps import (_radical_step, _split_vector, all_injectives,
+                         all_projectives, assemble_from_span, block_morphism,
+                         cokernel_morphism, composite_rows, direct_sum,
+                         hom_basis, identity_morphism, image_morphism, in_add,
+                         kernel_morphism, radical_span, regular_module,
+                         simple_module, socle_span, zero_module, zero_morphism)
+from nexakt.resolutions import _map_from_projective, _map_into_injective, ext_dim
+from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
 from conftest import (cyclic_nakayama_j2, in_random_basis, kronecker_algebra,
                       kronecker_field_module, random_quotient)
@@ -179,6 +190,32 @@ def ref_socle(m):
             for v in alg.quiver.vertices}
 
 
+def ref_radical_step(m, span):
+    alg = m.algebra
+    return {v: Mat.hstack([Mat.zero(m.dims[v], 0, alg.p)]
+                          + [m.action[a.name].mul(span[a.source])
+                             for a in alg.quiver.arrows if a.target == v])
+            for v in alg.quiver.vertices}
+
+
+def ref_path_matrix(m, word):
+    if word.is_trivial():
+        return Mat.identity(m.dims[word.base], m.algebra.p)
+    out = m.action[word.arrows[0]]
+    for name in word.arrows[1:]:
+        out = m.action[name].mul(out)
+    return out
+
+
+def _words(q, length):
+    """Every composable word of the given length (the trivial words at 0)."""
+    if length == 0:
+        return [PathWord.trivial(v) for v in q.vertices]
+    return [PathWord(w.arrows + (a.name,)) if w.arrows else PathWord((a.name,))
+            for w in _words(q, length - 1) for a in q.arrows
+            if not w.arrows or q.arrow(w.arrows[-1]).target == a.source]
+
+
 def ref_from_projective(v, vec, m):
     alg = m.algebra
     paths = [i for i in range(alg.dim) if alg.source_of[i] == v]
@@ -224,19 +261,20 @@ def test_morphism_arithmetic_matches_reference(case):
     alg, mods, rng = case
     p = alg.p
     for x in mods:
-        assert identity_morphism(x).components == ref_identity(x)
+        ident = identity_morphism(x)
+        assert ident.components == ref_identity(x)
+        assert ident.is_injective() and ident.is_surjective()
         for y in mods:
             assert zero_morphism(x, y).components == ref_zero(x, y)
             f, g = _random_map(x, y, rng), _random_map(x, y, rng)
             vec = [rng.randrange(p) for _ in f.vectorize()]
             assert _split_vector(x, y, vec) == ref_split_vector(x, y, vec)
-            coeffs = [rng.randrange(p) for _ in range(2)]
-            combo = [(a * c) % p for a, c in zip(f.vectorize(), [coeffs[0]] * len(vec))]
-            combo = [(a + coeffs[1] * b) % p for a, b in zip(combo, g.vectorize())]
-            assert assemble_from_span([f, g], coeffs, x, y).components \
+            c, e = rng.randrange(p), rng.randrange(p)
+            combo = [c * a + e * b for a, b in zip(f.vectorize(), g.vectorize())]
+            assert assemble_from_span([f, g], [c, e], x, y).components \
                 == ref_split_vector(x, y, combo)
             assert f.add(g).components == ref_add(f, g)
-            assert f.scale(coeffs[0]).components == ref_scale(f, coeffs[0])
+            assert f.scale(c).components == ref_scale(f, c)
             assert f.sub(g).components == ref_add(f, g.scale(-1))
             for h in (f, zero_morphism(x, y)):
                 assert h.is_injective() == ref_injective(h)
@@ -244,7 +282,8 @@ def test_morphism_arithmetic_matches_reference(case):
             z = rng.choice(mods)
             k = _random_map(y, z, rng)
             assert f.then(k).components == ref_then(f, k)
-            assert f.then(zero_morphism(y, z)).components == ref_then(f, zero_morphism(y, z))
+            zero = zero_morphism(y, z)
+            assert f.then(zero).components == ref_then(f, zero)
 
 
 def test_sums_and_composite_rows_match_reference(case):
@@ -281,10 +320,14 @@ def test_kernels_images_cokernels_match_reference(case):
                     action, comps = ref(f)
                     _same_module(sub, {v: c.cols for v, c in comps.items()}, action)
                     assert incl.components == comps
+                    assert incl.is_injective() is ref_injective(incl) is True
+                    assert incl.is_surjective() is ref_surjective(incl)
                 quot, proj = cokernel_morphism(f)
                 action, comps = ref_cokernel(f)
                 _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
                 assert proj.components == comps
+                assert proj.is_surjective() is ref_surjective(proj) is True
+                assert proj.is_injective() is ref_injective(proj)
 
 
 def test_spans_and_maps_of_indecomposable_projectives_match_reference(case):
@@ -292,7 +335,14 @@ def test_spans_and_maps_of_indecomposable_projectives_match_reference(case):
     p = alg.p
     projs, injs = all_projectives(alg), all_injectives(alg)
     for m in mods:
-        assert radical_span(m) == ref_radical(m)
+        rad = radical_span(m)
+        assert rad == ref_radical(m)
+        for _ in range(3):
+            assert _radical_step(m, rad) == ref_radical_step(m, rad)
+            rad = _radical_step(m, rad)
+        for length in range(4):
+            for word in _words(alg.quiver, length):
+                assert m.path_matrix(word) == ref_path_matrix(m, word)
         assert socle_span(m) == ref_socle(m)
         for v, pv, iv in zip(alg.quiver.vertices, projs, injs):
             vec = mat_from_vector([rng.randrange(p) for _ in range(m.dims[v])],
@@ -312,3 +362,76 @@ def test_cases_have_zero_vertices():
         assert mods[0].is_zero()
         assert any(0 < sum(1 for d in m.dims.values() if d) < len(m.dims)
                    for m in mods), name
+
+
+# -- no fp call on a zero-dimensional slot -------------------------------
+
+
+def _twisted_sum(mods, picks, rng):
+    return in_random_basis(direct_sum([mods[i] for i in picks]).module, rng)
+
+
+@pytest.fixture
+def empty_results_raise(monkeypatch):
+    """A function that makes Mat.mul, add, scale, from_blocks and
+    fp.mat_from_vector raise on a result with a zero side; the inputs of a
+    request are built before it is called."""
+    def guarded(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if not (out.rows and out.cols):
+                raise AssertionError(f"{name} made a {out.rows}x{out.cols} matrix")
+            return out
+        return call
+
+    def install():
+        for name in ("mul", "add", "scale"):
+            monkeypatch.setattr(Mat, name, guarded(name, getattr(Mat, name)))
+        monkeypatch.setattr(Mat, "from_blocks",
+                            staticmethod(guarded("from_blocks", Mat.from_blocks)))
+        for mod in (fp, reps, fileio):
+            monkeypatch.setattr(mod, "mat_from_vector",
+                                guarded("mat_from_vector", fp.mat_from_vector))
+    return install
+
+
+def test_addm_requests_hand_fp_no_zero_dimensional_slot(empty_results_raise):
+    """One request of each add(M) kind on K A_9/J^2 at p = 65537, as the
+    addm-certify workload makes them; inputs are built first."""
+    alg, gens = gen_linear_An_J2(2, 4, p=65537)
+    cat = add_category(alg, gens, seed=0)
+    indecs = nakayama_indecomposables(alg)
+    rng = random.Random(5)
+    src, tgt, via = (_twisted_sum(gens, picks, rng)
+                     for picks in ([0, 9], [3, 10, 4], [5, 11]))
+    d, f0 = _random_map(src, tgt, rng), _random_map(src, via, rng)
+    x = _twisted_sum(indecs, [2, 12, 7], rng)
+    lam = in_random_basis(regular_module(alg), rng)
+    empty_results_raise()
+    seq = n_cokernel(d, cat, 2)
+    assert seq.diff(0).then(seq.diff(1)).is_zero()
+    n_kernel(d, cat, 2)
+    n_pushout(complex_from_maps(0, [d, weak_cokernel(d, cat)]), f0, cat)
+    assert minimal_left_approximation(x, cat).source.dims == x.dims
+    assert minimal_right_approximation(x, cat).target.dims == x.dims
+    assert in_add(tgt, cat.generators)
+    assert ext_via_approx_resolution(x, via, cat, 1, 2) == ext_dim(x, via, 1)
+    assert strong_projectivity_check(lam, d, cat)[0] is True
+
+
+def test_angle_requests_hand_fp_no_zero_dimensional_slot(empty_results_raise):
+    """standard_angle, rotate_angle and verify_angle_exact on the 6-cycle
+    with J^2 = 0 at p = 101, M = add(Lambda + S_0 + S_2 + S_4), n = 2, as
+    the frobenius-angles workload makes them."""
+    alg = cyclic_nakayama_j2(6, 101)
+    gens = ([all_projectives(alg)[v] for v in range(6)]
+            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
+    ctx = check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,
+                                nakayama_indecomposables(alg), seed=0)
+    rng = random.Random(5)
+    alpha = _random_map(_twisted_sum(gens, [6, 1], rng),
+                        _twisted_sum(gens, [2, 7, 0], rng), rng)
+    empty_results_raise()
+    angle = standard_angle(ctx, alpha)
+    assert verify_angle_exact(ctx, angle)[0] is True
+    assert verify_angle_exact(ctx, rotate_angle(ctx, angle))[0] is True
