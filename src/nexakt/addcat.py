@@ -16,7 +16,10 @@ each, and each step is one reps.factor_through.
 Each fact is checked once, where it is made.  An approximation checks
 its contract (Hom(T, G) -> Hom(x, G) onto, or dually) when it is built,
 for each generator G with Hom(x, G) (or Hom(G, x)) nonzero, from the
-table's rows, so no Hom space of T is solved (_approximation).
+table's rows, so no Hom space of T is solved (_build_approximation).
+It is kept in the algebra's store by side and by the content ids of x
+and of the generators, and reused, unchecked, for every later x of that
+content (_approximation); its sum T is the stored sum of direct_sum.
 A weak (co)kernel and the Hom exactness of an n-(co)kernel ladder follow
 from that contract and the exactness of (co)kernels, so they are not
 checked again; what depends on M is that a ladder ends in add(M), and
@@ -112,9 +115,22 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module],
 
 
 def _approximation(x: Module, m: AddCat, left: bool) -> Morphism:
-    """The minimal left (x -> T) or right (T -> x) approximation: the
-    stacked Hom bases between x and the generators, less the summands
-    _peel_superfluous drops.
+    """The minimal left (x -> T) or right (T -> x) approximation, kept in
+    the algebra's store by side and the content ids of x and of the
+    generators: it is built and its contract checked once per content
+    (_build_approximation).  Like a stored Hom basis, the map starts (left)
+    or ends (right) at the first module of x's content; every caller
+    compares endpoints by content."""
+    side = "left" if left else "right"
+    return x.algebra.memoized(
+        ("approx", side, x.cid, tuple(g.cid for g in m.generators)),
+        lambda: _build_approximation(x, m, left))
+
+
+def _build_approximation(x: Module, m: AddCat, left: bool) -> Morphism:
+    """The approximation _approximation stores: the stacked Hom bases
+    between x and the generators, less the summands _peel_superfluous
+    drops.
 
     Contract (verified): Hom(T, G) -> Hom(x, G) is onto (left; dually
     Hom(G, T) -> Hom(G, x)) for every generator G with Hom(x, G) (or

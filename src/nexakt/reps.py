@@ -38,16 +38,19 @@ next value of one counter for all algebras, so modules over separately
 built equal algebras never share one.  Every fact the package reuses is
 kept in the algebra's store (``AlgebraBasis.memoized``) by operation and
 content ids, until the store is cleared whole at ``STORE_BOUND``;
-stored maps (Hom bases, chains) start and end at the first module of
-each content, and every endpoint check compares content.  The keys are
-("hom", m, n) for hom_basis, ("stable", m, n) for frob.stable_hom (the
-ideal of maps through the injective envelope, and the Hom basis once it
-is read), ("in_add", x, ids of the generators) for the bool in_add
-returns, ("summands", x) for a proper decomposition direct_sum records
-(its nonzero parts, when there are at least two, each of smaller
-dimension; in_add decides the content by them, and solves for no zero
-module, generator or sum), ("projres", x) and ("injres", x) for the
-growing minimal (co)resolutions, and "projectives" and "injectives".
+stored maps (Hom bases, chains, approximations) start and end at the
+first module of each content, and every endpoint check compares content.
+The keys are ("hom", m, n) for hom_basis, ("stable", m, n) for
+frob.stable_hom (the ideal of maps through the injective envelope, and
+the Hom basis once it is read), ("in_add", x, ids of the generators) for
+the bool in_add returns, ("sum", ids of the operands) for the module
+direct_sum returns, ("summands", x) for a proper decomposition
+direct_sum records with it (its nonzero parts, when there are at least
+two, each of smaller dimension; in_add decides the content by them, and
+solves for no zero module, generator or sum), ("approx", side, x, ids of
+the generators) for the minimal approximation addcat builds, its
+contract checked once, ("projres", x) and ("injres", x) for the growing
+minimal (co)resolutions, and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: over an
 ``Indecomposables`` list, ``in_add`` reads only Hom(G, x), for the
@@ -527,14 +530,26 @@ class DirectSum(NamedTuple):
 
 def direct_sum(mods: Sequence[Module]) -> DirectSum:
     """The direct sum module, with block-diagonal action, and the parts
-    given; maps into or out of it are built by block_morphism.  The nonzero
-    parts are recorded as "summands" when there are at least two; a
-    content-equal sum recorded first keeps its own parts."""
+    given; maps into or out of it are built by block_morphism.
+
+    The sum module is kept in the algebra's store by the content ids of
+    the operands, so it is built, shape-checked and its "summands"
+    recorded once per list of operand contents (_sum_module); the parts
+    returned are always the caller's own."""
     if not mods:
         raise ValueError("empty direct sum; use zero_module")
     alg = mods[0].algebra
     for m in mods[1:]:
         _require_same_algebra(mods[0], m)
+    total = alg.memoized(("sum", tuple(m.cid for m in mods)),
+                         lambda: _sum_module(alg, mods))
+    return DirectSum(total, tuple(mods))
+
+
+def _sum_module(alg: AlgebraBasis, mods: Sequence[Module]) -> Module:
+    """The module of direct_sum; its nonzero parts are recorded as
+    "summands" when there are at least two (a content-equal sum recorded
+    first keeps its own parts)."""
     dims = {v: sum(m.dims[v] for m in mods) for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
@@ -549,7 +564,7 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
     nonzero = tuple(m for m in mods if not m.is_zero())
     if len(nonzero) > 1:
         alg.memoized(("summands", total.cid), lambda: nonzero)
-    return DirectSum(total, tuple(mods))
+    return total
 
 
 def block_morphism(source: DirectSum | Module, target: DirectSum | Module,

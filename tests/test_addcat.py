@@ -15,14 +15,17 @@ from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
                               pad_complex, verify_homotopy)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.fileio import morphism_to_dict
+from nexakt import quivers, reps
 from nexakt.fp import Mat
 from nexakt.frob import check_frobenius_setup, standard_angle
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
-from nexakt.reps import (Module, block_morphism, composite_rows, direct_sum,
+from nexakt.reps import (Module, _composite_table, _peel_superfluous,
+                         block_morphism, composite_rows, direct_sum,
                          hom_basis, hom_dims_and_ranks, identity_morphism,
                          in_add, injective_module, projective_module,
-                         simple_module, solve_rows, stack_morphisms_from_sum,
-                         stack_morphisms_to_sum, zero_module, zero_morphism)
+                         rows_rank, simple_module, solve_rows,
+                         stack_morphisms_from_sum, stack_morphisms_to_sum,
+                         zero_module, zero_morphism)
 from nexakt.tilting import check_n_cluster_tilting
 
 from conftest import (complete_to_chain_map, cyclic_nakayama_j2,
@@ -214,6 +217,122 @@ def test_approximations_over_a_generator_that_is_not_a_brick():
     for build in (minimal_left_approximation, minimal_right_approximation):
         assert build(xs[0], m).source.dim_vector() == (2, 2)
         assert build(xs[0], m).target.dim_vector() == (2, 2)
+
+
+def reverse_greedy_peel(parts, table, p):
+    """The positions the peel keeps when every generator is a brick
+    (End G = F_p), in closed form: for each G_j, its candidates f_i read
+    from last to first, each kept when it is independent of
+    R_j = sum of table(r, j) over the r with G_r != G_j and of the
+    candidates of G_j kept before it."""
+    kept = []
+    for j in sorted({jr for jr, _ in parts}):
+        span = [row for r, (jr, _) in enumerate(parts) if jr != j
+                for row in table(r, j)]
+        for i in reversed(range(len(parts))):
+            if parts[i][0] == j:
+                row = parts[i][1].vectorize()
+                if rows_rank(span + [row], p) > rows_rank(span, p):
+                    span.append(row)
+                    kept.append(i)
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_peel_over_bricks_keeps_the_reverse_greedy_choice(p):
+    # over bricks rad End(G_j) = 0, so rad_M(x, G_j) is R_j, and the
+    # multiplicity of G_j in the minimal approximation is the dimension of
+    # Hom(x, G_j) / R_j (Auslander-Smalo, J. Algebra 1980)
+    rng = random.Random(p)
+    peels = dropped = 0
+    for alg in (gen_linear_An_J2(1, 3, p)[0], cyclic_nakayama_j2(6, p),
+                preprojective_a2(p)):
+        gens = nakayama_indecomposables(alg)
+        assert all(len(hom_basis(g, g)) == 1 for g in gens)
+        xs = [in_random_basis(direct_sum(list(pair)).module, rng)
+              for k in (1, 2) for pair in combinations_with_replacement(gens, k)]
+        for x in xs:
+            for left in (True, False):
+                parts = [(j, f) for j, g in enumerate(gens)
+                         for f in (hom_basis(x, g) if left else hom_basis(g, x))]
+                table = _composite_table(gens, parts, left)
+                kept = _peel_superfluous(parts, table, p)
+                assert kept == reverse_greedy_peel(parts, table, p), (x.key, left)
+                peels += 1
+                dropped += len(parts) - len(kept)
+    assert peels == 2 * (35 + 90 + 14) and dropped > 0
+
+
+def _copy(x):
+    """A module of x's content that is not x."""
+    return Module(x.algebra, x.dims, x.action)
+
+
+@pytest.mark.parametrize("left", [True, False])
+def test_an_approximation_is_built_once_per_content(monkeypatch, left):
+    from nexakt import addcat
+    approximate = minimal_left_approximation if left else minimal_right_approximation
+    alg, gens = gen_linear_An_J2(2, 2)
+    m = add_category(alg, gens)
+    rng = random.Random(3)
+    xs = [in_random_basis(direct_sum([rng.choice(gens), rng.choice(gens)]).module,
+                          rng) for _ in range(6)] + [zero_module(alg)]
+    firsts = [approximate(x, m) for x in xs]
+
+    def refuse(*args):
+        pytest.fail("a stored approximation was built again")
+
+    monkeypatch.setattr(reps, "_solve_hom", refuse)
+    monkeypatch.setattr(addcat, "_peel_superfluous", refuse)
+    seconds = [approximate(_copy(x), m) for x in xs]
+    assert all(f is g for f, g in zip(firsts, seconds))
+    monkeypatch.undo()
+    # the same rows and the same endpoints, T included, over a separately
+    # built equal algebra, whose modules share no content id with these
+    fresh_alg, fresh_gens = gen_linear_An_J2(2, 2)
+    fresh_m = add_category(fresh_alg, fresh_gens)
+    for x, f in zip(xs, seconds):
+        g = approximate(Module(fresh_alg, x.dims, x.action), fresh_m)
+        assert f.vectorize() == g.vectorize()
+        assert f.source.key == g.source.key and f.target.key == g.target.key
+
+
+def _approximation_rounds(rounds=8):
+    """The approximations of random sums of two generators of K A_5/J^2,
+    each in a random basis and once more as a copy, with the sums and
+    membership verdicts they pass through."""
+    alg, gens = gen_linear_An_J2(2, 2, p=101)
+    m = add_category(alg, gens)
+    rng = random.Random(9)
+    out = []
+    for _ in range(rounds):
+        x = in_random_basis(direct_sum([rng.choice(gens), rng.choice(gens)]).module,
+                            rng)
+        for y in (x, _copy(x)):
+            for build in (minimal_left_approximation, minimal_right_approximation):
+                f = build(y, m)
+                out.append((f.source.key, f.target.key, f.vectorize(),
+                            bool(in_add(f.source, m.generators)),
+                            bool(in_add(f.target, m.generators))))
+    return out
+
+
+def test_stored_approximations_and_sums_survive_a_full_store(monkeypatch):
+    peaks = []
+    memoized = quivers.AlgebraBasis.memoized
+
+    def tracked(alg, key, make):
+        got = memoized(alg, key, make)
+        peaks.append(len(alg.store))
+        return got
+
+    monkeypatch.setattr(quivers.AlgebraBasis, "memoized", tracked)
+    full = _approximation_rounds()
+    full_peak = max(peaks)
+    peaks.clear()
+    monkeypatch.setattr(quivers, "STORE_BOUND", 16)
+    assert _approximation_rounds() == full
+    assert max(peaks) == 16 < full_peak
 
 
 # -- weak (co)kernels --------------------------------------------------------

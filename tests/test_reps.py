@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import gc
 import random
 from itertools import combinations, combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -704,6 +706,58 @@ def test_direct_sum_returns_the_parts_it_was_given(a3_mods):
     # maps built on the given parts join their summands
     f = block_morphism(p0, second, {(0, 0): identity_morphism(p0)})
     assert f.target is second.module
+
+
+def test_a_sum_is_built_once_per_list_of_operand_contents(a3, a3_mods, monkeypatch):
+    built = []
+    blocks = Mat.from_blocks
+    monkeypatch.setattr(Mat, "from_blocks",
+                        staticmethod(lambda *args: built.append(1) or blocks(*args)))
+    p1, s2 = a3_mods["P1"], a3_mods["S2"]
+    p1_again, s2_again = projective_module(a3, "1"), simple_module(a3, "2")
+    assert p1 is not p1_again and s2 is not s2_again
+    first = direct_sum([p1, s2])
+    count = len(built)
+    second = direct_sum([p1_again, s2_again])
+    assert count > 0 and len(built) == count
+    assert second.module is first.module
+    assert [id(m) for m in first.parts] == [id(p1), id(s2)]
+    assert [id(m) for m in second.parts] == [id(p1_again), id(s2_again)]
+    # membership of the sum is still read off its "summands" fact
+    monkeypatch.setattr(reps, "_solve_membership",
+                        lambda *args: pytest.fail("membership was solved"))
+    assert in_add(second.module, Indecomposables([p1, s2]))
+
+
+def _store_calls():
+    """(file:line, first argument) of every call of memoized( or
+    store.get( in the package, past the store's own methods."""
+    for path in sorted(Path(reps.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            owner = node.func.value
+            if isinstance(owner, ast.Name) and owner.id == "self":
+                continue
+            if node.func.attr == "memoized" or (
+                    node.func.attr == "get"
+                    and getattr(owner, "attr", None) == "store"
+                    and getattr(owner.value, "id", None) != "self"):
+                yield f"{path.name}:{node.lineno}", node.args[0]
+
+
+def test_every_store_key_is_listed_in_the_reps_docstring():
+    prefixes = {}
+    for where, key in _store_calls():
+        first = key.elts[0] if isinstance(key, ast.Tuple) else key
+        assert isinstance(first, ast.Constant) and isinstance(first.value, str), \
+            f"{where}: a store key must start with a literal operation name"
+        prefixes.setdefault(first.value, where)
+    assert {"hom", "sum", "approx", "summands"} <= set(prefixes)
+    missing = [f"{where}: {name}" for name, where in prefixes.items()
+               if f'"{name}"' not in reps.__doc__]
+    assert not missing, missing
 
 
 def _ladder_rounds(rounds=20):
