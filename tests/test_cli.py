@@ -16,6 +16,8 @@ from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
 from nexakt.reps import (direct_sum, hom_basis, injective_module,
                          projective_module, simple_module)
 
+from test_presets import linear_an_j3
+
 
 @pytest.fixture
 def files(tmp_path, a3):
@@ -302,6 +304,26 @@ def test_search_nct(files):
                "--out", files["out"]) == 0
     cert = json.loads((files["out"] / "search-nct.cert.json").read_text())
     assert cert["verdict"] == 1
+
+
+# search nct on K A_m/J^3, whose injectives are not all projective: the
+# exit status (one 2-CT module on A_9, none on A_12) and the certificate
+# bytes, recorded with an Ext table over every ordered pair of entries
+SEARCH_J3_SHA256 = {
+    9: (0, "072d2de16be515d85b06afa2d51bcef1b3ec9302cadede9c8ba609b36ff5febc"),
+    12: (1, "68a9bb3c2821e8523aca8b0b9135dbc53b07fbb843f2a4f744cd458622efa079"),
+}
+
+
+@pytest.mark.parametrize("m", sorted(SEARCH_J3_SHA256))
+def test_search_nct_certificate_bytes_on_j3(tmp_path, monkeypatch, m):
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+    status, digest = SEARCH_J3_SHA256[m]
+    path = tmp_path / f"a{m}-j3.json"
+    dump_algebra(linear_an_j3(m), path)
+    assert run("search", "nct", "--algebra", path, "--n", 2,
+               "--out", tmp_path / "certs") == status
+    assert sha256(tmp_path / "certs" / "search-nct.cert.json") == digest
 
 
 def test_parser_is_reused_across_calls(files, capsys):
@@ -648,7 +670,6 @@ def _morphism_without_source(files, tmp_path):
 
 def _search_a12_j3(files, tmp_path):
     # n = 1 prunes nothing: K A_12/J^3 leaves 21 candidates, above the limit
-    from test_presets import linear_an_j3
     path = tmp_path / "a12-j3.json"
     dump_algebra(linear_an_j3(12), path)
     return ["search", "nct", "--algebra", path, "--n", 1]
