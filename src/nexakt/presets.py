@@ -147,21 +147,25 @@ def brute_force_nct_search(alg: AlgebraBasis, n: int,
     lexicographically.
 
     The list is checked once, up front, and no subset is checked again.
-    One Ext^{1..n-1} table between all entries is computed, with the
-    positions of every P_v and I_v.  A subset whose entries have nonzero
-    Ext^{1..n-1} between two of them (or one with itself) fails the
-    certifier's rigidity test, so only the Ext^{1..n-1}-orthogonal subsets
-    are enumerated: the cliques of the compatibility graph read from the
-    table.  Each clique gets the report check_n_cluster_tilting would
-    give, read from the table by position as the search reaches it; the
-    hits are then sorted once."""
+    The positions of every P_v and I_v are found, then one Ext^{1..n-1}
+    table between all entries; its rows at the P_v and columns at the I_v
+    are zeros written without an ext_dim call, since Ext^k(P, -) = 0 =
+    Ext^k(-, I) for k >= 1 (Auslander–Reiten–Smalø, Ch. III).  A subset
+    whose entries have nonzero Ext^{1..n-1} between two of them (or one
+    with itself) fails the certifier's rigidity test, so only the
+    Ext^{1..n-1}-orthogonal subsets are enumerated: the cliques of the
+    compatibility graph read from the table.  Each clique gets the report
+    check_n_cluster_tilting would give, read from the table by position as
+    the search reaches it; the hits are then sorted once."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     indec_list = indecomposables(indec_list, seed)
     projs, injs = _vertex_positions(alg, indec_list)
     for pv, (_, i) in zip(all_projectives(alg), projs):
         if i is None:       # refused with index_of's error
             indec_list.index_of(pv)
     proj_set = sorted({i for _, i in projs})
-    table = _ExtTable(indec_list, n, range(len(indec_list)))
+    table = _ExtTable(indec_list, n, range(len(indec_list)), projs, injs)
     # bit j of clash[i]: some Ext^{1..n-1} between entries i and j is nonzero
     clash = [out | into for out, into in zip(table.out, table.into)]
     # Ext^{>=1}(P, -) = 0: the projectives are compatible with each other

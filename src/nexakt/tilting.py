@@ -11,12 +11,15 @@ reported rather than tested.
 
 The report is read from list positions (_nct_report): one table of
 Ext^{1..n-1} between entries (_ExtTable) and the entries isomorphic to
-each P_v and I_v (_vertex_positions).  presets.brute_force_nct_search
-builds both once and reads every clique's report from them.  Every
-position, of a generator, P_v or I_v, is found by
-Indecomposables.index_of, which decides isomorphism to an entry exactly,
-so the seed reaches a verdict only through the splitting that checks a
-hand-made list (addcat.indecomposables).
+each P_v and I_v (_vertex_positions).  The positions are found first:
+Ext^k(P, -) = 0 for a projective P and Ext^k(-, I) = 0 for an injective
+I, k >= 1 (Auslander–Reiten–Smalø, Ch. III), so the table writes the
+rows at P_v and the columns at I_v as zeros, with no ext_dim call.
+presets.brute_force_nct_search builds both once and reads every clique's
+report from them.  Every position, of a generator, P_v or I_v, is found
+by Indecomposables.index_of, which decides isomorphism to an entry
+exactly, so the seed reaches a verdict only through the splitting that
+checks a hand-made list (addcat.indecomposables).
 
 strong_projectivity_check decides that p is projective exactly, from its
 top (resolutions.is_projective): p is projective iff
@@ -86,22 +89,31 @@ def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
         raise ValueError("n must be >= 1")
     indec_list = indecomposables(indec_list, seed)
     gens = [indec_list.index_of(g) for g in m.generators]
-    table = _ExtTable(indec_list, n, gens)
-    return _nct_report(gens, table, *_vertex_positions(m.algebra, indec_list))
+    projs, injs = _vertex_positions(m.algebra, indec_list)
+    table = _ExtTable(indec_list, n, gens, projs, injs)
+    return _nct_report(gens, table, projs, injs)
 
 
 class _ExtTable:
     """dim Ext^{1..n-1} between the positions of one Indecomposables list,
     filled for the pairs (i, j) and (j, i) with i in rows: dims[i, j]
     lists the degrees in order, and bit j of out[i] (of into[i]) is set
-    when some Ext^{1..n-1}(L_i, L_j) (Ext^{1..n-1}(L_j, L_i)) is nonzero."""
+    when some Ext^{1..n-1}(L_i, L_j) (Ext^{1..n-1}(L_j, L_i)) is nonzero.
+
+    projs and injs are _vertex_positions' pairs.  Ext^k(P, -) = 0 for a
+    projective P and Ext^k(-, I) = 0 for an injective I, k >= 1
+    (Auslander–Reiten–Smalø, Ch. III), so a row at the position of some
+    P_v and a column at that of some I_v are written as zeros without
+    calling ext_dim; a position of None skips nothing."""
 
     def __init__(self, indec_list: Indecomposables, n: int,
-                 rows: Sequence[int]):
+                 rows: Sequence[int], projs: list, injs: list):
         self.modules, self.n = indec_list, n
         self.dims = {}
         self.out = [0] * len(indec_list)
         self.into = [0] * len(indec_list)
+        self._projective = {i for _, i in projs if i is not None}
+        self._injective = {i for _, i in injs if i is not None}
         for i in rows:
             for j in range(len(indec_list)):
                 self._fill(i, j)
@@ -109,6 +121,9 @@ class _ExtTable:
 
     def _fill(self, i: int, j: int):
         if (i, j) in self.dims:
+            return
+        if i in self._projective or j in self._injective:
+            self.dims[i, j] = [0] * (self.n - 1)
             return
         x, y = self.modules[i], self.modules[j]
         row = self.dims[i, j] = [ext_dim(x, y, deg) for deg in range(1, self.n)]

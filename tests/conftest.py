@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,7 @@ from nexakt.reps import (Module, all_injectives, are_isomorphic,
                          assemble_from_span, block_morphism, direct_sum,
                          hom_basis, identity_morphism, quotient_by_submodule,
                          split_indecomposables)
-from nexakt.resolutions import _injective_chain
+from nexakt.resolutions import _injective_chain, ext_dim
 
 
 def linear_a3_j2(p=101):
@@ -231,6 +232,19 @@ def random_quotient(x, rng):
     span = {v: Mat.from_rows(rows, p, cols=x.dims[v]).transpose()
             for v, rows in gens.items()}
     return quotient_by_submodule(x, span)[0]
+
+
+def full_ext_table(indecs, n):
+    """dim Ext^{1..n-1} by ext_dim over every ordered pair of entries, none
+    skipped: the modules, n, dims, out and into of a tilting._ExtTable
+    whose rows are every position."""
+    size = range(len(indecs))
+    dims = {(i, j): [ext_dim(indecs[i], indecs[j], deg) for deg in range(1, n)]
+            for i in size for j in size}
+    return SimpleNamespace(
+        modules=indecs, n=n, dims=dims,
+        out=[sum(1 << j for j in size if any(dims[i, j])) for i in size],
+        into=[sum(1 << i for i in size if any(dims[i, j])) for j in size])
 
 
 def sweep_generator_maps():

@@ -11,8 +11,9 @@ from nexakt.fileio import algebra_from_dict
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
                             nakayama_indecomposables)
-from nexakt.reps import (all_projectives, are_isomorphic, direct_sum,
-                         injective_module, projective_module, simple_module)
+from nexakt.reps import (all_injectives, all_projectives, are_isomorphic,
+                         direct_sum, injective_module, projective_module,
+                         simple_module)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
@@ -355,9 +356,20 @@ def test_search_refuses_a_list_without_a_projective():
         brute_force_nct_search(alg, 2, pick(indecs, rest))
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_search_refuses_n_below_1(n):
+    # as check_n_cluster_tilting does; the search once returned
+    # [[0, 1, 2, 3, 4]] here, every indecomposable of K A_3/J^2
+    alg, _ = gen_linear_An_J2(2, 1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        brute_force_nct_search(alg, n, nakayama_indecomposables(alg))
+
+
 def test_search_on_a12_j3_reads_one_ext_table(monkeypatch):
-    # |L|^2 (n - 1) Ext dimensions, each read once into the table, and no
-    # 2-CT module among the 2252 cliques
+    # (non-projective entries) x (non-injective entries) x (n - 1) Ext
+    # dimensions, each pair read and computed once into the table: rows at
+    # projectives and columns at injectives vanish unread.  No 2-CT module
+    # among the 2252 cliques
     alg = linear_an_j3(12)
     indecs = nakayama_indecomposables(alg)
     reads, computed = [], []
@@ -367,7 +379,14 @@ def test_search_on_a12_j3_reads_one_ext_table(monkeypatch):
     monkeypatch.setattr(resolutions, "_ext_dim",
                         lambda *a: computed.append(a) or compute(*a))
     assert brute_force_nct_search(alg, 2, indecs) == []
-    assert len(reads) == len(computed) == len(indecs) ** 2 * (2 - 1) == 33 ** 2
+    projs = {indecs.index_of(x) for x in all_projectives(alg)}
+    injs = {indecs.index_of(x) for x in all_injectives(alg)}
+    assert len(projs) == len(injs) == 12
+    position = {id(x): i for i, x in enumerate(indecs)}
+    pairs = [(position[id(x)], position[id(y)]) for x, y, _ in reads]
+    assert sorted(pairs) == [(i, j) for i in range(33) if i not in projs
+                             for j in range(33) if j not in injs]
+    assert len(reads) == len(computed) == 21 * 21 * (2 - 1)
 
 
 def test_search_refuses_more_than_20_candidates():

@@ -2,18 +2,22 @@ import random
 
 import pytest
 
-from nexakt import reps
+from nexakt import reps, tilting
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            add_category, indecomposables)
-from nexakt.presets import nakayama_indecomposables
-from nexakt.reps import (Module, are_isomorphic, direct_sum, hom_basis,
+from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
+from nexakt.reps import (Module, all_injectives, all_projectives,
+                         are_isomorphic, direct_sum, hom_basis,
                          projective_module, regular_module, simple_module)
 from nexakt.resolutions import ext_dim
-from nexakt.tilting import (check_n_cluster_tilting, ext_via_approx_resolution,
+from nexakt.tilting import (_ExtTable, _nct_report, _vertex_positions,
+                            check_n_cluster_tilting, ext_via_approx_resolution,
                             hom_exact_at_middle, strong_projectivity_check)
 from nexakt.addcat import weak_cokernel
 
-from conftest import cyclic_nakayama_j2, in_random_basis, linear_a3_j2
+from conftest import (cyclic_nakayama_j2, full_ext_table, in_random_basis,
+                      linear_a3_j2, preprojective_a2)
+from test_presets import linear_an_j3
 
 
 @pytest.fixture
@@ -228,3 +232,73 @@ def test_nonprojective_negative_control(a3, m3, mods):
     ok, ranks = hom_exact_at_middle(mods["S2"], f, g)
     assert not ok
     assert ranks["kernel_dim"] == 1 and ranks["rank_in"] == 0
+
+
+# -- the Ext table skips rows at projectives and columns at injectives ----
+
+
+def _vanishing_cases(p):
+    """(name, Indecomposables) over K A_m/J^2 (m <= 7), K A_9/J^3 and the
+    6-cycle with J^2 = 0, each with its complete list; Pi_2 with the
+    hand-made list P1, P2, S1, S2; and K A_3/J^2 with a list that misses
+    the injective S2, so that one position is None."""
+    for m in range(1, 8):
+        yield f"A_{m}/J^2", nakayama_indecomposables(gen_linear_An_J2(1, m - 1, p)[0])
+    yield "A_9/J^3", nakayama_indecomposables(linear_an_j3(9, p))
+    yield "C_6/J^2", nakayama_indecomposables(cyclic_nakayama_j2(6, p))
+    pi2 = preprojective_a2(p)
+    yield "Pi_2", indecomposables(
+        [projective_module(pi2, "1"), projective_module(pi2, "2"),
+         simple_module(pi2, "1"), simple_module(pi2, "2")], seed=0)
+    a3 = linear_a3_j2(p)
+    yield "A_3/J^2 without S2", indecomposables(
+        [projective_module(a3, v) for v in "012"] + [simple_module(a3, "1")],
+        seed=0)
+
+
+@pytest.mark.parametrize("p", [2, 101, 2147483647])
+def test_ext_table_skips_only_entries_that_vanish(p):
+    # Ext^k(P_v, y) = 0 = Ext^k(y, I_v) for every entry y and k = 1..3, and
+    # the table that writes those zeros unread equals a full table of
+    # ext_dim over every ordered pair
+    for name, indecs in _vanishing_cases(p):
+        alg = indecs[0].algebra
+        projs, injs = _vertex_positions(alg, indecs)
+        for _, i in projs:
+            for y in indecs:
+                assert [ext_dim(indecs[i], y, k) for k in (1, 2, 3)] == [0] * 3, name
+        for _, j in injs:
+            if j is not None:
+                for y in indecs:
+                    assert [ext_dim(y, indecs[j], k) for k in (1, 2, 3)] == [0] * 3, name
+        table = _ExtTable(indecs, 4, range(len(indecs)), projs, injs)
+        full = full_ext_table(indecs, 4)
+        assert (table.dims, table.out, table.into) == \
+            (full.dims, full.out, full.into), name
+    # the last case skips no column for the missing I_2 = S2
+    assert [i for _, i in injs] == [1, 2, None]
+
+
+def test_nct_check_calls_no_ext_dim_at_a_projective_or_an_injective(monkeypatch):
+    # K A_7/J^2 at n = 3: the first argument of every ext_dim call is no
+    # P_v and the second no I_v, and the report is the one read from a full
+    # table
+    alg, expected = gen_linear_An_J2(3, 2)
+    indecs = nakayama_indecomposables(alg)
+    projs = {indecs.index_of(x) for x in all_projectives(alg)}
+    injs = {indecs.index_of(x) for x in all_injectives(alg)}
+    calls = []
+    read = tilting.ext_dim
+    monkeypatch.setattr(tilting, "ext_dim",
+                        lambda *a: calls.append(a) or read(*a))
+    report = check_n_cluster_tilting(add_category(alg, expected), 3, indecs)
+    assert calls
+    for x, y, _ in calls:
+        assert indecs.index_of(x) not in projs
+        assert indecs.index_of(y) not in injs
+    monkeypatch.undo()
+    gens = [indecs.index_of(g) for g in expected]
+    reference = _nct_report(gens, full_ext_table(indecs, 3),
+                            *_vertex_positions(alg, indecs))
+    assert report.verdict == reference.verdict == "n-CT"
+    assert report.to_dict() == reference.to_dict()
