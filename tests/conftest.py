@@ -33,11 +33,18 @@ def preprojective_a2(p=101):
 
 def cyclic_nakayama_j2(k, p=101):
     """Selfinjective Nakayama algebra: cycle i -> i+1 (mod k), J^2 = 0."""
+    return cyclic_nakayama(k, 2, p)
+
+
+def cyclic_nakayama(k, length, p=101):
+    """C_k/J^length: cycle i -> i+1 (mod k), every path of the given length
+    zero; selfinjective, of Loewy length ``length``."""
     q = Quiver.build([str(i) for i in range(k)],
                      [(f"a{i}", str(i), str((i + 1) % k)) for i in range(k)])
-    rels = [Relation(((1, PathWord((f"a{i}", f"a{(i + 1) % k}"))),))
+    rels = [Relation(((1, PathWord(tuple(f"a{(i + j) % k}"
+                                         for j in range(length)))),))
             for i in range(k)]
-    return build_algebra(q, rels, 2, FieldSpec(p))
+    return build_algebra(q, rels, length, FieldSpec(p))
 
 
 def two_loops(bound, p):

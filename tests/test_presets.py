@@ -17,7 +17,8 @@ from nexakt.reps import (all_injectives, all_projectives, are_isomorphic,
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
-from conftest import cyclic_nakayama_j2, in_random_basis, pick
+from conftest import (cyclic_nakayama, cyclic_nakayama_j2, in_random_basis,
+                      pick)
 
 
 def test_a3_j2_generator(a3):
@@ -101,15 +102,36 @@ def test_nakayama_pi2():
     assert len(mods) == 4
 
 
+def linear_an_j3(m, p=101):
+    """K A_m/J^3 over the sink-first linear quiver, read from a file dict."""
+    return algebra_from_dict({
+        "field": {"p": p},
+        "quiver": {"vertices": [str(i) for i in range(m)],
+                   "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i - 1)}
+                              for i in range(1, m)]},
+        "relations": [[{"coeff": 1, "path": [f"a{i}", f"a{i - 1}", f"a{i - 2}"]}]
+                      for i in range(3, m)],
+        "nilpotency_bound": 3})
+
+
 @pytest.mark.parametrize("alg, count, digest", [
     (gen_linear_An_J2(2, 4)[0], 17,
      "86fcbda0738321c3ba060090f21fa36a63111194f73df3b0c5d5abc3aa984d68"),
     (cyclic_nakayama_j2(6), 12,
      "77de0c37ba9e1d495818922b10294863f286be0c430b8d7c6148b8a7db7650e9"),
+    (linear_an_j3(9), 24,
+     "87a5d456ec6073c4eae605739a2190e8aed2a06d40fa0167f2b388fdae7ded3c"),
+    (cyclic_nakayama(5, 3), 15,
+     "547f4786e8ab7aeee712ee70e9e6dd14e5e02629c5b37fe8f9c23b329895c944"),
+    (cyclic_nakayama(4, 4), 16,
+     "26e43c29383b885bcc7f4ad116a11fcb1336c830628f17dcde2cec4b9fcd27e9"),
 ])
 def test_nakayama_list_content_is_pinned(alg, count, digest):
     """The list walks one radical chain per P_v; its modules, in order and
-    by content key, are those of rebuilding each rad^l P_v from P_v."""
+    by content key, are those of rebuilding each rad^l P_v from P_v.  Past
+    Loewy length 2 (K A_9/J^3, C_5/J^3, C_4/J^4) a chain has middle
+    quotients P_v/rad^l P_v with 1 < l < Loewy length, besides P_v itself
+    (the quotient by rad^l P_v = 0) and the simple top."""
     mods = nakayama_indecomposables(alg)
     assert len(mods) == count
     assert hashlib.sha256(repr([m.key for m in mods]).encode()).hexdigest() == digest
@@ -199,18 +221,6 @@ def subset_loop_search(alg, n, indec_list, seed=0):
             if report.ok:
                 hits.append(subset)
     return hits
-
-
-def linear_an_j3(m, p=101):
-    """K A_m/J^3 over the sink-first linear quiver, read from a file dict."""
-    return algebra_from_dict({
-        "field": {"p": p},
-        "quiver": {"vertices": [str(i) for i in range(m)],
-                   "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i - 1)}
-                              for i in range(1, m)]},
-        "relations": [[{"coeff": 1, "path": [f"a{i}", f"a{i - 1}", f"a{i - 2}"]}]
-                      for i in range(3, m)],
-        "nilpotency_bound": 3})
 
 
 def _j2_cases():

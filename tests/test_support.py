@@ -22,12 +22,15 @@ from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_indecomposables)
 from nexakt.pushout import n_pushout
 from nexakt.quivers import PathWord
-from nexakt.reps import (_radical_step, _split_vector, all_injectives,
-                         all_projectives, assemble_from_span, block_morphism,
-                         cokernel_morphism, composite_rows, direct_sum,
-                         hom_basis, identity_morphism, image_morphism, in_add,
-                         kernel_morphism, radical_span, regular_module,
-                         simple_module, socle_span, zero_module, zero_morphism)
+from nexakt.reps import (_induced_action_on_sub, _natural, _radical_step,
+                         _split_vector, all_injectives, all_projectives,
+                         assemble_from_span, block_morphism, cokernel_morphism,
+                         composite_rows, direct_sum, hom_basis,
+                         identity_morphism, image_morphism, in_add,
+                         kernel_morphism, quotient_by_submodule, radical_span,
+                         regular_module, simple_module, socle_span,
+                         stack_morphisms_from_sum, stack_morphisms_to_sum,
+                         zero_module, zero_morphism)
 from nexakt.resolutions import _map_from_projective, _map_into_injective, ext_dim
 from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
@@ -351,6 +354,55 @@ def test_spans_and_maps_of_indecomposable_projectives_match_reference(case):
                 == ref_from_projective(v, vec, m)
             assert _map_into_injective(m, v, vec, iv).components \
                 == ref_into_injective(m, v, vec)
+
+
+def _zero_spans(x, rng):
+    """Zero spans in x of three kinds: zero-valued columns at every vertex,
+    no columns at any vertex, and the two alternating across vertices."""
+    p, verts = x.algebra.p, x.algebra.quiver.vertices
+    return [{v: Mat.zero(x.dims[v], rng.randint(1, 3), p) for v in verts},
+            {v: Mat.zero(x.dims[v], 0, p) for v in verts},
+            {v: Mat.zero(x.dims[v], i % 2 * rng.randint(1, 3), p)
+             for i, v in enumerate(verts)}]
+
+
+def test_one_map_stacks_match_the_one_summand_block(case):
+    """A stack of one map equals the map block_morphism builds into (out
+    of) the one-summand direct sum, and the plain block reference, by
+    content key of both ends and by every component."""
+    alg, mods, rng = case
+    for x in mods:
+        for y in mods:
+            for f in (_random_map(x, y, rng), zero_morphism(x, y)):
+                ref = ref_block([x], [y], {(0, 0): f})
+                for stacked, generic in (
+                        (stack_morphisms_to_sum([f]),
+                         block_morphism(x, direct_sum([y]), {(0, 0): f})),
+                        (stack_morphisms_from_sum([f]),
+                         block_morphism(direct_sum([x]), y, {(0, 0): f}))):
+                    assert stacked.source.key == generic.source.key == x.key
+                    assert stacked.target.key == generic.target.key == y.key
+                    assert stacked.components == generic.components == ref
+
+
+def test_zero_span_quotients_match_the_cokernel_path(case):
+    """The quotient by a zero span equals the cokernel of the inclusion of
+    the submodule the span's column spaces carry, and the plain cokernel
+    reference: x itself, by content key, and the identity of x."""
+    alg, mods, rng = case
+    for x in mods:
+        for span in _zero_spans(x, rng):
+            cols = {v: column_space_basis(m) for v, m in span.items()}
+            incl = _natural(_induced_action_on_sub(x, cols), x, cols)
+            generic, generic_proj = cokernel_morphism(incl)
+            action, comps = ref_cokernel(incl)
+            quot, proj = quotient_by_submodule(x, span)
+            assert quot.key == generic.key == x.key
+            _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
+            assert proj.source.key == generic_proj.source.key == x.key
+            assert proj.target.key == generic_proj.target.key == x.key
+            assert proj.components == generic_proj.components == comps \
+                == identity_morphism(x).components
 
 
 def test_cases_have_zero_vertices():
