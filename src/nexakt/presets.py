@@ -73,8 +73,7 @@ def nakayama_indecomposables(alg: AlgebraBasis) -> Indecomposables:
     top (asserted), so is local; entries differ in top vertex or length."""
     _require_nakayama(alg.quiver)
     out = []
-    for v in alg.quiver.vertices:
-        pv = projective_module(alg, v)
+    for pv in all_projectives(alg):
         span = radical_span(pv)
         for _ in range(pv.total_dim + 1):
             x = quotient_by_submodule(pv, span)[0]

@@ -29,7 +29,9 @@ its ``vectorize()`` row.
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
 direct sums is one ``block_morphism``: block (i, j) from source summand
-j to target summand i, missing blocks zero.
+j to target summand i, missing blocks zero.  A stack of one map
+(``stack_morphisms_to_sum``, ``stack_morphisms_from_sum``) is that map,
+with no one-summand sum built.
 
 A module carries its content key, the dimension vector plus the action
 entries, and its content id ``cid``, interned by the algebra: modules of
@@ -76,7 +78,10 @@ Where the sides are nonzero the result is what fp returns: a product
 with inner dimension 0 is the zero matrix of its outer shape, the kernel
 of a map into the zero space is the identity, a quotient by an empty span
 keeps every coordinate.  The one solve kept on an empty slot is the one
-that checks a given span is closed (``_induced_action_on_sub``).
+that checks a given span is closed (``_induced_action_on_sub``).  Nor is
+what the caller holds built again: the quotient by a span whose matrices
+are all zero (zero-valued columns, or none) is x with its identity
+(``quotient_by_submodule``), once each matrix's row count is checked.
 
 Isomorphism to an indecomposable e is decided exactly, by membership:
 x = e iff dim x = dim e and x lies in add(e) (Krull-Schmidt), the one
@@ -516,7 +521,18 @@ def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
 
 
 def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
-    """Quotient of x by the submodule spanned vertex-wise by ``span``."""
+    """Quotient of x by the submodule spanned vertex-wise by ``span``, whose
+    matrix at v has x.dims[v] rows (else ValueError).  When every span
+    matrix is zero the submodule is zero, and the quotient is x itself with
+    its identity, the cokernel of the zero inclusion; no check is skipped,
+    as the zero span is closed.  A nonzero span is checked closed under
+    the action (_induced_action_on_sub)."""
+    for v, d in x.dims.items():
+        if span[v].rows != d:
+            raise ValueError(f"span at vertex {v} has {span[v].rows} rows, "
+                             f"not dim {d}")
+    if all(m.is_zero() for m in span.values()):
+        return x, identity_morphism(x)
     cols = {v: column_space_basis(span[v]) for v in span}
     return cokernel_morphism(_natural(_induced_action_on_sub(x, cols), x, cols))
 
@@ -591,13 +607,22 @@ def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
 
 
 def stack_morphisms_to_sum(maps: Sequence[Morphism]) -> Morphism:
-    """Assemble x -> sum(targets) from morphisms sharing the source."""
+    """Assemble x -> sum(targets) from morphisms sharing the source.  One
+    map is returned as it is, the map into its one-summand sum; no check
+    is skipped, since block_morphism's one endpoint check, of that block,
+    holds by construction."""
+    if len(maps) == 1:
+        return maps[0]
     return block_morphism(maps[0].source, direct_sum([f.target for f in maps]),
                           {(i, 0): f for i, f in enumerate(maps)})
 
 
 def stack_morphisms_from_sum(maps: Sequence[Morphism]) -> Morphism:
-    """Assemble sum(sources) -> x from morphisms sharing the target."""
+    """Assemble sum(sources) -> x from morphisms sharing the target; one
+    map is returned as it is, with no check skipped
+    (stack_morphisms_to_sum)."""
+    if len(maps) == 1:
+        return maps[0]
     return block_morphism(direct_sum([f.source for f in maps]), maps[0].target,
                           {(0, j): f for j, f in enumerate(maps)})
 

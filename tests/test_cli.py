@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from nexakt import reps
 from nexakt.certs import canonical_json
 from nexakt.cli import _build_parser, main
 from nexakt.complexes import complex_from_maps
 from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
                            load_algebra, module_from_dict, module_to_dict,
                            morphism_with_endpoints_to_dict)
+from nexakt.fp import Mat
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_indecomposables)
 from nexakt.reps import (direct_sum, hom_basis, injective_module,
@@ -324,6 +326,30 @@ def test_search_nct_certificate_bytes_on_j3(tmp_path, monkeypatch, m):
     assert run("search", "nct", "--algebra", path, "--n", 2,
                "--out", tmp_path / "certs") == status
     assert sha256(tmp_path / "certs" / "search-nct.cert.json") == digest
+
+
+def test_search_nct_builds_each_path_module_once(tmp_path, monkeypatch):
+    """One search on K A_7/J^2 at n = 3 builds each P_v and I_v once (the
+    Nakayama list reads the stored P_v), and no direct sum or block matrix:
+    every cover, envelope and quotient it makes has one summand, or is
+    the quotient by zero."""
+    path = tmp_path / "a7-j2.json"
+    dump_algebra(gen_linear_An_J2(3, 2, p=101)[0], path)
+    calls = {"_path_module": 0, "_sum_module": 0, "from_blocks": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("_path_module", "_sum_module"):
+        monkeypatch.setattr(reps, name, counted(name, getattr(reps, name)))
+    monkeypatch.setattr(Mat, "from_blocks",
+                        staticmethod(counted("from_blocks", Mat.from_blocks)))
+    assert run("search", "nct", "--algebra", path, "--n", 3,
+               "--out", tmp_path / "certs") == 0
+    assert calls == {"_path_module": 14, "_sum_module": 0, "from_blocks": 0}
 
 
 def test_parser_is_reused_across_calls(files, capsys):

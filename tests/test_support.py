@@ -405,6 +405,19 @@ def test_zero_span_quotients_match_the_cokernel_path(case):
                 == identity_morphism(x).components
 
 
+def test_a_zero_span_with_a_wrong_row_count_raises(case):
+    """A span whose matrix at some vertex v does not have dim x_v rows is
+    refused, whether its columns are zero-valued or absent."""
+    alg, mods, rng = case
+    for x in mods:
+        for span in _zero_spans(x, rng):
+            for v, m in span.items():
+                for rows in {m.rows + 1, max(m.rows - 1, 0)} - {m.rows}:
+                    bad = {**span, v: Mat.zero(rows, m.cols, alg.p)}
+                    with pytest.raises(ValueError, match=f"span at vertex {v}"):
+                        quotient_by_submodule(x, bad)
+
+
 def test_cases_have_zero_vertices():
     """The cases reach what the builders skip: the zero module, and modules
     zero at some vertices but not at all."""
