@@ -40,7 +40,7 @@ from .frob import (Angle, FrobeniusCtx, angle_cone, angle_from_n_exact,
                    verify_angle_exact)
 from .presets import (brute_force_nct_search, gen_auslander_linear_A,
                       gen_linear_An_J2, gen_preprojective_A,
-                      nakayama_indecomposables)
+                      nakayama_algebra, nakayama_indecomposables)
 from .certs import Certificate, canonical_json, content_hash, emit_certificate
 
 __all__ = [
@@ -68,6 +68,6 @@ __all__ = [
     "rotate_angle", "stable_hom_basis", "standard_angle", "suspension",
     "suspension_morphism", "trivial_angle", "verify_angle_exact",
     "brute_force_nct_search", "gen_auslander_linear_A", "gen_linear_An_J2",
-    "gen_preprojective_A", "nakayama_indecomposables",
+    "gen_preprojective_A", "nakayama_algebra", "nakayama_indecomposables",
     "Certificate", "canonical_json", "content_hash", "emit_certificate",
 ]

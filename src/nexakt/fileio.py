@@ -26,7 +26,7 @@ from .certs import canonical_json
 from .complexes import ComplexSeq
 from .fp import FieldSpec, mat_from_vector
 from .quivers import AlgebraBasis, PathWord, Quiver, Relation, build_algebra
-from .reps import Module, Morphism
+from .reps import Module, Morphism, _require_known
 
 
 class InputError(ValueError):
@@ -93,13 +93,6 @@ def module_to_dict(m: Module) -> dict:
     }
 
 
-def _known(names: dict, allowed, what: str) -> dict:
-    unknown = sorted(set(names) - set(allowed))
-    if unknown:
-        raise InputError(f"the algebra has no {what} {unknown[0]!r}")
-    return names
-
-
 def _ints(values, what: str) -> list:
     bad = [x for x in values if type(x) is not int]     # a bool is no int
     if bad:
@@ -113,10 +106,10 @@ def _int(value, what: str) -> int:
 
 def module_from_dict(data: dict, alg: AlgebraBasis) -> Module:
     try:
-        dims = _known(data["dims"], alg.quiver.vertices, "vertex")
+        dims = data["dims"]              # Module(...) refuses an unknown vertex
         _ints(dims.values(), "dimensions")
-        arrows = _known(data.get("arrows", {}),
-                        [a.name for a in alg.quiver.arrows], "arrow")
+        arrows = data.get("arrows", {})
+        _require_known(arrows, [a.name for a in alg.quiver.arrows], "arrow")
         action = {}
         for a in alg.quiver.arrows:
             flat = _ints(arrows.get(a.name, []), f"entries of {a.name}")
@@ -142,7 +135,8 @@ def morphism_to_dict(f: Morphism) -> dict:
 def morphism_from_dict(data: dict, source: Module, target: Module) -> Morphism:
     try:
         vertices = source.algebra.quiver.vertices
-        given = _known(data.get("components", {}), vertices, "vertex")
+        given = data.get("components", {})
+        _require_known(given, vertices, "vertex")
         comps = {}
         for v in vertices:
             flat = _ints(given.get(v, []), f"entries at {v}")

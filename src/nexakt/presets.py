@@ -1,8 +1,10 @@
 """Desk-scale example families and the brute-force uniqueness oracle.
 
-Families: linearly oriented A_{nm+1} with radical square zero, small
-preprojective algebras of type A, and Auslander algebras of linear A_m.
-Orientation of A_{nm+1} is fixed sink-first so that P_0 = S_0.
+Families: the Nakayama algebras K A_k/J^l (linearly oriented, sink-first
+so that P_0 = S_0) and C_k/J^l (one oriented cycle, selfinjective), both
+from ``nakayama_algebra``; K A_{nm+1}/J^2 with its expected n-cluster-
+tilting generators; small preprojective algebras of type A; and
+Auslander algebras of linear A_m.
 """
 
 from __future__ import annotations
@@ -13,12 +15,32 @@ from .addcat import Indecomposables, PreconditionError, indecomposables
 from .fp import FieldSpec, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
-from .reps import (Module, _radical_step, all_projectives, projective_module,
+from .reps import (Module, _radical_step, all_projectives,
                    quotient_by_submodule, radical_span, simple_module)
 from .tilting import _ExtTable, _nct_report, _vertex_positions
 
 # exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
 MAX_SEARCH_CANDIDATES = 20
+
+
+def nakayama_algebra(k: int, l: int, cyclic: bool = False,
+                     p: int = 101) -> AlgebraBasis:
+    """K A_k/J^l, or C_k/J^l when ``cyclic``: vertices "0" .. "k-1", every
+    path of length l zero, nilpotency bound l.  Linear arrows run sink-first,
+    a{i}: i -> i-1, with relations a{i} a{i-1} ... a{i-l+1} for i = l .. k-1;
+    cyclic arrows run a{i}: i -> i+1 mod k, with relations
+    a{i} a{i+1} ... a{i+l-1} (indices mod k) for i = 0 .. k-1."""
+    if k < 1 or l < 2:
+        raise ValueError("need k >= 1 and l >= 2")
+    vertices = [str(i) for i in range(k)]
+    if cyclic:
+        arrows = [(f"a{i}", str(i), str((i + 1) % k)) for i in range(k)]
+        words = [[(i + j) % k for j in range(l)] for i in range(k)]
+    else:
+        arrows = [(f"a{i}", str(i), str(i - 1)) for i in range(1, k)]
+        words = [[i - j for j in range(l)] for i in range(l, k)]
+    rels = [Relation(((1, PathWord(tuple(f"a{i}" for i in w))),)) for w in words]
+    return build_algebra(Quiver.build(vertices, arrows), rels, l, FieldSpec(p))
 
 
 def gen_linear_An_J2(n: int, m: int,
@@ -27,16 +49,10 @@ def gen_linear_An_J2(n: int, m: int,
     Lambda + S_n + S_{2n} + ... + S_{nm}."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    count = n * m + 1
-    if count > 12:
+    if n * m + 1 > 12:
         raise ValueError("supported range is nm + 1 <= 12")
-    vertices = [str(i) for i in range(count)]
-    q = Quiver.build(vertices, [(f"a{i}", str(i), str(i - 1))
-                                for i in range(1, count)])
-    rels = [Relation(((1, PathWord((f"a{i}", f"a{i - 1}"))),))
-            for i in range(2, count)]
-    alg = build_algebra(q, rels, 2, FieldSpec(p))
-    expected = [projective_module(alg, v) for v in vertices]
+    alg = nakayama_algebra(n * m + 1, 2, p=p)
+    expected = list(all_projectives(alg))
     for j in range(1, m + 1):
         expected.append(simple_module(alg, str(j * n)))
     return alg, expected

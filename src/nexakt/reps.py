@@ -7,8 +7,10 @@ Both are immutable.  Each fact is checked once, when it is made: the
 public ``Module(...)`` checks the relations (of file data, and of P_v
 and I_v, read off the algebra's table), ``Morphism(...)`` naturality
 (of file data).  What is derived from checked objects is built unchecked:
-modules by ``_module`` (shape checks only), maps by ``_natural``; a Hom
-basis is checked as one batch per arrow.  Composites and linear
+modules by ``_module``, which only interns the canonical form its
+builders make (dims in vertex order, an action for every arrow in arrow
+order, each shaped and over F_p), maps by ``_natural``; a Hom basis is
+checked as one batch per arrow.  Composites and linear
 combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
 ``scale`` and ``assemble_from_span`` check only their endpoints, by
 content (``Module.same_as``).
@@ -135,30 +137,35 @@ class Module:
         self._check_relations()
 
     def _shape(self):
-        """The checks every module gets: dimensions, action shapes and
-        field; then the content key and its id."""
+        """The checks of the public constructor: vertex and arrow names the
+        algebra has, dimensions, action shapes and field; then the canonical
+        form (dims in vertex order, an action for every arrow in arrow
+        order), interned."""
         q = self.algebra.quiver
         p = self.algebra.p
-        for v in q.vertices:
-            if self.dims.get(v, 0) < 0:
-                raise ValueError("negative dimension")
+        _require_known(self.dims, q.vertices, "vertex")
+        _require_known(self.action, [a.name for a in q.arrows], "arrow")
         dims = {v: self.dims.get(v, 0) for v in q.vertices}
+        if any(d < 0 for d in dims.values()):
+            raise ValueError("negative dimension")
         action = {}
         for a in q.arrows:
             m = self.action.get(a.name)
             if m is None:
-                s, t = dims[a.source], dims[a.target]
-                m = Mat.zero(t, s, p) if s and t else _empty(t, s, p)
+                m = Mat.zero(dims[a.target], dims[a.source], p)
             if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise ValueError(f"action of {a.name} has wrong shape")
             if m.p != p:
                 raise ValueError("action matrix over wrong field")
             action[a.name] = m
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "key", (tuple(dims.values()),
-                                         tuple(m.entries for m in action.values())))
-        object.__setattr__(self, "cid", self.algebra.content_id(self.key))
+        self.__dict__.update(dims=dims, action=action)
+        self._intern()
+
+    def _intern(self):
+        """Set the content key of the canonical form and its id."""
+        key = (tuple(self.dims.values()),
+               tuple(m.entries for m in self.action.values()))
+        self.__dict__.update(key=key, cid=self.algebra.content_id(key))
 
     def _check_relations(self):
         """Each relation vanishes; the terms of one relation share their
@@ -211,16 +218,31 @@ class Module:
 
 def _module(alg: AlgebraBasis, dims: dict, action: dict) -> Module:
     """A module known to satisfy the relations (a submodule, quotient or
-    direct sum of modules that do, a simple or the zero module), built
-    with the shape checks only."""
+    direct sum of modules that do, a semisimple module), given by its
+    builder in canonical form: dims in vertex order, an action for every
+    arrow in arrow order, each of shape (dims[t], dims[s]) over F_p.  It is
+    interned; nothing is checked."""
     m = object.__new__(Module)
     m.__dict__.update(algebra=alg, dims=dims, action=action)
-    m._shape()
+    m._intern()
     return m
 
 
+def _semisimple(alg: AlgebraBasis, dims: dict) -> Module:
+    """The module of dimension vector dims on which every arrow acts by 0."""
+    return _module(alg, dims, {a.name: Mat.zero(dims[a.target], dims[a.source], alg.p)
+                               for a in alg.quiver.arrows})
+
+
+def _require_known(names, allowed, what: str):
+    """Refuse a name (vertex or arrow) that allowed lacks."""
+    unknown = sorted(set(names) - set(allowed))
+    if unknown:
+        raise ValueError(f"the algebra has no {what} {unknown[0]!r}")
+
+
 def zero_module(alg: AlgebraBasis) -> Module:
-    return _module(alg, {v: 0 for v in alg.quiver.vertices}, {})
+    return _semisimple(alg, {v: 0 for v in alg.quiver.vertices})
 
 
 @dataclass(frozen=True)
@@ -233,6 +255,7 @@ class Morphism:
         _require_same_algebra(self.source, self.target)
         alg = self.source.algebra
         p = alg.p
+        _require_known(self.components, alg.quiver.vertices, "vertex")
         comps = {}
         for v in alg.quiver.vertices:
             m = self.components.get(v)
@@ -240,6 +263,8 @@ class Morphism:
                 m = Mat.zero(self.target.dims[v], self.source.dims[v], p)
             if (m.rows, m.cols) != (self.target.dims[v], self.source.dims[v]):
                 raise ValueError(f"component at {v} has wrong shape")
+            if m.p != p:
+                raise ValueError(f"component at {v} over wrong field")
             comps[v] = m
         _check_natural_batch(self.source, self.target, [comps])
         object.__setattr__(self, "components", comps)
@@ -502,9 +527,9 @@ def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
     is proj_t times the columns of A(a) at them."""
     alg = f.source.algebra
     sd, td = f.source.dims, f.target.dims
-    quot = {v: quotient_data(m) if sd[v] and td[v]
+    quot = {v: quotient_data(f.components[v]) if sd[v] and td[v]
             else (Mat.identity(td[v], alg.p), list(range(td[v])))
-            for v, m in f.components.items()}
+            for v in alg.quiver.vertices}
     proj = {v: q[0] for v, q in quot.items()}
     dims = {v: proj[v].rows for v in proj}
     action = {}
@@ -533,7 +558,7 @@ def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morp
                              f"not dim {d}")
     if all(m.is_zero() for m in span.values()):
         return x, identity_morphism(x)
-    cols = {v: column_space_basis(span[v]) for v in span}
+    cols = {v: column_space_basis(span[v]) for v in x.dims}
     return cokernel_morphism(_natural(_induced_action_on_sub(x, cols), x, cols))
 
 
@@ -1008,8 +1033,7 @@ def split_indecomposables(x: Module, seed: int) -> List[Tuple[Module, int]]:
 
 def simple_module(alg: AlgebraBasis, v: str) -> Module:
     alg.quiver.vertex_index(v)
-    dims = {w: (1 if w == v else 0) for w in alg.quiver.vertices}
-    return _module(alg, dims, {})
+    return _semisimple(alg, {w: int(w == v) for w in alg.quiver.vertices})
 
 
 def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, List[int]]:

@@ -4,47 +4,38 @@ from types import SimpleNamespace
 import pytest
 
 from nexakt.addcat import Indecomposables, _lift_along, add_category
-from nexakt.complexes import ComplexMorphism, ComplexSeq
+from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
 from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank
 from nexakt.frob import stable_hom
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
-from nexakt.reps import (Module, all_injectives, are_isomorphic,
+from nexakt.reps import (Module, Morphism, all_injectives, are_isomorphic,
                          assemble_from_span, block_morphism, direct_sum,
-                         hom_basis, identity_morphism, quotient_by_submodule,
+                         hom_basis, identity_morphism, projective_module,
+                         quotient_by_submodule, simple_module,
                          split_indecomposables)
 from nexakt.resolutions import _injective_chain, ext_dim
 
 
 def linear_a3_j2(p=101):
-    """Vertices 0 <- 1 <- 2, all length-2 paths zero."""
+    """Vertices 0 <- 1 <- 2, all length-2 paths zero: K A_3/J^2 with its
+    arrows named a and b, not a1 and a2 as presets.nakayama_algebra(3, 2)
+    names them, since tests read those names (test_reps.py reads the
+    action of "a" on P_1, and passes actions keyed "a" and "b")."""
     q = Quiver.build(["0", "1", "2"], [("a", "1", "0"), ("b", "2", "1")])
     rel = Relation(((1, PathWord(("b", "a"))),))
     return build_algebra(q, [rel], 2, FieldSpec(p))
 
 
 def preprojective_a2(p=101):
-    """Doubled A_2: arrows a: 1->2 and b: 2->1 with ab = ba = 0."""
+    """Doubled A_2: arrows a: 1->2 and b: 2->1 with ab = ba = 0.  This is
+    C_2/J^2 on vertices 1 and 2 with arrows named a and b, kept apart from
+    presets.nakayama_algebra(2, 2, cyclic=True) (vertices 0 and 1, arrows
+    a0 and a1) since tests read these names."""
     q = Quiver.build(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
     rels = [Relation(((1, PathWord(("a", "b"))),)),
             Relation(((1, PathWord(("b", "a"))),))]
     return build_algebra(q, rels, 2, FieldSpec(p))
-
-
-def cyclic_nakayama_j2(k, p=101):
-    """Selfinjective Nakayama algebra: cycle i -> i+1 (mod k), J^2 = 0."""
-    return cyclic_nakayama(k, 2, p)
-
-
-def cyclic_nakayama(k, length, p=101):
-    """C_k/J^length: cycle i -> i+1 (mod k), every path of the given length
-    zero; selfinjective, of Loewy length ``length``."""
-    q = Quiver.build([str(i) for i in range(k)],
-                     [(f"a{i}", str(i), str((i + 1) % k)) for i in range(k)])
-    rels = [Relation(((1, PathWord(tuple(f"a{(i + j) % k}"
-                                         for j in range(length)))),))
-            for i in range(k)]
-    return build_algebra(q, rels, length, FieldSpec(p))
 
 
 def two_loops(bound, p):
@@ -77,6 +68,35 @@ def kronecker_field_module(p):
 
 
 # -- helpers the tests share (the package has no use for them) ------------
+
+
+def named_modules(alg):
+    """P_v, then S_v, for every vertex v, keyed "P" + v and "S" + v."""
+    vertices = alg.quiver.vertices
+    return {**{f"P{v}": projective_module(alg, v) for v in vertices},
+            **{f"S{v}": simple_module(alg, v) for v in vertices}}
+
+
+def only_hom(x, y):
+    """The basis element of Hom(x, y), which must be one-dimensional."""
+    (f,) = hom_basis(x, y)
+    return f
+
+
+def a3_sequence(mods):
+    """The exact sequence S0 -> P1 -> P2 -> S2 over K A_3/J^2 in degrees
+    0..3, from the named_modules of the algebra."""
+    return complex_from_maps(0, [only_hom(mods[a], mods[b]) for a, b in
+                                 (("S0", "P1"), ("P1", "P2"), ("P2", "S2"))])
+
+
+def corner_identity(x, y):
+    """The identity map between the lowest terms of x and y (equal
+    dimension vectors), by the checked constructor."""
+    src, tgt = x.term(x.lo), y.term(y.lo)
+    assert src.dims == tgt.dims
+    return Morphism(src, tgt, {v: Mat.identity(d, src.algebra.p)
+                               for v, d in src.dims.items()})
 
 
 def equals(f, g):
@@ -273,6 +293,18 @@ def sweep_generator_maps():
 @pytest.fixture
 def a3():
     return linear_a3_j2()
+
+
+@pytest.fixture
+def a3_mods(a3):
+    return named_modules(a3)
+
+
+@pytest.fixture
+def m3(a3):
+    """add(P0 + P1 + P2 + S2), the 2-CT subcategory of K A_3/J^2."""
+    gens = [projective_module(a3, v) for v in "012"] + [simple_module(a3, "2")]
+    return add_category(a3, gens, seed=1)
 
 
 @pytest.fixture

@@ -17,16 +17,17 @@ from nexakt.presets import (brute_force_nct_search, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_indecomposables)
 from nexakt.pushout import n_pushout, good_n_pushout
 from nexakt.reps import (are_isomorphic, assemble_from_span, direct_sum,
-                         hom_basis, identity_morphism, projective_module,
-                         regular_module, simple_module, solve_rows,
-                         split_indecomposables, zero_module, zero_morphism)
+                         hom_basis, identity_morphism, regular_module,
+                         solve_rows, split_indecomposables, zero_module,
+                         zero_morphism)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (ext_via_approx_resolution, hom_exact_at_middle,
                             strong_projectivity_check)
 
-from conftest import (complete_to_chain_map, cosyzygy_projection,
-                      direct_sum_complexes, identity_complex_morphism,
-                      interval_complex)
+from conftest import (a3_sequence, complete_to_chain_map, corner_identity,
+                      cosyzygy_projection, direct_sum_complexes,
+                      identity_complex_morphism, interval_complex,
+                      named_modules)
 
 
 def report(criterion, ok, detail):
@@ -39,35 +40,16 @@ def report(criterion, ok, detail):
 
 
 def a3_setup(p=101):
-    alg, expected = gen_linear_An_J2(2, 1, p=p)
-    mods = {
-        "P0": projective_module(alg, "0"),
-        "P1": projective_module(alg, "1"),
-        "P2": projective_module(alg, "2"),
-        "S0": simple_module(alg, "0"),
-        "S1": simple_module(alg, "1"),
-        "S2": simple_module(alg, "2"),
-    }
+    alg = gen_linear_An_J2(2, 1, p=p)[0]
+    mods = named_modules(alg)
     m3 = add_category(alg, [mods["P0"], mods["P1"], mods["P2"], mods["S2"]],
                       seed=1)
     return alg, mods, m3
 
 
-def m3_sequence(mods):
-    d0 = hom_basis(mods["S0"], mods["P1"])[0]
-    d1 = hom_basis(mods["P1"], mods["P2"])[0]
-    d2 = hom_basis(mods["P2"], mods["S2"])[0]
-    return complex_from_maps(0, [d0, d1, d2])
-
-
 def pi2_setup(p=101):
     alg = gen_preprojective_A(2, p=p)
-    mods = {
-        "P1": projective_module(alg, "1"),
-        "P2": projective_module(alg, "2"),
-        "S1": simple_module(alg, "1"),
-        "S2": simple_module(alg, "2"),
-    }
+    mods = named_modules(alg)
     m = add_category(alg, [mods["P1"], mods["P2"], mods["S1"]], seed=1)
     return alg, mods, m
 
@@ -220,7 +202,7 @@ def test_criterion_4_comparison_lemma():
     rng = random.Random(20260808)
     successes = 0
     total = 0
-    for setup, seqfn in ((a3_setup, m3_sequence), (pi2_setup, pi2_sequence)):
+    for setup, seqfn in ((a3_setup, a3_sequence), (pi2_setup, pi2_sequence)):
         alg, mods, cat = setup()
         x = seqfn(mods)
         pad = pad_complex(interval_complex(1, cat.generators[-1]), 0, 3)
@@ -365,15 +347,6 @@ def _sequence_pool(alg, mods, cat, seq):
     return pool
 
 
-def _corner_identity(x, y):
-    from nexakt.fp import Mat
-    from nexakt.reps import Morphism
-    src, tgt = x.term(x.lo), y.term(y.lo)
-    assert src.dims == tgt.dims
-    return Morphism(src, tgt, {v: Mat.identity(src.dims[v], src.algebra.p)
-                               for v in src.algebra.quiver.vertices})
-
-
 def _padded_cokernel_top(d0, cat, n, pad_deg, pad_mod):
     """Assemble (d0, alternative padded n-cokernel) as a full complex."""
     from nexakt.fp import Mat
@@ -400,7 +373,7 @@ def test_criterion_8_closure_properties():
     violations = 0
     instances = 0
     setups = []
-    for setup, seqfn in ((a3_setup, m3_sequence), (pi2_setup, pi2_sequence)):
+    for setup, seqfn in ((a3_setup, a3_sequence), (pi2_setup, pi2_sequence)):
         alg, mods, cat = setup()
         seq = seqfn(mods)
         setups.append((alg, mods, cat, _sequence_pool(alg, mods, cat, seq)))
@@ -436,8 +409,8 @@ def test_criterion_8_closure_properties():
                                  cat.generators[rng.randrange(len(cat.generators))]),
                 0, 3)
             y = direct_sum_complexes(x, pad)
-            fwd = complete_to_chain_map(x, y, _corner_identity(x, y))
-            back = complete_to_chain_map(y, x, _corner_identity(y, x))
+            fwd = complete_to_chain_map(x, y, corner_identity(x, y))
+            back = complete_to_chain_map(y, x, corner_identity(y, x))
             instances += 1
             h1 = comparison_homotopy(fwd.then(back),
                                      identity_complex_morphism(x))

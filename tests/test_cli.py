@@ -9,16 +9,18 @@ from nexakt import reps
 from nexakt.certs import canonical_json
 from nexakt.cli import _build_parser, main
 from nexakt.complexes import complex_from_maps
-from nexakt.fileio import (algebra_to_dict, complex_to_dict, dump_algebra,
-                           load_algebra, module_from_dict, module_to_dict,
+from nexakt.fileio import (InputError, algebra_to_dict, complex_to_dict,
+                           dump_algebra, load_algebra, module_from_dict,
+                           module_to_dict, morphism_from_dict,
                            morphism_with_endpoints_to_dict)
 from nexakt.fp import Mat
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
-                            gen_preprojective_A, nakayama_indecomposables)
+                            gen_preprojective_A, nakayama_algebra,
+                            nakayama_indecomposables)
 from nexakt.reps import (direct_sum, hom_basis, injective_module,
                          projective_module, simple_module)
 
-from test_presets import linear_an_j3
+from conftest import named_modules
 
 
 @pytest.fixture
@@ -28,21 +30,13 @@ def files(tmp_path, a3):
     paths = {}
     paths["algebra"] = tmp_path / "a3.json"
     dump_algebra(alg, paths["algebra"])
-    mods = {
-        "P0": projective_module(alg, "0"),
-        "P1": projective_module(alg, "1"),
-        "P2": projective_module(alg, "2"),
-        "S0": simple_module(alg, "0"),
-        "S2": simple_module(alg, "2"),
-    }
+    mods = named_modules(alg)
     paths["m3"] = tmp_path / "m3.json"
     paths["m3"].write_text(canonical_json(
         {"generators": [module_to_dict(mods[k]) for k in ("P0", "P1", "P2", "S2")]}))
     paths["bad_m"] = tmp_path / "bad_m.json"
-    s1 = simple_module(alg, "1")
     paths["bad_m"].write_text(canonical_json(
-        {"generators": [module_to_dict(mods[k]) for k in ("P0", "P1", "P2")]
-         + [module_to_dict(s1)]}))
+        {"generators": [module_to_dict(mods[k]) for k in ("P0", "P1", "P2", "S1")]}))
     d0 = hom_basis(mods["S0"], mods["P1"])[0]
     paths["d0"] = tmp_path / "d0.json"
     paths["d0"].write_text(canonical_json(morphism_with_endpoints_to_dict(d0)))
@@ -61,7 +55,7 @@ def files(tmp_path, a3):
     upper = complex_from_maps(0, [d0, d1])
     paths["upper"].write_text(canonical_json(complex_to_dict(upper)))
     paths["s1"] = tmp_path / "s1.json"
-    paths["s1"].write_text(canonical_json(module_to_dict(s1)))
+    paths["s1"].write_text(canonical_json(module_to_dict(mods["S1"])))
     paths["s0"] = tmp_path / "s0.json"
     paths["s0"].write_text(canonical_json(module_to_dict(mods["S0"])))
     paths["out"] = tmp_path / "certs"
@@ -133,6 +127,17 @@ def test_module_roundtrip(a3):
     d = module_to_dict(p1)
     back = module_from_dict(json.loads(canonical_json(d)), a3)
     assert module_to_dict(back) == d
+
+
+def test_files_naming_what_the_algebra_lacks(a3):
+    lacks = "the algebra has no"
+    with pytest.raises(InputError, match=f"bad module file: {lacks} vertex '3'"):
+        module_from_dict({"dims": {"3": 1}}, a3)
+    with pytest.raises(InputError, match=f"bad module file: {lacks} arrow 'c'"):
+        module_from_dict({"dims": {"0": 1}, "arrows": {"c": [1]}}, a3)
+    s0 = simple_module(a3, "0")
+    with pytest.raises(InputError, match=f"bad morphism file: {lacks} vertex '3'"):
+        morphism_from_dict({"components": {"0": [1], "3": [1]}}, s0, s0)
 
 
 def test_algebra_check(files):
@@ -322,7 +327,7 @@ def test_search_nct_certificate_bytes_on_j3(tmp_path, monkeypatch, m):
     monkeypatch.delenv("NEXAKT_SEED", raising=False)
     status, digest = SEARCH_J3_SHA256[m]
     path = tmp_path / f"a{m}-j3.json"
-    dump_algebra(linear_an_j3(m), path)
+    dump_algebra(nakayama_algebra(m, 3), path)
     assert run("search", "nct", "--algebra", path, "--n", 2,
                "--out", tmp_path / "certs") == status
     assert sha256(tmp_path / "certs" / "search-nct.cert.json") == digest
@@ -415,13 +420,9 @@ def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_named_modules_in_m_list(files, tmp_path, a3):
-    alg = load_algebra(files["algebra"])
-    names = {"P0": projective_module(alg, "0"),
-             "P1": projective_module(alg, "1"),
-             "P2": projective_module(alg, "2"),
-             "S2": simple_module(alg, "2")}
+    mods = named_modules(load_algebra(files["algebra"]))
     loads = []
-    for name, mod in names.items():
+    for name, mod in ((k, mods[k]) for k in ("P0", "P1", "P2", "S2")):
         path = tmp_path / f"{name}.json"
         path.write_text(canonical_json(module_to_dict(mod)))
         loads += ["--module", f"{name}={path}"]
@@ -471,8 +472,7 @@ def test_module_file_breaking_a_relation_exits_2(files, tmp_path, capsys):
 ])
 def test_bad_generator_exits_2(files, tmp_path, capsys, picks, words):
     alg = load_algebra(files["algebra"])
-    mods = {"P0": projective_module(alg, "0"), "P1": projective_module(alg, "1"),
-            "P2": projective_module(alg, "2"), "S2": simple_module(alg, "2")}
+    mods = named_modules(alg)
     gens = [direct_sum([mods[k] for k in pick])[0] if isinstance(pick, tuple)
             else mods[pick] for pick in picks]
     m_path = tmp_path / "bad_gens.json"
@@ -697,7 +697,7 @@ def _morphism_without_source(files, tmp_path):
 def _search_a12_j3(files, tmp_path):
     # n = 1 prunes nothing: K A_12/J^3 leaves 21 candidates, above the limit
     path = tmp_path / "a12-j3.json"
-    dump_algebra(linear_an_j3(12), path)
+    dump_algebra(nakayama_algebra(12, 3), path)
     return ["search", "nct", "--algebra", path, "--n", 1]
 
 

@@ -3,29 +3,10 @@ import pytest
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, Homotopy,
                               chain_map_space, complex_from_maps, mapping_cone,
                               pad_complex, verify_homotopy)
-from nexakt.reps import (hom_basis, identity_morphism, projective_module,
-                         simple_module)
+from nexakt.reps import identity_morphism, projective_module, simple_module
 
-from conftest import (direct_sum_complexes, identity_complex_morphism,
-                      interval_complex)
-
-
-@pytest.fixture
-def m3_sequence(a3):
-    """The exact sequence S0 -> P1 -> P2 -> S2 in degrees 0..3."""
-    p1 = projective_module(a3, "1")
-    p2 = projective_module(a3, "2")
-    s0 = simple_module(a3, "0")
-    s2 = simple_module(a3, "2")
-    d0 = _only(hom_basis(s0, p1))
-    d1 = _only(hom_basis(p1, p2))
-    d2 = _only(hom_basis(p2, s2))
-    return complex_from_maps(0, [d0, d1, d2])
-
-
-def _only(basis):
-    assert len(basis) == 1
-    return basis[0]
+from conftest import (a3_sequence, direct_sum_complexes,
+                      identity_complex_morphism, interval_complex, only_hom)
 
 
 def test_complex_condition_enforced(a3):
@@ -42,7 +23,7 @@ def test_complex_refuses_a_wrong_differential_count(a3):
 
 def test_complex_morphism_refuses_bad_components(a3):
     p1, p2 = projective_module(a3, "1"), projective_module(a3, "2")
-    x = complex_from_maps(0, [_only(hom_basis(p1, p2))])
+    x = complex_from_maps(0, [only_hom(p1, p2)])
     with pytest.raises(ValueError, match="square at degree 0 does not commute"):
         ComplexMorphism(x, x, {0: identity_morphism(p1)})
     with pytest.raises(ValueError,
@@ -50,13 +31,13 @@ def test_complex_morphism_refuses_bad_components(a3):
         ComplexMorphism(x, x, {0: identity_morphism(p2)})
 
 
-def test_m3_sequence_builds(m3_sequence):
-    assert [t.dim_vector() for t in m3_sequence.terms] == \
+def test_m3_sequence_builds(a3_mods):
+    assert [t.dim_vector() for t in a3_sequence(a3_mods).terms] == \
         [(1, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 1)]
 
 
-def test_cone_of_identity_is_contractible(a3, m3_sequence):
-    x = m3_sequence
+def test_cone_of_identity_is_contractible(a3, a3_mods):
+    x = a3_sequence(a3_mods)
     cone = mapping_cone(identity_complex_morphism(x))
     # cone terms X^{k+1} + X^k; total dimension doubles
     assert sum(t.total_dim for t in cone.terms) == 2 * sum(t.total_dim for t in x.terms)
@@ -71,8 +52,8 @@ def test_cone_of_identity_is_contractible(a3, m3_sequence):
             assert rank(d_in.components[v]) == dim_ker or k == cone.lo
 
 
-def test_cone_of_zero_is_direct_sum(a3, m3_sequence):
-    x = m3_sequence
+def test_cone_of_zero_is_direct_sum(a3, a3_mods):
+    x = a3_sequence(a3_mods)
     f = ComplexMorphism(x, x, {})
     cone = mapping_cone(f)
     for k in cone.degrees():
@@ -89,8 +70,8 @@ def test_cone_of_zero_is_direct_sum(a3, m3_sequence):
             assert f.component(k + 1).is_zero()
 
 
-def test_verify_homotopy_trivial_cases(m3_sequence):
-    x = m3_sequence
+def test_verify_homotopy_trivial_cases(a3_mods):
+    x = a3_sequence(a3_mods)
     f = identity_complex_morphism(x)
     assert verify_homotopy(f, f, Homotopy(x, x, {}))
     g = ComplexMorphism(x, x, {})
@@ -108,8 +89,8 @@ def test_interval_complex_and_padding(a3):
     assert padded.diff(1).is_injective() and padded.diff(1).is_surjective()
 
 
-def test_direct_sum_complexes(a3, m3_sequence):
-    x = m3_sequence
+def test_direct_sum_complexes(a3, a3_mods):
+    x = a3_sequence(a3_mods)
     s = direct_sum_complexes(x, x)
     for k in x.degrees():
         assert s.term(k).total_dim == 2 * x.term(k).total_dim
@@ -122,15 +103,15 @@ def test_chain_map_space_solves_the_square_above_the_source(a3):
     p1, p2 = projective_module(a3, "1"), projective_module(a3, "2")
     s1, s2 = simple_module(a3, "1"), simple_module(a3, "2")
     assert chain_map_space(ComplexSeq(0, [p1], []),
-                           complex_from_maps(0, [_only(hom_basis(p1, s1))])) == []
+                           complex_from_maps(0, [only_hom(p1, s1)])) == []
     x = ComplexSeq(0, [s1], [])
-    y = complex_from_maps(0, [_only(hom_basis(p2, s2))])
+    y = complex_from_maps(0, [only_hom(p2, s2)])
     (f,) = chain_map_space(x, y)
     assert ComplexMorphism(x, y, f.components).component(0).is_injective()
 
 
-def test_padding_and_homotopy_refuse_mismatched_ranges(m3_sequence):
-    x = m3_sequence
+def test_padding_and_homotopy_refuse_mismatched_ranges(a3_mods):
+    x = a3_sequence(a3_mods)
     with pytest.raises(ValueError, match="pad_complex only extends the range"):
         pad_complex(x, 1, 3)
     with pytest.raises(ValueError, match="pad_complex only extends the range"):

@@ -9,25 +9,20 @@ from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          suspension_morphism, trivial_angle,
                          verify_angle_exact)
 from nexakt import frob, reps
-from nexakt.presets import nakayama_indecomposables
+from nexakt.presets import nakayama_algebra, nakayama_indecomposables
 from nexakt.reps import (Morphism, all_injectives, are_isomorphic, hom_basis,
                          identity_morphism, projective_module, simple_module,
                          zero_module, zero_morphism)
 
 from conftest import (complete_to_chain_map, cosyzygy_projection,
-                      cyclic_nakayama_j2, direct_sum_complexes,
-                      identity_complex_morphism, interval_complex,
-                      stably_equal, stably_isomorphic_objects)
+                      direct_sum_complexes, identity_complex_morphism,
+                      interval_complex, named_modules, stably_equal,
+                      stably_isomorphic_objects)
 
 
 @pytest.fixture
 def pi2_mods(pi2):
-    return {
-        "P1": projective_module(pi2, "1"),
-        "P2": projective_module(pi2, "2"),
-        "S1": simple_module(pi2, "1"),
-        "S2": simple_module(pi2, "2"),
-    }
+    return named_modules(pi2)
 
 
 @pytest.fixture
@@ -152,8 +147,8 @@ def test_standard_angle_on_projective_map(ctx, pi2_mods):
 
 
 def _cyclic6_ctx():
-    """cyclic_nakayama_j2(6) with M = add(Lambda + S0 + S2 + S4), n = 2."""
-    alg = cyclic_nakayama_j2(6, 101)
+    """C_6/J^2 with M = add(Lambda + S0 + S2 + S4), n = 2."""
+    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
     gens = ([projective_module(alg, str(v)) for v in range(6)]
             + [simple_module(alg, str(v)) for v in (0, 2, 4)])
     return check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,

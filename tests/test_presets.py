@@ -1,24 +1,25 @@
 import hashlib
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
 from nexakt import presets, reps, resolutions, tilting
-from nexakt.addcat import DomainError, Indecomposables, add_category
+from nexakt.addcat import (DomainError, Indecomposables, PreconditionError,
+                           add_category)
 from nexakt.certs import canonical_json
-from nexakt.fileio import algebra_from_dict
+from nexakt.quivers import PathWord, Quiver, Relation
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
-                            nakayama_indecomposables)
+                            nakayama_algebra, nakayama_indecomposables)
 from nexakt.reps import (all_injectives, all_projectives, are_isomorphic,
                          direct_sum, injective_module, projective_module,
                          simple_module)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
-from conftest import (cyclic_nakayama, cyclic_nakayama_j2, in_random_basis,
-                      pick)
+from conftest import in_random_basis, pick
 
 
 def test_a3_j2_generator(a3):
@@ -27,6 +28,69 @@ def test_a3_j2_generator(a3):
     assert len(expected) == 4
     dims = sorted(g.dim_vector() for g in expected)
     assert dims == [(0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)]
+
+
+def test_nakayama_algebra_names_arrows_and_relations():
+    def rel(*word):
+        return Relation(((1, PathWord(word)),))
+    lin = nakayama_algebra(5, 3)
+    assert lin.quiver == Quiver.build("01234", [("a1", "1", "0"), ("a2", "2", "1"),
+                                                ("a3", "3", "2"), ("a4", "4", "3")])
+    assert list(lin.relations) == [rel("a3", "a2", "a1"), rel("a4", "a3", "a2")]
+    assert (lin.nilpotency_bound, lin.p) == (3, 101)
+    cyc = nakayama_algebra(3, 4, cyclic=True, p=5)
+    assert cyc.quiver == Quiver.build("012", [("a0", "0", "1"), ("a1", "1", "2"),
+                                              ("a2", "2", "0")])
+    assert list(cyc.relations) == [rel("a0", "a1", "a2", "a0"),
+                                   rel("a1", "a2", "a0", "a1"),
+                                   rel("a2", "a0", "a1", "a2")]
+    assert (cyc.nilpotency_bound, cyc.p, cyc.dim) == (4, 5, 12)
+    for k, l in ((0, 2), (3, 1)):
+        with pytest.raises(ValueError, match="need k >= 1 and l >= 2"):
+            nakayama_algebra(k, l)
+
+
+def test_gen_linear_an_j2_builds_each_projective_once(monkeypatch):
+    # the expected generators are the P_v of all_projectives, which the
+    # Nakayama list then reads: one _path_module call per vertex of A_9
+    calls = 0
+    path_module = reps._path_module
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return path_module(*args, **kwargs)
+    monkeypatch.setattr(reps, "_path_module", counted)
+    alg, expected = gen_linear_An_J2(2, 4)
+    nakayama_indecomposables(alg)
+    assert calls == 9
+    assert list(expected[:9]) == list(all_projectives(alg))
+
+
+def test_search_on_selfinjective_nakayama_matches_the_classification():
+    """C_k/J^l has a d-cluster-tilting module exactly when l(d-1) + 2
+    divides 2k or t*k, with t = gcd(d + 1, 2(l - 1)) (Darpö and Iyama,
+    "d-representation-finite self-injective algebras", Adv. Math. 362
+    (2020)).  The search agrees for k <= 12, l, d in {2, 3, 4} wherever
+    it accepts the list: at least 84 cases, 25 of them with hits; it
+    refuses the rest for having too many candidates."""
+    accepted = found = 0
+    for k in range(1, 13):
+        for l in (2, 3, 4):
+            alg = nakayama_algebra(k, l, cyclic=True)
+            indecs = nakayama_indecomposables(alg)
+            for d in (2, 3, 4):
+                try:
+                    hits = brute_force_nct_search(alg, d, indecs)
+                except PreconditionError as exc:
+                    assert "too many candidates" in str(exc)
+                    continue
+                accepted += 1
+                found += bool(hits)
+                m, t = l * (d - 1) + 2, gcd(d + 1, 2 * (l - 1))
+                assert bool(hits) == (2 * k % m == 0 or t * k % m == 0), (k, l, d)
+    assert accepted >= 84
+    assert found >= 25
 
 
 def test_one_vertex_case():
@@ -102,28 +166,16 @@ def test_nakayama_pi2():
     assert len(mods) == 4
 
 
-def linear_an_j3(m, p=101):
-    """K A_m/J^3 over the sink-first linear quiver, read from a file dict."""
-    return algebra_from_dict({
-        "field": {"p": p},
-        "quiver": {"vertices": [str(i) for i in range(m)],
-                   "arrows": [{"name": f"a{i}", "from": str(i), "to": str(i - 1)}
-                              for i in range(1, m)]},
-        "relations": [[{"coeff": 1, "path": [f"a{i}", f"a{i - 1}", f"a{i - 2}"]}]
-                      for i in range(3, m)],
-        "nilpotency_bound": 3})
-
-
 @pytest.mark.parametrize("alg, count, digest", [
     (gen_linear_An_J2(2, 4)[0], 17,
      "86fcbda0738321c3ba060090f21fa36a63111194f73df3b0c5d5abc3aa984d68"),
-    (cyclic_nakayama_j2(6), 12,
+    (nakayama_algebra(6, 2, cyclic=True), 12,
      "77de0c37ba9e1d495818922b10294863f286be0c430b8d7c6148b8a7db7650e9"),
-    (linear_an_j3(9), 24,
+    (nakayama_algebra(9, 3), 24,
      "87a5d456ec6073c4eae605739a2190e8aed2a06d40fa0167f2b388fdae7ded3c"),
-    (cyclic_nakayama(5, 3), 15,
+    (nakayama_algebra(5, 3, cyclic=True), 15,
      "547f4786e8ab7aeee712ee70e9e6dd14e5e02629c5b37fe8f9c23b329895c944"),
-    (cyclic_nakayama(4, 4), 16,
+    (nakayama_algebra(4, 4, cyclic=True), 16,
      "26e43c29383b885bcc7f4ad116a11fcb1336c830628f17dcde2cec4b9fcd27e9"),
 ])
 def test_nakayama_list_content_is_pinned(alg, count, digest):
@@ -251,7 +303,7 @@ def _a3_lists():
 
 def test_search_matches_subset_loop_on_other_algebras():
     pi2, aus, j3 = (gen_preprojective_A(2), gen_auslander_linear_A(2),
-                    linear_an_j3(4))
+                    nakayama_algebra(4, 3))
     a3, (repeated, decomposable) = _a3_lists()
     # (algebra, n, list, number of hits)
     cases = [(pi2, 2, nakayama_indecomposables(pi2), 2),
@@ -271,9 +323,9 @@ def test_search_matches_subset_loop_on_other_algebras():
 
 @pytest.mark.parametrize("build, n, expected", [
     (lambda: gen_preprojective_A(2), 2, [[0, 1, 3], [1, 2, 3]]),
-    (lambda: cyclic_nakayama_j2(6), 2, [[0, 1, 3, 4, 5, 7, 8, 9, 11],
+    (lambda: nakayama_algebra(6, 2, cyclic=True), 2, [[0, 1, 3, 4, 5, 7, 8, 9, 11],
                                         [1, 2, 3, 5, 6, 7, 9, 10, 11]]),
-    (lambda: cyclic_nakayama_j2(6), 3, [[0, 1, 3, 5, 6, 7, 9, 11],
+    (lambda: nakayama_algebra(6, 2, cyclic=True), 3, [[0, 1, 3, 5, 6, 7, 9, 11],
                                         [1, 2, 3, 5, 7, 8, 9, 11],
                                         [1, 3, 4, 5, 7, 9, 10, 11]]),
 ], ids=["pi2-n2", "cycle6-j2-n2", "cycle6-j2-n3"])
@@ -303,7 +355,7 @@ def test_search_reaches_a12_j2():
 @pytest.mark.parametrize("label, build, digest", [
     ("A4-J2", lambda: gen_linear_An_J2(1, 3)[0],
      "f2a0bbdb55943a1b2fcc384d86ef9c87376785a0fea12cf174d51d22be9f156c"),
-    ("A4-J3", lambda: linear_an_j3(4),
+    ("A4-J3", lambda: nakayama_algebra(4, 3),
      "3aee44170bc4e04b2a0bb9277b9b88ad608f146e09ad906376ca9a83efd8704c"),
 ], ids=["A4-J2", "A4-J3"])
 def test_reports_on_every_sublist_are_pinned(label, build, digest):
@@ -380,7 +432,7 @@ def test_search_on_a12_j3_reads_one_ext_table(monkeypatch):
     # dimensions, each pair read and computed once into the table: rows at
     # projectives and columns at injectives vanish unread.  No 2-CT module
     # among the 2252 cliques
-    alg = linear_an_j3(12)
+    alg = nakayama_algebra(12, 3)
     indecs = nakayama_indecomposables(alg)
     reads, computed = [], []
     read, compute = tilting.ext_dim, resolutions._ext_dim
@@ -402,7 +454,7 @@ def test_search_on_a12_j3_reads_one_ext_table(monkeypatch):
 def test_search_refuses_more_than_20_candidates():
     # n = 1 prunes nothing: K A_12/J^3 has 33 indecomposables, 12 of them
     # projective, so 21 candidates
-    alg = linear_an_j3(12)
+    alg = nakayama_algebra(12, 3)
     indecs = nakayama_indecomposables(alg)
     assert len(indecs) == 33
     with pytest.raises(ValueError, match="too many candidates"):
@@ -460,8 +512,8 @@ def _report_cases():
     cases = [(f"A{n * m + 1}-J2-n{n}", p, lambda n=n, m=m, p=p:
               gen_linear_An_J2(n, m, p=p)[0], n)
              for p in (2, 101) for n, m in _j2_cases()]
-    return cases + [("A4-J3-n2", 101, lambda: linear_an_j3(4), 2),
-                    ("A7-J3-n4", 101, lambda: linear_an_j3(7), 4)]
+    return cases + [("A4-J3-n2", 101, lambda: nakayama_algebra(4, 3), 2),
+                    ("A7-J3-n4", 101, lambda: nakayama_algebra(7, 3), 4)]
 
 
 @pytest.mark.parametrize("label, p, build, n", _report_cases(),

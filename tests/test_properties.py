@@ -23,14 +23,8 @@ from nexakt.reps import (Morphism, _composite_table, _peel_superfluous,
                          split_indecomposables, stack_morphisms_from_sum,
                          stack_morphisms_to_sum, zero_module, zero_morphism)
 
-from conftest import equals, linear_a3_j2, stably_isomorphic_objects
-
-
-@pytest.fixture
-def m3(a3):
-    gens = [projective_module(a3, "0"), projective_module(a3, "1"),
-            projective_module(a3, "2"), simple_module(a3, "2")]
-    return add_category(a3, gens, seed=1)
+from conftest import (equals, linear_a3_j2, named_modules,
+                      stably_isomorphic_objects)
 
 
 def random_sum(cat, rng, max_parts=3):
@@ -157,18 +151,13 @@ def test_idempotent_completeness_instances(a3, m3):
         assert are_isomorphic(rebuilt, x, seed=4)
 
 
-def test_admissible_monos_compose(a3, m3):
+def test_admissible_monos_compose(m3, a3_mods):
     # E1 instance: composable admissible monomorphisms compose to an
     # admissible monomorphism (its n-cokernel completes it n-exactly)
-    mods = {
-        "P1": projective_module(a3, "1"),
-        "P2": projective_module(a3, "2"),
-        "S0": simple_module(a3, "0"),
-    }
-    f = hom_basis(mods["S0"], mods["P1"])[0]          # S0 >-> P1
-    total = direct_sum([mods["P1"], mods["P2"]])
-    g = block_morphism(mods["P1"], total,              # P1 >-> P1 + P2
-                       {(0, 0): identity_morphism(mods["P1"])})
+    f = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]    # S0 >-> P1
+    total = direct_sum([a3_mods["P1"], a3_mods["P2"]])
+    g = block_morphism(a3_mods["P1"], total,           # P1 >-> P1 + P2
+                       {(0, 0): identity_morphism(a3_mods["P1"])})
     fg = f.then(g)
     assert fg.is_injective()
     tail = n_cokernel(fg, m3, 2)
@@ -176,20 +165,14 @@ def test_admissible_monos_compose(a3, m3):
     assert verify_n_exact(x, m3, 2).ok
 
 
-def test_cone_of_pushout_morphism_is_exact(a3, m3):
+def test_cone_of_pushout_morphism_is_exact(a3, m3, a3_mods):
     # the cone of the pushout of (S0 -> P1 -> P2) along S0 -> 0 is the
     # exact complex S0 -> P1 -> P2+P2 -> P2+S2
     from nexakt.pushout import n_pushout
-    mods = {
-        "P1": projective_module(a3, "1"),
-        "P2": projective_module(a3, "2"),
-        "S0": simple_module(a3, "0"),
-        "S2": simple_module(a3, "2"),
-    }
-    d0 = hom_basis(mods["S0"], mods["P1"])[0]
-    d1 = hom_basis(mods["P1"], mods["P2"])[0]
+    d0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
+    d1 = hom_basis(a3_mods["P1"], a3_mods["P2"])[0]
     x = complex_from_maps(0, [d0, d1])
-    y, f = n_pushout(x, zero_morphism(mods["S0"], zero_module(a3)), m3)
+    y, f = n_pushout(x, zero_morphism(a3_mods["S0"], zero_module(a3)), m3)
     cone = mapping_cone(f)
     dims = [cone.term(k).dim_vector() for k in cone.degrees()]
     assert dims == [(1, 0, 0), (1, 1, 0), (0, 2, 2), (0, 1, 2)]
@@ -208,12 +191,7 @@ def test_cone_of_pushout_morphism_is_exact(a3, m3):
 def test_cosyzygy_independence(pi2):
     # computing the second cosyzygy along a padded (non-minimal)
     # coresolution gives a stably isomorphic answer
-    mods = {
-        "P1": projective_module(pi2, "1"),
-        "P2": projective_module(pi2, "2"),
-        "S1": simple_module(pi2, "1"),
-        "S2": simple_module(pi2, "2"),
-    }
+    mods = named_modules(pi2)
     m = add_category(pi2, [mods["P1"], mods["P2"], mods["S1"]], seed=4)
     indecs = nakayama_indecomposables(pi2)
     ctx = check_frobenius_setup(pi2, m, 2, indecs, seed=4)
@@ -257,16 +235,13 @@ def test_hom_basis_against_exhaustive_oracle():
         assert count == 2 ** len(hom_basis(m, n))
 
 
-def test_weak_cokernel_nonuniqueness_is_recorded(a3, m3):
+def test_weak_cokernel_nonuniqueness_is_recorded(m3, a3_mods):
     # two different weak cokernels of one morphism: the minimal one and a
     # padded one; both satisfy the defining property
     from nexakt.addcat import weak_cokernel
-    mods = {"S0": simple_module(a3, "0"),
-            "P1": projective_module(a3, "1"),
-            "P2": projective_module(a3, "2")}
-    f = hom_basis(mods["S0"], mods["P1"])[0]
+    f = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     g = weak_cokernel(f, m3)
-    total = direct_sum([g.target, mods["P2"]])
+    total = direct_sum([g.target, a3_mods["P2"]])
     padded = block_morphism(f.target, total, {(0, 0): g})
     for gen in m3.generators:
         # Hom(C', gen) -> Hom(P1, gen) -> Hom(S0, gen) is exact in the middle

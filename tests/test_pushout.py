@@ -3,54 +3,36 @@ import hashlib
 import pytest
 
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
-                           add_category, contract, contravariant_fragment,
-                           weak_cokernel)
+                           contract, contravariant_fragment, weak_cokernel)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, complex_from_maps,
                               mapping_cone, pad_complex, verify_homotopy)
 from nexakt.fileio import morphism_to_dict
 from nexakt.pushout import good_n_pushout, n_pushout, pushout_factorization
 from nexakt.reps import (are_isomorphic, factor_through, hom_basis,
-                         identity_morphism, projective_module, simple_module,
+                         identity_morphism, simple_module,
                          split_indecomposables, zero_module, zero_morphism)
 
 from conftest import identity_complex_morphism, sweep_generator_maps
 
 
-@pytest.fixture
-def m3(a3):
-    gens = [projective_module(a3, "0"), projective_module(a3, "1"),
-            projective_module(a3, "2"), simple_module(a3, "2")]
-    return add_category(a3, gens, seed=1)
-
-
-@pytest.fixture
-def mods(a3):
-    return {
-        "P1": projective_module(a3, "1"),
-        "P2": projective_module(a3, "2"),
-        "S0": simple_module(a3, "0"),
-        "S2": simple_module(a3, "2"),
-    }
-
-
-def upper_complex(a3, mods):
+def upper_complex(a3, a3_mods):
     """S0 -> P1 -> P2 in degrees 0..2."""
-    d0 = hom_basis(mods["S0"], mods["P1"])[0]
-    d1 = hom_basis(mods["P1"], mods["P2"])[0]
+    d0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
+    d1 = hom_basis(a3_mods["P1"], a3_mods["P2"])[0]
     return complex_from_maps(0, [d0, d1])
 
 
-def test_pushout_along_identity(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    y, f = n_pushout(x, identity_morphism(mods["S0"]), m3)
+def test_pushout_along_identity(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    y, f = n_pushout(x, identity_morphism(a3_mods["S0"]), m3)
     for k in range(3):
         assert are_isomorphic(y.term(k), x.term(k), seed=5)
 
 
-def test_pushout_along_zero_map(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    f0 = zero_morphism(mods["S0"], zero_module(a3))
+def test_pushout_along_zero_map(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    f0 = zero_morphism(a3_mods["S0"], zero_module(a3))
     y, f = n_pushout(x, f0, m3)
     assert y.term(0).total_dim == 0
     assert y.term(1).dim_vector() == (0, 1, 1)        # P2
@@ -61,25 +43,25 @@ def test_pushout_along_zero_map(a3, m3, mods):
     assert contravariant_fragment(list(cone.diffs), m3.generators).ok
 
 
-def test_pushout_along_the_same_mono(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    f0 = hom_basis(mods["S0"], mods["P1"])[0]
+def test_pushout_along_the_same_mono(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    f0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     y, f = n_pushout(x, f0, m3)
     assert y.term(0).dim_vector() == (1, 1, 0)
     cone = mapping_cone(f)
     assert contravariant_fragment(list(cone.diffs), m3.generators).ok
 
 
-def test_pushout_preserves_mono(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    f0 = hom_basis(mods["S0"], mods["P1"])[0]
+def test_pushout_preserves_mono(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    f0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     y, _ = n_pushout(x, f0, m3)
     assert y.diff(0).is_injective()
 
 
-def test_good_pushout_padding(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    f0 = zero_morphism(mods["S0"], zero_module(a3))
+def test_good_pushout_padding(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    f0 = zero_morphism(a3_mods["S0"], zero_module(a3))
     padded, ftilde, padding = good_n_pushout(x, f0, m3)
     # degree 1 gains an X^2 = P2 padding summand
     assert padded.term(1).dim_vector() == (0, 2, 2)   # P2 + P2
@@ -90,56 +72,56 @@ def test_good_pushout_padding(a3, m3, mods):
     assert h is not None
 
 
-def test_good_pushout_trivial_when_x_short(a3, m3, mods):
-    d0 = hom_basis(mods["S0"], mods["P1"])[0]
+def test_good_pushout_trivial_when_x_short(a3, m3, a3_mods):
+    d0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     x = complex_from_maps(0, [d0])
-    padded, ftilde, padding = good_n_pushout(x, identity_morphism(mods["S0"]), m3)
+    padded, ftilde, padding = good_n_pushout(x, identity_morphism(a3_mods["S0"]), m3)
     assert padding.term(0).total_dim == 0
 
 
-def test_good_pushout_along_identity_contracts(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    padded, ftilde, padding = good_n_pushout(x, identity_morphism(mods["S0"]), m3)
+def test_good_pushout_along_identity_contracts(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    padded, ftilde, padding = good_n_pushout(x, identity_morphism(a3_mods["S0"]), m3)
     full = pad_complex(padding, x.lo, x.lo + 3)
     assert contract(full, m3) is not None
 
 
-def test_pushout_failing_at_the_top_names_the_degree(a3, m3, mods):
+def test_pushout_failing_at_the_top_names_the_degree(a3, m3, a3_mods):
     # S0 -> P1 pushed out along itself: Hom(Y^1, G) -> Hom(C^0, G) is not
     # injective for some generator G, so the failure is at degree lo + n
-    d0 = hom_basis(mods["S0"], mods["P1"])[0]
+    d0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     with pytest.raises(HypothesisError) as exc:
         n_pushout(complex_from_maps(0, [d0]), d0, m3)
     assert exc.value.degree == 1
 
 
-def test_pushout_refuses_inputs_outside_its_domain(a3, m3, mods):
+def test_pushout_refuses_inputs_outside_its_domain(a3, m3, a3_mods):
     # S1 lies outside M = add(P0 + P1 + P2 + S2)
-    x = upper_complex(a3, mods)
+    x = upper_complex(a3, a3_mods)
     s1 = simple_module(a3, "1")
     with pytest.raises(PreconditionError, match="at least two terms"):
-        n_pushout(ComplexSeq(0, [mods["P1"]], []), identity_morphism(mods["P1"]), m3)
+        n_pushout(ComplexSeq(0, [a3_mods["P1"]], []), identity_morphism(a3_mods["P1"]), m3)
     with pytest.raises(DomainError, match="pushout input term 0 not in add"):
-        n_pushout(complex_from_maps(0, [hom_basis(s1, mods["P2"])[0]]),
+        n_pushout(complex_from_maps(0, [hom_basis(s1, a3_mods["P2"])[0]]),
                   identity_morphism(s1), m3)
     with pytest.raises(PreconditionError, match="f0 must start at the degree-0"):
-        n_pushout(x, identity_morphism(mods["P1"]), m3)
+        n_pushout(x, identity_morphism(a3_mods["P1"]), m3)
     with pytest.raises(DomainError, match="pushout target of f0 not in add"):
-        n_pushout(x, zero_morphism(mods["S0"], s1), m3)
+        n_pushout(x, zero_morphism(a3_mods["S0"], s1), m3)
 
 
-def test_factorization_with_itself(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    f0 = hom_basis(mods["S0"], mods["P1"])[0]
+def test_factorization_with_itself(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    f0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     y, f = n_pushout(x, f0, m3)
     p, h = pushout_factorization(f, f)
     assert p.component(0).is_injective() and p.component(0).is_surjective()
     assert verify_homotopy(f.then(p), f, h)
 
 
-def test_factorization_to_another_completion(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    f0 = zero_morphism(mods["S0"], zero_module(a3))
+def test_factorization_to_another_completion(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    f0 = zero_morphism(a3_mods["S0"], zero_module(a3))
     y, f = n_pushout(x, f0, m3)
     # alternative completion: g = f followed by an automorphism of y fixing
     # degree 0 (scaling degree >= 1 terms is not a chain map in general, so
@@ -149,11 +131,11 @@ def test_factorization_to_another_completion(a3, m3, mods):
     assert verify_homotopy(f.then(p), g, h)
 
 
-def test_pushout_solves_membership_only_for_the_given_objects(a3, m3, mods,
+def test_pushout_solves_membership_only_for_the_given_objects(a3, m3, a3_mods,
                                                             monkeypatch):
     from nexakt import reps
     from nexakt.reps import Module, Morphism, block_morphism, direct_sum
-    p1, p2, s0, s2 = mods["P1"], mods["P2"], mods["S0"], mods["S2"]
+    p1, p2, s0, s2 = a3_mods["P1"], a3_mods["P2"], a3_mods["S0"], a3_mods["S2"]
     sums = [direct_sum(parts) for parts in ([p1, s2], [p2, s2], [p1, p1])]
     # user-built copies of the sums' content, made while the sums live
     x1, x2, y0 = (Module(a3, t.module.dims, t.module.action) for t in sums)
@@ -237,11 +219,11 @@ def test_sweep_pushouts_keep_their_maps():
     assert content_hash(failed) == SWEEP_FAILED_SHA256
 
 
-def test_factorization_refuses_completions_that_differ_in_degree_0(a3, m3, mods):
-    x = upper_complex(a3, mods)
-    d0 = hom_basis(mods["S0"], mods["P1"])[0]
+def test_factorization_refuses_completions_that_differ_in_degree_0(a3, m3, a3_mods):
+    x = upper_complex(a3, a3_mods)
+    d0 = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     _, f = n_pushout(x, d0, m3)
-    _, g = n_pushout(x, zero_morphism(mods["S0"], zero_module(a3)), m3)
+    _, g = n_pushout(x, zero_morphism(a3_mods["S0"], zero_module(a3)), m3)
     with pytest.raises(PreconditionError, match="degree-0 targets differ"):
         pushout_factorization(f, g)
     _, g = n_pushout(x, d0.scale(2), m3)

@@ -3,14 +3,13 @@ import pytest
 from nexakt import quivers
 from nexakt.fp import FieldSpec
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
-                            gen_preprojective_A)
+                            gen_preprojective_A, nakayama_algebra)
 from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
                             build_algebra, opposite_algebra, path_endpoints)
 from nexakt.reps import all_projectives
 
-from conftest import cyclic_nakayama_j2, two_loops
-from test_presets import linear_an_j3
+from conftest import two_loops
 
 
 def test_quiver_validation():
@@ -56,10 +55,8 @@ def test_bound_error_when_ideal_does_not_kill_paths():
 
 
 def test_loop_truncated_algebra():
-    q = Quiver.build(["1"], [("x", "1", "1")])
-    rel = Relation(((1, PathWord(("x", "x", "x"))),))
-    alg = build_algebra(q, [rel], 3, FieldSpec(5))
-    assert alg.dim == 3  # e, x, x^2
+    alg = nakayama_algebra(1, 3, cyclic=True, p=5)
+    assert alg.dim == 3  # e, x, x^2 with x = a0
 
 
 def test_unit_multiplication(a3):
@@ -268,25 +265,11 @@ def _opposite_input(q, rels):
         for r in rels]
 
 
-def _linear_an_jl(m, l, p):
-    """K A_m/J^l over the sink-first linear quiver: inputs only."""
-    q = Quiver.build([str(i) for i in range(m)],
-                     [(f"a{i}", str(i), str(i - 1)) for i in range(1, m)])
-    rels = [Relation(((1, PathWord(tuple(f"a{i - k}" for k in range(l)))),))
-            for i in range(l, m)]
-    return q, rels, l
-
-
 def _commutative_square(bound, p):
     q = Quiver.build(["1", "2", "3", "4"],
                      [("a", "1", "2"), ("b", "2", "4"),
                       ("c", "1", "3"), ("d", "3", "4")])
     return q, [Relation(((1, PathWord(("a", "b"))), (p - 1, PathWord(("c", "d")))))], bound
-
-
-def _cube_loop(p):
-    q = Quiver.build(["1"], [("x", "1", "1")])
-    return q, [Relation(((1, PathWord(("x", "x", "x"))),))], 3
 
 
 def _inputs(alg):
@@ -303,17 +286,17 @@ def _reference_cases(p):
         yield f"pi{n}", _inputs(gen_preprojective_A(n, p))
     for m in (1, 2, 3, 4):
         yield f"aus{m}", _inputs(gen_auslander_linear_A(m, p))
-    yield "cyclic6-J2", _inputs(cyclic_nakayama_j2(6, p))
+    yield "cyclic6-J2", _inputs(nakayama_algebra(6, 2, cyclic=True, p=p))
     for m in (4, 5, 7):
         for l in (3, 4):
-            yield f"A{m}-J{l}", _linear_an_jl(m, l, p)
+            yield f"A{m}-J{l}", _inputs(nakayama_algebra(m, l, p=p))
     for bound in (3, 5):
         # no relations: at bound 3 every path of length 3 survives, and
         # BoundError names the first; A_5 has no path of length 5
-        yield f"A5-free-N{bound}", (_linear_an_jl(5, 2, p)[0], [], bound)
+        yield f"A5-free-N{bound}", (nakayama_algebra(5, 2, p=p).quiver, [], bound)
     for bound in (2, 3):
         yield f"square-N{bound}", _commutative_square(bound, p)
-    yield "x3", _cube_loop(p)
+    yield "x3", _inputs(nakayama_algebra(1, 3, cyclic=True, p=p))
     for bound in (4, 5, 6, 7):
         yield f"two-loops-N{bound}", two_loops(bound, p)
 
@@ -373,7 +356,7 @@ def test_table_check_stops_above_dimension_64(monkeypatch, m, dim, checked):
         calls += 1
         return multiply(self, i, j)
     monkeypatch.setattr(quivers.AlgebraBasis, "multiply", spy)
-    alg = linear_an_j3(m)
+    alg = nakayama_algebra(m, 3)
     assert alg.dim == dim
     assert (calls > 0) is checked
     projs = all_projectives(alg)

@@ -13,7 +13,8 @@ from nexakt.complexes import ComplexSeq
 from nexakt.addcat import (DomainError, Indecomposables, add_category,
                            indecomposables, n_cokernel, n_kernel)
 from nexakt.fp import FieldSpec
-from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
+from nexakt.presets import (gen_linear_An_J2, nakayama_algebra,
+                            nakayama_indecomposables)
 from nexakt.quivers import Quiver, build_algebra
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
@@ -25,39 +26,20 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
-from conftest import (cyclic_nakayama_j2, equals, exhaustively_indecomposable,
+from conftest import (equals, exhaustively_indecomposable,
                       in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, pick,
                       preprojective_a2, random_invertible, random_quotient,
                       two_loops)
 
 
-# -- fixtures ----------------------------------------------------------
-
-
-@pytest.fixture
-def a3_mods(a3):
-    return {
-        "P0": projective_module(a3, "0"),
-        "P1": projective_module(a3, "1"),
-        "P2": projective_module(a3, "2"),
-        "S0": simple_module(a3, "0"),
-        "S1": simple_module(a3, "1"),
-        "S2": simple_module(a3, "2"),
-    }
-
-
-def dim_vec(m):
-    return m.dim_vector()
-
-
 # -- projectives / injectives ------------------------------------------
 
 
 def test_a3_projective_dimensions(a3, a3_mods):
-    assert dim_vec(a3_mods["P0"]) == (1, 0, 0)
-    assert dim_vec(a3_mods["P1"]) == (1, 1, 0)
-    assert dim_vec(a3_mods["P2"]) == (0, 1, 1)
+    assert a3_mods["P0"].dim_vector() == (1, 0, 0)
+    assert a3_mods["P1"].dim_vector() == (1, 1, 0)
+    assert a3_mods["P2"].dim_vector() == (0, 1, 1)
     # P1's a-action is an isomorphism (identity in the path basis)
     assert a3_mods["P1"].action["a"].to_lists() == [[1]]
 
@@ -124,6 +106,41 @@ def test_module_refuses_bad_data(a3, dims, action, words):
 def test_morphism_refuses_a_misshaped_component(a3_mods):
     with pytest.raises(ValueError, match="component at 0 has wrong shape"):
         Morphism(a3_mods["S0"], a3_mods["P1"], {"0": Mat(2, 1, (1, 0), 101)})
+
+
+def _one_arrow():
+    """The quiver 1 -> 2 (arrow a) over F_101, no relations."""
+    return build_algebra(Quiver.build(["1", "2"], [("a", "1", "2")]), [], 2,
+                         FieldSpec(101))
+
+
+def test_checked_constructors_refuse_names_the_algebra_lacks():
+    # these were the zero module, S_1 with b dropped, and the identity
+    # of S_1 with the component at 3 dropped
+    alg = _one_arrow()
+    with pytest.raises(ValueError, match="the algebra has no vertex '3'"):
+        Module(alg, {"3": 1}, {})
+    with pytest.raises(ValueError, match="the algebra has no arrow 'b'"):
+        Module(alg, {"1": 1}, {"b": Mat(1, 1, (1,), 101)})
+    s1 = simple_module(alg, "1")
+    with pytest.raises(ValueError, match="the algebra has no vertex '3'"):
+        Morphism(s1, s1, {"1": Mat(1, 1, (1,), 101), "3": Mat(1, 1, (1,), 101)})
+
+
+def test_quotient_by_a_span_out_of_vertex_order(a3_mods):
+    # P1 / S0 is S1; with dims in the span's order it was taken for S0
+    span = {"1": Mat.zero(1, 0, 101), "0": Mat(1, 1, (1,), 101),
+            "2": Mat.zero(0, 0, 101)}
+    quot = reps.quotient_by_submodule(a3_mods["P1"], span)[0]
+    assert quot.dim_vector() == (0, 1, 0) and quot.same_as(a3_mods["S1"])
+
+
+def test_morphism_refuses_a_component_over_another_field():
+    # no arrow's naturality check reads the component at 1, and then
+    # f.then(f) was 4, that is 3 * 3 reduced mod 5
+    s1 = simple_module(_one_arrow(), "1")
+    with pytest.raises(ValueError, match="component at 1 over wrong field"):
+        Morphism(s1, s1, {"1": Mat(1, 1, (3,), 5)})
 
 
 def _leading_coeff(b, target):
@@ -335,7 +352,7 @@ def test_in_add_matches_the_two_sided_test(p):
     kron = _kronecker_indecomposables(p)
     lists = [(nakayama_indecomposables(alg), set()) for alg in (
         gen_linear_An_J2(1, 2, p)[0], gen_linear_An_J2(1, 3, p)[0],
-        preprojective_a2(p), cyclic_nakayama_j2(6, p))]
+        preprojective_a2(p), nakayama_algebra(6, 2, cyclic=True, p=p))]
     lists.append((kron, {len(kron) - 1}))
     verdicts = []
     for indecs, forced in lists:
@@ -439,7 +456,7 @@ def test_solve_hom_matches_the_reference_solver(p):
     q, rels, bound = two_loops(5, p)
     pools = [_hom_pool(alg, rng) for alg in (
         gen_linear_An_J2(1, 3, p)[0], preprojective_a2(p),
-        cyclic_nakayama_j2(6, p), build_algebra(q, rels, bound, FieldSpec(p)))]
+        nakayama_algebra(6, 2, cyclic=True, p=p), build_algebra(q, rels, bound, FieldSpec(p)))]
     kron = kronecker_algebra(p)
     pools.append(_hom_pool(kron, rng) + [kronecker_field_module(p)] + [
         Module(kron, {"1": d1, "2": d2},
@@ -461,7 +478,7 @@ def test_radical_span_is_the_radical_step_from_the_identity_spans():
     # the arrow actions side by side, against the actions times identities
     rng = random.Random(4)
     q, rels, bound = two_loops(5, 101)
-    for alg in (linear_a3_j2(), preprojective_a2(), cyclic_nakayama_j2(6),
+    for alg in (linear_a3_j2(), preprojective_a2(), nakayama_algebra(6, 2, cyclic=True),
                 kronecker_algebra(), build_algebra(q, rels, bound, FieldSpec(101))):
         for x in _hom_pool(alg, rng) + [zero_module(alg)]:
             ident = {v: Mat.identity(d, alg.p) for v, d in x.dims.items()}
@@ -563,7 +580,7 @@ def test_split_through_an_irrational_eigenvalue(p):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_split_verdicts_agree_with_the_exhaustive_oracle(p):
-    for alg in (gen_linear_An_J2(2, 2, p)[0], cyclic_nakayama_j2(3, p)):
+    for alg in (gen_linear_An_J2(2, 2, p)[0], nakayama_algebra(3, 2, cyclic=True, p=p)):
         entries = nakayama_indecomposables(alg)
         sums = [direct_sum([x, y])[0] for i, x in enumerate(entries)
                 for y in entries[i:]]
@@ -962,7 +979,7 @@ def _composite_family():
     sums; most have a zero-dimensional vertex, and many Hom spaces between
     them are zero."""
     out = []
-    for alg in (linear_a3_j2(), cyclic_nakayama_j2(3)):
+    for alg in (linear_a3_j2(), nakayama_algebra(3, 2, cyclic=True)):
         indecs = list(nakayama_indecomposables(alg))
         sums = [direct_sum([indecs[0], indecs[-1]]).module,
                 direct_sum([indecs[1], indecs[1], indecs[2]]).module]

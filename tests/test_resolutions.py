@@ -5,7 +5,7 @@ import pytest
 from nexakt import resolutions
 from nexakt.fp import Mat
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
-                            nakayama_indecomposables)
+                            nakayama_algebra, nakayama_indecomposables)
 from nexakt.reps import (Module, all_projectives, are_isomorphic, direct_sum,
                          in_add, injective_module, projective_module,
                          simple_module, zero_module, zero_morphism)
@@ -14,10 +14,8 @@ from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
                                 min_projective_resolution, projective_cover,
                                 syzygy)
 
-from conftest import (cyclic_nakayama_j2, in_random_basis,
-                      kronecker_field_module, linear_a3_j2, preprojective_a2,
-                      random_quotient)
-from test_presets import linear_an_j3
+from conftest import (in_random_basis, kronecker_field_module, linear_a3_j2,
+                      preprojective_a2, random_quotient)
 
 
 def test_resolution_of_s2_over_a3(a3):
@@ -74,10 +72,8 @@ def test_coresolution_of_s0_over_a3(a3):
     assert cok.dim_vector() == (0, 1, 0)  # S1
 
 
-def test_ext1_s1_s0(a3):
-    s1 = simple_module(a3, "1")
-    s0 = simple_module(a3, "0")
-    assert ext_dim(s1, s0, 1) == 1
+def test_ext1_s1_s0(a3_mods):
+    assert ext_dim(a3_mods["S1"], a3_mods["S0"], 1) == 1
 
 
 def test_ext_of_projective_vanishes(a3):
@@ -91,9 +87,8 @@ def test_ext1_s2_s0_vanishes(a3):
     assert ext_dim(simple_module(a3, "2"), simple_module(a3, "0"), 1) == 0
 
 
-def test_ext0_is_hom(a3):
-    p1 = projective_module(a3, "1")
-    p2 = projective_module(a3, "2")
+def test_ext0_is_hom(a3_mods):
+    p1, p2 = a3_mods["P1"], a3_mods["P2"]
     assert ext_dim(p1, p2, 0) == 1
     assert ext_dim(p2, p1, 0) == 0
     with pytest.raises(ValueError, match="negative Ext degree"):
@@ -127,7 +122,7 @@ def test_is_projective_matches_membership_in_add_of_the_projectives(p):
     r = kronecker_field_module(p)
     verdicts = []
     for alg, extra in ((linear_a3_j2(p), []), (preprojective_a2(p), []),
-                       (cyclic_nakayama_j2(6, p), []), (r.algebra, [r])):
+                       (nakayama_algebra(6, 2, cyclic=True, p=p), []), (r.algebra, [r])):
         pool = list(all_projectives(alg)) + extra + [
             f(alg, v) for v in alg.quiver.vertices
             for f in (injective_module, simple_module)]
@@ -186,7 +181,7 @@ def test_envelope_with_isotropic_socle_vector_is_iso():
     # P_2 + P_3 over the 6-cycle with J^2 = 0, in a basis whose socle at
     # vertex 3 is spanned by s = (1, 10); s.s = 101 = 0 in F_101, so the
     # functional <s, -> kills s and an envelope through it is not monic
-    alg = cyclic_nakayama_j2(6, 101)
+    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
     x = Module(alg, {"2": 1, "3": 2, "4": 1},
                {"a2": Mat(2, 1, (1, 10), 101), "a3": Mat(1, 2, (91, 1), 101)})
     env = injective_envelope(x)
@@ -200,7 +195,7 @@ def test_envelope_with_isotropic_socle_vector_is_iso():
 def _twisted_sums_a7_j3():
     """Four sums of two indecomposables over K A_7/J^3, in random bases,
     with the indecomposables themselves."""
-    indecs = nakayama_indecomposables(linear_an_j3(7))
+    indecs = nakayama_indecomposables(nakayama_algebra(7, 3))
     rng = random.Random(7)
     sums = [in_random_basis(direct_sum([indecs[i] for i in rng.sample(
         range(len(indecs)), 2)])[0], rng) for _ in range(4)]
@@ -209,9 +204,9 @@ def _twisted_sums_a7_j3():
 
 _EXT_REFERENCE_CASES = {
     "A7-J2": lambda: list(nakayama_indecomposables(gen_linear_An_J2(6, 1)[0])),
-    "A7-J3": lambda: list(nakayama_indecomposables(linear_an_j3(7))),
-    "C6-J2-p101": lambda: list(nakayama_indecomposables(cyclic_nakayama_j2(6))),
-    "C5-J2-p2": lambda: list(nakayama_indecomposables(cyclic_nakayama_j2(5, 2))),
+    "A7-J3": lambda: list(nakayama_indecomposables(nakayama_algebra(7, 3))),
+    "C6-J2-p101": lambda: list(nakayama_indecomposables(nakayama_algebra(6, 2, cyclic=True))),
+    "C5-J2-p2": lambda: list(nakayama_indecomposables(nakayama_algebra(5, 2, cyclic=True, p=2))),
     "Pi2": lambda: list(nakayama_indecomposables(gen_preprojective_A(2))),
     "A7-J3-twisted-sums": _twisted_sums_a7_j3,
 }

@@ -14,11 +14,12 @@ import pytest
 
 from nexakt.fp import Mat, quotient_data
 from nexakt.frob import stable_hom, stable_hom_basis
-from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
+from nexakt.presets import (gen_linear_An_J2, nakayama_algebra,
+                            nakayama_indecomposables)
 from nexakt.reps import (Module, all_injectives, assemble_from_span,
                          direct_sum, hom_basis, rows_rank, solve_rows)
 
-from conftest import cyclic_nakayama_j2, preprojective_a2
+from conftest import preprojective_a2
 
 
 def reference_stable_hom(m1, m2):
@@ -45,7 +46,7 @@ def reference_stable_hom(m1, m2):
 
 
 ALGEBRAS = {
-    "6-cycle/J^2": lambda p: cyclic_nakayama_j2(6, p),
+    "6-cycle/J^2": lambda p: nakayama_algebra(6, 2, cyclic=True, p=p),
     "Pi_2": preprojective_a2,
     "A_5/J^2": lambda p: gen_linear_An_J2(2, 2, p)[0],
 }
@@ -93,7 +94,7 @@ def test_stable_hom_basis_spans_hom(pi2):
 def test_stable_rank_rejects_maps_between_other_modules():
     # a map from S_1 into a module with P_0's dimension vector but other
     # content is not an element of the stable Hom space of S_1 and P_0
-    alg = cyclic_nakayama_j2(3, 101)
+    alg = nakayama_algebra(3, 2, cyclic=True, p=101)
     indecs = nakayama_indecomposables(alg)
     s1 = next(m for m in indecs if m.dim_vector() == (0, 1, 0))
     p0 = next(m for m in indecs if m.dim_vector() == (1, 1, 0))

@@ -19,7 +19,7 @@ from nexakt.fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
 from nexakt.frob import (check_frobenius_setup, rotate_angle, standard_angle,
                          verify_angle_exact)
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
-                            nakayama_indecomposables)
+                            nakayama_algebra, nakayama_indecomposables)
 from nexakt.pushout import n_pushout
 from nexakt.quivers import PathWord
 from nexakt.reps import (_induced_action_on_sub, _natural, _radical_step,
@@ -34,8 +34,8 @@ from nexakt.reps import (_induced_action_on_sub, _natural, _radical_step,
 from nexakt.resolutions import _map_from_projective, _map_into_injective, ext_dim
 from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
-from conftest import (cyclic_nakayama_j2, in_random_basis, kronecker_algebra,
-                      kronecker_field_module, random_quotient)
+from conftest import (in_random_basis, kronecker_algebra, kronecker_field_module,
+                      random_quotient)
 
 PRIMES = (2, 101, 2**31 - 1)
 
@@ -46,7 +46,7 @@ def _algebra(name, p):
     if name == "Pi_2":
         return gen_preprojective_A(2, p)
     if name == "6-cycle/J^2":
-        return cyclic_nakayama_j2(6, p)
+        return nakayama_algebra(6, 2, cyclic=True, p=p)
     return kronecker_algebra(p)
 
 
@@ -418,6 +418,44 @@ def test_a_zero_span_with_a_wrong_row_count_raises(case):
                         quotient_by_submodule(x, bad)
 
 
+@pytest.fixture
+def canonical_modules(monkeypatch):
+    """Wrap reps._module, which checks nothing, to assert that every module
+    the package derives is in the canonical form that Module._shape checks
+    and would leave unchanged; returns the modules seen."""
+    seen = []
+    module = reps._module
+
+    def checked(alg, dims, action):
+        m = object.__new__(reps.Module)
+        m.__dict__.update(algebra=alg, dims=dims, action=action)
+        m._shape()
+        assert list(m.dims.items()) == list(dims.items())
+        assert list(m.action.items()) == list(action.items())
+        seen.append(m)
+        return module(alg, dims, action)
+    monkeypatch.setattr(reps, "_module", checked)
+    return seen
+
+
+def test_derived_modules_come_in_canonical_form(canonical_modules, case):
+    # requested first, the wrapper is in place when the case is built
+    for check in (test_morphism_arithmetic_matches_reference,
+                  test_sums_and_composite_rows_match_reference,
+                  test_kernels_images_cokernels_match_reference,
+                  test_spans_and_maps_of_indecomposable_projectives_match_reference,
+                  test_one_map_stacks_match_the_one_summand_block,
+                  test_zero_span_quotients_match_the_cokernel_path):
+        check(case)
+    assert canonical_modules
+
+
+def test_demo_modules_come_in_canonical_form(canonical_modules, tmp_path):
+    from nexakt.cli import main
+    assert main(["demo", "preproj-a2", "--out", str(tmp_path)]) == 0
+    assert canonical_modules
+
+
 def test_cases_have_zero_vertices():
     """The cases reach what the builders skip: the zero module, and modules
     zero at some vertices but not at all."""
@@ -488,7 +526,7 @@ def test_angle_requests_hand_fp_no_zero_dimensional_slot(empty_results_raise):
     """standard_angle, rotate_angle and verify_angle_exact on the 6-cycle
     with J^2 = 0 at p = 101, M = add(Lambda + S_0 + S_2 + S_4), n = 2, as
     the frobenius-angles workload makes them."""
-    alg = cyclic_nakayama_j2(6, 101)
+    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
     gens = ([all_projectives(alg)[v] for v in range(6)]
             + [simple_module(alg, str(v)) for v in (0, 2, 4)])
     ctx = check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,

@@ -5,7 +5,8 @@ import pytest
 from nexakt import reps, tilting
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            add_category, indecomposables)
-from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
+from nexakt.presets import (gen_linear_An_J2, nakayama_algebra,
+                            nakayama_indecomposables)
 from nexakt.reps import (Module, all_injectives, all_projectives,
                          are_isomorphic, direct_sum, hom_basis,
                          projective_module, regular_module, simple_module)
@@ -15,32 +16,13 @@ from nexakt.tilting import (_ExtTable, _nct_report, _vertex_positions,
                             hom_exact_at_middle, strong_projectivity_check)
 from nexakt.addcat import weak_cokernel
 
-from conftest import (cyclic_nakayama_j2, full_ext_table, in_random_basis,
-                      linear_a3_j2, preprojective_a2)
-from test_presets import linear_an_j3
+from conftest import (full_ext_table, in_random_basis, linear_a3_j2,
+                      named_modules, preprojective_a2)
 
 
 @pytest.fixture
-def mods(a3):
-    return {
-        "P0": projective_module(a3, "0"),
-        "P1": projective_module(a3, "1"),
-        "P2": projective_module(a3, "2"),
-        "S0": simple_module(a3, "0"),
-        "S1": simple_module(a3, "1"),
-        "S2": simple_module(a3, "2"),
-    }
-
-
-@pytest.fixture
-def indecs(mods):
-    return [mods["P0"], mods["P1"], mods["P2"], mods["S1"], mods["S2"]]
-
-
-@pytest.fixture
-def m3(a3, mods):
-    return add_category(a3, [mods["P0"], mods["P1"], mods["P2"], mods["S2"]],
-                        seed=1)
+def indecs(a3_mods):
+    return [a3_mods["P0"], a3_mods["P1"], a3_mods["P2"], a3_mods["S1"], a3_mods["S2"]]
 
 
 def test_m3_is_2ct(a3, m3):
@@ -63,8 +45,8 @@ def test_hand_made_list_gives_a_relative_verdict(a3, m3, indecs):
     assert report.verdict == "n-CT (relative to supplied list)"
 
 
-def test_lambda_plus_s1_fails(a3, mods, indecs):
-    bad = add_category(a3, [mods["P0"], mods["P1"], mods["P2"], mods["S1"]],
+def test_lambda_plus_s1_fails(a3, a3_mods, indecs):
+    bad = add_category(a3, [a3_mods["P0"], a3_mods["P1"], a3_mods["P2"], a3_mods["S1"]],
                        seed=2)
     report = check_n_cluster_tilting(bad, 2, indecs)
     assert not report.ok
@@ -81,15 +63,15 @@ def test_all_indecomposables_is_unique_1ct(a3, indecs):
     assert report.ok
 
 
-def test_decomposable_input_rejected(a3, m3, mods, indecs):
-    bad_list = [*indecs, direct_sum([mods["P1"], mods["S2"]])[0]]
+def test_decomposable_input_rejected(a3, m3, a3_mods, indecs):
+    bad_list = [*indecs, direct_sum([a3_mods["P1"], a3_mods["S2"]])[0]]
     with pytest.raises(DomainError, match="entry 5 is decomposable"):
         check_n_cluster_tilting(m3, 2, bad_list)
 
 
-def test_missing_generator_rejected(a3, m3, mods):
+def test_missing_generator_rejected(a3, m3, a3_mods):
     with pytest.raises(PreconditionError, match="no entry is isomorphic"):
-        check_n_cluster_tilting(m3, 2, [mods["P0"], mods["P1"]])
+        check_n_cluster_tilting(m3, 2, [a3_mods["P0"], a3_mods["P1"]])
 
 
 def test_index_of_is_exact_and_the_report_reads_no_seed():
@@ -121,7 +103,7 @@ def test_index_of_finds_what_sampled_hom_misses(monkeypatch):
     # invertible, so a sampled test misses with probability 2^-retries;
     # with one sample it misses at seed 1, and index_of, which samples
     # nothing, still finds P's position
-    indecs = nakayama_indecomposables(cyclic_nakayama_j2(1, p=2))
+    indecs = nakayama_indecomposables(nakayama_algebra(1, 2, cyclic=True, p=2))
     x = in_random_basis(indecs[1], random.Random(0))
     assert not x.same_as(indecs[1])
     monkeypatch.setattr(reps, "FITTING_RETRIES", 1)
@@ -154,82 +136,82 @@ def test_ext_comparison_on_m3_pairs(a3, m3, indecs):
     assert hypothesis_ok == [True, True, True, False, True]
 
 
-def test_ext_comparison_s1_s0(a3, m3, mods):
+def test_ext_comparison_s1_s0(a3, m3, a3_mods):
     # Ext^1(S1, S0) = 1 computed both ways
-    assert ext_via_approx_resolution(mods["S1"], mods["S0"], m3, 1, 2) == 1
-    assert ext_dim(mods["S1"], mods["S0"], 1) == 1
+    assert ext_via_approx_resolution(a3_mods["S1"], a3_mods["S0"], m3, 1, 2) == 1
+    assert ext_dim(a3_mods["S1"], a3_mods["S0"], 1) == 1
 
 
-def test_ext_comparison_member_vanishes(a3, m3, mods):
-    assert ext_via_approx_resolution(mods["S2"], mods["P2"], m3, 1, 2) == 0
+def test_ext_comparison_member_vanishes(a3, m3, a3_mods):
+    assert ext_via_approx_resolution(a3_mods["S2"], a3_mods["P2"], m3, 1, 2) == 0
 
 
-def test_ext_comparison_rejects_bad_degree(a3, m3, mods):
+def test_ext_comparison_rejects_bad_degree(a3, m3, a3_mods):
     with pytest.raises(ValueError):
-        ext_via_approx_resolution(mods["S1"], mods["S0"], m3, 2, 2)
+        ext_via_approx_resolution(a3_mods["S1"], a3_mods["S0"], m3, 2, 2)
 
 
-def test_ext_comparison_over_a_subcategory_that_is_not_generating(a3, mods):
+def test_ext_comparison_over_a_subcategory_that_is_not_generating(a3, a3_mods):
     # nothing in add(P0 + P1 + S2) maps onto the top S2 of P2
-    m = add_category(a3, [mods["P0"], mods["P1"], mods["S2"]], seed=1)
+    m = add_category(a3, [a3_mods["P0"], a3_mods["P1"], a3_mods["S2"]], seed=1)
     with pytest.raises(HypothesisError,
                        match="right approximation at stage 0 is not surjective"):
-        ext_via_approx_resolution(mods["P2"], mods["S0"], m, 1, 2)
+        ext_via_approx_resolution(a3_mods["P2"], a3_mods["S0"], m, 1, 2)
 
 
 # -- strong projectivity ----------------------------------------------------
 
 
-def test_strong_projectivity_p2(a3, m3, mods):
-    f = hom_basis(mods["S0"], mods["P1"])[0]
-    ok, ranks = strong_projectivity_check(mods["P2"], f, m3)
+def test_strong_projectivity_p2(a3, m3, a3_mods):
+    f = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
+    ok, ranks = strong_projectivity_check(a3_mods["P2"], f, m3)
     assert ok
 
 
-def test_strong_projectivity_zero_module(a3, m3, mods):
+def test_strong_projectivity_zero_module(a3, m3, a3_mods):
     from nexakt.reps import zero_module
-    f = hom_basis(mods["S0"], mods["P1"])[0]
+    f = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     ok, _ = strong_projectivity_check(zero_module(a3), f, m3)
     assert ok
 
 
-def test_strong_projectivity_regular_module(a3, m3, mods):
-    f = hom_basis(mods["P1"], mods["P2"])[0]
+def test_strong_projectivity_regular_module(a3, m3, a3_mods):
+    f = hom_basis(a3_mods["P1"], a3_mods["P2"])[0]
     ok, _ = strong_projectivity_check(regular_module(a3), f, m3)
     assert ok
 
 
-def test_strong_projectivity_rejects_nonprojective(a3, m3, mods):
-    f = hom_basis(mods["S0"], mods["P1"])[0]
+def test_strong_projectivity_rejects_nonprojective(a3, m3, a3_mods):
+    f = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     with pytest.raises(PreconditionError):
-        strong_projectivity_check(mods["S2"], f, m3)
+        strong_projectivity_check(a3_mods["S2"], f, m3)
 
 
 @pytest.mark.parametrize("parts", [["S1"], ["P1", "S2"]])
-def test_strong_projectivity_rejects_in_a_random_basis(a3, m3, mods, parts):
-    p = in_random_basis(direct_sum([mods[k] for k in parts]).module,
+def test_strong_projectivity_rejects_in_a_random_basis(a3, m3, a3_mods, parts):
+    p = in_random_basis(direct_sum([a3_mods[k] for k in parts]).module,
                         random.Random(len(parts)))
-    f = hom_basis(mods["S0"], mods["P1"])[0]
+    f = hom_basis(a3_mods["S0"], a3_mods["P1"])[0]
     with pytest.raises(PreconditionError, match="^p is not projective$"):
         strong_projectivity_check(p, f, m3)
 
 
 @pytest.mark.parametrize("parts", [["P0", "P1", "P2"], ["P1", "P2"]])
-def test_strong_projectivity_accepts_projectives_in_a_random_basis(a3, m3, mods,
+def test_strong_projectivity_accepts_projectives_in_a_random_basis(a3, m3, a3_mods,
                                                                    parts):
     # Lambda and P1 + P2; the zero module is test_strong_projectivity_zero_module
-    p = in_random_basis(direct_sum([mods[k] for k in parts]).module,
+    p = in_random_basis(direct_sum([a3_mods[k] for k in parts]).module,
                         random.Random(len(parts)))
-    f = hom_basis(mods["P1"], mods["P2"])[0]
+    f = hom_basis(a3_mods["P1"], a3_mods["P2"])[0]
     ok, ranks = strong_projectivity_check(p, f, m3)
     assert ok and ranks["kernel_dim"] == ranks["rank_in"]
 
 
-def test_nonprojective_negative_control(a3, m3, mods):
+def test_nonprojective_negative_control(a3, m3, a3_mods):
     # Hom(S2, -) applied to P2 -> S2 -> weak cokernel (= 0) fails in the middle
-    f = hom_basis(mods["P2"], mods["S2"])[0]
+    f = hom_basis(a3_mods["P2"], a3_mods["S2"])[0]
     g = weak_cokernel(f, m3)
-    ok, ranks = hom_exact_at_middle(mods["S2"], f, g)
+    ok, ranks = hom_exact_at_middle(a3_mods["S2"], f, g)
     assert not ok
     assert ranks["kernel_dim"] == 1 and ranks["rank_in"] == 0
 
@@ -244,12 +226,10 @@ def _vanishing_cases(p):
     the injective S2, so that one position is None."""
     for m in range(1, 8):
         yield f"A_{m}/J^2", nakayama_indecomposables(gen_linear_An_J2(1, m - 1, p)[0])
-    yield "A_9/J^3", nakayama_indecomposables(linear_an_j3(9, p))
-    yield "C_6/J^2", nakayama_indecomposables(cyclic_nakayama_j2(6, p))
-    pi2 = preprojective_a2(p)
-    yield "Pi_2", indecomposables(
-        [projective_module(pi2, "1"), projective_module(pi2, "2"),
-         simple_module(pi2, "1"), simple_module(pi2, "2")], seed=0)
+    yield "A_9/J^3", nakayama_indecomposables(nakayama_algebra(9, 3, p=p))
+    yield "C_6/J^2", nakayama_indecomposables(nakayama_algebra(6, 2, cyclic=True, p=p))
+    pi2 = named_modules(preprojective_a2(p))
+    yield "Pi_2", indecomposables(list(pi2.values()), seed=0)
     a3 = linear_a3_j2(p)
     yield "A_3/J^2 without S2", indecomposables(
         [projective_module(a3, v) for v in "012"] + [simple_module(a3, "1")],
