@@ -44,8 +44,9 @@ Certificates are assembled in generator-list order.  Tie-breaking is
 fixed everywhere: generators in the order listed, Hom bases in the
 deterministic kernel_basis order.
 
-The generator list is a reps.Indecomposables (exported here too, with
-reps.PreconditionError), checked once by indecomposables().
+The generator list is a reps.Indecomposables, checked once by
+indecomposables(), which in_add runs on any other list; both are
+exported here from reps, as are PreconditionError and DomainError.
 """
 
 from __future__ import annotations
@@ -55,19 +56,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, _complex
 from .quivers import AlgebraBasis
-from .reps import (Indecomposables, Module, Morphism, PreconditionError,
-                   _composite_table, _isomorphic_to_indecomposable,
-                   _peel_superfluous, cokernel_morphism, factor_through,
-                   hom_basis, hom_dims_and_ranks, identity_morphism, in_add,
-                   kernel_morphism, rows_rank, split_indecomposables,
+from .reps import (DomainError, Indecomposables, Module, Morphism,
+                   PreconditionError, _composite_table, _peel_superfluous,
+                   cokernel_morphism, factor_through, hom_basis,
+                   hom_dims_and_ranks, identity_morphism, in_add,
+                   indecomposables, kernel_morphism, rows_rank,
                    stack_morphisms_from_sum, stack_morphisms_to_sum,
                    zero_module, zero_morphism)
-
-
-class DomainError(ValueError):
-    """An object required to lie in add(M) does not, or a list of
-    indecomposables (such as the generators) has a decomposable or
-    repeated entry."""
 
 
 class HypothesisError(ValueError):
@@ -77,24 +72,6 @@ class HypothesisError(ValueError):
     def __init__(self, message: str, degree: Optional[int] = None):
         super().__init__(message)
         self.degree = degree
-
-
-def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables:
-    """Check once that the modules are indecomposable, by seeded
-    splitting, and pairwise non-isomorphic, exactly (DomainError names the
-    first bad entry); an Indecomposables is returned as it is."""
-    if isinstance(modules, Indecomposables):
-        return modules
-    mods = tuple(modules)
-    for i, x in enumerate(mods):
-        parts = split_indecomposables(x, seed + i)
-        if len(parts) != 1 or parts[0][1] != 1:
-            raise DomainError(f"entry {i} is decomposable")
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if _isomorphic_to_indecomposable(mods[i], mods[j]):
-                raise DomainError(f"entries {i} and {j} are isomorphic")
-    return Indecomposables(mods)
 
 
 @dataclass

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
-from .addcat import (AddCat, HypothesisError, PreconditionError, _lift_along,
-                     _require_in_add, verify_n_exact)
+from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
+                     _lift_along, _require_in_add, verify_n_exact)
 from .complexes import ComplexSeq, ComplexMorphism, _complex
 from .fp import _reduce
 from .pushout import _factor_pushout, _n_pushout
@@ -76,7 +76,7 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
 
 def cosyzygy(ctx: FrobeniusCtx, x: Module, k: int) -> Module:
     if not in_add(x, ctx.m.generators):
-        raise PreconditionError("cosyzygy input not in add(M)")
+        raise DomainError("cosyzygy input not in add(M)")
     return cosyzygy_of(x, k)
 
 
@@ -227,7 +227,7 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
         raise ValueError("angle must have n+2 objects and n+1 morphisms")
     for i, obj in enumerate(objects):
         if not in_add(obj, ctx.m.generators):
-            raise PreconditionError(f"angle object {i} not in add(M)")
+            raise DomainError(f"angle object {i} not in add(M)")
     for i, f in enumerate(maps):
         if not (f.source.same_as(objects[i]) and f.target.same_as(objects[i + 1])):
             raise ValueError(f"angle map {i} does not run from object {i} "
@@ -249,7 +249,7 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
 def trivial_angle(ctx: FrobeniusCtx, x: Module) -> Angle:
     n = ctx.n
     if not in_add(x, ctx.m.generators):
-        raise PreconditionError("angle object 0 not in add(M)")
+        raise DomainError("angle object 0 not in add(M)")
     z = zero_module(ctx.algebra)
     maps = [identity_morphism(x), zero_morphism(x, z)] + \
         [zero_morphism(z, z) for _ in range(n - 1)]

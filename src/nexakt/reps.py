@@ -56,16 +56,17 @@ the generators) for the minimal approximation addcat builds, its
 contract checked once, ("projres", x) and ("injres", x) for the growing
 minimal (co)resolutions, and "projectives" and "injectives".
 
-Only Hom spaces that can change a verdict are solved: over an
-``Indecomposables`` list, ``in_add`` reads only Hom(G, x), for the
-generators G that fit inside x (Krull-Schmidt), and accepts x when the
-minimal right approximation they give is an isomorphism
-(``_approximation_is_iso``); Hom between modules with disjoint supports
-is zero with no system (``_solve_hom``).  That approximation is the one
-``addcat`` builds: one peel (``_peel_superfluous``) over one table of
-composites through the generators (``_composite_table``), both here.
-The two-sided test (id_x through x -> G -> x, ``_identity_through``) is
-left for a plain sequence, whose entries may be decomposable.
+Only Hom spaces that can change a verdict are solved: ``in_add`` reads
+only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt),
+and accepts x when the minimal right approximation they give is an
+isomorphism (``_approximation_is_iso``); Hom between modules with
+disjoint supports is zero with no system (``_solve_hom``).  That
+approximation is the one ``addcat`` builds: one peel
+(``_peel_superfluous``) over one table of composites through the
+generators (``_composite_table``), both here.  The test is sound for
+indecomposable, pairwise non-isomorphic generators, so in_add checks any
+list but an ``Indecomposables`` with ``indecomposables()`` (defined here,
+as is its ``DomainError``; addcat re-exports both).
 
 The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps, ``_split_vector``,
@@ -85,14 +86,13 @@ what the caller holds built again: the quotient by a span whose matrices
 are all zero (zero-valued columns, or none) is x with its identity
 (``quotient_by_submodule``), once each matrix's row count is checked.
 
-Isomorphism to an indecomposable e is decided exactly, by membership:
-x = e iff dim x = dim e and x lies in add(e) (Krull-Schmidt), the one
-test the package uses.  ``Indecomposables.index_of`` is its public
-face; ``_isomorphic_to_indecomposable`` is the package-internal entry
-point, which addcat and cli import to compare with one module.
-It is private because it is only correct when e is indecomposable.
-``are_isomorphic``, which samples Hom elements, is the public test for
-any two modules.
+Isomorphism to an indecomposable e is that membership test over the
+one-entry list (e): x = e iff dim x = dim e and x lies in add(e)
+(Krull-Schmidt).  ``Indecomposables.index_of`` is its public face;
+``_isomorphic_to_indecomposable`` is the package-internal entry point,
+which cli imports to compare with one module.  It is private because it
+is only correct when e is indecomposable.  ``are_isomorphic``, which
+samples Hom elements, is the public test for any two modules.
 
 Decomposition (``split_indecomposables``) splits a module along coprime
 factors of the minimal polynomial of a random endomorphism e: if
@@ -122,6 +122,12 @@ class ContextError(ValueError):
 
 class PreconditionError(ValueError):
     pass
+
+
+class DomainError(ValueError):
+    """An object required to lie in add(M) does not, or a list of
+    indecomposables (such as the generators) has a decomposable or
+    repeated entry."""
 
 
 @dataclass(frozen=True)
@@ -832,7 +838,7 @@ def _peel_superfluous(parts: List[Tuple[int, Morphism]],
 
 class Indecomposables(tuple):
     """Indecomposable, pairwise non-isomorphic modules, trusted as given:
-    made by addcat.indecomposables(), which checks once, or, complete, by
+    made by indecomposables(), which checks once, or, complete, by
     presets.nakayama_indecomposables.  ``complete`` means every
     indecomposable is listed up to isomorphism, so verdicts are absolute."""
 
@@ -851,33 +857,43 @@ class Indecomposables(tuple):
                                 f"dimension vector {list(x.dim_vector())}")
 
 
+def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables:
+    """Check once that the modules are indecomposable, by seeded
+    splitting, and pairwise non-isomorphic, exactly (DomainError names the
+    first bad entry); an Indecomposables is returned as it is."""
+    if isinstance(modules, Indecomposables):
+        return modules
+    mods = tuple(modules)
+    for i, x in enumerate(mods):
+        parts = split_indecomposables(x, seed + i)
+        if len(parts) != 1 or parts[0][1] != 1:
+            raise DomainError(f"entry {i} is decomposable")
+    for i in range(len(mods)):
+        for j in range(i + 1, len(mods)):
+            if _isomorphic_to_indecomposable(mods[i], mods[j]):
+                raise DomainError(f"entries {i} and {j} are isomorphic")
+    return Indecomposables(mods)
+
+
 def in_add(x: Module, gens: Sequence[Module]) -> bool:
-    """x lies in add(gens): over an Indecomposables, iff the minimal right
-    approximation by the generators that fit inside x is an isomorphism
-    (_approximation_is_iso); over any other sequence, iff id_x is spanned
-    by the composites x -> G -> x (_identity_through)."""
+    """x lies in add(gens), decided by _approximation_is_iso; gens that
+    are not an Indecomposables are checked by indecomposables() (seed 0)
+    first, so a decomposable or repeated entry raises DomainError."""
     for g in gens:
         _require_same_algebra(x, g)
+    gens = indecomposables(gens)
     return _membership(x, gens, tuple(g.cid for g in gens))
 
 
-def _membership(x: Module, gens: Sequence[Module], cids: tuple) -> bool:
-    """in_add past the algebra check; cids are the generators' ids."""
+def _membership(x: Module, gens: Indecomposables, cids: tuple) -> bool:
+    """in_add past the checks; cids are the generators' ids."""
     if x.is_zero() or x.cid in cids:
         return True
     parts = x.algebra.store.get(("summands", x.cid))
     if parts is not None:
         return all(_membership(part, gens, cids) for part in parts)
     return x.algebra.memoized(("in_add", x.cid, cids),
-                              lambda: _solve_membership(x, gens))
-
-
-def _solve_membership(x: Module, gens: Sequence[Module]) -> bool:
-    """The test in_add stores: one Hom direction over an Indecomposables
-    list, both over any other sequence, whose entries may decompose."""
-    if isinstance(gens, Indecomposables):
-        return _approximation_is_iso(x, gens)
-    return _identity_through(x, gens)
+                              lambda: _approximation_is_iso(x, gens))
 
 
 def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
@@ -927,24 +943,13 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
     return tuple(total) == dims
 
 
-def _identity_through(x: Module, gens: Sequence[Module]) -> bool:
-    """The two-sided test: id_x in the span of the composites x -> G -> x,
-    over every generator; sound for decomposable generators too, since x
-    may be a summand of copies of one that does not fit inside it."""
-    composites = [row for g in gens for f in hom_basis(x, g)
-                  for row in composite_rows(f, hom_basis(g, x), d_first=True)]
-    coeffs = solve_rows([composites], [identity_morphism(x).vectorize()],
-                        x.algebra.p)
-    return coeffs is not None
-
-
 # -- isomorphism testing and decomposition ----------------------------
 
 
 def _isomorphic_to_indecomposable(x: Module, e: Module) -> bool:
     """x = e for an indecomposable e, exactly: by Krull-Schmidt, x in
     add(e) means x = e^k, and equal dimension vectors force k = 1."""
-    return x.dim_vector() == e.dim_vector() and in_add(x, [e])
+    return x.dim_vector() == e.dim_vector() and in_add(x, Indecomposables((e,)))
 
 
 def are_isomorphic(m: Module, n: Module, seed: int) -> bool:

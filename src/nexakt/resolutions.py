@@ -7,7 +7,8 @@ test (is_projective, also frob's selfinjectivity test) read the top from
 one helper (_top_coordinates).  The minimal (co)resolution of a module is
 kept in the algebra's store as one growing chain; each step is verified
 once, when it is appended, and reuse verifies nothing again.  Both
-directions are handed out as one record, Resolution.
+directions are handed out as one record, Resolution.  A negative degree
+or length is refused with ValueError, since no chain has one.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
 along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
@@ -199,27 +200,37 @@ def _injective_chain(m: Module, length: int) -> _Chain:
     return ch
 
 
+def _require_degree(k: int, what: str):
+    """ValueError for a negative degree, which no chain has."""
+    if k < 0:
+        raise ValueError(f"negative {what} degree")
+
+
 def min_projective_resolution(m: Module, length: int) -> Resolution:
     """Minimal resolution Q_length -> ... -> Q_0 -> m, exactness verified
     as it is built; repeated calls extend the same chain."""
+    _require_degree(length, "resolution")
     ch = _projective_chain(m, length)
     return Resolution(m, ch.terms[:length + 1], ch.maps[:length + 1])
 
 
 def syzygy(m: Module, k: int) -> Module:
     """k-th syzygy along the minimal resolution."""
+    _require_degree(k, "syzygy")
     return _projective_chain(m, k - 1).ends[k]
 
 
 def min_injective_coresolution(m: Module, length: int) -> Resolution:
     """Minimal coresolution m -> I^1 -> ... -> I^length, exactness
     verified as it is built."""
+    _require_degree(length, "coresolution")
     ch = _injective_chain(m, length)
     return Resolution(m, ch.terms[:length], ch.maps[:length])
 
 
 def cosyzygy_of(m: Module, k: int) -> Module:
     """k-th cosyzygy along the minimal coresolution (deterministic)."""
+    _require_degree(k, "cosyzygy")
     return _injective_chain(m, k).ends[k]
 
 
@@ -228,7 +239,9 @@ def cosyzygy_of(m: Module, k: int) -> Module:
 
 def hom_cohomology_dim(maps: list, b: Module, k: int) -> int:
     """dim H^k of Hom(C, b) for C = ... -> C_k -> C_{k-1} -> ... with
-    maps[j]: C_j -> C_{j-1}; needs 1 <= k < len(maps) - 1."""
+    maps[j]: C_j -> C_{j-1}; ValueError unless 1 <= k <= len(maps) - 2."""
+    if not 1 <= k <= len(maps) - 2:
+        raise ValueError(f"Hom cohomology degree {k} outside 1..{len(maps) - 2}")
     (_, rank_in), (dim, rank_out) = hom_dims_and_ranks(
         [maps[k], maps[k + 1]], b, contravariant=True)
     return dim - rank_out - rank_in
@@ -241,8 +254,7 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
     Each degree reads three Hom dimensions from the Hom bases memoized by
     content, so a repeated question, or one about a content-equal
     target, solves no Hom again."""
-    if k < 0:
-        raise ValueError("negative Ext degree")
+    _require_degree(k, "Ext")
     if k == 0:
         return len(hom_basis(m, n))
     _require_same_algebra(m, n)

@@ -19,7 +19,7 @@ presets.brute_force_nct_search builds both once and reads every clique's
 report from them.  Every position, of a generator, P_v or I_v, is found
 by Indecomposables.index_of, which decides isomorphism to an entry
 exactly, so the seed reaches a verdict only through the splitting that
-checks a hand-made list (addcat.indecomposables).
+checks a hand-made list (reps.indecomposables).
 
 strong_projectivity_check decides that p is projective exactly, from its
 top (resolutions.is_projective): p is projective iff
@@ -83,7 +83,7 @@ class NctReport:
 def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
                             seed: int = 0) -> NctReport:
     """Certify that add(generators) is n-cluster-tilting relative to
-    indec_list (checked by addcat.indecomposables() unless it is an
+    indec_list (checked by reps.indecomposables() unless it is an
     Indecomposables), which must hold every generator."""
     if n < 1:
         raise ValueError("n must be >= 1")

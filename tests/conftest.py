@@ -10,10 +10,10 @@ from nexakt.frob import stable_hom
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (Module, Morphism, all_injectives, are_isomorphic,
-                         assemble_from_span, block_morphism, direct_sum,
-                         hom_basis, identity_morphism, projective_module,
-                         quotient_by_submodule, simple_module,
-                         split_indecomposables)
+                         assemble_from_span, block_morphism, composite_rows,
+                         direct_sum, hom_basis, identity_morphism,
+                         projective_module, quotient_by_submodule,
+                         simple_module, solve_rows, split_indecomposables)
 from nexakt.resolutions import _injective_chain, ext_dim
 
 
@@ -211,6 +211,17 @@ def exhaustively_indecomposable(x, budget=1 << 16):
             i += 1
         else:
             return True
+
+
+def identity_through(x, gens):
+    """Reference membership test, the two-sided one: x lies in add(gens)
+    iff id_x is in the span of the composites x -> G -> x over every
+    generator.  Sound for decomposable generators too, since x may be a
+    summand of copies of one that does not fit inside it."""
+    composites = [row for g in gens for f in hom_basis(x, g)
+                  for row in composite_rows(f, hom_basis(g, x), d_first=True)]
+    return solve_rows([composites], [identity_morphism(x).vectorize()],
+                      x.algebra.p) is not None
 
 
 def in_random_basis(x, rng):

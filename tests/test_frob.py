@@ -63,6 +63,13 @@ def test_cosyzygies(ctx, pi2_mods):
     assert cosyzygy(ctx, pi2_mods["P1"], 2).total_dim == 0
 
 
+def test_cosyzygy_refuses_an_object_outside_add_m_and_a_negative_degree(ctx, pi2_mods):
+    with pytest.raises(DomainError, match="cosyzygy input not in add"):
+        cosyzygy(ctx, pi2_mods["S2"], 1)
+    with pytest.raises(ValueError, match="negative cosyzygy degree"):
+        cosyzygy(ctx, pi2_mods["S1"], -1)
+
+
 def test_suspension_on_objects(ctx, pi2_mods):
     assert are_isomorphic(suspension(ctx, pi2_mods["S1"]), pi2_mods["S1"], seed=2)
     assert suspension(ctx, pi2_mods["P1"]).total_dim == 0
@@ -501,7 +508,7 @@ LIFTED_MAPS_SHA256 = \
 
 
 def test_trivial_angle_refuses_an_object_outside_add_m(ctx, pi2_mods):
-    with pytest.raises(PreconditionError, match="angle object 0 not in add"):
+    with pytest.raises(DomainError, match="angle object 0 not in add"):
         trivial_angle(ctx, pi2_mods["S2"])
 
 
@@ -608,7 +615,7 @@ def test_make_angle_refuses_each_malformed_input(ctx, pi2_mods):
     maps = [zero_morphism(s1, s1)] * 3
     with pytest.raises(ValueError, match=r"n\+2 objects and n\+1 morphisms"):
         make_angle(ctx, [s1] * 3, maps, zero_morphism(s1, sx0))
-    with pytest.raises(PreconditionError, match="angle object 0 not in add"):
+    with pytest.raises(DomainError, match="angle object 0 not in add"):
         make_angle(ctx, [s2] + [s1] * 3,
                    [zero_morphism(s2, s1)] + maps[1:], zero_morphism(s1, sx0))
     with pytest.raises(ValueError, match=r"must land in Sigma X\^0"):

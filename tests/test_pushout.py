@@ -146,9 +146,9 @@ def test_pushout_solves_membership_only_for_the_given_objects(a3, m3, a3_mods,
     f0 = block_morphism(s0, sums[2], {(1, 0): incl})
     x = complex_from_maps(0, [Morphism(s0, x1, d0.components),
                               Morphism(x1, x2, d1.components)])
-    solve = reps._solve_membership
+    solve = reps._approximation_is_iso
     solved = []                                   # ids: equal content is ==
-    monkeypatch.setattr(reps, "_solve_membership",
+    monkeypatch.setattr(reps, "_approximation_is_iso",
                         lambda m, gens: solved.append(id(m)) or solve(m, gens))
     y, f = n_pushout(x, Morphism(s0, y0, f0.components), m3)
     # S0 has the content of the generator P0, the copies x1, x2 and y0 share

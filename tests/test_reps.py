@@ -26,7 +26,7 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
-from conftest import (equals, exhaustively_indecomposable,
+from conftest import (equals, exhaustively_indecomposable, identity_through,
                       in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, pick,
                       preprojective_a2, random_invertible, random_quotient,
@@ -247,8 +247,20 @@ def test_image_factorization_recovered(a3_mods):
 
 
 def test_in_add_summand(a3_mods):
+    # S2 is a summand of S2 + P1, but a plain list is checked by
+    # indecomposables() before any verdict, so its decomposable entry is
+    # refused
     big = direct_sum([a3_mods["S2"], a3_mods["P1"]])[0]
-    assert in_add(a3_mods["S2"], [big])
+    assert identity_through(a3_mods["S2"], [big])
+    with pytest.raises(DomainError, match="entry 0 is decomposable"):
+        in_add(a3_mods["S2"], [big])
+
+
+def test_in_add_refuses_a_repeated_entry_of_a_plain_list(a3_mods):
+    p1 = a3_mods["P1"]
+    copy = Module(p1.algebra, dict(p1.dims), dict(p1.action))
+    with pytest.raises(DomainError, match="entries 0 and 1 are isomorphic"):
+        in_add(p1, [p1, copy])
 
 
 def test_in_add_rejects_s1(a3_mods):
@@ -264,9 +276,9 @@ def test_in_add_decides_a_sum_by_its_summands(monkeypatch):
     alg, gens = gen_linear_An_J2(2, 1)          # add(P0 + P1 + P2 + S2)
     p0, p1 = projective_module(alg, "0"), projective_module(alg, "1")
     s1, s2 = simple_module(alg, "1"), simple_module(alg, "2")
-    solve = reps._solve_membership
+    solve = reps._approximation_is_iso
     solved = []                                   # ids: equal content is ==
-    monkeypatch.setattr(reps, "_solve_membership",
+    monkeypatch.setattr(reps, "_approximation_is_iso",
                         lambda x, g: solved.append(id(x)) or solve(x, g))
     for parts, member in (([p0, s2], True), ([s1, p1], False)):
         total = direct_sum(parts).module
@@ -282,7 +294,7 @@ def test_in_add_decides_a_sum_by_its_summands(monkeypatch):
 def test_in_add_solves_each_module_once_and_no_generator(a3_mods, monkeypatch):
     gens = [a3_mods["P0"], a3_mods["P1"], a3_mods["P2"]]
     solved = []
-    monkeypatch.setattr(reps, "_solve_membership",
+    monkeypatch.setattr(reps, "_approximation_is_iso",
                         lambda x, g: solved.append(id(x)) or False)
     copy = Module(a3_mods["P1"].algebra, dict(a3_mods["P1"].dims),
                   dict(a3_mods["P1"].action))
@@ -365,7 +377,7 @@ def test_in_add_matches_the_two_sided_test(p):
             gens = pick(indecs, picked)
             for x in xs:
                 member = in_add(x, gens)
-                assert member is reps._identity_through(x, list(gens)), (
+                assert member is identity_through(x, gens), (
                     p, picked, x.key)
                 verdicts.append(member)
     assert verdicts.count(True) > 30 and verdicts.count(False) > 30
@@ -381,7 +393,31 @@ def test_in_add_refuses_a_module_the_generators_do_not_span(p):
     x = Module(alg, {"0": 1, "1": 1, "2": 0}, {})
     assert x.dim_vector() == p1.dim_vector() and len(hom_basis(p1, x)) == 1
     assert in_add(x, Indecomposables([p1])) is False
-    assert reps._identity_through(x, [p1]) is False
+    assert identity_through(x, [p1]) is False
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_isomorphism_to_an_indecomposable_matches_the_two_sided_test(p):
+    # on every ordered pair (x, e) of listed indecomposables, and on x in a
+    # random basis, isomorphism to e is equal dimension vectors and x in
+    # add(e) by the two-sided reference; the semisimple module of each
+    # entry's dimension vector adds pairs that only membership tells apart
+    rng = random.Random(p)
+    verdicts = []
+    for alg in (nakayama_algebra(5, 2, p=p), nakayama_algebra(6, 2, cyclic=True, p=p),
+                nakayama_algebra(4, 3, cyclic=True, p=p)):
+        indecs = nakayama_indecomposables(alg)
+        xs = [y for x in indecs for y in (x, in_random_basis(x, rng))]
+        xs += [Module(alg, dict(x.dims), {}) for x in indecs]
+        for x in xs:
+            for e in indecs:
+                expected = (x.dim_vector() == e.dim_vector()
+                            and identity_through(x, [e]))
+                assert reps._isomorphic_to_indecomposable(x, e) is expected, (
+                    p, x.key, e.key)
+                verdicts.append(expected)
+    # each entry twice, and the semisimple copy of each simple entry
+    assert verdicts.count(True) == 2 * (9 + 12 + 12) + (5 + 6 + 4)
 
 
 def test_in_add_solves_no_hom_space_out_of_x():
@@ -596,7 +632,10 @@ def test_regular_module_is_sum_of_projectives(a3):
     lam = regular_module(a3)
     assert lam.total_dim == a3.dim
     for pv in all_projectives(a3):
-        assert in_add(pv, [lam])
+        assert identity_through(pv, [lam])
+        # in_add refuses the decomposable entry instead of deciding
+        with pytest.raises(DomainError, match="entry 0 is decomposable"):
+            in_add(pv, [lam])
 
 
 # -- immutability and the content-keyed memo ---------------------------
@@ -741,7 +780,7 @@ def test_a_sum_is_built_once_per_list_of_operand_contents(a3, a3_mods, monkeypat
     assert [id(m) for m in first.parts] == [id(p1), id(s2)]
     assert [id(m) for m in second.parts] == [id(p1_again), id(s2_again)]
     # membership of the sum is still read off its "summands" fact
-    monkeypatch.setattr(reps, "_solve_membership",
+    monkeypatch.setattr(reps, "_approximation_is_iso",
                         lambda *args: pytest.fail("membership was solved"))
     assert in_add(second.module, Indecomposables([p1, s2]))
 

@@ -102,6 +102,39 @@ def test_syzygy_chain(a3):
     assert syzygy(s2, 3).total_dim == 0
 
 
+def test_negative_degrees_are_refused_before_and_after_the_chain_grows():
+    # K A_4/J^2 at p = 101: syzygy(S3, -1) read S3 on a fresh chain and
+    # (0, 1, 0, 0) once the chain held Omega^2 S3; cosyzygy_of(S0, -1) read
+    # (1, 0, 0, 0), then (0, 0, 1, 0); negative lengths gave empty records
+    alg = nakayama_algebra(4, 2)
+    s3, s0 = simple_module(alg, "3"), simple_module(alg, "0")
+    for grown in (False, True):
+        with pytest.raises(ValueError, match="negative syzygy degree"):
+            syzygy(s3, -1)
+        with pytest.raises(ValueError, match="negative cosyzygy degree"):
+            cosyzygy_of(s0, -1)
+        with pytest.raises(ValueError, match="negative resolution degree"):
+            min_projective_resolution(s3, -3)
+        with pytest.raises(ValueError, match="negative coresolution degree"):
+            min_injective_coresolution(s0, -2)
+        if not grown:
+            assert syzygy(s3, 2).dim_vector() == (0, 1, 0, 0)
+            assert cosyzygy_of(s0, 2).dim_vector() == (0, 0, 1, 0)
+    assert syzygy(s3, 0) is s3 and cosyzygy_of(s0, 0) is s0
+
+
+def test_hom_cohomology_refuses_a_degree_outside_its_range():
+    # four maps Q_3 -> Q_2 -> Q_1 -> Q_0 -> S3 give H^1 and H^2 only
+    alg = nakayama_algebra(4, 2)
+    s3, s2 = simple_module(alg, "3"), simple_module(alg, "2")
+    maps = min_projective_resolution(s3, 3).maps
+    for k in (1, 2):
+        assert resolutions.hom_cohomology_dim(maps, s2, k) == ext_dim(s3, s2, k)
+    for k in (-1, 0, 3):
+        with pytest.raises(ValueError, match=rf"degree {k} outside 1\.\.2"):
+            resolutions.hom_cohomology_dim(maps, s2, k)
+
+
 def test_ext_grows_the_resolution_only_to_q_k_minus_1(a3, monkeypatch):
     covers = []
     real = resolutions.projective_cover
