@@ -39,7 +39,7 @@ list: reps.hom_dims_and_ranks reads each rank together with the
 dimension of the Hom space the map leaves (the approximation contract
 reads its ranks off the table instead).  Composites with a Hom basis
 (in the table, the ranks and every factorization) are read as coordinate
-rows by reps.composite_rows, one stacked product per vertex.
+rows by reps.composite_rows, one entry product per basis map and vertex.
 Certificates are assembled in generator-list order.  Tie-breaking is
 fixed everywhere: generators in the order listed, Hom bases in the
 deterministic kernel_basis order.

@@ -2,37 +2,35 @@
 
 Everything downstream (Hom spaces, resolutions, certificates) reduces to
 the solvers in this module.  They share one row reduction, ``_reduce``,
-which works in place on lists of rows: ``rref`` wraps it in a ``Mat``,
-while ``rank``, ``solve_linear``, ``kernel_basis``, ``column_space_basis``,
-``quotient_data``, the coordinate-row solvers of ``reps`` and
-``quivers.build_algebra`` (the ideal of an algebra) call it directly and
-build no intermediate ``Mat``; ``polys.minpoly`` reads a minimal
-polynomial off ``kernel_basis``.  ``det`` keeps an elimination of its
-own; nothing in the package calls it, and it stays only because a
-benchmark metric counts its calls.  All arithmetic is exact.
-``Mat`` uses ``__slots__``, is immutable, and checks its shape when made.
-Pivoting is deterministic (first nonzero entry), so every certificate
-derived from these routines is bit-reproducible.
+which works in place on lists of rows: ``rref`` wraps it in a ``Mat``;
+``rank``, ``solve_linear``, ``column_space_basis``, the coordinate-row
+solvers of ``reps`` and ``quivers.build_algebra`` call it directly.
+Null spaces come from one routine on rows, ``_null_space`` (the
+canonical basis, one vector per free column): ``kernel_basis`` is its
+thin ``Mat`` wrapper, ``quotient_data`` reads a projection off it, and
+``reps`` solves Hom spaces with it with no ``Mat`` in or out.  ``det``
+keeps an elimination of its own; nothing in the package calls it, and
+it stays only because a benchmark metric counts its calls.  All
+arithmetic is exact.  ``Mat`` uses ``__slots__``, is immutable, and
+checks its shape when made.  Pivoting is deterministic (first nonzero
+entry), so every certificate derived from these routines is
+bit-reproducible.
 
 Most vertex spaces of the modules nexakt works with are zero, so most
 matrices have a zero side.  Every operation but ``rref`` and ``det``
 returns at once when an operand or its result has a zero side, after the
 shape and field checks it makes on any operand; it builds no rows and
 runs no reduction.  Each such empty result is the one shared ``Mat`` of
-its shape and field (``_empty``).  The solvers read their answer off the shape: with no
-unknowns, ``solve_linear`` solves exactly when b is zero; with no
-equations the zero matrix solves; ``kernel_basis`` of a map from the zero
-space is 0x0, and of a map to it the identity; ``quotient_data`` by an
-empty span is the identity, every coordinate free.  A product with inner
-dimension 0 is the zero matrix of its outer shape, not an empty one.
-
-The per-vertex and per-arrow builders of ``reps`` and ``resolutions`` no
-longer hand fp a slot with a zero side: they read it off the modules'
-dimension vectors and take ``_empty`` themselves, which saves a call, its
-checks and the list that feeds it on most slots of a pass.  The early
-returns stay for every other caller: the public names take matrices of
-any shape from files and from users, and ``addcat``, ``complexes``,
-``frob``, ``polys`` and ``fileio`` call fp without looking at the sides.
+its shape and field (``_empty``).  The solvers read their answer off the
+shape: with no unknowns, ``solve_linear`` solves exactly when b is zero;
+with no equations the zero matrix solves; ``kernel_basis`` of a map from
+the zero space is 0x0, and of a map to it the identity; ``quotient_data``
+by an empty span is the identity, every coordinate free.  A product with
+inner dimension 0 is the zero matrix of its outer shape.  The builders
+of ``reps`` and ``resolutions`` take ``_empty`` themselves for a slot
+with a zero side, read off the dimension vectors; the early returns
+serve every other caller (files, users, ``addcat``, ``complexes``,
+``frob``, ``polys``, ``fileio``).
 """
 
 from __future__ import annotations
@@ -339,15 +337,19 @@ def _reduce(rows: list, ncols: int, p: int) -> "list[int]":
     return pivots
 
 
-def _null_vectors(red: list, pivots: list, n: int, p: int) -> "tuple[list, list]":
-    """The free columns of reduced rows of width n, and for each one the
-    null vector with a 1 there: minus the reduced column at the pivots."""
+def _null_space(rows: list, n: int, p: int) -> "tuple[list, list]":
+    """Null space of the rows (lists of width n, entries reduced mod p),
+    which are row-reduced in place: the free columns, and for each one the
+    null vector with a 1 there and minus the reduced column at the
+    pivots.  This is the canonical basis, in free-column order, that
+    ``kernel_basis`` returns as the columns of a ``Mat``."""
+    pivots = _reduce(rows, n, p)
     free = [j for j in range(n) if j not in pivots]
     vecs = []
     for j in free:
         v = [0] * n
         v[j] = 1
-        for row, c in zip(red, pivots):
+        for row, c in zip(rows, pivots):
             v[c] = (-row[j]) % p
         vecs.append(v)
     return free, vecs
@@ -396,9 +398,7 @@ def kernel_basis(a: Mat) -> Mat:
         return _empty(0, 0, a.p)
     if a.rows == 0:
         return Mat.identity(a.cols, a.p)
-    rows = a.to_lists()
-    pivots = _reduce(rows, a.cols, a.p)
-    _, vecs = _null_vectors(rows, pivots, a.cols, a.p)
+    _, vecs = _null_space(a.to_lists(), a.cols, a.p)
     return Mat(a.cols, len(vecs), tuple(x for coords in zip(*vecs) for x in coords),
                a.p)
 
@@ -427,8 +427,7 @@ def quotient_data(span: Mat) -> "tuple[Mat, list[int]]":
         # nothing to divide by: every coordinate is free
         return Mat.identity(n, p), list(range(n))
     rows = [list(span.entries[j::cols]) for j in range(cols)]
-    pivots = _reduce(rows, n, p)
-    free, proj_rows = _null_vectors(rows, pivots, n, p)
+    free, proj_rows = _null_space(rows, n, p)
     return Mat(len(free), n, tuple(x for row in proj_rows for x in row), p), free
 
 

@@ -57,8 +57,10 @@ def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
     """Verify the n-CT property, selfinjectivity and (co)syzygy closure.
     Selfinjectivity is read from the top: each I_v is indecomposable, so
     it is projective (is_projective) iff it is isomorphic to some P_w.
-    The closure check grows each generator's memoized coresolution to the
-    length n the suspension uses."""
+    The closure check tests Sigma^n C = C, C = add(M) in the stable category
+    (Geiss-Keller-Oppermann, "n-angulated categories", J. reine angew. Math.
+    675 (2013), Thm. 1): Omega^-n g (along the memoized coresolution the
+    suspension uses) and Omega^n g lie in add(M) for each generator g."""
     report = check_n_cluster_tilting(m, n, indec_list, seed=seed)
     if not report.ok:
         raise SetupError(f"subcategory is not n-cluster-tilting: "

@@ -5,6 +5,10 @@ so that P_0 = S_0) and C_k/J^l (one oriented cycle, selfinjective), both
 from ``nakayama_algebra``; K A_{nm+1}/J^2 with its expected n-cluster-
 tilting generators; small preprojective algebras of type A; and
 Auslander algebras of linear A_m.
+
+C_k/J^l has a d-cluster-tilting module exactly when l(d - 1) + 2 divides
+2k or t*k, t = gcd(d + 1, 2(l - 1)) (Darpö–Iyama, "d-representation-
+finite self-injective algebras", Adv. Math. 362 (2020)); tests pin it.
 """
 
 from __future__ import annotations

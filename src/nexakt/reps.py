@@ -15,18 +15,18 @@ combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
 ``scale`` and ``assemble_from_span`` check only their endpoints, by
 content (``Module.same_as``).
 
-The naturality system of a Hom space is written sparsely: one row per
-equation A x_s - x_t B = 0 and entry, with only its nonzero
-coefficients written (reduced mod p as they are), no row for an arrow
-whose equations are empty, and all rows handed to ``kernel_basis`` as
-one ``Mat``.
-
-Composites of one map with every element of a Hom basis are read as
-coordinate rows (``composite_rows``: one stacked product per vertex),
-and the linear problems in Hom spaces are solved on rows
-(``solve_rows``, ``rows_rank``, which hand the rows to the in-place row
-reduction of ``fp`` with no ``Mat`` in between); a map enters them as
-its ``vectorize()`` row.
+The naturality system of a Hom space is written as entry rows: one list
+per equation A x_s - x_t B = 0 and entry, with only its nonzero
+coefficients set (reduced mod p as they are) and no row for an arrow
+whose equations are empty.  fp's ``_null_space``, which ``kernel_basis``
+wraps, returns the null vectors, each read straight into the components
+of one basis map.  The batch check of naturality and the coordinate rows
+of composites with every element of a Hom basis (``composite_rows``)
+form each per-vertex product on entry tuples (``_entry_product``), so no
+``Mat`` is built for a system, its kernel or a stack.  The linear
+problems in Hom spaces are solved on rows (``solve_rows``, ``rows_rank``,
+by fp's in-place row reduction); a map enters them as its
+``vectorize()`` row.
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
@@ -53,8 +53,9 @@ direct_sum records with it (its nonzero parts, when there are at least
 two, each of smaller dimension; in_add decides the content by them, and
 solves for no zero module, generator or sum), ("approx", side, x, ids of
 the generators) for the minimal approximation addcat builds, its
-contract checked once, ("projres", x) and ("injres", x) for the growing
-minimal (co)resolutions, and "projectives" and "injectives".
+contract checked once, ("indecomposables", ids of the entries, seed) for
+a list indecomposables() passed, ("projres", x) and ("injres", x) for
+the growing minimal (co)resolutions, and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: ``in_add`` reads
 only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt),
@@ -109,8 +110,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
-from .fp import (Mat, _empty, _reduce, column_space_basis, kernel_basis,
-                 mat_from_vector, quotient_data, rank, solve_linear)
+from .fp import (Mat, _empty, _null_space, _reduce, column_space_basis,
+                 kernel_basis, mat_from_vector, quotient_data, rank, solve_linear)
 from .quivers import AlgebraBasis, PathWord
 
 FITTING_RETRIES = 32
@@ -395,94 +396,86 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
 
 
 def _solve_hom(m: Module, n: Module) -> List[Morphism]:
-    """The naturality system of hom_basis, solved; when no vertex carries
-    both m and n, every component is an empty matrix, so Hom(m, n) = 0 and
-    no system is built."""
+    """The naturality system of hom_basis, solved on entry rows; when no
+    vertex carries both m and n, Hom(m, n) = 0 and no system is built."""
     alg = m.algebra
     p = alg.p
     verts = alg.quiver.vertices
-    if not any(m.dims[v] and n.dims[v] for v in verts):
-        return []
+    md, nd = m.dims, n.dims
     offsets = {}
-    pos = 0
+    total = 0
     for v in verts:
-        offsets[v] = pos
-        pos += n.dims[v] * m.dims[v]
-    total = pos
-    # a row per arrow and entry (i, j), i < nt, j < ms, of
-    # A * x_s - x_t * B = 0; the x_s coefficients land at distinct places,
-    # the x_t ones may meet them when the arrow is a loop, so are added
-    eqs = [a for a in alg.quiver.arrows if n.dims[a.target] * m.dims[a.source]]
-    nrows = sum(n.dims[a.target] * m.dims[a.source] for a in eqs)
-    flat = [0] * (nrows * total)
-    at = 0
-    for a in eqs:
-        A = n.action[a.name].entries  # n_s -> n_t
-        B = m.action[a.name].entries  # m_s -> m_t
+        offsets[v] = total
+        total += nd[v] * md[v]
+    if not total:
+        return []
+    # a row per arrow and entry (i, j), i < nt, j < ms, of A x_s - x_t B = 0
+    # (A, B the actions on n, m); the x_s coefficients land at distinct
+    # places, the x_t ones may meet them when the arrow is a loop, so are added
+    rows = []
+    for a in alg.quiver.arrows:
         s, t = a.source, a.target
-        nt, ns = n.dims[t], n.dims[s]
-        mt, ms = m.dims[t], m.dims[s]
+        nt, ns, mt, ms = nd[t], nd[s], md[t], md[s]
+        if not nt * ms:
+            continue
+        A, B = n.action[a.name].entries, m.action[a.name].entries
         xs, xt = offsets[s], offsets[t]
         for i in range(nt):
             arow = A[i * ns:(i + 1) * ns]
             for j in range(ms):
+                row = [0] * total
                 for k, c in enumerate(arow):
                     if c:
-                        flat[at + xs + k * ms + j] = c
+                        row[xs + k * ms + j] = c
                 for k in range(mt):
                     c = B[k * ms + j]
                     if c:
-                        e = at + xt + i * mt + k
-                        flat[e] = (flat[e] - c) % p
-                at += total
-    kernel = kernel_basis(Mat(nrows, total, tuple(flat), p) if flat
-                          else _empty(nrows, total, p))
-    size = kernel.cols
-    if not size:
-        return []
-    # kernel vector j is column j of the kernel matrix, read straight into
-    # components; the empty ones are fp's shared empties
-    comps: List[dict] = [{} for _ in range(size)]
+                        e = xt + i * mt + k
+                        row[e] = (row[e] - c) % p
+                rows.append(row)
+    _, vecs = _null_space(rows, total, p)
+    comps: List[dict] = [{} for _ in vecs]
     for v in verts:
-        r, c = n.dims[v], m.dims[v]
-        if r * c == 0:
-            empty = _empty(r, c, p)
-            for comp in comps:
-                comp[v] = empty
-            continue
-        start = offsets[v] * size
-        for j, comp in enumerate(comps):
-            comp[v] = Mat(r, c, kernel.entries[start + j:start + r * c * size:size], p)
+        r, c, at = nd[v], md[v], offsets[v]
+        for vec, comp in zip(vecs, comps):
+            comp[v] = Mat(r, c, tuple(vec[at:at + r * c]), p) if r * c else _empty(r, c, p)
     _check_natural_batch(m, n, comps)
     return [_natural(m, n, c) for c in comps]
 
 
 def _check_natural_batch(m: Module, n: Module, comps: List[dict]):
     """Naturality of every map m -> n with the given components, checked
-    at once: per arrow, n's action times the components at the source set
-    side by side, against the components at the target stacked, times m's
-    action, compared block by block."""
+    at once: per arrow, A x_s against x_t B for each map, with A and B the
+    arrow's actions on n and m, as entry products (_entry_product)."""
+    p = m.algebra.p
+    md, nd = m.dims, n.dims
     for a in m.algebra.quiver.arrows:
-        if n.dims[a.target] * m.dims[a.source] == 0:
+        s, t = a.source, a.target
+        if not nd[t] * md[s]:
             continue
-        lhs = n.action[a.name].mul(Mat.hstack([c[a.source] for c in comps]))
-        rhs = Mat.vstack([c[a.target] for c in comps]).mul(m.action[a.name])
-        if _column_blocks(lhs, len(comps)) != _row_blocks(rhs, len(comps)):
-            raise ValueError(f"naturality fails at arrow {a.name}")
+        A, B = n.action[a.name].entries, m.action[a.name].entries
+        for c in comps:
+            if _entry_product(A, c[s].entries, nd[t], nd[s], md[s], p) != \
+                    _entry_product(c[t].entries, B, nd[t], md[t], md[s], p):
+                raise ValueError(f"naturality fails at arrow {a.name}")
 
 
-def _row_blocks(m: Mat, k: int) -> List[tuple]:
-    """The entries of the k row blocks of m, of equal height."""
-    size = len(m.entries) // k
-    return [m.entries[i * size:(i + 1) * size] for i in range(k)]
-
-
-def _column_blocks(m: Mat, k: int) -> List[tuple]:
-    """The row-major entries of the k column blocks of m, of equal width."""
-    w = m.cols // k
-    return [tuple(x for r in range(m.rows)
-                  for x in m.entries[r * m.cols + i * w:r * m.cols + (i + 1) * w])
-            for i in range(k)]
+def _entry_product(a: tuple, b: tuple, n: int, k: int, m: int, p: int) -> list:
+    """Row-major entries, reduced mod p, of the n x m product of the n x k
+    and k x m matrices with row-major entries a and b (zero when k = 0)."""
+    if k == 1:      # an outer product, the common case
+        return [x * y % p for x in a for y in b]
+    out = []
+    for i in range(n):
+        row = [0] * m
+        for t in range(k):
+            x = a[i * k + t]
+            if x:
+                base = t * m
+                for j in range(m):
+                    row[j] += x * b[base + j]
+        out.extend([y % p for y in row])
+    return out
 
 
 def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
@@ -667,9 +660,9 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
     when not d_first, for every b in basis, in order.
 
     The basis maps share source and target, and d joins them; both are
-    checked once per call, by content.  At each vertex this is one product
-    of d's component with the basis components stacked into one matrix
-    (one above the other when d comes first, side by side otherwise)."""
+    checked once per call, by content.  At each vertex each block is one
+    entry product (_entry_product) of d's component with b's: b_v d_v when
+    d comes first, d_v b_v otherwise."""
     if not basis:
         return []
     src, tgt = basis[0].source, basis[0].target
@@ -680,7 +673,7 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
     if not joint.same_as(end):
         raise ValueError("non-composable morphisms")
     _require_same_algebra(end, joint)
-    k = len(basis)
+    p = end.algebra.p
     rows: List[List[int]] = [[] for _ in basis]
     # the outer dimensions at each vertex, and the inner one
     rd, cd = (tgt.dims, d.source.dims) if d_first else (d.target.dims, src.dims)
@@ -689,16 +682,11 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
         r, c = rd[v], cd[v]
         if not (r and c):
             continue
-        if not jd[v]:
-            blocks = [(0,) * (r * c)] * k
-        elif d_first:               # b_v * d_v for each b: row blocks
-            blocks = _row_blocks(Mat.vstack([b.components[v] for b in basis])
-                                 .mul(d.components[v]), k)
-        else:                       # d_v * b_v for each b: column blocks
-            blocks = _column_blocks(d.components[v].mul(
-                Mat.hstack([b.components[v] for b in basis])), k)
-        for row, block in zip(rows, blocks):
-            row.extend(block)
+        dv = d.components[v].entries
+        for row, b in zip(rows, basis):
+            bv = b.components[v].entries
+            row.extend(_entry_product(bv, dv, r, jd[v], c, p) if d_first
+                       else _entry_product(dv, bv, r, jd[v], c, p))
     return [tuple(row) for row in rows]
 
 
@@ -860,18 +848,25 @@ class Indecomposables(tuple):
 def indecomposables(modules: Sequence[Module], seed: int = 0) -> Indecomposables:
     """Check once that the modules are indecomposable, by seeded
     splitting, and pairwise non-isomorphic, exactly (DomainError names the
-    first bad entry); an Indecomposables is returned as it is."""
+    first bad entry), once per list of entry contents and seed (kept in
+    the store); an Indecomposables is returned as it is."""
     if isinstance(modules, Indecomposables):
         return modules
     mods = tuple(modules)
-    for i, x in enumerate(mods):
-        parts = split_indecomposables(x, seed + i)
-        if len(parts) != 1 or parts[0][1] != 1:
-            raise DomainError(f"entry {i} is decomposable")
-    for i in range(len(mods)):
-        for j in range(i + 1, len(mods)):
-            if _isomorphic_to_indecomposable(mods[i], mods[j]):
-                raise DomainError(f"entries {i} and {j} are isomorphic")
+
+    def check() -> bool:
+        for i, x in enumerate(mods):
+            parts = split_indecomposables(x, seed + i)
+            if len(parts) != 1 or parts[0][1] != 1:
+                raise DomainError(f"entry {i} is decomposable")
+        for i in range(len(mods)):
+            for j in range(i + 1, len(mods)):
+                if _isomorphic_to_indecomposable(mods[i], mods[j]):
+                    raise DomainError(f"entries {i} and {j} are isomorphic")
+        return True
+    if mods:
+        mods[0].algebra.memoized(("indecomposables", tuple(x.cid for x in mods), seed),
+                                 check)
     return Indecomposables(mods)
 
 

@@ -2,7 +2,7 @@ import ast
 import dataclasses
 import gc
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -28,9 +28,9 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
 
 from conftest import (equals, exhaustively_indecomposable, identity_through,
                       in_random_basis, kronecker_algebra,
-                      kronecker_field_module, linear_a3_j2, pick,
-                      preprojective_a2, random_invertible, random_quotient,
-                      two_loops)
+                      kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
+                      mat_composite_rows, mat_solve_hom, pick, preprojective_a2,
+                      random_invertible, random_quotient, two_loops)
 
 
 # -- projectives / injectives ------------------------------------------
@@ -261,6 +261,30 @@ def test_in_add_refuses_a_repeated_entry_of_a_plain_list(a3_mods):
     copy = Module(p1.algebra, dict(p1.dims), dict(p1.action))
     with pytest.raises(DomainError, match="entries 0 and 1 are isomorphic"):
         in_add(p1, [p1, copy])
+
+
+def test_in_add_checks_a_plain_list_once(monkeypatch):
+    # the check of a plain list is kept under its entries' content ids:
+    # repeated in_add calls on one list, or on a content-equal copy of it,
+    # split each entry once; a refused list is checked again
+    alg = nakayama_algebra(9, 2)
+    gens = list(all_projectives(alg))
+    calls = []
+    split = reps.split_indecomposables
+    monkeypatch.setattr(reps, "split_indecomposables",
+                        lambda x, seed: calls.append(seed) or split(x, seed))
+    s1 = simple_module(alg, "1")
+    for _ in range(5):
+        assert in_add(s1, gens) is False
+    assert calls == list(range(len(gens)))
+    copies = [Module(alg, dict(g.dims), dict(g.action)) for g in gens]
+    assert in_add(gens[3], copies) is True
+    assert len(calls) == len(gens)
+    big = direct_sum(gens[:2]).module
+    for _ in range(2):
+        with pytest.raises(DomainError, match="entry 0 is decomposable"):
+            in_add(s1, [big])
+    assert calls[len(gens):] == [0, 0]
 
 
 def test_in_add_rejects_s1(a3_mods):
@@ -510,6 +534,71 @@ def test_solve_hom_matches_the_reference_solver(p):
     assert nonzero > 150
 
 
+def _entry_row_pools(p, rng):
+    """(algebra, pool) for K A_5/J^2, K A_9/J^3, C_6/J^2, Pi_2 and the
+    Kronecker algebra: every entry of the Nakayama list, or for the
+    Kronecker algebra (not Nakayama) P_1, P_2 = S_2, I_1 = S_1, I_2 and R;
+    then four sums of two entries, each in a random basis."""
+    cases = [(alg, list(nakayama_indecomposables(alg))) for alg in (
+        nakayama_algebra(5, 2, p=p), nakayama_algebra(9, 3, p=p),
+        nakayama_algebra(6, 2, cyclic=True, p=p), preprojective_a2(p))]
+    r = kronecker_field_module(p)
+    kron = r.algebra
+    cases.append((kron, [projective_module(kron, "1"), projective_module(kron, "2"),
+                         injective_module(kron, "1"), injective_module(kron, "2"), r]))
+    for alg, entries in cases:
+        yield alg, entries + [in_random_basis(direct_sum(rng.sample(entries, 2)).module,
+                                              rng) for _ in range(4)]
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_entry_row_kernels_match_the_mat_reference(p):
+    # reps solves Hom and forms composite rows on entry rows; the Mat
+    # round trip they replaced (conftest) must give the same Hom bases,
+    # order and entries, and the same composite rows, on every ordered
+    # pair; and a basis vector corrupted at any arrow is refused, naming
+    # the arrow the Mat check names
+    rng = random.Random(p)
+    named = set()
+    for alg, pool in _entry_row_pools(p, rng):
+        arrows = {a.name for a in alg.quiver.arrows}
+        failing = set()
+        for x, y in product(pool, repeat=2):
+            comps = mat_solve_hom(x, y)
+            assert [f.components for f in reps._solve_hom(x, y)] == comps
+            back = hom_basis(y, x)
+            for d in hom_basis(x, y)[:2]:
+                for d_first in (True, False):
+                    assert reps.composite_rows(d, back, d_first) == \
+                        mat_composite_rows(d, back, d_first)
+            for a in alg.quiver.arrows:
+                if not (comps and y.dims[a.target] * x.dims[a.source]):
+                    continue
+                for bad in _corrupted_at(x, y, comps[rng.randrange(len(comps))], a):
+                    with pytest.raises(ValueError) as want:
+                        mat_check_natural_batch(x, y, [bad])
+                    for batch in ([bad] + comps, comps + [bad]):
+                        with pytest.raises(ValueError, match=str(want.value)):
+                            reps._check_natural_batch(x, y, batch)
+                    failing.add(a.name)
+                    named.add(str(want.value))
+        assert failing == arrows
+    assert len(named) > 5
+
+
+def _corrupted_at(x, y, comp, a):
+    """Copies of the components comp of a map x -> y with one entry of the
+    component at a's source moved by 1, each breaking naturality at a."""
+    p, s = x.algebra.p, a.source
+    A, B = y.action[a.name], x.action[a.name]
+    for e in range(len(comp[s].entries)):
+        moved = list(comp[s].entries)
+        moved[e] = (moved[e] + 1) % p
+        cs = Mat(comp[s].rows, comp[s].cols, tuple(moved), p)
+        if A.mul(cs) != comp[a.target].mul(B):
+            yield {**comp, s: cs}
+
+
 def test_radical_span_is_the_radical_step_from_the_identity_spans():
     # the arrow actions side by side, against the actions times identities
     rng = random.Random(4)
@@ -522,7 +611,7 @@ def test_radical_span_is_the_radical_step_from_the_identity_spans():
 
 
 def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):
-    monkeypatch.setattr(reps, "kernel_basis",
+    monkeypatch.setattr(reps, "_null_space",
                         lambda *args: pytest.fail("a system was solved"))
     for m, n in (("P0", "S2"), ("S2", "P1"), ("P1", "S2")):
         assert reps._solve_hom(a3_mods[m], a3_mods[n]) == []
@@ -656,9 +745,9 @@ def test_construction_leaves_the_given_dicts_unchanged(a3):
 
 def test_hom_basis_computed_once_for_content_equal_targets(a3, monkeypatch):
     calls = []
-    solve = reps.kernel_basis
-    monkeypatch.setattr(reps, "kernel_basis",
-                        lambda a: calls.append(a) or solve(a))
+    solve = reps._null_space
+    monkeypatch.setattr(reps, "_null_space",
+                        lambda rows, n, p: calls.append(rows) or solve(rows, n, p))
     p1 = projective_module(a3, "1")
     p2, p2_again = projective_module(a3, "2"), projective_module(a3, "2")
     assert p2 is not p2_again and p2.key == p2_again.key
@@ -1126,18 +1215,16 @@ def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
 
 @pytest.mark.parametrize("position", ["first", "last"])
 def test_corrupted_kernel_vector_fails_naturality(a3, monkeypatch, position):
-    solve = reps.kernel_basis
+    solve = reps._null_space
 
-    def corrupted(a):
+    def corrupted(rows, n, p):
         # add a coordinate vector that the naturality system does not kill
-        good = solve(a)
-        j = next(c for c in range(a.cols) if any(a.col(c)))
-        bad = tuple(int(i == j) for i in range(a.cols))
-        cols = [good.col(c) for c in range(good.cols)]
-        cols = [bad] + cols if position == "first" else cols + [bad]
-        return Mat.from_rows([list(r) for r in zip(*cols)], a.p, cols=len(cols))
+        j = next(c for c in range(n) if any(row[c] for row in rows))
+        bad = [int(i == j) for i in range(n)]
+        free, vecs = solve(rows, n, p)
+        return free, [bad] + vecs if position == "first" else vecs + [bad]
 
-    monkeypatch.setattr(reps, "kernel_basis", corrupted)
+    monkeypatch.setattr(reps, "_null_space", corrupted)
     p1 = projective_module(a3, "1")
     with pytest.raises(ValueError, match="naturality fails at arrow"):
         hom_basis(p1, p1)
