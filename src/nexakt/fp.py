@@ -8,7 +8,9 @@ solvers of ``reps`` and ``quivers.build_algebra`` call it directly.
 Null spaces come from one routine on rows, ``_null_space`` (the
 canonical basis, one vector per free column): ``kernel_basis`` is its
 thin ``Mat`` wrapper, ``quotient_data`` reads a projection off it, and
-``reps`` solves Hom spaces with it with no ``Mat`` in or out.  ``det``
+``reps`` solves Hom spaces with it with no ``Mat`` in or out.  Products
+come from one kernel on row-major entry tuples, ``_mul_entries``:
+``Mat.mul`` wraps it, and ``reps`` calls it on component entries.  ``det``
 keeps an elimination of its own; nothing in the package calls it, and
 it stays only because a benchmark metric counts its calls.  All
 arithmetic is exact.  ``Mat`` uses ``__slots__``, is immutable, and
@@ -202,22 +204,7 @@ class Mat:
         n, k, m = self.rows, self.cols, other.cols
         if n == 0 or m == 0:
             return _empty(n, m, p)
-        if k == 0:
-            return Mat(n, m, (0,) * (n * m), p)
-        flat = [0] * (n * m)
-        srows = self.entries
-        orows = other.entries
-        for i in range(n):
-            base = i * k
-            for t in range(k):
-                a = srows[base + t]
-                if a == 0:
-                    continue
-                ob = t * m
-                ib = i * m
-                for j in range(m):
-                    flat[ib + j] = (flat[ib + j] + a * orows[ob + j]) % p
-        return Mat(n, m, tuple(flat), p)
+        return Mat(n, m, tuple(_mul_entries(self.entries, other.entries, n, k, m, p)), p)
 
     def transpose(self) -> "Mat":
         if not self.entries:
@@ -353,6 +340,23 @@ def _null_space(rows: list, n: int, p: int) -> "tuple[list, list]":
             v[c] = (-row[j]) % p
         vecs.append(v)
     return free, vecs
+
+
+def _mul_entries(a: tuple, b: tuple, n: int, k: int, m: int, p: int) -> list:
+    """Row-major entries, reduced mod p, of the n x m product of the n x k
+    and k x m matrices with row-major entries a and b (zero when k = 0).
+    ``Mat.mul`` wraps it; ``reps`` calls it on component entries."""
+    out = []
+    for i in range(n):
+        row = [0] * m
+        for t in range(k):
+            x = a[i * k + t]
+            if x:
+                base = t * m
+                for j in range(m):
+                    row[j] += x * b[base + j]
+        out.extend([y % p for y in row])
+    return out
 
 
 def rref(a: Mat) -> "tuple[Mat, list[int]]":

@@ -22,11 +22,11 @@ whose equations are empty.  fp's ``_null_space``, which ``kernel_basis``
 wraps, returns the null vectors, each read straight into the components
 of one basis map.  The batch check of naturality and the coordinate rows
 of composites with every element of a Hom basis (``composite_rows``)
-form each per-vertex product on entry tuples (``_entry_product``), so no
-``Mat`` is built for a system, its kernel or a stack.  The linear
-problems in Hom spaces are solved on rows (``solve_rows``, ``rows_rank``,
-by fp's in-place row reduction); a map enters them as its
-``vectorize()`` row.
+form each per-vertex product on entry tuples with fp's ``_mul_entries``,
+the kernel ``Mat.mul`` wraps, so no ``Mat`` is built for a system, its
+kernel or a stack.  The linear problems in Hom spaces are solved on rows
+(``solve_rows``, ``rows_rank``, by fp's in-place row reduction); a map
+enters them as its ``vectorize()`` row.
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
@@ -110,7 +110,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
-from .fp import (Mat, _empty, _null_space, _reduce, column_space_basis,
+from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, column_space_basis,
                  kernel_basis, mat_from_vector, quotient_data, rank, solve_linear)
 from .quivers import AlgebraBasis, PathWord
 
@@ -446,7 +446,7 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
 def _check_natural_batch(m: Module, n: Module, comps: List[dict]):
     """Naturality of every map m -> n with the given components, checked
     at once: per arrow, A x_s against x_t B for each map, with A and B the
-    arrow's actions on n and m, as entry products (_entry_product)."""
+    arrow's actions on n and m, as entry products (_mul_entries)."""
     p = m.algebra.p
     md, nd = m.dims, n.dims
     for a in m.algebra.quiver.arrows:
@@ -455,27 +455,9 @@ def _check_natural_batch(m: Module, n: Module, comps: List[dict]):
             continue
         A, B = n.action[a.name].entries, m.action[a.name].entries
         for c in comps:
-            if _entry_product(A, c[s].entries, nd[t], nd[s], md[s], p) != \
-                    _entry_product(c[t].entries, B, nd[t], md[t], md[s], p):
+            if _mul_entries(A, c[s].entries, nd[t], nd[s], md[s], p) != \
+                    _mul_entries(c[t].entries, B, nd[t], md[t], md[s], p):
                 raise ValueError(f"naturality fails at arrow {a.name}")
-
-
-def _entry_product(a: tuple, b: tuple, n: int, k: int, m: int, p: int) -> list:
-    """Row-major entries, reduced mod p, of the n x m product of the n x k
-    and k x m matrices with row-major entries a and b (zero when k = 0)."""
-    if k == 1:      # an outer product, the common case
-        return [x * y % p for x in a for y in b]
-    out = []
-    for i in range(n):
-        row = [0] * m
-        for t in range(k):
-            x = a[i * k + t]
-            if x:
-                base = t * m
-                for j in range(m):
-                    row[j] += x * b[base + j]
-        out.extend([y % p for y in row])
-    return out
 
 
 def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
@@ -661,7 +643,7 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
 
     The basis maps share source and target, and d joins them; both are
     checked once per call, by content.  At each vertex each block is one
-    entry product (_entry_product) of d's component with b's: b_v d_v when
+    entry product (_mul_entries) of d's component with b's: b_v d_v when
     d comes first, d_v b_v otherwise."""
     if not basis:
         return []
@@ -685,8 +667,8 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
         dv = d.components[v].entries
         for row, b in zip(rows, basis):
             bv = b.components[v].entries
-            row.extend(_entry_product(bv, dv, r, jd[v], c, p) if d_first
-                       else _entry_product(dv, bv, r, jd[v], c, p))
+            row.extend(_mul_entries(bv, dv, r, jd[v], c, p) if d_first
+                       else _mul_entries(dv, bv, r, jd[v], c, p))
     return [tuple(row) for row in rows]
 
 

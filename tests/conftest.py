@@ -5,7 +5,7 @@ import pytest
 
 from nexakt.addcat import Indecomposables, _lift_along, add_category
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
-from nexakt.fp import FieldSpec, Mat, _empty, kernel_basis, mat_from_vector, rank
+from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank
 from nexakt.frob import stable_hom
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
@@ -224,108 +224,30 @@ def identity_through(x, gens):
                       x.algebra.p) is not None
 
 
-def mat_solve_hom(m, n):
-    """Reference for reps._solve_hom, the Mat round trip it replaced: the
-    sparse naturality system as one flat Mat handed to kernel_basis, each
-    kernel column read into components by stride, the batch checked by
-    mat_check_natural_batch.  The component dicts of the basis."""
-    alg = m.algebra
-    p = alg.p
-    verts = alg.quiver.vertices
-    if not any(m.dims[v] and n.dims[v] for v in verts):
-        return []
-    offsets, total = {}, 0
-    for v in verts:
-        offsets[v] = total
-        total += n.dims[v] * m.dims[v]
-    eqs = [a for a in alg.quiver.arrows if n.dims[a.target] * m.dims[a.source]]
-    nrows = sum(n.dims[a.target] * m.dims[a.source] for a in eqs)
-    flat = [0] * (nrows * total)
-    at = 0
-    for a in eqs:
-        A, B = n.action[a.name].entries, m.action[a.name].entries
-        nt, ns = n.dims[a.target], n.dims[a.source]
-        mt, ms = m.dims[a.target], m.dims[a.source]
-        xs, xt = offsets[a.source], offsets[a.target]
-        for i in range(nt):
-            for j in range(ms):
-                for k in range(ns):
-                    if A[i * ns + k]:
-                        flat[at + xs + k * ms + j] = A[i * ns + k]
-                for k in range(mt):
-                    if B[k * ms + j]:
-                        e = at + xt + i * mt + k
-                        flat[e] = (flat[e] - B[k * ms + j]) % p
-                at += total
-    kernel = kernel_basis(Mat(nrows, total, tuple(flat), p) if flat
-                          else _empty(nrows, total, p))
-    size = kernel.cols
-    comps = [{} for _ in range(size)]
-    for v in verts:
-        r, c = n.dims[v], m.dims[v]
-        start = offsets[v] * size
-        for j, comp in enumerate(comps):
-            comp[v] = (Mat(r, c, kernel.entries[start + j:start + r * c * size:size], p)
-                       if r * c else _empty(r, c, p))
-    if comps:
-        mat_check_natural_batch(m, n, comps)
-    return comps
-
-
-def _row_blocks(m, k):
-    """The entries of the k row blocks of m, of equal height."""
-    size = len(m.entries) // k
-    return [m.entries[i * size:(i + 1) * size] for i in range(k)]
-
-
-def _column_blocks(m, k):
-    """The row-major entries of the k column blocks of m, of equal width."""
-    w = m.cols // k
-    return [tuple(x for r in range(m.rows)
-                  for x in m.entries[r * m.cols + i * w:r * m.cols + (i + 1) * w])
-            for i in range(k)]
-
-
 def mat_check_natural_batch(m, n, comps):
     """Reference for reps._check_natural_batch, with Mat products: per
-    arrow, n's action times the components at the source side by side,
-    against the components at the target stacked, times m's action,
-    compared block by block; the same error as the package's."""
+    arrow and map, n's action times the component at the source against
+    the component at the target times m's action; the same error as the
+    package's."""
     for a in m.algebra.quiver.arrows:
         if n.dims[a.target] * m.dims[a.source] == 0:
             continue
-        lhs = n.action[a.name].mul(Mat.hstack([c[a.source] for c in comps]))
-        rhs = Mat.vstack([c[a.target] for c in comps]).mul(m.action[a.name])
-        if _column_blocks(lhs, len(comps)) != _row_blocks(rhs, len(comps)):
-            raise ValueError(f"naturality fails at arrow {a.name}")
+        for c in comps:
+            if n.action[a.name].mul(c[a.source]) != c[a.target].mul(m.action[a.name]):
+                raise ValueError(f"naturality fails at arrow {a.name}")
 
 
-def mat_composite_rows(d, basis, d_first):
-    """Reference for reps.composite_rows, with Mat products: at each vertex
-    d's component times the basis components stacked (one above the
-    other when d comes first, side by side otherwise), cut into blocks."""
-    if not basis:
-        return []
-    src, tgt = basis[0].source, basis[0].target
-    k = len(basis)
-    rows = [[] for _ in basis]
-    rd, cd = (tgt.dims, d.source.dims) if d_first else (d.target.dims, src.dims)
-    jd = (src if d_first else tgt).dims
-    for v in d.source.algebra.quiver.vertices:
-        r, c = rd[v], cd[v]
-        if not (r and c):
-            continue
-        if not jd[v]:
-            blocks = [(0,) * (r * c)] * k
-        elif d_first:
-            blocks = _row_blocks(Mat.vstack([b.components[v] for b in basis])
-                                 .mul(d.components[v]), k)
-        else:
-            blocks = _column_blocks(d.components[v].mul(
-                Mat.hstack([b.components[v] for b in basis])), k)
-        for row, block in zip(rows, blocks):
-            row.extend(block)
-    return [tuple(row) for row in rows]
+def ref_composite_rows(d, basis, d_first):
+    """Reference for reps.composite_rows: the entries of each composite,
+    one Mat product per vertex."""
+    verts = d.source.algebra.quiver.vertices
+    if d_first:
+        return [tuple(x for v in verts
+                      for x in b.components[v].mul(d.components[v]).entries)
+                for b in basis]
+    return [tuple(x for v in verts
+                  for x in d.components[v].mul(b.components[v]).entries)
+            for b in basis]
 
 
 def in_random_basis(x, rng):

@@ -29,8 +29,8 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
 from conftest import (equals, exhaustively_indecomposable, identity_through,
                       in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
-                      mat_composite_rows, mat_solve_hom, pick, preprojective_a2,
-                      random_invertible, random_quotient, two_loops)
+                      pick, preprojective_a2, random_invertible, random_quotient,
+                      ref_composite_rows, two_loops)
 
 
 # -- projectives / injectives ------------------------------------------
@@ -553,24 +553,24 @@ def _entry_row_pools(p, rng):
 
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
 def test_entry_row_kernels_match_the_mat_reference(p):
-    # reps solves Hom and forms composite rows on entry rows; the Mat
-    # round trip they replaced (conftest) must give the same Hom bases,
-    # order and entries, and the same composite rows, on every ordered
-    # pair; and a basis vector corrupted at any arrow is refused, naming
-    # the arrow the Mat check names
+    # reps solves Hom and forms composite rows on entry rows; the dense
+    # Mat references must give the same Hom bases, order and entries, and
+    # the same composite rows, on every ordered pair; and a basis vector
+    # corrupted at any arrow is refused, naming the arrow the Mat check
+    # names
     rng = random.Random(p)
     named = set()
     for alg, pool in _entry_row_pools(p, rng):
         arrows = {a.name for a in alg.quiver.arrows}
         failing = set()
         for x, y in product(pool, repeat=2):
-            comps = mat_solve_hom(x, y)
+            comps = reference_solve_hom(x, y)
             assert [f.components for f in reps._solve_hom(x, y)] == comps
             back = hom_basis(y, x)
             for d in hom_basis(x, y)[:2]:
                 for d_first in (True, False):
                     assert reps.composite_rows(d, back, d_first) == \
-                        mat_composite_rows(d, back, d_first)
+                        ref_composite_rows(d, back, d_first)
             for a in alg.quiver.arrows:
                 if not (comps and y.dims[a.target] * x.dims[a.source]):
                     continue

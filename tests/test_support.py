@@ -35,7 +35,7 @@ from nexakt.resolutions import _map_from_projective, _map_into_injective, ext_di
 from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
 from conftest import (in_random_basis, kronecker_algebra, kronecker_field_module,
-                      random_quotient)
+                      random_quotient, ref_composite_rows)
 
 PRIMES = (2, 101, 2**31 - 1)
 
@@ -132,17 +132,6 @@ def ref_block(src_parts, tgt_parts, blocks):
                                {ij: f.components[v] for ij, f in blocks.items()},
                                alg.p)
             for v in alg.quiver.vertices}
-
-
-def ref_composite_rows(d, basis, d_first):
-    verts = d.source.algebra.quiver.vertices
-    if d_first:
-        return [tuple(x for v in verts
-                      for x in b.components[v].mul(d.components[v]).entries)
-                for b in basis]
-    return [tuple(x for v in verts
-                  for x in d.components[v].mul(b.components[v]).entries)
-            for b in basis]
 
 
 def ref_sub_action(x, incl):
