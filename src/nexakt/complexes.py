@@ -145,10 +145,17 @@ class Homotopy:
         return h
 
 
+def _content(x: ComplexSeq) -> tuple:
+    """lo, the content keys of the terms and the differentials' components."""
+    return x.lo, [t.key for t in x.terms], [d.components for d in x.diffs]
+
+
 def verify_homotopy(f: ComplexMorphism, g: ComplexMorphism, h: Homotopy) -> bool:
-    """True iff (f-g)^k = h^k d_Y^{k-1} + d_X^k h^{k+1} holds degreewise."""
+    """True iff (f-g)^k = h^k d_Y^{k-1} + d_X^k h^{k+1} holds degreewise;
+    ValueError unless g and h join f's source and target complexes."""
     x, y = f.source, f.target
-    if g.source is not x and g.source.lo != x.lo:
+    if not (_content(g.source) == _content(h.source) == _content(x)
+            and _content(g.target) == _content(h.target) == _content(y)):
         raise ValueError("homotopy endpoints mismatch")
     for k in range(x.lo, x.hi + 1):
         lhs = f.component(k).sub(g.component(k))

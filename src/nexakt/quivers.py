@@ -173,7 +173,8 @@ class AlgebraBasis:
     the table maps a pair of basis indices to a list of (index, coeff).
     store keeps the facts about modules over the algebra by operation and
     content ids (reps lists the keys), ids the id of each content key;
-    both are cleared whole when either reaches STORE_BOUND.
+    both are cleared whole when either reaches STORE_BOUND, but not
+    opposite, the link opposite_algebra sets both ways.
     """
 
     quiver: Quiver
@@ -188,6 +189,8 @@ class AlgebraBasis:
                         default_factory=dict)
     ids: dict = field(init=False, repr=False, compare=False,
                       default_factory=dict)
+    opposite: Optional["AlgebraBasis"] = field(init=False, repr=False,
+                                                compare=False, default=None)
 
     def content_id(self, key: tuple) -> int:
         """The id of a module content key; a new key takes the next id."""
@@ -378,10 +381,19 @@ def _spot_check_table(alg: AlgebraBasis):
 
 
 def opposite_algebra(alg: AlgebraBasis) -> AlgebraBasis:
-    """Arrows reversed, relation words reversed; dimension is preserved."""
-    q_op = alg.quiver.opposite()
-    rels_op = tuple(
-        Relation(tuple((c, PathWord(tuple(reversed(w.arrows)), w.base))
-                       for c, w in r.terms))
-        for r in alg.relations)
-    return build_algebra(q_op, rels_op, alg.nilpotency_bound, alg.field)
+    """The opposite on the same basis indices: arrows, basis words and
+    relation words reversed, and the table transposed, as b_j^op b_i^op =
+    (b_i b_j)^op.  Built once, with no ideal reduced, and linked both ways:
+    opposite_algebra(opposite_algebra(alg)) is alg."""
+    if alg.opposite is None:
+        op = AlgebraBasis(
+            quiver=alg.quiver.opposite(), field=alg.field,
+            nilpotency_bound=alg.nilpotency_bound,
+            basis=tuple(PathWord(w.arrows[::-1], w.base) for w in alg.basis),
+            source_of=alg.target_of, target_of=alg.source_of,
+            table={(j, i): prod for (i, j), prod in alg.table.items()},
+            relations=tuple(Relation(tuple((c, PathWord(w.arrows[::-1], w.base))
+                                           for c, w in r.terms))
+                            for r in alg.relations))
+        op.opposite, alg.opposite = alg, op
+    return alg.opposite

@@ -70,17 +70,17 @@ list but an ``Indecomposables`` with ``indecomposables()`` (defined here,
 as is its ``DomainError``; addcat re-exports both).
 
 The support rule: every per-vertex and per-arrow builder (the components
-of ``then``, ``add``, ``scale``, zero and identity maps, ``_split_vector``,
-``block_morphism``; the actions of ``direct_sum`` and of kernels, images
-and cokernels; ``radical_span``, ``_radical_step``, ``socle_span``,
-``composite_rows``, ``path_matrix`` and the maps out of P_v and into I_v
-in ``resolutions``)
-calls fp only on a slot whose two sides are nonzero.  A slot with a zero
-side, read off the ``dims`` of its modules, is fp's shared empty matrix of
-its shape (``_empty``), so every component dict still holds every vertex.
-Where the sides are nonzero the result is what fp returns: a product
-with inner dimension 0 is the zero matrix of its outer shape, the kernel
-of a map into the zero space is the identity, a quotient by an empty span
+of ``then``, ``add``, ``scale``, zero and identity maps,
+``_split_vector``, ``block_morphism``; the actions of ``direct_sum`` and
+of kernels, images and cokernels; ``radical_span``, ``_radical_step``,
+``composite_rows``, ``path_matrix``, ``_dual``, and the maps out of P_v
+in ``resolutions`` and their transposes into I_v) calls fp only on a
+slot whose two sides are nonzero.  A slot with a zero side, read off the
+``dims`` of its modules, is fp's shared empty matrix of its shape
+(``_empty``), so every component dict still holds every vertex.  Where
+the sides are nonzero the result is what fp returns: a product with
+inner dimension 0 is the zero matrix of its outer shape, the kernel of a
+map into the zero space is the identity, a quotient by an empty span
 keeps every coordinate.  The one solve kept on an empty slot is the one
 that checks a given span is closed (``_induced_action_on_sub``).  Nor is
 what the caller holds built again: the quotient by a span whose matrices
@@ -94,6 +94,11 @@ one-entry list (e): x = e iff dim x = dim e and x lies in add(e)
 which cli imports to compare with one module.  It is private because it
 is only correct when e is indecomposable.  ``are_isomorphic``, which
 samples Hom elements, is the public test for any two modules.
+
+The duality D = Hom_F(-, F) is ``_dual``, over the opposite algebra,
+which is linked both ways, so D D x is x's content over x's algebra.
+D P_v is I_v, so ``resolutions.injective_envelope`` transposes the maps
+out of P_v that cover D x.
 
 Decomposition (``split_indecomposables``) splits a module along coprime
 factors of the minimal polynomial of a random endomorphism e: if
@@ -112,7 +117,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import polys
 from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, column_space_basis,
                  kernel_basis, mat_from_vector, quotient_data, rank, solve_linear)
-from .quivers import AlgebraBasis, PathWord
+from .quivers import AlgebraBasis, PathWord, opposite_algebra
 
 FITTING_RETRIES = 32
 
@@ -1083,7 +1088,15 @@ def regular_module(alg: AlgebraBasis) -> Module:
     return direct_sum(all_projectives(alg))[0]
 
 
-# -- radical, top, socle ----------------------------------------------
+def _dual(x: Module) -> Module:
+    """D x = Hom_F(x, F) over the opposite algebra: the same dimensions,
+    every arrow acting by the transpose of its action on x.  Built
+    unchecked, since the transposes satisfy the reversed relations."""
+    return _module(opposite_algebra(x.algebra), dict(x.dims),
+                   {a: m.transpose() for a, m in x.action.items()})
+
+
+# -- radical and top ----------------------------------------------
 
 
 def radical_span(m: Module) -> Dict[str, Mat]:
@@ -1116,17 +1129,3 @@ def _radical_step(m: Module, span: Dict[str, Mat]) -> Dict[str, Mat]:
             out[v] = _empty(d, ncols, alg.p)
     return out
 
-
-def socle_span(m: Module) -> Dict[str, Mat]:
-    """soc m = joint kernel of all arrow actions, vertex-wise: at v, of
-    the actions of the arrows out of v one above the other."""
-    alg, dims = m.algebra, m.dims
-    span = {}
-    for v, d in dims.items():
-        out = [m.action[a.name] for a in alg.quiver.arrows
-               if a.source == v and dims[a.target]]
-        if d and out:
-            span[v] = kernel_basis(Mat.vstack(out))
-        else:
-            span[v] = Mat.identity(d, alg.p)
-    return span

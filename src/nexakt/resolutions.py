@@ -1,14 +1,15 @@
 """Minimal projective resolutions, injective coresolutions and Ext.
 
-Covers are computed from top = m/rad m and envelopes dually via the
-socle; path-algebra quotients over F_p are basic and split, so no
-semisimple-algebra machinery is needed.  The cover and the projectivity
-test (is_projective, also frob's selfinjectivity test) read the top from
-one helper (_top_coordinates).  The minimal (co)resolution of a module is
-kept in the algebra's store as one growing chain; each step is verified
-once, when it is appended, and reuse verifies nothing again.  Both
-directions are handed out as one record, Resolution.  A negative degree
-or length is refused with ValueError, since no chain has one.
+Covers are computed from top = m/rad m, and envelopes as the dual of the
+cover of D m (reps._dual); path-algebra quotients over F_p are basic and
+split, so no semisimple-algebra machinery is needed.  The cover, the
+envelope and the projectivity test (is_projective, also frob's
+selfinjectivity test) read the top from one helper (_top_coordinates).
+The minimal (co)resolution of a module is kept in the algebra's store as
+one growing chain; each step is verified once, when it is appended, and
+reuse verifies nothing again.  Both directions are handed out as one
+record, Resolution.  A negative degree or length is refused with
+ValueError, since no chain has one.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
 along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
@@ -21,13 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .fp import Mat, _empty, quotient_data, rank, solve_linear
-from .reps import (Module, Morphism, _natural, _require_same_algebra,
+from .fp import Mat, _empty, quotient_data, rank
+from .reps import (Module, Morphism, _dual, _natural, _require_same_algebra,
                    all_injectives, all_projectives, basis_paths,
                    cokernel_morphism, hom_basis, hom_dims_and_ranks,
-                   kernel_morphism, radical_span, socle_span,
-                   stack_morphisms_from_sum, stack_morphisms_to_sum,
-                   zero_module, zero_morphism)
+                   kernel_morphism, radical_span, stack_morphisms_from_sum,
+                   stack_morphisms_to_sum, zero_module, zero_morphism)
 
 
 @dataclass
@@ -51,20 +51,24 @@ def _top_coordinates(m: Module) -> Dict[str, List[int]]:
             for v, span in rad.items()}
 
 
+def _components_from_top(m: Module) -> List[Tuple[str, dict]]:
+    """Per basis vector of top(m) at v, in vertex order, v and the
+    components of the map P_v -> m sending e_v to the standard basis
+    vector that lifts it."""
+    p = m.algebra.p
+    return [(v, _components_from_projective(v, Mat.from_rows(
+                [[int(i == j)] for i in range(m.dims[v])], p, cols=1), m))
+            for v, free in _top_coordinates(m).items() for j in free]
+
+
 def projective_cover(m: Module) -> Morphism:
     """Minimal cover P -> m: one P_v per basis vector of top(m) at v."""
     alg = m.algebra
-    p = alg.p
     if m.is_zero():
         return zero_morphism(zero_module(alg), m)
-    gens: List[Tuple[str, Mat]] = []
-    for v, free in _top_coordinates(m).items():
-        for j in free:
-            gens.append((v, Mat.from_rows([[1 if i == j else 0]
-                                           for i in range(m.dims[v])], p, cols=1)))
     projs = dict(zip(alg.quiver.vertices, all_projectives(alg)))
-    cover = stack_morphisms_from_sum([_map_from_projective(projs[v], v, vec, m)
-                                      for v, vec in gens])
+    cover = stack_morphisms_from_sum([_natural(projs[v], m, comps)
+                                      for v, comps in _components_from_top(m)])
     if not cover.is_surjective():
         raise AssertionError("projective cover is not surjective")
     return cover
@@ -73,8 +77,8 @@ def projective_cover(m: Module) -> Morphism:
 def is_projective(m: Module) -> bool:
     """m is projective, exactly: its projective cover P -> m is onto, so it
     is an isomorphism iff dim P = dim m, and dim P = sum_v (dim top m)_v *
-    dim P_v is read off the top with no map built (frob._injective is the
-    dual test)."""
+    dim P_v is read off the top with no map built (frob._injective is this
+    test on D x, read off the envelope)."""
     dims = [0] * len(m.dims)
     for pv, free in zip(all_projectives(m.algebra), _top_coordinates(m).values()):
         for i, d in enumerate(pv.dim_vector()):
@@ -82,8 +86,9 @@ def is_projective(m: Module) -> bool:
     return tuple(dims) == m.dim_vector()
 
 
-def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:
-    """The module map P_v -> m sending e_v to the column vector ``vec``."""
+def _components_from_projective(v: str, vec: Mat, m: Module) -> dict:
+    """The components of the map P_v -> m sending e_v to the column
+    vector ``vec``."""
     alg = m.algebra
     by_vertex = basis_paths(alg, v, starting=True)
     comps = {}
@@ -93,52 +98,24 @@ def _map_from_projective(pv: Module, v: str, vec: Mat, m: Module) -> Morphism:
             comps[w] = Mat.hstack([m.path_matrix(alg.basis[b]).mul(vec) for b in paths])
         else:
             comps[w] = _empty(d, len(paths), alg.p)
-    return _natural(pv, m, comps)
+    return comps
 
 
 def injective_envelope(m: Module) -> Morphism:
-    """Minimal envelope m -> E: one I_v per basis vector of soc(m) at v,
-    each through the functional dual to that basis vector."""
+    """Minimal envelope m -> E, the dual of the projective cover of D m:
+    one I_v per basis vector of top(D m) at v, through the transpose of
+    the map P_v -> D m over the opposite algebra (D P_v is I_v), so no
+    module over the opposite is built but D m."""
     alg = m.algebra
     if m.is_zero():
         return zero_morphism(m, zero_module(alg))
-    soc = socle_span(m)
-    data: List[Tuple[str, Mat]] = []
-    for v in alg.quiver.vertices:
-        basis = soc[v]
-        if not basis.cols:
-            continue
-        dual = solve_linear(basis.transpose(), Mat.identity(basis.cols, alg.p))
-        for j in range(basis.cols):
-            data.append((v, Mat.from_rows([[dual.at(i, j)]
-                                           for i in range(m.dims[v])], alg.p, cols=1)))
-    if not data:
-        raise AssertionError("nonzero module with zero socle")
     injectives = dict(zip(alg.quiver.vertices, all_injectives(alg)))
-    env = stack_morphisms_to_sum([_map_into_injective(m, v, vec, injectives[v])
-                                  for v, vec in data])
+    env = stack_morphisms_to_sum([
+        _natural(m, injectives[v], {w: c.transpose() for w, c in comps.items()})
+        for v, comps in _components_from_top(_dual(m))])
     if not env.is_injective():
         raise AssertionError("injective envelope not injective")
     return env
-
-
-def _map_into_injective(m: Module, v: str, functional: Mat, inj_v: Module) -> Morphism:
-    """The map m -> I_v classifying the functional <functional, -> on m_v.
-
-    I_v carries the basis dual to {paths w -> v}; the component at w sends
-    x in m_w to the tuple (p |-> <functional, p.x>) over those paths."""
-    alg = m.algebra
-    by_vertex = basis_paths(alg, v, starting=False)
-    row = functional.transpose()
-    comps = {}
-    for w, d in m.dims.items():
-        paths = by_vertex[w]
-        if d and paths:
-            comps[w] = Mat.from_rows([row.mul(m.path_matrix(alg.basis[b])).entries
-                                      for b in paths], alg.p, cols=d)
-        else:
-            comps[w] = _empty(len(paths), d, alg.p)
-    return _natural(m, inj_v, comps)
 
 
 @dataclass

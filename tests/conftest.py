@@ -5,9 +5,11 @@ import pytest
 
 from nexakt.addcat import Indecomposables, _lift_along, add_category
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
-from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank
+from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank, solve_linear
 from nexakt.frob import stable_hom
-from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
+from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                            gen_preprojective_A, nakayama_algebra,
+                            nakayama_indecomposables)
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (Module, Morphism, all_injectives, are_isomorphic,
                          assemble_from_span, block_morphism, composite_rows,
@@ -265,6 +267,32 @@ def in_random_basis(x, rng):
               * pow(scale[t][i], p - 2, p) for j in range(m.cols)]
              for i in range(m.rows)], p, cols=m.cols)
     return Module(x.algebra, dict(x.dims), action)
+
+
+def in_dense_random_basis(x, rng):
+    """A module isomorphic to x, built by the checked constructor: each
+    arrow acts by u_t A u_s^-1 for random invertible u_v, so a vector
+    that is a coordinate vector of x need not be one of the result."""
+    p = x.algebra.p
+    u = {v: random_invertible(d, p, rng) for v, d in x.dims.items()}
+    inv = {v: solve_linear(m, Mat.identity(m.rows, p)) for v, m in u.items()}
+    return Module(x.algebra, dict(x.dims),
+                  {a.name: u[a.target].mul(x.action[a.name]).mul(inv[a.source])
+                   for a in x.algebra.quiver.arrows})
+
+
+# Algebras on which D = Hom_F(-, F) and the envelope are checked against
+# their references, built at a given prime; the first five are Nakayama.
+DUALITY_ALGEBRAS = {
+    "A5/J^2": lambda p: nakayama_algebra(5, 2, p=p),
+    "A7/J^3": lambda p: nakayama_algebra(7, 3, p=p),
+    "C5/J^3": lambda p: nakayama_algebra(5, 3, cyclic=True, p=p),
+    "C6/J^4": lambda p: nakayama_algebra(6, 4, cyclic=True, p=p),
+    "Pi_2": lambda p: gen_preprojective_A(2, p),
+    "Pi_3": lambda p: gen_preprojective_A(3, p),
+    "Aus(A_3)": lambda p: gen_auslander_linear_A(3, p),
+}
+DUALITY_CASES = [(name, p) for name in DUALITY_ALGEBRAS for p in (2, 101, 2**31 - 1)]
 
 
 def random_quotient(x, rng):

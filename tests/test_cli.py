@@ -257,9 +257,22 @@ def test_ext_compare_over_a_subcategory_that_is_not_generating(files, tmp_path):
         "message": "right approximation at stage 0 is not surjective"}
 
 
-def test_frobenius_subcommands(tmp_path, monkeypatch):
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
-    alg = gen_preprojective_A(2)
+# The Frobenius pipeline on Pi_2 at p = 2, where a transposed component or
+# a sign slip in an envelope or suspension would show; recorded before the
+# injective envelope was read through the duality D.
+FROBENIUS_P2_SHA256 = {
+    "frobenius-setup": "d4cc125352e5d218b64a9c6c0b8f8666985e5ade5ab18c4066880653b63ee62a",
+    "frobenius-angle": "3a355b1c426dc090e248928ed0c2906321f97ed4353f2334da0400342ac43134",
+    "frobenius-rotate": "402e506f2f322f85aeb8a5e4ab39ab8ebfc48de508fc428b48868ee4c9d49d3a",
+    "frobenius-cone": "925de587637ed03a94a7e1c7437d534d732e19d08a23371e408a47b1b8f38b28",
+}
+
+
+def _frobenius_pipeline_digests(tmp_path, p):
+    """setup, angle, rotate and cone on Pi_2 over F_p with M = P1 + P2 + S1
+    and alpha the first basis map S1 -> P2: the digest of each
+    certificate."""
+    alg = gen_preprojective_A(2, p)
     apath = tmp_path / "pi2.json"
     dump_algebra(alg, apath)
     p1 = projective_module(alg, "1")
@@ -272,6 +285,7 @@ def test_frobenius_subcommands(tmp_path, monkeypatch):
     alpha_path = tmp_path / "alpha.json"
     alpha_path.write_text(canonical_json(morphism_with_endpoints_to_dict(alpha)))
     out = tmp_path / "certs"
+    digests = {}
     for sub in ("setup", "angle", "rotate", "cone"):
         argv = ["frobenius", sub, "--algebra", apath, "--m", mpath,
                 "--n", 2, "--out", out]
@@ -279,7 +293,19 @@ def test_frobenius_subcommands(tmp_path, monkeypatch):
             argv += ["--alpha", alpha_path]
         assert run(*argv) == 0, sub
         name = f"frobenius-{sub}"
-        assert sha256(out / f"{name}.cert.json") == FILE_SHA256[name], sub
+        digests[name] = sha256(out / f"{name}.cert.json")
+    return digests
+
+
+def test_frobenius_subcommands(tmp_path, monkeypatch):
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+    digests = _frobenius_pipeline_digests(tmp_path, 101)
+    assert digests == {name: FILE_SHA256[name] for name in digests}
+
+
+def test_frobenius_subcommands_at_p2(tmp_path, monkeypatch):
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+    assert _frobenius_pipeline_digests(tmp_path, 2) == FROBENIUS_P2_SHA256
 
 
 def test_frobenius_cone_failing_exactness_exits_1(tmp_path, monkeypatch):

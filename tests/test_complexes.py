@@ -3,7 +3,9 @@ import pytest
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, Homotopy,
                               chain_map_space, complex_from_maps, mapping_cone,
                               pad_complex, verify_homotopy)
-from nexakt.reps import identity_morphism, projective_module, simple_module
+from nexakt.presets import gen_linear_An_J2
+from nexakt.reps import (hom_basis, identity_morphism, projective_module,
+                         simple_module, zero_morphism)
 
 from conftest import (a3_sequence, direct_sum_complexes,
                       identity_complex_morphism, interval_complex, only_hom)
@@ -120,3 +122,21 @@ def test_padding_and_homotopy_refuse_mismatched_ranges(a3_mods):
     with pytest.raises(ValueError, match="homotopy endpoints mismatch"):
         verify_homotopy(identity_complex_morphism(x),
                         identity_complex_morphism(shifted), Homotopy(x, x, {}))
+
+
+def test_homotopy_between_maps_on_other_complexes_is_refused():
+    # over K A_3/J^2: the identities of P1 -d-> P2 (d nonzero) and of
+    # P1 -0-> P2 have equal components, so a check that compares only lo
+    # certified the empty homotopy between them
+    alg = gen_linear_An_J2(2, 1)[0]
+    p1, p2 = projective_module(alg, "1"), projective_module(alg, "2")
+    x = complex_from_maps(0, [hom_basis(p1, p2)[0]])
+    z = complex_from_maps(0, [zero_morphism(p1, p2)])
+    f, g = identity_complex_morphism(x), identity_complex_morphism(z)
+    for other, h in ((g, Homotopy(x, x, {})), (f, Homotopy(z, x, {})),
+                     (f, Homotopy(x, z, {}))):
+        with pytest.raises(ValueError, match="homotopy endpoints mismatch"):
+            verify_homotopy(f, other, h)
+    # equal content is enough: a copy of x built on its own is accepted
+    copy = complex_from_maps(0, [hom_basis(p1, p2)[0]])
+    assert verify_homotopy(f, identity_complex_morphism(copy), Homotopy(copy, copy, {}))

@@ -6,10 +6,11 @@ from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra)
 from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
-                            build_algebra, opposite_algebra, path_endpoints)
+                            _spot_check_table, build_algebra, opposite_algebra,
+                            path_endpoints)
 from nexakt.reps import all_projectives
 
-from conftest import two_loops
+from conftest import DUALITY_ALGEBRAS, DUALITY_CASES, two_loops
 
 
 def test_quiver_validation():
@@ -99,6 +100,37 @@ def test_opposite_pi2_selfopposite(pi2):
     opp = opposite_algebra(pi2)
     assert opp.dim == 4
     assert {a.name for a in opp.quiver.arrows} == {"a", "b"}
+
+
+def _opposite_by_build_algebra(alg):
+    """The opposite derived from scratch: the reversed relation words over
+    the opposite quiver, their ideal reduced again by build_algebra."""
+    rels = tuple(Relation(tuple((c, PathWord(w.arrows[::-1], w.base))
+                                for c, w in r.terms))
+                 for r in alg.relations)
+    return build_algebra(alg.quiver.opposite(), rels, alg.nilpotency_bound,
+                         alg.field)
+
+
+@pytest.mark.parametrize("name, p", DUALITY_CASES)
+def test_opposite_transposes_the_table_on_the_same_indices(name, p):
+    alg = DUALITY_ALGEBRAS[name](p)
+    op = opposite_algebra(alg)
+    assert opposite_algebra(op) is alg and opposite_algebra(alg) is op
+    alg.store.clear()
+    assert opposite_algebra(alg) is op
+    for i in range(alg.dim):
+        assert path_endpoints(op.quiver, op.basis[i]) \
+            == (op.source_of[i], op.target_of[i]) == (alg.target_of[i], alg.source_of[i])
+        for j in range(alg.dim):
+            assert op.multiply(i, j) == alg.multiply(j, i)
+    _spot_check_table(op)
+    old = _opposite_by_build_algebra(alg)
+    assert (op.quiver, op.relations, op.dim) == (old.quiver, old.relations, old.dim)
+    for v in alg.quiver.vertices:
+        for w in alg.quiver.vertices:
+            assert len(op.block_indices(v, w)) == len(old.block_indices(v, w))
+    assert "opposite" not in repr(alg) and op != alg
 
 
 def test_two_term_commutativity_relation():

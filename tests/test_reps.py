@@ -26,14 +26,35 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
-from conftest import (equals, exhaustively_indecomposable, identity_through,
-                      in_random_basis, kronecker_algebra,
+from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, equals,
+                      exhaustively_indecomposable, identity_through,
+                      in_dense_random_basis, in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
                       pick, preprojective_a2, random_invertible, random_quotient,
                       ref_composite_rows, two_loops)
 
 
 # -- projectives / injectives ------------------------------------------
+
+
+@pytest.mark.parametrize("name, p", DUALITY_CASES)
+def test_dual_swaps_projectives_and_injectives_and_is_an_involution(name, p):
+    # D P_v over the opposite is I_v and D I_v is P_v, content for content;
+    # D D x is x's content over x's algebra, in any basis
+    alg = DUALITY_ALGEBRAS[name](p)
+    op = quivers.opposite_algebra(alg)
+    projs, injs = all_projectives(alg), all_injectives(alg)
+    for v, pv, iv in zip(alg.quiver.vertices, projs, injs):
+        assert reps._dual(projective_module(op, v)).key == iv.key
+        assert reps._dual(injective_module(op, v)).key == pv.key
+    rng = random.Random(f"{name}:{p}")
+    pool = list(projs + injs) + [simple_module(alg, v) for v in alg.quiver.vertices]
+    for x in pool + [in_dense_random_basis(direct_sum(rng.sample(pool, 2)).module, rng)
+                     for _ in range(4)]:
+        dx = reps._dual(x)
+        assert dx.algebra is op and dx.dims == x.dims
+        ddx = reps._dual(dx)
+        assert ddx.algebra is alg and ddx.cid == x.cid
 
 
 def test_a3_projective_dimensions(a3, a3_mods):
@@ -1198,8 +1219,7 @@ def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
                              stack_morphisms_from_sum([g.then(f) for f in basis
                                                        for g in hom_basis(x, x)])]
             maps += [resolutions.projective_cover(x), resolutions.injective_envelope(x)]
-            for span in (reps.radical_span(x), reps.socle_span(x)):
-                maps.append(reps.quotient_by_submodule(x, span)[1])
+            maps.append(reps.quotient_by_submodule(x, reps.radical_span(x))[1])
     assert natural == []
     assert related
     for m in related:

@@ -22,19 +22,22 @@ from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_algebra, nakayama_indecomposables)
 from nexakt.pushout import n_pushout
 from nexakt.quivers import PathWord
-from nexakt.reps import (_induced_action_on_sub, _natural, _radical_step,
-                         _split_vector, all_injectives, all_projectives,
+from nexakt.reps import (Module, _induced_action_on_sub, _natural,
+                         _radical_step, _split_vector, all_injectives,
+                         all_projectives,
                          assemble_from_span, block_morphism, cokernel_morphism,
-                         composite_rows, direct_sum, hom_basis,
+                         composite_rows, direct_sum, factor_through, hom_basis,
                          identity_morphism, image_morphism, in_add,
                          kernel_morphism, quotient_by_submodule, radical_span,
-                         regular_module, simple_module, socle_span,
+                         regular_module, simple_module,
                          stack_morphisms_from_sum, stack_morphisms_to_sum,
                          zero_module, zero_morphism)
-from nexakt.resolutions import _map_from_projective, _map_into_injective, ext_dim
+from nexakt.resolutions import (_components_from_projective, ext_dim,
+                                injective_envelope)
 from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
-from conftest import (in_random_basis, kronecker_algebra, kronecker_field_module,
+from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, in_dense_random_basis,
+                      in_random_basis, kronecker_algebra, kronecker_field_module,
                       random_quotient, ref_composite_rows)
 
 PRIMES = (2, 101, 2**31 - 1)
@@ -230,6 +233,20 @@ def ref_into_injective(m, v, functional):
     return comps
 
 
+def ref_injective_envelope(m):
+    """The envelope through the socle: at each vertex v, one I_v per
+    basis vector of soc(m) at v, through the functional dual to it."""
+    alg = m.algebra
+    maps = []
+    for (v, basis), iv in zip(ref_socle(m).items(), all_injectives(alg)):
+        if basis.cols:
+            dual = solve_linear(basis.transpose(), Mat.identity(basis.cols, alg.p))
+            for j in range(basis.cols):
+                functional = mat_from_vector(dual.col(j), m.dims[v], 1, alg.p)
+                maps.append(_natural(m, iv, ref_into_injective(m, v, functional)))
+    return stack_morphisms_to_sum(maps)
+
+
 # -- the comparisons -----------------------------------------------------
 
 
@@ -325,7 +342,6 @@ def test_kernels_images_cokernels_match_reference(case):
 def test_spans_and_maps_of_indecomposable_projectives_match_reference(case):
     alg, mods, rng = case
     p = alg.p
-    projs, injs = all_projectives(alg), all_injectives(alg)
     for m in mods:
         rad = radical_span(m)
         assert rad == ref_radical(m)
@@ -335,14 +351,71 @@ def test_spans_and_maps_of_indecomposable_projectives_match_reference(case):
         for length in range(4):
             for word in _words(alg.quiver, length):
                 assert m.path_matrix(word) == ref_path_matrix(m, word)
-        assert socle_span(m) == ref_socle(m)
-        for v, pv, iv in zip(alg.quiver.vertices, projs, injs):
+        for v in alg.quiver.vertices:
             vec = mat_from_vector([rng.randrange(p) for _ in range(m.dims[v])],
                                   m.dims[v], 1, p)
-            assert _map_from_projective(pv, v, vec, m).components \
+            assert _components_from_projective(v, vec, m) \
                 == ref_from_projective(v, vec, m)
-            assert _map_into_injective(m, v, vec, iv).components \
-                == ref_into_injective(m, v, vec)
+        if not m.is_zero():
+            _envelope_matches_reference(m)
+
+
+def _envelope_matches_reference(x):
+    """injective_envelope(x) against the socle route: the same target
+    content, and the reference is env.then(phi) for an automorphism phi
+    of E.  When no vertex space of x is larger than 1-dimensional, both
+    routes take the functional 1 at each socle vertex, so the maps are
+    equal entry for entry.  Returns whether they are."""
+    env, ref = injective_envelope(x), ref_injective_envelope(x)
+    assert env.source is x and env.target.key == ref.target.key
+    phi = factor_through(ref, env)
+    assert phi is not None and env.then(phi).components == ref.components
+    assert all(rank(c) == c.rows == c.cols for c in phi.components.values())
+    same = env.components == ref.components
+    assert same or max(x.dims.values()) > 1
+    return same
+
+
+def _local_modules(alg):
+    """The I_v and every P_v / rad^l P_v (l >= 1): indecomposable, with a
+    simple socle or a simple top."""
+    out = list(all_injectives(alg))
+    for pv in all_projectives(alg):
+        span = radical_span(pv)
+        while True:
+            out.append(quotient_by_submodule(pv, span)[0])
+            if all(c.is_zero() for c in span.values()):
+                break
+            span = _radical_step(pv, span)
+    return out
+
+
+@pytest.mark.parametrize("name, p", DUALITY_CASES)
+def test_injective_envelope_matches_the_socle_route(name, p):
+    """Indecomposables in the standard basis and in a dense random one,
+    and two-summand sums in a dense random basis.  Every indecomposable
+    of a Nakayama algebra here has vertex spaces of dimension at most 1,
+    so its envelope is the reference's, entry for entry."""
+    alg = DUALITY_ALGEBRAS[name](p)
+    rng = random.Random(f"{name}:{p}")
+    nakayama = name not in ("Pi_3", "Aus(A_3)")
+    indecs = list(nakayama_indecomposables(alg)) if nakayama else _local_modules(alg)
+    for x in indecs + [in_dense_random_basis(x, rng) for x in indecs]:
+        same = _envelope_matches_reference(x)
+        assert same or not nakayama
+    for _ in range(8):
+        _envelope_matches_reference(
+            in_dense_random_basis(direct_sum(rng.sample(indecs, 2)).module, rng))
+
+
+def test_envelope_with_isotropic_socle_vector_matches_the_socle_route():
+    # P_2 + P_3 over the 6-cycle with J^2 = 0, with socle (1, 10) at
+    # vertex 3 and (1, 10).(1, 10) = 0 in F_101: the envelope is an
+    # isomorphism through other functionals than the reference's
+    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
+    x = Module(alg, {"2": 1, "3": 2, "4": 1},
+               {"a2": Mat(2, 1, (1, 10), 101), "a3": Mat(1, 2, (91, 1), 101)})
+    assert not _envelope_matches_reference(x)
 
 
 def _zero_spans(x, rng):
