@@ -1092,11 +1092,11 @@ def _dual(x: Module) -> Module:
     """D x = Hom_F(x, F) over the opposite algebra: the same dimensions,
     every arrow acting by the transpose of its action on x.  Built
     unchecked, since the transposes satisfy the reversed relations."""
-    return _module(opposite_algebra(x.algebra), dict(x.dims),
+    return _module(opposite_algebra(x.algebra), x.dims,
                    {a: m.transpose() for a, m in x.action.items()})
 
 
-# -- radical and top ----------------------------------------------
+# -- radical and top --------------------------------------------------
 
 
 def radical_span(m: Module) -> Dict[str, Mat]:

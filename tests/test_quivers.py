@@ -120,8 +120,9 @@ def test_opposite_transposes_the_table_on_the_same_indices(name, p):
     alg.store.clear()
     assert opposite_algebra(alg) is op
     for i in range(alg.dim):
-        assert path_endpoints(op.quiver, op.basis[i]) \
-            == (op.source_of[i], op.target_of[i]) == (alg.target_of[i], alg.source_of[i])
+        ends = (op.source_of[i], op.target_of[i])
+        assert path_endpoints(op.quiver, op.basis[i]) == ends \
+            == (alg.target_of[i], alg.source_of[i])
         for j in range(alg.dim):
             assert op.multiply(i, j) == alg.multiply(j, i)
     _spot_check_table(op)
