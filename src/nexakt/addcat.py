@@ -32,7 +32,7 @@ An n-cokernel ladder is n - 1 weak cokernels, each of the map before,
 closed by a cokernel (n-kernels dually).  It is, byte for byte, the
 ladder that takes the cokernel of each approximation: cokernel_morphism
 reads only column spaces (in reduced row-echelon form) and proj is onto;
-dually, kernel_basis reads only row spaces and incl is mono.
+dually, kernel_morphism reads only row spaces and incl is mono.
 
 All verification is Hom-level rank bookkeeping against the generator
 list: reps.hom_dims_and_ranks reads each rank together with the
@@ -42,7 +42,7 @@ reads its ranks off the table instead).  Composites with a Hom basis
 rows by reps.composite_rows, one entry product per basis map and vertex.
 Certificates are assembled in generator-list order.  Tie-breaking is
 fixed everywhere: generators in the order listed, Hom bases in the
-deterministic kernel_basis order.
+deterministic order of fp's canonical null basis.
 
 The generator list is a reps.Indecomposables, checked once by
 indecomposables(), which in_add runs on any other list; both are

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from .fp import Mat, kernel_basis
+from .fp import _null_space
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
                    composite_rows, coordinate_length, direct_sum, hom_basis,
                    zero_module, zero_morphism)
@@ -33,7 +33,9 @@ class ComplexSeq:
     diffs: list                 # Morphisms, diffs[k]: terms[k] -> terms[k+1]
 
     def __post_init__(self):
-        if len(self.diffs) != max(len(self.terms) - 1, 0):
+        if not self.terms:
+            raise ValueError("a complex needs at least one term")
+        if len(self.diffs) != len(self.terms) - 1:
             raise ValueError("differential count mismatch")
         for k, d in enumerate(self.diffs):
             if not (d.source.same_as(self.terms[k])
@@ -194,11 +196,8 @@ def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
                 for r in range(tgt_len):
                     contrib[r][offsets[idx + 1] + i] = (-vec[r]) % p
         rows.extend(contrib)
-    system = Mat.from_rows(rows, p, cols=total)
-    ker = kernel_basis(system)
     out = []
-    for j in range(ker.cols):
-        col = ker.col(j)
+    for col in _null_space(rows, total, p)[1]:
         comps = {k: assemble_from_span(
                      blocks[idx], col[offsets[idx]:offsets[idx] + len(blocks[idx])],
                      x.term(k), y.term(k))

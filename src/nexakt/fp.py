@@ -3,12 +3,15 @@
 Everything downstream (Hom spaces, resolutions, certificates) reduces to
 the solvers in this module.  They share one row reduction, ``_reduce``,
 which works in place on lists of rows: ``rref`` wraps it in a ``Mat``;
-``rank``, ``solve_linear``, ``column_space_basis``, the coordinate-row
-solvers of ``reps`` and ``quivers.build_algebra`` call it directly.
-Null spaces come from one routine on rows, ``_null_space`` (the
-canonical basis, one vector per free column): ``kernel_basis`` is its
+``rank``, ``solve_linear``, the coordinate-row solvers of ``reps`` and
+``quivers.build_algebra`` call it directly.  Null spaces come from one
+routine on rows, ``_null_space`` (the canonical basis, one vector per
+free column, the identity at the free columns): ``kernel_basis`` is its
 thin ``Mat`` wrapper, ``quotient_data`` reads a projection off it, and
-``reps`` solves Hom spaces with it with no ``Mat`` in or out.  Products
+``reps`` (Hom spaces and kernels), ``complexes.chain_map_space`` and
+``polys.minpoly`` call it with no ``Mat`` in or out.  No package code
+calls ``solve_linear`` or ``kernel_basis``; they stay public, and
+benchmark metrics count their calls.  Products
 come from one kernel on row-major entry tuples, ``_mul_entries``:
 ``Mat.mul`` wraps it, and ``reps`` calls it on component entries.  ``det``
 keeps an elimination of its own; nothing in the package calls it, and
@@ -234,24 +237,6 @@ class Mat:
         return Mat(rows, cols, tuple(out), p)
 
     @staticmethod
-    def vstack(mats: Sequence["Mat"]) -> "Mat":
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        p = mats[0].p
-        if any(m.cols != cols or m.p != p for m in mats):
-            raise ValueError("vstack shape/field mismatch")
-        if len(mats) == 1:
-            return mats[0]
-        rows = sum(m.rows for m in mats)
-        if rows == 0 or cols == 0:
-            return _empty(rows, cols, p)
-        out = []
-        for m in mats:
-            out.extend(m.entries)
-        return Mat(rows, cols, tuple(out), p)
-
-    @staticmethod
     def from_blocks(row_sizes: Sequence[int], col_sizes: Sequence[int],
                     blocks: dict, p: int) -> "Mat":
         """Block matrix with the given block row and column sizes;
@@ -404,17 +389,6 @@ def kernel_basis(a: Mat) -> Mat:
         return Mat.identity(a.cols, a.p)
     _, vecs = _null_space(a.to_lists(), a.cols, a.p)
     return Mat(a.cols, len(vecs), tuple(x for coords in zip(*vecs) for x in coords),
-               a.p)
-
-
-def column_space_basis(a: Mat) -> Mat:
-    """Columns of a at the pivot positions: a basis of the column space."""
-    if not a.entries:
-        return _empty(a.rows, 0, a.p)
-    pivots = _reduce(a.to_lists(), a.cols, a.p)
-    cols, ent = a.cols, a.entries
-    return Mat(a.rows, len(pivots),
-               tuple(ent[i * cols + j] for i in range(a.rows) for j in pivots),
                a.p)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from .fp import Mat, kernel_basis
+from .fp import Mat, _null_space
 
 Poly = List[int]
 
@@ -137,8 +137,8 @@ def minpoly(a: Mat) -> Poly:
     powers = [Mat.identity(n, p)]
     for _ in range(n):
         powers.append(powers[-1].mul(a))
-    rows = Mat(n + 1, n * n, tuple(x for m in powers for x in m.entries), p)
-    return _trim(list(kernel_basis(rows.transpose()).col(0)))
+    rows = [list(entry) for entry in zip(*(m.entries for m in powers))]
+    return _trim(_null_space(rows, n + 1, p)[1][0])
 
 
 # -- coprime factors ----------------------------------------------------------

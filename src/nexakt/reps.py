@@ -7,7 +7,7 @@ Both are immutable.  Each fact is checked once, when it is made: the
 public ``Module(...)`` checks the relations (of file data, and of P_v
 and I_v, read off the algebra's table), ``Morphism(...)`` naturality
 (of file data).  What is derived from checked objects is built unchecked:
-modules by ``_module``, which only interns the canonical form its
+modules by ``_module``, which only wraps the canonical form its
 builders make (dims in vertex order, an action for every arrow in arrow
 order, each shaped and over F_p), maps by ``_natural``; a Hom basis is
 checked as one batch per arrow.  Composites and linear
@@ -18,15 +18,21 @@ content (``Module.same_as``).
 The naturality system of a Hom space is written as entry rows: one list
 per equation A x_s - x_t B = 0 and entry, with only its nonzero
 coefficients set (reduced mod p as they are) and no row for an arrow
-whose equations are empty.  fp's ``_null_space``, which ``kernel_basis``
-wraps, returns the null vectors, each read straight into the components
-of one basis map.  The batch check of naturality and the coordinate rows
-of composites with every element of a Hom basis (``composite_rows``)
-form each per-vertex product on entry tuples with fp's ``_mul_entries``,
-the kernel ``Mat.mul`` wraps, so no ``Mat`` is built for a system, its
-kernel or a stack.  The linear problems in Hom spaces are solved on rows
+whose equations are empty.  fp's ``_null_space`` returns the null
+vectors, each read straight into the components of one basis map.  The
+batch check of naturality and the coordinate rows of composites with
+every element of a Hom basis (``composite_rows``) form each per-vertex
+product on entry tuples with fp's ``_mul_entries``, the kernel
+``Mat.mul`` wraps, so no ``Mat`` is built for a system, its kernel or a
+stack.  The linear problems in Hom spaces are solved on rows
 (``solve_rows``, ``rows_rank``, by fp's in-place row reduction); a map
 enters them as its ``vectorize()`` row.
+
+Kernels and quotients read their actions, with no solve, at the free
+coordinates of fp's canonical bases: a kernel's inclusion is the null
+basis of ``_null_space`` (``kernel_morphism``), a quotient's projection
+is ``quotient_data`` (``_quotient``, under ``cokernel_morphism`` and
+``quotient_by_submodule``), and each is the identity there.
 
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
@@ -36,14 +42,15 @@ j to target summand i, missing blocks zero.  A stack of one map
 with no one-summand sum built.
 
 A module carries its content key, the dimension vector plus the action
-entries, and its content id ``cid``, interned by the algebra: modules of
-one content over one algebra share an id, and new contents take the
-next value of one counter for all algebras, so modules over separately
-built equal algebras never share one.  Every fact the package reuses is
-kept in the algebra's store (``AlgebraBasis.memoized``) by operation and
-content ids, until the store is cleared whole at ``STORE_BOUND``;
-stored maps (Hom bases, chains, approximations) start and end at the
-first module of each content, and every endpoint check compares content.
+entries, and its content id ``cid``, interned by the algebra when first
+read: modules of one content over one algebra share an id, and new
+contents take the next value of one counter for all algebras, so modules
+over separately built equal algebras never share one.  Every fact the
+package reuses is kept in the algebra's store (``AlgebraBasis.memoized``)
+by operation and content ids, until the store is cleared whole at
+``STORE_BOUND``; stored maps (Hom bases, chains, approximations) start
+and end at the first module of each content, and every endpoint check
+compares content.
 The keys are ("hom", m, n) for hom_basis, ("stable", m, n) for
 frob.stable_hom (the ideal of maps through the injective envelope, and
 the Hom basis once it is read), ("in_add", x, ids of the generators) for
@@ -71,8 +78,8 @@ as is its ``DomainError``; addcat re-exports both).
 
 The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps,
-``_split_vector``, ``block_morphism``; the actions of ``direct_sum`` and
-of kernels, images and cokernels; ``radical_span``, ``_radical_step``,
+``_split_vector``, ``block_morphism``; the actions of ``direct_sum``,
+kernels and quotients; ``radical_span``, ``_radical_step``,
 ``composite_rows``, ``path_matrix``, ``_dual``, and the maps out of P_v
 in ``resolutions`` and their transposes into I_v) calls fp only on a
 slot whose two sides are nonzero.  A slot with a zero side, read off the
@@ -81,11 +88,13 @@ slot whose two sides are nonzero.  A slot with a zero side, read off the
 the sides are nonzero the result is what fp returns: a product with
 inner dimension 0 is the zero matrix of its outer shape, the kernel of a
 map into the zero space is the identity, a quotient by an empty span
-keeps every coordinate.  The one solve kept on an empty slot is the one
-that checks a given span is closed (``_induced_action_on_sub``).  Nor is
-what the caller holds built again: the quotient by a span whose matrices
-are all zero (zero-valued columns, or none) is x with its identity
-(``quotient_by_submodule``), once each matrix's row count is checked.
+keeps every coordinate.  A span given to ``quotient_by_submodule`` is
+checked closed as the naturality of its projection
+(``_check_natural_batch``), which also reads an arrow into a nonzero
+quotient space from a zero one, on entry tuples.  Nor is what the caller
+holds built again: the quotient by a span whose matrices are all zero
+(zero-valued columns, or none) is x with its identity, once each matrix
+is checked (one at every vertex, its row count, its field).
 
 Isomorphism to an indecomposable e is that membership test over the
 one-entry list (e): x = e iff dim x = dim e and x lies in add(e)
@@ -102,21 +111,22 @@ out of P_v that cover D x.
 
 Decomposition (``split_indecomposables``) splits a module along coprime
 factors of the minimal polynomial of a random endomorphism e: if
-mu = g*h with gcd(g, h) = 1, then x = ker g(e) + im g(e).  The
-polynomial work (minimal polynomials, factoring over F_p) is in
-``polys``.  A module with dim End = 1 is indecomposable, exactly; any
+mu = g*h with gcd(g, h) = 1, then x = ker g(e) + ker h(e), the primary
+decomposition (im g(e) = ker h(e)).  The polynomial work (minimal
+polynomials, factoring over F_p) is in ``polys``.  A module with dim End = 1 is indecomposable, exactly; any
 other is declared indecomposable after FITTING_RETRIES failed attempts.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
-from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, column_space_basis,
-                 kernel_basis, mat_from_vector, quotient_data, rank, solve_linear)
+from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, mat_from_vector,
+                 quotient_data, rank)
 from .quivers import AlgebraBasis, PathWord, opposite_algebra
 
 FITTING_RETRIES = 32
@@ -141,8 +151,6 @@ class Module:
     algebra: AlgebraBasis
     dims: dict                 # vertex name -> dimension
     action: dict               # arrow name -> Mat (dim target x dim source)
-    key: tuple = field(init=False, repr=False, compare=False)
-    cid: int = field(init=False, repr=False, compare=False)   # content id
 
     def __post_init__(self):
         self._shape()
@@ -152,7 +160,7 @@ class Module:
         """The checks of the public constructor: vertex and arrow names the
         algebra has, dimensions, action shapes and field; then the canonical
         form (dims in vertex order, an action for every arrow in arrow
-        order), interned."""
+        order)."""
         q = self.algebra.quiver
         p = self.algebra.p
         _require_known(self.dims, q.vertices, "vertex")
@@ -171,13 +179,18 @@ class Module:
                 raise ValueError("action matrix over wrong field")
             action[a.name] = m
         self.__dict__.update(dims=dims, action=action)
-        self._intern()
 
-    def _intern(self):
-        """Set the content key of the canonical form and its id."""
-        key = (tuple(self.dims.values()),
-               tuple(m.entries for m in self.action.values()))
-        self.__dict__.update(key=key, cid=self.algebra.content_id(key))
+    @cached_property
+    def key(self) -> tuple:
+        """The content key of the canonical form: the dimension vector and
+        the action entries."""
+        return (tuple(self.dims.values()),
+                tuple(m.entries for m in self.action.values()))
+
+    @cached_property
+    def cid(self) -> int:
+        """The content id, interned by the algebra when first read."""
+        return self.algebra.content_id(self.key)
 
     def _check_relations(self):
         """Each relation vanishes; the terms of one relation share their
@@ -232,11 +245,10 @@ def _module(alg: AlgebraBasis, dims: dict, action: dict) -> Module:
     """A module known to satisfy the relations (a submodule, quotient or
     direct sum of modules that do, a semisimple module), given by its
     builder in canonical form: dims in vertex order, an action for every
-    arrow in arrow order, each of shape (dims[t], dims[s]) over F_p.  It is
-    interned; nothing is checked."""
+    arrow in arrow order, each of shape (dims[t], dims[s]) over F_p.
+    Nothing is checked."""
     m = object.__new__(Module)
     m.__dict__.update(algebra=alg, dims=dims, action=action)
-    m._intern()
     return m
 
 
@@ -390,11 +402,11 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
     """Basis of Hom(m, n): kernel of the naturality system, every element
     checked natural in one batch per arrow.
 
-    The basis order is the deterministic kernel_basis order, which every
-    certificate downstream relies on.  Kept in the algebra's store by
-    the content ids of m and n, so content-equal sources and targets
-    built separately get the same list: its maps start at the first
-    module of m's content and end at the first of n's.
+    The basis order is the deterministic order of fp's canonical null
+    basis, which every certificate downstream relies on.  Kept in the
+    algebra's store by the content ids of m and n, so content-equal
+    sources and targets built separately get the same list: its maps
+    start at the first module of m's content and end at the first of n's.
     """
     _require_same_algebra(m, n)
     return m.algebra.memoized(("hom", m.cid, n.cid), lambda: _solve_hom(m, n))
@@ -465,87 +477,90 @@ def _check_natural_batch(m: Module, n: Module, comps: List[dict]):
                 raise ValueError(f"naturality fails at arrow {a.name}")
 
 
-def _induced_action_on_sub(x: Module, incl_cols: Dict[str, Mat]) -> Module:
-    """Module structure on vertex-wise column spans closed under the action.
-
-    An arrow from a zero span, or into a vertex where x is zero, acts by
-    the empty matrix with nothing to check.  An arrow from a nonzero span
-    into a zero span inside a nonzero space is still solved: that solve,
-    with no unknowns, is the check that x's action kills the source span."""
-    alg = x.algebra
-    dims = {v: incl_cols[v].cols for v in alg.quiver.vertices}
+def kernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
+    """Vertex-wise kernel with induced action and its inclusion.  The
+    inclusion at v is the canonical null basis of f_v (fp._null_space),
+    the identity at its free rows, so K(a), which solves incl_t K(a) =
+    A(a) incl_s, is the rows of A(a) at the free rows of t times incl_s."""
+    x, alg = f.source, f.source.algebra
+    p = alg.p
+    free, incl = {}, {}
+    for v, m in f.components.items():
+        d = x.dims[v]
+        if m.entries:
+            free[v], vecs = _null_space(m.to_lists(), d, p)
+            incl[v] = Mat(d, len(vecs), tuple(c for row in zip(*vecs) for c in row),
+                          p) if vecs else _empty(d, 0, p)
+        else:
+            free[v], incl[v] = range(d), Mat.identity(d, p)
+    dims = {v: len(free[v]) for v in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
-        if not dims[a.source] or not x.dims[a.target]:
-            action[a.name] = _empty(dims[a.target], dims[a.source], alg.p)
-            continue
-        rhs = x.action[a.name].mul(incl_cols[a.source])
-        sol = solve_linear(incl_cols[a.target], rhs)
-        if sol is None:
-            raise ValueError("vertex spans not closed under the action")
-        action[a.name] = sol
-    return _module(alg, dims, action)
-
-
-def kernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
-    """Vertex-wise kernel with induced action and its inclusion."""
-    sd, td, p = f.source.dims, f.target.dims, f.source.algebra.p
-    incl = {v: kernel_basis(m) if sd[v] and td[v] else Mat.identity(sd[v], p)
-            for v, m in f.components.items()}
-    k = _induced_action_on_sub(f.source, incl)
-    return k, _natural(k, f.source, incl)
-
-
-def image_morphism(f: Morphism) -> Tuple[Module, Morphism]:
-    """Vertex-wise image submodule of the target and its inclusion."""
-    sd, td, p = f.source.dims, f.target.dims, f.source.algebra.p
-    incl = {v: column_space_basis(m) if sd[v] and td[v] else _empty(td[v], 0, p)
-            for v, m in f.components.items()}
-    im = _induced_action_on_sub(f.target, incl)
-    return im, _natural(im, f.target, incl)
+        s, t, act = a.source, a.target, x.action[a.name]
+        if dims[s] and dims[t]:
+            at_free = tuple(c for r in free[t] for c in act.row(r))
+            action[a.name] = Mat(dims[t], act.cols, at_free, p).mul(incl[s])
+        else:
+            action[a.name] = _empty(dims[t], dims[s], p)
+    k = _module(alg, dims, action)
+    return k, _natural(k, x, incl)
 
 
 def cokernel_morphism(f: Morphism) -> Tuple[Module, Morphism]:
-    """Vertex-wise cokernel with induced action and its projection.
+    """Vertex-wise cokernel with induced action and its projection."""
+    return _quotient(f.target, f.components)
 
-    The action Q(a) solves Q(a) proj_s = proj_t A(a); proj_s is the
-    identity on the free coordinates that quotient_data returns, so Q(a)
-    is proj_t times the columns of A(a) at them."""
-    alg = f.source.algebra
-    sd, td = f.source.dims, f.target.dims
-    quot = {v: quotient_data(f.components[v]) if sd[v] and td[v]
-            else (Mat.identity(td[v], alg.p), list(range(td[v])))
-            for v in alg.quiver.vertices}
+
+def _quotient(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
+    """x divided by the column spaces of span, and the projection.  The
+    projection at v is quotient_data(span[v]), the identity at its free
+    columns, so Q(a), which solves Q(a) proj_s = proj_t A(a), is proj_t
+    times the columns of A(a) at the free columns of s.  It solves it
+    exactly when the spans are closed, as a cokernel's are."""
+    alg = x.algebra
+    p = alg.p
+    quot = {v: quotient_data(span[v]) if span[v].entries
+            else (Mat.identity(d, p), range(d)) for v, d in x.dims.items()}
     proj = {v: q[0] for v, q in quot.items()}
     dims = {v: proj[v].rows for v in proj}
     action = {}
     for a in alg.quiver.arrows:
-        if not dims[a.source] or not dims[a.target]:
-            action[a.name] = _empty(dims[a.target], dims[a.source], alg.p)
-            continue
-        act, free = f.target.action[a.name], quot[a.source][1]
-        at_free = tuple(act.entries[r * act.cols + j]
-                        for r in range(act.rows) for j in free)
-        action[a.name] = proj[a.target].mul(Mat(act.rows, len(free), at_free, alg.p))
+        s, t, act = a.source, a.target, x.action[a.name]
+        if dims[s] and dims[t]:
+            free, cols = quot[s][1], act.cols
+            at_free = tuple(act.entries[r * cols + j]
+                            for r in range(act.rows) for j in free)
+            action[a.name] = proj[t].mul(Mat(act.rows, dims[s], at_free, p))
+        else:
+            action[a.name] = _empty(dims[t], dims[s], p)
     c = _module(alg, dims, action)
-    return c, _natural(f.target, c, proj)
+    return c, _natural(x, c, proj)
 
 
 def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
-    """Quotient of x by the submodule spanned vertex-wise by ``span``, whose
-    matrix at v has x.dims[v] rows (else ValueError).  When every span
-    matrix is zero the submodule is zero, and the quotient is x itself with
-    its identity, the cokernel of the zero inclusion; no check is skipped,
-    as the zero span is closed.  A nonzero span is checked closed under
-    the action (_induced_action_on_sub)."""
+    """Quotient of x by the submodule spanned vertex-wise by ``span``, with
+    a matrix at every vertex v of x.dims[v] rows over x's field (else
+    ValueError).  When every span matrix is zero the quotient is x itself
+    with its identity, the cokernel of the zero inclusion.  Otherwise the
+    span is checked closed under the action as the naturality of the
+    projection _quotient gives."""
+    p = x.algebra.p
     for v, d in x.dims.items():
+        if v not in span:
+            raise ValueError(f"span has no matrix at vertex {v}")
         if span[v].rows != d:
             raise ValueError(f"span at vertex {v} has {span[v].rows} rows, "
                              f"not dim {d}")
-    if all(m.is_zero() for m in span.values()):
+        if span[v].p != p:
+            raise ValueError(f"field mismatch: F_{p} vs F_{span[v].p}")
+    if all(span[v].is_zero() for v in x.dims):
         return x, identity_morphism(x)
-    cols = {v: column_space_basis(span[v]) for v in x.dims}
-    return cokernel_morphism(_natural(_induced_action_on_sub(x, cols), x, cols))
+    quot, proj = _quotient(x, span)
+    try:
+        _check_natural_batch(x, quot, [proj.components])
+    except ValueError:
+        raise ValueError("vertex spans not closed under the action") from None
+    return quot, proj
 
 
 class DirectSum(NamedTuple):
@@ -961,8 +976,9 @@ def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
 def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Module]]:
     """One splitting attempt (Lux–Szőke, Exp. Math. 2007): draw e in
     End(x), take its minimal polynomial mu (the lcm of the vertex-wise
-    ones) and a monic factor g of mu coprime to mu/g; then
-    x = ker g(e) + im g(e), both nonzero.
+    ones) and a monic factor g of mu coprime to h = mu/g; then
+    x = ker g(e) + ker h(e), both nonzero.  This is the primary
+    decomposition: gcd(g, h) = 1 and mu(e) = 0, so im g(e) = ker h(e).
 
     Fails (None) only when mu is a power of one irreducible, which holds
     for every e when x is indecomposable (End(x) is local)."""
@@ -975,8 +991,9 @@ def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Modu
     g = polys.coprime_factor(mu, p, rng)
     if g is None:
         return None
-    ge = _natural(x, x, {v: polys.at_matrix(g, m) for v, m in e.components.items()})
-    return kernel_morphism(ge)[0], image_morphism(ge)[0]
+    return tuple(kernel_morphism(_natural(x, x, {v: polys.at_matrix(f, m)
+                                                 for v, m in e.components.items()}))[0]
+                 for f in (g, polys.quo(mu, g, p)))
 
 
 def split_indecomposables(x: Module, seed: int) -> List[Tuple[Module, int]]:

@@ -296,11 +296,17 @@ DUALITY_CASES = [(name, p) for name in DUALITY_ALGEBRAS for p in (2, 101, 2**31 
 
 
 def random_quotient(x, rng):
-    """x divided by the submodule one random vector generates: the vector
-    and its images under every arrow, closed up vertex by vertex.  The
-    vector is the image of a random vector under a random arrow acting
-    nonzero on x, so it lies in the radical and the quotient is nonzero;
-    when every arrow acts by zero it is a random vector of x."""
+    """x divided by the submodule random_submodule_span gives."""
+    return quotient_by_submodule(x, random_submodule_span(x, rng))[0]
+
+
+def random_submodule_span(x, rng):
+    """Vertex spans, one basis each, of the submodule one random vector
+    generates: the vector and its images under every arrow, closed up
+    vertex by vertex.  The vector is the image of a random vector under a
+    random arrow acting nonzero on x, so it lies in the radical and the
+    quotient is nonzero; when every arrow acts by zero it is a random
+    vector of x."""
     alg, p = x.algebra, x.algebra.p
     gens = {v: [] for v in x.dims}
     live = [a for a in alg.quiver.arrows if not x.action[a.name].is_zero()]
@@ -321,9 +327,13 @@ def random_quotient(x, rng):
             if a.source == v and x.dims[a.target]:
                 image = x.action[a.name].mul(mat_from_vector(vec, len(vec), 1, p))
                 todo.append((a.target, list(image.entries)))
-    span = {v: Mat.from_rows(rows, p, cols=x.dims[v]).transpose()
+    return {v: Mat.from_rows(rows, p, cols=x.dims[v]).transpose()
             for v, rows in gens.items()}
-    return quotient_by_submodule(x, span)[0]
+
+
+def stack_rows(mats, cols, p):
+    """The matrices with cols columns over F_p, one below the other."""
+    return Mat.from_rows([row for m in mats for row in m.to_lists()], p, cols=cols)
 
 
 def full_ext_table(indecs, n):

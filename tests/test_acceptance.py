@@ -357,9 +357,9 @@ def _padded_cokernel_top(d0, cat, n, pad_deg, pad_mod):
     first = padded_tail.term(1)
     p = d0.source.algebra.p
     incl = Morphism(tail.terms[0], first, {
-        v: Mat.vstack([Mat.identity(tail.terms[0].dims[v], p),
-                       Mat.zero(pad.term(1).dims[v],
-                                tail.terms[0].dims[v], p)])
+        v: Mat.from_blocks([tail.terms[0].dims[v], pad.term(1).dims[v]],
+                           [tail.terms[0].dims[v]],
+                           {(0, 0): Mat.identity(tail.terms[0].dims[v], p)}, p)
         for v in d0.source.algebra.quiver.vertices})
     new_d0 = d0.then(incl)
     return ComplexSeq(0, [d0.source] + [padded_tail.term(k)

@@ -23,6 +23,12 @@ def test_complex_refuses_a_wrong_differential_count(a3):
         ComplexSeq(0, [p1, p2], [])
 
 
+def test_complex_refuses_an_empty_term_list():
+    # with no term, .algebra and .term(k) raised IndexError
+    with pytest.raises(ValueError, match="a complex needs at least one term"):
+        ComplexSeq(0, [], [])
+
+
 def test_complex_morphism_refuses_bad_components(a3):
     p1, p2 = projective_module(a3, "1"), projective_module(a3, "2")
     x = complex_from_maps(0, [only_hom(p1, p2)])

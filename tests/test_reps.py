@@ -19,7 +19,7 @@ from nexakt.quivers import Quiver, build_algebra
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
                          direct_sum, hom_basis,
-                         identity_morphism, image_morphism, in_add,
+                         identity_morphism, in_add,
                          injective_module,
                          kernel_morphism, projective_module, simple_module,
                          split_indecomposables, stack_morphisms_from_sum,
@@ -55,6 +55,18 @@ def test_dual_swaps_projectives_and_injectives_and_is_an_involution(name, p):
         assert dx.algebra is op and dx.dims == x.dims
         ddx = reps._dual(dx)
         assert ddx.algebra is alg and ddx.cid == x.cid
+
+
+def test_envelopes_intern_no_module_over_the_opposite():
+    # injective_envelope reads only the top of D m over the opposite
+    # algebra, and a content id is interned when first read, so the
+    # coresolutions of every indecomposable leave the opposite's ids empty
+    alg = nakayama_algebra(6, 2, cyclic=True)
+    rng = random.Random(6)
+    for x in nakayama_indecomposables(alg):
+        for y in (x, in_dense_random_basis(x, rng)):
+            assert len(resolutions.min_injective_coresolution(y, 3).terms) == 3
+    assert quivers.opposite_algebra(alg).ids == {} and alg.ids
 
 
 def test_a3_projective_dimensions(a3, a3_mods):
@@ -249,13 +261,29 @@ def test_quotient_by_a_span_that_is_not_closed_raises(a3_mods):
     assert reps.quotient_by_submodule(x, span)[0].total_dim == 0
 
 
+def test_quotient_refuses_a_span_without_a_vertex_or_over_another_field():
+    # the radical span of P_2 on K A_3/J^2: with the matrix at 0 deleted
+    # this was a bare KeyError: '0'; over F_5 it divides nothing
+    alg = nakayama_algebra(3, 2)
+    pv = projective_module(alg, "2")
+    span = reps.radical_span(pv)
+    assert reps.quotient_by_submodule(pv, span)[0].dim_vector() == (0, 0, 1)
+    with pytest.raises(ValueError, match="span has no matrix at vertex 0"):
+        reps.quotient_by_submodule(pv, {v: m for v, m in span.items() if v != "0"})
+    other = {v: Mat(m.rows, m.cols, m.entries, 5) for v, m in span.items()}
+    with pytest.raises(ValueError, match="field mismatch: F_101 vs F_5"):
+        reps.quotient_by_submodule(pv, other)
+
+
 def test_image_factorization_recovered(a3_mods):
-    # coker(kernel inclusion) is the image: f factors through it injectively
+    # coker(kernel inclusion) is the image, the kernel of the cokernel
+    # projection: f factors through it injectively
     f = hom_basis(a3_mods["P1"], a3_mods["P2"])[0]
     k, incl = kernel_morphism(f)
     coim, proj = cokernel_morphism(incl)
-    im, im_incl = image_morphism(f)
+    im, im_incl = kernel_morphism(cokernel_morphism(f)[1])
     assert coim.dim_vector() == im.dim_vector()
+    assert reps.lift_through(f, im_incl) is not None
     # the induced map coim -> target composes with proj back to f
     from nexakt.reps import factor_through
     induced = factor_through(f, proj)
@@ -1194,7 +1222,7 @@ def test_identities_and_zeros_pass_the_checked_constructor(monkeypatch):
 
 
 def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
-    # kernels, images, cokernels, quotients, sums, simples, zero modules,
+    # kernels, cokernels, quotients, sums, simples, zero modules,
     # block maps, covers and envelopes are built unchecked; only P_v and
     # I_v, built from the algebra's table, have their relations checked
     pi2 = preprojective_a2()
@@ -1212,7 +1240,7 @@ def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
             for y in family:
                 basis = hom_basis(x, y)
                 for f in basis:
-                    for make in (kernel_morphism, image_morphism, cokernel_morphism):
+                    for make in (kernel_morphism, cokernel_morphism):
                         maps.append(make(f)[1])
                 if basis:
                     maps += [stack_morphisms_to_sum(basis),

@@ -14,20 +14,20 @@ from nexakt.addcat import (add_category, minimal_left_approximation,
                            minimal_right_approximation, n_cokernel, n_kernel,
                            weak_cokernel)
 from nexakt.complexes import complex_from_maps
-from nexakt.fp import (Mat, column_space_basis, kernel_basis, mat_from_vector,
-                       quotient_data, rank, solve_linear)
+from nexakt.fp import (Mat, kernel_basis, mat_from_vector, quotient_data, rank,
+                       solve_linear)
 from nexakt.frob import (check_frobenius_setup, rotate_angle, standard_angle,
                          verify_angle_exact)
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_algebra, nakayama_indecomposables)
 from nexakt.pushout import n_pushout
 from nexakt.quivers import PathWord
-from nexakt.reps import (Module, _induced_action_on_sub, _natural,
+from nexakt.reps import (Module, Morphism, _natural,
                          _radical_step, _split_vector, all_injectives,
                          all_projectives,
                          assemble_from_span, block_morphism, cokernel_morphism,
                          composite_rows, direct_sum, factor_through, hom_basis,
-                         identity_morphism, image_morphism, in_add,
+                         identity_morphism, in_add,
                          kernel_morphism, quotient_by_submodule, radical_span,
                          regular_module, simple_module,
                          stack_morphisms_from_sum, stack_morphisms_to_sum,
@@ -38,7 +38,8 @@ from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
 from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, in_dense_random_basis,
                       in_random_basis, kronecker_algebra, kronecker_field_module,
-                      random_quotient, ref_composite_rows)
+                      random_quotient, random_submodule_span, ref_composite_rows,
+                      stack_rows)
 
 PRIMES = (2, 101, 2**31 - 1)
 
@@ -149,9 +150,26 @@ def ref_kernel(f):
     return ref_sub_action(f.source, incl), incl
 
 
+def ref_column_space(m):
+    """The columns of m at the pivots of its reduced row-echelon form: a
+    basis of its column space."""
+    pivots = fp._reduce(m.to_lists(), m.cols, m.p)
+    return Mat.from_rows([[row[j] for j in pivots] for row in m.to_lists()], m.p,
+                         cols=len(pivots))
+
+
 def ref_image(f):
-    incl = {v: column_space_basis(m) for v, m in f.components.items()}
+    incl = {v: ref_column_space(m) for v, m in f.components.items()}
     return ref_sub_action(f.target, incl), incl
+
+
+def ref_quotient(x, span):
+    """The cokernel reference of the inclusion of the submodule that the
+    column spaces of span carry, one solve per arrow: the module and the
+    components of the projection."""
+    cols = {v: ref_column_space(m) for v, m in span.items()}
+    sub = Module(x.algebra, {v: c.cols for v, c in cols.items()}, ref_sub_action(x, cols))
+    return ref_cokernel(Morphism(sub, x, cols))
 
 
 def ref_cokernel(f):
@@ -179,9 +197,8 @@ def ref_radical(m):
 
 def ref_socle(m):
     alg = m.algebra
-    return {v: kernel_basis(Mat.vstack([Mat.zero(0, m.dims[v], alg.p)]
-                                       + [m.action[a.name] for a in alg.quiver.arrows
-                                          if a.source == v]))
+    return {v: kernel_basis(stack_rows([m.action[a.name] for a in alg.quiver.arrows
+                                        if a.source == v], m.dims[v], alg.p))
             for v in alg.quiver.vertices}
 
 
@@ -318,25 +335,34 @@ def test_sums_and_composite_rows_match_reference(case):
                     == ref_composite_rows(d, basis, d_first)
 
 
+def _kernel_image_cokernel_match_reference(f):
+    """The kernel and cokernel of f against their references, entry for
+    entry, and the image, the kernel of the cokernel projection, against
+    the kernel reference of that projection and the column spaces of f."""
+    quot, proj = cokernel_morphism(f)
+    action, comps = ref_cokernel(f)
+    _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
+    assert proj.components == comps
+    assert proj.is_surjective() is ref_surjective(proj) is True
+    assert proj.is_injective() is ref_injective(proj)
+    for g in (f, proj):
+        sub, incl = kernel_morphism(g)
+        action, comps = ref_kernel(g)
+        _same_module(sub, {v: c.cols for v, c in comps.items()}, action)
+        assert incl.components == comps
+        assert incl.is_injective() is ref_injective(incl) is True
+        assert incl.is_surjective() is ref_surjective(incl)
+    image = ref_image(f)[1]             # ker proj, last above, is im f
+    for v, c in incl.components.items():
+        assert c.cols == image[v].cols == rank(Mat.hstack([c, image[v]]))
+
+
 def test_kernels_images_cokernels_match_reference(case):
     alg, mods, rng = case
     for x in mods:
         for y in mods:
             for f in (_random_map(x, y, rng), zero_morphism(x, y)):
-                for build, ref in ((kernel_morphism, ref_kernel),
-                                   (image_morphism, ref_image)):
-                    sub, incl = build(f)
-                    action, comps = ref(f)
-                    _same_module(sub, {v: c.cols for v, c in comps.items()}, action)
-                    assert incl.components == comps
-                    assert incl.is_injective() is ref_injective(incl) is True
-                    assert incl.is_surjective() is ref_surjective(incl)
-                quot, proj = cokernel_morphism(f)
-                action, comps = ref_cokernel(f)
-                _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
-                assert proj.components == comps
-                assert proj.is_surjective() is ref_surjective(proj) is True
-                assert proj.is_injective() is ref_injective(proj)
+                _kernel_image_cokernel_match_reference(f)
 
 
 def test_spans_and_maps_of_indecomposable_projectives_match_reference(case):
@@ -390,6 +416,14 @@ def _local_modules(alg):
     return out
 
 
+def _duality_indecomposables(name, alg):
+    """Every indecomposable of a Nakayama algebra of DUALITY_ALGEBRAS, and
+    the local modules of the others."""
+    if name in ("Pi_3", "Aus(A_3)"):
+        return _local_modules(alg)
+    return list(nakayama_indecomposables(alg))
+
+
 @pytest.mark.parametrize("name, p", DUALITY_CASES)
 def test_injective_envelope_matches_the_socle_route(name, p):
     """Indecomposables in the standard basis and in a dense random one,
@@ -399,7 +433,7 @@ def test_injective_envelope_matches_the_socle_route(name, p):
     alg = DUALITY_ALGEBRAS[name](p)
     rng = random.Random(f"{name}:{p}")
     nakayama = name not in ("Pi_3", "Aus(A_3)")
-    indecs = list(nakayama_indecomposables(alg)) if nakayama else _local_modules(alg)
+    indecs = _duality_indecomposables(name, alg)
     for x in indecs + [in_dense_random_basis(x, rng) for x in indecs]:
         same = _envelope_matches_reference(x)
         assert same or not nakayama
@@ -447,24 +481,65 @@ def test_one_map_stacks_match_the_one_summand_block(case):
                     assert stacked.components == generic.components == ref
 
 
+def _zero_span_quotients_match_the_cokernel_path(x, rng):
+    """The quotient of x by each zero span equals the cokernel of the
+    inclusion of the submodule the span's column spaces carry, and the
+    plain cokernel reference: x itself, by content key, and the identity
+    of x."""
+    for span in _zero_spans(x, rng):
+        cols = {v: ref_column_space(m) for v, m in span.items()}
+        sub = Module(x.algebra, {v: c.cols for v, c in cols.items()},
+                     ref_sub_action(x, cols))
+        generic, generic_proj = cokernel_morphism(Morphism(sub, x, cols))
+        action, comps = ref_quotient(x, span)
+        quot, proj = quotient_by_submodule(x, span)
+        assert quot.key == generic.key == x.key
+        _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
+        assert proj.source.key == generic_proj.source.key == x.key
+        assert proj.target.key == generic_proj.target.key == x.key
+        assert proj.components == generic_proj.components == comps \
+            == identity_morphism(x).components
+
+
+def _with_redundant_columns(m, rng):
+    """m followed by two random combinations of its columns."""
+    p = m.p
+    extra = Mat.from_rows([[rng.randrange(p) for _ in range(2)] for _ in range(m.cols)],
+                          p, cols=2)
+    return Mat.hstack([m, m.mul(extra)])
+
+
 def test_zero_span_quotients_match_the_cokernel_path(case):
-    """The quotient by a zero span equals the cokernel of the inclusion of
-    the submodule the span's column spaces carry, and the plain cokernel
-    reference: x itself, by content key, and the identity of x."""
     alg, mods, rng = case
     for x in mods:
-        for span in _zero_spans(x, rng):
-            cols = {v: column_space_basis(m) for v, m in span.items()}
-            incl = _natural(_induced_action_on_sub(x, cols), x, cols)
-            generic, generic_proj = cokernel_morphism(incl)
-            action, comps = ref_cokernel(incl)
-            quot, proj = quotient_by_submodule(x, span)
-            assert quot.key == generic.key == x.key
-            _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
-            assert proj.source.key == generic_proj.source.key == x.key
-            assert proj.target.key == generic_proj.target.key == x.key
-            assert proj.components == generic_proj.components == comps \
-                == identity_morphism(x).components
+        _zero_span_quotients_match_the_cokernel_path(x, rng)
+
+
+@pytest.mark.parametrize("name, p", DUALITY_CASES)
+def test_kernels_cokernels_and_quotients_match_reference_in_a_dense_basis(name, p):
+    """The kernel, image and cokernel reference test, the zero-span
+    quotient test and quotients by random submodules, on indecomposables
+    in the standard basis and on copies of them and of two-summand sums
+    in a dense random basis, where kernels, images and submodules are
+    not spanned by coordinate vectors.  Maps are random elements of
+    End(x) and of Hom(x, y) for random y, and the zero map."""
+    alg = DUALITY_ALGEBRAS[name](p)
+    rng = random.Random(f"{name}:{p}")
+    indecs = _duality_indecomposables(name, alg)
+    mods = indecs + [in_dense_random_basis(x, rng) for x in indecs] + [
+        in_dense_random_basis(direct_sum(rng.sample(indecs, 2)).module, rng)
+        for _ in range(4)]
+    for x in mods:
+        for y in (x, rng.choice(mods)):
+            _kernel_image_cokernel_match_reference(_random_map(x, y, rng))
+        _kernel_image_cokernel_match_reference(zero_morphism(x, rng.choice(mods)))
+        _zero_span_quotients_match_the_cokernel_path(x, rng)
+        span = {v: _with_redundant_columns(m, rng)
+                for v, m in random_submodule_span(x, rng).items()}
+        quot, proj = quotient_by_submodule(x, span)
+        action, comps = ref_quotient(x, span)
+        _same_module(quot, {v: c.rows for v, c in comps.items()}, action)
+        assert proj.components == comps
 
 
 def test_a_zero_span_with_a_wrong_row_count_raises(case):
