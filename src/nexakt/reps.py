@@ -42,18 +42,20 @@ j to target summand i, missing blocks zero.  A stack of one map
 with no one-summand sum built.
 
 A module carries its content key, the dimension vector plus the action
-entries, and its content id ``cid``, interned by the algebra when first
-read: modules of one content over one algebra share an id, and new
-contents take the next value of one counter for all algebras, so modules
-over separately built equal algebras never share one.  Every fact the
-package reuses is kept in the algebra's store (``AlgebraBasis.memoized``)
-by operation and content ids, until the store is cleared whole at
-``STORE_BOUND``; stored maps (Hom bases, chains, approximations) start
-and end at the first module of each content, and every endpoint check
-compares content.
-The keys are ("hom", m, n) for hom_basis, ("stable", m, n) for
-frob.stable_hom (the ideal of maps through the injective envelope, and
-the Hom basis once it is read), ("in_add", x, ids of the generators) for
+entries, its ``support``, the bitmask in vertex order of the vertices
+where it is nonzero, and its content id ``cid``, interned by the algebra
+when first read; each is computed on first use.  Modules of one content
+over one algebra share an id, and new contents take the next value of
+one counter for all algebras, so modules over separately built equal
+algebras never share one.  Every fact the package reuses is kept in the
+algebra's store (``AlgebraBasis.memoized``) by operation and content
+ids, until the store is cleared whole at ``STORE_BOUND``; stored maps
+(Hom bases, chains, approximations) start and end at the first module of
+each content, and every endpoint check compares content.
+The keys are ("hom", m, n) for hom_basis, kept only for a pair that
+shares a vertex, ("stable", m, n) for frob.stable_hom (the ideal of maps
+through the injective envelope, and the Hom basis once it is read),
+("in_add", x, ids of the generators) for
 the bool in_add returns, ("sum", ids of the operands) for the module
 direct_sum returns, ("summands", x) for a proper decomposition
 direct_sum records with it (its nonzero parts, when there are at least
@@ -67,21 +69,28 @@ the growing minimal (co)resolutions, and "projectives" and "injectives".
 Only Hom spaces that can change a verdict are solved: ``in_add`` reads
 only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt),
 and accepts x when the minimal right approximation they give is an
-isomorphism (``_approximation_is_iso``); Hom between modules with
-disjoint supports is zero with no system (``_solve_hom``).  That
-approximation is the one ``addcat`` builds: one peel
-(``_peel_superfluous``) over one table of composites through the
-generators (``_composite_table``), both here.  The test is sound for
-indecomposable, pairwise non-isomorphic generators, so in_add checks any
-list but an ``Indecomposables`` with ``indecomposables()`` (defined here,
-as is its ``DomainError``; addcat re-exports both).
+isomorphism (``_approximation_is_iso``).  That approximation is the one
+``addcat`` builds: one peel (``_peel_superfluous``) over one table of
+composites through the generators (``_composite_table``), both here.
+The test is sound for indecomposable, pairwise non-isomorphic
+generators, so in_add checks any list but an ``Indecomposables`` with
+``indecomposables()`` (defined here, as is its ``DomainError``; addcat
+re-exports both).
+
+Hom spaces live on the joint support.  Hom between modules with disjoint
+supports is zero, settled by ``hom_basis`` before the store: no content
+id is read, no key built, nothing kept and nothing solved.  Any other
+Hom space is solved over the shared vertices only: ``_solve_hom`` has
+unknowns, equation rows and components there, and fills the other
+vertices of each basis map from one template of fp's empty matrices.
 
 The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps,
 ``_split_vector``, ``block_morphism``; the actions of ``direct_sum``,
 kernels and quotients; ``radical_span``, ``_radical_step``,
-``composite_rows``, ``path_matrix``, ``_dual``, and the maps out of P_v
-in ``resolutions`` and their transposes into I_v) calls fp only on a
+``composite_rows``, ``path_matrix``, ``_dual``, the minimal polynomials
+and g(e) of ``_fitting_split``, and the maps out of P_v in
+``resolutions`` and their transposes into I_v) calls fp only on a
 slot whose two sides are nonzero.  A slot with a zero side, read off the
 ``dims`` of its modules, is fp's shared empty matrix of its shape
 (``_empty``), so every component dict still holds every vertex.  Where
@@ -191,6 +200,12 @@ class Module:
     def cid(self) -> int:
         """The content id, interned by the algebra when first read."""
         return self.algebra.content_id(self.key)
+
+    @cached_property
+    def support(self) -> int:
+        """The vertices where the module is nonzero, as a bitmask in vertex
+        order (bit i for the i-th vertex)."""
+        return sum(1 << i for i, d in enumerate(self.dims.values()) if d)
 
     def _check_relations(self):
         """Each relation vanishes; the terms of one relation share their
@@ -407,23 +422,31 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
     algebra's store by the content ids of m and n, so content-equal
     sources and targets built separately get the same list: its maps
     start at the first module of m's content and end at the first of n's.
+    When no vertex carries both m and n, Hom(m, n) = 0 is returned before
+    the store: no content id is read and nothing is kept.
     """
     _require_same_algebra(m, n)
+    if not m.support & n.support:
+        return []
     return m.algebra.memoized(("hom", m.cid, n.cid), lambda: _solve_hom(m, n))
 
 
 def _solve_hom(m: Module, n: Module) -> List[Morphism]:
-    """The naturality system of hom_basis, solved on entry rows; when no
-    vertex carries both m and n, Hom(m, n) = 0 and no system is built."""
+    """The naturality system of hom_basis, solved on entry rows over the
+    shared vertices only: the unknowns are the blocks at the vertices that
+    carry both m and n, so an arrow with neither end shared gives no row.
+    Each basis map still has every vertex, in vertex order; the others are
+    fp's shared empty matrices."""
     alg = m.algebra
     p = alg.p
-    verts = alg.quiver.vertices
     md, nd = m.dims, n.dims
+    shared = m.support & n.support
     offsets = {}
     total = 0
-    for v in verts:
-        offsets[v] = total
-        total += nd[v] * md[v]
+    for i, v in enumerate(alg.quiver.vertices):
+        if shared >> i & 1:
+            offsets[v] = total
+            total += nd[v] * md[v]
     if not total:
         return []
     # a row per arrow and entry (i, j), i < nt, j < ms, of A x_s - x_t B = 0
@@ -432,11 +455,13 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
     rows = []
     for a in alg.quiver.arrows:
         s, t = a.source, a.target
+        if s not in offsets and t not in offsets:
+            continue
         nt, ns, mt, ms = nd[t], nd[s], md[t], md[s]
         if not nt * ms:
             continue
         A, B = n.action[a.name].entries, m.action[a.name].entries
-        xs, xt = offsets[s], offsets[t]
+        xs, xt = offsets.get(s), offsets.get(t)
         for i in range(nt):
             arow = A[i * ns:(i + 1) * ns]
             for j in range(ms):
@@ -451,11 +476,15 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
                         row[e] = (row[e] - c) % p
                 rows.append(row)
     _, vecs = _null_space(rows, total, p)
-    comps: List[dict] = [{} for _ in vecs]
-    for v in verts:
-        r, c, at = nd[v], md[v], offsets[v]
+    if not vecs:
+        return []
+    # every vertex in vertex order; the shared ones are set below
+    empty = {v: None if v in offsets else _empty(nd[v], d, p) for v, d in md.items()}
+    comps: List[dict] = [dict(empty) for _ in vecs]
+    for v, at in offsets.items():
+        r, c = nd[v], md[v]
         for vec, comp in zip(vecs, comps):
-            comp[v] = Mat(r, c, tuple(vec[at:at + r * c]), p) if r * c else _empty(r, c, p)
+            comp[v] = Mat(r, c, tuple(vec[at:at + r * c]), p)
     _check_natural_batch(m, n, comps)
     return [_natural(m, n, c) for c in comps]
 
@@ -896,8 +925,8 @@ def _membership(x: Module, gens: Indecomposables, cids: tuple) -> bool:
 def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
     """x in add(gens), from the Hom spaces G -> x alone.
 
-    Only the G that fit inside x (dimension vector at most x's at every
-    vertex) are read: by Krull-Schmidt a member x is a sum of generators,
+    Only the G that fit inside x (support inside x's, then dimension
+    vector at most x's at every vertex) are read: by Krull-Schmidt a member x is a sum of generators,
     each of which fits inside it, so x lies in add(gens) iff it lies in
     add(M') for the sum M' of those.  Then:
 
@@ -923,8 +952,9 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
 
     So x is accepted exactly when the dimension vectors of the kept G_r sum
     to x's; no Hom space out of x is solved."""
-    dims = x.dim_vector()
-    fit = [g for g in gens if all(a <= b for a, b in zip(g.dim_vector(), dims))]
+    dims, outside = x.dim_vector(), ~x.support
+    fit = [g for g in gens if not g.support & outside
+           and all(a <= b for a, b in zip(g.dim_vector(), dims))]
     homs = [hom_basis(g, x) for g in fit]
     for v, d in zip(x.algebra.quiver.vertices, dims):
         images = [f.components[v] for basis in homs for f in basis]
@@ -981,17 +1011,19 @@ def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Modu
     decomposition: gcd(g, h) = 1 and mu(e) = 0, so im g(e) = ker h(e).
 
     Fails (None) only when mu is a power of one irreducible, which holds
-    for every e when x is indecomposable (End(x) is local)."""
+    for every e when x is indecomposable (End(x) is local).  Only the
+    slots in x's support are read: a 0 x 0 slot is its own g(e)."""
     basis = hom_basis(x, x)
     p = x.algebra.p
     e = assemble_from_span(basis, [rng.randrange(p) for _ in basis], x, x)
     mu = [1]
     for m in e.components.values():
-        mu = polys.lcm(mu, polys.minpoly(m), p)
+        if m.rows:
+            mu = polys.lcm(mu, polys.minpoly(m), p)
     g = polys.coprime_factor(mu, p, rng)
     if g is None:
         return None
-    return tuple(kernel_morphism(_natural(x, x, {v: polys.at_matrix(f, m)
+    return tuple(kernel_morphism(_natural(x, x, {v: polys.at_matrix(f, m) if m.rows else m
                                                  for v, m in e.components.items()}))[0]
                  for f in (g, polys.quo(mu, g, p)))
 

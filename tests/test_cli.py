@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from nexakt import reps
+from nexakt.addcat import add_category, weak_cokernel
 from nexakt.certs import canonical_json
 from nexakt.cli import _build_parser, main
 from nexakt.complexes import complex_from_maps
@@ -17,8 +18,8 @@ from nexakt.fp import Mat
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra,
                             nakayama_indecomposables)
-from nexakt.reps import (direct_sum, hom_basis, injective_module,
-                         projective_module, simple_module)
+from nexakt.reps import (assemble_from_span, direct_sum, hom_basis,
+                         injective_module, projective_module, simple_module)
 
 from conftest import named_modules
 
@@ -601,6 +602,38 @@ def test_file_commands_certificate_bytes(files, monkeypatch):
     for name, argv in commands.items():
         assert run(*argv, "--out", "pinned") == 0, name
         assert sha256(f"pinned/{name}.cert.json") == FILE_SHA256[name], name
+
+
+def test_addm_algebra_ncoker_and_npushout_certificate_bytes(tmp_path):
+    # K A_9/J^2 at p = 65537, the addm-certify algebra, with M its 2-CT
+    # generators (Lambda + S2 + S4 + S6 + S8): ncoker of d0, the sum of the
+    # basis maps P2 + P4 -> P3 + P5 + S2, and npushout of d0 and its weak
+    # cokernel along f0, the sum of the basis maps P2 + P4 -> P3 + S4;
+    # the CI step "CLI as a process" pins the same two certificates
+    alg, gens = gen_linear_An_J2(2, 4, p=65537)
+    x, y, z = (direct_sum([gens[i] for i in ij]).module
+               for ij in ((2, 4), (3, 5, 9), (3, 10)))
+
+    def basis_sum(src, tgt):
+        basis = hom_basis(src, tgt)
+        return assemble_from_span(basis, [1] * len(basis), src, tgt)
+    d0, f0 = basis_sum(x, y), basis_sum(x, z)
+    upper = complex_from_maps(0, [d0, weak_cokernel(d0, add_category(alg, gens))])
+    dump_algebra(alg, tmp_path / "a9-j2.json")
+    for name, data in (("m", {"generators": [module_to_dict(g) for g in gens]}),
+                       ("d0", morphism_with_endpoints_to_dict(d0)),
+                       ("upper", complex_to_dict(upper)),
+                       ("f0", morphism_with_endpoints_to_dict(f0))):
+        (tmp_path / f"{name}.json").write_text(canonical_json(data))
+    common = ["--algebra", tmp_path / "a9-j2.json", "--m", tmp_path / "m.json",
+              "--out", tmp_path / "certs"]
+    assert run("ncoker", "--morphism", tmp_path / "d0.json", "--n", 2, *common) == 0
+    assert run("npushout", "--complex", tmp_path / "upper.json",
+               "--morphism", tmp_path / "f0.json", *common) == 0
+    assert sha256(tmp_path / "certs" / "ncoker.cert.json") == \
+        "639adaeeab0906a1a32ba3898b3ca53e108f2b046e27e028bf0f196398bd1a43"
+    assert sha256(tmp_path / "certs" / "npushout.cert.json") == \
+        "d7a7ec6789e6381959492e9eb71a268f414eac037409635df28115531c4fbc00"
 
 
 # algebra check on algebras whose ideal is more than its relations: the

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from nexakt import quivers, reps, resolutions
+from nexakt import polys, quivers, reps, resolutions
 from nexakt.fp import Mat, kernel_basis, rank, solve_linear
 from nexakt.complexes import ComplexSeq
 from nexakt.addcat import (DomainError, Indecomposables, add_category,
@@ -575,12 +575,29 @@ def test_solve_hom_matches_the_reference_solver(p):
         for d1, d2 in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2))])
     nonzero = 0
     for pool in pools:
+        pool += [in_dense_random_basis(x, rng) for x in rng.sample(pool, 8)]
         for _ in range(60):
             m, n = rng.choice(pool), rng.choice(pool)
             got = [f.components for f in reps._solve_hom(m, n)]
             assert got == reference_solve_hom(m, n), (m.key, n.key)
             nonzero += bool(got)
     assert nonzero > 150
+    # K A_9/J^2 pairs that share exactly one vertex, the usual case of the
+    # add(M) requests on it: list entries and dense copies of sums of two
+    # neighbours; each system has unknowns at one vertex only
+    alg = nakayama_algebra(9, 2, p=p)
+    indecs = list(nakayama_indecomposables(alg))
+    pool = indecs + [in_dense_random_basis(direct_sum(indecs[i:i + 2]).module, rng)
+                     for i in range(len(indecs) - 1)]
+    one_shared = [(m, n) for m, n in product(pool, repeat=2)
+                  if bin(m.support & n.support).count("1") == 1]
+    assert len(one_shared) == 239
+    nonzero = 0
+    for m, n in one_shared:
+        got = [f.components for f in reps._solve_hom(m, n)]
+        assert got == reference_solve_hom(m, n), (m.key, n.key)
+        nonzero += bool(got)
+    assert nonzero > 100
 
 
 def _entry_row_pools(p, rng):
@@ -690,6 +707,26 @@ def test_split_reassembles_isomorphically(a3_mods):
     rebuilt = direct_sum([part for part, count in parts for _ in range(count)])[0]
     assert sum(c * part.total_dim for part, c in parts) == x.total_dim
     assert are_isomorphic(rebuilt, x, seed=3)
+
+
+def test_fitting_split_reads_only_the_support(monkeypatch):
+    # the sums of three consecutive K A_9/J^2 list entries split into
+    # their summands, with minimal polynomials and g(e) taken only on the
+    # nonzero slots of each endomorphism e: 81 minpoly calls where every
+    # vertex slot took 270, and no 0 x 0 matrix
+    alg = nakayama_algebra(9, 2, p=65537)
+    indecs = list(nakayama_indecomposables(alg))
+    seen = {"minpoly": [], "at_matrix": []}
+    for name in seen:
+        real = getattr(polys, name)
+        monkeypatch.setattr(polys, name, lambda *args, _real=real, _seen=seen[name]:
+                            _seen.append(args[-1].rows) or _real(*args))
+    for i in range(len(indecs) - 2):
+        parts = split_indecomposables(direct_sum(indecs[i:i + 3]).module, seed=0)
+        assert sorted(part.dim_vector() for part, count in parts for _ in range(count)) \
+            == sorted(x.dim_vector() for x in indecs[i:i + 3])
+    assert len(seen["minpoly"]) == 81 and len(seen["at_matrix"]) == 162
+    assert all(seen["minpoly"]) and all(seen["at_matrix"])
 
 
 def test_are_isomorphic_basics(a3_mods):
@@ -814,12 +851,15 @@ def test_ext_dim_solves_each_hom_once_per_target_content(a3, monkeypatch):
     s1, s1_again = simple_module(a3, "1"), simple_module(a3, "1")
     assert s1 is not s1_again and s1.key == s1_again.key
     assert resolutions.ext_dim(s2, s1, 1) == 1
-    # one degree reads three Hom dimensions: out of Omega^1 s2, Q_0 and s2
-    assert len(solves) == 3
+    # one degree reads three Hom dimensions: out of Omega^1 s2, Q_0 and s2;
+    # s2 and s1 share no vertex, so Hom(s2, s1) = 0 is settled with no solve
+    assert len(solves) == 2
+    # and with no store entry
+    assert ("hom", s2.cid, s1.cid) not in a3.store
     # a content-equal target reads the memoized Hom bases: no new solve
     assert resolutions.ext_dim(s2, s1_again, 1) == 1
     assert resolutions.ext_dim(s2, s1, 1) == 1
-    assert len(solves) == 3
+    assert len(solves) == 2
     # Ext is not stored under a key of its own
     assert not any(isinstance(k, tuple) and k[0] == "ext" for k in a3.store)
     assert resolutions.ext_dim(s2, s1, 2) == 0
@@ -829,6 +869,37 @@ def test_ext_dim_solves_each_hom_once_per_target_content(a3, monkeypatch):
     # Ext^0 is the Hom dimension
     assert resolutions.ext_dim(s2, s1, 0) == len(hom_basis(s2, s1)) == 0
     assert resolutions.ext_dim(s1, s1_again, 0) == len(hom_basis(s1, s1)) == 1
+
+
+def test_hom_between_disjoint_supports_is_settled_before_the_store(monkeypatch):
+    # support is the bitmask of the nonzero vertices, in vertex order; a
+    # pair of K A_9/J^2 list entries with no shared vertex has Hom = 0 with
+    # no content id read, no solve, no null space and no store entry
+    alg = nakayama_algebra(9, 2, p=65537)
+    indecs = nakayama_indecomposables(alg)
+    assert [x.support for x in indecs[:3]] == [0b1, 0b10, 0b11]
+
+    def refuse(*args):
+        raise AssertionError("a Hom space between disjoint supports was solved")
+    monkeypatch.setattr(reps, "_solve_hom", refuse)
+    monkeypatch.setattr(reps, "_null_space", refuse)
+    pairs = [(x, y) for x, y in product(indecs, repeat=2) if not x.support & y.support]
+    assert len(pairs) == 226
+    for x, y in pairs:
+        assert hom_basis(x, y) == []
+    assert not [key for key in alg.store if isinstance(key, tuple) and key[0] == "hom"]
+    assert not alg.ids and not any("cid" in x.__dict__ for x in indecs)
+
+
+def test_disjoint_modules_over_different_algebras_raise_context_error():
+    # the algebra check comes before the support check
+    s0 = simple_module(nakayama_algebra(3, 2, p=5), "0")
+    s1 = simple_module(nakayama_algebra(3, 2, p=7), "1")
+    assert not s0.support & s1.support
+    with pytest.raises(ContextError):
+        hom_basis(s0, s1)
+    with pytest.raises(ContextError):
+        hom_basis(s1, s0)
 
 
 def test_content_equal_sources_share_one_hom_solve(a3, monkeypatch):
