@@ -55,16 +55,16 @@ each content, and every endpoint check compares content.
 The keys are ("hom", m, n) for hom_basis, kept only for a pair that
 shares a vertex, ("stable", m, n) for frob.stable_hom (the ideal of maps
 through the injective envelope, and the Hom basis once it is read),
-("in_add", x, ids of the generators) for
-the bool in_add returns, ("sum", ids of the operands) for the module
-direct_sum returns, ("summands", x) for a proper decomposition
-direct_sum records with it (its nonzero parts, when there are at least
-two, each of smaller dimension; in_add decides the content by them, and
-solves for no zero module, generator or sum), ("approx", side, x, ids of
-the generators) for the minimal approximation addcat builds, its
-contract checked once, ("indecomposables", ids of the entries, seed) for
-a list indecomposables() passed, ("projres", x) and ("injres", x) for
-the growing minimal (co)resolutions, and "projectives" and "injectives".
+("in_add", x, ids of the generators) for the bool in_add returns, ("sum",
+ids of the operands) for the module direct_sum returns, ("summands", x)
+for a proper decomposition direct_sum records with it (its nonzero
+parts, when there are at least two, each of smaller dimension; in_add
+decides the content by them, and solves for no zero module, generator or
+sum), ("approx", side, x, ids of the generators) for the minimal
+approximation addcat builds, its contract checked once,
+("indecomposables", ids of the entries, seed) for a list
+indecomposables() passed, ("projres", x) and ("injres", x) for the
+growing minimal (co)resolutions, and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: ``in_add`` reads
 only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt),
@@ -205,7 +205,11 @@ class Module:
     def support(self) -> int:
         """The vertices where the module is nonzero, as a bitmask in vertex
         order (bit i for the i-th vertex)."""
-        return sum(1 << i for i, d in enumerate(self.dims.values()) if d)
+        bits = 0
+        for i, d in enumerate(self.dims.values()):
+            if d:
+                bits |= 1 << i
+        return bits
 
     def _check_relations(self):
         """Each relation vanishes; the terms of one relation share their
@@ -957,8 +961,10 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
            and all(a <= b for a, b in zip(g.dim_vector(), dims))]
     homs = [hom_basis(g, x) for g in fit]
     for v, d in zip(x.algebra.quiver.vertices, dims):
+        if not d:
+            continue
         images = [f.components[v] for basis in homs for f in basis]
-        if d and (not images or rank(Mat.hstack(images)) < d):
+        if not images or rank(Mat.hstack(images)) < d:
             return False
     parts = [(j, f) for j, basis in enumerate(homs) for f in basis]
     kept = _peel_superfluous(parts, _composite_table(fit, parts, left=False),
