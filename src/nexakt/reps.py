@@ -930,9 +930,10 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
     """x in add(gens), from the Hom spaces G -> x alone.
 
     Only the G that fit inside x (support inside x's, then dimension
-    vector at most x's at every vertex) are read: by Krull-Schmidt a member x is a sum of generators,
-    each of which fits inside it, so x lies in add(gens) iff it lies in
-    add(M') for the sum M' of those.  Then:
+    vector at most x's at every vertex) are read: by Krull-Schmidt a
+    member x is a sum of generators, each of which fits inside it, so x
+    lies in add(gens) iff it lies in add(M') for the sum M' of those.
+    Then:
 
     - The trace check: the images of all maps G -> x must span x at every
       vertex, or no map from add(M') is onto x and x is refused.

@@ -560,7 +560,9 @@ def _hom_pool(alg, rng):
 def test_solve_hom_matches_the_reference_solver(p):
     # the Kronecker pool adds R (End R = F_(p^2)) and random
     # representations; on the two-loop algebra each arrow is a loop, so
-    # both coefficients of an equation land in one block of unknowns
+    # both coefficients of an equation land in one block of unknowns; each
+    # pool adds dense copies of some of its modules, and every basis map
+    # holds every vertex in vertex order
     rng = random.Random(p)
     q, rels, bound = two_loops(5, p)
     pools = [_hom_pool(alg, rng) for alg in (
@@ -580,6 +582,7 @@ def test_solve_hom_matches_the_reference_solver(p):
             m, n = rng.choice(pool), rng.choice(pool)
             got = [f.components for f in reps._solve_hom(m, n)]
             assert got == reference_solve_hom(m, n), (m.key, n.key)
+            assert all(tuple(c) == m.algebra.quiver.vertices for c in got)
             nonzero += bool(got)
     assert nonzero > 150
     # K A_9/J^2 pairs that share exactly one vertex, the usual case of the
@@ -596,6 +599,7 @@ def test_solve_hom_matches_the_reference_solver(p):
     for m, n in one_shared:
         got = [f.components for f in reps._solve_hom(m, n)]
         assert got == reference_solve_hom(m, n), (m.key, n.key)
+        assert all(tuple(c) == alg.quiver.vertices for c in got)
         nonzero += bool(got)
     assert nonzero > 100
 
@@ -681,6 +685,34 @@ def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):
                         lambda *args: pytest.fail("a system was solved"))
     for m, n in (("P0", "S2"), ("S2", "P1"), ("P1", "S2")):
         assert reps._solve_hom(a3_mods[m], a3_mods[n]) == []
+
+
+def test_hom_between_disjoint_supports_is_settled_before_the_store(monkeypatch):
+    # support is the bitmask of the nonzero vertices, in vertex order; a
+    # pair of K A_9/J^2 list entries with no shared vertex has Hom = 0 with
+    # no content id read, no solve, no null space and no store entry
+    alg = nakayama_algebra(9, 2, p=65537)
+    indecs = nakayama_indecomposables(alg)
+    assert [x.support for x in indecs[:3]] == [0b1, 0b10, 0b11]
+    for name in ("_solve_hom", "_null_space"):
+        monkeypatch.setattr(reps, name, lambda *args: pytest.fail("a system was solved"))
+    pairs = [(x, y) for x, y in product(indecs, repeat=2) if not x.support & y.support]
+    assert len(pairs) == 226
+    for x, y in pairs:
+        assert hom_basis(x, y) == []
+    assert not [key for key in alg.store if isinstance(key, tuple) and key[0] == "hom"]
+    assert not alg.ids and not any("cid" in x.__dict__ for x in indecs)
+
+
+def test_disjoint_modules_over_different_algebras_raise_context_error():
+    # the algebra check comes before the support check
+    s0 = simple_module(nakayama_algebra(3, 2, p=5), "0")
+    s1 = simple_module(nakayama_algebra(3, 2, p=7), "1")
+    assert not s0.support & s1.support
+    with pytest.raises(ContextError):
+        hom_basis(s0, s1)
+    with pytest.raises(ContextError):
+        hom_basis(s1, s0)
 
 
 # -- decomposition and isomorphism ---------------------------------------
@@ -869,37 +901,6 @@ def test_ext_dim_solves_each_hom_once_per_target_content(a3, monkeypatch):
     # Ext^0 is the Hom dimension
     assert resolutions.ext_dim(s2, s1, 0) == len(hom_basis(s2, s1)) == 0
     assert resolutions.ext_dim(s1, s1_again, 0) == len(hom_basis(s1, s1)) == 1
-
-
-def test_hom_between_disjoint_supports_is_settled_before_the_store(monkeypatch):
-    # support is the bitmask of the nonzero vertices, in vertex order; a
-    # pair of K A_9/J^2 list entries with no shared vertex has Hom = 0 with
-    # no content id read, no solve, no null space and no store entry
-    alg = nakayama_algebra(9, 2, p=65537)
-    indecs = nakayama_indecomposables(alg)
-    assert [x.support for x in indecs[:3]] == [0b1, 0b10, 0b11]
-
-    def refuse(*args):
-        raise AssertionError("a Hom space between disjoint supports was solved")
-    monkeypatch.setattr(reps, "_solve_hom", refuse)
-    monkeypatch.setattr(reps, "_null_space", refuse)
-    pairs = [(x, y) for x, y in product(indecs, repeat=2) if not x.support & y.support]
-    assert len(pairs) == 226
-    for x, y in pairs:
-        assert hom_basis(x, y) == []
-    assert not [key for key in alg.store if isinstance(key, tuple) and key[0] == "hom"]
-    assert not alg.ids and not any("cid" in x.__dict__ for x in indecs)
-
-
-def test_disjoint_modules_over_different_algebras_raise_context_error():
-    # the algebra check comes before the support check
-    s0 = simple_module(nakayama_algebra(3, 2, p=5), "0")
-    s1 = simple_module(nakayama_algebra(3, 2, p=7), "1")
-    assert not s0.support & s1.support
-    with pytest.raises(ContextError):
-        hom_basis(s0, s1)
-    with pytest.raises(ContextError):
-        hom_basis(s1, s0)
 
 
 def test_content_equal_sources_share_one_hom_solve(a3, monkeypatch):
