@@ -717,7 +717,6 @@ def test_readme_usage_matches_parser(capsys):
 
 def test_certificate_roundtrip_reverifies(files):
     # the embedded inputs re-load and re-verify to the recorded verdict
-    from nexakt.addcat import add_category
     from nexakt.fileio import algebra_from_dict
     from nexakt.tilting import check_n_cluster_tilting
     from nexakt.certs import content_hash
