@@ -80,7 +80,10 @@ class Mat:
     """Dense row-major matrix over F_p.
 
     0xn and nx0 matrices are legal and represent maps to/from the zero
-    space.  Entries are stored reduced modulo p in a flat tuple.  A Mat
+    space.  Entries are stored in a flat tuple, row by row.  The raw
+    constructor trusts them to lie in [0, p): it neither reduces nor
+    checks them, so ``rank(Mat(1, 1, (5,), 5))`` is 1.  ``Mat.from_rows``
+    and ``mat_from_vector`` reduce them modulo p.  A Mat
     is immutable: setting or deleting an attribute raises.  Equality and
     hashing read (rows, cols, entries, p).
     """

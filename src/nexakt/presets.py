@@ -19,8 +19,7 @@ from .addcat import Indecomposables, PreconditionError, indecomposables
 from .fp import FieldSpec, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
-from .reps import (Module, _radical_step, all_projectives,
-                   quotient_by_submodule, radical_span, simple_module)
+from .reps import Module, _path_module, all_projectives, simple_module
 from .tilting import _ExtTable, _nct_report, _vertex_positions
 
 # exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
@@ -89,23 +88,23 @@ def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:
 
 def nakayama_indecomposables(alg: AlgebraBasis) -> Indecomposables:
     """All uniserial P_v / rad^l P_v: every indecomposable of a Nakayama
-    algebra (linear A_k or one oriented cycle), exactly.  Each has a simple
-    top (asserted), so is local; entries differ in top vertex or length."""
+    algebra (linear A_k or one oriented cycle), exactly.  Out of a vertex
+    of a Nakayama quiver there is one path of each length, so an
+    admissible ideal is generated by paths: the basis paths out of v are
+    those of length < dim P_v, and rad^l P_v is spanned by the basis paths
+    of length >= l.  So P_v / rad^l P_v (1 <= l < dim P_v) is P_v on its
+    basis paths of length < l, built and checked as P_v is; the stored
+    P_v ends its block.  Each entry has a simple top (asserted), so is
+    local; entries differ in top vertex or length."""
     _require_nakayama(alg.quiver)
     out = []
-    for pv in all_projectives(alg):
-        span = radical_span(pv)
-        for _ in range(pv.total_dim + 1):
-            x = quotient_by_submodule(pv, span)[0]
-            # in-degree <= 1: rad x is one arrow's image at each vertex
-            if x.total_dim - sum(rank(a) for a in x.action.values()) != 1:
-                raise AssertionError("uniserial quotient without a simple top")
-            out.append(x)
-            if all(s.is_zero() for s in span.values()):
-                break          # rad^l P_v = 0: l is the Loewy length
-            span = _radical_step(pv, span)
-        else:
-            raise AssertionError("radical series does not terminate")
+    for v, pv in zip(alg.quiver.vertices, all_projectives(alg)):
+        out.extend(_path_module(alg, v, True, below=l) for l in range(1, pv.total_dim))
+        out.append(pv)
+    for x in out:
+        # in-degree <= 1: rad x is one arrow's image at each vertex
+        if x.total_dim - sum(rank(a) for a in x.action.values()) != 1:
+            raise AssertionError("uniserial quotient without a simple top")
     return Indecomposables(out, complete=True)
 
 

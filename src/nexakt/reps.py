@@ -4,16 +4,18 @@ A Module is a quiver representation: a vector space per vertex and a
 matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
 Both are immutable.  Each fact is checked once, when it is made: the
-public ``Module(...)`` checks the relations (of file data, and of P_v
-and I_v, read off the algebra's table), ``Morphism(...)`` naturality
-(of file data).  What is derived from checked objects is built unchecked:
+public ``Module(...)`` checks the relations (of file data, and of P_v,
+I_v and P_v cut to its short paths, read off the algebra's table),
+``Morphism(...)`` naturality (of file data); both refuse an entry that
+is not an integer in [0, p), which the raw ``Mat(...)`` stores as
+given.  What is derived from checked objects is built unchecked:
 modules by ``_module``, which only wraps the canonical form its
 builders make (dims in vertex order, an action for every arrow in arrow
 order, each shaped and over F_p), maps by ``_natural``; a Hom basis is
-checked as one batch per arrow.  Composites and linear
-combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
-``scale`` and ``assemble_from_span`` check only their endpoints, by
-content (``Module.same_as``).
+checked as one batch per arrow.  Composites and linear combinations of
+natural maps are natural, so ``then``, ``add``, ``sub``, ``scale`` and
+``assemble_from_span`` check only their endpoints, by content
+(``Module.same_as``).
 
 The naturality system of a Hom space is written as entry rows: one list
 per equation A x_s - x_t B = 0 and entry, with only its nonzero
@@ -87,23 +89,20 @@ vertices of each basis map from one template of fp's empty matrices.
 The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps,
 ``_split_vector``, ``block_morphism``; the actions of ``direct_sum``,
-kernels and quotients; ``radical_span``, ``_radical_step``,
-``composite_rows``, ``path_matrix``, ``_dual``, the minimal polynomials
-and g(e) of ``_fitting_split``, and the maps out of P_v in
-``resolutions`` and their transposes into I_v) calls fp only on a
-slot whose two sides are nonzero.  A slot with a zero side, read off the
-``dims`` of its modules, is fp's shared empty matrix of its shape
-(``_empty``), so every component dict still holds every vertex.  Where
-the sides are nonzero the result is what fp returns: a product with
-inner dimension 0 is the zero matrix of its outer shape, the kernel of a
-map into the zero space is the identity, a quotient by an empty span
-keeps every coordinate.  A span given to ``quotient_by_submodule`` is
-checked closed as the naturality of its projection
-(``_check_natural_batch``), which also reads an arrow into a nonzero
-quotient space from a zero one, on entry tuples.  Nor is what the caller
-holds built again: the quotient by a span whose matrices are all zero
-(zero-valued columns, or none) is x with its identity, once each matrix
-is checked (one at every vertex, its row count, its field).
+kernels and quotients; ``radical_span``, ``composite_rows``,
+``path_matrix``, ``_dual``, the minimal polynomials and g(e) of
+``_fitting_split``, and the maps out of P_v in ``resolutions`` and
+their transposes into I_v) calls fp only on a slot whose two sides are
+nonzero.  A slot with a zero side, read off the ``dims`` of its modules,
+is fp's shared empty matrix of its shape (``_empty``), so every
+component dict still holds every vertex.  Where the sides are nonzero
+the result is what fp returns: a product with inner dimension 0 is the
+zero matrix of its outer shape, the kernel of a map into the zero space
+is the identity, a quotient by an empty span keeps every coordinate.  A
+span given to ``quotient_by_submodule`` is checked closed as the
+naturality of its projection (``_check_natural_batch``), which also
+reads an arrow into a nonzero quotient space from a zero one, on entry
+tuples.
 
 Isomorphism to an indecomposable e is that membership test over the
 one-entry list (e): x = e iff dim x = dim e and x lies in add(e)
@@ -186,6 +185,7 @@ class Module:
                 raise ValueError(f"action of {a.name} has wrong shape")
             if m.p != p:
                 raise ValueError("action matrix over wrong field")
+            _require_reduced(m, f"action of {a.name}")
             action[a.name] = m
         self.__dict__.update(dims=dims, action=action)
 
@@ -277,6 +277,12 @@ def _semisimple(alg: AlgebraBasis, dims: dict) -> Module:
                                for a in alg.quiver.arrows})
 
 
+def _require_reduced(m: Mat, what: str):
+    """Refuse an entry that the raw Mat(...) took but F_p lacks."""
+    if not all(isinstance(x, int) and 0 <= x < m.p for x in m.entries):
+        raise ValueError(f"{what} has an entry that is not an integer in [0, {m.p})")
+
+
 def _require_known(names, allowed, what: str):
     """Refuse a name (vertex or arrow) that allowed lacks."""
     unknown = sorted(set(names) - set(allowed))
@@ -308,6 +314,7 @@ class Morphism:
                 raise ValueError(f"component at {v} has wrong shape")
             if m.p != p:
                 raise ValueError(f"component at {v} over wrong field")
+            _require_reduced(m, f"component at {v}")
             comps[v] = m
         _check_natural_batch(self.source, self.target, [comps])
         object.__setattr__(self, "components", comps)
@@ -572,11 +579,10 @@ def _quotient(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
 
 def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morphism]:
     """Quotient of x by the submodule spanned vertex-wise by ``span``, with
-    a matrix at every vertex v of x.dims[v] rows over x's field (else
-    ValueError).  When every span matrix is zero the quotient is x itself
-    with its identity, the cokernel of the zero inclusion.  Otherwise the
-    span is checked closed under the action as the naturality of the
-    projection _quotient gives."""
+    a matrix at every vertex v of x.dims[v] rows over x's field, each entry
+    an integer in [0, p) (else ValueError).  The span is checked closed under the
+    action as the naturality of the projection _quotient gives; a span of
+    zero matrices gives a copy of x and its identity."""
     p = x.algebra.p
     for v, d in x.dims.items():
         if v not in span:
@@ -586,8 +592,7 @@ def quotient_by_submodule(x: Module, span: Dict[str, Mat]) -> Tuple[Module, Morp
                              f"not dim {d}")
         if span[v].p != p:
             raise ValueError(f"field mismatch: F_{p} vs F_{span[v].p}")
-    if all(span[v].is_zero() for v in x.dims):
-        return x, identity_morphism(x)
+        _require_reduced(span[v], f"span at vertex {v}")
     quot, proj = _quotient(x, span)
     try:
         _check_natural_batch(x, quot, [proj.components])
@@ -1106,10 +1111,17 @@ def injective_module(alg: AlgebraBasis, v: str) -> Module:
     return _path_module(alg, v, starting=False)
 
 
-def _path_module(alg: AlgebraBasis, v: str, starting: bool) -> Module:
-    """P_v (starting) or I_v on the basis paths starting (ending) at v."""
+def _path_module(alg: AlgebraBasis, v: str, starting: bool,
+                 below: Optional[int] = None) -> Module:
+    """P_v (starting) or I_v on the basis paths starting (ending) at v.
+    With ``below``, only the paths of length < below are kept, and a
+    product that lands outside them is dropped: P_v / rad^below P_v when
+    rad^below P_v is spanned by basis paths, as over a Nakayama algebra."""
     alg.quiver.vertex_index(v)
     by_vertex = basis_paths(alg, v, starting)
+    if below is not None:
+        by_vertex = {w: [i for i in idx if alg.basis[i].length() < below]
+                     for w, idx in by_vertex.items()}
     dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
@@ -1120,10 +1132,12 @@ def _path_module(alg: AlgebraBasis, v: str, starting: bool) -> Module:
         for i, b in enumerate(src_idx if starting else tgt_idx):
             if starting:                # b goes to b.a
                 for k, coeff in alg.multiply(b, aj):
-                    rows[pos[k]][i] = coeff
+                    if k in pos:
+                        rows[pos[k]][i] = coeff
             else:                       # the transpose of b going to a.b
                 for k, coeff in alg.multiply(aj, b):
-                    rows[i][pos[k]] = coeff
+                    if k in pos:
+                        rows[i][pos[k]] = coeff
         action[a.name] = Mat.from_rows(rows, alg.p, cols=len(src_idx))
     return Module(alg, dims, action)
 
@@ -1168,20 +1182,3 @@ def radical_span(m: Module) -> Dict[str, Mat]:
         else:
             span[v] = _empty(d, sum(dims[a.source] for a in into), alg.p)
     return span
-
-
-def _radical_step(m: Module, span: Dict[str, Mat]) -> Dict[str, Mat]:
-    """Spanning matrices of rad^(l+1) m = arrows . rad^l m from those of
-    rad^l m: at v, the actions of the arrows into v times the spans at
-    their sources, side by side."""
-    alg, dims = m.algebra, m.dims
-    out = {}
-    for v, d in dims.items():
-        into = [a for a in alg.quiver.arrows if a.target == v and span[a.source].cols]
-        ncols = sum(span[a.source].cols for a in into)
-        if d and ncols:
-            out[v] = Mat.hstack([m.action[a.name].mul(span[a.source]) for a in into])
-        else:
-            out[v] = _empty(d, ncols, alg.p)
-    return out
-

@@ -252,6 +252,17 @@ def ref_composite_rows(d, basis, d_first):
             for b in basis]
 
 
+def ref_radical_step(m, span):
+    """Spanning matrices of rad^(l+1) m from those of rad^l m: at v, the
+    actions of the arrows into v times the spans at their sources, side
+    by side, after an empty first block."""
+    alg = m.algebra
+    return {v: Mat.hstack([Mat.zero(m.dims[v], 0, alg.p)]
+                          + [m.action[a.name].mul(span[a.source])
+                             for a in alg.quiver.arrows if a.target == v])
+            for v in alg.quiver.vertices}
+
+
 def in_random_basis(x, rng):
     """A module isomorphic to x, built by the checked constructor: at each
     vertex v, new basis vector i is scale[v][i] times old basis vector

@@ -269,6 +269,16 @@ FROBENIUS_P2_SHA256 = {
 }
 
 
+# The same pipeline at p = 2^31 - 1, the largest prime accepted; CI checks
+# these digests on certificates written by python -m nexakt.
+FROBENIUS_P_MAX_SHA256 = {
+    "frobenius-setup": "79b705dcc30d9a076a7d6d2904de174fec54980cc3c9c6fdba857186004bf05f",
+    "frobenius-angle": "a560cf1fb25aa7cc2b954a3e21a7d29c297eaa76a3a838823a904aab120a978f",
+    "frobenius-rotate": "384eb92a5dd01be64aa7983592fa81b0cbafe2f56efc6e34626cc241d5f460d7",
+    "frobenius-cone": "b12a28f6c86ddbd532749fd3ed955bc48be5f8e25ca75579b4123d12330b0cc4",
+}
+
+
 def _frobenius_pipeline_digests(tmp_path, p):
     """setup, angle, rotate and cone on Pi_2 over F_p with M = P1 + P2 + S1
     and alpha the first basis map S1 -> P2: the digest of each
@@ -307,6 +317,11 @@ def test_frobenius_subcommands(tmp_path, monkeypatch):
 def test_frobenius_subcommands_at_p2(tmp_path, monkeypatch):
     monkeypatch.delenv("NEXAKT_SEED", raising=False)
     assert _frobenius_pipeline_digests(tmp_path, 2) == FROBENIUS_P2_SHA256
+
+
+def test_frobenius_subcommands_at_the_largest_prime(tmp_path, monkeypatch):
+    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+    assert _frobenius_pipeline_digests(tmp_path, 2147483647) == FROBENIUS_P_MAX_SHA256
 
 
 def test_frobenius_cone_failing_exactness_exits_1(tmp_path, monkeypatch):
@@ -362,9 +377,10 @@ def test_search_nct_certificate_bytes_on_j3(tmp_path, monkeypatch, m):
 
 def test_search_nct_builds_each_path_module_once(tmp_path, monkeypatch):
     """One search on K A_7/J^2 at n = 3 builds each P_v and I_v once (the
-    Nakayama list reads the stored P_v), and no direct sum or block matrix:
-    every cover, envelope and quotient it makes has one summand, or is
-    the quotient by zero."""
+    Nakayama list reads the stored P_v; its other entries, P_v cut to its
+    short paths, presets builds through its own import, which this count
+    does not see), and no direct sum or block matrix: every cover,
+    envelope and quotient it makes has one summand."""
     path = tmp_path / "a7-j2.json"
     dump_algebra(gen_linear_An_J2(3, 2, p=101)[0], path)
     calls = {"_path_module": 0, "_sum_module": 0, "from_blocks": 0}

@@ -9,7 +9,8 @@ from nexakt import presets, reps, resolutions, tilting
 from nexakt.addcat import (DomainError, Indecomposables, PreconditionError,
                            add_category)
 from nexakt.certs import canonical_json
-from nexakt.quivers import PathWord, Quiver, Relation
+from nexakt.fp import FieldSpec, Mat
+from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
                             gen_linear_An_J2, gen_preprojective_A,
                             nakayama_algebra, nakayama_indecomposables)
@@ -19,7 +20,7 @@ from nexakt.reps import (all_injectives, all_projectives, are_isomorphic,
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import check_n_cluster_tilting
 
-from conftest import in_random_basis, pick
+from conftest import in_random_basis, pick, ref_radical_step
 
 
 def test_a3_j2_generator(a3):
@@ -179,14 +180,64 @@ def test_nakayama_pi2():
      "26e43c29383b885bcc7f4ad116a11fcb1336c830628f17dcde2cec4b9fcd27e9"),
 ])
 def test_nakayama_list_content_is_pinned(alg, count, digest):
-    """The list walks one radical chain per P_v; its modules, in order and
-    by content key, are those of rebuilding each rad^l P_v from P_v.  Past
-    Loewy length 2 (K A_9/J^3, C_5/J^3, C_4/J^4) a chain has middle
-    quotients P_v/rad^l P_v with 1 < l < Loewy length, besides P_v itself
-    (the quotient by rad^l P_v = 0) and the simple top."""
+    """The list's modules, in order and by content key, as the walk down
+    each P_v's radical chain gave them.  Past Loewy length 2 (K A_9/J^3,
+    C_5/J^3, C_4/J^4) a block has middle quotients P_v/rad^l P_v with
+    1 < l < Loewy length, besides P_v itself and the simple top."""
     mods = nakayama_indecomposables(alg)
     assert len(mods) == count
     assert hashlib.sha256(repr([m.key for m in mods]).encode()).hexdigest() == digest
+
+
+def _loop_x2_minus_x3(p):
+    """One loop x with x^2 - x^3, bound 4: the ideal is (x^2)."""
+    q = Quiver.build(["0"], [("x", "0", "0")])
+    rel = Relation(((1, PathWord(("x", "x"))), (p - 1, PathWord(("x", "x", "x")))))
+    return build_algebra(q, [rel], 4, FieldSpec(p))
+
+
+def _two_cycle_a0a1_minus_square(p):
+    """a0: 0 -> 1, a1: 1 -> 0 with a0a1 - a0a1a0a1, bound 5: the ideal is
+    (a0a1)."""
+    q = Quiver.build(["0", "1"], [("a0", "0", "1"), ("a1", "1", "0")])
+    rel = Relation(((1, PathWord(("a0", "a1"))),
+                    (p - 1, PathWord(("a0", "a1", "a0", "a1")))))
+    return build_algebra(q, [rel], 5, FieldSpec(p))
+
+
+NAKAYAMA_REFERENCE_ALGEBRAS = {
+    "A9/J^3": lambda p: nakayama_algebra(9, 3, p=p),
+    "A7/J^2": lambda p: nakayama_algebra(7, 2, p=p),
+    "C5/J^3": lambda p: nakayama_algebra(5, 3, cyclic=True, p=p),
+    "C4/J^4": lambda p: nakayama_algebra(4, 4, cyclic=True, p=p),
+    "C3/J^5": lambda p: nakayama_algebra(3, 5, cyclic=True, p=p),
+    "C6/J^2": lambda p: nakayama_algebra(6, 2, cyclic=True, p=p),
+    "C1/J^4": lambda p: nakayama_algebra(1, 4, cyclic=True, p=p),
+    "x^2-x^3": _loop_x2_minus_x3,
+    "a0a1-(a0a1)^2": _two_cycle_a0a1_minus_square,
+}
+
+
+@pytest.mark.parametrize("name", NAKAYAMA_REFERENCE_ALGEBRAS)
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_nakayama_list_is_each_p_v_over_each_radical_power(name, p):
+    """Entry by entry and by content key, the list is P_v / rad^l P_v for
+    l = 1 .. dim P_v, P_v in vertex order, with rad^l P_v spanned by the
+    reference radical step from the identity spans; the last entry of each
+    block is the stored P_v.  The last two algebras have relations that
+    are not paths, and ideals that are generated by paths."""
+    alg = NAKAYAMA_REFERENCE_ALGEBRAS[name](p)
+    mods = nakayama_indecomposables(alg)
+    ref, ends = [], []
+    for pv in all_projectives(alg):
+        span = {v: Mat.identity(d, p) for v, d in pv.dims.items()}
+        for _ in range(pv.total_dim):
+            span = ref_radical_step(pv, span)
+            ref.append(reps.quotient_by_submodule(pv, span)[0])
+        assert all(m.is_zero() for m in span.values())
+        ends.append(len(ref) - 1)
+    assert [m.key for m in mods] == [m.key for m in ref]
+    assert all(mods[i] is pv for i, pv in zip(ends, all_projectives(alg)))
 
 
 def test_nakayama_rejects_non_nakayama():

@@ -31,7 +31,7 @@ from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, equals,
                       in_dense_random_basis, in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
                       pick, preprojective_a2, random_invertible, random_quotient,
-                      ref_composite_rows, two_loops)
+                      ref_composite_rows, ref_radical_step, two_loops)
 
 
 # -- projectives / injectives ------------------------------------------
@@ -123,22 +123,35 @@ def test_identity_is_a_morphism(a3_mods):
     assert equals(basis[0].scale(_leading_coeff(basis[0], ident)), ident)
 
 
-@pytest.mark.parametrize("dims, action, words", [
-    # on K A_3/J^2 (arrows a: 1 -> 0, b: 2 -> 1, ba = 0) at p = 101
-    ({"0": 1, "1": 1, "2": 1}, {"a": (1, 1, (1,), 101), "b": (1, 1, (1,), 101)},
+@pytest.mark.parametrize("p, dims, action, words", [
+    # on K A_3/J^2 (arrows a: 1 -> 0, b: 2 -> 1, ba = 0) over F_p
+    (101, {"0": 1, "1": 1, "2": 1}, {"a": (1, 1, (1,), 101), "b": (1, 1, (1,), 101)},
      "relation does not vanish on module"),
-    ({"0": -1}, {}, "negative dimension"),
-    ({"0": 1, "1": 1}, {"a": (1, 2, (1, 0), 101)}, "action of a has wrong shape"),
-    ({"0": 1, "1": 1}, {"a": (1, 1, (1,), 5)}, "action matrix over wrong field"),
-], ids=["relation", "negative-dimension", "action-shape", "action-prime"])
-def test_module_refuses_bad_data(a3, dims, action, words):
+    (101, {"0": -1}, {}, "negative dimension"),
+    (101, {"0": 1, "1": 1}, {"a": (1, 2, (1, 0), 101)}, "action of a has wrong shape"),
+    (101, {"0": 1, "1": 1}, {"a": (1, 1, (1,), 5)}, "action matrix over wrong field"),
+    # S_0 + S_1 with a acting by 5 over F_5 was accepted, and Hom(S_1, it)
+    # read zero
+    (5, {"0": 1, "1": 1}, {"a": (1, 1, (5,), 5)},
+     r"action of a has an entry that is not an integer in \[0, 5\)"),
+    # a acting by 2.5 was accepted, and hom_basis raised TypeError in fp
+    (5, {"0": 1, "1": 1}, {"a": (1, 1, (2.5,), 5)},
+     r"action of a has an entry that is not an integer in \[0, 5\)"),
+], ids=["relation", "negative-dimension", "action-shape", "action-prime",
+        "action-unreduced", "action-not-an-integer"])
+def test_module_refuses_bad_data(p, dims, action, words):
     with pytest.raises(ValueError, match=words):
-        Module(a3, dims, {a: Mat(*m) for a, m in action.items()})
+        Module(linear_a3_j2(p), dims, {a: Mat(*m) for a, m in action.items()})
 
 
 def test_morphism_refuses_a_misshaped_component(a3_mods):
     with pytest.raises(ValueError, match="component at 0 has wrong shape"):
         Morphism(a3_mods["S0"], a3_mods["P1"], {"0": Mat(2, 1, (1, 0), 101)})
+    # 5 times the identity of S_1 over F_5 was accepted, and not zero
+    s1 = simple_module(nakayama_algebra(3, 2, p=5), "1")
+    with pytest.raises(ValueError, match=r"component at 1 has an entry that is "
+                                         r"not an integer in \[0, 5\)"):
+        Morphism(s1, s1, {"1": Mat(1, 1, (5,), 5)})
 
 
 def _one_arrow():
@@ -273,6 +286,13 @@ def test_quotient_refuses_a_span_without_a_vertex_or_over_another_field():
     other = {v: Mat(m.rows, m.cols, m.entries, 5) for v, m in span.items()}
     with pytest.raises(ValueError, match="field mismatch: F_101 vs F_5"):
         reps.quotient_by_submodule(pv, other)
+    # over F_5, P_1 divided by the span 5 at vertex 0 had dimension vector
+    # (0, 1, 0), not (1, 1, 0)
+    p1 = projective_module(nakayama_algebra(3, 2, p=5), "1")
+    span = {"0": Mat(1, 1, (5,), 5), "1": Mat(1, 0, (), 5), "2": Mat(0, 0, (), 5)}
+    with pytest.raises(ValueError, match=r"span at vertex 0 has an entry that is "
+                                         r"not an integer in \[0, 5\)"):
+        reps.quotient_by_submodule(p1, span)
 
 
 def test_image_factorization_recovered(a3_mods):
@@ -677,7 +697,7 @@ def test_radical_span_is_the_radical_step_from_the_identity_spans():
                 kronecker_algebra(), build_algebra(q, rels, bound, FieldSpec(101))):
         for x in _hom_pool(alg, rng) + [zero_module(alg)]:
             ident = {v: Mat.identity(d, alg.p) for v, d in x.dims.items()}
-            assert reps.radical_span(x) == reps._radical_step(x, ident), x.key
+            assert reps.radical_span(x) == ref_radical_step(x, ident), x.key
 
 
 def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):
