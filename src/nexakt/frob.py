@@ -21,7 +21,6 @@ map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
@@ -29,7 +28,7 @@ from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
 from .complexes import ComplexSeq, ComplexMorphism, _complex
 from .fp import _reduce
 from .pushout import _factor_pushout, _n_pushout
-from .quivers import AlgebraBasis
+from .quivers import AlgebraBasis, _lazy_property
 from .reps import (Module, Morphism, all_injectives, assemble_from_span,
                    block_morphism, composite_rows, coordinate_length,
                    direct_sum, factor_through, hom_basis, identity_morphism,
@@ -107,7 +106,7 @@ class StableHom:
     target: Module
     envelope: Morphism          # source -> E, the injective envelope
 
-    @cached_property
+    @_lazy_property
     def hom(self) -> list:
         return hom_basis(self.source, self.target)
 
@@ -115,14 +114,14 @@ class StableHom:
     def ideal(self) -> list:
         return [self.envelope.then(h) for h in self._from_envelope()]
 
-    @cached_property
+    @_lazy_property
     def ideal_rows(self) -> list:
         return composite_rows(self.envelope, self._from_envelope(), d_first=True)
 
     def _from_envelope(self) -> list:
         return hom_basis(self.envelope.target, self.target)
 
-    @cached_property
+    @_lazy_property
     def ideal_rank(self) -> int:
         return rows_rank(self.ideal_rows, self.source.algebra.p)
 

@@ -12,13 +12,21 @@ form over the paths of length <= N, in their fixed order (by length, then
 by arrow indices), made by fp's shared row reduction: its pivots are the
 leading paths of the ideal, the other paths shorter than N are the basis,
 and a path's normal form is read off its reduced row.
+
+Each algebra indexes its basis once, when the index is first read
+(``AlgebraBasis._index``): the basis paths starting and ending at each
+vertex, grouped by their other end, the basis index of each arrow and
+vertex unit, and the quiver's vertex and arrow names.  ``vertex_unit``,
+``arrow_basis_index``, ``block_indices``, ``reps.basis_paths`` and the
+table check read it and scan nothing.  The table check visits only the
+composable triples, in index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fp import FieldSpec, _reduce
 
@@ -161,6 +169,41 @@ def _enumerate_paths(q: Quiver, max_len: int) -> List[PathWord]:
     return out
 
 
+class _lazy_property:
+    """An attribute computed by its method on first read and kept in the
+    instance's __dict__, which later reads find first (a non-data
+    descriptor).  Unlike functools.cached_property, which takes a lock on
+    every first read before Python 3.12, it takes none: a first read raced
+    by two threads computes the value twice and keeps the last."""
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
+class _BasisIndex(NamedTuple):
+    """The index of an algebra's basis, as tuples in increasing basis
+    order: starting[v][w] the basis paths from v to w, ending[v][w] those
+    from w to v, out_of[v] all basis paths from v; the basis index of
+    each arrow that survives in the quotient and of each vertex unit; and
+    the quiver's vertex and arrow names."""
+
+    starting: dict
+    ending: dict
+    out_of: dict
+    arrows: dict
+    units: dict
+    vertex_names: frozenset
+    arrow_names: frozenset
+
+
 STORE_BOUND = 1 << 16
 _next_id = count().__next__     # one counter for all algebras (see reps)
 
@@ -218,16 +261,39 @@ class AlgebraBasis:
     def p(self) -> int:
         return self.field.p
 
+    @_lazy_property
+    def _index(self) -> _BasisIndex:
+        """The basis index, built in one pass over the basis; an empty
+        group is the shared empty tuple."""
+        vs = self.quiver.vertices
+        starting = {v: {} for v in vs}
+        ending = {v: {} for v in vs}
+        out_of = {v: [] for v in vs}
+        arrows, units = {}, {}
+        for i, (w, s, t) in enumerate(zip(self.basis, self.source_of, self.target_of)):
+            starting[s].setdefault(t, []).append(i)
+            ending[t].setdefault(s, []).append(i)
+            out_of[s].append(i)
+            if not w.arrows:
+                units[w.base] = i
+            elif len(w.arrows) == 1:
+                arrows[w.arrows[0]] = i
+
+        def grouped(by_end):
+            return {v: {w: tuple(by_end[v].get(w, ())) for w in vs} for v in vs}
+        return _BasisIndex(grouped(starting), grouped(ending),
+                           {v: tuple(got) for v, got in out_of.items()}, arrows, units,
+                           frozenset(vs), frozenset(a.name for a in self.quiver.arrows))
+
     def vertex_unit(self, v: str) -> int:
         """Basis index of the trivial path e_v."""
-        for i, w in enumerate(self.basis):
-            if w.is_trivial() and w.base == v:
-                return i
-        raise QuiverError(f"unknown vertex {v!r}")
+        got = self._index.units.get(v)
+        if got is None:
+            raise QuiverError(f"unknown vertex {v!r}")
+        return got
 
     def block_indices(self, source: str, target: str) -> List[int]:
-        return [i for i in range(self.dim)
-                if self.source_of[i] == source and self.target_of[i] == target]
+        return list(self._index.starting.get(source, {}).get(target, ()))
 
     def multiply(self, i: int, j: int) -> List[Tuple[int, int]]:
         """Residue of basis[i]*basis[j] (i traversed first) as (index, coeff);
@@ -235,10 +301,10 @@ class AlgebraBasis:
         return self.table.get((i, j), [])
 
     def arrow_basis_index(self, arrow_name: str) -> int:
-        for i, w in enumerate(self.basis):
-            if w.arrows == (arrow_name,):
-                return i
-        raise QuiverError(f"arrow {arrow_name!r} vanishes in the quotient")
+        got = self._index.arrows.get(arrow_name)
+        if got is None:
+            raise QuiverError(f"arrow {arrow_name!r} vanishes in the quotient")
+        return got
 
 
 def _reduced_ideal(rels: Sequence[Relation], rel_ends: Sequence[Tuple[str, str]],
@@ -347,11 +413,14 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
 
 def _spot_check_table(alg: AlgebraBasis):
     """Exhaustive associativity/unit check for algebras of dimension at
-    most 64."""
+    most 64: the units first, then every composable triple (i, j, k) in
+    increasing order, read off the basis index; where b_i b_j and b_j b_k
+    are both zero, both sides are."""
     if alg.dim > 64:
         return
     p = alg.p
     d = alg.dim
+    out_of = alg._index.out_of
 
     def mul_vecs(u, v):
         """The product of two coefficient vectors, as sorted (index, coeff)."""
@@ -368,14 +437,11 @@ def _spot_check_table(alg: AlgebraBasis):
         if alg.multiply(ev, i) != [(i, 1 % p)] or alg.multiply(i, ew) != [(i, 1 % p)]:
             raise AssertionError("multiplication table not unital")
     for i in range(d):
-        for j in range(d):
-            if alg.target_of[i] != alg.source_of[j]:
-                continue
+        for j in out_of[alg.target_of[i]]:
             ij = alg.multiply(i, j)
-            for k in range(d):
-                if alg.target_of[j] != alg.source_of[k]:
-                    continue
-                if mul_vecs(ij, [(k, 1)]) != mul_vecs([(i, 1)], alg.multiply(j, k)):
+            for k in out_of[alg.target_of[j]]:
+                jk = alg.multiply(j, k)
+                if (ij or jk) and mul_vecs(ij, [(k, 1)]) != mul_vecs([(i, 1)], jk):
                     raise AssertionError(
                         f"multiplication table not associative at ({i},{j},{k})")
 

@@ -8,14 +8,17 @@ public ``Module(...)`` checks the relations (of file data, and of P_v,
 I_v and P_v cut to its short paths, read off the algebra's table),
 ``Morphism(...)`` naturality (of file data); both refuse an entry that
 is not an integer in [0, p), which the raw ``Mat(...)`` stores as
-given.  What is derived from checked objects is built unchecked:
-modules by ``_module``, which only wraps the canonical form its
-builders make (dims in vertex order, an action for every arrow in arrow
-order, each shaped and over F_p), maps by ``_natural``; a Hom basis is
-checked as one batch per arrow.  Composites and linear combinations of
-natural maps are natural, so ``then``, ``add``, ``sub``, ``scale`` and
-``assemble_from_span`` check only their endpoints, by content
-(``Module.same_as``).
+given.  The checks run on entry tuples: names are subset tests against
+the name sets of the algebra's basis index, the entry check is one pass,
+and each relation term's path product is one ``_mul_entries`` per arrow,
+with no ``Mat`` built.  What is derived from checked objects is built
+unchecked: modules by ``_module``, which only wraps the canonical form
+its builders make (dims in vertex order, an action for every arrow in
+arrow order, each shaped and over F_p), maps by ``_natural``; a Hom
+basis is checked as one batch per arrow.  Composites and linear
+combinations of natural maps are natural, so ``then``, ``add``,
+``sub``, ``scale`` and ``assemble_from_span`` check only their
+endpoints, by content (``Module.same_as``).
 
 The naturality system of a Hom space is written as entry rows: one list
 per equation A x_s - x_t B = 0 and entry, with only its nonzero
@@ -46,7 +49,8 @@ with no one-summand sum built.
 A module carries its content key, the dimension vector plus the action
 entries, its ``support``, the bitmask in vertex order of the vertices
 where it is nonzero, and its content id ``cid``, interned by the algebra
-when first read; each is computed on first use.  Modules of one content
+when first read; each is computed on first use and kept on the module
+with no lock (``quivers._lazy_property``).  Modules of one content
 over one algebra share an id, and new contents take the next value of
 one counter for all algebras, so modules over separately built equal
 algebras never share one.  Every fact the package reuses is kept in the
@@ -129,13 +133,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import polys
 from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, mat_from_vector,
                  quotient_data, rank)
-from .quivers import AlgebraBasis, PathWord, opposite_algebra
+from .quivers import AlgebraBasis, PathWord, _lazy_property, opposite_algebra
 
 FITTING_RETRIES = 32
 
@@ -166,13 +169,16 @@ class Module:
 
     def _shape(self):
         """The checks of the public constructor: vertex and arrow names the
-        algebra has, dimensions, action shapes and field; then the canonical
+        algebra has (subset tests against the basis index's name sets),
+        dimensions, action shapes, field and entries; then the canonical
         form (dims in vertex order, an action for every arrow in arrow
         order)."""
-        q = self.algebra.quiver
-        p = self.algebra.p
-        _require_known(self.dims, q.vertices, "vertex")
-        _require_known(self.action, [a.name for a in q.arrows], "arrow")
+        alg = self.algebra
+        q, p, index = alg.quiver, alg.p, alg._index
+        if not index.vertex_names.issuperset(self.dims):
+            _require_known(self.dims, q.vertices, "vertex")
+        if not index.arrow_names.issuperset(self.action):
+            _require_known(self.action, index.arrow_names, "arrow")
         dims = {v: self.dims.get(v, 0) for v in q.vertices}
         if any(d < 0 for d in dims.values()):
             raise ValueError("negative dimension")
@@ -181,27 +187,28 @@ class Module:
             m = self.action.get(a.name)
             if m is None:
                 m = Mat.zero(dims[a.target], dims[a.source], p)
-            if (m.rows, m.cols) != (dims[a.target], dims[a.source]):
+            elif (m.rows, m.cols) != (dims[a.target], dims[a.source]):
                 raise ValueError(f"action of {a.name} has wrong shape")
-            if m.p != p:
+            elif m.p != p:
                 raise ValueError("action matrix over wrong field")
-            _require_reduced(m, f"action of {a.name}")
+            else:
+                _require_reduced(m, f"action of {a.name}")
             action[a.name] = m
         self.__dict__.update(dims=dims, action=action)
 
-    @cached_property
+    @_lazy_property
     def key(self) -> tuple:
         """The content key of the canonical form: the dimension vector and
         the action entries."""
         return (tuple(self.dims.values()),
                 tuple(m.entries for m in self.action.values()))
 
-    @cached_property
+    @_lazy_property
     def cid(self) -> int:
         """The content id, interned by the algebra when first read."""
         return self.algebra.content_id(self.key)
 
-    @cached_property
+    @_lazy_property
     def support(self) -> int:
         """The vertices where the module is nonzero, as a bitmask in vertex
         order (bit i for the i-th vertex)."""
@@ -212,17 +219,28 @@ class Module:
         return bits
 
     def _check_relations(self):
-        """Each relation vanishes; the terms of one relation share their
-        ends, so one that starts or ends outside the support holds."""
+        """Each relation vanishes, summed on entry tuples: each term's path
+        product is one _mul_entries per step on the arrows' entries.  The
+        terms of one relation share their ends, so one from or to a zero
+        space settles the relation, and a term through a zero space adds
+        zero.  Relation words are admissible, of length at least 2."""
+        action, p = self.action, self.algebra.p
         for rel in self.algebra.relations:
             acc = None
             for coeff, word in rel.terms:
-                m = self.path_matrix(word)
-                if not m.entries:
+                steps = [action[name] for name in word.arrows]
+                cols = steps[0].cols
+                if not (steps[-1].rows and cols):
                     break
-                m = m.scale(coeff)
-                acc = m if acc is None else acc.add(m)
-            if acc is not None and not acc.is_zero():
+                if not all(step.rows for step in steps):
+                    continue
+                entries = steps[0].entries
+                for step in steps[1:]:
+                    entries = _mul_entries(step.entries, entries, step.rows,
+                                           step.cols, cols, p)
+                acc = ([coeff * x for x in entries] if acc is None
+                       else [y + coeff * x for y, x in zip(acc, entries)])
+            if acc is not None and any(y % p for y in acc):
                 raise ValueError("relation does not vanish on module")
 
     def path_matrix(self, word: PathWord) -> Mat:
@@ -278,9 +296,12 @@ def _semisimple(alg: AlgebraBasis, dims: dict) -> Module:
 
 
 def _require_reduced(m: Mat, what: str):
-    """Refuse an entry that the raw Mat(...) took but F_p lacks."""
-    if not all(isinstance(x, int) and 0 <= x < m.p for x in m.entries):
-        raise ValueError(f"{what} has an entry that is not an integer in [0, {m.p})")
+    """Refuse an entry that the raw Mat(...) took but F_p lacks, in one
+    pass; a plain int skips the subclass test (a bool is an int)."""
+    p = m.p
+    for x in m.entries:
+        if x.__class__ is not int and not isinstance(x, int) or not 0 <= x < p:
+            raise ValueError(f"{what} has an entry that is not an integer in [0, {p})")
 
 
 def _require_known(names, allowed, what: str):
@@ -301,7 +322,8 @@ class Morphism:
     components: dict            # vertex name -> Mat (dim target_v x dim source_v)
 
     def __post_init__(self):
-        _require_same_algebra(self.source, self.target)
+        if self.source.algebra is not self.target.algebra:
+            _require_same_algebra(self.source, self.target)
         alg = self.source.algebra
         p = alg.p
         _require_known(self.components, alg.quiver.vertices, "vertex")
@@ -323,7 +345,8 @@ class Morphism:
         """Diagrammatic composition: self followed by other."""
         if not other.source.same_as(self.target):
             raise ValueError("non-composable morphisms")
-        _require_same_algebra(self.target, other.source)
+        if self.target.algebra is not other.source.algebra:
+            _require_same_algebra(self.target, other.source)
         sd, td, p = self.source.dims, other.target.dims, self.source.algebra.p
         return _natural(self.source, other.target,
                         {v: other.components[v].mul(m) if sd[v] and td[v]
@@ -374,7 +397,8 @@ class Morphism:
 
 def zero_morphism(m: Module, n: Module) -> Morphism:
     """Natural by construction, so built unchecked."""
-    _require_same_algebra(m, n)
+    if m.algebra is not n.algebra:
+        _require_same_algebra(m, n)
     md, nd, p = m.dims, n.dims, m.algebra.p
     return _natural(m, n, {v: Mat.zero(nd[v], md[v], p) if md[v] and nd[v]
                            else _empty(nd[v], md[v], p)
@@ -416,11 +440,11 @@ def _split_vector(m: Module, n: Module, vec: Sequence[int]) -> dict:
 def _require_same_algebra(m: Module, n: Module):
     """Raise ContextError unless m and n live over one algebra; algebras
     built separately count as one when quiver, p, relations and
-    nilpotency bound agree."""
+    nilpotency bound agree.  Callers settle the common case, one algebra
+    object, before the call."""
     a, b = m.algebra, n.algebra
-    if a is not b and (a.quiver != b.quiver or a.p != b.p
-                       or a.relations != b.relations
-                       or a.nilpotency_bound != b.nilpotency_bound):
+    if (a.quiver != b.quiver or a.p != b.p or a.relations != b.relations
+            or a.nilpotency_bound != b.nilpotency_bound):
         raise ContextError("modules over different algebras")
 
 
@@ -436,7 +460,8 @@ def hom_basis(m: Module, n: Module) -> List[Morphism]:
     When no vertex carries both m and n, Hom(m, n) = 0 is returned before
     the store: no content id is read and nothing is kept.
     """
-    _require_same_algebra(m, n)
+    if m.algebra is not n.algebra:
+        _require_same_algebra(m, n)
     if not m.support & n.support:
         return []
     return m.algebra.memoized(("hom", m.cid, n.cid), lambda: _solve_hom(m, n))
@@ -620,7 +645,8 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
         raise ValueError("empty direct sum; use zero_module")
     alg = mods[0].algebra
     for m in mods[1:]:
-        _require_same_algebra(mods[0], m)
+        if m.algebra is not alg:
+            _require_same_algebra(mods[0], m)
     total = alg.memoized(("sum", tuple(m.cid for m in mods)),
                          lambda: _sum_module(alg, mods))
     return DirectSum(total, tuple(mods))
@@ -712,7 +738,8 @@ def composite_rows(d: Morphism, basis: Sequence[Morphism],
     joint, end = (src, d.target) if d_first else (tgt, d.source)
     if not joint.same_as(end):
         raise ValueError("non-composable morphisms")
-    _require_same_algebra(end, joint)
+    if end.algebra is not joint.algebra:
+        _require_same_algebra(end, joint)
     p = end.algebra.p
     rows: List[List[int]] = [[] for _ in basis]
     # the outer dimensions at each vertex, and the inner one
@@ -914,8 +941,10 @@ def in_add(x: Module, gens: Sequence[Module]) -> bool:
     """x lies in add(gens), decided by _approximation_is_iso; gens that
     are not an Indecomposables are checked by indecomposables() (seed 0)
     first, so a decomposable or repeated entry raises DomainError."""
+    alg = x.algebra
     for g in gens:
-        _require_same_algebra(x, g)
+        if g.algebra is not alg:
+            _require_same_algebra(x, g)
     gens = indecomposables(gens)
     return _membership(x, gens, tuple(g.cid for g in gens))
 
@@ -997,7 +1026,8 @@ def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
     elements sampled for vertex-wise invertibility.  Package code decides
     isomorphism only to indecomposables, and exactly
     (_isomorphic_to_indecomposable); this is the general test."""
-    _require_same_algebra(m, n)
+    if m.algebra is not n.algebra:
+        _require_same_algebra(m, n)
     if m.same_as(n):
         return True
     if m.dim_vector() != n.dim_vector():
@@ -1084,16 +1114,13 @@ def simple_module(alg: AlgebraBasis, v: str) -> Module:
     return _semisimple(alg, {w: int(w == v) for w in alg.quiver.vertices})
 
 
-def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, List[int]]:
+def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, Tuple[int, ...]]:
     """Indices of the basis paths that start at v (or end at v), grouped
-    by the vertex at their other end."""
-    at, other = ((alg.source_of, alg.target_of) if starting
-                 else (alg.target_of, alg.source_of))
-    out: Dict[str, List[int]] = {w: [] for w in alg.quiver.vertices}
-    for i in range(alg.dim):
-        if at[i] == v:
-            out[other[i]].append(i)
-    return out
+    by the vertex at their other end: the algebra's basis index, read
+    only; a vertex the quiver lacks has no paths."""
+    index = alg._index
+    got = (index.starting if starting else index.ending).get(v)
+    return {w: () for w in alg.quiver.vertices} if got is None else got
 
 
 def projective_module(alg: AlgebraBasis, v: str) -> Module:
@@ -1122,23 +1149,32 @@ def _path_module(alg: AlgebraBasis, v: str, starting: bool,
     if below is not None:
         by_vertex = {w: [i for i in idx if alg.basis[i].length() < below]
                      for w, idx in by_vertex.items()}
+    p = alg.p
     dims = {w: len(by_vertex[w]) for w in alg.quiver.vertices}
     action = {}
     for a in alg.quiver.arrows:
         src_idx, tgt_idx = by_vertex[a.source], by_vertex[a.target]
         aj = alg.arrow_basis_index(a.name)
-        rows = [[0] * len(src_idx) for _ in tgt_idx]
-        pos = {b: i for i, b in enumerate(tgt_idx if starting else src_idx)}
-        for i, b in enumerate(src_idx if starting else tgt_idx):
-            if starting:                # b goes to b.a
+        rows, cols = len(tgt_idx), len(src_idx)
+        if not (rows and cols):
+            action[a.name] = _empty(rows, cols, p)
+            continue
+        flat = [0] * (rows * cols)
+        if starting:                    # b goes to b.a
+            pos = {b: i * cols for i, b in enumerate(tgt_idx)}
+            for j, b in enumerate(src_idx):
                 for k, coeff in alg.multiply(b, aj):
-                    if k in pos:
-                        rows[pos[k]][i] = coeff
-            else:                       # the transpose of b going to a.b
+                    at = pos.get(k)
+                    if at is not None:
+                        flat[at + j] = coeff % p
+        else:                           # the transpose of b going to a.b
+            pos = {b: j for j, b in enumerate(src_idx)}
+            for i, b in enumerate(tgt_idx):
                 for k, coeff in alg.multiply(aj, b):
-                    if k in pos:
-                        rows[i][pos[k]] = coeff
-        action[a.name] = Mat.from_rows(rows, alg.p, cols=len(src_idx))
+                    at = pos.get(k)
+                    if at is not None:
+                        flat[i * cols + at] = coeff % p
+        action[a.name] = Mat(rows, cols, tuple(flat), p)
     return Module(alg, dims, action)
 
 

@@ -12,9 +12,9 @@ record, Resolution.  A negative degree or length is refused with
 ValueError, since no chain has one.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
-along that chain (see _ext_dim), with no rank taken; hom_cohomology_dim
-reads H^k of a Hom complex for the Ext comparison along an
-add(M)-resolution.
+along that chain (see _ext_dim), with no rank taken, or is 0 with no Hom
+read where the k-th syzygy is zero; hom_cohomology_dim reads H^k of a
+Hom complex for the Ext comparison along an add(M)-resolution.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .fp import Mat, _empty, quotient_data, rank
+from .fp import Mat, _empty, _mul_entries, quotient_data, rank
 from .reps import (Module, Morphism, _dual, _natural, _require_same_algebra,
                    all_injectives, all_projectives, basis_paths,
                    cokernel_morphism, hom_basis, hom_dims_and_ranks,
@@ -88,16 +88,25 @@ def is_projective(m: Module) -> bool:
 
 def _components_from_projective(v: str, vec: Mat, m: Module) -> dict:
     """The components of the map P_v -> m sending e_v to the column
-    vector ``vec``."""
+    vector ``vec``: at w, one column per basis path b from v to w, b
+    applied to vec one arrow at a time on entry tuples (_mul_entries)."""
     alg = m.algebra
+    p, action = alg.p, m.action
     by_vertex = basis_paths(alg, v, starting=True)
     comps = {}
     for w, d in m.dims.items():
         paths = by_vertex[w]
-        if d and paths:
-            comps[w] = Mat.hstack([m.path_matrix(alg.basis[b]).mul(vec) for b in paths])
-        else:
-            comps[w] = _empty(d, len(paths), alg.p)
+        if not (d and paths):
+            comps[w] = _empty(d, len(paths), p)
+            continue
+        columns = []
+        for b in paths:
+            col = vec.entries
+            for name in alg.basis[b].arrows:
+                step = action[name]
+                col = _mul_entries(step.entries, col, step.rows, step.cols, 1, p)
+            columns.append(col)
+        comps[w] = Mat(d, len(paths), tuple(x for row in zip(*columns) for x in row), p)
     return comps
 
 
@@ -234,7 +243,8 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
     _require_degree(k, "Ext")
     if k == 0:
         return len(hom_basis(m, n))
-    _require_same_algebra(m, n)
+    if m.algebra is not n.algebra:
+        _require_same_algebra(m, n)
     return _ext_dim(m, n, k)
 
 
@@ -246,7 +256,12 @@ def _ext_dim(m: Module, n: Module, k: int) -> int:
     turns it into the exact 0 -> Hom(Omega^{k-1} m, n) -> Hom(Q_{k-1}, n)
     -> Hom(Omega^k m, n) -> Ext^1(Omega^{k-1} m, n) -> 0; and
     Ext^k(m, n) = Ext^1(Omega^{k-1} m, n).  The resolution grows only to
-    Q_{k-1}, and the Hom bases are memoised by content."""
+    Q_{k-1}, and the Hom bases are memoised by content.  When Omega^k m is
+    zero, Q_{k-1} -> Omega^{k-1} m is an isomorphism, so the two other
+    dimensions cancel: 0, with no Hom space read."""
+    omega = syzygy(m, k)
+    if omega.is_zero():
+        return 0
     q = min_projective_resolution(m, k - 1).terms[k - 1]
-    return (len(hom_basis(syzygy(m, k), n)) - len(hom_basis(q, n))
+    return (len(hom_basis(omega, n)) - len(hom_basis(q, n))
             + len(hom_basis(syzygy(m, k - 1), n)))

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from nexakt import reps
+from nexakt import presets, reps
 from nexakt.addcat import add_category, weak_cokernel
 from nexakt.certs import canonical_json
 from nexakt.cli import _build_parser, main
@@ -376,11 +376,11 @@ def test_search_nct_certificate_bytes_on_j3(tmp_path, monkeypatch, m):
 
 
 def test_search_nct_builds_each_path_module_once(tmp_path, monkeypatch):
-    """One search on K A_7/J^2 at n = 3 builds each P_v and I_v once (the
-    Nakayama list reads the stored P_v; its other entries, P_v cut to its
-    short paths, presets builds through its own import, which this count
-    does not see), and no direct sum or block matrix: every cover,
-    envelope and quotient it makes has one summand."""
+    """One search on K A_7/J^2 at n = 3 builds each P_v and I_v once, 14
+    in all, and the 6 other entries of the Nakayama list, P_v cut to its
+    short paths, through presets' own import of _path_module, which is
+    counted too; and no direct sum or block matrix: every cover, envelope
+    and quotient it makes has one summand."""
     path = tmp_path / "a7-j2.json"
     dump_algebra(gen_linear_An_J2(3, 2, p=101)[0], path)
     calls = {"_path_module": 0, "_sum_module": 0, "from_blocks": 0}
@@ -393,11 +393,12 @@ def test_search_nct_builds_each_path_module_once(tmp_path, monkeypatch):
 
     for name in ("_path_module", "_sum_module"):
         monkeypatch.setattr(reps, name, counted(name, getattr(reps, name)))
+    monkeypatch.setattr(presets, "_path_module", reps._path_module)
     monkeypatch.setattr(Mat, "from_blocks",
                         staticmethod(counted("from_blocks", Mat.from_blocks)))
     assert run("search", "nct", "--algebra", path, "--n", 3,
                "--out", tmp_path / "certs") == 0
-    assert calls == {"_path_module": 14, "_sum_module": 0, "from_blocks": 0}
+    assert calls == {"_path_module": 20, "_sum_module": 0, "from_blocks": 0}
 
 
 def test_parser_is_reused_across_calls(files, capsys):

@@ -53,7 +53,9 @@ def test_nakayama_algebra_names_arrows_and_relations():
 
 def test_gen_linear_an_j2_builds_each_projective_once(monkeypatch):
     # the expected generators are the P_v of all_projectives, which the
-    # Nakayama list then reads: one _path_module call per vertex of A_9
+    # Nakayama list then reads: one _path_module call per vertex of A_9,
+    # and one through presets' own import for each of the 8 other list
+    # entries, P_v cut to its top
     calls = 0
     path_module = reps._path_module
 
@@ -62,9 +64,10 @@ def test_gen_linear_an_j2_builds_each_projective_once(monkeypatch):
         calls += 1
         return path_module(*args, **kwargs)
     monkeypatch.setattr(reps, "_path_module", counted)
+    monkeypatch.setattr(presets, "_path_module", counted)
     alg, expected = gen_linear_An_J2(2, 4)
     nakayama_indecomposables(alg)
-    assert calls == 9
+    assert calls == 17
     assert list(expected[:9]) == list(all_projectives(alg))
 
 

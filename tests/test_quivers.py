@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nexakt import quivers
@@ -8,9 +10,10 @@ from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
                             _spot_check_table, build_algebra, opposite_algebra,
                             path_endpoints)
-from nexakt.reps import all_projectives
+from nexakt.reps import all_projectives, basis_paths
 
-from conftest import DUALITY_ALGEBRAS, DUALITY_CASES, two_loops
+from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, kronecker_algebra,
+                      linear_a3_j2, preprojective_a2, two_loops)
 
 
 def test_quiver_validation():
@@ -394,3 +397,164 @@ def test_table_check_stops_above_dimension_64(monkeypatch, m, dim, checked):
     assert (calls > 0) is checked
     projs = all_projectives(alg)
     assert sum(sum(pv.dim_vector()) for pv in projs) == dim
+
+
+# -- the basis index against the scans it replaced -------------------------
+
+
+def _scanned_index(alg):
+    """The basis paths, arrow indices and vertex units as the linear scans
+    of the basis found them before the index."""
+    vs = alg.quiver.vertices
+    starting = {v: {w: tuple(i for i in range(alg.dim) if alg.source_of[i] == v
+                             and alg.target_of[i] == w) for w in vs} for v in vs}
+    ending = {v: {w: tuple(i for i in range(alg.dim) if alg.target_of[i] == v
+                           and alg.source_of[i] == w) for w in vs} for v in vs}
+    arrows = {a.name: next(i for i, w in enumerate(alg.basis) if w.arrows == (a.name,))
+              for a in alg.quiver.arrows}
+    units = {v: next(i for i, w in enumerate(alg.basis) if w.is_trivial() and w.base == v)
+             for v in vs}
+    return starting, ending, arrows, units
+
+
+def _test_algebras():
+    """Every algebra family the tests build, at p = 101."""
+    for name, (q, rels, bound) in _reference_cases(101):
+        try:
+            yield name, build_algebra(q, rels, bound, FieldSpec(101))
+        except BoundError:
+            continue
+    for name, make in DUALITY_ALGEBRAS.items():
+        yield name, make(101)
+    yield "one-vertex", build_algebra(Quiver.build(["*"], []), [], 1, FieldSpec(101))
+    yield "a3-named", linear_a3_j2()
+    yield "pi2-named", preprojective_a2()
+    yield "kronecker", kronecker_algebra()
+
+
+def test_basis_index_equals_the_scans():
+    names = []
+    for name, built in _test_algebras():
+        names.append(name)
+        for alg in (built, opposite_algebra(built)):
+            starting, ending, arrows, units = _scanned_index(alg)
+            for v in alg.quiver.vertices:
+                assert basis_paths(alg, v, True) == starting[v], name
+                assert basis_paths(alg, v, False) == ending[v], name
+                assert alg.vertex_unit(v) == units[v], name
+                for w in alg.quiver.vertices:
+                    assert alg.block_indices(v, w) == list(starting[v][w]), name
+            for a, i in arrows.items():
+                assert alg.arrow_basis_index(a) == i, name
+            with pytest.raises(QuiverError, match="arrow 'nowhere' vanishes"):
+                alg.arrow_basis_index("nowhere")
+            with pytest.raises(QuiverError, match="unknown vertex 'nowhere'"):
+                alg.vertex_unit("nowhere")
+            assert alg.block_indices("nowhere", alg.quiver.vertices[0]) == []
+            assert basis_paths(alg, "nowhere", True) == {w: () for w in alg.quiver.vertices}
+    assert len(names) == len(set(names)) > 40
+
+
+class _CountedReads(tuple):
+    """A tuple that counts the items read from it, one by one or by
+    iteration."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountedReads.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
+def test_index_reads_scan_nothing():
+    alg = nakayama_algebra(7, 3)
+    alg._index                                  # built in one pass
+    alg.basis, alg.source_of, alg.target_of = (
+        _CountedReads(alg.basis), _CountedReads(alg.source_of),
+        _CountedReads(alg.target_of))
+    _CountedReads.reads = 0
+    for v in alg.quiver.vertices:
+        basis_paths(alg, v, True)
+        basis_paths(alg, v, False)
+        alg.vertex_unit(v)
+    for a in alg.quiver.arrows:
+        alg.arrow_basis_index(a.name)
+    assert _CountedReads.reads == 0
+
+
+def test_table_check_visits_only_composable_triples():
+    # the unit check reads both ends of every basis element; the triples
+    # read the target of each i and of each j composable with it, and
+    # nothing of a pair that does not compose
+    alg = nakayama_algebra(7, 3)
+    d = alg.dim
+    pairs = sum(alg.target_of[i] == alg.source_of[j] for i in range(d) for j in range(d))
+    assert pairs < d * d // 4
+    alg._index
+    alg.source_of, alg.target_of = _CountedReads(alg.source_of), _CountedReads(alg.target_of)
+    _CountedReads.reads = 0
+    _spot_check_table(alg)
+    assert _CountedReads.reads == 3 * d + pairs
+
+
+def _first_bad_triple(alg):
+    """The first (i, j, k) of the exhaustive scan at which associativity
+    fails, read as the table check read it before the index: every i, j and
+    k in increasing order, composable ones only; None if there is none."""
+    p, d = alg.p, alg.dim
+
+    def mul_vecs(u, v):
+        out = {}
+        for i, c in u:
+            for j, c2 in v:
+                for k, c3 in alg.multiply(i, j):
+                    out[k] = (out.get(k, 0) + c * c2 * c3) % p
+        return [(k, c) for k, c in sorted(out.items()) if c]
+
+    for i in range(d):
+        for j in range(d):
+            if alg.target_of[i] != alg.source_of[j]:
+                continue
+            for k in range(d):
+                if alg.target_of[j] != alg.source_of[k]:
+                    continue
+                if mul_vecs(alg.multiply(i, j), [(k, 1)]) \
+                        != mul_vecs([(i, 1)], alg.multiply(j, k)):
+                    return i, j, k
+    return None
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nakayama_algebra(6, 4, cyclic=True),
+    lambda: nakayama_algebra(6, 5),
+    lambda: build_algebra(*two_loops(5, 101)[:2], 5, FieldSpec(101)),
+], ids=["C6/J^4", "A6/J^5", "two-loops-N5"])
+def test_corrupted_table_fails_at_the_same_first_triple(make):
+    # every nonzero product of two paths of positive length, in turn, gets
+    # wrong coefficients; the check fails where the full scan does, and
+    # passes where it passes (a product nothing extends)
+    alg = make()
+    corrupted = 0
+    for (i, j), prod in sorted(alg.table.items()):
+        if not prod or not (alg.basis[i].arrows and alg.basis[j].arrows):
+            continue
+        alg.table[(i, j)] = [(k, c % 100 + 1) for k, c in prod]
+        expected = _first_bad_triple(alg)
+        if expected is None:
+            _spot_check_table(alg)
+        else:
+            with pytest.raises(AssertionError, match=re.escape(
+                    "multiplication table not associative at ({},{},{})".format(*expected))):
+                _spot_check_table(alg)
+            corrupted += 1
+        alg.table[(i, j)] = prod
+    assert corrupted
+    _spot_check_table(alg)
+    ev = alg.vertex_unit(alg.quiver.vertices[0])
+    alg.table[(ev, ev)] = []
+    with pytest.raises(AssertionError, match="multiplication table not unital"):
+        _spot_check_table(alg)

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import gc
 import random
 from itertools import combinations, combinations_with_replacement, product
@@ -13,9 +14,9 @@ from nexakt.complexes import ComplexSeq
 from nexakt.addcat import (DomainError, Indecomposables, add_category,
                            indecomposables, n_cokernel, n_kernel)
 from nexakt.fp import FieldSpec
-from nexakt.presets import (gen_linear_An_J2, nakayama_algebra,
-                            nakayama_indecomposables)
-from nexakt.quivers import Quiver, build_algebra
+from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                            nakayama_algebra, nakayama_indecomposables)
+from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
                          direct_sum, hom_basis,
@@ -144,6 +145,72 @@ def test_module_refuses_bad_data(p, dims, action, words):
         Module(linear_a3_j2(p), dims, {a: Mat(*m) for a, m in action.items()})
 
 
+def _square(p=101):
+    """The commutative square 0 -> 1 -> 3, 0 -> 2 -> 3 (arrows a, b and c,
+    d) with a.b - c.d = 0, at bound 3."""
+    q = Quiver.build(["0", "1", "2", "3"], [("a", "0", "1"), ("b", "1", "3"),
+                                            ("c", "0", "2"), ("d", "2", "3")])
+    rel = Relation(((1, PathWord(("a", "b"))), (p - 1, PathWord(("c", "d")))))
+    return build_algebra(q, [rel], 3, FieldSpec(p))
+
+
+@pytest.mark.parametrize("zero, path", [("2", "ab"), ("1", "cd")])
+def test_module_refuses_a_relation_whose_other_term_passes_a_zero_vertex(zero, path):
+    # a term through a zero space adds zero, but does not settle the
+    # relation: the other term must vanish, and here it does not
+    alg = _square()
+    one = Mat.identity(1, 101)
+    dims = {v: int(v != zero) for v in alg.quiver.vertices}
+    with pytest.raises(ValueError, match="relation does not vanish on module"):
+        Module(alg, dims, {a: one for a in path})
+    # with both paths through nonzero spaces, equal paths are accepted
+    full = Module(alg, {v: 1 for v in alg.quiver.vertices}, {a: one for a in "abcd"})
+    assert full.dim_vector() == (1, 1, 1, 1)
+    # and a term from or to a zero space settles it
+    assert Module(alg, {"1": 1, "2": 1, "3": 1}, {"b": one}).dim_vector() == (0, 1, 1, 1)
+
+
+@pytest.mark.parametrize("zero, path", [("m2_2", ("L2_3", "R1_3")),
+                                        ("m1_3", ("R2_3", "L2_2"))])
+def test_module_refuses_a_mesh_relation_whose_other_term_passes_a_zero_vertex(zero, path):
+    # the mesh at [1, 2] of Aus(A_3): L2_3.R1_3 + R2_3.L2_2 = 0 from [2, 3]
+    # to [1, 2], through [1, 3] or [2, 2]; the other meshes end or start at
+    # a zero vertex of this module
+    alg = gen_auslander_linear_A(3)
+    one = Mat.identity(1, 101)
+    dims = {v: int(v in ("m2_3", "m1_3", "m2_2", "m1_2") and v != zero)
+            for v in alg.quiver.vertices}
+    with pytest.raises(ValueError, match="relation does not vanish on module"):
+        Module(alg, dims, {a: one for a in path})
+
+
+def test_module_accepts_a_bool_entry():
+    # a bool is an int, so True and False are entries in [0, p); a float
+    # equal to an int is not
+    alg = linear_a3_j2(5)
+    one = Mat(1, 1, (True,), 5)
+    for entry in (True, False):
+        m = Module(alg, {"0": 1, "1": 1}, {"a": Mat(1, 1, (entry,), 5)})
+        assert m.action["a"].entries == (entry,)
+        assert Morphism(m, m, {"0": one, "1": one}).components["1"] is one
+    for entry in (1.0, -1, 5, "1", None):
+        with pytest.raises(ValueError, match=r"not an integer in \[0, 5\)"):
+            Module(alg, {"0": 1, "1": 1}, {"a": Mat(1, 1, (entry,), 5)})
+
+
+def test_content_properties_are_computed_once_with_no_lock():
+    # key, cid and support are kept in the instance's __dict__ when first
+    # read, and computed on no earlier read; functools.cached_property is
+    # not used (before Python 3.12 it locks on every first read)
+    m = projective_module(linear_a3_j2(), "1")
+    for name in ("key", "cid", "support"):
+        assert name not in m.__dict__
+        assert not isinstance(vars(Module)[name], functools.cached_property)
+        value = getattr(m, name)
+        assert m.__dict__[name] is value is getattr(m, name)
+    assert not isinstance(vars(quivers.AlgebraBasis)["_index"], functools.cached_property)
+
+
 def test_morphism_refuses_a_misshaped_component(a3_mods):
     with pytest.raises(ValueError, match="component at 0 has wrong shape"):
         Morphism(a3_mods["S0"], a3_mods["P1"], {"0": Mat(2, 1, (1, 0), 101)})
@@ -168,6 +235,11 @@ def test_checked_constructors_refuse_names_the_algebra_lacks():
         Module(alg, {"3": 1}, {})
     with pytest.raises(ValueError, match="the algebra has no arrow 'b'"):
         Module(alg, {"1": 1}, {"b": Mat(1, 1, (1,), 101)})
+    # of several unknown names, the first in sorted order is named
+    with pytest.raises(ValueError, match="the algebra has no vertex '3'"):
+        Module(alg, {"1": 1, "9": 1, "3": 0}, {})
+    with pytest.raises(ValueError, match="the algebra has no arrow 'b'"):
+        Module(alg, {"1": 1}, {"z": Mat.zero(0, 0, 101), "b": Mat.zero(0, 0, 101)})
     s1 = simple_module(alg, "1")
     with pytest.raises(ValueError, match="the algebra has no vertex '3'"):
         Morphism(s1, s1, {"1": Mat(1, 1, (1,), 101), "3": Mat(1, 1, (1,), 101)})

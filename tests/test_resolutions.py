@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from nexakt import resolutions
+from nexakt import reps, resolutions
 from nexakt.fp import Mat
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_algebra, nakayama_indecomposables)
 from nexakt.reps import (Module, all_projectives, are_isomorphic, direct_sum,
-                         in_add, injective_module, projective_module,
+                         hom_basis, in_add, injective_module, projective_module,
                          simple_module, zero_module, zero_morphism)
 from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
                                 is_projective, min_injective_coresolution,
@@ -256,3 +256,40 @@ def test_ext_dim_matches_hom_complex_of_resolution(label):
             for k in (1, 2, 3):
                 assert ext_dim(x, y, k) == resolutions.hom_cohomology_dim(
                     res.maps, y, k), (label, x.dims, y.dims, k)
+
+
+@pytest.mark.parametrize("label", list(_EXT_REFERENCE_CASES))
+def test_ext_dim_equals_the_three_hom_formula(label):
+    # dim Ext^k(x, y) = dim Hom(Omega^k x, y) - dim Hom(Q_{k-1}, y)
+    # + dim Hom(Omega^{k-1} x, y), also where Omega^k x = 0 and ext_dim
+    # reads none of them
+    mods = _EXT_REFERENCE_CASES[label]()
+    for x in mods:
+        res = min_projective_resolution(x, 3)
+        for y in mods:
+            for k in (1, 2, 3):
+                assert ext_dim(x, y, k) == (
+                    len(hom_basis(syzygy(x, k), y)) - len(hom_basis(res.terms[k - 1], y))
+                    + len(hom_basis(syzygy(x, k - 1), y))), (label, x.dims, y.dims, k)
+
+
+def test_ext_from_a_projective_solves_no_hom_space(monkeypatch):
+    # Omega^k P_v = 0 for k >= 1, so Ext^k(P_v, y) = 0 is read off the
+    # resolution: no Hom space is solved or read from the store
+    alg = nakayama_algebra(7, 3)
+    indecs = list(nakayama_indecomposables(alg))
+    solves = []
+    real = reps._solve_hom
+    monkeypatch.setattr(reps, "_solve_hom", lambda m, n: solves.append((m, n)) or real(m, n))
+    monkeypatch.setattr(resolutions, "hom_basis",
+                        lambda m, n: pytest.fail("a Hom space was read"))
+    for pv in all_projectives(alg):
+        for y in indecs:
+            for k in (1, 2, 3):
+                assert ext_dim(pv, y, k) == 0
+    assert solves == []
+    # a module of projective dimension 1: Ext^2 and Ext^3 read nothing
+    x = next(x for x in indecs if not syzygy(x, 1).is_zero() and syzygy(x, 2).is_zero())
+    for y in indecs:
+        assert ext_dim(x, y, 2) == ext_dim(x, y, 3) == 0
+    assert solves == []
