@@ -403,8 +403,8 @@ def test_table_check_stops_above_dimension_64(monkeypatch, m, dim, checked):
 
 
 def _scanned_index(alg):
-    """The basis paths, arrow indices and vertex units as the linear scans
-    of the basis found them before the index."""
+    """The basis paths, arrow indices and vertex units found by linear
+    scans of the basis: the reference for the basis index."""
     vs = alg.quiver.vertices
     starting = {v: {w: tuple(i for i in range(alg.dim) if alg.source_of[i] == v
                              and alg.target_of[i] == w) for w in vs} for v in vs}
