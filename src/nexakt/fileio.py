@@ -109,7 +109,7 @@ def module_from_dict(data: dict, alg: AlgebraBasis) -> Module:
         dims = data["dims"]              # Module(...) refuses an unknown vertex
         _ints(dims.values(), "dimensions")
         arrows = data.get("arrows", {})
-        _require_known(arrows, [a.name for a in alg.quiver.arrows], "arrow")
+        _require_known(arrows, alg._index.arrow_names, "arrow")
         action = {}
         for a in alg.quiver.arrows:
             flat = _ints(arrows.get(a.name, []), f"entries of {a.name}")
@@ -136,7 +136,7 @@ def morphism_from_dict(data: dict, source: Module, target: Module) -> Morphism:
     try:
         vertices = source.algebra.quiver.vertices
         given = data.get("components", {})
-        _require_known(given, vertices, "vertex")
+        _require_known(given, source.algebra._index.vertex_names, "vertex")
         comps = {}
         for v in vertices:
             flat = _ints(given.get(v, []), f"entries at {v}")

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
+from types import MappingProxyType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .fp import FieldSpec, _reduce
@@ -191,9 +192,10 @@ class _lazy_property:
 class _BasisIndex(NamedTuple):
     """The index of an algebra's basis, as tuples in increasing basis
     order: starting[v][w] the basis paths from v to w, ending[v][w] those
-    from w to v, out_of[v] all basis paths from v; the basis index of
-    each arrow that survives in the quotient and of each vertex unit; and
-    the quiver's vertex and arrow names."""
+    from w to v (starting[v] and ending[v] are read-only views, which
+    reps.basis_paths hands out), out_of[v] all basis paths from v; the
+    basis index of each arrow that survives in the quotient and of each
+    vertex unit; and the quiver's vertex and arrow names."""
 
     starting: dict
     ending: dict
@@ -280,7 +282,8 @@ class AlgebraBasis:
                 arrows[w.arrows[0]] = i
 
         def grouped(by_end):
-            return {v: {w: tuple(by_end[v].get(w, ())) for w in vs} for v in vs}
+            return {v: MappingProxyType({w: tuple(by_end[v].get(w, ())) for w in vs})
+                    for v in vs}
         return _BasisIndex(grouped(starting), grouped(ending),
                            {v: tuple(got) for v, got in out_of.items()}, arrows, units,
                            frozenset(vs), frozenset(a.name for a in self.quiver.arrows))

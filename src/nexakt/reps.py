@@ -10,15 +10,17 @@ I_v and P_v cut to its short paths, read off the algebra's table),
 is not an integer in [0, p), which the raw ``Mat(...)`` stores as
 given.  The checks run on entry tuples: names are subset tests against
 the name sets of the algebra's basis index, the entry check is one pass,
-and each relation term's path product is one ``_mul_entries`` per arrow,
-with no ``Mat`` built.  What is derived from checked objects is built
-unchecked: modules by ``_module``, which only wraps the canonical form
-its builders make (dims in vertex order, an action for every arrow in
-arrow order, each shaped and over F_p), maps by ``_natural``; a Hom
-basis is checked as one batch per arrow.  Composites and linear
-combinations of natural maps are natural, so ``then``, ``add``,
-``sub``, ``scale`` and ``assemble_from_span`` check only their
-endpoints, by content (``Module.same_as``).
+and each relation term's path product is ``_path_entries``, one
+``_mul_entries`` per arrow, with no ``Mat`` built (``path_matrix`` and
+the maps out of P_v in ``resolutions`` form their path products with it
+too).  What is derived from checked objects is built unchecked: modules
+by ``_module``, which only wraps the canonical form its builders make
+(dims in vertex order, an action for every arrow in arrow order, each
+shaped and over F_p), maps by ``_natural``; a Hom basis is checked as
+one batch per arrow.  Composites and linear combinations of natural
+maps are natural, so ``then``, ``add``, ``sub``, ``scale`` and
+``assemble_from_span`` check only their endpoints, by content
+(``Module.same_as``).
 
 The naturality system of a Hom space is written as entry rows: one list
 per equation A x_s - x_t B = 0 and entry, with only its nonzero
@@ -133,7 +135,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from . import polys
 from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, mat_from_vector,
@@ -175,10 +178,8 @@ class Module:
         order)."""
         alg = self.algebra
         q, p, index = alg.quiver, alg.p, alg._index
-        if not index.vertex_names.issuperset(self.dims):
-            _require_known(self.dims, q.vertices, "vertex")
-        if not index.arrow_names.issuperset(self.action):
-            _require_known(self.action, index.arrow_names, "arrow")
+        _require_known(self.dims, index.vertex_names, "vertex")
+        _require_known(self.action, index.arrow_names, "arrow")
         dims = {v: self.dims.get(v, 0) for v in q.vertices}
         if any(d < 0 for d in dims.values()):
             raise ValueError("negative dimension")
@@ -219,25 +220,19 @@ class Module:
         return bits
 
     def _check_relations(self):
-        """Each relation vanishes, summed on entry tuples: each term's path
-        product is one _mul_entries per step on the arrows' entries.  The
-        terms of one relation share their ends, so one from or to a zero
-        space settles the relation, and a term through a zero space adds
-        zero.  Relation words are admissible, of length at least 2."""
+        """Each relation vanishes, summed on entry tuples (_path_entries).
+        The terms of one relation share their ends, so one from or to a
+        zero space settles the relation.  Relation words are admissible, of
+        length at least 2."""
         action, p = self.action, self.algebra.p
         for rel in self.algebra.relations:
             acc = None
             for coeff, word in rel.terms:
-                steps = [action[name] for name in word.arrows]
-                cols = steps[0].cols
-                if not (steps[-1].rows and cols):
+                first = action[word.arrows[0]]
+                cols = first.cols
+                if not (action[word.arrows[-1]].rows and cols):
                     break
-                if not all(step.rows for step in steps):
-                    continue
-                entries = steps[0].entries
-                for step in steps[1:]:
-                    entries = _mul_entries(step.entries, entries, step.rows,
-                                           step.cols, cols, p)
+                entries = _path_entries(action, word.arrows[1:], first.entries, cols, p)
                 acc = ([coeff * x for x in entries] if acc is None
                        else [y + coeff * x for y, x in zip(acc, entries)])
             if acc is not None and any(y % p for y in acc):
@@ -245,22 +240,18 @@ class Module:
 
     def path_matrix(self, word: PathWord) -> Mat:
         """Matrix of a path acting on the module (word [a,b] -> Mat(b)*Mat(a)).
-        A path from or to a zero space is fp's shared empty matrix, and one
-        through a zero space the zero matrix, with no product."""
+        A path from or to a zero space is fp's shared empty matrix, with no
+        product (_path_entries)."""
         p = self.algebra.p
         if word.is_trivial():
             d = self.dims[word.base]
             return Mat.identity(d, p) if d else _empty(0, 0, p)
-        steps = [self.action[name] for name in word.arrows]
-        rows, cols = steps[-1].rows, steps[0].cols
+        first = self.action[word.arrows[0]]
+        rows, cols = self.action[word.arrows[-1]].rows, first.cols
         if not (rows and cols):
             return _empty(rows, cols, p)
-        if not all(step.rows for step in steps):
-            return Mat.zero(rows, cols, p)
-        m = steps[0]
-        for step in steps[1:]:
-            m = step.mul(m)
-        return m
+        return Mat(rows, cols, tuple(_path_entries(self.action, word.arrows[1:],
+                                                   first.entries, cols, p)), p)
 
     @property
     def total_dim(self) -> int:
@@ -304,10 +295,26 @@ def _require_reduced(m: Mat, what: str):
             raise ValueError(f"{what} has an entry that is not an integer in [0, {p})")
 
 
-def _require_known(names, allowed, what: str):
-    """Refuse a name (vertex or arrow) that allowed lacks."""
-    unknown = sorted(set(names) - set(allowed))
-    if unknown:
+def _path_entries(action: dict, arrows: Sequence[str], entries: Sequence[int],
+                  cols: int, p: int) -> Sequence[int]:
+    """The path arrows (word [a,b] -> Mat(b)*Mat(a)) applied to the
+    row-major entries of a matrix with cols columns, one _mul_entries per
+    arrow on the actions' entries.  When an arrow starts at a zero space
+    the result is zeros, with no product."""
+    if not all(action[name].cols for name in arrows):
+        return [0] * (action[arrows[-1]].rows * cols)
+    for name in arrows:
+        step = action[name]
+        entries = _mul_entries(step.entries, entries, step.rows, step.cols, cols, p)
+    return entries
+
+
+def _require_known(names, allowed: frozenset, what: str):
+    """Refuse a name (vertex or arrow) that allowed, one of the name sets
+    of the algebra's basis index, lacks; the first unknown name in sorted
+    order is named."""
+    if not allowed.issuperset(names):
+        unknown = sorted(set(names) - allowed)
         raise ValueError(f"the algebra has no {what} {unknown[0]!r}")
 
 
@@ -322,11 +329,10 @@ class Morphism:
     components: dict            # vertex name -> Mat (dim target_v x dim source_v)
 
     def __post_init__(self):
-        if self.source.algebra is not self.target.algebra:
-            _require_same_algebra(self.source, self.target)
+        _require_same_algebra(self.source, self.target)
         alg = self.source.algebra
         p = alg.p
-        _require_known(self.components, alg.quiver.vertices, "vertex")
+        _require_known(self.components, alg._index.vertex_names, "vertex")
         comps = {}
         for v in alg.quiver.vertices:
             m = self.components.get(v)
@@ -397,8 +403,7 @@ class Morphism:
 
 def zero_morphism(m: Module, n: Module) -> Morphism:
     """Natural by construction, so built unchecked."""
-    if m.algebra is not n.algebra:
-        _require_same_algebra(m, n)
+    _require_same_algebra(m, n)
     md, nd, p = m.dims, n.dims, m.algebra.p
     return _natural(m, n, {v: Mat.zero(nd[v], md[v], p) if md[v] and nd[v]
                            else _empty(nd[v], md[v], p)
@@ -440,11 +445,14 @@ def _split_vector(m: Module, n: Module, vec: Sequence[int]) -> dict:
 def _require_same_algebra(m: Module, n: Module):
     """Raise ContextError unless m and n live over one algebra; algebras
     built separately count as one when quiver, p, relations and
-    nilpotency bound agree.  Callers settle the common case, one algebra
-    object, before the call."""
+    nilpotency bound agree.  The hot callers (hom_basis, in_add's
+    generator loop, composite_rows, Morphism.then; about 93% of the checks
+    of a pass) test ``is`` before the call, which saves a Python call on
+    each; any other caller may rely on the test here."""
     a, b = m.algebra, n.algebra
-    if (a.quiver != b.quiver or a.p != b.p or a.relations != b.relations
-            or a.nilpotency_bound != b.nilpotency_bound):
+    if a is not b and (a.quiver != b.quiver or a.p != b.p
+                       or a.relations != b.relations
+                       or a.nilpotency_bound != b.nilpotency_bound):
         raise ContextError("modules over different algebras")
 
 
@@ -645,8 +653,7 @@ def direct_sum(mods: Sequence[Module]) -> DirectSum:
         raise ValueError("empty direct sum; use zero_module")
     alg = mods[0].algebra
     for m in mods[1:]:
-        if m.algebra is not alg:
-            _require_same_algebra(mods[0], m)
+        _require_same_algebra(mods[0], m)
     total = alg.memoized(("sum", tuple(m.cid for m in mods)),
                          lambda: _sum_module(alg, mods))
     return DirectSum(total, tuple(mods))
@@ -1026,8 +1033,7 @@ def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
     elements sampled for vertex-wise invertibility.  Package code decides
     isomorphism only to indecomposables, and exactly
     (_isomorphic_to_indecomposable); this is the general test."""
-    if m.algebra is not n.algebra:
-        _require_same_algebra(m, n)
+    _require_same_algebra(m, n)
     if m.same_as(n):
         return True
     if m.dim_vector() != n.dim_vector():
@@ -1114,10 +1120,12 @@ def simple_module(alg: AlgebraBasis, v: str) -> Module:
     return _semisimple(alg, {w: int(w == v) for w in alg.quiver.vertices})
 
 
-def basis_paths(alg: AlgebraBasis, v: str, starting: bool) -> Dict[str, Tuple[int, ...]]:
+def basis_paths(alg: AlgebraBasis, v: str,
+                starting: bool) -> Mapping[str, Tuple[int, ...]]:
     """Indices of the basis paths that start at v (or end at v), grouped
-    by the vertex at their other end: the algebra's basis index, read
-    only; a vertex the quiver lacks has no paths."""
+    by the vertex at their other end: a read-only view of the algebra's
+    basis index, so a write raises TypeError; for a vertex the quiver
+    lacks, a new dict of no paths."""
     index = alg._index
     got = (index.starting if starting else index.ending).get(v)
     return {w: () for w in alg.quiver.vertices} if got is None else got

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .fp import Mat, _empty, _mul_entries, quotient_data, rank
-from .reps import (Module, Morphism, _dual, _natural, _require_same_algebra,
-                   all_injectives, all_projectives, basis_paths,
+from .fp import Mat, _empty, quotient_data, rank
+from .reps import (Module, Morphism, _dual, _natural, _path_entries,
+                   _require_same_algebra, all_injectives, all_projectives, basis_paths,
                    cokernel_morphism, hom_basis, hom_dims_and_ranks,
                    kernel_morphism, radical_span, stack_morphisms_from_sum,
                    stack_morphisms_to_sum, zero_module, zero_morphism)
@@ -89,7 +89,7 @@ def is_projective(m: Module) -> bool:
 def _components_from_projective(v: str, vec: Mat, m: Module) -> dict:
     """The components of the map P_v -> m sending e_v to the column
     vector ``vec``: at w, one column per basis path b from v to w, b
-    applied to vec one arrow at a time on entry tuples (_mul_entries)."""
+    applied to vec on entry tuples (reps._path_entries)."""
     alg = m.algebra
     p, action = alg.p, m.action
     by_vertex = basis_paths(alg, v, starting=True)
@@ -99,13 +99,8 @@ def _components_from_projective(v: str, vec: Mat, m: Module) -> dict:
         if not (d and paths):
             comps[w] = _empty(d, len(paths), p)
             continue
-        columns = []
-        for b in paths:
-            col = vec.entries
-            for name in alg.basis[b].arrows:
-                step = action[name]
-                col = _mul_entries(step.entries, col, step.rows, step.cols, 1, p)
-            columns.append(col)
+        columns = [_path_entries(action, alg.basis[b].arrows, vec.entries, 1, p)
+                   for b in paths]
         comps[w] = Mat(d, len(paths), tuple(x for row in zip(*columns) for x in row), p)
     return comps
 
@@ -243,8 +238,7 @@ def ext_dim(m: Module, n: Module, k: int) -> int:
     _require_degree(k, "Ext")
     if k == 0:
         return len(hom_basis(m, n))
-    if m.algebra is not n.algebra:
-        _require_same_algebra(m, n)
+    _require_same_algebra(m, n)
     return _ext_dim(m, n, k)
 
 

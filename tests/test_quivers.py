@@ -10,7 +10,7 @@ from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
                             _spot_check_table, build_algebra, opposite_algebra,
                             path_endpoints)
-from nexakt.reps import all_projectives, basis_paths
+from nexakt.reps import all_projectives, basis_paths, projective_module
 
 from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, kronecker_algebra,
                       linear_a3_j2, preprojective_a2, two_loops)
@@ -484,6 +484,20 @@ def test_index_reads_scan_nothing():
     for a in alg.quiver.arrows:
         alg.arrow_basis_index(a.name)
     assert _CountedReads.reads == 0
+
+
+def test_basis_paths_refuses_a_write_to_the_index():
+    alg = nakayama_algebra(4, 2)
+    v, w = alg.quiver.vertices[:2]
+    for starting in (True, False):
+        before = dict(basis_paths(alg, v, starting))
+        with pytest.raises(TypeError):
+            basis_paths(alg, v, starting)[w] = (0,)
+        with pytest.raises(TypeError):
+            del basis_paths(alg, v, starting)[w]
+        assert basis_paths(alg, v, starting) == before
+    p_v = projective_module(alg, v)
+    assert p_v.dim_vector() == tuple(len(got) for got in basis_paths(alg, v, True).values())
 
 
 def test_table_check_visits_only_composable_triples():
