@@ -10,7 +10,7 @@ from nexakt.quivers import (AdmissibilityError, BoundError, PathWord, Quiver,
                             QuiverError, Relation, _enumerate_paths,
                             _spot_check_table, build_algebra, opposite_algebra,
                             path_endpoints)
-from nexakt.reps import all_projectives, basis_paths, projective_module
+from nexakt.reps import all_projectives, basis_paths
 
 from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, kronecker_algebra,
                       linear_a3_j2, preprojective_a2, two_loops)
@@ -496,8 +496,6 @@ def test_basis_paths_refuses_a_write_to_the_index():
         with pytest.raises(TypeError):
             del basis_paths(alg, v, starting)[w]
         assert basis_paths(alg, v, starting) == before
-    p_v = projective_module(alg, v)
-    assert p_v.dim_vector() == tuple(len(got) for got in basis_paths(alg, v, True).values())
 
 
 def test_table_check_visits_only_composable_triples():
