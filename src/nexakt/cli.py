@@ -7,7 +7,6 @@ timing goes to stderr and is kept out of them."""
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from functools import cache, partial
@@ -64,12 +63,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run_check(args) -> int:
     """Load, check, certify; HypothesisError or SetupError make a fail."""
     name = args.cert_name + (f"-{args.preset}" if "preset" in args else "")
-    env = os.environ.get("NEXAKT_SEED") or "0"
-    try:
-        seed = args.seed if args.seed is not None else int(env)
-    except ValueError:
-        raise InputError(f"NEXAKT_SEED is not an integer: {env!r}") from None
-    cert = Certificate(name, {}, seed)
+    cert = Certificate(name, {}, args.seed)
     ins = _load_inputs(args, cert)
     try:
         result = args.check(args, ins)
@@ -345,7 +339,7 @@ _INDECS = _opt("--indecs", "'nakayama' (complete) or a generators file; a "
                "file gives verdicts relative to its list", default="nakayama")
 _FROBENIUS = [_ALGEBRA, _M, _N, _INDECS]
 _ALPHA = _file("--alpha", "morphism file with embedded endpoints")
-_COMMON = [_opt("--seed", "seed (fallback: NEXAKT_SEED, then 0)", type=int),
+_COMMON = [_opt("--seed", "seed", type=int, default=0),
            _opt("--out", "certificate directory", default="certs"),
            _opt("--format", choices=("json", "text"), default="text"),
            _opt("--module", "load a module file under a name; names may "

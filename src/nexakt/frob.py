@@ -12,7 +12,9 @@ genuine function on objects; everything it is compared against is taken
 up to stable isomorphism, and certificates record stable ranks only.
 Sigma on objects and maps and both kinds of angle read one closed
 coresolution x -> I^1 -> ... -> I^n -> Sigma x, and Sigma(f) is the
-chain-map completion of f along it (addcat._lift_along).
+chain-map completion of f along it (addcat._lift_along).  It and the
+envelope are read through resolutions.min_injective_coresolution, which
+hands out the stored coresolution with its cokernel projections.
 Sign conventions: an n-exact sequence induces an angle with closing sign
 (-1)^n, and left rotation closes with (-1)^n times the suspended first
 map.
@@ -34,7 +36,8 @@ from .reps import (Module, Morphism, all_injectives, assemble_from_span,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, rows_rank, solve_rows, stack_morphisms_from_sum,
                    zero_module, zero_morphism)
-from .resolutions import _injective_chain, cosyzygy_of, is_projective, syzygy
+from .resolutions import (cosyzygy_of, is_projective, min_injective_coresolution,
+                          syzygy)
 from .tilting import NctReport, check_n_cluster_tilting
 
 
@@ -89,8 +92,8 @@ def suspension(ctx: FrobeniusCtx, x: Module) -> Module:
 def _closed_coresolution(x: Module, n: int) -> list:
     """x -> I^1 -> ... -> I^n -> Sigma x: the memoized minimal
     coresolution of x, closed by its cosyzygy projection."""
-    ch = _injective_chain(x, n)
-    return ch.maps[:n] + [ch.links[n - 1]]
+    r = min_injective_coresolution(x, n)
+    return r.maps + [r.links[-1]]
 
 
 # -- stable Hom ----------------------------------------------------------
@@ -152,7 +155,7 @@ class StableHom:
 
 def _envelope(x: Module) -> Morphism:
     """The memoized injective envelope x -> E(x)."""
-    return _injective_chain(x, 1).maps[0]
+    return min_injective_coresolution(x, 1).maps[0]
 
 
 def _injective(x: Module) -> bool:

@@ -52,8 +52,6 @@ def gen_linear_An_J2(n: int, m: int,
     Lambda + S_n + S_{2n} + ... + S_{nm}."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    if n * m + 1 > 12:
-        raise ValueError("supported range is nm + 1 <= 12")
     alg = nakayama_algebra(n * m + 1, 2, p=p)
     expected = list(all_projectives(alg))
     for j in range(1, m + 1):

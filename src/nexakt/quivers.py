@@ -415,12 +415,10 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
 
 
 def _spot_check_table(alg: AlgebraBasis):
-    """Exhaustive associativity/unit check for algebras of dimension at
-    most 64: the units first, then every composable triple (i, j, k) in
-    increasing order, read off the basis index; where b_i b_j and b_j b_k
-    are both zero, both sides are."""
-    if alg.dim > 64:
-        return
+    """Exhaustive associativity/unit check, at every dimension: the units
+    first, then every composable triple (i, j, k) in increasing order,
+    read off the basis index; where b_i b_j and b_j b_k are both zero,
+    both sides are."""
     p = alg.p
     d = alg.dim
     out_of = alg._index.out_of

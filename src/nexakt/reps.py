@@ -173,16 +173,19 @@ class Module:
     def _shape(self):
         """The checks of the public constructor: vertex and arrow names the
         algebra has (subset tests against the basis index's name sets),
-        dimensions, action shapes, field and entries; then the canonical
-        form (dims in vertex order, an action for every arrow in arrow
-        order)."""
+        dimensions (plain ints, not negative), action shapes, field and
+        entries; then the canonical form (dims in vertex order, an action
+        for every arrow in arrow order)."""
         alg = self.algebra
         q, p, index = alg.quiver, alg.p, alg._index
         _require_known(self.dims, index.vertex_names, "vertex")
         _require_known(self.action, index.arrow_names, "arrow")
         dims = {v: self.dims.get(v, 0) for v in q.vertices}
-        if any(d < 0 for d in dims.values()):
-            raise ValueError("negative dimension")
+        for v, d in dims.items():
+            if type(d) is not int:      # a bool is no dimension
+                raise ValueError(f"dimension at vertex {v!r} is not an integer: {d!r}")
+            if d < 0:
+                raise ValueError("negative dimension")
         action = {}
         for a in q.arrows:
             m = self.action.get(a.name)
@@ -1133,9 +1136,8 @@ def basis_paths(alg: AlgebraBasis, v: str,
 
 def projective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable projective P_v: basis paths starting at v, graded by
-    target vertex, arrows acting by right concatenation.  Checked: it is
-    read off the multiplication table, which build_algebra checks only up
-    to dimension 64."""
+    target vertex, arrows acting by right concatenation.  Checked by the
+    public constructor, since it is read off the multiplication table."""
     return _path_module(alg, v, starting=True)
 
 

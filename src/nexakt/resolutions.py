@@ -5,21 +5,24 @@ cover of D m (reps._dual); path-algebra quotients over F_p are basic and
 split, so no semisimple-algebra machinery is needed.  The cover, the
 envelope and the projectivity test (is_projective, also frob's
 selfinjectivity test) read the top from one helper (_top_coordinates).
-The minimal (co)resolution of a module is kept in the algebra's store as
-one growing chain; each step is verified once, when it is appended, and
-reuse verifies nothing again.  Both directions are handed out as one
-record, Resolution.  A negative degree or length is refused with
-ValueError, since no chain has one.
+The minimal (co)resolution of a module is one record, Resolution, kept in
+the algebra's store per content and direction and grown in place; each
+step is verified once, when it is appended, and reuse verifies nothing
+again.  min_projective_resolution and min_injective_coresolution hand
+out copies of it cut to the asked length, (co)syzygies and links
+included, and every reader outside this module goes through them.  A
+negative degree or length is refused with ValueError, since no
+resolution has one.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
-along that chain (see _ext_dim), with no rank taken, or is 0 with no Hom
-read where the k-th syzygy is zero; hom_cohomology_dim reads H^k of a
-Hom complex for the Ext comparison along an add(M)-resolution.
+along one cut resolution (see _ext_dim), with no rank taken, or is 0
+with no Hom read where the k-th syzygy is zero; hom_cohomology_dim reads
+H^k of a Hom complex for the Ext comparison along an add(M)-resolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .fp import Mat, _empty, quotient_data, rank
@@ -35,11 +38,18 @@ class Resolution:
     """A minimal resolution ... -> Q_1 -> Q_0 -> m (terms[k] = Q_k,
     maps[0] the augmentation Q_0 -> m, maps[k]: Q_k -> Q_{k-1}), or a
     minimal coresolution m -> I^1 -> I^2 -> ... (terms[k] = I^{k+1},
-    maps[0]: m -> I^1, maps[k]: I^k -> I^{k+1})."""
+    maps[0]: m -> I^1, maps[k]: I^k -> I^{k+1}).
+
+    syzygies[k] is the k-th (co)syzygy, syzygies[0] = m; links[k] joins
+    terms[k] and syzygies[k+1]: the kernel inclusion into Q_k of a
+    resolution, the cokernel projection out of I^{k+1} of a
+    coresolution."""
 
     module: Module
     terms: list
     maps: list
+    syzygies: list
+    links: list
 
 
 def _top_coordinates(m: Module) -> Dict[str, List[int]]:
@@ -122,20 +132,6 @@ def injective_envelope(m: Module) -> Morphism:
     return env
 
 
-@dataclass
-class _Chain:
-    """A minimal (co)resolution of ends[0], grown one step at a time.
-
-    ends[k] is the k-th (co)syzygy; links[k] joins terms[k] and ends[k+1]
-    (the kernel inclusion into terms[k] of a resolution, the cokernel
-    projection out of terms[k] of a coresolution)."""
-
-    ends: list
-    terms: list = field(default_factory=list)
-    maps: list = field(default_factory=list)
-    links: list = field(default_factory=list)
-
-
 def _check_step(d_in: Morphism, d_out: Morphism, what: str):
     """Exactness of d_in then d_out at the middle: the composite vanishes
     and rank d_in = dim ker d_out at every vertex."""
@@ -146,73 +142,80 @@ def _check_step(d_in: Morphism, d_out: Morphism, what: str):
             raise AssertionError(f"{what} not exact")
 
 
-def _projective_chain(m: Module, length: int) -> _Chain:
+def _projective_chain(m: Module, length: int) -> Resolution:
     """The stored minimal resolution of m, grown to Q_length.  A step is
     verified once, before it is appended: projective_cover checks the
     augmentation is onto, _check_step exactness at Q_{k-1}."""
-    ch = m.algebra.memoized(("projres", m.cid), lambda: _Chain([m]))
-    while len(ch.terms) <= length:
-        cover = projective_cover(ch.ends[-1])
-        d = cover.then(ch.links[-1]) if ch.links else cover
-        if ch.maps:
-            _check_step(d, ch.maps[-1], "resolution")
+    r = m.algebra.memoized(("projres", m.cid), lambda: Resolution(m, [], [], [m], []))
+    while len(r.terms) <= length:
+        cover = projective_cover(r.syzygies[-1])
+        d = cover.then(r.links[-1]) if r.links else cover
+        if r.maps:
+            _check_step(d, r.maps[-1], "resolution")
         ker, incl = kernel_morphism(cover)
-        ch.terms.append(cover.source)
-        ch.maps.append(d)
-        ch.ends.append(ker)
-        ch.links.append(incl)
-    return ch
+        r.terms.append(cover.source)
+        r.maps.append(d)
+        r.syzygies.append(ker)
+        r.links.append(incl)
+    return r
 
 
-def _injective_chain(m: Module, length: int) -> _Chain:
+def _injective_chain(m: Module, length: int) -> Resolution:
     """The stored minimal coresolution of m, grown to I^length; dual to
     _projective_chain (injective_envelope checks the coaugmentation)."""
-    ch = m.algebra.memoized(("injres", m.cid), lambda: _Chain([m]))
-    while len(ch.terms) < length:
-        env = injective_envelope(ch.ends[-1])
-        d = ch.links[-1].then(env) if ch.links else env
-        if ch.maps:
-            _check_step(ch.maps[-1], d, "coresolution")
+    r = m.algebra.memoized(("injres", m.cid), lambda: Resolution(m, [], [], [m], []))
+    while len(r.terms) < length:
+        env = injective_envelope(r.syzygies[-1])
+        d = r.links[-1].then(env) if r.links else env
+        if r.maps:
+            _check_step(r.maps[-1], d, "coresolution")
         coker, proj = cokernel_morphism(env)
-        ch.terms.append(env.target)
-        ch.maps.append(d)
-        ch.ends.append(coker)
-        ch.links.append(proj)
-    return ch
+        r.terms.append(env.target)
+        r.maps.append(d)
+        r.syzygies.append(coker)
+        r.links.append(proj)
+    return r
+
+
+def _cut(r: Resolution, k: int) -> Resolution:
+    """A copy of r with its first k terms, maps and links and the
+    (co)syzygies they reach."""
+    return Resolution(r.module, r.terms[:k], r.maps[:k], r.syzygies[:k + 1],
+                      r.links[:k])
 
 
 def _require_degree(k: int, what: str):
-    """ValueError for a negative degree, which no chain has."""
+    """ValueError for a negative degree, which no resolution has."""
     if k < 0:
         raise ValueError(f"negative {what} degree")
 
 
 def min_projective_resolution(m: Module, length: int) -> Resolution:
-    """Minimal resolution Q_length -> ... -> Q_0 -> m, exactness verified
-    as it is built; repeated calls extend the same chain."""
+    """Minimal resolution Q_length -> ... -> Q_0 -> m with its syzygies
+    up to Omega^(length+1) m, exactness verified as it is built;
+    repeated calls extend the same stored resolution."""
     _require_degree(length, "resolution")
-    ch = _projective_chain(m, length)
-    return Resolution(m, ch.terms[:length + 1], ch.maps[:length + 1])
+    return _cut(_projective_chain(m, length), length + 1)
 
 
 def syzygy(m: Module, k: int) -> Module:
     """k-th syzygy along the minimal resolution."""
     _require_degree(k, "syzygy")
-    return _projective_chain(m, k - 1).ends[k]
+    return _projective_chain(m, k - 1).syzygies[k]
 
 
 def min_injective_coresolution(m: Module, length: int) -> Resolution:
-    """Minimal coresolution m -> I^1 -> ... -> I^length, exactness
-    verified as it is built."""
+    """Minimal coresolution m -> I^1 -> ... -> I^length with its
+    cosyzygies up to Omega^(-length) m, exactness verified as it is
+    built."""
     _require_degree(length, "coresolution")
-    ch = _injective_chain(m, length)
-    return Resolution(m, ch.terms[:length], ch.maps[:length])
+    return _cut(_injective_chain(m, length), length)
 
 
 def cosyzygy_of(m: Module, k: int) -> Module:
     """k-th cosyzygy along the minimal coresolution (deterministic)."""
     _require_degree(k, "cosyzygy")
-    return _injective_chain(m, k).ends[k]
+    return _injective_chain(m, k).syzygies[k]
 
 
 # -- Ext dimensions -----------------------------------------------------
@@ -249,13 +252,14 @@ def _ext_dim(m: Module, n: Module, k: int) -> int:
     -> 0 with Q_{k-1} projective, so Ext^1(Q_{k-1}, n) = 0 and Hom(-, n)
     turns it into the exact 0 -> Hom(Omega^{k-1} m, n) -> Hom(Q_{k-1}, n)
     -> Hom(Omega^k m, n) -> Ext^1(Omega^{k-1} m, n) -> 0; and
-    Ext^k(m, n) = Ext^1(Omega^{k-1} m, n).  The resolution grows only to
-    Q_{k-1}, and the Hom bases are memoised by content.  When Omega^k m is
-    zero, Q_{k-1} -> Omega^{k-1} m is an isomorphism, so the two other
-    dimensions cancel: 0, with no Hom space read."""
-    omega = syzygy(m, k)
+    Ext^k(m, n) = Ext^1(Omega^{k-1} m, n).  All three modules are read
+    from one resolution, cut at Q_{k-1}, and the Hom bases are memoised
+    by content.  When Omega^k m is zero, Q_{k-1} -> Omega^{k-1} m is an
+    isomorphism, so the two other dimensions cancel: 0, with no Hom space
+    read."""
+    r = min_projective_resolution(m, k - 1)
+    omega = r.syzygies[k]
     if omega.is_zero():
         return 0
-    q = min_projective_resolution(m, k - 1).terms[k - 1]
-    return (len(hom_basis(omega, n)) - len(hom_basis(q, n))
-            + len(hom_basis(syzygy(m, k - 1), n)))
+    return (len(hom_basis(omega, n)) - len(hom_basis(r.terms[k - 1], n))
+            + len(hom_basis(r.syzygies[k - 1], n)))

@@ -16,7 +16,7 @@ from nexakt.reps import (Module, Morphism, all_injectives, are_isomorphic,
                          direct_sum, hom_basis, identity_morphism,
                          projective_module, quotient_by_submodule,
                          simple_module, solve_rows, split_indecomposables)
-from nexakt.resolutions import _injective_chain, ext_dim
+from nexakt.resolutions import ext_dim, min_injective_coresolution
 
 
 def linear_a3_j2(p=101):
@@ -153,7 +153,7 @@ def complete_to_chain_map(x, y, f0):
 
 def cosyzygy_projection(m, k):
     """The epi I^k -> cosyzygy_of(m, k) closing the length-k coresolution."""
-    return _injective_chain(m, k).links[k - 1]
+    return min_injective_coresolution(m, k).links[k - 1]
 
 
 def stably_equal(f, g):
@@ -264,23 +264,6 @@ def ref_radical_step(m, span):
 
 
 def in_random_basis(x, rng):
-    """A module isomorphic to x, built by the checked constructor: at each
-    vertex v, new basis vector i is scale[v][i] times old basis vector
-    perm[v][i]."""
-    p = x.algebra.p
-    perm = {v: rng.sample(range(d), d) for v, d in x.dims.items()}
-    scale = {v: [rng.randrange(1, p) for _ in range(d)] for v, d in x.dims.items()}
-    action = {}
-    for a in x.algebra.quiver.arrows:
-        s, t, m = a.source, a.target, x.action[a.name]
-        action[a.name] = Mat.from_rows(
-            [[scale[s][j] * m.entries[perm[t][i] * m.cols + perm[s][j]]
-              * pow(scale[t][i], p - 2, p) for j in range(m.cols)]
-             for i in range(m.rows)], p, cols=m.cols)
-    return Module(x.algebra, dict(x.dims), action)
-
-
-def in_dense_random_basis(x, rng):
     """A module isomorphic to x, built by the checked constructor: each
     arrow acts by u_t A u_s^-1 for random invertible u_v, so a vector
     that is a coordinate vector of x need not be one of the result."""

@@ -308,19 +308,16 @@ def _frobenius_pipeline_digests(tmp_path, p):
     return digests
 
 
-def test_frobenius_subcommands(tmp_path, monkeypatch):
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+def test_frobenius_subcommands(tmp_path):
     digests = _frobenius_pipeline_digests(tmp_path, 101)
     assert digests == {name: FILE_SHA256[name] for name in digests}
 
 
-def test_frobenius_subcommands_at_p2(tmp_path, monkeypatch):
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+def test_frobenius_subcommands_at_p2(tmp_path):
     assert _frobenius_pipeline_digests(tmp_path, 2) == FROBENIUS_P2_SHA256
 
 
-def test_frobenius_subcommands_at_the_largest_prime(tmp_path, monkeypatch):
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+def test_frobenius_subcommands_at_the_largest_prime(tmp_path):
     assert _frobenius_pipeline_digests(tmp_path, 2147483647) == FROBENIUS_P_MAX_SHA256
 
 
@@ -365,8 +362,7 @@ SEARCH_J3_SHA256 = {
 
 
 @pytest.mark.parametrize("m", sorted(SEARCH_J3_SHA256))
-def test_search_nct_certificate_bytes_on_j3(tmp_path, monkeypatch, m):
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+def test_search_nct_certificate_bytes_on_j3(tmp_path, m):
     status, digest = SEARCH_J3_SHA256[m]
     path = tmp_path / f"a{m}-j3.json"
     dump_algebra(nakayama_algebra(m, 3), path)
@@ -449,18 +445,15 @@ def test_demo_json_format(tmp_path, capsys):
     assert payload["check"] == "demo-a3-j2"
 
 
-def test_env_seed(tmp_path, monkeypatch):
-    monkeypatch.setenv("NEXAKT_SEED", "13")
+@pytest.mark.parametrize("value", ["13", "abc"])
+def test_seed_environment_variable_is_ignored(tmp_path, monkeypatch, value):
+    # NEXAKT_SEED was a fallback for --seed: 13 was recorded as the seed
+    # and changed the certificate, and "abc" exited 2
+    monkeypatch.setenv("NEXAKT_SEED", value)
     assert run("demo", "a3-j2", "--out", tmp_path) == 0
     cert = json.loads((Path(tmp_path) / "demo-a3-j2.cert.json").read_text())
-    assert cert["seed"] == 13
-
-
-def test_malformed_env_seed_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("NEXAKT_SEED", "abc")
-    code = run("demo", "a3-j2", "--out", tmp_path)
-    _assert_input_error(code, capsys, "NEXAKT_SEED is not an integer: 'abc'")
-    assert not list(tmp_path.iterdir())
+    assert cert["seed"] == 0
+    assert sha256(tmp_path / "demo-a3-j2.cert.json") == DEMO_SHA256["a3-j2", 101]
 
 
 def test_named_modules_in_m_list(files, tmp_path, a3):
@@ -582,8 +575,7 @@ def test_non_nakayama_algebra_with_default_indecs_exits_2(tmp_path, capsys):
     _assert_input_error(code, capsys, "not a Nakayama quiver")
 
 
-def test_demo_presets_pass_at_all_primes(tmp_path, monkeypatch):
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
+def test_demo_presets_pass_at_all_primes(tmp_path):
     # 2^31 - 1, the largest prime FieldSpec accepts, gives the largest
     # entries the reduction and the products see
     for p in (2, 5, 101, 2147483647):
@@ -598,7 +590,6 @@ def test_demo_presets_pass_at_all_primes(tmp_path, monkeypatch):
 def test_file_commands_certificate_bytes(files, monkeypatch):
     # relative paths: algebra-check records its --algebra argument
     monkeypatch.chdir(files["algebra"].parent)
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
     alg = load_algebra("a3.json")
     dn = hom_basis(projective_module(alg, "2"), simple_module(alg, "2"))[0]
     Path("dn.json").write_text(
@@ -673,7 +664,6 @@ ALGEBRA_CHECK_SHA256 = {
 def test_algebra_check_certificate_bytes(tmp_path, monkeypatch, name):
     # relative path: the certificate records its --algebra argument
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("NEXAKT_SEED", raising=False)
     make, digest = ALGEBRA_CHECK_SHA256[name]
     dump_algebra(make(), name)
     assert run("algebra", "check", "--algebra", name) == 0

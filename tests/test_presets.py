@@ -406,6 +406,18 @@ def test_search_reaches_a12_j2():
         assert any(are_isomorphic(g, h, seed=2) for h in gens)
 
 
+@pytest.mark.parametrize("p", [2, 101])
+@pytest.mark.parametrize("n, m", [(2, 6), (3, 4), (4, 3), (6, 2), (12, 1), (1, 12)])
+def test_search_on_a13_j2_finds_the_expected_module(n, m, p):
+    # gen_linear_An_J2 refused nm + 1 > 12, a cap left from a search over
+    # every subset; the search has its own candidate cap
+    alg, expected = gen_linear_An_J2(n, m, p=p)
+    assert len(alg.quiver.vertices) == 13
+    indecs = nakayama_indecomposables(alg)
+    hits = brute_force_nct_search(alg, n, indecs)
+    assert hits == [sorted(indecs.index_of(g) for g in expected)]
+
+
 @pytest.mark.parametrize("label, build, digest", [
     ("A4-J2", lambda: gen_linear_An_J2(1, 3)[0],
      "f2a0bbdb55943a1b2fcc384d86ef9c87376785a0fea12cf174d51d22be9f156c"),

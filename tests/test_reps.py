@@ -29,7 +29,7 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
 
 from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, equals,
                       exhaustively_indecomposable, identity_through,
-                      in_dense_random_basis, in_random_basis, kronecker_algebra,
+                      in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
                       pick, preprojective_a2, random_invertible, random_quotient,
                       ref_composite_rows, ref_radical_step, two_loops)
@@ -50,7 +50,7 @@ def test_dual_swaps_projectives_and_injectives_and_is_an_involution(name, p):
         assert reps._dual(injective_module(op, v)).key == pv.key
     rng = random.Random(f"{name}:{p}")
     pool = list(projs + injs) + [simple_module(alg, v) for v in alg.quiver.vertices]
-    for x in pool + [in_dense_random_basis(direct_sum(rng.sample(pool, 2)).module, rng)
+    for x in pool + [in_random_basis(direct_sum(rng.sample(pool, 2)).module, rng)
                      for _ in range(4)]:
         dx = reps._dual(x)
         assert dx.algebra is op and dx.dims == x.dims
@@ -65,7 +65,7 @@ def test_envelopes_intern_no_module_over_the_opposite():
     alg = nakayama_algebra(6, 2, cyclic=True)
     rng = random.Random(6)
     for x in nakayama_indecomposables(alg):
-        for y in (x, in_dense_random_basis(x, rng)):
+        for y in (x, in_random_basis(x, rng)):
             assert len(resolutions.min_injective_coresolution(y, 3).terms) == 3
     assert quivers.opposite_algebra(alg).ids == {} and alg.ids
 
@@ -138,8 +138,14 @@ def test_identity_is_a_morphism(a3_mods):
     # a acting by 2.5 was accepted, and hom_basis raised TypeError in fp
     (5, {"0": 1, "1": 1}, {"a": (1, 1, (2.5,), 5)},
      r"action of a has an entry that is not an integer in \[0, 5\)"),
+    # a bool dimension was accepted, and module_to_dict wrote a file that
+    # module_from_dict refused; a float or a string raised a bare TypeError
+    (101, {"0": True}, {}, "dimension at vertex '0' is not an integer: True"),
+    (101, {"0": 2.0}, {}, "dimension at vertex '0' is not an integer: 2.0"),
+    (101, {"0": "1"}, {}, "dimension at vertex '0' is not an integer: '1'"),
 ], ids=["relation", "negative-dimension", "action-shape", "action-prime",
-        "action-unreduced", "action-not-an-integer"])
+        "action-unreduced", "action-not-an-integer", "dimension-bool",
+        "dimension-float", "dimension-string"])
 def test_module_refuses_bad_data(p, dims, action, words):
     with pytest.raises(ValueError, match=words):
         Module(linear_a3_j2(p), dims, {a: Mat(*m) for a, m in action.items()})
@@ -669,7 +675,7 @@ def test_solve_hom_matches_the_reference_solver(p):
         for d1, d2 in ((1, 1), (2, 1), (1, 2), (2, 3), (3, 2))])
     nonzero = 0
     for pool in pools:
-        pool += [in_dense_random_basis(x, rng) for x in rng.sample(pool, 8)]
+        pool += [in_random_basis(x, rng) for x in rng.sample(pool, 8)]
         for _ in range(60):
             m, n = rng.choice(pool), rng.choice(pool)
             got = [f.components for f in reps._solve_hom(m, n)]
@@ -682,7 +688,7 @@ def test_solve_hom_matches_the_reference_solver(p):
     # neighbours; each system has unknowns at one vertex only
     alg = nakayama_algebra(9, 2, p=p)
     indecs = list(nakayama_indecomposables(alg))
-    pool = indecs + [in_dense_random_basis(direct_sum(indecs[i:i + 2]).module, rng)
+    pool = indecs + [in_random_basis(direct_sum(indecs[i:i + 2]).module, rng)
                      for i in range(len(indecs) - 1)]
     one_shared = [(m, n) for m, n in product(pool, repeat=2)
                   if bin(m.support & n.support).count("1") == 1]

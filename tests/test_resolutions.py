@@ -210,6 +210,45 @@ def test_reuse_rechecks_nothing(a3, monkeypatch):
     assert syzygy(s2, 2) is syzygy(s2, 2)
 
 
+def test_cut_copies_carry_the_syzygies_and_links(a3):
+    # S2 over K A_3/J^2: 0 -> P0 -> P1 -> P2 -> S2 and 0 -> S0 -> I0 -> I1 -> I2
+    s2, s0 = simple_module(a3, "2"), simple_module(a3, "0")
+    res = min_projective_resolution(s2, 1)
+    assert (len(res.terms), len(res.maps), len(res.links), len(res.syzygies)) == (2, 2, 2, 3)
+    assert res.syzygies[0] is s2 and res.module is s2
+    longer = min_projective_resolution(s2, 3)
+    assert len(res.terms) == 2 and len(longer.syzygies) == 5
+    for k, link in enumerate(longer.links):
+        assert link.source is longer.syzygies[k + 1] is syzygy(s2, k + 1)
+        assert link.target is longer.terms[k] and link.is_injective()
+        assert link.then(longer.maps[k]).is_zero()
+    cores = min_injective_coresolution(s0, 2)
+    assert (len(cores.terms), len(cores.links), len(cores.syzygies)) == (2, 2, 3)
+    for k, link in enumerate(cores.links):
+        assert link.source is cores.terms[k] and link.is_surjective()
+        assert link.target is cores.syzygies[k + 1] is cosyzygy_of(s0, k + 1)
+        assert cores.maps[k].then(link).is_zero()
+
+
+def test_ext_reads_one_resolution_per_question(monkeypatch):
+    # Omega^k x, Q_{k-1} and Omega^{k-1} x come from one cut resolution,
+    # whether Omega^k x is zero or not
+    alg = nakayama_algebra(7, 3)
+    indecs = list(nakayama_indecomposables(alg))
+    calls = {"min_projective_resolution": 0, "_projective_chain": 0}
+    for name in calls:
+        real = getattr(resolutions, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(resolutions, name, counted)
+    questions = [(x, y, k) for x in indecs[:6] for y in indecs[:6] for k in (1, 2, 3)]
+    for x, y, k in questions:
+        ext_dim(x, y, k)
+    assert calls == dict.fromkeys(calls, len(questions))
+
+
 def test_envelope_with_isotropic_socle_vector_is_iso():
     # P_2 + P_3 over the 6-cycle with J^2 = 0, in a basis whose socle at
     # vertex 3 is spanned by s = (1, 10); s.s = 101 = 0 in F_101, so the

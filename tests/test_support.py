@@ -36,8 +36,8 @@ from nexakt.resolutions import (_components_from_projective, ext_dim,
                                 injective_envelope)
 from nexakt.tilting import ext_via_approx_resolution, strong_projectivity_check
 
-from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, in_dense_random_basis,
-                      in_random_basis, kronecker_algebra, kronecker_field_module,
+from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, in_random_basis,
+                      kronecker_algebra, kronecker_field_module,
                       random_quotient, random_submodule_span, ref_composite_rows,
                       ref_radical_step, stack_rows)
 
@@ -421,12 +421,12 @@ def test_injective_envelope_matches_the_socle_route(name, p):
     rng = random.Random(f"{name}:{p}")
     nakayama = name not in ("Pi_3", "Aus(A_3)")
     indecs = _duality_indecomposables(name, alg)
-    for x in indecs + [in_dense_random_basis(x, rng) for x in indecs]:
+    for x in indecs + [in_random_basis(x, rng) for x in indecs]:
         same = _envelope_matches_reference(x)
         assert same or not nakayama
     for _ in range(8):
         _envelope_matches_reference(
-            in_dense_random_basis(direct_sum(rng.sample(indecs, 2)).module, rng))
+            in_random_basis(direct_sum(rng.sample(indecs, 2)).module, rng))
 
 
 def test_envelope_with_isotropic_socle_vector_matches_the_socle_route():
@@ -511,8 +511,8 @@ def test_kernels_cokernels_and_quotients_match_reference_in_a_dense_basis(name, 
     alg = DUALITY_ALGEBRAS[name](p)
     rng = random.Random(f"{name}:{p}")
     indecs = _duality_indecomposables(name, alg)
-    mods = indecs + [in_dense_random_basis(x, rng) for x in indecs] + [
-        in_dense_random_basis(direct_sum(rng.sample(indecs, 2)).module, rng)
+    mods = indecs + [in_random_basis(x, rng) for x in indecs] + [
+        in_random_basis(direct_sum(rng.sample(indecs, 2)).module, rng)
         for _ in range(4)]
     for x in mods:
         for y in (x, rng.choice(mods)):
