@@ -415,10 +415,9 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
 
 
 def _spot_check_table(alg: AlgebraBasis):
-    """Exhaustive associativity/unit check, at every dimension: the units
-    first, then every composable triple (i, j, k) in increasing order,
-    read off the basis index; where b_i b_j and b_j b_k are both zero,
-    both sides are."""
+    """Exhaustive associativity/unit check: the units first, then every
+    composable triple (i, j, k) in increasing order, read off the basis
+    index; where b_i b_j and b_j b_k are both zero, both sides are."""
     p = alg.p
     d = alg.dim
     out_of = alg._index.out_of

@@ -72,7 +72,8 @@ sum), ("approx", side, x, ids of the generators) for the minimal
 approximation addcat builds, its contract checked once,
 ("indecomposables", ids of the entries, seed) for a list
 indecomposables() passed, ("projres", x) and ("injres", x) for the
-growing minimal (co)resolutions, and "projectives" and "injectives".
+minimal (co)resolutions (one resolutions.Resolution each, grown in
+place), and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: ``in_add`` reads
 only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt),
