@@ -12,9 +12,9 @@ genuine function on objects; everything it is compared against is taken
 up to stable isomorphism, and certificates record stable ranks only.
 Sigma on objects and maps and both kinds of angle read one closed
 coresolution x -> I^1 -> ... -> I^n -> Sigma x, and Sigma(f) is the
-chain-map completion of f along it (addcat._lift_along).  It and the
-envelope are read through resolutions.min_injective_coresolution, which
-hands out the stored coresolution with its cokernel projections.
+chain-map completion of f along it (addcat._lift_along).  That
+coresolution and the envelope are read through
+resolutions.min_injective_coresolution, with its cokernel projections.
 Sign conventions: an n-exact sequence induces an angle with closing sign
 (-1)^n, and left rotation closes with (-1)^n times the suspended first
 map.
