@@ -5,8 +5,8 @@ Layers, bottom up: exact linear algebra over F_p (fp), path-algebra
 bases (quivers), quiver representations and their Hom spaces (reps),
 complexes and homotopies (complexes), minimal (co)resolutions and Ext
 (resolutions), the add(M) machinery with n-(co)kernels and certificates
-(addcat), n-pushouts (pushout), the n-cluster-tilting certifier
-(tilting), Frobenius structure and (n+2)-angles (frob), example
+(addcat), n-pushouts (pushout), the n-cluster-tilting certifier and
+search (tilting), Frobenius structure and (n+2)-angles (frob), example
 families (presets), and the certificate-emitting CLI (cli).
 """
 
@@ -31,16 +31,17 @@ from .addcat import (AddCat, Indecomposables, NExactCert, add_category,
                      verify_n_cokernel, verify_n_exact, verify_n_kernel,
                      weak_cokernel, weak_kernel)
 from .pushout import good_n_pushout, n_pushout, pushout_factorization
-from .tilting import (NctReport, check_n_cluster_tilting,
-                      ext_via_approx_resolution, strong_projectivity_check)
+from .tilting import (NctReport, brute_force_nct_search,
+                      check_n_cluster_tilting, ext_via_approx_resolution,
+                      strong_projectivity_check)
 from .frob import (Angle, FrobeniusCtx, angle_cone, angle_from_n_exact,
                    check_frobenius_setup, complete_angle_morphism, cosyzygy,
                    rotate_angle, stable_hom_basis, standard_angle,
                    suspension, suspension_morphism, trivial_angle,
                    verify_angle_exact)
-from .presets import (brute_force_nct_search, gen_auslander_linear_A,
-                      gen_linear_An_J2, gen_preprojective_A,
-                      nakayama_algebra, nakayama_indecomposables)
+from .presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                      gen_preprojective_A, nakayama_algebra,
+                      nakayama_indecomposables)
 from .certs import Certificate, canonical_json, content_hash, emit_certificate
 
 __all__ = [
@@ -61,13 +62,13 @@ __all__ = [
     "n_kernel", "verify_n_cokernel", "verify_n_exact", "verify_n_kernel",
     "weak_cokernel", "weak_kernel",
     "good_n_pushout", "n_pushout", "pushout_factorization",
-    "NctReport", "check_n_cluster_tilting", "ext_via_approx_resolution",
-    "strong_projectivity_check",
+    "NctReport", "brute_force_nct_search", "check_n_cluster_tilting",
+    "ext_via_approx_resolution", "strong_projectivity_check",
     "Angle", "FrobeniusCtx", "angle_cone", "angle_from_n_exact",
     "check_frobenius_setup", "complete_angle_morphism", "cosyzygy",
     "rotate_angle", "stable_hom_basis", "standard_angle", "suspension",
     "suspension_morphism", "trivial_angle", "verify_angle_exact",
-    "brute_force_nct_search", "gen_auslander_linear_A", "gen_linear_An_J2",
-    "gen_preprojective_A", "nakayama_algebra", "nakayama_indecomposables",
+    "gen_auslander_linear_A", "gen_linear_An_J2", "gen_preprojective_A",
+    "nakayama_algebra", "nakayama_indecomposables",
     "Certificate", "canonical_json", "content_hash", "emit_certificate",
 ]

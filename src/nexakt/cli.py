@@ -27,15 +27,15 @@ from .fp import FieldSpec
 from .frob import (SetupError, angle_cone, check_frobenius_setup,
                    complete_angle_morphism, cosyzygy, rotate_angle,
                    standard_angle, verify_angle_exact)
-from .presets import (brute_force_nct_search, gen_auslander_linear_A,
-                      gen_linear_An_J2, gen_preprojective_A,
-                      nakayama_indecomposables)
+from .presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                      gen_preprojective_A, nakayama_indecomposables)
 from .pushout import n_pushout
 from .quivers import AdmissibilityError, BoundError, QuiverError
 from .reps import (FITTING_RETRIES, _isomorphic_to_indecomposable, hom_basis,
                    identity_morphism, projective_module, simple_module)
 from .resolutions import ext_dim
-from .tilting import check_n_cluster_tilting, ext_via_approx_resolution
+from .tilting import (brute_force_nct_search, check_n_cluster_tilting,
+                      ext_via_approx_resolution)
 
 
 def main(argv: list[str] | None = None) -> int:

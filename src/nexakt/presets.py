@@ -13,17 +13,13 @@ finite self-injective algebras", Adv. Math. 362 (2020)); tests pin it.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .addcat import Indecomposables, PreconditionError, indecomposables
+from .addcat import Indecomposables
 from .fp import FieldSpec, rank
 from .quivers import (AlgebraBasis, PathWord, Quiver, QuiverError, Relation,
                       build_algebra)
 from .reps import Module, _path_module, all_projectives, simple_module
-from .tilting import _ExtTable, _nct_report, _vertex_positions
-
-# exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
-MAX_SEARCH_CANDIDATES = 20
 
 
 def nakayama_algebra(k: int, l: int, cyclic: bool = False,
@@ -60,9 +56,11 @@ def gen_linear_An_J2(n: int, m: int,
 
 
 def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:
-    """Preprojective algebra of type A_n by doubled-quiver presentation."""
-    if not 2 <= n <= 3:
-        raise ValueError("supported range is 2 <= n <= 3")
+    """Preprojective algebra of type A_n (n >= 2) by doubled-quiver
+    presentation, with nilpotency bound n (its Loewy length) and dimension
+    n(n+1)(n+2)/6."""
+    if n < 2:
+        raise ValueError("need n >= 2")
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = []
     for i in range(1, n):
@@ -71,8 +69,9 @@ def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:
     q = Quiver.build(vertices, arrows)
     rels = []
     # mesh relation at each vertex: compositions through adjacent vertices
-    # sum to zero (sign conventions differ in the literature; for this
-    # range either choice presents the same algebra)
+    # sum to zero (sign conventions differ in the literature; the doubled
+    # quiver of A_n is a tree, so rescaling arrows turns any choice of
+    # signs into any other, and every choice presents the same algebra)
     for i in range(1, n + 1):
         terms = []
         if i < n:
@@ -80,8 +79,7 @@ def gen_preprojective_A(n: int, p: int = 101) -> AlgebraBasis:
         if i > 1:
             terms.append((p - 1, PathWord((f"b{i-1}", f"a{i-1}"))))  # i -> i-1 -> i
         rels.append(Relation(tuple(terms)))
-    bound = 2 if n == 2 else 3
-    return build_algebra(q, rels, bound, FieldSpec(p))
+    return build_algebra(q, rels, n, FieldSpec(p))
 
 
 def nakayama_indecomposables(alg: AlgebraBasis) -> Indecomposables:
@@ -125,9 +123,9 @@ def _require_nakayama(q: Quiver):
 def gen_auslander_linear_A(m: int, p: int = 101) -> AlgebraBasis:
     """Auslander algebra of K(linear A_m): quiver = AR-quiver on interval
     modules [i,j], arrows extend the interval left or chop it right, mesh
-    relations at each non-projective vertex."""
-    if not 1 <= m <= 4:
-        raise ValueError("supported range is 1 <= m <= 4")
+    relations at each non-projective vertex; nilpotency bound 2m - 1."""
+    if m < 1:
+        raise ValueError("need m >= 1")
     intervals = [(i, j) for i in range(1, m + 1) for j in range(i, m + 1)]
     name = {iv: f"m{iv[0]}_{iv[1]}" for iv in intervals}
     vertices = [name[iv] for iv in intervals]
@@ -151,54 +149,4 @@ def gen_auslander_linear_A(m: int, p: int = 101) -> AlgebraBasis:
         if i + 1 <= j:
             terms.append((1, PathWord((f"R{i+1}_{j+1}", f"L{i+1}_{j}"))))
         rels.append(Relation(tuple(terms)))
-    bound = max(2 * m - 1, 1)
-    return build_algebra(q, rels, bound, FieldSpec(p))
-
-
-def brute_force_nct_search(alg: AlgebraBasis, n: int,
-                           indec_list: Sequence[Module],
-                           seed: int = 0) -> List[List[int]]:
-    """Every subset of indec_list that contains all projectives and whose
-    add-closure certifies as n-cluster-tilting, by size, then
-    lexicographically.
-
-    The list is checked once, up front, and no subset is checked again.
-    The positions of every P_v and I_v are found, then one Ext^{1..n-1}
-    table between all entries; its rows at the P_v and columns at the I_v
-    are zeros written without an ext_dim call, since Ext^k(P, -) = 0 =
-    Ext^k(-, I) for k >= 1 (Auslander–Reiten–Smalø, Ch. III).  A subset
-    whose entries have nonzero Ext^{1..n-1} between two of them (or one
-    with itself) fails the certifier's rigidity test, so only the
-    Ext^{1..n-1}-orthogonal subsets are enumerated: the cliques of the
-    compatibility graph read from the table.  Each clique gets the report
-    check_n_cluster_tilting would give, read from the table by position as
-    the search reaches it; the hits are then sorted once."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    indec_list = indecomposables(indec_list, seed)
-    projs, injs = _vertex_positions(alg, indec_list)
-    for pv, (_, i) in zip(all_projectives(alg), projs):
-        if i is None:       # refused with index_of's error
-            indec_list.index_of(pv)
-    proj_set = sorted({i for _, i in projs})
-    table = _ExtTable(indec_list, n, range(len(indec_list)), projs, injs)
-    # bit j of clash[i]: some Ext^{1..n-1} between entries i and j is nonzero
-    clash = [out | into for out, into in zip(table.out, table.into)]
-    # Ext^{>=1}(P, -) = 0: the projectives are compatible with each other
-    candidates = [i for i in range(len(indec_list)) if i not in proj_set
-                  and not any(clash[i] >> j & 1 for j in proj_set + [i])]
-    if len(candidates) > MAX_SEARCH_CANDIDATES:
-        raise PreconditionError("too many candidates for exhaustive search")
-    hits = []
-
-    def grow(clique, start):
-        subset = sorted(proj_set + list(clique))
-        if _nct_report(subset, table, projs, injs).ok:
-            hits.append(subset)
-        for pos in range(start, len(candidates)):
-            i = candidates[pos]
-            if not any(clash[i] >> j & 1 for j in clique):
-                grow(clique + (i,), pos + 1)
-
-    grow((), 0)
-    return sorted(hits, key=lambda s: (len(s), s))
+    return build_algebra(q, rels, 2 * m - 1, FieldSpec(p))

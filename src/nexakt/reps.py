@@ -292,10 +292,11 @@ def _semisimple(alg: AlgebraBasis, dims: dict) -> Module:
 
 def _require_reduced(m: Mat, what: str):
     """Refuse an entry that the raw Mat(...) took but F_p lacks, in one
-    pass; a plain int skips the subclass test (a bool is an int)."""
+    pass: one whose class is not exactly int (a bool is refused, as a file
+    refuses it) or that lies outside [0, p)."""
     p = m.p
     for x in m.entries:
-        if x.__class__ is not int and not isinstance(x, int) or not 0 <= x < p:
+        if x.__class__ is not int or not 0 <= x < p:
             raise ValueError(f"{what} has an entry that is not an integer in [0, {p})")
 
 

@@ -1,5 +1,5 @@
-"""The n-cluster-tilting certifier and the Ext comparison along
-add(M)-resolutions.
+"""The n-cluster-tilting certifier, the brute-force n-CT search, and the
+Ext comparison along add(M)-resolutions.
 
 Generating/cogenerating are checked as "all P_v (resp. I_v) lie in
 add(M)": an epimorphism from add(M) onto the regular module splits, so
@@ -9,17 +9,16 @@ verdict is relative to it unless the list is complete.  Functorial
 finiteness is automatic for add of a finite-dimensional module and is
 reported rather than tested.
 
-The report is read from list positions (_nct_report): one table of
-Ext^{1..n-1} between entries (_ExtTable) and the entries isomorphic to
-each P_v and I_v (_vertex_positions).  The positions are found first:
-Ext^k(P, -) = 0 for a projective P and Ext^k(-, I) = 0 for an injective
-I, k >= 1 (Auslander–Reiten–Smalø, Ch. III), so the table writes the
-rows at P_v and the columns at I_v as zeros, with no ext_dim call.
-presets.brute_force_nct_search builds both once and reads every clique's
-report from them.  Every position, of a generator, P_v or I_v, is found
-by Indecomposables.index_of, which decides isomorphism to an entry
-exactly, so the seed reaches a verdict only through the splitting that
-checks a hand-made list (reps.indecomposables).
+The certifier and the brute-force search (brute_force_nct_search) share
+one set-up, _ExtTable: it refuses n < 1, checks the list, finds the
+entries isomorphic to each P_v and I_v (Indecomposables.index_of, which
+decides isomorphism to an entry exactly, so the seed reaches a verdict
+only through the splitting that checks a hand-made list), and fills its
+Ext^{1..n-1} rows on request.  Ext^k(P, -) = 0 for a projective P and
+Ext^k(-, I) = 0 for an injective I, k >= 1 (Auslander–Reiten–Smalø,
+Ch. III), so the rows at P_v and the columns at I_v are zeros, with no
+ext_dim call.  _nct_report reads a report from the table by position:
+once for the certifier, once per clique for the search.
 
 strong_projectivity_check decides that p is projective exactly, from its
 top (resolutions.is_projective): p is projective iff
@@ -29,11 +28,12 @@ sum_v (dim top p)_v * dim P_v = dim p, with no Hom space solved.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .addcat import (AddCat, HypothesisError, Indecomposables,
-                     PreconditionError, hom_exact_at_middle, indecomposables,
+from .addcat import (AddCat, HypothesisError, PreconditionError,
+                     hom_exact_at_middle, indecomposables,
                      minimal_right_approximation, weak_cokernel)
+from .quivers import AlgebraBasis
 from .reps import (Module, Morphism, all_injectives, all_projectives,
                    kernel_morphism)
 from .resolutions import ext_dim, hom_cohomology_dim, is_projective
@@ -85,37 +85,101 @@ def check_n_cluster_tilting(m: AddCat, n: int, indec_list: Sequence[Module],
     """Certify that add(generators) is n-cluster-tilting relative to
     indec_list (checked by reps.indecomposables() unless it is an
     Indecomposables), which must hold every generator."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    indec_list = indecomposables(indec_list, seed)
-    gens = [indec_list.index_of(g) for g in m.generators]
-    projs, injs = _vertex_positions(m.algebra, indec_list)
-    table = _ExtTable(indec_list, n, gens, projs, injs)
-    return _nct_report(gens, table, projs, injs)
+    table = _ExtTable(m.algebra, n, indec_list, seed)
+    gens = [table.modules.index_of(g) for g in m.generators]
+    table.fill(gens)
+    return _nct_report(gens, table)
+
+
+# exhaustive search tries at most 2^MAX_SEARCH_CANDIDATES subsets
+MAX_SEARCH_CANDIDATES = 20
+
+
+def brute_force_nct_search(alg: AlgebraBasis, n: int,
+                           indec_list: Sequence[Module],
+                           seed: int = 0) -> List[List[int]]:
+    """Every subset of indec_list that contains all projectives and whose
+    add-closure certifies as n-cluster-tilting, by size, then
+    lexicographically.
+
+    The list is checked once, up front, and no subset is checked again;
+    one _ExtTable is filled between all entries.  A subset whose entries
+    have nonzero Ext^{1..n-1} between two of them (or one with itself)
+    fails the certifier's rigidity test, so only the Ext^{1..n-1}-
+    orthogonal subsets are enumerated: the cliques of the compatibility
+    graph read from the table.  Each clique gets the report
+    check_n_cluster_tilting would give, read from the table by position as
+    the search reaches it; the hits are then sorted once."""
+    table = _ExtTable(alg, n, indec_list, seed)
+    for pv, (_, i) in zip(all_projectives(alg), table.projs):
+        if i is None:       # refused with index_of's error
+            table.modules.index_of(pv)
+    proj_set = sorted({i for _, i in table.projs})
+    size = len(table.modules)
+    table.fill(range(size))
+    # bit j of clash[i]: some Ext^{1..n-1} between entries i and j is nonzero
+    clash = [out | into for out, into in zip(table.out, table.into)]
+    # Ext^{>=1}(P, -) = 0: the projectives are compatible with each other
+    candidates = [i for i in range(size) if i not in proj_set
+                  and not any(clash[i] >> j & 1 for j in proj_set + [i])]
+    if len(candidates) > MAX_SEARCH_CANDIDATES:
+        raise PreconditionError("too many candidates for exhaustive search")
+    hits = []
+
+    def grow(clique, start):
+        subset = sorted(proj_set + list(clique))
+        if _nct_report(subset, table).ok:
+            hits.append(subset)
+        for pos in range(start, len(candidates)):
+            i = candidates[pos]
+            if not any(clash[i] >> j & 1 for j in clique):
+                grow(clique + (i,), pos + 1)
+
+    grow((), 0)
+    return sorted(hits, key=lambda s: (len(s), s))
 
 
 class _ExtTable:
     """dim Ext^{1..n-1} between the positions of one Indecomposables list,
-    filled for the pairs (i, j) and (j, i) with i in rows: dims[i, j]
-    lists the degrees in order, and bit j of out[i] (of into[i]) is set
-    when some Ext^{1..n-1}(L_i, L_j) (Ext^{1..n-1}(L_j, L_i)) is nonzero.
+    with the positions of P_v and I_v: the set-up of the certifier and
+    the search.
 
-    projs and injs are _vertex_positions' pairs.  Ext^k(P, -) = 0 for a
-    projective P and Ext^k(-, I) = 0 for an injective I, k >= 1
-    (Auslander–Reiten–Smalø, Ch. III), so a row at the position of some
+    Made from the algebra, n (refused below 1), the list (checked by
+    reps.indecomposables() unless it is an Indecomposables; kept as
+    modules) and the seed.  projs and injs pair each vertex v with the
+    position of the entry isomorphic to P_v (resp. I_v), or with None
+    when no entry is.  fill(rows) computes the pairs (i, j) and (j, i)
+    with i in rows: dims[i, j] lists the degrees in order, and bit j of
+    out[i] (of into[i]) is set when some Ext^{1..n-1}(L_i, L_j)
+    (Ext^{1..n-1}(L_j, L_i)) is nonzero.  A row at the position of some
     P_v and a column at that of some I_v are written as zeros without
     calling ext_dim; a position of None skips nothing."""
 
-    def __init__(self, indec_list: Indecomposables, n: int,
-                 rows: Sequence[int], projs: list, injs: list):
-        self.modules, self.n = indec_list, n
+    def __init__(self, alg: AlgebraBasis, n: int,
+                 indec_list: Sequence[Module], seed: int):
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        self.modules = mods = indecomposables(indec_list, seed)
+        self.n = n
+
+        def position(x):
+            try:
+                return mods.index_of(x)
+            except PreconditionError:
+                return None
+
+        verts = alg.quiver.vertices
+        self.projs = [(v, position(x)) for v, x in zip(verts, all_projectives(alg))]
+        self.injs = [(v, position(x)) for v, x in zip(verts, all_injectives(alg))]
+        self._projective = {i for _, i in self.projs if i is not None}
+        self._injective = {i for _, i in self.injs if i is not None}
         self.dims = {}
-        self.out = [0] * len(indec_list)
-        self.into = [0] * len(indec_list)
-        self._projective = {i for _, i in projs if i is not None}
-        self._injective = {i for _, i in injs if i is not None}
+        self.out = [0] * len(mods)
+        self.into = [0] * len(mods)
+
+    def fill(self, rows: Iterable[int]):
         for i in rows:
-            for j in range(len(indec_list)):
+            for j in range(len(self.modules)):
                 self._fill(i, j)
                 self._fill(j, i)
 
@@ -132,34 +196,19 @@ class _ExtTable:
             self.into[j] |= 1 << i
 
 
-def _vertex_positions(alg, indec_list: Indecomposables):
-    """(vertex, position) of the entry isomorphic to each P_v, then to
-    each I_v (Indecomposables.index_of), or (vertex, None) when no entry
-    is."""
-    def position(x):
-        try:
-            return indec_list.index_of(x)
-        except PreconditionError:
-            return None
-
-    verts = alg.quiver.vertices
-    return ([(v, position(x)) for v, x in zip(verts, all_projectives(alg))],
-            [(v, position(x)) for v, x in zip(verts, all_injectives(alg))])
-
-
-def _nct_report(gens: Sequence[int], table: _ExtTable, projs: list,
-                injs: list) -> NctReport:
+def _nct_report(gens: Sequence[int], table: _ExtTable) -> NctReport:
     """The NctReport of add(L_g : g in gens), read from positions alone.
 
     By Krull-Schmidt, an indecomposable lies in add(gens) exactly when it
     is isomorphic to a generator, and the list holds each class once; so
     P_v, I_v or an entry lies in add(gens) exactly when its position is a
     generator's.  Ext is read from the table, which must hold the pairs
-    (x, g) and (g, x) for every position x and generator g."""
+    (x, g) and (g, x) for every position x and generator g, and the
+    positions of P_v and I_v from its projs and injs."""
     mods, n = table.modules, table.n
     mask = sum(1 << g for g in set(gens))
-    generating = [v for v, i in projs if i is None or not mask >> i & 1]
-    cogenerating = [v for v, i in injs if i is None or not mask >> i & 1]
+    generating = [v for v, i in table.projs if i is None or not mask >> i & 1]
+    cogenerating = [v for v, i in table.injs if i is None or not mask >> i & 1]
     rigidity = [(a, b, deg, d) for a, i in enumerate(gens) if table.out[i] & mask
                 for b, j in enumerate(gens) if table.out[i] >> j & 1
                 for deg, d in enumerate(table.dims[i, j], 1) if d]

@@ -3,7 +3,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from nexakt.addcat import Indecomposables, _lift_along, add_category
+from nexakt.addcat import (Indecomposables, PreconditionError, _lift_along,
+                           add_category)
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
 from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank, solve_linear
 from nexakt.frob import stable_hom
@@ -11,11 +12,12 @@ from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra,
                             nakayama_indecomposables)
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
-from nexakt.reps import (Module, Morphism, all_injectives, are_isomorphic,
-                         assemble_from_span, block_morphism, composite_rows,
-                         direct_sum, hom_basis, identity_morphism,
-                         projective_module, quotient_by_submodule,
-                         simple_module, solve_rows, split_indecomposables)
+from nexakt.reps import (Module, Morphism, all_injectives, all_projectives,
+                         are_isomorphic, assemble_from_span, block_morphism,
+                         composite_rows, direct_sum, hom_basis,
+                         identity_morphism, projective_module,
+                         quotient_by_submodule, simple_module, solve_rows,
+                         split_indecomposables)
 from nexakt.resolutions import ext_dim, min_injective_coresolution
 
 
@@ -332,13 +334,26 @@ def stack_rows(mats, cols, p):
 
 def full_ext_table(indecs, n):
     """dim Ext^{1..n-1} by ext_dim over every ordered pair of entries, none
-    skipped: the modules, n, dims, out and into of a tilting._ExtTable
-    whose rows are every position."""
-    size = range(len(indecs))
+    skipped: the modules, n, projs, injs, dims, out and into of a
+    tilting._ExtTable whose rows are every position.  projs and injs pair
+    each vertex with the position of the entry isomorphic to P_v (I_v),
+    by Indecomposables.index_of, or with None."""
+    alg, size = indecs[0].algebra, range(len(indecs))
+
+    def positions(modules):
+        found = []
+        for v, x in zip(alg.quiver.vertices, modules):
+            try:
+                found.append((v, indecs.index_of(x)))
+            except PreconditionError:
+                found.append((v, None))
+        return found
+
     dims = {(i, j): [ext_dim(indecs[i], indecs[j], deg) for deg in range(1, n)]
             for i in size for j in size}
     return SimpleNamespace(
-        modules=indecs, n=n, dims=dims,
+        modules=indecs, n=n, dims=dims, projs=positions(all_projectives(alg)),
+        injs=positions(all_injectives(alg)),
         out=[sum(1 << j for j in size if any(dims[i, j])) for i in size],
         into=[sum(1 << i for i in size if any(dims[i, j])) for j in size])
 

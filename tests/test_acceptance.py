@@ -13,16 +13,16 @@ from nexakt.complexes import (ComplexSeq, chain_map_space, complex_from_maps,
 from nexakt.frob import (angle_cone, angle_from_n_exact, check_frobenius_setup,
                          complete_angle_morphism, cosyzygy, rotate_angle,
                          standard_angle, verify_angle_exact)
-from nexakt.presets import (brute_force_nct_search, gen_linear_An_J2,
-                            gen_preprojective_A, nakayama_indecomposables)
+from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
+                            nakayama_indecomposables)
 from nexakt.pushout import n_pushout, good_n_pushout
 from nexakt.reps import (are_isomorphic, assemble_from_span, direct_sum,
                          hom_basis, identity_morphism, regular_module,
                          solve_rows, split_indecomposables, zero_module,
                          zero_morphism)
 from nexakt.resolutions import ext_dim
-from nexakt.tilting import (ext_via_approx_resolution, hom_exact_at_middle,
-                            strong_projectivity_check)
+from nexakt.tilting import (brute_force_nct_search, ext_via_approx_resolution,
+                            hom_exact_at_middle, strong_projectivity_check)
 
 from conftest import (a3_sequence, complete_to_chain_map, corner_identity,
                       cosyzygy_projection, direct_sum_complexes,

@@ -20,6 +20,7 @@ from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             nakayama_indecomposables)
 from nexakt.reps import (assemble_from_span, direct_sum, hom_basis,
                          injective_module, projective_module, simple_module)
+from nexakt.tilting import brute_force_nct_search
 
 from conftest import named_modules
 
@@ -687,6 +688,27 @@ def test_setup_error_exits_1_with_fail_certificate(files, tmp_path):
     assert cert["witnesses"] == {"failure": {
         "exception": "SetupError", "degree": None,
         "message": "algebra not selfinjective: I_2 is not projective"}}
+
+
+def test_closure_failure_exits_1_with_fail_certificate(tmp_path):
+    # the first two 2-CT modules of C_5/J^3 that search nct finds fail the
+    # Frobenius set-up's cosyzygy and syzygy closure tests
+    alg = nakayama_algebra(5, 3, cyclic=True)
+    indecs = nakayama_indecomposables(alg)
+    dump_algebra(alg, tmp_path / "c5-j3.json")
+    hits = brute_force_nct_search(alg, 2, indecs)
+    for hit, closure in zip(hits, ("cosyzygy", "syzygy")):
+        m_path = tmp_path / f"m-{closure}.json"
+        m_path.write_text(canonical_json(
+            {"generators": [module_to_dict(indecs[i]) for i in hit]}))
+        out = tmp_path / closure
+        assert run("frobenius", "setup", "--algebra", tmp_path / "c5-j3.json",
+                   "--m", m_path, "--n", 2, "--out", out) == 1
+        cert = json.loads((out / "frobenius-setup.cert.json").read_text())
+        assert cert["verdict"] is False
+        assert cert["witnesses"] == {"failure": {
+            "exception": "SetupError", "degree": None,
+            "message": f"{closure} closure fails at generator 0"}}
 
 
 def test_hypothesis_error_records_degree(files, monkeypatch, capsys):

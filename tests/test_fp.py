@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from nexakt import det
 from nexakt.fp import (FieldSpec, Mat, _empty, is_prime,
                        kernel_basis, mat_from_vector, quotient_data, rank,
                        rref, solve_linear)
@@ -628,3 +629,32 @@ def test_empty_results_are_one_shared_mat_per_shape_and_field():
         assert quotient_data(Mat.zero(0, 2, q))[0] is _empty(0, 0, q)
         assert solve_linear(zero_unknowns, Mat.zero(3, 2, q)) is _empty(0, 2, q)
         assert solve_linear(zero_eqs, Mat.zero(0, 0, q)) is _empty(3, 0, q)
+
+
+def _permutation_det(rows, p):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)], mod p."""
+    n, total = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total % p
+
+
+@pytest.mark.parametrize("p", [2, 101, 2147483647])
+def test_det_matches_the_permutation_expansion(p):
+    # 1,000 random square matrices of size 1..4 per prime, entries drawn
+    # from {0, 1, p - 1} half of the time so that singular matrices and
+    # zero pivots occur at every p; the 0 x 0 determinant is 1
+    rng = random.Random(p)
+    assert det(Mat(0, 0, (), p)) == 1
+    for _ in range(1000):
+        n = rng.randint(1, 4)
+        small = rng.random() < 0.5
+        rows = [[rng.choice((0, 1, p - 1)) if small else rng.randrange(p)
+                 for _ in range(n)] for _ in range(n)]
+        assert det(mat(rows, p)) == _permutation_det(rows, p), rows
+    with pytest.raises(ValueError, match="non-square"):
+        det(mat([[1, 0, 0], [0, 1, 0]], p))

@@ -10,6 +10,7 @@ from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
                          verify_angle_exact)
 from nexakt import frob, reps
 from nexakt.presets import nakayama_algebra, nakayama_indecomposables
+from nexakt.tilting import brute_force_nct_search
 from nexakt.reps import (Morphism, all_injectives, are_isomorphic, hom_basis,
                          identity_morphism, projective_module, simple_module,
                          zero_module, zero_morphism)
@@ -113,6 +114,14 @@ def test_angle_from_n_exact(ctx, pi2_mods):
     assert dims == [(1, 0), (1, 1), (1, 1), (1, 0)]
     ok, table = verify_angle_exact(ctx, angle)
     assert ok
+
+
+def test_angle_from_n_exact_refuses_the_zero_complex(ctx, pi2_mods):
+    # S1 -> S1 -> S1 -> S1 with zero maps is not exact, so it induces no
+    # angle
+    zero = zero_morphism(pi2_mods["S1"], pi2_mods["S1"])
+    with pytest.raises(PreconditionError, match="not admissible n-exact"):
+        angle_from_n_exact(ctx, complex_from_maps(0, [zero, zero, zero]))
 
 
 def test_angle_from_padded_n_exact(ctx, pi2_mods):
@@ -518,6 +527,26 @@ def test_setup_refuses_a_subcategory_that_is_not_n_cluster_tilting(pi2, pi2_mods
     indecs = [pi2_mods[k] for k in ("P1", "P2", "S1", "S2")]
     with pytest.raises(SetupError, match="subcategory is not n-cluster-tilting"):
         check_frobenius_setup(pi2, m, 2, indecs, seed=4)
+
+
+def test_setup_refuses_the_2ct_modules_of_c5_j3():
+    # C_5/J^3 has five 2-CT modules (the search's hits), and none is closed
+    # under Omega^{-2} and Omega^2: the set-up refuses each, naming the
+    # closure that fails and its first generator
+    alg = nakayama_algebra(5, 3, cyclic=True)
+    indecs = nakayama_indecomposables(alg)
+    hits = brute_force_nct_search(alg, 2, indecs)
+    failures = []
+    for hit in hits:
+        m = add_category(alg, [indecs[i] for i in hit])
+        with pytest.raises(SetupError) as err:
+            check_frobenius_setup(alg, m, 2, indecs)
+        failures.append(str(err.value))
+    assert failures == ["cosyzygy closure fails at generator 0",
+                        "syzygy closure fails at generator 0",
+                        "cosyzygy closure fails at generator 0",
+                        "cosyzygy closure fails at generator 1",
+                        "cosyzygy closure fails at generator 1"]
 
 
 def _stable_hom_basis_by_rank(c, m1, m2):

@@ -11,14 +11,14 @@ from nexakt.addcat import (DomainError, Indecomposables, PreconditionError,
 from nexakt.certs import canonical_json
 from nexakt.fp import FieldSpec, Mat
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
-from nexakt.presets import (brute_force_nct_search, gen_auslander_linear_A,
-                            gen_linear_An_J2, gen_preprojective_A,
-                            nakayama_algebra, nakayama_indecomposables)
+from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
+                            gen_preprojective_A, nakayama_algebra,
+                            nakayama_indecomposables)
 from nexakt.reps import (all_injectives, all_projectives, are_isomorphic,
-                         direct_sum, injective_module, projective_module,
-                         simple_module)
-from nexakt.resolutions import ext_dim
-from nexakt.tilting import check_n_cluster_tilting
+                         direct_sum, hom_basis, injective_module,
+                         projective_module, simple_module)
+from nexakt.resolutions import ext_dim, is_projective
+from nexakt.tilting import brute_force_nct_search, check_n_cluster_tilting
 
 from conftest import in_random_basis, pick, ref_radical_step
 
@@ -150,6 +150,20 @@ def test_preprojective_a3_dimension():
                    for w in alg.quiver.vertices)
 
 
+@pytest.mark.parametrize("p", [2, 101])
+def test_preprojective_a_builds_for_every_n(p):
+    # no cap above: Pi(A_n) has dimension n(n+1)(n+2)/6, nilpotency bound
+    # n with a nonzero path of length n - 1, and is selfinjective, so every
+    # I_v is projective; Pi(A_6) builds in under 0.1 s
+    for n in range(2, 7):
+        alg = gen_preprojective_A(n, p)
+        assert alg.dim == n * (n + 1) * (n + 2) // 6
+        assert max(w.length() for w in alg.basis) == n - 1
+        assert all(is_projective(x) for x in all_injectives(alg)), n
+    with pytest.raises(ValueError, match="need n >= 2"):
+        gen_preprojective_A(1)
+
+
 def test_nakayama_lists():
     alg, _ = gen_linear_An_J2(2, 1)
     mods = nakayama_indecomposables(alg)
@@ -267,6 +281,19 @@ def test_auslander_m3_builds():
     alg = gen_auslander_linear_A(3)
     assert len(alg.quiver.vertices) == 6
     assert alg.dim == 15  # sum of Hom dimensions between interval modules
+
+
+def test_auslander_dimension_is_that_of_end_of_the_additive_generator():
+    # the Auslander algebra of K A_m is End of the sum of its
+    # indecomposables, so its dimension is the sum of dim Hom(X, Y) over
+    # the indecomposables X, Y of K A_m = K A_m/J^{m+1}.  No cap above; the
+    # test stops at m = 6, since building m = 7 takes over ten times as long
+    for m, dim in zip(range(1, 7), (1, 5, 15, 35, 70, 126)):
+        indecs = nakayama_indecomposables(nakayama_algebra(m, m + 1))
+        assert gen_auslander_linear_A(m).dim == dim == sum(
+            len(hom_basis(x, y)) for x in indecs for y in indecs), m
+    with pytest.raises(ValueError, match="need m >= 1"):
+        gen_auslander_linear_A(0)
 
 
 def test_brute_force_a3():
@@ -465,8 +492,8 @@ def test_search_decides_cliques_from_the_table_alone(monkeypatch):
     monkeypatch.setattr(tilting, "ext_dim", spy("ext_dim", tilting.ext_dim))
     monkeypatch.setattr(Indecomposables, "index_of",
                         spy("index_of", Indecomposables.index_of))
-    monkeypatch.setattr(presets, "_nct_report",
-                        spy("report", presets._nct_report))
+    monkeypatch.setattr(tilting, "_nct_report",
+                        spy("report", tilting._nct_report))
     hits = brute_force_nct_search(alg, 3, indecs)
     assert len(hits) == 1
     first = events.index("report")

@@ -190,18 +190,25 @@ def test_module_refuses_a_mesh_relation_whose_other_term_passes_a_zero_vertex(ze
         Module(alg, dims, {a: one for a in path})
 
 
-def test_module_accepts_a_bool_entry():
-    # a bool is an int, so True and False are entries in [0, p); a float
-    # equal to an int is not
+def test_module_refuses_a_bool_entry():
+    # an entry's class must be exactly int: True and False were accepted as
+    # entries in [0, p), but module_to_dict wrote them as JSON true and
+    # false, which module_from_dict refuses; a float equal to an int is no
+    # entry either.  Module(...), Morphism(...) and quotient_by_submodule
+    # refuse them with one message
     alg = linear_a3_j2(5)
-    one = Mat(1, 1, (True,), 5)
-    for entry in (True, False):
-        m = Module(alg, {"0": 1, "1": 1}, {"a": Mat(1, 1, (entry,), 5)})
-        assert m.action["a"].entries == (entry,)
-        assert Morphism(m, m, {"0": one, "1": one}).components["1"] is one
-    for entry in (1.0, -1, 5, "1", None):
-        with pytest.raises(ValueError, match=r"not an integer in \[0, 5\)"):
-            Module(alg, {"0": 1, "1": 1}, {"a": Mat(1, 1, (entry,), 5)})
+    one = Mat(1, 1, (1,), 5)
+    m = Module(alg, {"0": 1, "1": 1}, {"a": one})
+    bad = r"not an integer in \[0, 5\)"
+    for entry in (True, False, 1.0, -1, 5, "1", None):
+        entry_mat = Mat(1, 1, (entry,), 5)
+        with pytest.raises(ValueError, match=bad):
+            Module(alg, {"0": 1, "1": 1}, {"a": entry_mat})
+        with pytest.raises(ValueError, match=bad):
+            Morphism(m, m, {"0": one, "1": entry_mat})
+        with pytest.raises(ValueError, match=bad):
+            reps.quotient_by_submodule(m, {"0": entry_mat, "1": one})
+    assert Morphism(m, m, {"0": one, "1": one}).components["1"] is one
 
 
 def test_content_properties_are_computed_once_with_no_lock():

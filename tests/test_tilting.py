@@ -11,9 +11,9 @@ from nexakt.reps import (Module, all_injectives, all_projectives,
                          are_isomorphic, direct_sum, hom_basis,
                          projective_module, regular_module, simple_module)
 from nexakt.resolutions import ext_dim
-from nexakt.tilting import (_ExtTable, _nct_report, _vertex_positions,
-                            check_n_cluster_tilting, ext_via_approx_resolution,
-                            hom_exact_at_middle, strong_projectivity_check)
+from nexakt.tilting import (_ExtTable, _nct_report, check_n_cluster_tilting,
+                            ext_via_approx_resolution, hom_exact_at_middle,
+                            strong_projectivity_check)
 from nexakt.addcat import weak_cokernel
 
 from conftest import (full_ext_table, in_random_basis, linear_a3_j2,
@@ -243,7 +243,8 @@ def test_ext_table_skips_only_entries_that_vanish(p):
     # ext_dim over every ordered pair
     for name, indecs in _vanishing_cases(p):
         alg = indecs[0].algebra
-        projs, injs = _vertex_positions(alg, indecs)
+        table = _ExtTable(alg, 4, indecs, 0)
+        projs, injs = table.projs, table.injs
         for _, i in projs:
             for y in indecs:
                 assert [ext_dim(indecs[i], y, k) for k in (1, 2, 3)] == [0] * 3, name
@@ -251,7 +252,7 @@ def test_ext_table_skips_only_entries_that_vanish(p):
             if j is not None:
                 for y in indecs:
                     assert [ext_dim(y, indecs[j], k) for k in (1, 2, 3)] == [0] * 3, name
-        table = _ExtTable(indecs, 4, range(len(indecs)), projs, injs)
+        table.fill(range(len(indecs)))
         full = full_ext_table(indecs, 4)
         assert (table.dims, table.out, table.into) == \
             (full.dims, full.out, full.into), name
@@ -278,7 +279,6 @@ def test_nct_check_calls_no_ext_dim_at_a_projective_or_an_injective(monkeypatch)
         assert indecs.index_of(y) not in injs
     monkeypatch.undo()
     gens = [indecs.index_of(g) for g in expected]
-    reference = _nct_report(gens, full_ext_table(indecs, 3),
-                            *_vertex_positions(alg, indecs))
+    reference = _nct_report(gens, full_ext_table(indecs, 3))
     assert report.verdict == reference.verdict == "n-CT"
     assert report.to_dict() == reference.to_dict()
