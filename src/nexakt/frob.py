@@ -6,6 +6,10 @@ A map x -> y factors through an injective iff it factors through the
 injective envelope x -> E(x), so stable dimensions and stable ranks are
 rank counts against the envelope composites (the ideal rows of
 StableHom), and a map is stably zero when its stable rank is 0.
+An injective object is stably zero: a map into or out of it factors
+through an injective, and Sigma of it is 0.  So stable Hom is never read
+at an injective end, and Sigma(f) is the zero map, with no lift solved,
+when f or Sigma of an end is zero.
 
 Suspension is computed from fixed minimal coresolutions, so it is a
 genuine function on objects; everything it is compared against is taken
@@ -190,7 +194,13 @@ def stable_hom_basis(ctx: FrobeniusCtx, m1: Module, m2: Module) \
 
 def suspension_morphism(ctx: FrobeniusCtx, f: Morphism) -> Morphism:
     """A representative of Sigma(f): the last component of the chain map
-    extending f along the closed coresolutions."""
+    extending f along the closed coresolutions.  It is the zero map, with
+    no lift, when Sigma of an end is the zero module (a map from or to it
+    is unique) or f is zero (the lift of 0 is 0: solve_rows sets free
+    unknowns to 0)."""
+    sx, sy = suspension(ctx, f.source), suspension(ctx, f.target)
+    if sx.is_zero() or sy.is_zero() or f.is_zero():
+        return zero_morphism(sx, sy)
     return _lift_along(f, _closed_coresolution(f.source, ctx.n),
                        _closed_coresolution(f.target, ctx.n))[-1]
 
@@ -244,7 +254,7 @@ def make_angle(ctx: FrobeniusCtx, objects: Sequence[Module],
     chain = list(maps) + [closing]
     for k in range(len(chain) - 1):
         u = chain[k].then(chain[k + 1])
-        if not _injective(u.source) and \
+        if not (_injective(u.source) or _injective(u.target)) and \
                 stable_hom(ctx, u.source, u.target).rank([u]):
             raise ValueError(f"consecutive composite at {k} not stably zero")
     return Angle(list(objects), list(maps), closing)
@@ -311,27 +321,28 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     """Exactness of the stable Hom(G, -) sequence over one full suspension
     period, for every generator G; returns (verdict, rank table).
 
-    An injective G (_injective) has stable Hom(G, -) = 0, since every map
-    out of G factors through the envelope; its rows are written as zero
-    and exact, with no Hom space solved."""
+    Stable Hom(G, X) is 0 when G or X is injective (_injective), and a
+    chain map into or out of an injective node has stable rank 0, since
+    each such map factors through an injective: those dimensions and
+    ranks are written as zero, with no Hom space solved."""
     nodes = list(a.objects) + [suspension(ctx, obj) for obj in a.objects] \
         + [suspension(ctx, suspension(ctx, a.objects[0]))]
     chain = a.all_maps() + [suspension_morphism(ctx, u) for u in a.all_maps()]
+    injective = [_injective(node) for node in nodes]
     table = []
     ok = True
     for gi, g in enumerate(ctx.m.generators):
-        if _injective(g):
-            table.extend({"generator": gi, "position": i, "stable_dim": 0,
-                          "rank_in": 0, "rank_out": 0, "exact": True}
-                         for i in range(1, len(nodes) - 1))
-            continue
-        spaces = [stable_hom(ctx, g, node) for node in nodes]
-        ranks = [spaces[k + 1].composite_rank(spaces[k].hom, u)
+        zero = [True] * len(nodes) if _injective(g) else injective
+        spaces = [None if z else stable_hom(ctx, g, node)
+                  for node, z in zip(nodes, zero)]
+        dims = [0 if s is None else s.dim for s in spaces]
+        ranks = [0 if zero[k] or zero[k + 1]
+                 else spaces[k + 1].composite_rank(spaces[k].hom, u)
                  for k, u in enumerate(chain)]
         for i in range(1, len(nodes) - 1):
-            exact = spaces[i].dim - ranks[i] == ranks[i - 1]
+            exact = dims[i] - ranks[i] == ranks[i - 1]
             table.append({"generator": gi, "position": i,
-                          "stable_dim": spaces[i].dim, "rank_in": ranks[i - 1],
+                          "stable_dim": dims[i], "rank_in": ranks[i - 1],
                           "rank_out": ranks[i], "exact": exact})
             ok = ok and exact
     return ok, table

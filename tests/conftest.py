@@ -7,7 +7,7 @@ from nexakt.addcat import (Indecomposables, PreconditionError, _lift_along,
                            add_category)
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
 from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank, solve_linear
-from nexakt.frob import stable_hom
+from nexakt.frob import _closed_coresolution, stable_hom
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra,
                             nakayama_indecomposables)
@@ -156,6 +156,14 @@ def complete_to_chain_map(x, y, f0):
 def cosyzygy_projection(m, k):
     """The epi I^k -> cosyzygy_of(m, k) closing the length-k coresolution."""
     return min_injective_coresolution(m, k).links[k - 1]
+
+
+def ref_suspension_morphism(ctx, f):
+    """Reference for frob.suspension_morphism: the last component of the
+    chain map extending f along the closed coresolutions, lifted in full
+    whatever its ends."""
+    return _lift_along(f, _closed_coresolution(f.source, ctx.n),
+                       _closed_coresolution(f.target, ctx.n))[-1]
 
 
 def stably_equal(f, g):

@@ -280,25 +280,32 @@ FROBENIUS_P_MAX_SHA256 = {
 }
 
 
-def _frobenius_pipeline_digests(tmp_path, p):
-    """setup, angle, rotate and cone on Pi_2 over F_p with M = P1 + P2 + S1
-    and alpha the first basis map S1 -> P2: the digest of each
-    certificate."""
-    alg = gen_preprojective_A(2, p)
-    apath = tmp_path / "pi2.json"
+# The pipeline on C_6/J^2 (the frobenius-angles algebra) at p = 101 with
+# M = Lambda + S_0 + S_2 + S_4 and alpha the first basis map S_0 -> P_5,
+# whose angle S_0 -> P_5 -> P_4 + P_5 -> P_4 + S_4 has two injective
+# nodes; recorded before Sigma and the exactness check skipped injective
+# ends.  CI checks these digests on certificates written by python -m
+# nexakt.
+FROBENIUS_C6_SHA256 = {
+    "frobenius-angle": "16c5d5e563a4286f5799436d698fc516433ec9ec0371b6ac9ce212dc99f2d4ec",
+    "frobenius-rotate": "f428b79b1d87e6b80cabe0d191c33e050f35bf03b12c7469590fe6474ae9cd38",
+    "frobenius-cone": "a86ef38bf2bc541c1196d17cc829ff80caed929044fb063e42a3883661efb2be",
+}
+
+
+def _frobenius_digests(tmp_path, alg, gens, alpha, subs):
+    """The digest of the certificate of each frobenius subcommand in subs,
+    on alg with M = add of gens, n = 2 and --alpha alpha."""
+    apath = tmp_path / "algebra.json"
     dump_algebra(alg, apath)
-    p1 = projective_module(alg, "1")
-    p2 = projective_module(alg, "2")
-    s1 = simple_module(alg, "1")
     mpath = tmp_path / "m.json"
     mpath.write_text(canonical_json(
-        {"generators": [module_to_dict(x) for x in (p1, p2, s1)]}))
-    alpha = hom_basis(s1, p2)[0]
+        {"generators": [module_to_dict(x) for x in gens]}))
     alpha_path = tmp_path / "alpha.json"
     alpha_path.write_text(canonical_json(morphism_with_endpoints_to_dict(alpha)))
     out = tmp_path / "certs"
     digests = {}
-    for sub in ("setup", "angle", "rotate", "cone"):
+    for sub in subs:
         argv = ["frobenius", sub, "--algebra", apath, "--m", mpath,
                 "--n", 2, "--out", out]
         if sub != "setup":
@@ -307,6 +314,17 @@ def _frobenius_pipeline_digests(tmp_path, p):
         name = f"frobenius-{sub}"
         digests[name] = sha256(out / f"{name}.cert.json")
     return digests
+
+
+def _frobenius_pipeline_digests(tmp_path, p):
+    """setup, angle, rotate and cone on Pi_2 over F_p with M = P1 + P2 + S1
+    and alpha the first basis map S1 -> P2: the digest of each
+    certificate."""
+    alg = gen_preprojective_A(2, p)
+    p1, p2 = projective_module(alg, "1"), projective_module(alg, "2")
+    s1 = simple_module(alg, "1")
+    return _frobenius_digests(tmp_path, alg, (p1, p2, s1), hom_basis(s1, p2)[0],
+                              ("setup", "angle", "rotate", "cone"))
 
 
 def test_frobenius_subcommands(tmp_path):
@@ -320,6 +338,15 @@ def test_frobenius_subcommands_at_p2(tmp_path):
 
 def test_frobenius_subcommands_at_the_largest_prime(tmp_path):
     assert _frobenius_pipeline_digests(tmp_path, 2147483647) == FROBENIUS_P_MAX_SHA256
+
+
+def test_frobenius_subcommands_on_c6_j2(tmp_path):
+    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
+    gens = ([projective_module(alg, str(v)) for v in range(6)]
+            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
+    digests = _frobenius_digests(tmp_path, alg, gens, hom_basis(gens[6], gens[5])[0],
+                                 ("angle", "rotate", "cone"))
+    assert digests == FROBENIUS_C6_SHA256
 
 
 def test_frobenius_cone_failing_exactness_exits_1(tmp_path, monkeypatch):

@@ -1,23 +1,26 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from nexakt.addcat import DomainError, PreconditionError, add_category
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
-from nexakt.frob import (SetupError, angle_cone, angle_from_n_exact,
+from nexakt.frob import (Angle, SetupError, angle_cone, angle_from_n_exact,
                          check_frobenius_setup, complete_angle_morphism,
                          cosyzygy, make_angle, rotate_angle, stable_hom,
                          stable_hom_basis, standard_angle, suspension,
                          suspension_morphism, trivial_angle,
                          verify_angle_exact)
-from nexakt import frob, reps
+from nexakt import addcat, frob, reps
 from nexakt.presets import nakayama_algebra, nakayama_indecomposables
 from nexakt.tilting import brute_force_nct_search
-from nexakt.reps import (Morphism, all_injectives, are_isomorphic, hom_basis,
-                         identity_morphism, projective_module, simple_module,
-                         zero_module, zero_morphism)
+from nexakt.reps import (Morphism, all_injectives, are_isomorphic, direct_sum,
+                         hom_basis, identity_morphism, projective_module,
+                         simple_module, zero_module, zero_morphism)
 
 from conftest import (complete_to_chain_map, cosyzygy_projection,
                       direct_sum_complexes, identity_complex_morphism,
-                      interval_complex, named_modules, stably_equal,
+                      interval_complex, named_modules, preprojective_a2,
+                      ref_suspension_morphism, stably_equal,
                       stably_isomorphic_objects)
 
 
@@ -26,12 +29,16 @@ def pi2_mods(pi2):
     return named_modules(pi2)
 
 
+def _pi2_ctx(alg, mods):
+    """Pi_2 with M = add(P1 + P2 + S1), n = 2, from its named_modules."""
+    m = add_category(alg, [mods["P1"], mods["P2"], mods["S1"]], seed=4)
+    indecs = [mods["P1"], mods["P2"], mods["S1"], mods["S2"]]
+    return check_frobenius_setup(alg, m, 2, indecs, seed=4)
+
+
 @pytest.fixture
 def ctx(pi2, pi2_mods):
-    m = add_category(pi2, [pi2_mods["P1"], pi2_mods["P2"], pi2_mods["S1"]],
-                     seed=4)
-    indecs = [pi2_mods["P1"], pi2_mods["P2"], pi2_mods["S1"], pi2_mods["S2"]]
-    return check_frobenius_setup(pi2, m, 2, indecs, seed=4)
+    return _pi2_ctx(pi2, pi2_mods)
 
 
 def test_setup_passes_for_pi2(ctx):
@@ -162,9 +169,9 @@ def test_standard_angle_on_projective_map(ctx, pi2_mods):
     assert angle.closing.target.total_dim == 0
 
 
-def _cyclic6_ctx():
-    """C_6/J^2 with M = add(Lambda + S0 + S2 + S4), n = 2."""
-    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
+def _cyclic6_ctx(p=101):
+    """C_6/J^2 over F_p with M = add(Lambda + S0 + S2 + S4), n = 2."""
+    alg = nakayama_algebra(6, 2, cyclic=True, p=p)
     gens = ([projective_module(alg, str(v)) for v in range(6)]
             + [simple_module(alg, str(v)) for v in (0, 2, 4)])
     return check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,
@@ -187,13 +194,20 @@ def test_standard_angles_pass_the_checked_constructor(ctx):
     assert count == 28
 
 
+def _angle_nodes(c, a):
+    """The objects verify_angle_exact reads: those of a, their Sigma and
+    Sigma^2 X^0."""
+    return list(a.objects) + [suspension(c, x) for x in a.objects] \
+        + [suspension(c, suspension(c, a.objects[0]))]
+
+
 def _stable_hom_table(c, a):
     """verify_angle_exact's table, recomputed from stable_hom for every
-    generator: each rank is that of the composites h.then(u) in the
-    stable quotient."""
-    nodes = list(a.objects) + [suspension(c, x) for x in a.objects] \
-        + [suspension(c, suspension(c, a.objects[0]))]
-    chain = a.all_maps() + [suspension_morphism(c, u) for u in a.all_maps()]
+    generator and node, injective ones included, with Sigma of each map
+    lifted in full (ref_suspension_morphism): each rank is that of the
+    composites h.then(u) in the stable quotient."""
+    nodes = _angle_nodes(c, a)
+    chain = a.all_maps() + [ref_suspension_morphism(c, u) for u in a.all_maps()]
     table = []
     for gi, g in enumerate(c.m.generators):
         spaces = [stable_hom(c, g, node) for node in nodes]
@@ -207,12 +221,18 @@ def _stable_hom_table(c, a):
     return table
 
 
-def test_standard_angle_tables_match_stable_hom(ctx):
+def test_standard_angle_tables_match_stable_hom(ctx, monkeypatch):
     # the 28 standard angles above and their rotations: the exactness
     # table equals the one read off stable_hom, and a projective-injective
     # generator has only zero rows; the pushout complexes and chain map of
-    # each standard angle pass the checked constructors
-    count = zero_rows = 0
+    # each standard angle pass the checked constructors.  An injective
+    # node is stably zero too: verify_angle_exact reads no stable Hom(G,
+    # node) for it, and its rows are zero and exact
+    read = []
+    sh = frob.stable_hom
+    monkeypatch.setattr(frob, "stable_hom",
+                        lambda c, x, y: read.append(y.key) or sh(c, x, y))
+    count = zero_rows = node_rows = 0
     for c in (ctx, _cyclic6_ctx()):
         gens = c.m.generators
         injective = [any(are_isomorphic(g, i, 3) for i in all_injectives(c.algebra))
@@ -226,17 +246,26 @@ def test_standard_angle_tables_match_stable_hom(ctx):
                             for z in (f.source, f.target))
                     ComplexMorphism(x, y, f.components)
                     for angle in (a, rotate_angle(c, a)):
+                        read.clear()
                         ok, table = verify_angle_exact(c, angle)
+                        nodes = _angle_nodes(c, angle)
+                        zero = {z.key for z in nodes if frob._injective(z)}
+                        assert not zero & set(read)
                         assert ok and table == _stable_hom_table(c, angle)
                         for row in table:
                             if injective[row["generator"]]:
-                                assert (row["stable_dim"], row["rank_in"],
-                                        row["rank_out"], row["exact"]) == (0, 0, 0, True)
                                 zero_rows += 1
+                            elif nodes[row["position"]].key in zero:
+                                node_rows += 1
+                            else:
+                                continue
+                            assert (row["stable_dim"], row["rank_in"],
+                                    row["rank_out"], row["exact"]) == (0, 0, 0, True)
                     count += 1
     # 2n + 3 = 7 rows for each of the 280 pairs of an angle or rotation
-    # and a projective-injective generator
-    assert (count, zero_rows) == (28, 280 * 7)
+    # and a projective-injective generator; 780 rows of the other
+    # generators sit at an injective node
+    assert (count, zero_rows, node_rows) == (28, 280 * 7, 780)
 
 
 def test_standard_angle_refuses_endpoints_outside_add_m(ctx, pi2_mods):
@@ -374,6 +403,39 @@ def test_rotation_reads_no_stable_hom_out_of_an_injective(ctx, monkeypatch):
     assert (angles, composites) == (7, 17)
 
 
+def test_make_angle_reads_no_stable_hom_into_an_injective(ctx, pi2_mods,
+                                                          monkeypatch):
+    # a map into an injective is stably zero too, so make_angle asks no
+    # stable Hom space for a consecutive composite with an injective
+    # target.  Of the 42 composites of the 7 standard angles and their
+    # rotations, 9 have an injective target and a source that is not
+    # injective, and none is read.  The zero angle S1 -> S1 -> S1 -> S1 ->
+    # Sigma S1 has no injective end, so each of its 3 composites is read
+    gens = ctx.m.generators
+    angles = []
+    for alpha0 in (f for g in gens for h in gens for f in hom_basis(g, h)):
+        a = standard_angle(ctx, alpha0)
+        angles += [a, rotate_angle(ctx, a)]
+    s1 = pi2_mods["S1"]
+    angles.append(Angle([s1] * 4, [zero_morphism(s1, s1)] * 3,
+                        zero_morphism(s1, suspension(ctx, s1))))
+    read = []
+    sh = frob.stable_hom
+    monkeypatch.setattr(frob, "stable_hom",
+                        lambda c, x, y: read.append(y.key) or sh(c, x, y))
+    composites = into = 0
+    for angle in angles:
+        make_angle(ctx, angle.objects, angle.maps, angle.closing)
+        chain = angle.all_maps()
+        us = list(map(Morphism.then, chain, chain[1:]))
+        injective = {u.target.key for u in us if frob._injective(u.target)}
+        assert not injective & set(read)
+        composites += len(us)
+        into += sum(u.target.key in injective and not frob._injective(u.source)
+                    for u in us)
+    assert (composites, into, len(read)) == (45, 9, 3)
+
+
 def test_four_fold_rotation_suspends(ctx, pi2_mods):
     alpha0 = hom_basis(pi2_mods["S1"], pi2_mods["P2"])[0]
     angle = standard_angle(ctx, alpha0)
@@ -426,6 +488,41 @@ def test_suspension_morphism_of_identity(ctx, pi2_mods):
     assert stably_equal(sid, identity_morphism(suspension(ctx, s1)))
 
 
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_suspension_morphism_matches_the_full_lift(p, monkeypatch):
+    # Sigma of every Hom-basis map between two generators, and between two
+    # sums of two generators, of Pi_2 and C_6/J^2 equals the full lift
+    # (ref_suspension_morphism): the same Sigma objects and entries.  A map
+    # with an end whose Sigma is zero returns the zero map and solves no
+    # factorization (reps.factor_through, as _lift_along reads it); of the
+    # 2,240 maps, 1,620 take that path
+    calls = []
+    factor = addcat.factor_through
+    monkeypatch.setattr(addcat, "factor_through",
+                        lambda f, g: calls.append(g) or factor(f, g))
+    alg = preprojective_a2(p)
+    maps = zero_path = 0
+    for c in (_pi2_ctx(alg, named_modules(alg)), _cyclic6_ctx(p)):
+        gens = list(c.m.generators)
+        sums = [direct_sum([g, h]).module
+                for g, h in combinations_with_replacement(gens, 2)]
+        for objs in (gens, sums):
+            for x in objs:
+                for y in objs:
+                    zero = suspension(c, x).is_zero() or suspension(c, y).is_zero()
+                    for f in hom_basis(x, y):
+                        calls.clear()
+                        got = suspension_morphism(c, f)
+                        assert (not calls) == zero
+                        want = ref_suspension_morphism(c, f)
+                        assert got.source is want.source
+                        assert got.target is want.target
+                        assert got.vectorize() == want.vectorize()
+                        maps += 1
+                        zero_path += zero
+    assert (maps, zero_path) == (2240, 1620)
+
+
 def test_identity_cone_with_projective_injective_x0():
     # Hom(I^2(X^0), Y^2) = 0 for X^0 = P_0, which is its own envelope; the
     # zero h^2 must still be kept for the step at degree 2
@@ -444,7 +541,6 @@ def _lifted_maps(ctx):
     generators and of two sums: Sigma on each angle map, and the
     completions (id, id) and (id, u) with u: X^1 -> G, against the
     standard angle of alpha0 followed by u."""
-    from nexakt.reps import direct_sum
     gens = list(ctx.m.generators)
     objs = gens + [direct_sum(gens[:2]).module, direct_sum(gens[-2:]).module]
     out = []
@@ -564,7 +660,6 @@ def _stable_hom_basis_by_rank(c, m1, m2):
 def test_stable_hom_basis_matches_the_rank_loop(ctx):
     # every pair of indecomposables, a generator sum and the zero module,
     # on Pi_2 and on the cyclic Nakayama algebra with six vertices
-    from nexakt.reps import direct_sum
     pairs = 0
     for c in (ctx, _cyclic6_ctx()):
         mods = list(nakayama_indecomposables(c.algebra))
