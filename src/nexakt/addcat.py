@@ -355,6 +355,8 @@ def verify_n_kernel(dn: Morphism, seq: ComplexSeq, m: AddCat) -> HomExactnessFra
 
 def verify_n_exact(x: ComplexSeq, m: AddCat, n: int) -> NExactCert:
     """Full certificate: kernel side, cokernel side and add(M) membership."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if len(x.terms) != n + 2:
         raise PreconditionError(f"expected {n + 2} terms, got {len(x.terms)}")
     membership = [(k, bool(in_add(x.term(k), m.generators))) for k in x.degrees()]

@@ -9,7 +9,8 @@ StableHom), and a map is stably zero when its stable rank is 0.
 An injective object is stably zero: a map into or out of it factors
 through an injective, and Sigma of it is 0.  So stable Hom is never read
 at an injective end, and Sigma(f) is the zero map, with no lift solved,
-when f or Sigma of an end is zero.
+when f or Sigma of an end is zero.  Which generators are injective is
+read once per FrobeniusCtx and kept on it (injective_generators).
 
 Suspension is computed from fixed minimal coresolutions, so it is a
 genuine function on objects; everything it is compared against is taken
@@ -55,6 +56,11 @@ class FrobeniusCtx:
     m: AddCat
     n: int
     nct_report: NctReport
+
+    @_lazy_property
+    def injective_generators(self) -> tuple:
+        """_injective of each generator, in list order, read once."""
+        return tuple(_injective(g) for g in self.m.generators)
 
 
 def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
@@ -332,7 +338,7 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     table = []
     ok = True
     for gi, g in enumerate(ctx.m.generators):
-        zero = [True] * len(nodes) if _injective(g) else injective
+        zero = [True] * len(nodes) if ctx.injective_generators[gi] else injective
         spaces = [None if z else stable_hom(ctx, g, node)
                   for node, z in zip(nodes, zero)]
         dims = [0 if s is None else s.dim for s in spaces]

@@ -2,10 +2,11 @@
 
 An n-pushout of X along f0 is a chain map f: X -> Y extending f0 whose
 mapping cone has an n-cokernel tail; iterating weak cokernels of the cone
-differentials makes the cone exact below its top, which alone is checked.
-Y, f, the padding of a good n-pushout and the factorization p of the
-universal property are complexes and chain maps by construction, so they
-are built unchecked (complexes._complex, complexes._chain_map).
+differentials makes the cone exact below its top, which alone is checked,
+from stored Hom dimensions (_n_pushout).  Y, f, the padding of a good
+n-pushout and the factorization p of the universal property are
+complexes and chain maps by construction, so they are built unchecked
+(complexes._complex, complexes._chain_map).
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
-                     _weak_cokernel)
+                     minimal_left_approximation)
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, _chain_map,
                         _complex)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
-                   composite_rows, coordinate_length, direct_sum, hom_basis,
-                   hom_dims_and_ranks, identity_morphism, in_add, solve_rows,
-                   zero_module, zero_morphism)
+                   cokernel_morphism, composite_rows, coordinate_length,
+                   direct_sum, hom_basis, identity_morphism, in_add,
+                   restrictions, solve_rows, zero_module, zero_morphism)
 
 
 def n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, ComplexMorphism]:
@@ -43,6 +44,9 @@ def _n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Comp
     the Y-row w of each cone differential is the weak cokernel of the one
     before, so a map killing that one factors through w, hence the next.
     Only the top depends on M: Hom(w, G) must be injective on Hom(Y^n, G).
+    As w = proj.approx, Hom(w, G) is Hom(approx, G), onto by the verified
+    contract, then Hom(proj, G), mono as proj is onto: its rank is dim
+    Hom(coker, G), a space the approximation solved, so no rank is taken.
     Y and f need no check either: w kills the cone differential before it,
     whose blocks give d_Y^{k-1} d_Y^k = 0 and f^k d_Y^k = d_X^k f^{k+1}."""
     n = len(x.terms) - 1
@@ -55,11 +59,11 @@ def _n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Comp
     d_prev = block_morphism(x.terms[0], c_k,
                             {(0, 0): x.diff(lo).scale(-1), (1, 0): f0})
     for k in range(n):
-        # d_prev joins checked inputs and approximation targets
-        w = _weak_cokernel(d_prev, m)
-        # restrict w: C^k -> Y^{k+1} to the summands X^{k+1} and Y^k
-        f_next, d_y = (block_morphism(part, c_k, {(i, 0): identity_morphism(part)})
-                       .then(w) for i, part in enumerate(c_k.parts))
+        # w, the weak cokernel of d_prev (which joins checked inputs and
+        # approximation targets), on the summands X^{k+1} and Y^k of C^k
+        coker, proj = cokernel_morphism(d_prev)
+        w = proj.then(minimal_left_approximation(coker, m))
+        f_next, d_y = restrictions(c_k, w)
         y_terms.append(w.target)
         y_diffs.append(d_y)
         f_comps.append(f_next)
@@ -70,8 +74,8 @@ def _n_pushout(x: ComplexSeq, f0: Morphism, m: AddCat) -> Tuple[ComplexSeq, Comp
         d_prev = block_morphism(c_k, c_next, {(0, 0): x.diff(lo + k + 1).scale(-1),
                                               (1, 0): f_next, (1, 1): d_y})
         c_k = c_next
-    if any(rank != dim for g in m.generators
-           for dim, rank in hom_dims_and_ranks([w], g, contravariant=True)):
+    if any(len(hom_basis(w.target, g)) != len(hom_basis(coker, g))
+           for g in m.generators):
         raise HypothesisError("pushout cone fails n-cokernel verification",
                               degree=lo + n)
     y = _complex(lo, y_terms, y_diffs)

@@ -44,7 +44,8 @@ is ``quotient_data`` (``_quotient``, under ``cokernel_morphism`` and
 A direct sum (``direct_sum``) is the sum module with block-diagonal
 action together with its summands.  Every map into, out of or between
 direct sums is one ``block_morphism``: block (i, j) from source summand
-j to target summand i, missing blocks zero.  A stack of one map
+j to target summand i, missing blocks zero; ``restrictions`` reads a map
+out of a sum on each summand as its column block.  A stack of one map
 (``stack_morphisms_to_sum``, ``stack_morphisms_from_sum``) is that map,
 with no one-summand sum built.
 
@@ -95,21 +96,21 @@ vertices of each basis map from one template of fp's empty matrices.
 
 The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps,
-``_split_vector``, ``block_morphism``; the actions of ``direct_sum``,
-kernels and quotients; ``radical_span``, ``composite_rows``,
-``path_matrix``, ``_dual``, the minimal polynomials and g(e) of
-``_fitting_split``, and the maps out of P_v in ``resolutions`` and
-their transposes into I_v) calls fp only on a slot whose two sides are
-nonzero.  A slot with a zero side, read off the ``dims`` of its modules,
-is fp's shared empty matrix of its shape (``_empty``), so every
-component dict still holds every vertex.  Where the sides are nonzero
-the result is what fp returns: a product with inner dimension 0 is the
-zero matrix of its outer shape, the kernel of a map into the zero space
-is the identity, a quotient by an empty span keeps every coordinate.  A
-span given to ``quotient_by_submodule`` is checked closed as the
-naturality of its projection (``_check_natural_batch``), which also
-reads an arrow into a nonzero quotient space from a zero one, on entry
-tuples.
+``_split_vector``, ``block_morphism``, ``restrictions``; the actions of
+``direct_sum``, kernels and quotients; ``radical_span``,
+``composite_rows``, ``path_matrix``, ``_dual``, the minimal polynomials
+and g(e) of ``_fitting_split``, and the maps out of P_v in
+``resolutions`` and their transposes into I_v) calls fp only on a slot
+whose two sides are nonzero.  A slot with a zero side, read off the
+``dims`` of its modules, is fp's shared empty matrix of its shape
+(``_empty``), so every component dict still holds every vertex.  Where
+the sides are nonzero the result is what fp returns: a product with
+inner dimension 0 is the zero matrix of its outer shape, the kernel of a
+map into the zero space is the identity, a quotient by an empty span
+keeps every coordinate.  A span given to ``quotient_by_submodule`` is
+checked closed as the naturality of its projection
+(``_check_natural_batch``), which also reads an arrow into a nonzero
+quotient space from a zero one, on entry tuples.
 
 Isomorphism to an indecomposable e is that membership test over the
 one-entry list (e): x = e iff dim x = dim e and x lies in add(e)
@@ -706,6 +707,25 @@ def block_morphism(source: DirectSum | Module, target: DirectSum | Module,
                            {ij: f.components[v] for ij, f in blocks.items()}, p)
         if sd[v] and td[v] else _empty(td[v], sd[v], p)
         for v in src.algebra.quiver.vertices})
+
+
+def restrictions(source: DirectSum, f: Morphism) -> List[Morphism]:
+    """f, a map out of source's sum module, composed with each part's
+    inclusion: at each vertex the part's column block of f, read off with
+    no product and built unchecked."""
+    if not f.source.same_as(source.module):
+        raise ValueError("map does not start at the direct sum")
+    p, out, at = f.source.algebra.p, [], dict.fromkeys(f.components, 0)
+    for part in source.parts:
+        comps = {}
+        for v, m in f.components.items():
+            r, c, k = m.rows, part.dims[v], at[v]
+            comps[v] = Mat(r, c, tuple(x for i in range(k, r * m.cols, m.cols)
+                                       for x in m.entries[i:i + c]), p) \
+                if r and c else _empty(r, c, p)
+            at[v] = k + c
+        out.append(_natural(part, f.target, comps))
+    return out
 
 
 def stack_morphisms_to_sum(maps: Sequence[Morphism]) -> Morphism:

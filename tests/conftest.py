@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from nexakt.addcat import (Indecomposables, PreconditionError, _lift_along,
-                           add_category)
+                           _weak_cokernel, add_category)
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
 from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank, solve_linear
 from nexakt.frob import _closed_coresolution, stable_hom
@@ -15,7 +15,8 @@ from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (Module, Morphism, all_injectives, all_projectives,
                          are_isomorphic, assemble_from_span, block_morphism,
                          composite_rows, direct_sum, hom_basis,
-                         identity_morphism, projective_module,
+                         hom_dims_and_ranks, identity_morphism,
+                         projective_module,
                          quotient_by_submodule, simple_module, solve_rows,
                          split_indecomposables)
 from nexakt.resolutions import ext_dim, min_injective_coresolution
@@ -51,6 +52,14 @@ def two_loops(bound, p):
             Relation(((1, PathWord(("x", "x"))), (p - 1, PathWord(("y", "y", "y"))))),
             Relation(((1, PathWord(("y", "y", "y", "y"))),))]
     return q, rels, bound
+
+
+def cyclic6_j2(p=101):
+    """C_6/J^2 over F_p, the frobenius-angles algebra, and the generators
+    of its 2-CT module Lambda + S_0 + S_2 + S_4: P_0..P_5, S_0, S_2, S_4."""
+    alg = nakayama_algebra(6, 2, cyclic=True, p=p)
+    return alg, ([projective_module(alg, str(v)) for v in range(6)]
+                 + [simple_module(alg, str(v)) for v in (0, 2, 4)])
 
 
 def kronecker_algebra(p=101):
@@ -151,6 +160,38 @@ def complete_to_chain_map(x, y, f0):
     comps = _lift_along(f0, list(x.diffs),
                         [y.diff(k) for k in range(x.lo, x.hi)], x.lo)
     return ComplexMorphism(x, y, dict(enumerate(comps, x.lo)))
+
+
+def ref_pushout_ladder(x, f0, m):
+    """Reference for pushout._n_pushout's ladder: (d_Y, f components, top
+    w), each w the weak cokernel of the cone differential before it and
+    f^{k+1}, d_Y^k its composites with the inclusions of X^{k+1} and Y^k
+    (block_morphism of an identity), not column blocks.  No verdict is
+    read."""
+    lo, n = x.lo, len(x.terms) - 1
+    y_diffs, f_comps = [], [f0]
+    c = direct_sum([x.terms[1], f0.target])
+    d = block_morphism(x.terms[0], c, {(0, 0): x.diff(lo).scale(-1), (1, 0): f0})
+    for k in range(n):
+        w = _weak_cokernel(d, m)
+        f_next, d_y = (block_morphism(part, c, {(i, 0): identity_morphism(part)})
+                       .then(w) for i, part in enumerate(c.parts))
+        y_diffs.append(d_y)
+        f_comps.append(f_next)
+        if k < n - 1:
+            c_next = direct_sum([x.terms[k + 2], w.target])
+            d = block_morphism(c, c_next, {(0, 0): x.diff(lo + k + 1).scale(-1),
+                                           (1, 0): f_next, (1, 1): d_y})
+            c = c_next
+    return y_diffs, f_comps, w
+
+
+def ref_pushout_top_ok(w, m):
+    """Reference for _n_pushout's top check, by composing and ranking:
+    Hom(w, G) is injective on Hom(Y^n, G), its rank equal to that
+    dimension, for every generator G."""
+    return all(rank == dim for g in m.generators
+               for dim, rank in hom_dims_and_ranks([w], g, contravariant=True))
 
 
 def cosyzygy_projection(m, k):

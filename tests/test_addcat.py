@@ -11,8 +11,8 @@ from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            minimal_right_approximation, verify_n_cokernel,
                            verify_n_exact, verify_n_kernel, weak_cokernel,
                            weak_kernel)
-from nexakt.complexes import (ComplexSeq, ComplexMorphism, pad_complex,
-                              verify_homotopy)
+from nexakt.complexes import (ComplexSeq, ComplexMorphism, complex_from_maps,
+                              pad_complex, verify_homotopy)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.fileio import morphism_to_dict
 from nexakt import quivers, reps
@@ -540,6 +540,17 @@ def test_verify_n_kernel_fragment(a3, m3, a3_mods):
     dn = hom_basis(a3_mods["P2"], a3_mods["S2"])[0]
     head = n_kernel(dn, m3, 2)
     assert verify_n_kernel(dn, head, m3).ok
+
+
+@pytest.mark.parametrize("n", (0, -1))
+def test_verify_n_exact_refuses_n_below_1(a3, m3, a3_mods, n):
+    # with n = 0 the split two-term complex P1 -> P1 has n + 2 terms and
+    # would be certified n-exact, verdict True; n_cokernel and n_kernel
+    # refuse n < 1, and so does the certificate
+    x = complex_from_maps(0, [identity_morphism(a3_mods["P1"])])
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        verify_n_exact(x, m3, n)
+    assert verify_n_exact(pad_complex(x, 0, 2), m3, 1).ok
 
 
 def test_zero_chain_passes(a3, m3):

@@ -22,7 +22,7 @@ from nexakt.reps import (assemble_from_span, direct_sum, hom_basis,
                          injective_module, projective_module, simple_module)
 from nexakt.tilting import brute_force_nct_search
 
-from conftest import named_modules
+from conftest import cyclic6_j2, named_modules
 
 
 @pytest.fixture
@@ -341,9 +341,7 @@ def test_frobenius_subcommands_at_the_largest_prime(tmp_path):
 
 
 def test_frobenius_subcommands_on_c6_j2(tmp_path):
-    alg = nakayama_algebra(6, 2, cyclic=True, p=101)
-    gens = ([projective_module(alg, str(v)) for v in range(6)]
-            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
+    alg, gens = cyclic6_j2()
     digests = _frobenius_digests(tmp_path, alg, gens, hom_basis(gens[6], gens[5])[0],
                                  ("angle", "rotate", "cone"))
     assert digests == FROBENIUS_C6_SHA256
@@ -670,6 +668,43 @@ def test_addm_algebra_ncoker_and_npushout_certificate_bytes(tmp_path):
         "639adaeeab0906a1a32ba3898b3ca53e108f2b046e27e028bf0f196398bd1a43"
     assert sha256(tmp_path / "certs" / "npushout.cert.json") == \
         "d7a7ec6789e6381959492e9eb71a268f414eac037409635df28115531c4fbc00"
+
+
+# npushout on C_6/J^2 at p = 101 with M = Lambda + S_0 + S_2 + S_4,
+# recorded before the top of the cone was read from stored Hom
+# dimensions; CI checks the same two digests on certificates written by
+# python -m nexakt.
+C6_NPUSHOUT_SHA256 = {
+    "pass": "bb77319927d4b579425a8c65c97f6b2554106c5a24be36c33503dedb468bb625",
+    "fail": "fb1dde2dc2ffdfcebec45a448a587a0ee5214f298fe67e1d67febcf6bc9b140c",
+}
+
+
+def test_npushout_certificate_bytes_on_c6_j2(tmp_path):
+    # S_0 -> P_5 -> P_4, alpha (the first basis map S_0 -> P_5) and its
+    # weak cokernel, pushed out along alpha passes; the one-differential
+    # complex P_0 -> P_5 pushed out along its map fails at the top of the
+    # cone, degree 1
+    alg, gens = cyclic6_j2()
+    alpha, e0 = hom_basis(gens[6], gens[5])[0], hom_basis(gens[0], gens[5])[0]
+    upper = complex_from_maps(0, [alpha, weak_cokernel(alpha, add_category(alg, gens))])
+    dump_algebra(alg, tmp_path / "c6-j2.json")
+    for name, data in (("m", {"generators": [module_to_dict(g) for g in gens]}),
+                       ("upper", complex_to_dict(upper)),
+                       ("alpha", morphism_with_endpoints_to_dict(alpha)),
+                       ("p0-p5-complex", complex_to_dict(complex_from_maps(0, [e0]))),
+                       ("p0-p5", morphism_with_endpoints_to_dict(e0))):
+        (tmp_path / f"{name}.json").write_text(canonical_json(data))
+    common = ["--algebra", tmp_path / "c6-j2.json", "--m", tmp_path / "m.json"]
+    assert run("npushout", "--complex", tmp_path / "upper.json", "--morphism",
+               tmp_path / "alpha.json", *common, "--out", tmp_path / "pass") == 0
+    assert run("npushout", "--complex", tmp_path / "p0-p5-complex.json",
+               "--morphism", tmp_path / "p0-p5.json", *common,
+               "--out", tmp_path / "fail") == 1
+    cert = json.loads((tmp_path / "fail" / "npushout.cert.json").read_text())
+    assert cert["witnesses"]["failure"]["degree"] == 1
+    assert {k: sha256(tmp_path / k / "npushout.cert.json")
+            for k in C6_NPUSHOUT_SHA256} == C6_NPUSHOUT_SHA256
 
 
 # algebra check on algebras whose ideal is more than its relations: the

@@ -17,7 +17,7 @@ from nexakt.reps import (Morphism, all_injectives, are_isomorphic, direct_sum,
                          hom_basis, identity_morphism, projective_module,
                          simple_module, zero_module, zero_morphism)
 
-from conftest import (complete_to_chain_map, cosyzygy_projection,
+from conftest import (complete_to_chain_map, cosyzygy_projection, cyclic6_j2,
                       direct_sum_complexes, identity_complex_morphism,
                       interval_complex, named_modules, preprojective_a2,
                       ref_suspension_morphism, stably_equal,
@@ -171,9 +171,7 @@ def test_standard_angle_on_projective_map(ctx, pi2_mods):
 
 def _cyclic6_ctx(p=101):
     """C_6/J^2 over F_p with M = add(Lambda + S0 + S2 + S4), n = 2."""
-    alg = nakayama_algebra(6, 2, cyclic=True, p=p)
-    gens = ([projective_module(alg, str(v)) for v in range(6)]
-            + [simple_module(alg, str(v)) for v in (0, 2, 4)])
+    alg, gens = cyclic6_j2(p)
     return check_frobenius_setup(alg, add_category(alg, gens, seed=0), 2,
                                  nakayama_indecomposables(alg), seed=0)
 
@@ -266,6 +264,30 @@ def test_standard_angle_tables_match_stable_hom(ctx, monkeypatch):
     # and a projective-injective generator; 780 rows of the other
     # generators sit at an injective node
     assert (count, zero_rows, node_rows) == (28, 280 * 7, 780)
+
+
+def test_generator_injectivity_is_read_once_per_context(monkeypatch):
+    # the first verify_angle_exact of a context asks _injective of every
+    # node and every generator; later ones, of the nodes alone, in order
+    c = _cyclic6_ctx()
+    gens = c.m.generators
+    a = standard_angle(c, hom_basis(gens[6], gens[5])[0])
+    angles = [a, rotate_angle(c, a), standard_angle(c, hom_basis(gens[7], gens[1])[0])]
+    tables = [verify_angle_exact(_cyclic6_ctx(), b) for b in angles]
+    seen = []
+    injective = frob._injective
+    monkeypatch.setattr(frob, "_injective",
+                        lambda x: seen.append(x) or injective(x))
+    for i, b in enumerate(angles):
+        seen.clear()
+        assert verify_angle_exact(c, b) == tables[i]
+        nodes = _angle_nodes(c, b)
+        assert len(seen) == len(nodes) + (len(gens) if i == 0 else 0)
+        assert all(x.same_as(y) for x, y in zip(seen, nodes))
+        assert all(x is g for x, g in zip(seen[len(nodes):], gens))
+    # the projectives of a selfinjective algebra are injective, S_0, S_2
+    # and S_4 are not
+    assert c.injective_generators == (True,) * 6 + (False,) * 3
 
 
 def test_standard_angle_refuses_endpoints_outside_add_m(ctx, pi2_mods):

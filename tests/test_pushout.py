@@ -3,17 +3,22 @@ import hashlib
 import pytest
 
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
-                           contract, contravariant_fragment, weak_cokernel)
+                           add_category, contract, contravariant_fragment,
+                           weak_cokernel)
 from nexakt.certs import canonical_json, content_hash
 from nexakt.complexes import (ComplexMorphism, ComplexSeq, complex_from_maps,
                               mapping_cone, pad_complex, verify_homotopy)
 from nexakt.fileio import morphism_to_dict
-from nexakt.pushout import good_n_pushout, n_pushout, pushout_factorization
+from nexakt import addcat, frob, pushout, reps, resolutions
+from nexakt.pushout import (_n_pushout, good_n_pushout, n_pushout,
+                            pushout_factorization)
 from nexakt.reps import (are_isomorphic, factor_through, hom_basis,
                          identity_morphism, simple_module,
                          split_indecomposables, zero_module, zero_morphism)
 
-from conftest import identity_complex_morphism, sweep_generator_maps
+from conftest import (cyclic6_j2, identity_complex_morphism,
+                      ref_pushout_ladder, ref_pushout_top_ok,
+                      sweep_generator_maps)
 
 
 def upper_complex(a3, a3_mods):
@@ -133,7 +138,6 @@ def test_factorization_to_another_completion(a3, m3, a3_mods):
 
 def test_pushout_solves_membership_only_for_the_given_objects(a3, m3, a3_mods,
                                                             monkeypatch):
-    from nexakt import reps
     from nexakt.reps import Module, Morphism, block_morphism, direct_sum
     p1, p2, s0, s2 = a3_mods["P1"], a3_mods["P2"], a3_mods["S0"], a3_mods["S2"]
     sums = [direct_sum(parts) for parts in ([p1, s2], [p2, s2], [p1, p1])]
@@ -185,7 +189,10 @@ SWEEP_FAILED_SHA256 = "a2f9d65621e9af9a8f0a01cc0cfe6747fb0274d171abbcb282ab39a93
 def test_sweep_pushouts_keep_their_maps():
     # x is d or (d, its weak cokernel), f0 every Hom-basis map from the
     # source of d to a generator; each pushout and good pushout, built
-    # unchecked, passes the checked constructors
+    # unchecked, passes the checked constructors.  The top check, read
+    # from stored Hom dimensions, agrees with the reference rank test on
+    # every case, and each pushout has the reference ladder's maps (the
+    # column blocks of w are its composites with the inclusions)
     kept, failed, count = hashlib.sha256(), [], 0
     for label, m, d in sweep_generator_maps():
         for x in (complex_from_maps(0, [d]),
@@ -195,12 +202,20 @@ def test_sweep_pushouts_keep_their_maps():
                 for c, f0 in enumerate(hom_basis(d.source, g)):
                     count += 1
                     key = label + [n, t, c]
+                    y_diffs, f_comps, w = ref_pushout_ladder(x, f0, m)
                     try:
                         y, f = n_pushout(x, f0, m)
                     except HypothesisError as exc:
                         assert exc.degree == x.lo + n, key
+                        assert not ref_pushout_top_ok(w, m), key
                         failed.append(key)
                         continue
+                    assert ref_pushout_top_ok(w, m), key
+                    for got, want in zip(y.diffs + [f.component(k) for k in x.degrees()],
+                                         y_diffs + f_comps, strict=True):
+                        assert got.source is want.source, key
+                        assert got.target is want.target, key
+                        assert got.components == want.components, key
                     assert _cone_is_exact(f, m), key
                     _checked(f)
                     if n == 2:
@@ -217,6 +232,47 @@ def test_sweep_pushouts_keep_their_maps():
     assert (count, len(failed)) == (2976, 16)
     assert kept.hexdigest() == SWEEP_KEPT_SHA256
     assert content_hash(failed) == SWEEP_FAILED_SHA256
+
+
+def _c6_cases():
+    """n-pushouts over C_6/J^2 at p = 101, M = Lambda + S_0 + S_2 + S_4:
+    S_0 -> P_5 -> P_4 (alpha and its weak cokernel) along alpha, which
+    passes, and P_0 -> P_5 along its map, which fails at the top."""
+    alg, gens = cyclic6_j2()
+    m = add_category(alg, gens)
+    alpha, e0 = hom_basis(gens[6], gens[5])[0], hom_basis(gens[0], gens[5])[0]
+    return m, [(complex_from_maps(0, [alpha, weak_cokernel(alpha, m)]), alpha),
+               (complex_from_maps(0, [e0]), e0)]
+
+
+def test_n_pushout_builds_no_inclusion_and_takes_no_rank(a3, m3, a3_mods,
+                                                        monkeypatch):
+    x = upper_complex(a3, a3_mods)
+    s0 = a3_mods["S0"]
+    cases = [(m3, [(x, identity_morphism(s0)),
+                   (x, zero_morphism(s0, zero_module(a3))),
+                   (x, hom_basis(s0, a3_mods["P1"])[0]),
+                   (complex_from_maps(0, [x.diff(0)]), x.diff(0))]),
+             _c6_cases()]
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+    for name in ("identity_morphism", "hom_dims_and_ranks"):
+        fn = getattr(reps, name)
+        for mod in (addcat, frob, pushout, reps, resolutions):
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, spy(name, fn))
+    outcomes = []
+    for m, xs in cases:
+        for x, f0 in xs:
+            try:
+                _n_pushout(x, f0, m)
+                outcomes.append(None)
+            except HypothesisError as exc:
+                outcomes.append(exc.degree)
+    assert outcomes == [None, None, None, 1, None, 1]
+    assert calls == []
 
 
 def test_factorization_refuses_completions_that_differ_in_degree_0(a3, m3, a3_mods):

@@ -27,7 +27,7 @@ from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
                          stack_morphisms_to_sum, zero_module, zero_morphism,
                          regular_module, all_projectives)
 
-from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, equals,
+from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, cyclic6_j2, equals,
                       exhaustively_indecomposable, identity_through,
                       in_random_basis, kronecker_algebra,
                       kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
@@ -1252,6 +1252,43 @@ def test_block_with_wrong_endpoints_or_slot_raises(a3_mods):
     semisimple = direct_sum([s0, s1])
     with pytest.raises(ValueError):
         block_morphism(s0, tgt, {(0, 0): _inclusion(semisimple, 0)})
+
+
+def _restriction_cases(p):
+    """(name, generators) of K A_9/J^2 (its 2-CT generators), C_6/J^2
+    (Lambda + S_0 + S_2 + S_4) and Pi_2 (P1 + P2 + S1) over F_p."""
+    pi2 = preprojective_a2(p)
+    return [("A9/J2", gen_linear_An_J2(2, 4, p=p)[1]), ("C6/J2", cyclic6_j2(p)[1]),
+            ("Pi2", [projective_module(pi2, "1"), projective_module(pi2, "2"),
+                     simple_module(pi2, "1")])]
+
+
+@pytest.mark.parametrize("p", (2, 101, 2**31 - 1))
+def test_restrictions_are_the_composites_with_the_inclusions(p):
+    # every two-part sum of generators and every run of three, and each
+    # map out of it: its identity and every Hom-basis map to a generator
+    count = 0
+    for name, gens in _restriction_cases(p):
+        sums = [direct_sum(list(pair))
+                for pair in combinations_with_replacement(gens, 2)]
+        sums += [direct_sum(gens[i:i + 3]) for i in range(len(gens) - 2)]
+        for total in sums:
+            maps = [identity_morphism(total.module)] + \
+                [f for g in gens for f in hom_basis(total.module, g)]
+            for f in maps:
+                for i, got in enumerate(reps.restrictions(total, f)):
+                    want = _inclusion(total, i).then(f)
+                    assert got.source is want.source is total.parts[i], name
+                    assert got.target is want.target is f.target, name
+                    assert got.components == want.components, name
+                    count += 1
+    assert count == 1991
+
+
+def test_restrictions_refuse_a_map_from_elsewhere(a3_mods):
+    total = direct_sum([a3_mods["S0"], a3_mods["S1"]])
+    with pytest.raises(ValueError, match="does not start at the direct sum"):
+        reps.restrictions(total, identity_morphism(a3_mods["P1"]))
 
 
 def test_non_natural_block_is_rejected_by_the_one_check(a3_mods):
