@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 from .fp import FieldSpec, Mat, det, kernel_basis, rank, rref, solve_linear
 from .quivers import (AlgebraBasis, PathWord, Quiver, Relation,
                       build_algebra, opposite_algebra)
-from .reps import (Module, Morphism, are_isomorphic, cokernel_morphism,
-                   direct_sum, hom_basis, in_add, injective_module,
-                   kernel_morphism, projective_module, regular_module,
-                   simple_module, split_indecomposables, zero_module)
+from .reps import (Module, Morphism, cokernel_morphism, direct_sum,
+                   hom_basis, in_add, injective_module, kernel_morphism,
+                   projective_module, regular_module, simple_module,
+                   split_indecomposables, zero_module)
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy,
                         chain_map_space, mapping_cone, verify_homotopy)
 from .resolutions import (Resolution, cosyzygy_of, ext_dim,
@@ -48,10 +48,10 @@ __all__ = [
     "FieldSpec", "Mat", "det", "kernel_basis", "rank", "rref", "solve_linear",
     "AlgebraBasis", "PathWord", "Quiver", "Relation", "build_algebra",
     "opposite_algebra",
-    "Module", "Morphism", "are_isomorphic", "cokernel_morphism", "direct_sum",
-    "hom_basis", "in_add", "injective_module", "kernel_morphism",
-    "projective_module", "regular_module", "simple_module",
-    "split_indecomposables", "zero_module",
+    "Module", "Morphism", "cokernel_morphism", "direct_sum", "hom_basis",
+    "in_add", "injective_module", "kernel_morphism", "projective_module",
+    "regular_module", "simple_module", "split_indecomposables",
+    "zero_module",
     "ComplexSeq", "ComplexMorphism", "Homotopy", "chain_map_space",
     "mapping_cone", "verify_homotopy",
     "Resolution", "cosyzygy_of", "ext_dim",

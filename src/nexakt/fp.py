@@ -31,11 +31,15 @@ shape: with no unknowns, ``solve_linear`` solves exactly when b is zero;
 with no equations the zero matrix solves; ``kernel_basis`` of a map from
 the zero space is 0x0, and of a map to it the identity; ``quotient_data``
 by an empty span is the identity, every coordinate free.  A product with
-inner dimension 0 is the zero matrix of its outer shape.  The builders
+inner dimension 0 is the zero matrix of its outer shape.  Most builders
 of ``reps`` and ``resolutions`` take ``_empty`` themselves for a slot
-with a zero side, read off the dimension vectors; the early returns
-serve every other caller (files, users, ``addcat``, ``complexes``,
-``frob``, ``polys``, ``fileio``).
+with a zero side, read off the dimension vectors, but five reach these
+returns: ``reps.kernel_morphism`` and ``reps._quotient`` (``identity``
+of 0), ``reps._semisimple`` (``zero``), ``reps._dual`` and
+``resolutions.injective_envelope`` (``transpose``); so does the
+exactness check ``resolutions._check_step`` (``rank``).  The early
+returns serve them and every other caller (files, users, ``addcat``,
+``complexes``, ``frob``, ``polys``, ``fileio``).
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ StableHom), and a map is stably zero when its stable rank is 0.
 An injective object is stably zero: a map into or out of it factors
 through an injective, and Sigma of it is 0.  So stable Hom is never read
 at an injective end, and Sigma(f) is the zero map, with no lift solved,
-when f or Sigma of an end is zero.  Which generators are injective is
-read once per FrobeniusCtx and kept on it (injective_generators).
+when f or Sigma of an end is zero.  Whether a module is injective is
+read off its stored envelope (_injective), as is each generator's.
 
 Suspension is computed from fixed minimal coresolutions, so it is a
 genuine function on objects; everything it is compared against is taken
@@ -18,8 +18,9 @@ up to stable isomorphism, and certificates record stable ranks only.
 Sigma on objects and maps and both kinds of angle read one closed
 coresolution x -> I^1 -> ... -> I^n -> Sigma x, and Sigma(f) is the
 chain-map completion of f along it (addcat._lift_along).  That
-coresolution and the envelope are read through
-resolutions.min_injective_coresolution, with its cokernel projections.
+coresolution is read through resolutions.min_injective_coresolution,
+with its cokernel projections, and the envelope, its first map, in place
+in the stored coresolution (resolutions._injective_chain), with no copy.
 Sign conventions: an n-exact sequence induces an angle with closing sign
 (-1)^n, and left rotation closes with (-1)^n times the suspended first
 map.
@@ -41,8 +42,8 @@ from .reps import (Module, Morphism, all_injectives, assemble_from_span,
                    direct_sum, factor_through, hom_basis, identity_morphism,
                    in_add, rows_rank, solve_rows, stack_morphisms_from_sum,
                    zero_module, zero_morphism)
-from .resolutions import (cosyzygy_of, is_projective, min_injective_coresolution,
-                          syzygy)
+from .resolutions import (_injective_chain, cosyzygy_of, is_projective,
+                          min_injective_coresolution, syzygy)
 from .tilting import NctReport, check_n_cluster_tilting
 
 
@@ -56,11 +57,6 @@ class FrobeniusCtx:
     m: AddCat
     n: int
     nct_report: NctReport
-
-    @_lazy_property
-    def injective_generators(self) -> tuple:
-        """_injective of each generator, in list order, read once."""
-        return tuple(_injective(g) for g in self.m.generators)
 
 
 def check_frobenius_setup(alg: AlgebraBasis, m: AddCat, n: int,
@@ -164,8 +160,8 @@ class StableHom:
 
 
 def _envelope(x: Module) -> Morphism:
-    """The memoized injective envelope x -> E(x)."""
-    return min_injective_coresolution(x, 1).maps[0]
+    """The memoized injective envelope x -> E(x), read in place."""
+    return _injective_chain(x, 1).maps[0]
 
 
 def _injective(x: Module) -> bool:
@@ -338,7 +334,7 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
     table = []
     ok = True
     for gi, g in enumerate(ctx.m.generators):
-        zero = [True] * len(nodes) if ctx.injective_generators[gi] else injective
+        zero = [True] * len(nodes) if _injective(g) else injective
         spaces = [None if z else stable_hom(ctx, g, node)
                   for node, z in zip(nodes, zero)]
         dims = [0 if s is None else s.dim for s in spaces]

@@ -18,8 +18,10 @@ Each algebra indexes its basis once, when the index is first read
 vertex, grouped by their other end, the basis index of each arrow and
 vertex unit, and the quiver's vertex and arrow names.  ``vertex_unit``,
 ``arrow_basis_index``, ``block_indices``, ``reps.basis_paths`` and the
-table check read it and scan nothing.  The table check visits only the
-composable triples, in index order.
+table check read it and scan nothing.  The table check verifies each
+fact once: the ends of every product's terms, in one pass over the
+table, the vertex units, and the composable triples of paths of positive
+length, in index order.
 """
 
 from __future__ import annotations
@@ -193,9 +195,10 @@ class _BasisIndex(NamedTuple):
     """The index of an algebra's basis, as tuples in increasing basis
     order: starting[v][w] the basis paths from v to w, ending[v][w] those
     from w to v (starting[v] and ending[v] are read-only views, which
-    reps.basis_paths hands out), out_of[v] all basis paths from v; the
-    basis index of each arrow that survives in the quotient and of each
-    vertex unit; and the quiver's vertex and arrow names."""
+    reps.basis_paths hands out), out_of[v] the basis paths of positive
+    length from v, which only the table check reads; the basis index of
+    each arrow that survives in the quotient and of each vertex unit; and
+    the quiver's vertex and arrow names."""
 
     starting: dict
     ending: dict
@@ -275,10 +278,11 @@ class AlgebraBasis:
         for i, (w, s, t) in enumerate(zip(self.basis, self.source_of, self.target_of)):
             starting[s].setdefault(t, []).append(i)
             ending[t].setdefault(s, []).append(i)
-            out_of[s].append(i)
             if not w.arrows:
                 units[w.base] = i
-            elif len(w.arrows) == 1:
+                continue
+            out_of[s].append(i)
+            if len(w.arrows) == 1:
                 arrows[w.arrows[0]] = i
 
         def grouped(by_end):
@@ -415,12 +419,23 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
 
 
 def _spot_check_table(alg: AlgebraBasis):
-    """Exhaustive associativity/unit check: the units first, then every
-    composable triple (i, j, k) in increasing order, read off the basis
-    index; where b_i b_j and b_j b_k are both zero, both sides are."""
+    """Exhaustive check of the table, one fact at a time: every product's
+    terms run between the ends of its factors; each vertex unit is a
+    two-sided unit; every composable triple (i, j, k) of basis paths of
+    positive length associates, visited in increasing order off the basis
+    index (where b_i b_j and b_j b_k are both zero, both sides are).  A
+    triple with a unit follows from the first two facts: (e_v b_j) b_k =
+    b_j b_k = e_v (b_j b_k), since every term of b_j b_k starts at v, and
+    the unit in the middle or last place likewise."""
     p = alg.p
-    d = alg.dim
+    src, tgt = alg.source_of, alg.target_of
     out_of = alg._index.out_of
+    for (i, j), prod in alg.table.items():
+        s, t = src[i], tgt[j]
+        for k, _ in prod:
+            if src[k] != s or tgt[k] != t:
+                raise AssertionError(
+                    f"multiplication table term {k} of ({i},{j}) has other ends")
 
     def mul_vecs(u, v):
         """The product of two coefficient vectors, as sorted (index, coeff)."""
@@ -431,15 +446,15 @@ def _spot_check_table(alg: AlgebraBasis):
                     out[k] = (out.get(k, 0) + c * c2 * c3) % p
         return [(k, c) for k, c in sorted(out.items()) if c]
 
-    for i in range(d):
-        ev = alg.vertex_unit(alg.source_of[i])
-        ew = alg.vertex_unit(alg.target_of[i])
-        if alg.multiply(ev, i) != [(i, 1 % p)] or alg.multiply(i, ew) != [(i, 1 % p)]:
+    for i, (s, t) in enumerate(zip(src, tgt)):
+        one = [(i, 1 % p)]
+        if alg.multiply(alg.vertex_unit(s), i) != one \
+                or alg.multiply(i, alg.vertex_unit(t)) != one:
             raise AssertionError("multiplication table not unital")
-    for i in range(d):
-        for j in out_of[alg.target_of[i]]:
+    for i in sorted(i for paths in out_of.values() for i in paths):
+        for j in out_of[tgt[i]]:
             ij = alg.multiply(i, j)
-            for k in out_of[alg.target_of[j]]:
+            for k in out_of[tgt[j]]:
                 jk = alg.multiply(j, k)
                 if (ij or jk) and mul_vecs(ij, [(k, 1)]) != mul_vecs([(i, 1)], jk):
                     raise AssertionError(

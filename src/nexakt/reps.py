@@ -98,12 +98,17 @@ The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps,
 ``_split_vector``, ``block_morphism``, ``restrictions``; the actions of
 ``direct_sum``, kernels and quotients; ``radical_span``,
-``composite_rows``, ``path_matrix``, ``_dual``, the minimal polynomials
-and g(e) of ``_fitting_split``, and the maps out of P_v in
-``resolutions`` and their transposes into I_v) calls fp only on a slot
-whose two sides are nonzero.  A slot with a zero side, read off the
-``dims`` of its modules, is fp's shared empty matrix of its shape
-(``_empty``), so every component dict still holds every vertex.  Where
+``composite_rows``, ``path_matrix``, the minimal polynomials and g(e)
+of ``_fitting_split``, and the maps out of P_v in ``resolutions``)
+calls fp only on a slot whose two sides are nonzero.  A slot with a
+zero side, read off the ``dims`` of its modules, is fp's shared empty
+matrix of its shape (``_empty``), so every component dict still holds
+every vertex.  Five builders leave that slot to fp's early returns,
+which give the same shared matrix: the inclusion of ``kernel_morphism``
+and the projection of ``_quotient`` take ``Mat.identity(0)`` where the
+module is zero, ``_semisimple`` takes ``Mat.zero`` of an arrow with a
+zero end, and ``_dual`` and ``resolutions.injective_envelope`` transpose
+empty matrices.  Where
 the sides are nonzero the result is what fp returns: a product with
 inner dimension 0 is the zero matrix of its outer shape, the kernel of a
 map into the zero space is the identity, a quotient by an empty span
@@ -117,8 +122,8 @@ one-entry list (e): x = e iff dim x = dim e and x lies in add(e)
 (Krull-Schmidt).  ``Indecomposables.index_of`` is its public face;
 ``_isomorphic_to_indecomposable`` is the package-internal entry point,
 which cli imports to compare with one module.  It is private because it
-is only correct when e is indecomposable.  ``are_isomorphic``, which
-samples Hom elements, is the public test for any two modules.
+is only correct when e is indecomposable.  No package code compares
+two arbitrary modules.
 
 The duality D = Hom_F(-, F) is ``_dual``, over the opposite algebra,
 which is linked both ways, so D D x is x's content over x's algebra.
@@ -497,8 +502,6 @@ def _solve_hom(m: Module, n: Module) -> List[Morphism]:
         if shared >> i & 1:
             offsets[v] = total
             total += nd[v] * md[v]
-    if not total:
-        return []
     # a row per arrow and entry (i, j), i < nt, j < ms, of A x_s - x_t B = 0
     # (A, B the actions on n, m); the x_s coefficients land at distinct
     # places, the x_t ones may meet them when the arrow is a loop, so are added
@@ -1050,30 +1053,6 @@ def _isomorphic_to_indecomposable(x: Module, e: Module) -> bool:
     """x = e for an indecomposable e, exactly: by Krull-Schmidt, x in
     add(e) means x = e^k, and equal dimension vectors force k = 1."""
     return x.dim_vector() == e.dim_vector() and in_add(x, Indecomposables((e,)))
-
-
-def are_isomorphic(m: Module, n: Module, seed: int) -> bool:
-    """Probabilistic isomorphism test of any two modules: equal content
-    (the identity map), then equal dimension vectors and random Hom
-    elements sampled for vertex-wise invertibility.  Package code decides
-    isomorphism only to indecomposables, and exactly
-    (_isomorphic_to_indecomposable); this is the general test."""
-    _require_same_algebra(m, n)
-    if m.same_as(n):
-        return True
-    if m.dim_vector() != n.dim_vector():
-        return False
-    basis = hom_basis(m, n)
-    if not basis:
-        return False
-    p = m.algebra.p
-    rng = random.Random(seed)
-    for _ in range(FITTING_RETRIES):
-        cand = assemble_from_span(basis, [rng.randrange(p) for _ in basis], m, n)
-        if all(rank(cand.components[v]) == m.dims[v]
-               for v in m.algebra.quiver.vertices):
-            return True
-    return False
 
 
 def _fitting_split(x: Module, rng: random.Random) -> Optional[Tuple[Module, Module]]:

@@ -10,9 +10,10 @@ the algebra's store per content and direction and grown in place; each
 step is verified once, when it is appended, and reuse verifies nothing
 again.  min_projective_resolution and min_injective_coresolution hand
 out copies of it cut to the asked length, (co)syzygies and links
-included, and every reader outside this module goes through them.  A
-negative degree or length is refused with ValueError, since no
-resolution has one.
+included, and every reader outside this module goes through them, but
+frob's envelope (frob._envelope), which reads the first map of the
+stored coresolution in place (_injective_chain).  A negative degree or
+length is refused with ValueError, since no resolution has one.
 
 Ext^k (k >= 1) is read by dimension shifting from three Hom dimensions
 along one cut resolution (see _ext_dim), with no rank taken, or is 0

@@ -1,8 +1,10 @@
+import random
 from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 
+from nexakt import reps
 from nexakt.addcat import (Indecomposables, PreconditionError, _lift_along,
                            _weak_cokernel, add_category)
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
@@ -12,8 +14,8 @@ from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra,
                             nakayama_indecomposables)
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
-from nexakt.reps import (Module, Morphism, all_injectives, all_projectives,
-                         are_isomorphic, assemble_from_span, block_morphism,
+from nexakt.reps import (Module, Morphism, _require_same_algebra, all_injectives,
+                         all_projectives, assemble_from_span, block_morphism,
                          composite_rows, direct_sum, hom_basis,
                          hom_dims_and_ranks, identity_morphism,
                          projective_module,
@@ -210,6 +212,31 @@ def ref_suspension_morphism(ctx, f):
 def stably_equal(f, g):
     """f - g factors through an injective: its stable rank is 0."""
     return stable_hom(None, f.source, f.target).rank([f.sub(g)]) == 0
+
+
+def are_isomorphic(m, n, seed):
+    """Probabilistic isomorphism test of any two modules: equal content
+    (the identity map), then equal dimension vectors and random Hom
+    elements sampled for vertex-wise invertibility, up to the package's
+    retry bound reps.FITTING_RETRIES.  Package code decides isomorphism
+    only to indecomposables, and exactly (_isomorphic_to_indecomposable);
+    this is the general test, a reference for tests."""
+    _require_same_algebra(m, n)
+    if m.same_as(n):
+        return True
+    if m.dim_vector() != n.dim_vector():
+        return False
+    basis = hom_basis(m, n)
+    if not basis:
+        return False
+    p = m.algebra.p
+    rng = random.Random(seed)
+    for _ in range(reps.FITTING_RETRIES):
+        cand = assemble_from_span(basis, [rng.randrange(p) for _ in basis], m, n)
+        if all(rank(cand.components[v]) == m.dims[v]
+               for v in m.algebra.quiver.vertices):
+            return True
+    return False
 
 
 def stably_isomorphic_objects(ctx, x, y, seed=0):

@@ -16,18 +16,17 @@ from nexakt.frob import (angle_cone, angle_from_n_exact, check_frobenius_setup,
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_indecomposables)
 from nexakt.pushout import n_pushout, good_n_pushout
-from nexakt.reps import (are_isomorphic, assemble_from_span, direct_sum,
-                         hom_basis, identity_morphism, regular_module,
-                         solve_rows, split_indecomposables, zero_module,
-                         zero_morphism)
+from nexakt.reps import (assemble_from_span, direct_sum, hom_basis,
+                         identity_morphism, regular_module, solve_rows,
+                         split_indecomposables, zero_module, zero_morphism)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (brute_force_nct_search, ext_via_approx_resolution,
                             hom_exact_at_middle, strong_projectivity_check)
 
-from conftest import (a3_sequence, complete_to_chain_map, corner_identity,
-                      cosyzygy_projection, direct_sum_complexes,
-                      identity_complex_morphism, interval_complex,
-                      named_modules)
+from conftest import (a3_sequence, are_isomorphic, complete_to_chain_map,
+                      corner_identity, cosyzygy_projection,
+                      direct_sum_complexes, identity_complex_morphism,
+                      interval_complex, named_modules)
 
 
 def report(criterion, ok, detail):

@@ -10,18 +10,18 @@ from nexakt.frob import (Angle, SetupError, angle_cone, angle_from_n_exact,
                          stable_hom_basis, standard_angle, suspension,
                          suspension_morphism, trivial_angle,
                          verify_angle_exact)
-from nexakt import addcat, frob, reps
+from nexakt import addcat, frob, reps, resolutions
 from nexakt.presets import nakayama_algebra, nakayama_indecomposables
 from nexakt.tilting import brute_force_nct_search
-from nexakt.reps import (Morphism, all_injectives, are_isomorphic, direct_sum,
-                         hom_basis, identity_morphism, projective_module,
-                         simple_module, zero_module, zero_morphism)
+from nexakt.reps import (Morphism, all_injectives, direct_sum, hom_basis,
+                         identity_morphism, projective_module, simple_module,
+                         zero_module, zero_morphism)
 
-from conftest import (complete_to_chain_map, cosyzygy_projection, cyclic6_j2,
-                      direct_sum_complexes, identity_complex_morphism,
-                      interval_complex, named_modules, preprojective_a2,
-                      ref_suspension_morphism, stably_equal,
-                      stably_isomorphic_objects)
+from conftest import (are_isomorphic, complete_to_chain_map,
+                      cosyzygy_projection, cyclic6_j2, direct_sum_complexes,
+                      identity_complex_morphism, interval_complex,
+                      named_modules, preprojective_a2, ref_suspension_morphism,
+                      stably_equal, stably_isomorphic_objects)
 
 
 @pytest.fixture
@@ -266,9 +266,11 @@ def test_standard_angle_tables_match_stable_hom(ctx, monkeypatch):
     assert (count, zero_rows, node_rows) == (28, 280 * 7, 780)
 
 
-def test_generator_injectivity_is_read_once_per_context(monkeypatch):
-    # the first verify_angle_exact of a context asks _injective of every
-    # node and every generator; later ones, of the nodes alone, in order
+def test_injectivity_is_read_off_the_stored_envelope(monkeypatch):
+    # every verify_angle_exact asks _injective of every node, then of every
+    # generator; _injective reads the envelope in place in the stored
+    # coresolution, so once it is stored no envelope is built and no
+    # coresolution copied
     c = _cyclic6_ctx()
     gens = c.m.generators
     a = standard_angle(c, hom_basis(gens[6], gens[5])[0])
@@ -282,12 +284,20 @@ def test_generator_injectivity_is_read_once_per_context(monkeypatch):
         seen.clear()
         assert verify_angle_exact(c, b) == tables[i]
         nodes = _angle_nodes(c, b)
-        assert len(seen) == len(nodes) + (len(gens) if i == 0 else 0)
+        assert len(seen) == len(nodes) + len(gens)
         assert all(x.same_as(y) for x, y in zip(seen, nodes))
         assert all(x is g for x, g in zip(seen[len(nodes):], gens))
+    reads = []
+    for name in ("_cut", "injective_envelope"):
+        monkeypatch.setattr(resolutions, name, lambda *args, name=name,
+                            read=getattr(resolutions, name): reads.append(name)
+                            or read(*args))
     # the projectives of a selfinjective algebra are injective, S_0, S_2
     # and S_4 are not
-    assert c.injective_generators == (True,) * 6 + (False,) * 3
+    assert [injective(g) for g in gens] == [True] * 6 + [False] * 3
+    assert all(frob._envelope(x) is resolutions._injective_chain(x, 1).maps[0]
+               for x in gens)
+    assert reads == []
 
 
 def test_standard_angle_refuses_endpoints_outside_add_m(ctx, pi2_mods):

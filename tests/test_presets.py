@@ -14,13 +14,13 @@ from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra,
                             nakayama_indecomposables)
-from nexakt.reps import (all_injectives, all_projectives, are_isomorphic,
-                         direct_sum, hom_basis, injective_module,
-                         projective_module, simple_module)
+from nexakt.reps import (all_injectives, all_projectives, direct_sum,
+                         hom_basis, injective_module, projective_module,
+                         simple_module)
 from nexakt.resolutions import ext_dim, is_projective
 from nexakt.tilting import brute_force_nct_search, check_n_cluster_tilting
 
-from conftest import in_random_basis, pick, ref_radical_step
+from conftest import are_isomorphic, in_random_basis, pick, ref_radical_step
 
 
 def test_a3_j2_generator(a3):

@@ -16,14 +16,14 @@ from nexakt.fp import Mat, rank
 from nexakt.frob import check_frobenius_setup
 from nexakt.presets import gen_linear_An_J2, nakayama_indecomposables
 from nexakt.reps import (Morphism, _composite_table, _peel_superfluous,
-                         are_isomorphic, block_morphism, cokernel_morphism,
-                         direct_sum, factor_through, hom_basis,
-                         identity_morphism, lift_through, projective_module,
-                         regular_module, simple_module,
-                         split_indecomposables, stack_morphisms_from_sum,
-                         stack_morphisms_to_sum, zero_module, zero_morphism)
+                         block_morphism, cokernel_morphism, direct_sum,
+                         factor_through, hom_basis, identity_morphism,
+                         lift_through, projective_module, regular_module,
+                         simple_module, split_indecomposables,
+                         stack_morphisms_from_sum, stack_morphisms_to_sum,
+                         zero_module, zero_morphism)
 
-from conftest import (equals, linear_a3_j2, named_modules,
+from conftest import (are_isomorphic, equals, linear_a3_j2, named_modules,
                       stably_isomorphic_objects)
 
 

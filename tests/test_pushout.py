@@ -12,11 +12,11 @@ from nexakt.fileio import morphism_to_dict
 from nexakt import addcat, frob, pushout, reps, resolutions
 from nexakt.pushout import (_n_pushout, good_n_pushout, n_pushout,
                             pushout_factorization)
-from nexakt.reps import (are_isomorphic, factor_through, hom_basis,
-                         identity_morphism, simple_module,
-                         split_indecomposables, zero_module, zero_morphism)
+from nexakt.reps import (factor_through, hom_basis, identity_morphism,
+                         simple_module, split_indecomposables, zero_module,
+                         zero_morphism)
 
-from conftest import (cyclic6_j2, identity_complex_morphism,
+from conftest import (are_isomorphic, cyclic6_j2, identity_complex_morphism,
                       ref_pushout_ladder, ref_pushout_top_ok,
                       sweep_generator_maps)
 

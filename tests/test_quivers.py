@@ -499,18 +499,32 @@ def test_basis_paths_refuses_a_write_to_the_index():
 
 
 def test_table_check_visits_only_composable_triples():
-    # the unit check reads both ends of every basis element; the triples
-    # read the target of each i and of each j composable with it, and
-    # nothing of a pair that does not compose
+    # the table is asked only for composable pairs: a unit twice per basis
+    # element, by the unit check; then, for the composable triples of
+    # paths of positive length in increasing order, b_i b_j once per pair,
+    # b_j b_k once per triple, and the products of the two sides of a
+    # triple where either is nonzero.  No triple has a unit in it
     alg = nakayama_algebra(7, 3)
-    d = alg.dim
-    pairs = sum(alg.target_of[i] == alg.source_of[j] for i in range(d) for j in range(d))
-    assert pairs < d * d // 4
-    alg._index
-    alg.source_of, alg.target_of = _CountedReads(alg.source_of), _CountedReads(alg.target_of)
-    _CountedReads.reads = 0
+    d, src, tgt = alg.dim, alg.source_of, alg.target_of
+    paths = [i for i in range(d) if alg.basis[i].arrows]
+    pairs = [(i, j) for i in paths for j in paths if tgt[i] == src[j]]
+    assert len(pairs) < d * d // 4
+    expected = [pair for i in range(d) for pair in (
+        (alg.vertex_unit(src[i]), i), (i, alg.vertex_unit(tgt[i])))]
+    for i, j in pairs:
+        expected.append((i, j))
+        for k in paths:
+            if tgt[j] == src[k]:
+                ij, jk = alg.multiply(i, j), alg.multiply(j, k)
+                expected.append((j, k))
+                if ij or jk:
+                    expected += [(t, k) for t, _ in ij] + [(i, t) for t, _ in jk]
+    asked = []
+    multiply = alg.multiply
+    alg.multiply = lambda i, j: asked.append((i, j)) or multiply(i, j)
     _spot_check_table(alg)
-    assert _CountedReads.reads == 3 * d + pairs
+    assert all(tgt[i] == src[j] for i, j in asked)
+    assert asked == expected
 
 
 def _first_bad_triple(alg):
@@ -540,11 +554,14 @@ def _first_bad_triple(alg):
     return None
 
 
-@pytest.mark.parametrize("make", [
+_CORRUPTED_TABLE_ALGEBRAS = pytest.mark.parametrize("make", [
     lambda: nakayama_algebra(6, 4, cyclic=True),
     lambda: nakayama_algebra(6, 5),
     lambda: build_algebra(*two_loops(5, 101)[:2], 5, FieldSpec(101)),
 ], ids=["C6/J^4", "A6/J^5", "two-loops-N5"])
+
+
+@_CORRUPTED_TABLE_ALGEBRAS
 def test_corrupted_table_fails_at_the_same_first_triple(make):
     # every nonzero product of two paths of positive length, in turn, gets
     # wrong coefficients; the check fails where the full scan does, and
@@ -570,3 +587,40 @@ def test_corrupted_table_fails_at_the_same_first_triple(make):
     alg.table[(ev, ev)] = []
     with pytest.raises(AssertionError, match="multiplication table not unital"):
         _spot_check_table(alg)
+
+
+def test_a_term_with_other_ends_is_refused_on_k_a3_j3():
+    # a2 a1 given the extra term a1, which runs from 1 to 0, not from 2:
+    # associativity fails only at (2, 4, 3), a triple with the unit e_2,
+    # so the check refuses it at the ends of the term
+    alg = nakayama_algebra(3, 3)
+    assert [w.arrows for w in alg.basis[3:]] == [("a1",), ("a2",), ("a2", "a1")]
+    alg.table[(4, 3)] = alg.table[(4, 3)] + [(3, 1)]
+    assert _first_bad_triple(alg) == (2, 4, 3)
+    with pytest.raises(AssertionError, match=re.escape(
+            "multiplication table term 3 of (4,3) has other ends")):
+        _spot_check_table(alg)
+
+
+@_CORRUPTED_TABLE_ALGEBRAS
+def test_a_term_with_other_ends_is_refused(make):
+    # every product, in turn, given one extra term with other ends (the
+    # first basis element that has them) is refused, whatever the
+    # associativity scan finds; over one vertex every path has the same
+    # ends, so there is nothing to corrupt
+    alg = make()
+    src, tgt = alg.source_of, alg.target_of
+    corrupted = 0
+    for (i, j), prod in sorted(alg.table.items()):
+        k = next((k for k in range(alg.dim)
+                  if (src[k], tgt[k]) != (src[i], tgt[j])), None)
+        if k is None:
+            continue
+        alg.table[(i, j)] = prod + [(k, 1)]
+        with pytest.raises(AssertionError, match=re.escape(
+                f"multiplication table term {k} of ({i},{j}) has other ends")):
+            _spot_check_table(alg)
+        alg.table[(i, j)] = prod
+        corrupted += 1
+    assert (corrupted == 0) == (len(alg.quiver.vertices) == 1)
+    _spot_check_table(alg)

@@ -18,21 +18,21 @@ from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             nakayama_algebra, nakayama_indecomposables)
 from nexakt.quivers import PathWord, Quiver, Relation, build_algebra
 from nexakt.reps import (ContextError, Module, Morphism, all_injectives,
-                         are_isomorphic, assemble_from_span, block_morphism, cokernel_morphism,
-                         direct_sum, hom_basis,
-                         identity_morphism, in_add,
-                         injective_module,
-                         kernel_morphism, projective_module, simple_module,
-                         split_indecomposables, stack_morphisms_from_sum,
-                         stack_morphisms_to_sum, zero_module, zero_morphism,
-                         regular_module, all_projectives)
+                         assemble_from_span, block_morphism, cokernel_morphism,
+                         direct_sum, hom_basis, identity_morphism, in_add,
+                         injective_module, kernel_morphism, projective_module,
+                         simple_module, split_indecomposables,
+                         stack_morphisms_from_sum, stack_morphisms_to_sum,
+                         zero_module, zero_morphism, regular_module,
+                         all_projectives)
 
-from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, cyclic6_j2, equals,
-                      exhaustively_indecomposable, identity_through,
-                      in_random_basis, kronecker_algebra,
-                      kronecker_field_module, linear_a3_j2, mat_check_natural_batch,
-                      pick, preprojective_a2, random_invertible, random_quotient,
-                      ref_composite_rows, ref_radical_step, two_loops)
+from conftest import (DUALITY_ALGEBRAS, DUALITY_CASES, are_isomorphic,
+                      cyclic6_j2, equals, exhaustively_indecomposable,
+                      identity_through, in_random_basis, kronecker_algebra,
+                      kronecker_field_module, linear_a3_j2,
+                      mat_check_natural_batch, pick, preprojective_a2,
+                      random_invertible, random_quotient, ref_composite_rows,
+                      ref_radical_step, two_loops)
 
 
 # -- projectives / injectives ------------------------------------------
@@ -786,10 +786,16 @@ def test_radical_span_is_the_radical_step_from_the_identity_spans():
 
 
 def test_hom_between_disjoint_supports_solves_no_system(a3_mods, monkeypatch):
+    # hom_basis settles disjoint supports before _solve_hom; called
+    # directly, _solve_hom has no unknowns and its empty system no null
+    # vector
+    pairs = (("P0", "S2"), ("S2", "P1"), ("P1", "S2"))
+    for m, n in pairs:
+        assert reps._solve_hom(a3_mods[m], a3_mods[n]) == []
     monkeypatch.setattr(reps, "_null_space",
                         lambda *args: pytest.fail("a system was solved"))
-    for m, n in (("P0", "S2"), ("S2", "P1"), ("P1", "S2")):
-        assert reps._solve_hom(a3_mods[m], a3_mods[n]) == []
+    for m, n in pairs:
+        assert hom_basis(a3_mods[m], a3_mods[n]) == []
 
 
 def test_hom_between_disjoint_supports_is_settled_before_the_store(monkeypatch):

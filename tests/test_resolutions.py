@@ -6,16 +6,16 @@ from nexakt import reps, resolutions
 from nexakt.fp import Mat
 from nexakt.presets import (gen_linear_An_J2, gen_preprojective_A,
                             nakayama_algebra, nakayama_indecomposables)
-from nexakt.reps import (Module, all_projectives, are_isomorphic, direct_sum,
-                         hom_basis, in_add, injective_module, projective_module,
+from nexakt.reps import (Module, all_projectives, direct_sum, hom_basis,
+                         in_add, injective_module, projective_module,
                          simple_module, zero_module, zero_morphism)
 from nexakt.resolutions import (cosyzygy_of, ext_dim, injective_envelope,
                                 is_projective, min_injective_coresolution,
                                 min_projective_resolution, projective_cover,
                                 syzygy)
 
-from conftest import (in_random_basis, kronecker_field_module, linear_a3_j2,
-                      preprojective_a2, random_quotient)
+from conftest import (are_isomorphic, in_random_basis, kronecker_field_module,
+                      linear_a3_j2, preprojective_a2, random_quotient)
 
 
 def test_resolution_of_s2_over_a3(a3):

@@ -7,17 +7,17 @@ from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            add_category, indecomposables)
 from nexakt.presets import (gen_linear_An_J2, nakayama_algebra,
                             nakayama_indecomposables)
-from nexakt.reps import (Module, all_injectives, all_projectives,
-                         are_isomorphic, direct_sum, hom_basis,
-                         projective_module, regular_module, simple_module)
+from nexakt.reps import (Module, all_injectives, all_projectives, direct_sum,
+                         hom_basis, projective_module, regular_module,
+                         simple_module)
 from nexakt.resolutions import ext_dim
 from nexakt.tilting import (_ExtTable, _nct_report, check_n_cluster_tilting,
                             ext_via_approx_resolution, hom_exact_at_middle,
                             strong_projectivity_check)
 from nexakt.addcat import weak_cokernel
 
-from conftest import (full_ext_table, in_random_basis, linear_a3_j2,
-                      named_modules, preprojective_a2)
+from conftest import (are_isomorphic, full_ext_table, in_random_basis,
+                      linear_a3_j2, named_modules, preprojective_a2)
 
 
 @pytest.fixture
