@@ -21,9 +21,9 @@ chain-map completion of f along it (addcat._lift_along).  That
 coresolution is read through resolutions.min_injective_coresolution,
 with its cokernel projections, and the envelope, its first map, in place
 in the stored coresolution (resolutions._injective_chain), with no copy.
-Sign conventions: an n-exact sequence induces an angle with closing sign
-(-1)^n, and left rotation closes with (-1)^n times the suspended first
-map.
+Exactness, rotation and cones read an angle continued by Sigma
+(_continued), a cone through complexes.mapping_cone.  The angle of an
+n-exact sequence and a left rotation close with sign (-1)^n (_sign).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from typing import Optional, Sequence, Tuple
 
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      _lift_along, _require_in_add, verify_n_exact)
-from .complexes import ComplexSeq, ComplexMorphism, _complex
+from .complexes import (ComplexSeq, ComplexMorphism, _chain_map, _complex,
+                        mapping_cone)
 from .fp import _reduce
 from .pushout import _factor_pushout, _n_pushout
 from .quivers import AlgebraBasis, _lazy_property
@@ -310,26 +311,38 @@ def angle_from_n_exact(ctx: FrobeniusCtx, x: ComplexSeq) -> Angle:
     x0 = x.term(x.lo)
     lift = _lift_along(identity_morphism(x0), list(x.diffs),
                        _closed_coresolution(x0, n), x.lo)
-    sign = 1 if n % 2 == 0 else -1
     return Angle([x.term(k) for k in x.degrees()],
                  [x.diff(k) for k in range(x.lo, x.lo + n + 1)],
-                 lift[-1].scale(sign))
+                 lift[-1].scale(_sign(n)))
+
+
+def _sign(n: int) -> int:
+    """(-1)^n, the closing sign of induced and rotated angles."""
+    return 1 if n % 2 == 0 else -1
+
+
+def _continued(ctx: FrobeniusCtx, a: Angle, k: int) -> Tuple[list, list]:
+    """Angle a continued by Sigma of its first k maps: the nodes X^0 ..
+    X^{n+1}, Sigma X^0 .. Sigma X^k (read from the objects) and the maps
+    alpha^0 .. alpha^{n+1} (the closing), Sigma alpha^0 .. Sigma alpha^{k-1}."""
+    nodes = list(a.objects) + [suspension(ctx, a.objects[0])]
+    nodes += [suspension(ctx, x) for x in nodes[1:k + 1]]
+    maps = a.all_maps()
+    return nodes, maps + [suspension_morphism(ctx, u) for u in maps[:k]]
 
 
 # -- exactness of angles -----------------------------------------------------
 
 
 def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
-    """Exactness of the stable Hom(G, -) sequence over one full suspension
-    period, for every generator G; returns (verdict, rank table).
+    """Exactness of stable Hom(G, -) along a continued by one suspension
+    period (_continued), for every generator G; returns (verdict, table).
 
     Stable Hom(G, X) is 0 when G or X is injective (_injective), and a
     chain map into or out of an injective node has stable rank 0, since
     each such map factors through an injective: those dimensions and
     ranks are written as zero, with no Hom space solved."""
-    nodes = list(a.objects) + [suspension(ctx, obj) for obj in a.objects] \
-        + [suspension(ctx, suspension(ctx, a.objects[0]))]
-    chain = a.all_maps() + [suspension_morphism(ctx, u) for u in a.all_maps()]
+    nodes, chain = _continued(ctx, a, ctx.n + 2)
     injective = [_injective(node) for node in nodes]
     table = []
     ok = True
@@ -352,11 +365,8 @@ def verify_angle_exact(ctx: FrobeniusCtx, a: Angle) -> Tuple[bool, list]:
 
 def rotate_angle(ctx: FrobeniusCtx, a: Angle) -> Angle:
     """Left rotation, closing with (-1)^n times the suspended first map."""
-    n = ctx.n
-    sign = 1 if n % 2 == 0 else -1
-    new_closing = suspension_morphism(ctx, a.maps[0]).scale(sign)
-    return Angle(a.objects[1:] + [suspension(ctx, a.objects[0])],
-                 a.maps[1:] + [a.closing], new_closing)
+    nodes, maps = _continued(ctx, a, 1)
+    return Angle(nodes[1:-1], maps[1:-1], maps[-1].scale(_sign(ctx.n)))
 
 
 # -- completion of angle morphisms (axiom F3) and cones (axiom F4) ----------
@@ -407,28 +417,17 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
 
 def angle_cone(ctx: FrobeniusCtx, phi: AngleMorphism) -> Tuple[Angle, list]:
     """Mapping cone of a completed angle morphism, with its verification
-    table (the cone differential is [[-alpha^{k+1}, 0], [phi^{k+1}, beta^k]])."""
-    n = ctx.n
+    table: complexes.mapping_cone of phi^0 .. phi^{n+1}, Sigma phi^0 from a
+    continued by Sigma alpha^0 to b (_continued), C^k = X^{k+1} + Y^k for
+    k = -1 .. n+3, cut to 0 .. n+1; C^{n+2} is glued to Sigma(C^0)."""
     a, b = phi.source, phi.target
-    alpha = a.all_maps() + [suspension_morphism(ctx, a.maps[0])]
-    beta = b.all_maps()
-    comps = list(phi.components) + [phi.suspended0]
-    xs = list(a.objects) + [suspension(ctx, a.objects[0]),
-                            suspension(ctx, a.objects[1])]
-    ys = list(b.objects) + [suspension(ctx, b.objects[0])]
-    # C^k = X^{k+1} + Y^k for k <= n+1; gamma^{n+1} lands in
-    # Sigma X^1 + Sigma Y^0, identified with Sigma(C^0) by glue
-    sums = [direct_sum([xs[k + 1], ys[k]]) for k in range(n + 3)]
-    gammas = [block_morphism(sums[k], sums[k + 1],
-                             {(0, 0): alpha[k + 1].scale(-1),
-                              (1, 0): comps[k + 1], (1, 1): beta[k]})
-              for k in range(n + 2)]
-    glue = stack_morphisms_from_sum([
-        suspension_morphism(ctx, block_morphism(part, sums[0],
-                                                {(i, 0): identity_morphism(part)}))
-        for i, part in enumerate(sums[0].parts)])
-    closing = gammas.pop().then(glue)
-    cone = Angle([s.module for s in sums[:n + 2]], gammas, closing)
+    c = mapping_cone(_chain_map(
+        _complex(0, *_continued(ctx, a, 1)), _complex(0, *_continued(ctx, b, 0)),
+        dict(enumerate(phi.components + [phi.suspended0]))))
+    c0 = direct_sum([a.objects[1], b.objects[0]])
+    glue = stack_morphisms_from_sum([suspension_morphism(ctx, block_morphism(
+        x, c0, {(i, 0): identity_morphism(x)})) for i, x in enumerate(c0.parts)])
+    cone = Angle(c.terms[1:-2], c.diffs[1:-2], c.diffs[-2].then(glue))
     ok, table = verify_angle_exact(ctx, cone)
     if not ok:
         raise HypothesisError("angle cone failed exactness verification")

@@ -153,23 +153,23 @@ class Relation:
         return ends
 
 
-def _enumerate_paths(q: Quiver, max_len: int) -> List[PathWord]:
-    """All paths of length <= max_len, sorted by (length, arrow indices)."""
+def _enumerate_paths(q: Quiver, max_len: int) -> Tuple[list, list]:
+    """All paths of length <= max_len, sorted by (length, arrow indices),
+    and the (source, target) of each: a path is grown from its source by
+    the arrows out of its target."""
     arrow_index = {a.name: i for i, a in enumerate(q.arrows)}
-    out: List[PathWord] = [PathWord.trivial(v) for v in q.vertices]
-    frontier = [(PathWord.trivial(v), v) for v in q.vertices]
+    frontier = [(PathWord.trivial(v), (v, v)) for v in q.vertices]
+    out = list(frontier)
     for _ in range(max_len):
-        nxt = []
-        for word, tgt in frontier:
-            for a in q.arrows:
-                if a.source == tgt:
-                    nxt.append((PathWord(word.arrows + (a.name,)), a.target))
-        nxt.sort(key=lambda wt: tuple(arrow_index[x] for x in wt[0].arrows))
-        out.extend(w for w, _ in nxt)
+        nxt = [(PathWord(word.arrows + (a.name,)), (src, a.target))
+               for word, (src, tgt) in frontier
+               for a in q.arrows if a.source == tgt]
+        nxt.sort(key=lambda we: tuple(arrow_index[x] for x in we[0].arrows))
+        out.extend(nxt)
         frontier = nxt
         if not frontier:
             break
-    return out
+    return [w for w, _ in out], [e for _, e in out]
 
 
 class _lazy_property:
@@ -371,8 +371,7 @@ def build_algebra(q: Quiver, rels: Sequence[Relation], n_bound: int,
                     f"relation term {word.arrows} is longer than the "
                     f"nilpotency bound {n_bound}")
 
-    paths = _enumerate_paths(q, n_bound)
-    ends = [path_endpoints(q, w) for w in paths]
+    paths, ends = _enumerate_paths(q, n_bound)
     column, pivot_row = _reduced_ideal(rels, rel_ends, paths, ends, n_bound, p)
     for k, w in enumerate(paths):
         if w.length() == n_bound and k not in pivot_row:

@@ -9,7 +9,8 @@ from nexakt.addcat import (Indecomposables, PreconditionError, _lift_along,
                            _weak_cokernel, add_category)
 from nexakt.complexes import ComplexMorphism, ComplexSeq, complex_from_maps
 from nexakt.fp import FieldSpec, Mat, mat_from_vector, rank, solve_linear
-from nexakt.frob import _closed_coresolution, stable_hom
+from nexakt.frob import (Angle, _closed_coresolution, stable_hom, suspension,
+                         suspension_morphism)
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             gen_preprojective_A, nakayama_algebra,
                             nakayama_indecomposables)
@@ -20,7 +21,7 @@ from nexakt.reps import (Module, Morphism, _require_same_algebra, all_injectives
                          hom_dims_and_ranks, identity_morphism,
                          projective_module,
                          quotient_by_submodule, simple_module, solve_rows,
-                         split_indecomposables)
+                         split_indecomposables, stack_morphisms_from_sum)
 from nexakt.resolutions import ext_dim, min_injective_coresolution
 
 
@@ -207,6 +208,52 @@ def ref_suspension_morphism(ctx, f):
     whatever its ends."""
     return _lift_along(f, _closed_coresolution(f.source, ctx.n),
                        _closed_coresolution(f.target, ctx.n))[-1]
+
+
+def ref_continuation(ctx, a):
+    """Reference for frob._continued(ctx, a, n + 2), as verify_angle_exact
+    built it: the objects, the suspension of each and Sigma Sigma X^0, then
+    the maps, closing included, and the suspension of each."""
+    nodes = list(a.objects) + [suspension(ctx, obj) for obj in a.objects] \
+        + [suspension(ctx, suspension(ctx, a.objects[0]))]
+    chain = a.all_maps() + [suspension_morphism(ctx, u) for u in a.all_maps()]
+    return nodes, chain
+
+
+def ref_angle_cone(ctx, phi):
+    """Reference for the cone of frob.angle_cone, unverified, with its own
+    direct sums and block differentials: C^k = X^{k+1} + Y^k for
+    k = 0 .. n+2, differential [[-alpha^{k+1}, 0], [phi^{k+1}, beta^k]],
+    and the last one, into Sigma X^1 + Sigma Y^0, glued to Sigma(C^0)."""
+    n = ctx.n
+    a, b = phi.source, phi.target
+    alpha = a.all_maps() + [suspension_morphism(ctx, a.maps[0])]
+    beta = b.all_maps()
+    comps = list(phi.components) + [phi.suspended0]
+    xs = list(a.objects) + [suspension(ctx, a.objects[0]),
+                            suspension(ctx, a.objects[1])]
+    ys = list(b.objects) + [suspension(ctx, b.objects[0])]
+    sums = [direct_sum([xs[k + 1], ys[k]]) for k in range(n + 3)]
+    gammas = [block_morphism(sums[k], sums[k + 1],
+                             {(0, 0): alpha[k + 1].scale(-1),
+                              (1, 0): comps[k + 1], (1, 1): beta[k]})
+              for k in range(n + 2)]
+    glue = stack_morphisms_from_sum([
+        suspension_morphism(ctx, block_morphism(part, sums[0],
+                                                {(i, 0): identity_morphism(part)}))
+        for i, part in enumerate(sums[0].parts)])
+    closing = gammas.pop().then(glue)
+    return Angle([s.module for s in sums[:n + 2]], gammas, closing)
+
+
+def same_angle(a, b):
+    """The same objects, in order, and maps with the same endpoints and
+    entries, closing included."""
+    return (len(a.objects) == len(b.objects) and len(a.maps) == len(b.maps)
+            and all(x is y for x, y in zip(a.objects, b.objects))
+            and all(f.source is g.source and f.target is g.target
+                    and f.vectorize() == g.vectorize()
+                    for f, g in zip(a.all_maps(), b.all_maps())))
 
 
 def stably_equal(f, g):

@@ -20,7 +20,8 @@ from nexakt.reps import (Morphism, all_injectives, direct_sum, hom_basis,
 from conftest import (are_isomorphic, complete_to_chain_map,
                       cosyzygy_projection, cyclic6_j2, direct_sum_complexes,
                       identity_complex_morphism, interval_complex,
-                      named_modules, preprojective_a2, ref_suspension_morphism,
+                      named_modules, preprojective_a2, ref_angle_cone,
+                      ref_continuation, ref_suspension_morphism, same_angle,
                       stably_equal, stably_isomorphic_objects)
 
 
@@ -568,29 +569,129 @@ def test_identity_cone_with_projective_injective_x0():
     assert all(rec["exact"] for rec in table)
 
 
-def _lifted_maps(ctx):
-    """Every map the lifting solvers return on standard angles of the
-    generators and of two sums: Sigma on each angle map, and the
-    completions (id, id) and (id, u) with u: X^1 -> G, against the
-    standard angle of alpha0 followed by u."""
+def _standard_completions(ctx):
+    """The standard angle a of each of the first two Hom-basis maps alpha0
+    between the generators and two sums, with its completion (id, id)
+    against a and its completions (id, u), for u the first Hom-basis map
+    X^1 -> G of each generator G, against the standard angle of alpha0
+    followed by u."""
     gens = list(ctx.m.generators)
     objs = gens + [direct_sum(gens[:2]).module, direct_sum(gens[-2:]).module]
-    out = []
     for src in objs:
         for tgt in objs:
             for alpha in hom_basis(src, tgt)[:2]:
                 a = standard_angle(ctx, alpha)
-                out += [suspension_morphism(ctx, u) for u in a.all_maps()]
                 x0 = identity_morphism(a.objects[0])
-                phi = complete_angle_morphism(
-                    ctx, a, a, x0, identity_morphism(a.objects[1]))
-                out += phi.components + [phi.suspended0]
-                for g in gens:
-                    for u in hom_basis(a.objects[1], g)[:1]:
-                        b = standard_angle(ctx, alpha.then(u))
-                        phi = complete_angle_morphism(ctx, a, b, x0, u)
-                        out += phi.components + [phi.suspended0]
+                by_u = [complete_angle_morphism(
+                            ctx, a, standard_angle(ctx, alpha.then(u)), x0, u)
+                        for g in gens for u in hom_basis(a.objects[1], g)[:1]]
+                yield a, complete_angle_morphism(
+                    ctx, a, a, x0, identity_morphism(a.objects[1])), by_u
+
+
+def _lifted_maps(ctx):
+    """Every map the lifting solvers return on _standard_completions:
+    Sigma on each angle map, and the components of each completion."""
+    out = []
+    for a, by_id, by_u in _standard_completions(ctx):
+        out += [suspension_morphism(ctx, u) for u in a.all_maps()]
+        for phi in [by_id] + by_u:
+            out += phi.components + [phi.suspended0]
     return out
+
+
+def _nakayama_ctx(m, bound, n, p, entries):
+    """C_m/J^bound over F_p at n with M the Nakayama list entries given,
+    all of them when entries is None."""
+    alg = nakayama_algebra(m, bound, cyclic=True, p=p)
+    indecs = nakayama_indecomposables(alg)
+    gens = indecs if entries is None else [indecs[i] for i in entries]
+    return check_frobenius_setup(alg, add_category(alg, gens), n, indecs)
+
+
+# angles at odd n, where the closing sign (-1)^n is -1: triangles (n = 1)
+# on C_3/J^2 and C_4/J^3 with M every indecomposable, and C_3/J^5 at n = 3
+# with M the first of its three 3-CT modules that pass the set-up, the
+# Nakayama list entries 0, 3, 4, 9, 14; with the number of Hom-basis maps
+# between generators
+ODD_N_CASES = [pytest.param(3, 2, 1, 101, None, 15, id="c3-j2-n1"),
+               pytest.param(4, 3, 1, 101, None, 56, id="c4-j3-n1")] + [
+    pytest.param(3, 5, 3, p, (0, 3, 4, 9, 14), 30, id=f"c3-j5-n3-p{p}")
+    for p in (2, 101, 2**31 - 1)]
+
+
+def _generator_maps(c):
+    gens = c.m.generators
+    return [f for g in gens for h in gens for f in hom_basis(g, h)]
+
+
+def _identity_completion(c, a):
+    return complete_angle_morphism(c, a, a, identity_morphism(a.objects[0]),
+                                   identity_morphism(a.objects[1]))
+
+
+@pytest.mark.parametrize("m, bound, n, p, entries, count", ODD_N_CASES)
+def test_angles_verify_at_odd_n(m, bound, n, p, entries, count):
+    # for every Hom-basis map between generators: its standard angle, the
+    # rotation, the rotation of the rotation and the identity cone verify
+    c = _nakayama_ctx(m, bound, n, p, entries)
+    maps = _generator_maps(c)
+    assert len(maps) == count
+    for alpha0 in maps:
+        a = standard_angle(c, alpha0)
+        r = rotate_angle(c, a)
+        for angle in (a, r, rotate_angle(c, r)):
+            assert verify_angle_exact(c, angle)[0]
+        cone, table = angle_cone(c, _identity_completion(c, a))
+        assert cone.n == n and all(rec["exact"] for rec in table)
+
+
+def _assert_continuation_matches_the_reference(c, a):
+    # _continued(a, k) is the first n + 3 + k nodes and n + 2 + k maps of
+    # the reference, and the rotation its window one step on, closed by
+    # (-1)^n Sigma alpha^0
+    n = c.n
+    nodes, chain = ref_continuation(c, a)
+    for k in range(n + 3):
+        got_nodes, got_maps = frob._continued(c, a, k)
+        assert len(got_nodes) == n + 3 + k and len(got_maps) == n + 2 + k
+        assert all(x is y for x, y in zip(got_nodes, nodes))
+        assert all(f.source is g.source and f.target is g.target
+                   and f.vectorize() == g.vectorize()
+                   for f, g in zip(got_maps, chain))
+    sign = -1 if n % 2 else 1
+    assert same_angle(rotate_angle(c, a), Angle(
+        nodes[1:n + 3], chain[1:n + 2], chain[n + 2].scale(sign)))
+
+
+@pytest.mark.parametrize("m, bound, n, p, entries, count", ODD_N_CASES)
+def test_identity_cones_and_continuations_match_the_references(
+        m, bound, n, p, entries, count):
+    c = _nakayama_ctx(m, bound, n, p, entries)
+    for alpha0 in _generator_maps(c):
+        a = standard_angle(c, alpha0)
+        _assert_continuation_matches_the_reference(c, a)
+        phi = _identity_completion(c, a)
+        assert same_angle(angle_cone(c, phi)[0], ref_angle_cone(c, phi))
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_completion_cones_match_the_reference(p):
+    # the cones of the (id, id) and (id, u) completions of the
+    # _lifted_maps angles on Pi_2 and C_6/J^2 verify and match the
+    # reference object for object and entry for entry; 91 and 124 (id, u)
+    # cones at each prime
+    alg = preprojective_a2(p)
+    counts = []
+    for c in (_pi2_ctx(alg, named_modules(alg)), _cyclic6_ctx(p)):
+        cones = 0
+        for a, by_id, by_u in _standard_completions(c):
+            _assert_continuation_matches_the_reference(c, a)
+            for phi in [by_id] + by_u:
+                assert same_angle(angle_cone(c, phi)[0], ref_angle_cone(c, phi))
+            cones += len(by_u)
+        counts.append(cones)
+    assert counts == [91, 124]
 
 
 def test_lifted_maps_are_pinned(ctx, pi2_mods):

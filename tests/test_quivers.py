@@ -230,7 +230,7 @@ def _reference_closure(q, p, max_len, paths, rel_vectors):
 def _reference_algebra(q, rels, n_bound, p):
     """(basis, source_of, target_of, table) as the old build_algebra made
     them; raises its BoundError."""
-    paths = _enumerate_paths(q, n_bound)
+    paths, _ = _enumerate_paths(q, n_bound)
     rel_vectors = [{word: coeff % p for coeff, word in r.terms} for r in rels]
     pivot_rows, path_pos = _reference_closure(q, p, n_bound, paths, rel_vectors)
 

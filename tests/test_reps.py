@@ -826,6 +826,36 @@ def test_disjoint_modules_over_different_algebras_raise_context_error():
         hom_basis(s1, s0)
 
 
+def test_separately_built_copies_of_an_algebra_work_together():
+    # two builds of K A_4/J^2 are two objects, so composition, composite
+    # rows and membership across them pass the algebra check past its
+    # `is` fast path
+    a, b = nakayama_algebra(4, 2), nakayama_algebra(4, 2)
+    assert a is not b
+    pa = [projective_module(a, str(v)) for v in range(4)]
+    pb = [projective_module(b, str(v)) for v in range(4)]
+    f = hom_basis(pa[0], pa[1])[0]
+    assert equals(f.then(identity_morphism(pb[1])), f)
+    assert reps.composite_rows(f, hom_basis(pb[1], pb[2]), d_first=True) == \
+        reps.composite_rows(f, hom_basis(pa[1], pa[2]), d_first=True)
+    assert in_add(pa[1], pb)
+    assert not in_add(simple_module(a, "1"), pb)
+
+
+def test_one_algebra_at_two_primes_is_refused_at_each_site():
+    # simple modules have equal content keys over both primes, so every
+    # endpoint check passes and the algebra check is what refuses
+    s5, s101 = (simple_module(nakayama_algebra(4, 2, p=p), "1") for p in (5, 101))
+    assert s5.key == s101.key
+    with pytest.raises(ContextError):
+        identity_morphism(s5).then(identity_morphism(s101))
+    with pytest.raises(ContextError):
+        reps.composite_rows(identity_morphism(s5), [identity_morphism(s101)],
+                            d_first=True)
+    with pytest.raises(ContextError):
+        in_add(s5, [s101])
+
+
 # -- decomposition and isomorphism ---------------------------------------
 
 
