@@ -207,11 +207,11 @@ def chain_map_space(x: ComplexSeq, y: ComplexSeq) -> List[ComplexMorphism]:
 
 
 def mapping_cone(f: ComplexMorphism) -> ComplexSeq:
-    """Cone with terms X^{k+1} + Y^k and differential
-    [[-d_X^{k+1}, 0], [f^{k+1}, d_Y^k]]."""
+    """Cone with terms X^{k+1} + Y^k, where one can be nonzero, and
+    differential [[-d_X^{k+1}, 0], [f^{k+1}, d_Y^k]]."""
     x, y = f.source, f.target
-    lo = min(x.lo, y.lo) - 1
-    hi = max(x.hi, y.hi)
+    lo = min(x.lo - 1, y.lo)
+    hi = max(x.hi - 1, y.hi)
     sums = [direct_sum([x.term(k + 1), y.term(k)]) for k in range(lo, hi + 1)]
     diffs = [block_morphism(sums[k - lo], sums[k - lo + 1],
                             {(0, 0): x.diff(k + 1).scale(-1),

@@ -417,17 +417,18 @@ def complete_angle_morphism(ctx: FrobeniusCtx, a: Angle, b: Angle,
 
 def angle_cone(ctx: FrobeniusCtx, phi: AngleMorphism) -> Tuple[Angle, list]:
     """Mapping cone of a completed angle morphism, with its verification
-    table: complexes.mapping_cone of phi^0 .. phi^{n+1}, Sigma phi^0 from a
-    continued by Sigma alpha^0 to b (_continued), C^k = X^{k+1} + Y^k for
-    k = -1 .. n+3, cut to 0 .. n+1; C^{n+2} is glued to Sigma(C^0)."""
+    table: complexes.mapping_cone of phi^1 .. phi^{n+1}, Sigma phi^0 from a
+    continued by Sigma alpha^0, from X^1 on, to b (_continued), so C^k =
+    X^{k+1} + Y^k for k = 0 .. n+2; C^{n+2} is glued to Sigma(C^0)."""
     a, b = phi.source, phi.target
+    nodes, maps = _continued(ctx, a, 1)
     c = mapping_cone(_chain_map(
-        _complex(0, *_continued(ctx, a, 1)), _complex(0, *_continued(ctx, b, 0)),
-        dict(enumerate(phi.components + [phi.suspended0]))))
+        _complex(1, nodes[1:], maps[1:]), _complex(0, *_continued(ctx, b, 0)),
+        dict(enumerate(phi.components[1:] + [phi.suspended0], 1))))
     c0 = direct_sum([a.objects[1], b.objects[0]])
     glue = stack_morphisms_from_sum([suspension_morphism(ctx, block_morphism(
         x, c0, {(i, 0): identity_morphism(x)})) for i, x in enumerate(c0.parts)])
-    cone = Angle(c.terms[1:-2], c.diffs[1:-2], c.diffs[-2].then(glue))
+    cone = Angle(c.terms[:-1], c.diffs[:-1], c.diffs[-1].then(glue))
     ok, table = verify_angle_exact(ctx, cone)
     if not ok:
         raise HypothesisError("angle cone failed exactness verification")

@@ -89,7 +89,7 @@ def nakayama_indecomposables(alg: AlgebraBasis) -> Indecomposables:
     admissible ideal is generated by paths: the basis paths out of v are
     those of length < dim P_v, and rad^l P_v is spanned by the basis paths
     of length >= l.  So P_v / rad^l P_v (1 <= l < dim P_v) is P_v on its
-    basis paths of length < l, built and checked as P_v is; the stored
+    basis paths of length < l, built unchecked as P_v is; the stored
     P_v ends its block.  Each entry has a simple top (asserted), so is
     local; entries differ in top vertex or length."""
     _require_nakayama(alg.quiver)

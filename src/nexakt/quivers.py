@@ -20,8 +20,8 @@ vertex unit, and the quiver's vertex and arrow names.  ``vertex_unit``,
 ``arrow_basis_index``, ``block_indices``, ``reps.basis_paths`` and the
 table check read it and scan nothing.  The table check verifies each
 fact once: the ends of every product's terms, in one pass over the
-table, the vertex units, and the composable triples of paths of positive
-length, in index order.
+table, the vertex units, the composable triples of paths of positive
+length, in index order, and the relations, multiplied through the table.
 """
 
 from __future__ import annotations
@@ -422,7 +422,8 @@ def _spot_check_table(alg: AlgebraBasis):
     terms run between the ends of its factors; each vertex unit is a
     two-sided unit; every composable triple (i, j, k) of basis paths of
     positive length associates, visited in increasing order off the basis
-    index (where b_i b_j and b_j b_k are both zero, both sides are).  A
+    index (where b_i b_j and b_j b_k are both zero, both sides are); each
+    relation, its words multiplied arrow by arrow, sums to zero.  A
     triple with a unit follows from the first two facts: (e_v b_j) b_k =
     b_j b_k = e_v (b_j b_k), since every term of b_j b_k starts at v, and
     the unit in the middle or last place likewise."""
@@ -458,6 +459,17 @@ def _spot_check_table(alg: AlgebraBasis):
                 if (ij or jk) and mul_vecs(ij, [(k, 1)]) != mul_vecs([(i, 1)], jk):
                     raise AssertionError(
                         f"multiplication table not associative at ({i},{j},{k})")
+    arrows = alg._index.arrows
+    for r, rel in enumerate(alg.relations):
+        total: Dict[int, int] = {}
+        for c, word in rel.terms:
+            prod = [(arrows[word.arrows[0]], c)]
+            for a in word.arrows[1:]:
+                prod = mul_vecs(prod, [(arrows[a], 1)])
+            for k, x in prod:
+                total[k] = (total.get(k, 0) + x) % p
+        if any(total.values()):
+            raise AssertionError(f"multiplication table fails relation {r}")
 
 
 def opposite_algebra(alg: AlgebraBasis) -> AlgebraBasis:

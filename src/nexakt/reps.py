@@ -4,23 +4,24 @@ A Module is a quiver representation: a vector space per vertex and a
 matrix per arrow (shape dim(target) x dim(source), acting on column
 vectors).  Morphisms are vertex-wise matrices satisfying naturality.
 Both are immutable.  Each fact is checked once, when it is made: the
-public ``Module(...)`` checks the relations (of file data, and of P_v,
-I_v and P_v cut to its short paths, read off the algebra's table),
-``Morphism(...)`` naturality (of file data); both refuse an entry that
-is not an integer in [0, p), which the raw ``Mat(...)`` stores as
-given.  The checks run on entry tuples: names are subset tests against
-the name sets of the algebra's basis index, the entry check is one pass,
-and each relation term's path product is ``_path_entries``, one
-``_mul_entries`` per arrow, with no ``Mat`` built (``path_matrix`` and
-the maps out of P_v in ``resolutions`` form their path products with it
-too).  What is derived from checked objects is built unchecked: modules
-by ``_module``, which only wraps the canonical form its builders make
-(dims in vertex order, an action for every arrow in arrow order, each
-shaped and over F_p), maps by ``_natural``; a Hom basis is checked as
-one batch per arrow.  Composites and linear combinations of natural
-maps are natural, so ``then``, ``add``, ``sub``, ``scale`` and
-``assemble_from_span`` check only their endpoints, by content
-(``Module.same_as``).
+public ``Module(...)`` checks the relations and ``Morphism(...)``
+naturality, of file data; both refuse an entry that is not an integer in
+[0, p), which the raw ``Mat(...)`` stores as given.  The checks run on
+entry tuples: names are subset tests against the name sets of the
+algebra's basis index, the entry check is one pass, and each relation
+term's path product is ``_path_entries``, one ``_mul_entries`` per
+arrow, with no ``Mat`` built (the maps out of P_v in ``resolutions``
+form their path products with it too).  What is derived from checked
+objects is built unchecked: modules by ``_module``, which only wraps the
+canonical form its builders make (dims in vertex order, an action for
+every arrow in arrow order, each shaped and over F_p), maps by
+``_natural``; a Hom basis is checked as one batch per arrow.  P_v, I_v
+and P_v cut to its short paths are built unchecked too: they are read
+off an algebra's table, whose relations ``quivers._spot_check_table``
+verified (any other algebra is trusted as given).  Composites and linear
+combinations of natural maps are natural, so ``then``, ``add``, ``sub``,
+``scale`` and ``assemble_from_span`` check only their endpoints, by
+content (``Module.same_as``).
 
 The naturality system of a Hom space is written as entry rows: one list
 per equation A x_s - x_t B = 0 and entry, with only its nonzero
@@ -98,8 +99,8 @@ The support rule: every per-vertex and per-arrow builder (the components
 of ``then``, ``add``, ``scale``, zero and identity maps,
 ``_split_vector``, ``block_morphism``, ``restrictions``; the actions of
 ``direct_sum``, kernels and quotients; ``radical_span``,
-``composite_rows``, ``path_matrix``, the minimal polynomials and g(e)
-of ``_fitting_split``, and the maps out of P_v in ``resolutions``)
+``composite_rows``, the minimal polynomials and g(e) of
+``_fitting_split``, and the maps out of P_v in ``resolutions``)
 calls fp only on a slot whose two sides are nonzero.  A slot with a
 zero side, read off the ``dims`` of its modules, is fp's shared empty
 matrix of its shape (``_empty``), so every component dict still holds
@@ -148,7 +149,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequenc
 from . import polys
 from .fp import (Mat, _empty, _mul_entries, _null_space, _reduce, mat_from_vector,
                  quotient_data, rank)
-from .quivers import AlgebraBasis, PathWord, _lazy_property, opposite_algebra
+from .quivers import AlgebraBasis, _lazy_property, opposite_algebra
 
 FITTING_RETRIES = 32
 
@@ -248,21 +249,6 @@ class Module:
             if acc is not None and any(y % p for y in acc):
                 raise ValueError("relation does not vanish on module")
 
-    def path_matrix(self, word: PathWord) -> Mat:
-        """Matrix of a path acting on the module (word [a,b] -> Mat(b)*Mat(a)).
-        A path from or to a zero space is fp's shared empty matrix, with no
-        product (_path_entries)."""
-        p = self.algebra.p
-        if word.is_trivial():
-            d = self.dims[word.base]
-            return Mat.identity(d, p) if d else _empty(0, 0, p)
-        first = self.action[word.arrows[0]]
-        rows, cols = self.action[word.arrows[-1]].rows, first.cols
-        if not (rows and cols):
-            return _empty(rows, cols, p)
-        return Mat(rows, cols, tuple(_path_entries(self.action, word.arrows[1:],
-                                                   first.entries, cols, p)), p)
-
     @property
     def total_dim(self) -> int:
         return sum(self.dims.values())
@@ -281,10 +267,10 @@ class Module:
 
 def _module(alg: AlgebraBasis, dims: dict, action: dict) -> Module:
     """A module known to satisfy the relations (a submodule, quotient or
-    direct sum of modules that do, a semisimple module), given by its
-    builder in canonical form: dims in vertex order, an action for every
-    arrow in arrow order, each of shape (dims[t], dims[s]) over F_p.
-    Nothing is checked."""
+    direct sum of modules that do, a semisimple module, a module read off
+    the algebra's checked table), given by its builder in canonical form:
+    dims in vertex order, an action for every arrow in arrow order, each
+    of shape (dims[t], dims[s]) over F_p.  Nothing is checked."""
     m = object.__new__(Module)
     m.__dict__.update(algebra=alg, dims=dims, action=action)
     return m
@@ -1137,15 +1123,15 @@ def basis_paths(alg: AlgebraBasis, v: str,
 
 def projective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable projective P_v: basis paths starting at v, graded by
-    target vertex, arrows acting by right concatenation.  Checked by the
-    public constructor, since it is read off the multiplication table."""
+    target vertex, arrows acting by right concatenation.  Built
+    unchecked: the table check verified the relations in the table."""
     return _path_module(alg, v, starting=True)
 
 
 def injective_module(alg: AlgebraBasis, v: str) -> Module:
     """Indecomposable injective I_v: dual of P_v over the opposite algebra,
     realized on basis paths ending at v, each arrow acting by the
-    transpose of left concatenation.  Checked, as P_v is."""
+    transpose of left concatenation.  Built unchecked, as P_v is."""
     return _path_module(alg, v, starting=False)
 
 
@@ -1186,7 +1172,7 @@ def _path_module(alg: AlgebraBasis, v: str, starting: bool,
                     if at is not None:
                         flat[i * cols + at] = coeff % p
         action[a.name] = Mat(rows, cols, tuple(flat), p)
-    return Module(alg, dims, action)
+    return _module(alg, dims, action)
 
 
 def all_projectives(alg: AlgebraBasis) -> Tuple[Module, ...]:

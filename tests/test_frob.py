@@ -675,6 +675,36 @@ def test_identity_cones_and_continuations_match_the_references(
         assert same_angle(angle_cone(c, phi)[0], ref_angle_cone(c, phi))
 
 
+@pytest.mark.parametrize("make, count", [
+    (_cyclic6_ctx, 7),
+    (lambda: _nakayama_ctx(3, 5, 3, 101, (0, 3, 4, 9, 14)), 8)],
+    ids=["c6-j2-n2", "c3-j5-n3"])
+def test_angle_cone_builds_only_the_terms_it_keeps(make, count, monkeypatch):
+    # a warm identity cone builds the n + 3 sums C^0 .. C^{n+2}, C^0 again
+    # for the glue and the sum its stack reads, and n + 5 block maps: the
+    # n + 2 differentials, one block per summand of C^0 and the stack; no
+    # term outside degrees 0 .. n + 2 is built and then dropped
+    from nexakt import complexes
+    c = make()
+    calls = {"direct_sum": 0, "block_morphism": 0}
+    for name in calls:
+        made = getattr(reps, name)
+
+        def spy(*args, _made=made, _name=name):
+            calls[_name] += 1
+            return _made(*args)
+
+        for module in (reps, complexes, frob):
+            monkeypatch.setattr(module, name, spy)
+    for alpha0 in _generator_maps(c)[:6]:
+        phi = _identity_completion(c, standard_angle(c, alpha0))
+        angle_cone(c, phi)
+        calls.update(direct_sum=0, block_morphism=0)
+        cone, table = angle_cone(c, phi)
+        assert calls == {"direct_sum": count, "block_morphism": count}
+        assert all(rec["exact"] for rec in table)
+
+
 @pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
 def test_completion_cones_match_the_reference(p):
     # the cones of the (id, id) and (id, u) completions of the

@@ -503,7 +503,9 @@ def test_table_check_visits_only_composable_triples():
     # element, by the unit check; then, for the composable triples of
     # paths of positive length in increasing order, b_i b_j once per pair,
     # b_j b_k once per triple, and the products of the two sides of a
-    # triple where either is nonzero.  No triple has a unit in it
+    # triple where either is nonzero.  No triple has a unit in it.  Last,
+    # each relation's words are multiplied arrow by arrow from the first,
+    # one product per term of the product so far
     alg = nakayama_algebra(7, 3)
     d, src, tgt = alg.dim, alg.source_of, alg.target_of
     paths = [i for i in range(d) if alg.basis[i].arrows]
@@ -519,6 +521,13 @@ def test_table_check_visits_only_composable_triples():
                 expected.append((j, k))
                 if ij or jk:
                     expected += [(t, k) for t, _ in ij] + [(i, t) for t, _ in jk]
+    for rel in alg.relations:
+        for _, word in rel.terms:
+            prod = [alg.arrow_basis_index(word.arrows[0])]
+            for a in word.arrows[1:]:
+                j = alg.arrow_basis_index(a)
+                expected += [(i, j) for i in prod]
+                prod = [k for i in prod for k, _ in alg.multiply(i, j)]
     asked = []
     multiply = alg.multiply
     alg.multiply = lambda i, j: asked.append((i, j)) or multiply(i, j)
@@ -554,6 +563,27 @@ def _first_bad_triple(alg):
     return None
 
 
+def _first_bad_relation(alg):
+    """The index of the first relation that does not vanish in the table,
+    each word multiplied from its last arrow back; None if there is none."""
+    p = alg.p
+    for r, rel in enumerate(alg.relations):
+        total = {}
+        for c, word in rel.terms:
+            vec = {alg.arrow_basis_index(word.arrows[-1]): 1}
+            for a in reversed(word.arrows[:-1]):
+                i, out = alg.arrow_basis_index(a), {}
+                for j, x in vec.items():
+                    for k, y in alg.multiply(i, j):
+                        out[k] = (out.get(k, 0) + x * y) % p
+                vec = out
+            for k, x in vec.items():
+                total[k] = (total.get(k, 0) + c * x) % p
+        if any(total.values()):
+            return r
+    return None
+
+
 _CORRUPTED_TABLE_ALGEBRAS = pytest.mark.parametrize("make", [
     lambda: nakayama_algebra(6, 4, cyclic=True),
     lambda: nakayama_algebra(6, 5),
@@ -564,8 +594,9 @@ _CORRUPTED_TABLE_ALGEBRAS = pytest.mark.parametrize("make", [
 @_CORRUPTED_TABLE_ALGEBRAS
 def test_corrupted_table_fails_at_the_same_first_triple(make):
     # every nonzero product of two paths of positive length, in turn, gets
-    # wrong coefficients; the check fails where the full scan does, and
-    # passes where it passes (a product nothing extends)
+    # wrong coefficients; the check fails where the full scan does; where
+    # the scan passes (a product nothing extends), it fails exactly when a
+    # relation no longer vanishes, and passes otherwise
     alg = make()
     corrupted = 0
     for (i, j), prod in sorted(alg.table.items()):
@@ -573,13 +604,18 @@ def test_corrupted_table_fails_at_the_same_first_triple(make):
             continue
         alg.table[(i, j)] = [(k, c % 100 + 1) for k, c in prod]
         expected = _first_bad_triple(alg)
-        if expected is None:
-            _spot_check_table(alg)
-        else:
+        bad_relation = _first_bad_relation(alg)
+        if expected is not None:
             with pytest.raises(AssertionError, match=re.escape(
                     "multiplication table not associative at ({},{},{})".format(*expected))):
                 _spot_check_table(alg)
             corrupted += 1
+        elif bad_relation is not None:
+            with pytest.raises(AssertionError, match=re.escape(
+                    f"multiplication table fails relation {bad_relation}")):
+                _spot_check_table(alg)
+        else:
+            _spot_check_table(alg)
         alg.table[(i, j)] = prod
     assert corrupted
     _spot_check_table(alg)
@@ -587,6 +623,23 @@ def test_corrupted_table_fails_at_the_same_first_triple(make):
     alg.table[(ev, ev)] = []
     with pytest.raises(AssertionError, match="multiplication table not unital"):
         _spot_check_table(alg)
+
+
+def test_relation_that_fails_in_the_table_is_refused_on_two_loops():
+    # x.x corrupted from y^3 to 2 y^3: every triple still associates, but
+    # the relation x^2 - y^3 no longer vanishes
+    alg = build_algebra(*two_loops(5, 101)[:2], 5, FieldSpec(101))
+    x = alg.arrow_basis_index("x")
+    assert (x, x) == (1, 1)
+    prod = alg.table[(x, x)]
+    alg.table[(x, x)] = [(k, 2 * c % alg.p) for k, c in prod]
+    assert _first_bad_triple(alg) is None
+    assert _first_bad_relation(alg) == 1
+    with pytest.raises(AssertionError, match=re.escape(
+            "multiplication table fails relation 1")):
+        _spot_check_table(alg)
+    alg.table[(x, x)] = prod
+    _spot_check_table(alg)
 
 
 def test_a_term_with_other_ends_is_refused_on_k_a3_j3():

@@ -1473,8 +1473,9 @@ def test_identities_and_zeros_pass_the_checked_constructor(monkeypatch):
 
 def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
     # kernels, cokernels, quotients, sums, simples, zero modules,
-    # block maps, covers and envelopes are built unchecked; only P_v and
-    # I_v, built from the algebra's table, have their relations checked
+    # block maps, covers and envelopes are built unchecked, and so are P_v
+    # and I_v, read off the algebra's table, whose relations the table
+    # check verified: no module has its relations checked
     pi2 = preprojective_a2()
     families = _composite_family() + [(pi2, list(nakayama_indecomposables(pi2)))]
     related, natural = [], []
@@ -1499,16 +1500,41 @@ def test_derived_modules_and_maps_pass_the_checked_constructors(monkeypatch):
             maps += [resolutions.projective_cover(x), resolutions.injective_envelope(x)]
             maps.append(reps.quotient_by_submodule(x, reps.radical_span(x))[1])
     assert natural == []
-    assert related
-    for m in related:
-        alg = m.algebra
-        assert any(m.same_as(q) for q in all_projectives(alg) + all_injectives(alg))
+    assert related == []
     monkeypatch.undo()
     mods += [end for f in maps for end in (f.source, f.target)]
     for m in mods:
         assert Module(m.algebra, m.dims, m.action).key == m.key
     for f in maps:
         assert equals(Morphism(f.source, f.target, f.components), f)
+
+
+_PATH_MODULE_ALGEBRAS = {
+    **DUALITY_ALGEBRAS,
+    "two-loops": lambda p: build_algebra(*two_loops(5, p)[:2], 5, FieldSpec(p))}
+
+
+@pytest.mark.parametrize("name, p", [(name, p) for name in _PATH_MODULE_ALGEBRAS
+                                     for p in (2, 101, 2**31 - 1)])
+def test_path_modules_are_built_unchecked_and_pass_the_checked_constructor(
+        name, p, monkeypatch):
+    # P_v, I_v and the Nakayama list are read off the table, whose
+    # relations the table check verified, so none runs the checked
+    # constructor; each equals, by content, what Module(...) makes of it
+    alg = _PATH_MODULE_ALGEBRAS[name](p)
+
+    def refuse(self):
+        raise AssertionError("checked constructor run")
+
+    monkeypatch.setattr(Module, "__post_init__", refuse)
+    made = list(all_projectives(alg)) + list(all_injectives(alg))
+    for v in alg.quiver.vertices:
+        made += [projective_module(alg, v), injective_module(alg, v)]
+    if "/J^" in name:                   # a Nakayama algebra
+        made += list(nakayama_indecomposables(alg))
+    monkeypatch.undo()
+    for x in made:
+        assert Module(alg, x.dims, x.action).key == x.key
 
 
 @pytest.mark.parametrize("position", ["first", "last"])
