@@ -8,8 +8,9 @@ through the summands kept, solving only over Hom spaces between
 generators.  The peel and the contract check read one table of
 composites f_r.then(h), h in Hom(G_r, G_j) (dually h.then(f_r)), each
 composed once.  The peel and the table (reps._peel_superfluous,
-reps._composite_table) are the ones reps.in_add runs to decide
-membership, which is the right approximation being an isomorphism.
+reps._composite_table) are the ones reps.in_add runs on a module whose
+Hom dimensions leave its membership open (reps._multiplicity_verdict):
+membership is then the right approximation being an isomorphism.
 Chain completion (_lift_along) and homotopies (_homotopy) are one loop
 each, and each step is one reps.factor_through.
 

@@ -65,7 +65,9 @@ each content, and every endpoint check compares content.
 The keys are ("hom", m, n) for hom_basis, kept only for a pair that
 shares a vertex, ("stable", m, n) for frob.stable_hom (the ideal of maps
 through the injective envelope, and the Hom basis once it is read),
-("in_add", x, ids of the generators) for the bool in_add returns, ("sum",
+("in_add", x, ids of the generators) for the bool in_add returns,
+("adjugate", ids of the generators that fit inside x) for the adjugate
+and determinant of their Hom dimension matrix, ("sum",
 ids of the operands) for the module direct_sum returns, ("summands", x)
 for a proper decomposition direct_sum records with it (its nonzero
 parts, when there are at least two, each of smaller dimension; in_add
@@ -78,9 +80,11 @@ minimal (co)resolutions (one resolutions.Resolution each, grown in
 place), and "projectives" and "injectives".
 
 Only Hom spaces that can change a verdict are solved: ``in_add`` reads
-only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt),
-and accepts x when the minimal right approximation they give is an
-isomorphism (``_approximation_is_iso``).  That approximation is the one
+only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt).
+Their dimensions fix a member's multiplicities, and a seeded map from
+the sum those give proves x a member when bijective
+(``_multiplicity_verdict``); else x is a member when the minimal right
+approximation is an isomorphism (``_approximation_is_iso``), the one
 ``addcat`` builds: one peel (``_peel_superfluous``) over one table of
 composites through the generators (``_composite_table``), both here.
 The test is sound for indecomposable, pairwise non-isomorphic
@@ -143,6 +147,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence,
                     Tuple)
 
@@ -724,7 +729,8 @@ def stack_morphisms_to_sum(maps: Sequence[Morphism]) -> Morphism:
     holds by construction."""
     if len(maps) == 1:
         return maps[0]
-    return block_morphism(maps[0].source, direct_sum([f.target for f in maps]),
+    target = direct_sum([f.target for f in maps])    # refuses an empty list
+    return block_morphism(maps[0].source, target,
                           {(i, 0): f for i, f in enumerate(maps)})
 
 
@@ -784,6 +790,8 @@ def solve_rows(equations: Sequence[Sequence[Sequence[int]]],
     every i at once (shared unknowns, one per column j), or None; every
     entry is a coordinate row, and each unknown's rows are read in
     equation order."""
+    if not equations:
+        raise ValueError("no equations to solve")
     ncand = len(equations[0])
     cols = [[x for eq in equations for x in eq[j]] for j in range(ncand)]
     rhs = [x for t in targets for x in t]
@@ -834,6 +842,8 @@ def hom_dims_and_ranks(chain: Sequence[Morphism], g: Module,
 def assemble_from_span(candidates: Sequence[Morphism], coeffs: Sequence[int],
                        source: Module, target: Module) -> Morphism:
     """sum(coeffs_i * candidates_i), formed entrywise as one Morphism."""
+    if len(coeffs) != len(candidates):
+        raise ValueError(f"{len(coeffs)} coefficients for {len(candidates)} candidates")
     vec = [0] * coordinate_length(source, target)
     for c, cand in zip(coeffs, candidates):
         if not (cand.source.same_as(source) and cand.target.same_as(target)):
@@ -988,7 +998,9 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
     vector at most x's at every vertex) are read: by Krull-Schmidt a
     member x is a sum of generators, each of which fits inside it, so x
     lies in add(gens) iff it lies in add(M') for the sum M' of those.
-    Then:
+    Most x are decided exactly by their multiplicities, which the Hom
+    dimensions fix (_multiplicity_verdict); what those leave open is
+    decided by the minimal approximation:
 
     - The trace check: the images of all maps G -> x must span x at every
       vertex, or no map from add(M') is onto x and x is refused.
@@ -1016,6 +1028,9 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
     fit = [g for g in gens if not g.support & outside
            and all(a <= b for a, b in zip(g.dim_vector(), dims))]
     homs = [hom_basis(g, x) for g in fit]
+    verdict = _multiplicity_verdict(x, fit, homs)
+    if verdict is not None:
+        return verdict
     for v, d in zip(x.algebra.quiver.vertices, dims):
         if not d:
             continue
@@ -1030,6 +1045,70 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
         for i, d in enumerate(fit[parts[r][0]].dim_vector()):
             total[i] += d
     return tuple(total) == dims
+
+
+def _multiplicity_verdict(x: Module, fit: List[Module],
+                          homs: List[List[Morphism]]) -> Optional[bool]:
+    """x in add(fit) read off Hom dimensions, or None if they leave it open.
+
+    A member x = sum of G_j^mu_j has h = H mu, h_j = dim Hom(G_j, x) =
+    len(homs[j]), H[i][j] = dim Hom(G_i, G_j), and mu is unique
+    (Krull-Schmidt).  So for H invertible x is refused, exactly, when m =
+    adj(H) h / det H (adj H and det H are kept per fit list) is not a
+    vector of nonnegative integers, or when a vertex shows that the m_j
+    dim G_j do not sum to dim x.  Else m_j <= H[j][j] m_j <= h_j, and x is
+    a member when the map from the sum of the G_j^m_j given by m_j seeded
+    combinations of each Hom basis (the basis itself when m_j = h_j) is
+    bijective at every vertex.  A singular H, or a draw that is not
+    bijective (likelier at small p), leaves x open."""
+    alg, p = x.algebra, x.algebra.p
+    adj, det = alg.memoized(
+        ("adjugate", tuple(g.cid for g in fit)),
+        lambda: _adjugate([[len(hom_basis(g, e)) for e in fit] for g in fit]))
+    if not det:
+        return None
+    m = [sum([a * len(b) for a, b in zip(row, homs)]) for row in adj]
+    if any(s % det or s * det < 0 for s in m):
+        return False
+    m = [s // det for s in m]
+    # one map per copy of G_j, as a list of (coefficient, basis map)
+    rng = random.Random(0) if any(0 < q < len(b) for q, b in zip(m, homs)) else None
+    draws = [[(1, f)] for q, b in zip(m, homs) if q == len(b) for f in b] + [
+        [(rng.randrange(p), f) for f in b]
+        for q, b in zip(m, homs) if q < len(b) for _ in range(q)]
+    for v, d in x.dims.items():
+        if not d:
+            continue
+        cols = []
+        for draw in draws:
+            g, e = draw[0][1].source.dims[v], draw[0][1].components[v].entries
+            if len(draw) > 1:
+                e = [sum(t) % p for t in zip(*([c * y for y in f.components[v].entries]
+                                               for c, f in draw))]
+            cols += (e[k::g] for k in range(g))
+        if len(cols) != d:
+            return False
+        if len(_reduce(cols, d, p)) < d:
+            return None
+    return True
+
+
+def _adjugate(h: List[List[int]]) -> Tuple[List[List[int]], int]:
+    """(adj H, det H) for a square integer matrix H, by Gauss-Jordan
+    elimination over the rationals; ([], 0) when H is singular."""
+    k, det = len(h), Fraction(1)
+    rows = [[Fraction(a) for a in row] + [int(i == j) for j in range(k)]
+            for i, row in enumerate(h)]
+    for c in range(k):
+        i = next((i for i in range(c, k) if rows[i][c]), None)
+        if i is None:
+            return [], 0
+        rows[c], rows[i], det = rows[i], rows[c], det if i == c else -det
+        det *= rows[c][c]
+        top = [y / rows[c][c] for y in rows[c]]
+        rows = [top if i == c else [a - row[c] * b for a, b in zip(row, top)]
+                for i, row in enumerate(rows)]
+    return [[int(y * det) for y in row[k:]] for row in rows], int(det)
 
 
 # -- isomorphism testing and decomposition ----------------------------

@@ -3,7 +3,8 @@ import dataclasses
 import functools
 import gc
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import (combinations, combinations_with_replacement, permutations,
+                       product)
 from pathlib import Path
 
 import pytest
@@ -610,6 +611,153 @@ def test_in_add_solves_no_hom_space_out_of_x():
                     if key[:2] == ("hom", x.cid) and len(key) == 3]
 
 
+def _membership_cases(p):
+    """(x, M, member) over K A_9/J^2 with M = add(Lambda + S_2 + S_4 + S_6 +
+    S_8) and over C_6/J^2 with M = add(Lambda + S_0 + S_2 + S_4), each
+    algebra built afresh (no stored verdict is reused), for x in a random
+    basis: sums of one to four generators (members), then a simple
+    outside M plus up to two generators (non-members)."""
+    rng = random.Random(p)
+    a9, a9_gens = gen_linear_An_J2(2, 4, p)
+    c6 = nakayama_algebra(6, 2, cyclic=True, p=p)
+    c6_gens = list(all_projectives(c6)) + [simple_module(c6, v) for v in "024"]
+    for alg, gens, outside in ((a9, a9_gens, "1357"), (c6, c6_gens, "135")):
+        m = Indecomposables(gens)
+        xs = [(rng.choices(gens, k=rng.randint(1, 4)), True) for _ in range(12)]
+        xs += [([simple_module(alg, rng.choice(outside))]
+                + rng.choices(gens, k=rng.randint(0, 2)), False) for _ in range(6)]
+        for parts, member in xs:
+            yield in_random_basis(direct_sum(parts).module, rng), m, member
+
+
+def _spy_multiplicity_verdict(monkeypatch, decided):
+    step = reps._multiplicity_verdict
+    monkeypatch.setattr(reps, "_multiplicity_verdict",
+                        lambda x, fit, homs: decided.append(step(x, fit, homs))
+                        or decided[-1])
+
+
+def _count_peels(monkeypatch):
+    peels = []
+    peel = reps._peel_superfluous
+    monkeypatch.setattr(reps, "_peel_superfluous",
+                        lambda *args: peels.append(1) or peel(*args))
+    return peels
+
+
+def test_adjugate_and_determinant_are_exact():
+    # H adj H = det H * I, with det H by the Leibniz formula; the middle
+    # matrix needs a row swap, the last is singular
+    def leibniz(h):
+        k = len(h)
+        return sum((-1) ** sum(a > b for a, b in combinations(perm, 2))
+                   * functools.reduce(lambda acc, i: acc * h[i][perm[i]], range(k), 1)
+                   for perm in permutations(range(k)))
+    rng = random.Random(3)
+    cases = [[[rng.randrange(4) for _ in range(k)] for _ in range(k)]
+             for k in (1, 2, 3, 4, 5) for _ in range(6)]
+    cases += [[[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 1], [1, 1]]]
+    for h in cases:
+        adj, det = reps._adjugate(h)
+        assert det == leibniz(h), h
+        if det:
+            assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)]
+                    for row in h] == [[det * (i == j) for j in range(len(h))]
+                                      for i in range(len(h))], h
+        else:
+            assert adj == []
+    assert reps._adjugate([]) == ([], 1)
+
+
+@pytest.mark.parametrize("p", [101, 65537, 2**31 - 1])
+def test_sums_of_generators_are_accepted_by_multiplicities_with_no_peel(p, monkeypatch):
+    # a dense random basis hides every summand, yet the Hom dimensions fix
+    # the multiplicities and one seeded map from the sum they give is
+    # bijective, so no member reaches the peel
+    decided = []
+    _spy_multiplicity_verdict(monkeypatch, decided)
+    peels = _count_peels(monkeypatch)
+    members = [in_add(x, m) for x, m, member in _membership_cases(p) if member]
+    assert members == [True] * 24 and peels == []
+    # a simple generator in any basis is that generator, decided by content
+    assert decided.count(True) >= 20 and None not in decided
+
+
+def test_a_non_member_is_refused_by_its_multiplicities_with_no_peel(monkeypatch):
+    # K A_9/J^2, M as above: S_3 + P_3 fits inside P_3, S_2 and P_2 (the
+    # generators whose dimension vectors are at most (0, 0, 1, 2, 0, ...)),
+    # and the Hom dimensions out of them give no nonnegative integer
+    # multiplicities with that dimension vector.  C_4/J^3 with M the
+    # uniserials of dimension vectors (1, 1, 0, 0), (0, 1, 1, 0) and
+    # (1, 0, 1, 1): H has determinant 2, and for x of dimension vector
+    # (1, 2, 1, 1) (the sum of the first and of (0, 1, 1, 1)) H^-1 h is
+    # (1/2, 1/2, 1/2)
+    a9, a9_gens = gen_linear_An_J2(2, 4)
+    c4 = nakayama_algebra(4, 3, cyclic=True)
+    ind = nakayama_indecomposables(c4)
+    c4_gens = [ind[1], ind[4], ind[8]]
+    assert [[len(hom_basis(a, b)) for b in c4_gens] for a in c4_gens] == [
+        [1, 0, 1], [1, 1, 0], [0, 1, 1]]
+    decided = []
+    _spy_multiplicity_verdict(monkeypatch, decided)
+    peels = _count_peels(monkeypatch)
+    rng = random.Random(4)
+    for gens, parts in ((a9_gens, [simple_module(a9, "3"), projective_module(a9, "3")]),
+                        (c4_gens, [ind[1], ind[5]])):
+        x = in_random_basis(direct_sum(parts).module, rng)
+        assert ("summands", x.cid) not in x.algebra.store   # decided whole
+        decided.clear()
+        assert in_add(x, Indecomposables(gens)) is False
+        assert decided == [False] and identity_through(x, gens) is False
+    assert [len(hom_basis(g, x)) for g in c4_gens] == [1, 1, 1] and peels == []
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_a_singular_hom_dimension_matrix_leaves_membership_to_the_peel(p, monkeypatch):
+    # C_2/J^2: Hom(P_i, P_j) is one-dimensional for all i, j, so H is the
+    # all-ones matrix; P_0 + P_1 and P_0 + P_0 are members, P_1 + S_1 is not
+    alg = nakayama_algebra(2, 2, cyclic=True, p=p)
+    gens = list(all_projectives(alg))
+    assert [[len(hom_basis(a, b)) for b in gens] for a in gens] == [[1, 1], [1, 1]]
+    decided = []
+    _spy_multiplicity_verdict(monkeypatch, decided)
+    peels = _count_peels(monkeypatch)
+    rng = random.Random(p)
+    for parts, member in (([gens[0], gens[1]], True), ([gens[0], gens[0]], True),
+                          ([gens[1], simple_module(alg, "1")], False)):
+        total = direct_sum(parts).module
+        x = in_random_basis(total, rng)
+        while x.cid == total.cid:               # not decided by its summands
+            x = in_random_basis(total, rng)
+        decided.clear()
+        assert in_add(x, Indecomposables(gens)) is member
+        assert decided == [None] and identity_through(x, gens) is member
+    assert peels
+
+
+def test_draws_that_are_not_bijective_at_p_2_fall_back_to_the_peel(monkeypatch):
+    # over F_2 a seeded combination of a Hom basis is often singular: those
+    # members reach the peel, which accepts them, as the reference does
+    decided = []
+    _spy_multiplicity_verdict(monkeypatch, decided)
+    peels = _count_peels(monkeypatch)
+    for x, m, member in _membership_cases(2):
+        assert in_add(x, m) is member is identity_through(x, m), x.key
+    assert None in decided and True in decided and False in decided and peels
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_the_peel_alone_gives_every_verdict_of_the_cases(p, monkeypatch):
+    # with the multiplicity step patched to decide nothing, the trace check
+    # and the peel still give every verdict: the fallback is a full reference
+    verdicts = [in_add(x, m) for x, m, _ in _membership_cases(p)]
+    monkeypatch.setattr(reps, "_multiplicity_verdict", lambda x, fit, homs: None)
+    peels = _count_peels(monkeypatch)
+    cases = list(_membership_cases(p))
+    assert [in_add(x, m) for x, m, _ in cases] == verdicts
+    assert [member for *_, member in cases] == verdicts and peels
+
+
 def reference_solve_hom(m, n):
     """The naturality system of Hom(m, n) as it was solved with dense rows,
     one list per equation, reduced mod p by Mat.from_rows: the component
@@ -1099,6 +1247,29 @@ def test_in_add_of_a_sum_with_one_nonzero_part_is_the_parts_verdict(a3, a3_mods,
 def test_direct_sum_of_nothing_is_refused():
     with pytest.raises(ValueError, match="empty direct sum; use zero_module"):
         direct_sum([])
+
+
+def test_stacking_nothing_is_refused_as_an_empty_sum():
+    for stack in (stack_morphisms_to_sum, stack_morphisms_from_sum):
+        with pytest.raises(ValueError, match="empty direct sum; use zero_module"):
+            stack([])
+
+
+def test_solve_rows_refuses_an_empty_system():
+    with pytest.raises(ValueError, match="no equations to solve"):
+        reps.solve_rows([], [], 101)
+
+
+def test_assemble_from_span_refuses_a_coefficient_list_of_another_length():
+    # End(P_1) over K A_3/J^2 has a one-map basis; three coefficients used
+    # to be cut to one by zip, and a map was returned
+    p1 = projective_module(linear_a3_j2(), "1")
+    basis = hom_basis(p1, p1)
+    assert len(basis) == 1
+    for coeffs in ([1, 2, 3], []):
+        with pytest.raises(ValueError, match="coefficients for 1 candidates"):
+            assemble_from_span(basis, coeffs, p1, p1)
+    assert equals(assemble_from_span(basis, [1], p1, p1), basis[0])
 
 
 def test_direct_sum_returns_the_parts_it_was_given(a3_mods):
