@@ -7,20 +7,21 @@ generators and drops, in one pass, each summand whose component factors
 through the summands kept, solving only over Hom spaces between
 generators.  The peel and the contract check read one table of
 composites f_r.then(h), h in Hom(G_r, G_j) (dually h.then(f_r)), each
-composed once.  The peel and the table (reps._peel_superfluous,
-reps._composite_table) are the ones reps.in_add runs on a module whose
-Hom dimensions leave its membership open (reps._multiplicity_verdict):
-membership is then the right approximation being an isomorphism.
-Chain completion (_lift_along) and homotopies (_homotopy) are one loop
-each, and each step is one reps.factor_through.
+composed once.  The builder, the peel and the table (reps._approximation,
+reps._peel_superfluous, reps._composite_table) live in reps, since
+reps.in_add reads the stored right approximation over the generators
+that fit inside a module whose Hom dimensions leave its membership open
+(reps._multiplicity_verdict): membership is then that approximation
+being an isomorphism.  Chain completion (_lift_along) and homotopies
+(_homotopy) are one loop each, and each step is one reps.factor_through.
 
 Each fact is checked once, where it is made.  An approximation checks
 its contract (Hom(T, G) -> Hom(x, G) onto, or dually) when it is built,
 for each generator G with Hom(x, G) (or Hom(G, x)) nonzero, from the
-table's rows, so no Hom space of T is solved (_build_approximation).
+table's rows, so no Hom space of T is solved (reps._build_approximation).
 It is kept in the algebra's store by side and by the content ids of x
 and of the generators, and reused, unchecked, for every later x of that
-content (_approximation); its sum T is the stored sum of direct_sum.
+content (reps._approximation); its sum T is the stored sum of direct_sum.
 A weak (co)kernel and the Hom exactness of an n-(co)kernel ladder follow
 from that contract and the exactness of (co)kernels, so they are not
 checked again; what depends on M is that a ladder ends in add(M), and
@@ -58,12 +59,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .complexes import ComplexSeq, ComplexMorphism, Homotopy, _complex
 from .quivers import AlgebraBasis
 from .reps import (DomainError, Indecomposables, Module, Morphism,
-                   PreconditionError, _composite_table, _peel_superfluous,
-                   cokernel_morphism, factor_through, hom_basis,
-                   hom_dims_and_ranks, identity_morphism, in_add,
-                   indecomposables, kernel_morphism, rows_rank,
-                   stack_morphisms_from_sum, stack_morphisms_to_sum,
-                   zero_module, zero_morphism)
+                   PreconditionError, _approximation, cokernel_morphism,
+                   factor_through, hom_basis, hom_dims_and_ranks,
+                   identity_morphism, in_add, indecomposables, kernel_morphism)
+
+# re-exported: perfbench/tests/test_perfbench.py reads reps.hom_basis here
+hom_basis = hom_basis
 
 
 class HypothesisError(ValueError):
@@ -92,62 +93,15 @@ def add_category(alg: AlgebraBasis, generators: Sequence[Module],
 # -- approximations ------------------------------------------------------
 
 
-def _approximation(x: Module, m: AddCat, left: bool) -> Morphism:
-    """The minimal left (x -> T) or right (T -> x) approximation, kept in
-    the algebra's store by side and the content ids of x and of the
-    generators: it is built and its contract checked once per content
-    (_build_approximation).  Like a stored Hom basis, the map starts (left)
-    or ends (right) at the first module of x's content; every caller
-    compares endpoints by content."""
-    side = "left" if left else "right"
-    return x.algebra.memoized(
-        ("approx", side, x.cid, tuple(g.cid for g in m.generators)),
-        lambda: _build_approximation(x, m, left))
-
-
-def _build_approximation(x: Module, m: AddCat, left: bool) -> Morphism:
-    """The approximation _approximation stores: the stacked Hom bases
-    between x and the generators, less the summands _peel_superfluous
-    drops.
-
-    Contract (verified): Hom(T, G) -> Hom(x, G) is onto (left; dually
-    Hom(G, T) -> Hom(G, x)) for every generator G with Hom(x, G) (or
-    Hom(G, x)) nonzero; a map onto the zero space is onto, so the other
-    generators need no check.  For T = sum of the kept G_r, Hom(T, G_j) is
-    the sum of the Hom(G_r, G_j), so the image is spanned by the rows
-    table(r, j) of the kept r, the rows the peel read: no Hom space of T
-    is solved and nothing is composed through T."""
-    gens = m.generators
-    p = x.algebra.p
-    homs = [hom_basis(x, g) if left else hom_basis(g, x) for g in gens]
-    parts = [(j, f) for j, basis in enumerate(homs) for f in basis]
-    table = _composite_table(gens, parts, left)
-    kept = _peel_superfluous(parts, table, p)
-    maps = [parts[r][1] for r in kept]
-    if not maps:
-        zero = zero_module(x.algebra)
-        approx = zero_morphism(x, zero) if left else zero_morphism(zero, x)
-    elif left:
-        approx = stack_morphisms_to_sum(maps)
-    else:
-        approx = stack_morphisms_from_sum(maps)
-    for j, basis in enumerate(homs):
-        if basis and rows_rank([row for r in kept for row in table(r, j)],
-                               p) != len(basis):
-            side = "left" if left else "right"
-            raise AssertionError(f"{side} approximation lost a Hom class")
-    return approx
-
-
 def minimal_left_approximation(x: Module, m: AddCat) -> Morphism:
     """Minimal left add(M)-approximation x -> T, its contract verified
-    (_approximation)."""
-    return _approximation(x, m, left=True)
+    (reps._approximation)."""
+    return _approximation(x, m.generators, left=True)
 
 
 def minimal_right_approximation(x: Module, m: AddCat) -> Morphism:
     """Minimal right add(M)-approximation T -> x, dual to the left one."""
-    return _approximation(x, m, left=False)
+    return _approximation(x, m.generators, left=False)
 
 
 # -- weak (co)kernels ----------------------------------------------------
@@ -195,7 +149,10 @@ def _weak_kernel(f: Morphism, m: AddCat) -> Morphism:
 
 
 def hom_exact_at_middle(p: Module, f: Morphism, g: Morphism) -> Tuple[bool, dict]:
-    """Exactness of Hom(p, L) -> Hom(p, M) -> Hom(p, N) at the middle."""
+    """Exactness of Hom(p, L) -> Hom(p, M) -> Hom(p, N) at the middle, for
+    f: L -> M and g: M -> N (ValueError unless they compose)."""
+    if not f.target.same_as(g.source):
+        raise ValueError("non-composable morphisms")
     (_, rank_alpha), (dim_m, rank_beta) = hom_dims_and_ranks(
         [f, g], p, contravariant=False)
     dim_ker = dim_m - rank_beta

@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Tuple
 from .addcat import (AddCat, DomainError, HypothesisError, PreconditionError,
                      minimal_left_approximation)
 from .complexes import (ComplexSeq, ComplexMorphism, Homotopy, _chain_map,
-                        _complex)
+                        _complex, _content)
 from .reps import (Module, Morphism, assemble_from_span, block_morphism,
                    cokernel_morphism, composite_rows, coordinate_length,
                    direct_sum, hom_basis, identity_morphism, in_add,
@@ -136,13 +136,17 @@ def pushout_factorization(f: ComplexMorphism, g: ComplexMorphism) \
         -> Tuple[ComplexMorphism, Homotopy]:
     """Universal property: p: Y -> Z with p^0 = 1 and a homotopy
     h: f.then(p) -> g with vanishing first component, for g into a
-    complex of add(M).  Both are built unchecked: _factor_pushout solves
+    complex of add(M); PreconditionError, before any solve, unless g
+    starts at f's source complex (by content) and shares f's degree-0
+    component.  Both are built unchecked: _factor_pushout solves
     for every homotopy equation and every square of p but the one at the
     top degree t = x.hi, p^t d_Z^t = 0.  That one holds because p^t d_Z^t
     kills both blocks f^t and d_Y^{t-1} of the top w of f's cone, and
     n_pushout checked that no nonzero map from Y^t into add(M) kills w."""
     x, y, z = f.source, f.target, g.target
     lo = x.lo
+    if _content(g.source) != _content(x):
+        raise PreconditionError("g must start at the source complex of f")
     if not y.term(lo).same_as(z.term(lo)):
         raise PreconditionError("degree-0 targets differ")
     if not f.component(lo).sub(g.component(lo)).is_zero():

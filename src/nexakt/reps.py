@@ -73,7 +73,8 @@ for a proper decomposition direct_sum records with it (its nonzero
 parts, when there are at least two, each of smaller dimension; in_add
 decides the content by them, and solves for no zero module, generator or
 sum), ("approx", side, x, ids of the generators) for the minimal
-approximation addcat builds, its contract checked once,
+approximation built here (``_approximation``), its contract checked
+once, for addcat and, over the generators that fit inside x, for in_add,
 ("indecomposables", ids of the entries, seed) for a list
 indecomposables() passed, ("projres", x) and ("injres", x) for the
 minimal (co)resolutions (one resolutions.Resolution each, grown in
@@ -84,9 +85,11 @@ only Hom(G, x), for the generators G that fit inside x (Krull-Schmidt).
 Their dimensions fix a member's multiplicities, and a seeded map from
 the sum those give proves x a member when bijective
 (``_multiplicity_verdict``); else x is a member when the minimal right
-approximation is an isomorphism (``_approximation_is_iso``), the one
-``addcat`` builds: one peel (``_peel_superfluous``) over one table of
-composites through the generators (``_composite_table``), both here.
+approximation over those generators is an isomorphism
+(``_approximation_is_iso``).  It is the stored map of the one builder,
+``_approximation``, which addcat calls too (one map for both when every
+generator fits inside x): one peel (``_peel_superfluous``) over one
+table of composites through the generators (``_composite_table``).
 The test is sound for indecomposable, pairwise non-isomorphic
 generators, so in_add checks any list but an ``Indecomposables`` with
 ``indecomposables()`` (defined here, as is its ``DomainError``; addcat
@@ -879,12 +882,11 @@ def lift_through(f: Morphism, g: Morphism) -> Optional[Morphism]:
 def _composite_table(gens: Sequence[Module], parts: List[Tuple[int, Morphism]],
                      left: bool) -> Callable[[int, int], List[tuple]]:
     """The table of composites through the generators that the peel and
-    the approximation contract read (addcat._approximation, and in_add's
-    _approximation_is_iso): table(r, j) is the list of coordinate rows of
-    f_r.then(h) for h in the basis of Hom(G_r, G_j) (left), or of
-    h.then(f_r) for h in the basis of Hom(G_j, G_r) (right), where
-    parts[r] = (index of G_r, f_r).  Each entry is composed once, when
-    first read."""
+    the approximation contract read (_build_approximation): table(r, j) is
+    the list of coordinate rows of f_r.then(h) for h in the basis of
+    Hom(G_r, G_j) (left), or of h.then(f_r) for h in the basis of
+    Hom(G_j, G_r) (right), where parts[r] = (index of G_r, f_r).  Each
+    entry is composed once, when first read."""
     rows: Dict[Tuple[int, int], List[tuple]] = {}
 
     def table(r: int, j: int) -> List[tuple]:
@@ -917,6 +919,66 @@ def _peel_superfluous(parts: List[Tuple[int, Morphism]],
         if solve_rows([span], [fi.vectorize()], p) is not None:
             kept.remove(i)
     return kept
+
+
+def _approximation(x: Module, gens: Sequence[Module], left: bool) -> Morphism:
+    """The minimal left (x -> T) or right (T -> x) add(gens)-approximation,
+    kept in the algebra's store by side and the content ids of x and of the
+    generators: it is built and its contract checked once per content
+    (_build_approximation).  Like a stored Hom basis, the map starts (left)
+    or ends (right) at the first module of x's content; every caller
+    compares endpoints by content."""
+    side = "left" if left else "right"
+    return x.algebra.memoized(
+        ("approx", side, x.cid, tuple(g.cid for g in gens)),
+        lambda: _build_approximation(x, gens, left))
+
+
+def _build_approximation(x: Module, gens: Sequence[Module], left: bool) -> Morphism:
+    """The approximation _approximation stores: the stacked Hom bases
+    between x and the generators, less the summands _peel_superfluous
+    drops.
+
+    Minimal (Auslander–Reiten–Smalø, Representation Theory of Artin
+    Algebras, Ch. II §2; the left case is dual): the kept maps f_r: G_r -> x
+    are homogeneous elements of N = Hom(M, x) as a right module over E =
+    End(M), M the sum of the generators.  They generate N, since each
+    dropped map lies in the span of the maps kept at its turn, and no kept
+    f_i lies in the sum of the f_r E over the other kept r.  Were the
+    images in top N = N / N rad E of the kept maps out of one G_j dependent
+    over the division ring End(G_j)/rad End(G_j), some kept f_i would lie
+    in N rad E plus the f_r E of the other kept r; those would then
+    generate N modulo N rad E, hence generate N (Nakayama's lemma), and f_i
+    would lie in their sum after all.  So the kept maps induce the
+    projective cover of N over E, and their stacked map T -> x, T the sum
+    of the kept G_r, is the minimal right approximation.
+
+    Contract (verified): Hom(T, G) -> Hom(x, G) is onto (left; dually
+    Hom(G, T) -> Hom(G, x)) for every generator G with Hom(x, G) (or
+    Hom(G, x)) nonzero; a map onto the zero space is onto, so the other
+    generators need no check.  For T = sum of the kept G_r, Hom(T, G_j) is
+    the sum of the Hom(G_r, G_j), so the image is spanned by the rows
+    table(r, j) of the kept r, the rows the peel read: no Hom space of T
+    is solved and nothing is composed through T."""
+    p = x.algebra.p
+    homs = [hom_basis(x, g) if left else hom_basis(g, x) for g in gens]
+    parts = [(j, f) for j, basis in enumerate(homs) for f in basis]
+    table = _composite_table(gens, parts, left)
+    kept = _peel_superfluous(parts, table, p)
+    maps = [parts[r][1] for r in kept]
+    if not maps:
+        zero = zero_module(x.algebra)
+        approx = zero_morphism(x, zero) if left else zero_morphism(zero, x)
+    elif left:
+        approx = stack_morphisms_to_sum(maps)
+    else:
+        approx = stack_morphisms_from_sum(maps)
+    for j, basis in enumerate(homs):
+        if basis and rows_rank([row for r in kept for row in table(r, j)],
+                               p) != len(basis):
+            side = "left" if left else "right"
+            raise AssertionError(f"{side} approximation lost a Hom class")
+    return approx
 
 
 # -- membership in add(generators) ------------------------------------
@@ -999,52 +1061,22 @@ def _approximation_is_iso(x: Module, gens: Indecomposables) -> bool:
     member x is a sum of generators, each of which fits inside it, so x
     lies in add(gens) iff it lies in add(M') for the sum M' of those.
     Most x are decided exactly by their multiplicities, which the Hom
-    dimensions fix (_multiplicity_verdict); what those leave open is
-    decided by the minimal approximation:
-
-    - The trace check: the images of all maps G -> x must span x at every
-      vertex, or no map from add(M') is onto x and x is refused.
-    - The peel (_peel_superfluous, over the table of composites h.then(f_r),
-      h in Hom(G_j, G_r)) keeps maps f_r: G_r -> x, homogeneous elements of
-      N = Hom(M', x) as a right module over E = End(M').  They generate N,
-      since each dropped map lies in the span of the maps kept at its turn,
-      and no kept f_i lies in the sum of the f_r E over the other kept r.
-      Such a set is minimal: were the images in top N = N / N rad E of the
-      kept maps out of one G_j dependent over the division ring
-      End(G_j)/rad End(G_j), some kept f_i would lie in N rad E plus the
-      f_r E of the other kept r; those would then generate N modulo
-      N rad E, hence generate N (Nakayama's lemma), and f_i would lie in
-      their sum after all.  So the kept maps induce the projective cover
-      of N over E, and their stacked map T -> x, T the sum of the kept G_r,
-      is the minimal right add(M')-approximation of x (Auslander–Reiten–
-      Smalø, Representation Theory of Artin Algebras, Ch. II §2).
-    - If x lies in add(M'), id_x is a right-minimal approximation, so
-      T -> x is an isomorphism and dim T = dim x.  Conversely, T -> x is
-      onto by the trace check, so dim T = dim x makes it an isomorphism.
-
-    So x is accepted exactly when the dimension vectors of the kept G_r sum
-    to x's; no Hom space out of x is solved."""
+    dimensions fix (_multiplicity_verdict).  What those leave open is
+    decided by the stored minimal right add(M')-approximation T -> x
+    (_approximation; the one addcat reads when every generator fits):
+    if x lies in add(M'), id_x is a right-minimal approximation, so
+    T -> x is an isomorphism.  Conversely, its kept maps generate
+    Hom(M', x) over End(M'), so its image is the trace of M' in x, and
+    T -> x onto with dim T = dim x is an isomorphism.  No Hom space out
+    of x is solved."""
     dims, outside = x.dim_vector(), ~x.support
     fit = [g for g in gens if not g.support & outside
            and all(a <= b for a, b in zip(g.dim_vector(), dims))]
-    homs = [hom_basis(g, x) for g in fit]
-    verdict = _multiplicity_verdict(x, fit, homs)
+    verdict = _multiplicity_verdict(x, fit, [hom_basis(g, x) for g in fit])
     if verdict is not None:
         return verdict
-    for v, d in zip(x.algebra.quiver.vertices, dims):
-        if not d:
-            continue
-        images = [f.components[v] for basis in homs for f in basis]
-        if not images or rank(Mat.hstack(images)) < d:
-            return False
-    parts = [(j, f) for j, basis in enumerate(homs) for f in basis]
-    kept = _peel_superfluous(parts, _composite_table(fit, parts, left=False),
-                             x.algebra.p)
-    total = [0] * len(dims)
-    for r in kept:
-        for i, d in enumerate(fit[parts[r][0]].dim_vector()):
-            total[i] += d
-    return tuple(total) == dims
+    t = _approximation(x, fit, left=False)
+    return t.source.dim_vector() == dims and t.is_surjective()
 
 
 def _multiplicity_verdict(x: Module, fit: List[Module],

@@ -6,7 +6,7 @@ import pytest
 
 from nexakt.addcat import (DomainError, HypothesisError, PreconditionError,
                            add_category, comparison_homotopy, contract,
-                           n_cokernel,
+                           hom_exact_at_middle, n_cokernel,
                            n_kernel, minimal_left_approximation,
                            minimal_right_approximation, verify_n_cokernel,
                            verify_n_exact, verify_n_kernel, weak_cokernel,
@@ -99,9 +99,8 @@ def test_approximation_that_loses_a_hom_class_is_caught(m3, a3_mods, monkeypatch
                                                        approximation):
     # the contract is checked for every G with Hom(S1, G) (resp. Hom(G, S1))
     # nonzero: a peel that drops every summand fails it there (the peel is
-    # reps._peel_superfluous, patched where addcat's approximation reads it)
-    from nexakt import addcat
-    monkeypatch.setattr(addcat, "_peel_superfluous", lambda parts, table, p: [])
+    # reps._peel_superfluous, patched where the one builder reads it)
+    monkeypatch.setattr(reps, "_peel_superfluous", lambda parts, table, p: [])
     with pytest.raises(AssertionError, match="lost a Hom class"):
         approximation(a3_mods["S1"], m3)
 
@@ -239,7 +238,6 @@ def _copy(x):
 
 @pytest.mark.parametrize("left", [True, False])
 def test_an_approximation_is_built_once_per_content(monkeypatch, left):
-    from nexakt import addcat
     approximate = minimal_left_approximation if left else minimal_right_approximation
     alg, gens = gen_linear_An_J2(2, 2)
     m = add_category(alg, gens)
@@ -252,7 +250,7 @@ def test_an_approximation_is_built_once_per_content(monkeypatch, left):
         pytest.fail("a stored approximation was built again")
 
     monkeypatch.setattr(reps, "_solve_hom", refuse)
-    monkeypatch.setattr(addcat, "_peel_superfluous", refuse)
+    monkeypatch.setattr(reps, "_peel_superfluous", refuse)
     seconds = [approximate(_copy(x), m) for x in xs]
     assert all(f is g for f, g in zip(firsts, seconds))
     monkeypatch.undo()
@@ -372,6 +370,21 @@ def test_weak_kernel_of_mono_is_zero(a3, m3, a3_mods):
     f = only_hom(a3_mods["S0"], a3_mods["P1"])
     k = weak_kernel(f, m3)
     assert k.source.total_dim == 0
+
+
+def test_hom_exact_at_middle_refuses_maps_that_do_not_compose(a3_mods):
+    # f: S0 -> P1 and g = id_P2 do not compose: read as they were, they gave
+    # rank_in 1 into a middle Hom space of dimension 0
+    f = only_hom(a3_mods["S0"], a3_mods["P1"])
+    g = identity_morphism(a3_mods["P2"])
+    for p in ("S0", "P1", "P2", "S2"):
+        with pytest.raises(ValueError, match="non-composable morphisms"):
+            hom_exact_at_middle(a3_mods[p], f, g)
+    # a composable pair, through a copy of P1, is read as before
+    g = only_hom(Module(a3_mods["P1"].algebra, a3_mods["P1"].dims,
+                        a3_mods["P1"].action), a3_mods["P2"])
+    assert hom_exact_at_middle(a3_mods["P1"], f, g) == (True, {
+        "dim_hom_middle": 1, "rank_in": 0, "rank_out": 1, "kernel_dim": 0})
 
 
 # -- n-cokernels, n-kernels ---------------------------------------------------

@@ -286,3 +286,26 @@ def test_factorization_refuses_completions_that_differ_in_degree_0(a3, m3, a3_mo
     with pytest.raises(PreconditionError,
                        match="f and g must share the degree-0 component"):
         pushout_factorization(f, g)
+
+
+def test_factorization_refuses_a_g_from_another_complex(a3, m3, a3_mods, monkeypatch):
+    # x and x' = (2 d^0, d^1) are both pushed out along id_S0, so f and g
+    # share their degree-0 target and component; g starts at x', not at x,
+    # and is refused before any solve (it reached the solver, which blamed
+    # the hypotheses: "factorization stuck at degree 0")
+    x = upper_complex(a3, a3_mods)
+    other = complex_from_maps(0, [x.diff(0).scale(2), x.diff(1)])
+    ident = identity_morphism(a3_mods["S0"])
+    _, f = n_pushout(x, ident, m3)
+    _, g = n_pushout(other, ident, m3)
+    monkeypatch.setattr(pushout, "solve_rows",
+                        lambda *args: pytest.fail("solved for a refused g"))
+    with pytest.raises(PreconditionError,
+                       match="g must start at the source complex of f"):
+        pushout_factorization(f, g)
+    monkeypatch.undo()
+    # a g from a copy of x, equal by content, is accepted
+    copy = complex_from_maps(0, list(x.diffs))
+    _, g = n_pushout(copy, ident, m3)
+    p, h = pushout_factorization(f, g)
+    assert verify_homotopy(f.then(p), g, h)

@@ -13,7 +13,8 @@ from nexakt import polys, quivers, reps, resolutions
 from nexakt.fp import Mat, kernel_basis, rank, solve_linear
 from nexakt.complexes import ComplexSeq
 from nexakt.addcat import (DomainError, Indecomposables, add_category,
-                           indecomposables, n_cokernel, n_kernel)
+                           indecomposables, minimal_right_approximation,
+                           n_cokernel, n_kernel)
 from nexakt.fp import FieldSpec
 from nexakt.presets import (gen_auslander_linear_A, gen_linear_An_J2,
                             nakayama_algebra, nakayama_indecomposables)
@@ -733,6 +734,31 @@ def test_a_singular_hom_dimension_matrix_leaves_membership_to_the_peel(p, monkey
         assert in_add(x, Indecomposables(gens)) is member
         assert decided == [None] and identity_through(x, gens) is member
     assert peels
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1])
+def test_membership_and_the_right_approximation_share_one_peel(p, monkeypatch):
+    # C_2/J^2 with M = P_0 + P_1, whose H is singular: in_add of P_0 + P_1 in
+    # another basis reads the stored minimal right approximation over the
+    # generators that fit (both), which minimal_right_approximation then
+    # reads back, so one peel serves both
+    alg = nakayama_algebra(2, 2, cyclic=True, p=p)
+    cat = add_category(alg, list(all_projectives(alg)))
+    total = direct_sum(list(cat.generators)).module
+    rng = random.Random(p)
+    x = in_random_basis(total, rng)
+    while x.cid == total.cid:                   # not decided by its summands
+        x = in_random_basis(total, rng)
+    decided = []
+    _spy_multiplicity_verdict(monkeypatch, decided)
+    peels = _count_peels(monkeypatch)
+    assert in_add(x, cat.generators) is True and decided == [None]
+    key = ("approx", "right", x.cid, tuple(g.cid for g in cat.generators))
+    stored = alg.store.get(key)
+    assert stored is not None and peels == [1]
+    t = minimal_right_approximation(x, cat)
+    assert t is stored and peels == [1]
+    assert t.source.dim_vector() == x.dim_vector() and t.is_surjective()
 
 
 def test_draws_that_are_not_bijective_at_p_2_fall_back_to_the_peel(monkeypatch):
